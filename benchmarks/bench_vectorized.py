@@ -1,24 +1,22 @@
-"""Executor throughput: batch and compiled modes vs record-at-a-time.
+"""Executor throughput: batch mode vs record-at-a-time.
 
 The batch engine exists to cut interpreter dispatch, not simulated
-I/O, and the pipeline compiler exists to cut what dispatch batching
-leaves behind — all three executors charge identical page/record
-totals (held by the differential suites in ``tests/test_vectorized.py``
-and ``tests/test_compiled.py``), so the quantity to gate on is record
-throughput: records processed per wall-clock second on the same plan
-over the same data.
+I/O — both executors charge identical page/record totals (held by the
+differential suite in ``tests/test_vectorized.py``), so the quantity
+to gate on is record throughput: records processed per wall-clock
+second on the same plan over the same data.
 
 This bench runs the static plans of all five paper queries through
-the row, batch, and compiled engines and asserts the acceptance bars:
+the row and batch engines and asserts the acceptance bars:
 
-* query 5 (the 10-way chain): batch >= 2x row, compiled >= 1.5x row;
+* query 5 (the 10-way chain): batch >= 2x row;
 * query 1 (single-relation index scan, where per-batch overhead once
-  made batching a *pessimization*): batch >= 1x row, compiled >= 1x
-  row — no query may regress by switching modes.
+  made batching a *pessimization*): batch >= 1x row — no query may
+  regress by switching modes.
 
-All sides execute the same binding sweep and are timed in strictly
+Both sides execute the same binding sweep and are timed in strictly
 alternating repetitions, compared min-to-min, so machine drift hits
-every engine equally instead of deciding the verdict.
+both engines equally instead of deciding the verdict.
 
 ``REPRO_BENCH_N`` scales the repetition count (floor 5).
 """
@@ -34,19 +32,15 @@ from repro import (
     paper_workload,
     populate_database,
 )
-from repro.executor.compiled import compile_plan
 from repro.workloads import binding_series
 
 #: Batch-over-row acceptance bar on the largest paper query.
 MIN_SPEEDUP = 2.0
 
-#: Compiled-over-row acceptance bar on the largest paper query.
-MIN_COMPILED_SPEEDUP = 1.5
-
 #: No mode may fall below row-mode throughput on the smallest query.
 MIN_SMALL_QUERY_SPEEDUP = 1.0
 
-#: The paper query the large bars are gated on (10-way chain join).
+#: The paper query the large bar is gated on (10-way chain join).
 GATED_QUERY = 5
 
 #: The paper query the no-regression bar is gated on (1-way scan).
@@ -56,17 +50,15 @@ SMALL_QUERY = 1
 BINDING_SETS = 5
 
 #: Execution modes measured, in sweep order.
-MODES = ("row", "batch", "compiled")
+MODES = ("row", "batch")
 
 
-def _sweep_seconds(plan, database, bindings_list, parameter_space, mode,
-                   program=None):
+def _sweep_seconds(plan, database, bindings_list, parameter_space, mode):
     """Wall seconds to execute ``plan`` once per binding set."""
     started = perf_counter()
     for bindings in bindings_list:
         execute_plan(
-            plan, database, bindings, parameter_space, execution_mode=mode,
-            compiled_program=program,
+            plan, database, bindings, parameter_space, execution_mode=mode
         )
     return perf_counter() - started
 
@@ -79,16 +71,11 @@ def _measure_query(number, repetitions):
     populate_database(database, seed=11)
     bindings_list = binding_series(workload, count=BINDING_SETS, seed=5)
     space = workload.query.parameter_space
-    # One shared program, as the service holds per cached plan: codegen
-    # is paid once, the timed sweeps measure steady-state execution.
-    program = compile_plan(plan)
-
     # Records processed and rows returned are mode-independent; take
     # them from untimed runs (which also warm every code path).
     results = {
         mode: execute_plan(
-            plan, database, bindings_list[0], space, execution_mode=mode,
-            compiled_program=program if mode == "compiled" else None,
+            plan, database, bindings_list[0], space, execution_mode=mode
         )
         for mode in MODES
     }
@@ -107,10 +94,7 @@ def _measure_query(number, repetitions):
         for mode in MODES:
             seconds[mode] = min(
                 seconds[mode],
-                _sweep_seconds(
-                    plan, database, bindings_list, space, mode,
-                    program=program if mode == "compiled" else None,
-                ),
+                _sweep_seconds(plan, database, bindings_list, space, mode),
             )
     measurement = {
         "query": workload.name,
@@ -121,40 +105,28 @@ def _measure_query(number, repetitions):
         measurement["%s_seconds" % mode] = seconds[mode]
         measurement["%s_throughput" % mode] = records_per_sweep / seconds[mode]
     measurement["speedup"] = seconds["row"] / seconds["batch"]
-    measurement["compiled_speedup"] = seconds["row"] / seconds["compiled"]
     return measurement
 
 
 def render_table(measurements):
-    """The row/batch/compiled comparison table as printable text."""
+    """The row/batch comparison table as printable text."""
     lines = [
-        "executor record throughput: batch and compiled vs row "
+        "executor record throughput: batch vs row "
         "(static plans, %d binding sets, min-of-reps)" % BINDING_SETS,
         "",
-        "  %-8s %8s %10s %12s %12s %12s %8s %9s"
-        % (
-            "query",
-            "rows",
-            "records",
-            "row-sec",
-            "batch-sec",
-            "comp-sec",
-            "batch-x",
-            "comp-x",
-        ),
+        "  %-8s %8s %10s %12s %12s %8s"
+        % ("query", "rows", "records", "row-sec", "batch-sec", "batch-x"),
     ]
     for m in measurements:
         lines.append(
-            "  %-8s %8d %10d %12.6f %12.6f %12.6f %7.2fx %8.2fx"
+            "  %-8s %8d %10d %12.6f %12.6f %7.2fx"
             % (
                 m["query"],
                 m["rows"],
                 m["records"],
                 m["row_seconds"],
                 m["batch_seconds"],
-                m["compiled_seconds"],
                 m["speedup"],
-                m["compiled_speedup"],
             )
         )
     return "\n".join(lines)
@@ -172,9 +144,7 @@ def test_batch_throughput(results_dir):
         for metric, value in (
             ("batch_record_throughput", m["batch_throughput"]),
             ("row_record_throughput", m["row_throughput"]),
-            ("compiled_record_throughput", m["compiled_throughput"]),
             ("batch_over_row_speedup", m["speedup"]),
-            ("compiled_over_row_speedup", m["compiled_speedup"]),
         ):
             records.append(
                 {
@@ -193,18 +163,8 @@ def test_batch_throughput(results_dir):
         "batch mode only %.2fx the row engine's record throughput on "
         "%s (bar: %.1fx)" % (gated["speedup"], gated["query"], MIN_SPEEDUP)
     )
-    assert gated["compiled_speedup"] >= MIN_COMPILED_SPEEDUP, (
-        "compiled mode only %.2fx the row engine's record throughput on "
-        "%s (bar: %.1fx)"
-        % (gated["compiled_speedup"], gated["query"], MIN_COMPILED_SPEEDUP)
-    )
     assert small["speedup"] >= MIN_SMALL_QUERY_SPEEDUP, (
         "batch mode regressed to %.2fx of the row engine on %s "
         "(bar: %.1fx)"
         % (small["speedup"], small["query"], MIN_SMALL_QUERY_SPEEDUP)
-    )
-    assert small["compiled_speedup"] >= MIN_SMALL_QUERY_SPEEDUP, (
-        "compiled mode regressed to %.2fx of the row engine on %s "
-        "(bar: %.1fx)"
-        % (small["compiled_speedup"], small["query"], MIN_SMALL_QUERY_SPEEDUP)
     )

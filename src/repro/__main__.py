@@ -5,7 +5,7 @@ Commands:
 * ``demo``                 — compile, store, activate, and execute the
   motivating example end to end, narrating each step;
 * ``run``                  — optimize and execute one paper query under
-  any executor (``--execution-mode row|batch|compiled``) and print rows,
+  either executor (``--execution-mode row|batch``) and print rows,
   I/O totals, and wall time;
 * ``experiments [N]``      — regenerate the paper's evaluation
   (Table 1 and Figures 3-8) with N invocations per query (default 100);
@@ -41,6 +41,7 @@ from repro import (
     populate_database,
     resolve_dynamic_plan,
 )
+from repro.executor.engine import EXECUTION_MODES
 
 
 def _parse_skew(text, command):
@@ -125,7 +126,7 @@ def _run(argv):
     )
     parser.add_argument(
         "--execution-mode",
-        choices=("row", "batch", "compiled"),
+        choices=EXECUTION_MODES,
         default="row",
         help="executor: record-at-a-time iterators or vectorized "
         "batches (default row)",
@@ -287,9 +288,9 @@ def _serve_batch(argv):
     )
     parser.add_argument(
         "--execution-mode",
-        choices=("row", "batch", "compiled"),
+        choices=EXECUTION_MODES,
         default=None,
-        help="override the spec's executor (row, batch, or compiled)",
+        help="override the spec's executor (%s)" % " or ".join(EXECUTION_MODES),
     )
     parser.add_argument(
         "--shards",
@@ -430,7 +431,7 @@ def _explain(argv):
     )
     parser.add_argument(
         "--execution-mode",
-        choices=("row", "batch", "compiled"),
+        choices=EXECUTION_MODES,
         default="row",
         help="executor used by --analyze; cardinalities and q-errors "
         "are identical in both (default row)",
@@ -590,7 +591,7 @@ def _accuracy(argv):
     )
     parser.add_argument(
         "--execution-mode",
-        choices=("row", "batch", "compiled"),
+        choices=EXECUTION_MODES,
         default="row",
         help="executor for the traced replay (default row)",
     )
@@ -680,7 +681,7 @@ def _chaos(argv):
     )
     parser.add_argument(
         "--execution-mode",
-        choices=("row", "batch", "compiled"),
+        choices=EXECUTION_MODES,
         default="row",
         help="executor the service runs under faults (default row)",
     )

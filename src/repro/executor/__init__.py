@@ -14,12 +14,6 @@ from repro.executor.adaptive import (
     AdaptiveReport,
     execute_adaptively,
 )
-from repro.executor.compiled import (
-    CompiledPlanProgram,
-    FusedPipeline,
-    build_compiled_iterator,
-    compile_plan,
-)
 from repro.executor.engine import (
     EXECUTION_MODES,
     ExecutionContext,
@@ -46,16 +40,12 @@ __all__ = [
     "AdaptiveExecutor",
     "AdaptiveReport",
     "BreakerEvent",
-    "CompiledPlanProgram",
     "ExecutionContext",
     "ExecutionResult",
-    "FusedPipeline",
     "IncrementalDecider",
     "MidQueryReport",
     "PlanStore",
     "ReoptPolicy",
-    "build_compiled_iterator",
-    "compile_plan",
     "execute_midquery",
     "ShrinkingAccessModule",
     "StartupReport",

@@ -21,7 +21,16 @@ from repro.executor.vectorized import DEFAULT_BATCH_SIZE, build_batch_iterator
 from repro.resilience.deadline import Deadline
 
 #: Valid values of an execution context's ``execution_mode``.
-EXECUTION_MODES = ("row", "batch", "compiled")
+EXECUTION_MODES = ("row", "batch")
+
+
+def check_execution_mode(execution_mode):
+    """Raise :class:`ExecutionError` unless the mode names an engine."""
+    if execution_mode not in EXECUTION_MODES:
+        raise ExecutionError(
+            "execution_mode must be one of %r, got %r"
+            % (EXECUTION_MODES, execution_mode)
+        )
 
 
 class ExecutionContext:
@@ -30,20 +39,14 @@ class ExecutionContext:
     def __init__(self, database, bindings=None, parameter_space=None,
                  use_buffer_pool=False, tracer=None,
                  execution_mode="row", batch_size=None, deadline=None):
-        if execution_mode not in EXECUTION_MODES:
-            raise ExecutionError(
-                "execution_mode must be one of %r, got %r"
-                % (EXECUTION_MODES, execution_mode)
-            )
+        check_execution_mode(execution_mode)
         self.database = database
         self.bindings = bindings if bindings is not None else Bindings()
         self.parameter_space = (
             parameter_space if parameter_space is not None else ParameterSpace()
         )
-        #: ``"row"`` (Volcano record-at-a-time), ``"batch"``
-        #: (vectorized; see :mod:`repro.executor.vectorized`), or
-        #: ``"compiled"`` (fused generated pipelines; see
-        #: :mod:`repro.executor.compiled`).
+        #: ``"row"`` (Volcano record-at-a-time) or ``"batch"``
+        #: (vectorized; see :mod:`repro.executor.vectorized`).
         self.execution_mode = execution_mode
         batch_size = DEFAULT_BATCH_SIZE if batch_size is None else int(batch_size)
         if batch_size < 1:
@@ -146,8 +149,7 @@ class ExecutionResult:
 
 def execute_plan(plan, database, bindings=None, parameter_space=None,
                  use_buffer_pool=False, tracer=None,
-                 execution_mode="row", batch_size=None, deadline=None,
-                 compile_pipelines=False, compiled_program=None):
+                 execution_mode="row", batch_size=None, deadline=None):
     """Run a physical plan to completion and return the result.
 
     Unbound user variables in predicates raise
@@ -159,22 +161,9 @@ def execute_plan(plan, database, bindings=None, parameter_space=None,
     ``execution_mode`` selects the engine: ``"row"`` (the default)
     runs the Volcano record-at-a-time iterators; ``"batch"`` runs the
     vectorized engine (:mod:`repro.executor.vectorized`), moving
-    ``batch_size`` records per operator advance; ``"compiled"`` fuses
-    streaming operator chains into generated Python closures
-    (:mod:`repro.executor.compiled`) driven batch-at-a-time.  All
-    modes produce identical result rows, simulated I/O totals, and
-    choose-plan decisions; batch and compiled mode are simply faster
-    on large inputs.
-
-    ``compile_pipelines=True`` accelerates the *existing* modes with
-    the same fused pipelines: row and batch mode execute through the
-    pipeline compiler while keeping their declared mode (including row
-    mode's per-record deadline granularity) and their observable
-    semantics.  ``compiled_program`` optionally supplies a
-    pre-populated :class:`~repro.executor.compiled.CompiledPlanProgram`
-    (the service passes its plan-cache entry's program here) so
-    generated code is shared across invocations; ``None`` compiles
-    into a fresh program for this execution alone.
+    ``batch_size`` records per operator advance.  Both modes produce
+    identical result rows, simulated I/O totals, and choose-plan
+    decisions; batch mode is simply faster on large inputs.
 
     With a :class:`~repro.observability.trace.Tracer` every operator
     records a span and the result carries a ``trace`` and a per-operator
@@ -204,41 +193,7 @@ def execute_plan(plan, database, bindings=None, parameter_space=None,
     started = time.perf_counter()
     records = []
     try:
-        if context.execution_mode == "compiled" or compile_pipelines:
-            from repro.executor.compiled import build_compiled_iterator
-
-            root = build_compiled_iterator(plan, context, compiled_program)
-            if context.execution_mode == "row":
-                # Fused pipelines under row-mode semantics: flatten the
-                # batch stream and keep per-record deadline checks.
-                stream = root.records()
-                if deadline is None:
-                    records = list(stream)
-                else:
-                    try:
-                        while True:
-                            deadline.check()
-                            record = next(stream, None)
-                            if record is None:
-                                break
-                            records.append(record)
-                    finally:
-                        root.close()
-            elif deadline is None:
-                for batch in root.batches():
-                    records.extend(batch)
-            else:
-                stream = root.batches()
-                try:
-                    while True:
-                        deadline.check()
-                        batch = next(stream, None)
-                        if batch is None:
-                            break
-                        records.extend(batch)
-                finally:
-                    root.close()
-        elif context.execution_mode == "batch":
+        if context.execution_mode == "batch":
             root = build_batch_iterator(plan, context)
             if deadline is None:
                 for batch in root.batches():

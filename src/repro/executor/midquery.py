@@ -33,7 +33,7 @@ simulated I/O per record *drained*, regardless of whether the record
 came from a live iterator or a checkpoint replay (``Materialized``
 replays charge nothing), so a drain-then-replay run produces byte-
 identical :class:`~repro.storage.iostats.IOStatistics` totals to a
-straight streaming run in all three execution modes.  The differential
+straight streaming run in both execution modes.  The differential
 tests in ``tests/test_midquery.py`` enforce exactly this.
 
 The buffer pool is not supported on this path: replaying a checkpoint
@@ -258,8 +258,6 @@ class MidQueryReport:
         self.decisions_reused = 0
         self.cost_evaluations = 0
         self.decision_seconds = 0.0
-        #: Fused pipelines dropped from the compiled program by switches.
-        self.pipelines_invalidated = 0
         #: Whether the ``restart`` strategy re-executed from scratch.
         self.restarted = False
         self.final_plan = None
@@ -296,7 +294,6 @@ class MidQueryReport:
             "switches": self.switches,
             "decisions_reused": self.decisions_reused,
             "cost_evaluations": self.cost_evaluations,
-            "pipelines_invalidated": self.pipelines_invalidated,
             "restarted": self.restarted,
         }
 
@@ -327,10 +324,6 @@ class MidQueryReport:
                     event.estimate.upper,
                     "  VIOLATED" if event.violated else "",
                 )
-            )
-        if self.pipelines_invalidated:
-            lines.append(
-                "  invalidated %d fused pipeline(s)" % self.pipelines_invalidated
             )
         if self.restarted:
             lines.append("  restarted from scratch after switch")
@@ -674,8 +667,6 @@ def execute_midquery(
     batch_size=None,
     tracer=None,
     deadline=None,
-    compile_pipelines=False,
-    compiled_program=None,
     choices=None,
 ):
     """Execute a dynamic plan with runtime choose-plan points.
@@ -706,8 +697,6 @@ def execute_midquery(
             execution_mode=execution_mode,
             batch_size=batch_size,
             deadline=deadline,
-            compile_pipelines=compile_pipelines,
-            compiled_program=compiled_program,
         )
         report.final_plan = plan
         return result, report
@@ -751,8 +740,6 @@ def execute_midquery(
             execution_mode=execution_mode,
             batch_size=batch_size,
             deadline=deadline,
-            compile_pipelines=compile_pipelines,
-            compiled_program=compiled_program,
         )
         skipped.add(id(subplan))
         checkpoint = Materialized(drained.records, subplan)
@@ -773,12 +760,6 @@ def execute_midquery(
             outcome = decider.decide()
             if outcome.switched:
                 report.switches += 1
-                if compiled_program is not None:
-                    report.pipelines_invalidated += (
-                        compiled_program.invalidate_downstream(
-                            current, subplan
-                        )
-                    )
         else:
             outcome = decider.splice()
         report.note_outcome(outcome)
@@ -799,8 +780,6 @@ def execute_midquery(
         execution_mode=execution_mode,
         batch_size=batch_size,
         deadline=deadline,
-        compile_pipelines=compile_pipelines,
-        compiled_program=compiled_program,
     )
     elapsed = time.perf_counter() - started
     after = database.io_stats.snapshot()

@@ -106,16 +106,6 @@ class BatchPlanIterator:
         self.context = context
         self._stream = None
 
-    def _build_child(self, plan):
-        """Construct a child iterator.
-
-        The single indirection the compiled executor hooks: pipeline
-        fusion (:mod:`repro.executor.compiled`) subclasses these
-        iterators and overrides ``_build_child`` so subtrees build
-        through the pipeline compiler instead.
-        """
-        return build_batch_iterator(plan, self.context)
-
     def open(self):
         """Prepare the batch stream; idempotent.
 
@@ -140,11 +130,6 @@ class BatchPlanIterator:
 
     def __iter__(self):
         return self.batches()
-
-    def records(self):
-        """Flatten the batch stream back into single records."""
-        for batch in self.batches():
-            yield from batch
 
     def close(self):
         """Release resources."""
@@ -264,7 +249,7 @@ class FilterBatchIterator(BatchPlanIterator):
     """Predicate filter: one compiled closure over each input batch."""
 
     def _produce_batches(self):
-        child = self._build_child(self.plan.input)
+        child = build_batch_iterator(self.plan.input, self.context)
         filter_batch = compile_batch_predicate(
             self.plan.predicate, self.context.bindings
         )
@@ -326,8 +311,8 @@ class HashJoinBatchIterator(BatchPlanIterator):
 
     def _produce_batches(self):
         plan = self.plan
-        build_child = self._build_child(plan.build)
-        probe_child = self._build_child(plan.probe)
+        build_child = build_batch_iterator(plan.build, self.context)
+        probe_child = build_batch_iterator(plan.probe, self.context)
         build_attr, probe_attr = join_sides(plan.predicate, plan.build)
         extra = _compile_extra_predicates(plan.predicates)
         memory = self.context.memory_pages
@@ -388,8 +373,8 @@ class MergeJoinBatchIterator(BatchPlanIterator):
 
     def _produce_batches(self):
         plan = self.plan
-        left_records = _drain(self._build_child(plan.left))
-        right_records = _drain(self._build_child(plan.right))
+        left_records = _drain(build_batch_iterator(plan.left, self.context))
+        right_records = _drain(build_batch_iterator(plan.right, self.context))
         left_attr, right_attr = join_sides(plan.predicate, plan.left)
         extra = _compile_extra_predicates(plan.predicates)
         batch_size = self.batch_size
@@ -447,7 +432,7 @@ class IndexJoinBatchIterator(BatchPlanIterator):
 
     def _produce_batches(self):
         plan = self.plan
-        outer_child = self._build_child(plan.outer)
+        outer_child = build_batch_iterator(plan.outer, self.context)
         database = self.context.database
         btree = database.btree(plan.inner_relation, plan.inner_attribute)
         heap = database.heap(plan.inner_relation)
@@ -518,7 +503,7 @@ class SortBatchIterator(BatchPlanIterator):
 
     def _produce_batches(self):
         attribute = self.plan.attribute
-        records = _drain(self._build_child(self.plan.input))
+        records = _drain(build_batch_iterator(self.plan.input, self.context))
         batch_size = self.batch_size
 
         def generate():
@@ -540,7 +525,7 @@ class ProjectBatchIterator(BatchPlanIterator):
     """Attribute projection applied over whole batches."""
 
     def _produce_batches(self):
-        child = self._build_child(self.plan.input)
+        child = build_batch_iterator(self.plan.input, self.context)
         attributes = self.plan.attributes
 
         def generate():
@@ -563,7 +548,7 @@ class ChoosePlanBatchIterator(BatchPlanIterator):
 
     def _produce_batches(self):
         chosen = self.choose()
-        return self._build_child(chosen).batches()
+        return build_batch_iterator(chosen, self.context).batches()
 
     def choose(self):
         """The resolved plan the decision procedure selects."""

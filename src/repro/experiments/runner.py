@@ -14,6 +14,7 @@ executor that replay runs under.
 import os
 import sys
 
+from repro.executor.engine import EXECUTION_MODES
 from repro.experiments.figures import (
     ExperimentContext,
     figure3_scenarios,
@@ -76,10 +77,10 @@ def main(argv=None):
         try:
             execution_mode = argv[position + 1]
         except IndexError:
-            print("--execution-mode requires 'row', 'batch', or 'compiled'")
+            print("--execution-mode requires one of %r" % (EXECUTION_MODES,))
             return 2
-        if execution_mode not in ("row", "batch", "compiled"):
-            print("--execution-mode must be 'row', 'batch', or 'compiled'")
+        if execution_mode not in EXECUTION_MODES:
+            print("--execution-mode must be one of %r" % (EXECUTION_MODES,))
             return 2
         del argv[position : position + 2]
     with_accuracy = "--accuracy" in argv

@@ -98,13 +98,6 @@ class PlanCacheEntry:
         #: Compiled start-up decision procedure, or None for the
         #: interpreted fallback (see :mod:`repro.service.decision`).
         self.decision = None
-        #: Generated fused-pipeline cache
-        #: (:class:`~repro.executor.compiled.CompiledPlanProgram`) for
-        #: the installed plan, or None until compiled execution first
-        #: needs it.  Invalidated together with ``decision``: every
-        #: ``install`` — first compilation or staleness
-        #: re-optimization — drops both.
-        self.pipelines = None
         self.parameter_space = query.parameter_space
         self.covered_bounds = _covered_bounds(query.parameter_space)
         self.observed = {}
@@ -129,16 +122,15 @@ class PlanCacheEntry:
         self.chosen_memo = {}
         self.lock = threading.RLock()
 
-    def install(self, plan, parameter_space, decision=None, pipelines=None):
+    def install(self, plan, parameter_space, decision=None):
         """Publish a compiled plan (call with ``self.lock`` held).
 
-        Replaces the start-up decision program *and* the generated
-        pipeline cache atomically with the plan: stale generated code
-        can never outlive the plan it was generated for.
+        Replaces the start-up decision program atomically with the
+        plan: a stale program can never outlive the plan it was
+        compiled for.
         """
         self.plan = plan
         self.decision = decision
-        self.pipelines = pipelines
         self.chosen_memo = {}
         self.parameter_space = parameter_space
         self.covered_bounds = _covered_bounds(parameter_space)

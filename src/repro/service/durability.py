@@ -13,10 +13,9 @@ durable without pickling code objects:
   plan as an :class:`~repro.executor.access_module.AccessModule` JSON
   payload, the *current* parameter space (including bounds widened by
   staleness re-optimizations), the observed binding ranges, and the
-  hit/re-optimization counters.  Decision programs and fused pipelines
-  are deliberately **not** stored — generated code is re-compiled on
-  load, so a snapshot can never smuggle stale code across a version
-  boundary.
+  hit/re-optimization counters.  Decision programs are deliberately
+  **not** stored — generated code is re-compiled on load, so a
+  snapshot can never smuggle stale code across a version boundary.
 * **Persist** — :func:`write_snapshot` writes a versioned, checksummed
   JSON document via the atomic temp-file + ``os.replace`` dance:
   readers see either the old snapshot or the new one, never a torn
@@ -341,13 +340,8 @@ def _restore_entry(service, data):
             decision = CompiledDecision(plan, service.catalog, space)
         except DecisionCompilationError:
             fell_back = True
-    pipelines = None
-    if service.compile_pipelines or service.execution_mode == "compiled":
-        from repro.executor.compiled import CompiledPlanProgram
-
-        pipelines = CompiledPlanProgram().precompile(plan)
     with entry.lock:
-        entry.install(plan, space, decision, pipelines)
+        entry.install(plan, space, decision)
         entry.observed = {
             name: (seen[0], seen[1])
             for name, seen in data.get("observed", {}).items()

@@ -32,7 +32,6 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 
 from repro.common.errors import (
-    ExecutionError,
     MemoryDropError,
     OptimizationError,
     PermanentIOError,
@@ -43,7 +42,7 @@ from repro.common.errors import (
 )
 from repro.common.stats import percentile
 from repro.cost.parameters import MEMORY_PARAMETER
-from repro.executor.engine import EXECUTION_MODES, execute_plan
+from repro.executor.engine import check_execution_mode, execute_plan
 from repro.executor.midquery import (
     IncrementalDecider,
     ReoptPolicy,
@@ -121,8 +120,12 @@ class ServiceRequest:
         #: None inherits the service default; True/False overrides it.
         self.execute = execute
         self.tag = tag
-        #: None inherits the service default; ``"row"``/``"batch"``/
-        #: ``"compiled"`` overrides it for this invocation alone.
+        #: None inherits the service default; ``"row"``/``"batch"``
+        #: overrides it for this invocation alone.  Checked here, at
+        #: the request boundary, so a bad mode costs no queue slot,
+        #: cache entry, or optimizer call.
+        if execution_mode is not None:
+            check_execution_mode(execution_mode)
         self.execution_mode = execution_mode
         #: Per-request deadline in seconds; None inherits the
         #: resilience policy's service-wide default.
@@ -354,20 +357,13 @@ class QueryService:
         costs one ``is None`` test per iterator open.
     execution_mode:
         Service-wide default engine for plan execution: ``"row"``
-        (record-at-a-time Volcano iterators, the default),
-        ``"batch"`` (the vectorized executor), or ``"compiled"``
-        (fused generated pipelines, :mod:`repro.executor.compiled`).
+        (record-at-a-time Volcano iterators, the default) or
+        ``"batch"`` (the vectorized executor).
         Individual requests override it via
         :attr:`ServiceRequest.execution_mode`.
     batch_size:
-        Records per batch in ``"batch"``/``"compiled"`` mode; ``None``
-        uses the engine default.
-    compile_pipelines:
-        Accelerate ``"row"``/``"batch"`` execution through the fused
-        pipeline compiler while keeping the declared mode's observable
-        semantics.  ``"compiled"`` mode implies it.  Either way the
-        generated code is cached on the plan-cache entry next to the
-        compiled start-up decision program and invalidated with it.
+        Records per batch in ``"batch"`` mode; ``None`` uses the
+        engine default.
     resilience:
         A :class:`~repro.resilience.policy.ResiliencePolicy` bundling
         the transient-fault retry policy, the optional per-signature
@@ -404,7 +400,6 @@ class QueryService:
         tracer=None,
         execution_mode="row",
         batch_size=None,
-        compile_pipelines=False,
         resilience=None,
         reopt_policy=None,
         db_lock=None,
@@ -413,18 +408,13 @@ class QueryService:
             from repro.optimizer.optimizer import optimize_dynamic
 
             optimize = optimize_dynamic
-        if execution_mode not in EXECUTION_MODES:
-            raise ExecutionError(
-                "execution_mode must be one of %r, got %r"
-                % (EXECUTION_MODES, execution_mode)
-            )
+        check_execution_mode(execution_mode)
         self.database = database
         self.catalog = database.catalog
         self.cache = PlanCache(capacity, metrics=metrics)
         self.default_execute = bool(execute)
         self.execution_mode = execution_mode
         self.batch_size = batch_size
-        self.compile_pipelines = bool(compile_pipelines)
         self.branch_and_bound = bool(branch_and_bound)
         self.validate = bool(validate)
         self.compiled = bool(compiled)
@@ -520,8 +510,13 @@ class QueryService:
         survive the resilience machinery are wrapped in
         :class:`~repro.common.errors.ServiceExecutionError` carrying
         the request tag, query name, cache-hit state, and attempt
-        count, with the original error chained as ``__cause__``.
+        count, with the original error chained as ``__cause__``.  An
+        ``execution_mode`` outside ``EXECUTION_MODES`` raises a bare
+        :class:`~repro.common.errors.ExecutionError` before any cache
+        lookup or optimizer call.
         """
+        if execution_mode is not None:
+            check_execution_mode(execution_mode)
         self._inflight_tokens.append(None)
         info = {"cache_hit": None, "attempts": 0}
         try:
@@ -708,30 +703,8 @@ class QueryService:
                         reason=str(error),
                     )
                 decision = None
-        pipelines = None
-        if self.compile_pipelines or self.execution_mode == "compiled":
-            from repro.executor.compiled import CompiledPlanProgram
-
-            pipelines = CompiledPlanProgram().precompile(plan)
-        entry.install(plan, query.parameter_space, decision, pipelines)
+        entry.install(plan, query.parameter_space, decision)
         return time.perf_counter() - compile_started
-
-    def _pipelines_for(self, entry):
-        """The entry's generated-pipeline cache, created on demand.
-
-        Covers per-request ``"compiled"`` overrides on a service whose
-        default mode never precompiles: the program is built lazily,
-        attached under the entry lock, and — like the eagerly built
-        one — dropped by the next ``install``.
-        """
-        with entry.lock:
-            if entry.pipelines is None:
-                from repro.executor.compiled import CompiledPlanProgram
-
-                entry.pipelines = CompiledPlanProgram()
-                if entry.plan is not None:
-                    entry.pipelines.precompile(entry.plan)
-            return entry.pipelines
 
     def _note_midquery(self, entry, mid_report):
         """Fold a mid-query report into service and entry counters."""
@@ -747,7 +720,6 @@ class QueryService:
                     level="info",
                     digest=entry.digest,
                     switches=mid_report.switches,
-                    pipelines_invalidated=mid_report.pipelines_invalidated,
                 )
         with entry.lock:
             entry.midquery_redecisions += mid_report.redecisions
@@ -804,8 +776,6 @@ class QueryService:
         retry = self.resilience.retry
         transient_retries = 0
         degradations = 0
-        use_compiled = mode == "compiled" or self.compile_pipelines
-        program = self._pipelines_for(entry) if use_compiled else None
         use_midquery = reopt is not None and reopt.active
         #: Incremental decider, created on the first memory drop and
         #: kept across retries so later drops re-cost even less.
@@ -826,8 +796,6 @@ class QueryService:
                             execution_mode=mode,
                             batch_size=self.batch_size,
                             deadline=deadline,
-                            compile_pipelines=self.compile_pipelines,
-                            compiled_program=program,
                             choices=(
                                 report.choices if report is not None else None
                             ),
@@ -842,8 +810,6 @@ class QueryService:
                             execution_mode=mode,
                             batch_size=self.batch_size,
                             deadline=deadline,
-                            compile_pipelines=self.compile_pipelines,
-                            compiled_program=program,
                         )
                 if use_midquery:
                     execution.midquery = mid_report

@@ -570,10 +570,9 @@ class ShardedQueryService:
         collisions in a registry that has no label dimension.
 
     Remaining keyword arguments (``execute``, ``execution_mode``,
-    ``batch_size``, ``compile_pipelines``, ``compiled``,
-    ``branch_and_bound``, ``validate``, ``optimize``, ``tracer``,
-    ``reopt_policy``) are forwarded to every shard's ``QueryService``
-    unchanged.
+    ``batch_size``, ``compiled``, ``branch_and_bound``, ``validate``,
+    ``optimize``, ``tracer``, ``reopt_policy``) are forwarded to every
+    shard's ``QueryService`` unchanged.
     """
 
     def __init__(

@@ -46,6 +46,7 @@ from repro.catalog.synthetic import build_synthetic_catalog, default_relation_sp
 from repro.common.errors import OptimizationError
 from repro.common.rng import make_rng
 from repro.cost.parameters import Bindings, MEMORY_PARAMETER
+from repro.executor.engine import EXECUTION_MODES
 from repro.optimizer.query import QuerySpec
 from repro.workloads.queries import (
     SELECTION_ATTRIBUTE,
@@ -139,10 +140,10 @@ class ServiceWorkloadSpec:
         self.capacity = int(capacity)
         self.seed = int(seed)
         self.execute = bool(execute)
-        if execution_mode not in ("row", "batch", "compiled"):
+        if execution_mode not in EXECUTION_MODES:
             raise OptimizationError(
-                "execution_mode must be 'row', 'batch', or 'compiled', "
-                "got %r" % (execution_mode,)
+                "execution_mode must be one of %r, got %r"
+                % (EXECUTION_MODES, execution_mode)
             )
         self.execution_mode = execution_mode
         #: ``1`` replays through the single-lock service; larger counts

@@ -85,9 +85,14 @@ class TestRecoverableProfiles:
 
 class TestFailFastProfile:
     def test_broken_disk_fails_every_query_typed(self):
-        report = run_chaos("broken-disk", query_numbers=(1, 2))
-        assert report.passed, report.render()
-        for outcome in report.outcomes:
+        outcomes = []
+        for mode in ("row", "batch"):
+            report = run_chaos(
+                "broken-disk", query_numbers=(1, 2), execution_mode=mode
+            )
+            assert report.passed, report.render()
+            outcomes.extend(report.outcomes)
+        for outcome in outcomes:
             assert outcome.expected == "fail-fast"
             assert outcome.outcome == "failed"
             assert outcome.failure["type"] == "PermanentIOError"

@@ -1,7 +1,7 @@
 """Mid-query re-optimization: the differential and property harness.
 
-The backbone is the differential suite: for every paper query, in all
-three execution modes, a run that re-decides at *every* pipeline
+The backbone is the differential suite: for every paper query, in both
+execution modes, a run that re-decides at *every* pipeline
 breaker (``ReoptPolicy("always")``) must return the same row multiset
 — and, at the pinned seed, byte-identical I/O-charge totals — as a
 run that never re-decides.  Checkpoints replay for free and operators
@@ -19,11 +19,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from tests.test_property_random_queries import workloads
 
-from repro.algebra.physical import HashJoin, Materialized
+from repro.algebra.physical import Materialized
 from repro.common.errors import ExecutionError
 from repro.cost.parameters import MEMORY_PARAMETER
-from repro.executor import execute_plan, validate_plan
-from repro.executor.compiled import CompiledPlanProgram
+from repro.executor import EXECUTION_MODES, execute_plan, validate_plan
 from repro.executor.midquery import (
     BREAKER_KINDS,
     IncrementalDecider,
@@ -41,13 +40,13 @@ from repro.workloads import paper_workload, random_bindings, skewed_bindings
 DATA_SEED = 11
 #: Binding seed of the full rows-plus-I/O identity fixture: at this
 #: seed every paper query is identical across forced and suppressed
-#: runs in all three modes, *including* queries where forcing makes
+#: runs in both modes, *including* queries where forcing makes
 #: genuine switches (the remainder plans re-decide to the incumbent
 #: shape, so the accounting cannot diverge).
 IDENTITY_SEED = 3
 
 PAPER_QUERIES = (1, 2, 3, 4, 5)
-MODES = ("row", "batch", "compiled")
+MODES = EXECUTION_MODES
 
 
 def _setup(number, seed=IDENTITY_SEED, skew=None):
@@ -79,7 +78,7 @@ def _run_plain(workload, plan, bindings, mode):
     )
 
 
-def _run_midquery(workload, plan, bindings, mode, policy, **kwargs):
+def _run_midquery(workload, plan, bindings, mode, policy):
     database = _fresh_database(workload)
     return execute_midquery(
         plan,
@@ -88,7 +87,6 @@ def _run_midquery(workload, plan, bindings, mode, policy, **kwargs):
         workload.query.parameter_space,
         policy=policy,
         execution_mode=mode,
-        **kwargs,
     )
 
 
@@ -248,65 +246,6 @@ class TestCheckpointReuse:
         data = report.to_dict()
         assert data["switches"] == report.switches
         assert len(data["breakers"]) == report.checkpoints
-
-
-class TestCompiledInvalidation:
-    """A switch drops fused pipelines downstream of the breaker."""
-
-    def test_switch_invalidates_downstream_pipelines(self):
-        workload, plan, bindings = _setup(3, seed=0, skew=(0.02, 0.6))
-        database = _fresh_database(workload)
-        program = CompiledPlanProgram().precompile(plan)
-        _, report = execute_midquery(
-            plan,
-            database,
-            bindings.copy(),
-            workload.query.parameter_space,
-            policy=ReoptPolicy("always"),
-            execution_mode="compiled",
-            compile_pipelines=True,
-            compiled_program=program,
-        )
-        assert report.switches >= 1
-        assert report.pipelines_invalidated >= 1
-        assert program.invalidations == report.pipelines_invalidated
-
-    def test_invalidate_downstream_drops_only_ancestors(self):
-        workload, plan, bindings = _setup(3)
-        # Resolve statically to get a concrete joined plan.
-        from repro.executor.startup import resolve_dynamic_plan
-
-        static, _ = resolve_dynamic_plan(
-            plan, workload.catalog, workload.query.parameter_space, bindings
-        )
-        joins = [
-            node
-            for node in static.walk_unique()
-            if isinstance(node, HashJoin)
-        ]
-        if not joins:
-            pytest.skip("resolved plan has no hash join")
-        program = CompiledPlanProgram().precompile(static)
-        before = dict(program._factories)
-        dropped = program.invalidate_downstream(static, joins[0].build)
-        assert dropped >= 1
-        assert program.invalidations == dropped
-        assert len(program._factories) == len(before) - dropped
-
-    def test_invalidated_pipelines_recompile_on_demand(self):
-        workload, plan, bindings = _setup(3, seed=0, skew=(0.02, 0.6))
-        program = CompiledPlanProgram()
-        forced, report = _run_midquery(
-            workload,
-            plan,
-            bindings,
-            "compiled",
-            ReoptPolicy("always"),
-            compile_pipelines=True,
-            compiled_program=program,
-        )
-        plain = _run_plain(workload, plan, bindings, "compiled")
-        assert rows_digest(forced.records) == rows_digest(plain.records)
 
 
 class TestIncrementalDecider:

@@ -23,7 +23,8 @@ import pytest
 
 from repro.__main__ import main
 from repro.catalog.synthetic import populate_database
-from repro.common.errors import ServiceOverloadError
+from repro.common.errors import ExecutionError, ServiceOverloadError
+from repro.executor.engine import EXECUTION_MODES
 from repro.observability import MetricsRegistry
 from repro.optimizer.query import canonical_signature
 from repro.service import (
@@ -43,8 +44,6 @@ from repro.workloads.traffic import (
 )
 
 THREADS = 8
-
-EXECUTION_MODES = ("row", "batch", "compiled")
 
 
 def small_traffic(requests=120, shapes=12, seed=0, tenants=2):
@@ -213,8 +212,29 @@ class TestAdmissionControl:
         ) as gateway:
             query = queries[0]
             shard = gateway.shard_for(query)
-            shard.try_admit()  # occupy the single queue slot
             _, _, requests = small_traffic(requests=1, shapes=2)
+            # A per-request mode outside EXECUTION_MODES is refused at
+            # the request boundary, before routing or admission: it is
+            # not a submitted-then-failed request, and no shard's cache
+            # or optimizer ever sees the query.
+            for serve in (gateway.run, gateway.submit):
+                with pytest.raises(ExecutionError) as excinfo:
+                    serve(
+                        query,
+                        requests[0].bindings,
+                        execute=True,
+                        execution_mode="compiled",
+                    )
+                assert type(excinfo.value) is ExecutionError
+                assert repr(EXECUTION_MODES) in str(excinfo.value)
+            outcomes = gateway.request_outcomes()
+            assert outcomes.pop("failover_reasons") == {}
+            assert set(outcomes.values()) == {0}
+            for other in gateway.shards:
+                assert len(other.service.cache) == 0
+                assert other.service.cache.stats_snapshot()["lookups"] == 0
+                assert other.pending == 0
+            shard.try_admit()  # occupy the single queue slot
             with pytest.raises(ServiceOverloadError) as excinfo:
                 gateway.run(query, requests[0].bindings)
             error = excinfo.value

@@ -17,7 +17,7 @@ granularity), and a final partial batch.
 import pytest
 
 from repro.catalog import populate_database
-from repro.common.errors import ExecutionError
+from repro.common.errors import ExecutionError, OptimizationError
 from repro.executor.engine import (
     DEFAULT_BATCH_SIZE,
     EXECUTION_MODES,
@@ -187,12 +187,22 @@ def test_batch_iterator_emits_multiple_nonempty_batches():
 # ----------------------------------------------------------------------
 
 
-def test_invalid_execution_mode_rejected():
+def test_invalid_execution_mode_rejected(capsys):
+    from repro.__main__ import main
+
     workload = _edge_workload()
     database = Database(workload.catalog)
-    with pytest.raises(ExecutionError):
-        ExecutionContext(database, execution_mode="columnar")
-    assert EXECUTION_MODES == ("row", "batch", "compiled")
+    # "compiled" named a third engine once; it is now just another
+    # unknown mode, rejected with the error that lists the valid ones.
+    for mode in ("columnar", "compiled"):
+        with pytest.raises(ExecutionError) as excinfo:
+            ExecutionContext(database, execution_mode=mode)
+        assert repr(EXECUTION_MODES) in str(excinfo.value)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "--execution-mode", mode])
+        assert exit_info.value.code == 2
+        assert "invalid choice: %r" % mode in capsys.readouterr().err
+    assert EXECUTION_MODES == ("row", "batch")
 
 
 def test_invalid_batch_size_rejected():
@@ -238,11 +248,31 @@ def test_service_execution_mode_default_and_override():
 
 
 def test_service_rejects_invalid_mode():
-    from repro.service import QueryService
+    from repro.service import QueryService, ServiceRequest
 
     workload = _edge_workload()
-    with pytest.raises(ExecutionError):
-        QueryService(Database(workload.catalog), execution_mode="columnar")
+    database = Database(workload.catalog)
+    bindings = binding_series(workload, count=1, seed=5)[0]
+    for mode in ("columnar", "compiled"):
+        with pytest.raises(ExecutionError) as excinfo:
+            QueryService(database, execution_mode=mode)
+        assert repr(EXECUTION_MODES) in str(excinfo.value)
+        with pytest.raises(ExecutionError):
+            ServiceRequest(workload.query, bindings, execution_mode=mode)
+    # A bad per-request mode is refused at the request boundary, bare
+    # (not wrapped as a served-and-failed request), before the cache
+    # or the optimizer sees the query.
+    with QueryService(database, max_workers=1) as service:
+        with pytest.raises(ExecutionError) as excinfo:
+            service.run(workload.query, bindings, execution_mode="compiled")
+        assert type(excinfo.value) is ExecutionError
+        future = service.submit(
+            workload.query, bindings, execution_mode="columnar"
+        )
+        assert type(future.exception(timeout=30)) is ExecutionError
+        assert len(service.cache) == 0
+        assert service.cache.stats_snapshot()["lookups"] == 0
+        assert service.stats().requests == 0
 
 
 def test_workload_spec_execution_mode_roundtrip():
@@ -259,3 +289,8 @@ def test_workload_spec_execution_mode_roundtrip():
     assert spec.replace(execution_mode="row").execution_mode == "row"
     with pytest.raises(Exception):
         spec.replace(execution_mode="columnar")
+    with pytest.raises(OptimizationError) as excinfo:
+        ServiceWorkloadSpec.from_dict(
+            {"queries": [{"relations": 2}], "execution_mode": "compiled"}
+        )
+    assert repr(EXECUTION_MODES) in str(excinfo.value)
