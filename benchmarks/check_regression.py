@@ -8,7 +8,7 @@ than the tolerance (default ±25%).
 
 Direction is inferred from the record's unit:
 
-* ``s`` — latency: lower is better, a regression is an increase;
+* ``s``, ``us`` — latency: lower is better, a regression is an increase;
 * ``records/s``, ``requests/s``, ``x``, ``fraction`` — throughput,
   speedup, hit rate: higher is better, a regression is a decrease.
 
@@ -47,7 +47,7 @@ import sys
 HERE = pathlib.Path(__file__).parent
 
 #: Units where a smaller value is an improvement.
-LOWER_IS_BETTER = frozenset(("s",))
+LOWER_IS_BETTER = frozenset(("s", "us"))
 
 #: Units where a larger value is an improvement.
 HIGHER_IS_BETTER = frozenset(("records/s", "requests/s", "x", "fraction"))

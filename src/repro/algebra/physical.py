@@ -394,10 +394,11 @@ class Project(PhysicalPlan):
 class Materialized(PhysicalPlan):
     """A temporary result produced at run time (paper Section 7).
 
-    Created only by the adaptive executor when a choose-plan decision
-    procedure "evaluates subplans into temporary results"; replays the
-    stored records and reports their *observed* cardinality.  Never
-    appears in compile-time plans or access modules.
+    Created only at run time — by the adaptive executor's decision
+    procedures ("evaluates subplans into temporary results") and as the
+    checkpoint of each pipeline breaker mid-query re-optimization
+    drains; replays the stored records and reports their *observed*
+    cardinality.  Never appears in compile-time plans or access modules.
     """
 
     def __init__(self, records, original):

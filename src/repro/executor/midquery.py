@@ -5,8 +5,8 @@ module extends the choose-plan idea into execution, following the two
 natural anchor points identified by later work: *pipeline breakers*
 (arXiv:2010.00728) are where intermediate results materialize anyway,
 so observed cardinalities are free, and *incremental re-costing*
-(arXiv:1409.6288) keeps the re-decision overhead bounded by re-costing
-only the memo groups whose inputs actually moved.
+(arXiv:1409.6288) bounds the re-decision overhead by re-running only
+the steps of the plan's compiled decision program whose inputs moved.
 
 Three breaker kinds are recognised:
 
@@ -46,22 +46,16 @@ import time
 from repro.algebra.physical import (
     BTreeScan,
     ChoosePlan,
-    Filter,
     FilterBTreeScan,
     HashJoin,
-    IndexJoin,
     Materialized,
     Sort,
 )
 from repro.common.errors import ExecutionError
 from repro.common.units import access_module_read_seconds
 from repro.cost.formulas import CostModel
-from repro.cost.parameters import (
-    Bindings,
-    MEMORY_PARAMETER,
-    ParameterSpace,
-    Valuation,
-)
+from repro.cost.parameters import Bindings, ParameterSpace, Valuation
+from repro.executor.decision import CompiledDecision
 from repro.executor.engine import ExecutionResult, execute_plan
 from repro.executor.startup import StartupReport, _rebuild
 from repro.resilience.deadline import Deadline
@@ -71,10 +65,6 @@ BREAKER_KINDS = ("hash_build", "sort", "btree_scan")
 
 #: Valid re-optimization modes.
 REOPT_MODES = ("off", "auto", "always")
-
-#: Operator kinds whose cost formulas read the memory grant.
-_MEMORY_SENSITIVE = (BTreeScan, FilterBTreeScan, HashJoin, IndexJoin, Sort)
-
 
 class ReoptPolicy:
     """When and where mid-query re-optimization happens.
@@ -220,11 +210,12 @@ class DecisionOutcome:
         self.plan = plan
         #: :class:`Redecision` entries for choose-plans decided this pass.
         self.decided = decided
-        #: Choose-plan decisions answered from cache (not re-costed).
+        #: Choose-plans whose standing choice was kept without an argmin.
         self.reused = reused
+        #: Scalar steps of the decision program re-run this pass.
         self.cost_evaluations = cost_evaluations
         self.seconds = seconds
-        #: All (choose_plan, chosen_original) pairs on the resolved path.
+        #: Every standing (choose_plan, chosen_original) pair.
         self.choices = choices
 
     @property
@@ -272,15 +263,6 @@ class MidQueryReport:
         self.cost_evaluations += outcome.cost_evaluations
         self.decision_seconds += outcome.seconds
         self.redecision_events.extend(outcome.decided)
-
-    def counters(self):
-        """The counter subset the query service mirrors into metrics."""
-        return {
-            "checkpoints": self.checkpoints,
-            "violations": self.violations,
-            "redecisions": self.redecisions,
-            "switches": self.switches,
-        }
 
     def to_dict(self):
         """Plain-data form; deterministic (no wall-clock values)."""
@@ -336,52 +318,52 @@ class MidQueryReport:
         )
 
 
-def _selection_predicates(node):
-    """Selection predicates on a node whose selectivity may be uncertain."""
-    if isinstance(node, (Filter, FilterBTreeScan)):
-        return (node.predicate,)
-    if isinstance(node, IndexJoin) and node.residual_predicate is not None:
-        return (node.residual_predicate,)
-    return ()
-
-
 class IncrementalDecider:
     """Incrementally re-decides a dynamic plan's choose-plan operators.
 
-    One decider owns one dynamic plan for the lifetime of a query.  Its
-    cost model's memo table and its resolved-subplan cache persist
-    across decision passes, so a re-decision after :meth:`pin` or
-    :meth:`rebind` only re-costs the memo groups the new information
-    can actually reach — everything else is answered from cache
-    (``DecisionOutcome.reused`` / ``cost_evaluations`` make the saving
-    observable, and the regression tests pin it down).
+    One decider owns one dynamic plan for the lifetime of a query and
+    runs the plan's :class:`~repro.executor.decision.CompiledDecision`
+    — the program start-up runs, so start-up, breaker re-decisions and
+    memory-drop degradation are one decision procedure.  The program
+    is shared and stateless; what belongs to this query lives here: the
+    ``costs``/``cards`` work arrays, the pins, and the *dirty* slots,
+    whose inputs moved since they were computed.  :meth:`pin` and
+    :meth:`rebind` only mark slots dirty; :meth:`decide` re-runs exactly
+    those, in program order.
+
+    ``decision`` is the plan's program when the caller holds one (the
+    plan cache does); otherwise the first :meth:`decide` compiles it —
+    raising :class:`~repro.executor.decision.DecisionCompilationError`
+    for a plan the compiler rejects — and a run that only splices
+    compiles nothing.  ``choices`` seeds decisions made at start-up.
     """
 
-    def __init__(self, plan, catalog, parameter_space, bindings):
+    def __init__(
+        self, plan, catalog, parameter_space, bindings, decision=None, choices=()
+    ):
+        if decision is not None and decision.plan is not plan:
+            raise ExecutionError("decision program was compiled for another plan")
         self.plan = plan
         self.catalog = catalog
         self.parameter_space = parameter_space
         self.bindings = bindings
-        self._model = CostModel(
-            catalog, Valuation.runtime(parameter_space, bindings)
-        )
-        #: id(dynamic node) -> (dynamic node, resolved static node)
-        self._resolved = {}
+        self._program = decision
+        #: Filled by the first :meth:`decide`; until then every slot is
+        #: dirty and nothing needs marking.
+        self._costs = self._cards = None
+        self._dirty = set()
         #: id(choose_plan) -> (choose_plan, chosen original alternative)
-        self._choices = {}
+        self._choices = {
+            id(choose): (choose, chosen)
+            for choose, chosen in choices
+            if chosen is not None
+        }
         #: id(dynamic node) -> (dynamic node, Materialized checkpoint)
         self._pinned = {}
+        #: id(dynamic node) -> (resolved inputs, resolved static node)
+        self._resolved = {}
         #: id(resolved node) -> dynamic node it came from
         self._origin = {}
-        #: id(dynamic node) -> parent dynamic nodes (for upward invalidation)
-        self._parents = {}
-        for node in plan.walk_unique():
-            for child in node.inputs():
-                self._parents.setdefault(id(child), []).append(node)
-
-    # ------------------------------------------------------------------
-    # Observations
-    # ------------------------------------------------------------------
 
     def origin_of(self, resolved):
         """The dynamic-plan node a resolved node was built from."""
@@ -392,176 +374,123 @@ class IncrementalDecider:
 
         Every later pass resolves ``origin`` — in *every* alternative
         that shares it — to the checkpoint, whose cost is zero and
-        whose cardinality is the observed row count.  The resolved
-        cache is invalidated upward from the pin, so only ancestors of
-        the checkpoint are ever re-costed.
+        whose cardinality is the observed row count.  Only the slots
+        above the pin become dirty.
         """
         self._pinned[id(origin)] = (origin, checkpoint)
-        self._invalidate_upward(origin)
-
-    def _invalidate_upward(self, node):
-        stack = [node]
-        seen = set()
-        while stack:
-            current = stack.pop()
-            if id(current) in seen:
-                continue
-            seen.add(id(current))
-            self._resolved.pop(id(current), None)
-            stack.extend(self._parents.get(id(current), ()))
+        if self._costs is not None:
+            self._mark_dirty((self._program.slot_of(origin),))
 
     def rebind(self, bindings, changed_parameters):
-        """Adopt new bindings, keeping every unaffected memo entry.
+        """Adopt new bindings.
 
         ``changed_parameters`` names the parameters whose values moved
-        (e.g. ``("memory_pages",)`` after a mid-run memory drop).  Memo
-        entries and resolved subplans whose subtree neither contains a
-        memory-sensitive operator (for a memory change) nor mentions a
-        changed selectivity parameter are carried over verbatim — the
-        incremental alternative to the old "re-run the whole start-up
-        decision" degradation path.
+        (e.g. ``("memory_pages",)`` after a mid-run memory drop); the
+        steps that read one, and the slots above those, become dirty.
         """
-        changed = frozenset(changed_parameters)
         self.bindings = bindings
-        old_cache = self._model._cache
-        self._model = CostModel(
-            self.catalog, Valuation.runtime(self.parameter_space, bindings)
-        )
-        affected = {}
+        if self._costs is not None:
+            for parameter in changed_parameters:
+                self._mark_dirty(self._program.reader_slots(parameter))
 
-        def is_affected(node):
-            known = affected.get(id(node))
-            if known is not None:
-                return known
-            result = False
-            for inner in node.walk_unique():
-                if MEMORY_PARAMETER in changed and isinstance(
-                    inner, _MEMORY_SENSITIVE
-                ):
-                    result = True
-                    break
-                for predicate in _selection_predicates(inner):
-                    if (
-                        predicate.is_uncertain
-                        and predicate.selectivity_parameter in changed
-                    ):
-                        result = True
-                        break
-                if result:
-                    break
-            affected[id(node)] = result
-            return result
+    def _mark_dirty(self, slots):
+        """Add the upward closure of ``slots`` (the set stays closed)."""
+        parents = self._program.parent_slots()
+        stack = list(slots)
+        while stack:
+            slot = stack.pop()
+            if slot is not None and slot not in self._dirty:
+                self._dirty.add(slot)
+                stack.extend(parents[slot])
 
-        for key, entry in old_cache.items():
-            if not is_affected(entry[0]):
-                self._model._cache[key] = entry
-        for key in [
-            key
-            for key, entry in self._resolved.items()
-            if is_affected(entry[0]) and key not in self._pinned
-        ]:
-            del self._resolved[key]
+    def decide(self):
+        """One decision pass: re-run the dirty slots, rebuild the plan.
 
-    # ------------------------------------------------------------------
-    # Decisions
-    # ------------------------------------------------------------------
-
-    def decide(self, reuse_all=False):
-        """One decision pass over the dynamic plan.
-
-        With ``reuse_all=False`` every choose-plan whose cache entry
-        was invalidated is re-decided by the argmin over its resolved
-        alternatives' re-costed values — the exact comparison
-        :func:`~repro.executor.startup.resolve_dynamic_plan` makes at
-        start-up, including its strict-``<`` tie-break, so a pass under
-        unchanged information re-picks the incumbent.  With
-        ``reuse_all=True`` (see :meth:`splice`) prior choices are kept
-        verbatim and only the plan structure is re-resolved, which
-        splices pinned checkpoints in without changing any decision.
+        Each dirty choose-plan takes the argmin over its alternatives'
+        slots — the comparison
+        :func:`~repro.executor.startup.resolve_dynamic_plan` makes,
+        strict-``<`` first-wins tie-break included, so a pass under
+        unchanged information re-picks the incumbent.  The outcome's
+        ``cost_evaluations`` counts the scalar steps re-run (a pinned
+        slot runs none) and ``reused`` the standing choices left alone.
         """
         started = time.perf_counter()
-        evaluations_before = self._model.evaluations
-        decided = []
-        choices = []
-        reused = [0]
-
-        def resolve(node):
-            cached = self._resolved.get(id(node))
-            if cached is not None:
-                if isinstance(node, ChoosePlan):
-                    reused[0] += 1
-                    prior = self._choices.get(id(node))
-                    if prior is not None:
-                        choices.append(prior)
-                return cached[1]
-            pinned = self._pinned.get(id(node))
-            if pinned is not None:
-                result = pinned[1]
-            elif isinstance(node, ChoosePlan):
-                prior = self._choices.get(id(node))
-                if reuse_all and prior is not None:
-                    reused[0] += 1
-                    choices.append(prior)
-                    result = resolve(prior[1])
-                else:
-                    best = None
-                    best_original = None
-                    best_cost = None
-                    costs = {}
-                    for alternative in node.alternatives:
-                        resolved_alternative = resolve(alternative)
-                        cost = self._model.evaluate(
-                            resolved_alternative
-                        ).cost.lower
-                        costs[id(alternative)] = cost
-                        if best_cost is None or cost < best_cost:
-                            best_cost = cost
-                            best = resolved_alternative
-                            best_original = alternative
-                    prior_original = prior[1] if prior is not None else None
-                    incumbent_cost = (
-                        costs.get(id(prior_original))
-                        if prior_original is not None
-                        else None
-                    )
-                    decided.append(
-                        Redecision(
-                            node,
-                            best_original,
-                            prior_original,
-                            incumbent_cost,
-                            best_cost,
-                        )
-                    )
-                    self._choices[id(node)] = (node, best_original)
-                    choices.append((node, best_original))
-                    result = best
-            else:
-                result = _rebuild(
-                    node, [resolve(child) for child in node.inputs()]
-                )
-            self._resolved[id(node)] = (node, result)
-            self._origin[id(result)] = node
-            return result
-
-        plan = resolve(self.plan)
-        seconds = time.perf_counter() - started
-        return DecisionOutcome(
-            plan,
-            decided,
-            reused[0],
-            self._model.evaluations - evaluations_before,
-            seconds,
-            choices,
+        program = self._program
+        if program is None:
+            program = self._program = CompiledDecision(
+                self.plan, self.catalog, self.parameter_space
+            )
+        if self._costs is None:
+            self._costs = [0.0] * len(program)
+            self._cards = [0.0] * len(program)
+            slots = range(len(program))
+        else:
+            slots = sorted(self._dirty)
+        costs = self._costs
+        pins = {
+            program.slot_of(origin): checkpoint
+            for origin, checkpoint in self._pinned.values()
+        }
+        decisions, evaluations = program.rerun(
+            slots, costs, self._cards, self.bindings, pins
         )
+        self._dirty.clear()
+        decided = []
+        for choose, chosen in decisions:
+            _, prior = self._choices.get(id(choose), (choose, None))
+            incumbent = None if prior is None else costs[program.slot_of(prior)]
+            candidate = costs[program.slot_of(chosen)]
+            decided.append(Redecision(choose, chosen, prior, incumbent, candidate))
+            self._choices[id(choose)] = (choose, chosen)
+        return self._outcome(started, decided, evaluations)
 
     def splice(self):
-        """Re-resolve the plan over the pins without re-deciding."""
-        return self.decide(reuse_all=True)
+        """Re-resolve the plan over the pins without re-deciding.
 
-    def cost_of(self, plan):
-        """Re-costed value of a (resolved) plan under current bindings."""
-        return self._model.evaluate(plan).cost.lower
+        Runs no step and needs no program: standing choices (seeded or
+        decided) are kept verbatim, and dirty slots stay dirty for the
+        next :meth:`decide`.
+        """
+        return self._outcome(time.perf_counter(), [], 0)
+
+    def _outcome(self, started, decided, evaluations):
+        return DecisionOutcome(
+            self._resolve(self.plan, {}),
+            decided,
+            len(self._choices) - len(decided),
+            evaluations,
+            time.perf_counter() - started,
+            self.choices(),
+        )
+
+    def _resolve(self, node, seen):
+        """The static plan below ``node`` under the choices and pins.
+
+        A node whose resolved inputs are the objects they were last
+        pass resolves to the object it was last pass, so subtrees no
+        pin or switch reached keep their identity across passes
+        (``execute_midquery`` tracks drained subplans by it).
+        """
+        key = id(node)
+        result = seen.get(key)
+        if result is not None:
+            return result
+        pinned = self._pinned.get(key)
+        if pinned is not None:
+            result = pinned[1]
+        elif isinstance(node, ChoosePlan):
+            result = self._resolve(self._choices[key][1], seen)
+        else:
+            inputs = [self._resolve(child, seen) for child in node.inputs()]
+            cached = self._resolved.get(key)
+            if cached is not None and cached[0] == inputs:
+                result = cached[1]
+            else:
+                result = _rebuild(node, inputs)
+                self._resolved[key] = (inputs, result)
+        seen[key] = result
+        self._origin[id(result)] = node
+        return result
 
     def choices(self):
         """Current (choose_plan, chosen_original) pairs, decision order."""
@@ -614,28 +543,16 @@ def _next_breaker(plan, kinds, skipped):
     nodes — checkpoints from earlier breakers — are already drained.
     """
     for node in _postorder(plan):
-        if (
-            isinstance(node, (BTreeScan, FilterBTreeScan))
-            and "btree_scan" in kinds
-            and node is not plan
-            and id(node) not in skipped
-        ):
-            return ("btree_scan", node)
-        if (
-            isinstance(node, Sort)
-            and "sort" in kinds
-            and node is not plan
-            and id(node) not in skipped
-        ):
-            return ("sort", node)
-        if isinstance(node, HashJoin) and "hash_build" in kinds:
-            build = node.build
-            if (
-                not isinstance(build, Materialized)
-                and build is not plan
-                and id(build) not in skipped
-            ):
-                return ("hash_build", build)
+        if isinstance(node, (BTreeScan, FilterBTreeScan)):
+            kind, subplan = "btree_scan", node
+        elif isinstance(node, Sort):
+            kind, subplan = "sort", node
+        elif isinstance(node, HashJoin) and not isinstance(node.build, Materialized):
+            kind, subplan = "hash_build", node.build
+        else:
+            continue
+        if kind in kinds and subplan is not plan and id(subplan) not in skipped:
+            return kind, subplan
     return None
 
 
@@ -668,6 +585,7 @@ def execute_midquery(
     tracer=None,
     deadline=None,
     choices=None,
+    decision=None,
 ):
     """Execute a dynamic plan with runtime choose-plan points.
 
@@ -680,16 +598,26 @@ def execute_midquery(
     ``choices`` optionally seeds the decider with start-up decisions
     already made (a :class:`~repro.executor.startup.StartupReport`'s
     ``choices`` list); the initial pass then splices without re-costing
-    instead of repeating the start-up argmin.  ``tracer`` attaches to
-    the final plan execution only; breaker drains run untraced.
+    instead of repeating the start-up argmin.  ``decision`` is the
+    plan's :class:`~repro.executor.decision.CompiledDecision` when the
+    caller holds one (a plan-cache entry does); without it the program
+    is compiled on the first re-decision, and never for a run that only
+    splices.  ``tracer`` attaches to the final plan execution only;
+    breaker drains run untraced.
     """
     if plan is None:
         raise ExecutionError("cannot execute an empty plan")
     policy = policy if policy is not None else ReoptPolicy()
     report = MidQueryReport(policy)
-    if not policy.active:
-        result = execute_plan(
-            plan,
+    bindings = bindings if bindings is not None else Bindings()
+    parameter_space = (
+        parameter_space if parameter_space is not None else ParameterSpace()
+    )
+    deadline = Deadline.ensure(deadline)
+
+    def run(subplan, tracer=None):
+        return execute_plan(
+            subplan,
             database,
             bindings=bindings,
             parameter_space=parameter_space,
@@ -698,28 +626,22 @@ def execute_midquery(
             batch_size=batch_size,
             deadline=deadline,
         )
-        report.final_plan = plan
-        return result, report
 
-    bindings = bindings if bindings is not None else Bindings()
-    parameter_space = (
-        parameter_space if parameter_space is not None else ParameterSpace()
-    )
-    deadline = Deadline.ensure(deadline)
+    if not policy.active:
+        report.final_plan = plan
+        return run(plan, tracer), report
+
     catalog = database.catalog
-    decider = IncrementalDecider(plan, catalog, parameter_space, bindings)
+    decider = IncrementalDecider(
+        plan, catalog, parameter_space, bindings, decision, choices or ()
+    )
+    # A drained subplan's compile-time cardinality is an *interval*.
     bounds_model = CostModel(catalog, Valuation.bounds(parameter_space))
 
     started = time.perf_counter()
     before = database.io_stats.snapshot()
 
-    if choices:
-        for choose, chosen in choices:
-            if chosen is not None:
-                decider._choices[id(choose)] = (choose, chosen)
-        outcome = decider.splice()
-    else:
-        outcome = decider.decide()
+    outcome = decider.splice() if choices else decider.decide()
     report.note_outcome(outcome)
     current = outcome.plan
 
@@ -727,20 +649,13 @@ def execute_midquery(
     # Bounded defensively: every iteration pins one more dynamic node
     # (or skips one subplan), so the loop cannot run longer than the
     # plan has nodes.
-    for _ in range(plan.node_count() + 1):
+    node_count = len(decision) if decision is not None else plan.node_count()
+    for _ in range(node_count + 1):
         breaker = _next_breaker(current, policy.breakers, skipped)
         if breaker is None:
             break
         kind, subplan = breaker
-        drained = execute_plan(
-            subplan,
-            database,
-            bindings=bindings,
-            parameter_space=parameter_space,
-            execution_mode=execution_mode,
-            batch_size=batch_size,
-            deadline=deadline,
-        )
+        drained = run(subplan)
         skipped.add(id(subplan))
         checkpoint = Materialized(drained.records, subplan)
         decider.pin(decider.origin_of(subplan), checkpoint)
@@ -771,16 +686,7 @@ def execute_midquery(
     else:
         final = current
 
-    tail = execute_plan(
-        final,
-        database,
-        bindings=bindings,
-        parameter_space=parameter_space,
-        tracer=tracer,
-        execution_mode=execution_mode,
-        batch_size=batch_size,
-        deadline=deadline,
-    )
+    tail = run(final, tracer)
     elapsed = time.perf_counter() - started
     after = database.io_stats.snapshot()
     delta = {key: after[key] - before[key] for key in after}

@@ -29,7 +29,7 @@ turns that amortization argument into a running subsystem:
 """
 
 from repro.service.cache import CacheStatistics, PlanCache, PlanCacheEntry
-from repro.service.decision import CompiledDecision, DecisionCompilationError
+from repro.executor.decision import CompiledDecision, DecisionCompilationError
 from repro.service.durability import (
     DurabilityConfig,
     RestoreStats,

@@ -96,7 +96,7 @@ class PlanCacheEntry:
         self.query = query
         self.plan = None
         #: Compiled start-up decision procedure, or None for the
-        #: interpreted fallback (see :mod:`repro.service.decision`).
+        #: interpreted fallback (see :mod:`repro.executor.decision`).
         self.decision = None
         self.parameter_space = query.parameter_space
         self.covered_bounds = _covered_bounds(query.parameter_space)

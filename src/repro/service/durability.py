@@ -28,7 +28,7 @@ durable without pickling code objects:
   accounting (:meth:`~repro.service.cache.PlanCache.seed_entry`),
   materializes the plan, re-compiles the start-up decision program
   (interpreted fallback on
-  :class:`~repro.service.decision.DecisionCompilationError`, counted),
+  :class:`~repro.executor.decision.DecisionCompilationError`, counted),
   and installs everything under the entry lock.  Restored entries have
   a plan installed, so the first live request for a restored signature
   is a cache *hit* that skips compilation entirely — the counter-level
@@ -59,7 +59,7 @@ from repro.executor.access_module import (
 )
 from repro.optimizer.query import QuerySpec, canonical_signature
 from repro.cost.parameters import Parameter, ParameterSpace
-from repro.service.decision import CompiledDecision, DecisionCompilationError
+from repro.executor.decision import CompiledDecision, DecisionCompilationError
 
 __all__ = [
     "DurabilityConfig",

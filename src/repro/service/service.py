@@ -42,6 +42,7 @@ from repro.common.errors import (
 )
 from repro.common.stats import percentile
 from repro.cost.parameters import MEMORY_PARAMETER
+from repro.executor.decision import CompiledDecision, DecisionCompilationError
 from repro.executor.engine import check_execution_mode, execute_plan
 from repro.executor.midquery import (
     IncrementalDecider,
@@ -53,7 +54,6 @@ from repro.executor.startup import activate_plan
 from repro.resilience.deadline import Deadline
 from repro.resilience.policy import ResiliencePolicy
 from repro.service.cache import PlanCache
-from repro.service.decision import CompiledDecision, DecisionCompilationError
 
 __all__ = [
     "QueryService",
@@ -340,7 +340,7 @@ class QueryService:
         rather than once per start-up — catalogs here are static).
     compiled:
         Compile each cached plan's start-up decision procedure into a
-        scalar evaluation program (:mod:`repro.service.decision`).
+        scalar evaluation program (:mod:`repro.executor.decision`).
         Plans the compiler cannot handle fall back to the interpreted
         :func:`~repro.executor.startup.resolve_dynamic_plan` path,
         which makes identical decisions, just slower.
@@ -456,6 +456,10 @@ class QueryService:
                 "service_optimize_seconds",
                 "Plan compilation latency (misses and re-optimizations)",
             )
+            self._m_redecide = metrics.histogram(
+                "service_redecide_seconds",
+                "Mid-query decision latency per invocation that re-decided",
+            )
             metrics.gauge(
                 "service_inflight_requests",
                 "Invocations currently running",
@@ -470,7 +474,7 @@ class QueryService:
             }
         else:
             self._m_reoptimizations = self._m_rows = None
-            self._m_startup = self._m_optimize = None
+            self._m_startup = self._m_optimize = self._m_redecide = None
             self._m_resilience = None
 
     def _request_count(self):
@@ -712,6 +716,8 @@ class QueryService:
             self._count("midquery_checkpoints", mid_report.checkpoints)
         if mid_report.redecisions:
             self._count("midquery_redecisions", mid_report.redecisions)
+            if self._m_redecide is not None:
+                self._m_redecide.observe(mid_report.decision_seconds)
         if mid_report.switches:
             self._count("midquery_switches", mid_report.switches)
             if self.tracer is not None:
@@ -762,9 +768,8 @@ class QueryService:
           cheaper alternative mid-flight (the mid-query report rides
           on ``execution.midquery``);
         * a mid-run memory drop re-decides the choose-plans under the
-          shrunk grant through the *incremental* re-decision path —
-          only memo groups the memory grant can reach are re-costed —
-
+          shrunk grant with the same decision program start-up ran
+          (a second drop re-runs only the steps the grant can reach)
           and restarts on the re-decided alternative; past
           ``max_degradations`` restarts the service activates the
           conservative static fallback plan instead;
@@ -778,7 +783,7 @@ class QueryService:
         degradations = 0
         use_midquery = reopt is not None and reopt.active
         #: Incremental decider, created on the first memory drop and
-        #: kept across retries so later drops re-cost even less.
+        #: kept across retries so later drops re-run even less.
         incremental = None
         while True:
             if info is not None:
@@ -796,9 +801,8 @@ class QueryService:
                             execution_mode=mode,
                             batch_size=self.batch_size,
                             deadline=deadline,
-                            choices=(
-                                report.choices if report is not None else None
-                            ),
+                            choices=report.choices,
+                            decision=decision,
                         )
                     else:
                         execution = execute_plan(
@@ -862,20 +866,14 @@ class QueryService:
                         )
                 else:
                     if incremental is None:
-                        # First drop: build the decider's memo tables
-                        # under the pre-drop bindings (one full pass,
-                        # re-stating the start-up decision already
-                        # made), so the re-decision below re-costs
-                        # only the memory-sensitive memo groups
-                        # instead of re-running the whole start-up
-                        # decision from scratch.
                         incremental = IncrementalDecider(
                             plan,
                             self.catalog,
                             parameter_space,
                             previous_bindings,
+                            decision,
+                            report.choices,
                         )
-                        incremental.decide()
                     incremental.rebind(bindings, (MEMORY_PARAMETER,))
                     outcome = incremental.decide()
                     chosen = outcome.plan

@@ -37,7 +37,7 @@ compared with ``QueryService.run`` it skips the per-request canonical-
 signature recomputation (the gateway routes with it, then hands it
 down), reuses the entry's decision-outcome memo so the chosen static
 plan is *rebuilt* once per distinct outcome instead of once per
-invocation (:meth:`~repro.service.decision.CompiledDecision.choose_memoized`),
+invocation (:meth:`~repro.executor.decision.CompiledDecision.choose_memoized`),
 and processes batched traffic in per-shard chunks so the pool pays one
 future per shard instead of one per request.  Freshness handling —
 plan compilation, staleness re-optimization, circuit breaking, bounds

@@ -15,14 +15,26 @@ triggers a re-decision, and any re-decision picks an alternative whose
 re-costed value is no worse than the incumbent's.
 """
 
+import sys
+import threading
+
 import pytest
 from hypothesis import given, settings, strategies as st
 from tests.test_property_random_queries import workloads
 
-from repro.algebra.physical import Materialized
+from repro.algebra.physical import (
+    BTreeScan,
+    ChoosePlan,
+    FileScan,
+    FilterBTreeScan,
+    HashJoin,
+    Materialized,
+    Sort,
+)
 from repro.common.errors import ExecutionError
 from repro.cost.parameters import MEMORY_PARAMETER
 from repro.executor import EXECUTION_MODES, execute_plan, validate_plan
+from repro.executor.decision import CompiledDecision, DecisionCompilationError
 from repro.executor.midquery import (
     BREAKER_KINDS,
     IncrementalDecider,
@@ -88,6 +100,67 @@ def _run_midquery(workload, plan, bindings, mode, policy):
         policy=policy,
         execution_mode=mode,
     )
+
+
+def _checkpoint(node, cardinality):
+    """A checkpoint of ``node`` holding ``cardinality`` placeholder rows."""
+    return Materialized([None] * cardinality, node)
+
+
+def _breaker_eligible(plan):
+    """Dynamic-plan nodes a breaker could drain: scans, sorts, builds."""
+    eligible = {}
+    for node in plan.walk_unique():
+        if isinstance(node, (BTreeScan, FilterBTreeScan, Sort)):
+            eligible[id(node)] = node
+        elif isinstance(node, HashJoin):
+            eligible[id(node.build)] = node.build
+    eligible.pop(id(plan), None)
+    return list(eligible.values())
+
+
+def _upward_closure(plan, node):
+    """``node`` and every node of ``plan`` that has it below (by id)."""
+    parents = {}
+    for parent in plan.walk_unique():
+        for child in parent.inputs():
+            parents.setdefault(id(child), []).append(parent)
+    closure = {}
+    stack = [node]
+    while stack:
+        current = stack.pop()
+        if id(current) not in closure:
+            closure[id(current)] = current
+            stack.extend(parents.get(id(current), ()))
+    return closure
+
+
+def _substitute(plan, replacements):
+    """``plan`` rebuilt with ``id(node) -> checkpoint`` substituted.
+
+    Returns ``(new plan, id(old node) -> new node)``.  The interpreted
+    oracle runs over the result: a pin *is* this substitution.
+    """
+    from repro.executor.startup import _rebuild
+
+    mapping = {}
+
+    def rebuild(node):
+        done = mapping.get(id(node))
+        if done is not None:
+            return done
+        if id(node) in replacements:
+            result = replacements[id(node)]
+        else:
+            children = [rebuild(child) for child in node.inputs()]
+            if isinstance(node, ChoosePlan):
+                result = ChoosePlan(children)
+            else:
+                result = _rebuild(node, children)
+        mapping[id(node)] = result
+        return result
+
+    return rebuild(plan), mapping
 
 
 class TestReoptPolicy:
@@ -171,6 +244,37 @@ class TestDifferentialIdentity:
         assert rows_digest(forced.records) == rows_digest(plain.records)
         if report.switches == 0:
             assert forced.io_snapshot == plain.io_snapshot
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("number", PAPER_QUERIES)
+    def test_handed_program_changes_nothing(self, number, mode):
+        """``decision=`` only saves the compile: every output is equal."""
+        workload, plan, bindings = _setup(number, seed=0, skew=(0.02, 0.6))
+        program = CompiledDecision(
+            plan, workload.catalog, workload.query.parameter_space
+        )
+        _, startup = program.choose(bindings)
+        runs = []
+        for decision in (None, program):
+            result, report = execute_midquery(
+                plan,
+                _fresh_database(workload),
+                bindings.copy(),
+                workload.query.parameter_space,
+                policy=ReoptPolicy("always"),
+                execution_mode=mode,
+                choices=startup.choices,
+                decision=decision,
+            )
+            runs.append(
+                (
+                    [record.as_dict() for record in result.records],
+                    result.io_snapshot,
+                    report.to_dict(),
+                    [(id(node), id(chosen)) for node, chosen in report.choices],
+                )
+            )
+        assert runs[0] == runs[1]
 
     def test_off_policy_is_plain_execution(self):
         workload, plan, bindings = _setup(3)
@@ -296,6 +400,136 @@ class TestIncrementalDecider:
         assert warm.plan.signature() == fresh.plan.signature()
         assert warm.cost_evaluations < fresh.cost_evaluations
 
+    def test_pin_reruns_exactly_the_upward_closure(self):
+        workload, plan, bindings = _setup(3)
+        space = workload.query.parameter_space
+        program = CompiledDecision(plan, workload.catalog, space)
+        decider = IncrementalDecider(
+            plan, workload.catalog, space, bindings, program
+        )
+        first = decider.decide()
+        assert first.cost_evaluations == len(program) == plan.node_count()
+
+        scan = next(
+            node
+            for node in plan.walk_unique()
+            if isinstance(node, (FileScan, BTreeScan, FilterBTreeScan))
+        )
+        decider.pin(scan, _checkpoint(scan, 5))
+        closure = _upward_closure(plan, scan)
+        pinned = decider.decide()
+        # The pinned slot itself runs no step.
+        assert pinned.cost_evaluations == len(closure) - 1
+        assert pinned.cost_evaluations < len(program)
+        assert len(pinned.decided) + pinned.reused == plan.choose_plan_count()
+        assert {id(entry.node) for entry in pinned.decided} == {
+            key
+            for key, node in closure.items()
+            if isinstance(node, ChoosePlan)
+        }
+
+        again = decider.decide()
+        assert again.cost_evaluations == 0
+        assert not again.decided
+        assert again.plan is pinned.plan
+
+    def test_splice_compiles_nothing_and_keeps_choices(self, monkeypatch):
+        from repro.executor import midquery
+
+        workload, plan, bindings = _setup(3)
+        space = workload.query.parameter_space
+        _, startup = CompiledDecision(plan, workload.catalog, space).choose(
+            bindings
+        )
+
+        def refuse(*args):
+            raise DecisionCompilationError("splice must not compile")
+
+        monkeypatch.setattr(midquery, "CompiledDecision", refuse)
+        decider = IncrementalDecider(
+            plan, workload.catalog, space, bindings, choices=startup.choices
+        )
+        outcome = decider.splice()
+        assert outcome.cost_evaluations == 0
+        assert not outcome.decided
+        assert outcome.plan.choose_plan_count() == 0
+        # Only a decision needs the program, and then fails typed.
+        with pytest.raises(DecisionCompilationError):
+            decider.decide()
+
+    def test_one_program_serves_eight_threads(self):
+        """The program holds no per-query state: deciders do not interact."""
+        workload, plan, _ = _setup(4)
+        space = workload.query.parameter_space
+        targets = _breaker_eligible(plan)
+
+        def scenario(index, program):
+            bindings = random_bindings(workload, seed=index)
+            decider = IncrementalDecider(
+                plan, workload.catalog, space, bindings, program
+            )
+            trail = []
+            outcome = decider.decide()
+            for step in range(4):
+                target = targets[(index * 7 + step * 3) % len(targets)]
+                decider.pin(target, _checkpoint(target, index * 11 + step))
+                outcome = decider.decide()
+                trail.append(
+                    (
+                        outcome.cost_evaluations,
+                        outcome.plan.signature(),
+                        [(id(n), id(c)) for n, c in outcome.choices],
+                        [
+                            (entry.incumbent_cost, entry.candidate_cost)
+                            for entry in outcome.decided
+                        ],
+                    )
+                )
+            return trail
+
+        threads = 8
+        alone = CompiledDecision(plan, workload.catalog, space)
+        expected = [scenario(index, alone) for index in range(threads)]
+        # A fresh program, so the threads also race to derive its
+        # slot->parents map.
+        shared = CompiledDecision(plan, workload.catalog, space)
+        results = [None] * threads
+        barrier = threading.Barrier(threads)
+
+        def work(index):
+            barrier.wait(timeout=30)
+            results[index] = scenario(index, shared)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
+        try:
+            workers = [
+                threading.Thread(target=work, args=(index,))
+                for index in range(threads)
+            ]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert results == expected
+
+    def test_program_compiled_for_another_plan_is_rejected(self):
+        workload, plan, bindings = _setup(2)
+        other = optimize_dynamic(workload.catalog, workload.query).plan
+        space = workload.query.parameter_space
+        program = CompiledDecision(other, workload.catalog, space)
+        with pytest.raises(ExecutionError):
+            IncrementalDecider(plan, workload.catalog, space, bindings, program)
+
+    def test_service_import_path_reexports_the_program(self):
+        import repro.service.decision as service_path
+
+        assert service_path.CompiledDecision is CompiledDecision
+        assert service_path.DecisionCompilationError is DecisionCompilationError
+
     def test_startup_report_adapter_carries_reuse(self):
         workload, plan, bindings = _setup(2)
         decider = IncrementalDecider(
@@ -351,6 +585,54 @@ class TestMidQueryProperties:
                 <= redecision.incumbent_cost + 1e-9
             )
         assert rows_digest(result.records) == rows_digest(plain.records)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        workload=workloads(),
+        binding_seed=st.integers(0, 1000),
+        data=st.data(),
+    )
+    def test_pinned_decisions_match_the_interpreted_oracle(
+        self, workload, binding_seed, data
+    ):
+        """Scalar decider over pins == interpreted pass over substitution."""
+        from repro.executor.startup import resolve_dynamic_plan
+
+        plan = optimize_dynamic(workload.catalog, workload.query).plan
+        space = workload.query.parameter_space
+        bindings = random_bindings(workload, seed=binding_seed)
+        eligible = _breaker_eligible(plan)
+        picked = data.draw(
+            st.lists(st.sampled_from(eligible), unique_by=id, max_size=4)
+            if eligible
+            else st.just([])
+        )
+        replacements = {
+            id(node): _checkpoint(node, data.draw(st.integers(0, 3000)))
+            for node in picked
+        }
+
+        decider = IncrementalDecider(plan, workload.catalog, space, bindings)
+        decider.decide()
+        for node in picked:
+            decider.pin(node, replacements[id(node)])
+        outcome = decider.decide()
+
+        substituted, mapping = _substitute(plan, replacements)
+        chosen, report = resolve_dynamic_plan(
+            substituted, workload.catalog, space, bindings
+        )
+        assert outcome.plan.signature() == chosen.signature()
+        # Every choose-plan the substitution left reachable made the
+        # same choice (the decider also holds choices for choose-plans
+        # that only exist below a pin; the oracle never sees those).
+        standing = {
+            id(mapping[id(node)]): mapping.get(id(alternative))
+            for node, alternative in outcome.choices
+            if id(node) in mapping
+        }
+        for node, alternative in report.choices:
+            assert standing[id(node)] is alternative
 
     @settings(max_examples=6, deadline=None)
     @given(workload=workloads())

@@ -210,3 +210,41 @@ class TestConcurrency:
         assert (
             snapshot["service_reoptimizations_total"]["value"] == reopt
         )
+
+
+class TestRedecideHistogram:
+    """``service_redecide_seconds``: one sample per request that re-decided."""
+
+    def _serve(self, reopt_policy, metrics):
+        from repro.catalog import populate_database
+        from repro.workloads import skewed_bindings
+
+        workload = paper_workload(3, memory_uncertain=True)
+        database = Database(workload.catalog)
+        populate_database(database, seed=11)
+        bindings = skewed_bindings(workload, declared=0.02, actual=0.6)
+        with QueryService(database, metrics=metrics) as service:
+            results = [
+                service.run(workload.query, bindings, reopt_policy=reopt_policy)
+                for _ in range(3)
+            ]
+            return results, service.resilience_counts()
+
+    def test_observed_only_when_a_request_redecides(self):
+        registry = MetricsRegistry()
+        results, counts = self._serve("always", registry)
+        assert counts["midquery_redecisions"] >= len(results)
+        histogram = registry.snapshot()["service_redecide_seconds"]
+        assert histogram["count"] == len(results)
+        assert histogram["sum"] == pytest.approx(
+            sum(r.execution.midquery.decision_seconds for r in results)
+        )
+        assert "service_redecide_seconds_count 3" in registry.to_prometheus()
+
+        quiet = MetricsRegistry()
+        self._serve("off", quiet)
+        assert quiet.snapshot()["service_redecide_seconds"]["count"] == 0
+
+    def test_no_registry_is_a_no_op(self):
+        results, counts = self._serve("always", None)
+        assert counts["midquery_redecisions"] >= len(results)

@@ -100,10 +100,15 @@ class TestCompare:
     def test_latency_regression_fails_and_speedup_gain_passes(self, tmp_path):
         results, baselines = self.setup_dirs(
             tmp_path,
-            [record(), record(metric="speedup", value=4.0, unit="x")],
+            [
+                record(),
+                record(metric="speedup", value=4.0, unit="x"),
+                record(metric="pass", value=40.0, unit="us"),
+            ],
             [
                 record(value=2.0),  # latency doubled: regression
                 record(metric="speedup", value=8.0, unit="x"),  # improved
+                record(metric="pass", value=10.0, unit="us"),  # faster
             ],
         )
         rows, failures = gate.compare(results, baselines, 0.25)
@@ -111,6 +116,7 @@ class TestCompare:
                     for name, metric, _u, _b, _c, _ch, status in rows}
         assert statuses[("bench", "p50")] == "regression"
         assert statuses[("bench", "speedup")] == "improvement"
+        assert statuses[("bench", "pass")] == "improvement"
         assert len(failures) == 1 and "bench/p50" in failures[0]
 
     def test_new_metric_passes_without_baseline_edit(self, tmp_path):
