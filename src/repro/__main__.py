@@ -41,7 +41,7 @@ from repro import (
     populate_database,
     resolve_dynamic_plan,
 )
-from repro.executor.engine import EXECUTION_MODES
+from repro.executor.engine import DEFAULT_EXECUTION_MODE, EXECUTION_MODES
 
 
 def _parse_skew(text, command):
@@ -127,9 +127,9 @@ def _run(argv):
     parser.add_argument(
         "--execution-mode",
         choices=EXECUTION_MODES,
-        default="row",
+        default=DEFAULT_EXECUTION_MODE,
         help="executor: record-at-a-time iterators or vectorized "
-        "batches (default row)",
+        "batches (default %(default)s)",
     )
     parser.add_argument(
         "--batch-size",
@@ -432,9 +432,9 @@ def _explain(argv):
     parser.add_argument(
         "--execution-mode",
         choices=EXECUTION_MODES,
-        default="row",
+        default=DEFAULT_EXECUTION_MODE,
         help="executor used by --analyze; cardinalities and q-errors "
-        "are identical in both (default row)",
+        "are identical in both (default %(default)s)",
     )
     parser.add_argument(
         "--deadline",
@@ -592,8 +592,8 @@ def _accuracy(argv):
     parser.add_argument(
         "--execution-mode",
         choices=EXECUTION_MODES,
-        default="row",
-        help="executor for the traced replay (default row)",
+        default=DEFAULT_EXECUTION_MODE,
+        help="executor for the traced replay (default %(default)s)",
     )
     args = parser.parse_args(argv)
 
@@ -682,8 +682,8 @@ def _chaos(argv):
     parser.add_argument(
         "--execution-mode",
         choices=EXECUTION_MODES,
-        default="row",
-        help="executor the service runs under faults (default row)",
+        default=DEFAULT_EXECUTION_MODE,
+        help="executor the service runs under faults (default %(default)s)",
     )
     parser.add_argument(
         "--json",

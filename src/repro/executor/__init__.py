@@ -15,6 +15,7 @@ from repro.executor.adaptive import (
     execute_adaptively,
 )
 from repro.executor.engine import (
+    DEFAULT_EXECUTION_MODE,
     EXECUTION_MODES,
     ExecutionContext,
     ExecutionResult,
@@ -35,6 +36,7 @@ from repro.executor.validation import node_is_feasible, validate_plan
 
 __all__ = [
     "BREAKER_KINDS",
+    "DEFAULT_EXECUTION_MODE",
     "EXECUTION_MODES",
     "AccessModule",
     "AdaptiveExecutor",

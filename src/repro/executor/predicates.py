@@ -67,20 +67,43 @@ def compile_predicate(predicate, bindings):
     return closure
 
 
+#: The batch kernels, ``kernel(records, attribute, value)``: one
+#: comprehension per operator with the comparison written inline, so
+#: the per-record path is one exact-key dict lookup and one compare —
+#: no ``operator.lt`` call.  Filters keep the qualifying records; masks
+#: yield one bool per record for callers that filter a parallel list.
+_FILTER_KERNELS = {
+    ComparisonOp.EQ: lambda rs, a, v: [r for r in rs if r._fields[a] == v],
+    ComparisonOp.NE: lambda rs, a, v: [r for r in rs if r._fields[a] != v],
+    ComparisonOp.LT: lambda rs, a, v: [r for r in rs if r._fields[a] < v],
+    ComparisonOp.LE: lambda rs, a, v: [r for r in rs if r._fields[a] <= v],
+    ComparisonOp.GT: lambda rs, a, v: [r for r in rs if r._fields[a] > v],
+    ComparisonOp.GE: lambda rs, a, v: [r for r in rs if r._fields[a] >= v],
+}
+_MASK_KERNELS = {
+    ComparisonOp.EQ: lambda rs, a, v: [r._fields[a] == v for r in rs],
+    ComparisonOp.NE: lambda rs, a, v: [r._fields[a] != v for r in rs],
+    ComparisonOp.LT: lambda rs, a, v: [r._fields[a] < v for r in rs],
+    ComparisonOp.LE: lambda rs, a, v: [r._fields[a] <= v for r in rs],
+    ComparisonOp.GT: lambda rs, a, v: [r._fields[a] > v for r in rs],
+    ComparisonOp.GE: lambda rs, a, v: [r._fields[a] >= v for r in rs],
+}
+
+
 def compile_batch_predicate(predicate, bindings):
     """Compile a predicate into ``filter_batch(records) -> records``.
 
     The vectorized filter path: one call filters a whole batch in a
-    single comprehension.  The fast path indexes each record's exact
-    field dict directly (no method dispatch, no suffix matching); if
-    any record lacks the exact qualified key the whole batch falls
-    back to :class:`~repro.storage.records.Record` indexing, which
-    performs the interpreted path's suffix matching.  Predicates are
-    pure, so re-filtering the batch on fallback is side-effect free.
+    single comprehension specialised to the predicate's operator.  The
+    fast path indexes each record's exact field dict directly (no
+    method dispatch, no suffix matching); if any record lacks the
+    exact qualified key the whole batch falls back to
+    :class:`~repro.storage.records.Record` indexing, which performs
+    the interpreted path's suffix matching.  Predicates are pure, so
+    re-filtering the batch on fallback is side-effect free.
     """
     comparison = getattr(predicate, "comparison", predicate)
     attribute = comparison.attribute
-    compare = _OP_FUNCTIONS[comparison.op]
     try:
         value = comparison.operand.resolve(bindings)
     except ExecutionError:
@@ -94,14 +117,13 @@ def compile_batch_predicate(predicate, bindings):
 
         return unbound
 
+    exact = _FILTER_KERNELS[comparison.op]
+
     def filter_batch(records):
         try:
-            return [
-                record
-                for record in records
-                if compare(record._fields[attribute], value)
-            ]
+            return exact(records, attribute, value)
         except KeyError:
+            compare = _OP_FUNCTIONS[comparison.op]
             return [
                 record for record in records if compare(record[attribute], value)
             ]
@@ -109,21 +131,33 @@ def compile_batch_predicate(predicate, bindings):
     return filter_batch
 
 
-def compile_comparison_parts(predicate, bindings):
-    """Resolve a predicate into ``(attribute, compare, value)`` parts.
+def compile_batch_mask(predicate, bindings):
+    """Compile a predicate into ``mask_batch(records) -> [bool, ...]``.
 
-    The fully-inlined form used by vectorized operators that filter
-    with an explicit mask comprehension instead of a closure call per
-    record.  Returns ``None`` when the operand is unbound so callers
-    can fall back to :func:`compile_predicate`, whose closure raises
-    the interpreted path's error on first use.
+    For vectorized operators that filter a list running parallel to
+    ``records`` (the index join's outer records).  Same exact-key fast
+    path and whole-batch suffix-matching fallback as
+    :func:`compile_batch_predicate`.  Returns ``None`` when the
+    operand is unbound so callers can fall back to
+    :func:`compile_predicate`, whose closure raises the interpreted
+    path's error on first use.
     """
     comparison = getattr(predicate, "comparison", predicate)
     try:
         value = comparison.operand.resolve(bindings)
     except ExecutionError:
         return None
-    return comparison.attribute, _OP_FUNCTIONS[comparison.op], value
+    attribute = comparison.attribute
+    exact = _MASK_KERNELS[comparison.op]
+
+    def mask_batch(records):
+        try:
+            return exact(records, attribute, value)
+        except KeyError:
+            compare = _OP_FUNCTIONS[comparison.op]
+            return [compare(record[attribute], value) for record in records]
+
+    return mask_batch
 
 
 def compile_conjunction(predicates, bindings):

@@ -34,6 +34,8 @@ row/batch equivalence over all five paper queries, static and
 dynamic, traced and untraced.
 """
 
+from itertools import compress, islice
+
 from repro.algebra.physical import (
     BTreeScan,
     ChoosePlan,
@@ -53,12 +55,14 @@ from repro.executor.iterators import (
     _scan_buffer,
     index_join_outer_attribute,
     join_sides,
+    sargable_key_range,
 )
 from repro.executor.predicates import (
+    compile_batch_mask,
     compile_batch_predicate,
-    compile_comparison_parts,
     compile_predicate,
 )
+from repro.storage.records import Record
 
 #: Records per batch when the execution context does not override it.
 DEFAULT_BATCH_SIZE = 1024
@@ -173,22 +177,9 @@ class BTreeScanBatchIterator(BatchPlanIterator):
         btree = database.btree(plan.relation_name, plan.attribute)
         heap = database.heap(plan.relation_name)
         pool = _scan_buffer(self.context, plan.relation_name, plan.attribute)
-        batch_size = self.batch_size
-
-        def generate():
-            fetch_many = heap.fetch_many
-            rids = []
-            append = rids.append
-            for _key, rid in btree.range_scan():
-                append(rid)
-                if len(rids) >= batch_size:
-                    yield fetch_many(rids, pool)
-                    rids = []
-                    append = rids.append
-            if rids:
-                yield fetch_many(rids, pool)
-
-        return generate()
+        return _index_batches(
+            btree.range_scan(), self.context.batch_size, heap, pool
+        )
 
 
 class FilterBTreeScanBatchIterator(BatchPlanIterator):
@@ -205,44 +196,18 @@ class FilterBTreeScanBatchIterator(BatchPlanIterator):
         plan = self.plan
         btree = database.btree(plan.relation_name, plan.attribute)
         heap = database.heap(plan.relation_name)
-        low, high = self._key_range()
+        low, high = sargable_key_range(plan.predicate, self.context.bindings)
         pool = _scan_buffer(self.context, plan.relation_name, plan.attribute)
         filter_batch = compile_batch_predicate(
             plan.predicate, self.context.bindings
         )
-        batch_size = self.batch_size
-
-        def generate():
-            fetch_many = heap.fetch_many
-            rids = []
-            append = rids.append
-            for _key, rid in btree.range_scan(low, high):
-                append(rid)
-                if len(rids) >= batch_size:
-                    batch = filter_batch(fetch_many(rids, pool))
-                    rids = []
-                    append = rids.append
-                    if batch:
-                        yield batch
-            if rids:
-                batch = filter_batch(fetch_many(rids, pool))
-                if batch:
-                    yield batch
-
-        return generate()
-
-    def _key_range(self):
-        comparison = self.plan.predicate.comparison
-        value = comparison.operand.resolve(self.context.bindings)
-        op = comparison.op.value
-        if op == "=":
-            return value, value
-        if op in ("<", "<="):
-            return None, value
-        if op in (">", ">="):
-            return value, None
-        # Not sargable (<>): full range, predicate filters.
-        return None, None
+        return _index_batches(
+            btree.range_scan(low, high),
+            self.context.batch_size,
+            heap,
+            pool,
+            filter_batch,
+        )
 
 
 class FilterBatchIterator(BatchPlanIterator):
@@ -322,10 +287,26 @@ class HashJoinBatchIterator(BatchPlanIterator):
             matched = []
             append = matched.append
             get = table.get
-            for record, key in zip(batch, _batch_values(batch, probe_attr)):
-                for match in get(key, ()):
-                    merged = match.merged_with(record)
-                    if extra is None or extra(merged):
+            keys = _batch_values(batch, probe_attr)
+            if extra is not None:
+                for record, key in zip(batch, keys):
+                    for match in get(key, ()):
+                        merged = match.merged_with(record)
+                        if extra(merged):
+                            append(merged)
+                return matched
+            # No secondary predicate: every match is output, so build
+            # it in place — ``merged_with``'s field order and its
+            # "probe side wins" rule without the call per match.
+            new = Record.__new__
+            for record, key in zip(batch, keys):
+                bucket = get(key)
+                if bucket is not None:
+                    fields = record._fields
+                    for match in bucket:
+                        merged = new(Record)
+                        merged._fields = {**match._fields, **fields}
+                        merged.rid = None
                         append(merged)
             return matched
 
@@ -438,13 +419,13 @@ class IndexJoinBatchIterator(BatchPlanIterator):
         heap = database.heap(plan.inner_relation)
         outer_attr = index_join_outer_attribute(plan)
         pool = _scan_buffer(self.context, plan.inner_relation, plan.inner_attribute)
-        residual_parts = None
+        residual_mask = None
         residual = None
         if plan.residual_predicate is not None:
-            residual_parts = compile_comparison_parts(
+            residual_mask = compile_batch_mask(
                 plan.residual_predicate, self.context.bindings
             )
-            if residual_parts is None:  # unbound operand: defer the error
+            if residual_mask is None:  # unbound operand: defer the error
                 residual = compile_predicate(
                     plan.residual_predicate, self.context.bindings
                 )
@@ -466,17 +447,8 @@ class IndexJoinBatchIterator(BatchPlanIterator):
                 if not rids:
                     continue
                 inners = fetch_many(rids, pool)
-                if residual_parts is not None:
-                    attr, compare, value = residual_parts
-                    try:
-                        mask = [compare(i._fields[attr], value) for i in inners]
-                    except KeyError:
-                        mask = [compare(i[attr], value) for i in inners]
-                    pairs = (
-                        (o, i)
-                        for o, i, keep in zip(outers, inners, mask)
-                        if keep
-                    )
+                if residual_mask is not None:
+                    pairs = compress(zip(outers, inners), residual_mask(inners))
                 elif residual is not None:
                     pairs = (
                         (o, i) for o, i in zip(outers, inners) if residual(i)
@@ -570,6 +542,27 @@ class MaterializedBatchIterator(BatchPlanIterator):
 
     def _produce_batches(self):
         return _rebatch(self.plan.records, self.batch_size)
+
+
+def _index_batches(entries, batch_size, heap, pool, filter_batch=None):
+    """Heap records for a B-tree ``(key, rid)`` stream, in batches.
+
+    RIDs are taken ``batch_size`` at a time and bulk-fetched; with a
+    ``filter_batch`` each fetched chunk is filtered and empty results
+    are skipped.  One generator for the whole scan: an index scan
+    returning a handful of rows pays for its set-up, not its rows.
+    """
+    fetch_many = heap.fetch_many
+    while True:
+        rids = [rid for _key, rid in islice(entries, batch_size)]
+        if rids:
+            batch = fetch_many(rids, pool)
+            if filter_batch is not None:
+                batch = filter_batch(batch)
+            if batch:
+                yield batch
+        if len(rids) < batch_size:
+            return
 
 
 def _drain(batch_iterator):

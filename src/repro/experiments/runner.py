@@ -14,7 +14,7 @@ executor that replay runs under.
 import os
 import sys
 
-from repro.executor.engine import EXECUTION_MODES
+from repro.executor.engine import DEFAULT_EXECUTION_MODE, EXECUTION_MODES
 from repro.experiments.figures import (
     ExperimentContext,
     figure3_scenarios,
@@ -71,7 +71,7 @@ def main(argv=None):
             print("--csv requires a directory argument")
             return 2
         del argv[position : position + 2]
-    execution_mode = "row"
+    execution_mode = DEFAULT_EXECUTION_MODE
     if "--execution-mode" in argv:
         position = argv.index("--execution-mode")
         try:

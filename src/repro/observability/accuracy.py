@@ -16,6 +16,7 @@ future mid-query re-optimization layer can consume.
 import json
 
 from repro.catalog import populate_database
+from repro.executor.engine import DEFAULT_EXECUTION_MODE
 from repro.observability.explain import explain_analyze
 from repro.optimizer.optimizer import optimize_dynamic, optimize_static
 from repro.common.stats import percentile
@@ -215,7 +216,7 @@ def cost_model_accuracy(
     invocations=5,
     seed=0,
     mode="dynamic",
-    execution_mode="row",
+    execution_mode=DEFAULT_EXECUTION_MODE,
 ):
     """Replay paper queries traced and report q-error distributions.
 
@@ -223,7 +224,7 @@ def cost_model_accuracy(
     the dynamic plan (choose-plan decisions resolve at open time, so
     the estimates profiled are the start-up re-evaluations), while
     ``"static"`` executes the traditional expected-value plan.
-    ``execution_mode`` selects the engine (``"row"`` or ``"batch"``);
+    ``execution_mode`` selects the engine (``"batch"`` or ``"row"``);
     traced row counts are exact in both, so the report is identical —
     the knob exists to let the accuracy pipeline exercise either
     executor.

@@ -20,6 +20,7 @@ values unless explicitly requested), which is what the golden-file
 tests pin down.
 """
 
+from repro.executor.engine import DEFAULT_EXECUTION_MODE, execute_plan
 from repro.observability.trace import Tracer, q_error
 
 
@@ -170,7 +171,8 @@ def build_profile(trace, cost_model):
 
 
 def explain_analyze(plan, database, bindings=None, parameter_space=None,
-                    use_buffer_pool=False, execution_mode="row",
+                    use_buffer_pool=False,
+                    execution_mode=DEFAULT_EXECUTION_MODE,
                     batch_size=None, deadline=None):
     """Execute ``plan`` under a fresh tracer; returns the result.
 
@@ -179,17 +181,15 @@ def explain_analyze(plan, database, bindings=None, parameter_space=None,
     classic ``EXPLAIN ANALYZE`` view.  Dynamic plans work directly —
     the choose-plan operators resolve at open time and the trace shows
     the chosen alternative beneath them.  ``execution_mode`` selects
-    the engine (``"row"`` or ``"batch"``); spans report exact row
-    counts either way, so the rendered cardinalities and q-errors are
-    identical across modes.
+    the engine (``"batch"`` by default, or ``"row"``); spans report
+    exact row counts either way, so the rendered cardinalities and
+    q-errors are identical across modes.
 
     ``deadline`` (seconds or a prebuilt deadline) arms cooperative
     cancellation; on expiry the raised
     :class:`~repro.common.errors.QueryTimeoutError` still carries the
     *partial* trace, so a timed-out query remains explainable.
     """
-    from repro.executor.engine import execute_plan
-
     return execute_plan(
         plan,
         database,

@@ -21,6 +21,7 @@ import json
 
 from repro.catalog import populate_database
 from repro.common.errors import ServiceExecutionError
+from repro.executor.engine import DEFAULT_EXECUTION_MODE
 from repro.resilience.faults import FaultInjector, fault_profile
 from repro.resilience.policy import ResiliencePolicy, RetryPolicy
 from repro.storage.database import Database
@@ -198,8 +199,8 @@ def _fresh_service(workload, data_seed, resilience):
 
 
 def run_chaos(profile_name, query_numbers=DEFAULT_QUERIES, seed=0,
-              execution_mode="row", data_seed=11, max_retries=3,
-              max_degradations=2, reopt=None, skew=None):
+              execution_mode=DEFAULT_EXECUTION_MODE, data_seed=11,
+              max_retries=3, max_degradations=2, reopt=None, skew=None):
     """Replay the paper queries under a named profile; a ChaosReport.
 
     Each query gets its own baseline and faulty databases (identically
@@ -456,8 +457,8 @@ def _service_chaos_gateway(catalog, shards, execution_mode, seed, data_seed):
 
 
 def run_service_chaos(scenario, seed=0, shards=3, requests=36, shapes=6,
-                      inject_at=10, heal_at=None, execution_mode="row",
-                      data_seed=11):
+                      inject_at=10, heal_at=None,
+                      execution_mode=DEFAULT_EXECUTION_MODE, data_seed=11):
     """Replay seeded traffic with a shard fault injected mid-stream.
 
     The same Zipf-skewed request stream is served twice, from

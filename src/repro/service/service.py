@@ -43,7 +43,11 @@ from repro.common.errors import (
 from repro.common.stats import percentile
 from repro.cost.parameters import MEMORY_PARAMETER
 from repro.executor.decision import CompiledDecision, DecisionCompilationError
-from repro.executor.engine import check_execution_mode, execute_plan
+from repro.executor.engine import (
+    DEFAULT_EXECUTION_MODE,
+    check_execution_mode,
+    execute_plan,
+)
 from repro.executor.midquery import (
     IncrementalDecider,
     ReoptPolicy,
@@ -356,11 +360,15 @@ class QueryService:
         to plan execution, recording per-operator spans.  ``None``
         costs one ``is None`` test per iterator open.
     execution_mode:
-        Service-wide default engine for plan execution: ``"row"``
-        (record-at-a-time Volcano iterators, the default) or
-        ``"batch"`` (the vectorized executor).
+        Service-wide default engine for plan execution: ``"batch"``
+        (the vectorized executor,
+        :data:`~repro.executor.engine.DEFAULT_EXECUTION_MODE`) or
+        ``"row"`` (record-at-a-time Volcano iterators).
         Individual requests override it via
-        :attr:`ServiceRequest.execution_mode`.
+        :attr:`ServiceRequest.execution_mode`.  A query deadline is
+        checked once per batch in ``"batch"`` mode — up to
+        ``batch_size`` records between checks — and once per record in
+        ``"row"`` mode.
     batch_size:
         Records per batch in ``"batch"`` mode; ``None`` uses the
         engine default.
@@ -398,7 +406,7 @@ class QueryService:
         compiled=True,
         metrics=None,
         tracer=None,
-        execution_mode="row",
+        execution_mode=DEFAULT_EXECUTION_MODE,
         batch_size=None,
         resilience=None,
         reopt_policy=None,

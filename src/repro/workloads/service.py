@@ -23,7 +23,7 @@ Spec JSON format::
       "threads": 8,
       "capacity": 64,
       "execute": true,
-      "execution_mode": "row",
+      "execution_mode": "batch",
       "shards": 1,
       "tenants": 0,
       "queries": [
@@ -46,7 +46,7 @@ from repro.catalog.synthetic import build_synthetic_catalog, default_relation_sp
 from repro.common.errors import OptimizationError
 from repro.common.rng import make_rng
 from repro.cost.parameters import Bindings, MEMORY_PARAMETER
-from repro.executor.engine import EXECUTION_MODES
+from repro.executor.engine import DEFAULT_EXECUTION_MODE, EXECUTION_MODES
 from repro.optimizer.query import QuerySpec
 from repro.workloads.queries import (
     SELECTION_ATTRIBUTE,
@@ -128,7 +128,7 @@ class ServiceWorkloadSpec:
         capacity=64,
         seed=0,
         execute=True,
-        execution_mode="row",
+        execution_mode=DEFAULT_EXECUTION_MODE,
         shards=1,
         tenants=0,
     ):
@@ -175,7 +175,7 @@ class ServiceWorkloadSpec:
             capacity=data.get("capacity", 64),
             seed=data.get("seed", 0),
             execute=data.get("execute", True),
-            execution_mode=data.get("execution_mode", "row"),
+            execution_mode=data.get("execution_mode", DEFAULT_EXECUTION_MODE),
             shards=data.get("shards", 1),
             tenants=data.get("tenants", 0),
         )

@@ -153,21 +153,37 @@ def test_no_deadline_means_no_checks(setup):
     assert result.row_count > 0
 
 
-def test_timeout_error_carries_partial_trace_via_explain(setup):
+def partial_trace_via_explain(setup, mode):
     from repro.observability.explain import explain_analyze
 
     workload, plan, bindings = setup
     database = fresh_database(workload)
-    checks, _ = count_checks(workload, plan, bindings, "row")
+    checks, _ = count_checks(workload, plan, bindings, mode)
     with pytest.raises(QueryTimeoutError) as excinfo:
         explain_analyze(
             plan,
             database,
             bindings,
             workload.query.parameter_space,
+            execution_mode=mode,
+            batch_size=BATCH_SIZE if mode == "batch" else None,
             deadline=Deadline(checks - 2, clock=CountingClock()),
         )
-    trace = excinfo.value.trace
+    return excinfo.value
+
+
+def test_timeout_error_carries_partial_trace_via_explain(setup):
+    # Row mode by name: the check count is per record, and the default
+    # engine checks per batch.
+    trace = partial_trace_via_explain(setup, "row").trace
     assert trace is not None
     labels = [span.label() for span, _depth in trace.walk()]
     assert labels
+
+
+def test_timeout_error_carries_partial_trace_via_explain_batch(setup):
+    workload, plan, bindings = setup
+    error = partial_trace_via_explain(setup, "batch")
+    assert error.trace is not None
+    assert [span.label() for span, _depth in error.trace.walk()]
+    assert error.rows_produced in batch_prefix_sums(workload, plan, bindings)

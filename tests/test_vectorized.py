@@ -16,18 +16,34 @@ granularity), and a final partial batch.
 
 import pytest
 
+from repro.algebra.expressions import (
+    Comparison,
+    ComparisonOp,
+    JoinPredicate,
+    SelectionPredicate,
+    UserVariable,
+)
+from repro.algebra.physical import FileScan, HashJoin, Materialized
 from repro.catalog import populate_database
 from repro.common.errors import ExecutionError, OptimizationError
+from repro.cost.parameters import Bindings
 from repro.executor.engine import (
     DEFAULT_BATCH_SIZE,
+    DEFAULT_EXECUTION_MODE,
     EXECUTION_MODES,
     ExecutionContext,
     execute_plan,
+)
+from repro.executor.predicates import (
+    compile_batch_mask,
+    compile_batch_predicate,
+    compile_predicate,
 )
 from repro.executor.vectorized import build_batch_iterator
 from repro.observability import Tracer
 from repro.optimizer.optimizer import optimize_dynamic, optimize_static
 from repro.storage.database import Database
+from repro.storage.records import Record
 from repro.workloads import binding_series, paper_workload
 
 PAPER_QUERIES = (1, 2, 3, 4, 5)
@@ -216,7 +232,7 @@ def test_context_defaults():
     workload = _edge_workload()
     database = Database(workload.catalog)
     context = ExecutionContext(database)
-    assert context.execution_mode == "row"
+    assert context.execution_mode == DEFAULT_EXECUTION_MODE == "batch"
     assert context.batch_size == DEFAULT_BATCH_SIZE
 
 
@@ -287,6 +303,8 @@ def test_workload_spec_execution_mode_roundtrip():
     )
     assert spec.execution_mode == "batch"
     assert spec.replace(execution_mode="row").execution_mode == "row"
+    unnamed = ServiceWorkloadSpec.from_dict({"queries": [{"relations": 2}]})
+    assert unnamed.execution_mode == DEFAULT_EXECUTION_MODE
     with pytest.raises(Exception):
         spec.replace(execution_mode="columnar")
     with pytest.raises(OptimizationError) as excinfo:
@@ -294,3 +312,106 @@ def test_workload_spec_execution_mode_roundtrip():
             {"queries": [{"relations": 2}], "execution_mode": "compiled"}
         )
     assert repr(EXECUTION_MODES) in str(excinfo.value)
+
+
+# ----------------------------------------------------------------------
+# Kernels: operator-specialised batch predicates and the hash probe
+# ----------------------------------------------------------------------
+
+_PREDICATE_BATCHES = {
+    # attribute asked for -> records; "exact" hits the field dict's key,
+    # the other two miss it (KeyError) and suffix-match instead.
+    "exact": ("R.a", [Record({"R.a": value, "R.b": -value}) for value in range(7)]),
+    "qualified-over-bare": ("R.a", [Record({"a": value}) for value in range(7)]),
+    "bare-over-qualified": ("a", [Record({"R.a": value}) for value in range(7)]),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_PREDICATE_BATCHES))
+@pytest.mark.parametrize("op", list(ComparisonOp), ids=lambda op: op.name)
+def test_batch_predicate_kernels_match_the_row_closure(op, shape):
+    attribute, batch = _PREDICATE_BATCHES[shape]
+    bindings = Bindings()
+    bindings.bind_variable("v", 3)
+    for operand in (3, UserVariable("v")):
+        predicate = SelectionPredicate(
+            Comparison(attribute, op, operand), known_selectivity=0.5
+        )
+        qualifies = compile_predicate(predicate, bindings)
+        filter_batch = compile_batch_predicate(predicate, bindings)
+        mask_batch = compile_batch_mask(predicate, bindings)
+        assert filter_batch(batch) == [r for r in batch if qualifies(r)]
+        assert mask_batch(batch) == [qualifies(r) for r in batch]
+        assert filter_batch([]) == [] and mask_batch([]) == []
+        # Exact-key records first, so a miss strikes mid-comprehension:
+        # the batch falls back as a whole and still agrees.
+        mixed = _PREDICATE_BATCHES["exact"][1] + batch
+        assert filter_batch(mixed) == [r for r in mixed if qualifies(r)]
+        assert mask_batch(mixed) == [qualifies(r) for r in mixed]
+
+
+@pytest.mark.parametrize("op", list(ComparisonOp), ids=lambda op: op.name)
+def test_batch_predicate_kernels_defer_the_unbound_operand_error(op):
+    _, batch = _PREDICATE_BATCHES["exact"]
+    predicate = Comparison("R.a", op, UserVariable("v"))
+    filter_batch = compile_batch_predicate(predicate, Bindings())  # no error yet
+    with pytest.raises(ExecutionError) as by_row:
+        compile_predicate(predicate, Bindings())(batch[0])
+    with pytest.raises(ExecutionError) as by_batch:
+        filter_batch(batch)
+    assert str(by_batch.value) == str(by_row.value)
+    # No mask: the caller falls back to the row closure and its error.
+    assert compile_batch_mask(predicate, Bindings()) is None
+
+
+def _hash_join_both_modes(build, probe, predicates, batch_size=None):
+    workload = _edge_workload()
+    plan = HashJoin(
+        Materialized(build, FileScan("A")),
+        Materialized(probe, FileScan("B")),
+        predicates,
+    )
+    results = {}
+    for mode in EXECUTION_MODES:
+        database = Database(workload.catalog)
+        results[mode] = execute_plan(
+            plan, database, execution_mode=mode, batch_size=batch_size
+        )
+        assert results[mode].io_snapshot == database.io_stats.snapshot()
+    return results["row"], results["batch"]
+
+
+@pytest.mark.parametrize("batch_size", (None, 1, 3))
+@pytest.mark.parametrize("secondary", (False, True), ids=("plain", "secondary"))
+def test_hash_probe_matches_row_mode(secondary, batch_size):
+    # Keys 1 and 2 repeat on both sides, 3 is build-only, 4 probe-only;
+    # "tag" is on both sides, so the merged record must take the probe
+    # side's value and keep the build side's position for it.
+    build = [
+        Record({"A.k": key, "A.j": index % 2, "tag": "build-%d" % index})
+        for index, key in enumerate((1, 2, 1, 3, 2, 2))
+    ]
+    probe = [
+        Record({"B.k": key, "tag": "probe-%d" % index, "B.j": index % 2})
+        for index, key in enumerate((2, 4, 1, 2, 4, 1, 1))
+    ]
+    predicates = [JoinPredicate("B.k", "A.k")]
+    if secondary:
+        predicates.append(JoinPredicate("A.j", "B.j"))
+    row, batch = _hash_join_both_modes(build, probe, predicates, batch_size)
+
+    assert batch.records == row.records
+    assert batch.io_snapshot == row.io_snapshot
+    assert [list(r.keys()) for r in batch.records] == [
+        list(r.keys()) for r in row.records
+    ]
+    expected = sum(
+        1
+        for p in probe
+        for b in build
+        if b["A.k"] == p["B.k"] and (not secondary or b["A.j"] == p["B.j"])
+    )
+    assert batch.row_count == expected > 0
+    for record in batch.records:
+        assert record["tag"].startswith("probe-")
+        assert list(record.keys()) == ["A.k", "A.j", "tag", "B.k", "B.j"]
