@@ -112,8 +112,8 @@ class PlanCacheEntry:
         #: degradation exhausts its restart budget (see
         #: :mod:`repro.resilience`); ``None`` until first needed.
         self.fallback_plan = None
-        #: Decision-outcome -> rebuilt static plan memo used by the
-        #: sharded serving fast path: one query shape has only a few
+        #: Decision-outcome -> rebuilt static plan memo used by
+        #: ``QueryService.serve``: one query shape has only a few
         #: distinct choose-plan outcomes, so the chosen static plan is
         #: rebuilt once per outcome instead of once per invocation.
         #: Replaced (never mutated in place) by ``install``, so a
@@ -327,24 +327,16 @@ class PlanCache:
             callback=self.__len__,
         )
 
-    def entry_for(self, query):
-        """Look up (or create) the entry for a query.
-
-        Returns ``(entry, compiled)`` where ``compiled`` says whether a
-        plan was already installed at lookup time — the hit/miss
-        classification.  Creating an entry may evict the least recently
-        used one.  The caller compiles missing plans under
-        ``entry.lock`` and publishes them with ``entry.install``.
-        """
-        return self.entry_for_signature(canonical_signature(query), query)
-
     def entry_for_signature(self, signature, query):
-        """:meth:`entry_for` with the canonical signature precomputed.
+        """Look up (or create) the entry for a query's canonical signature.
 
-        The sharded gateway canonicalizes each query once to route it,
-        then hands the signature down so the owning shard's lookup does
-        not recompute it; hit/miss/eviction accounting and LRU order
-        are identical to :meth:`entry_for`.
+        Whoever routes the request canonicalizes the query once and
+        hands the signature down.  Returns ``(entry, compiled)`` where
+        ``compiled`` says whether a plan was already installed at
+        lookup time — the hit/miss classification.  Creating an entry
+        may evict the least recently used one.  The caller compiles
+        missing plans under ``entry.lock`` and publishes them with
+        ``entry.install``.
         """
         with self._lock:
             self.stats.lookups += 1

@@ -55,6 +55,7 @@ from repro.executor.midquery import (
     startup_report_from_outcome,
 )
 from repro.executor.startup import activate_plan
+from repro.optimizer.query import canonical_signature
 from repro.resilience.deadline import Deadline
 from repro.resilience.policy import ResiliencePolicy
 from repro.service.cache import PlanCache
@@ -135,10 +136,11 @@ class ServiceRequest:
         #: resilience policy's service-wide default.
         self.deadline_seconds = deadline_seconds
         #: Per-request mid-query re-optimization policy
-        #: (:class:`~repro.executor.midquery.ReoptPolicy`, or a spec
-        #: string for :meth:`ReoptPolicy.parse`); None inherits the
+        #: (:class:`~repro.executor.midquery.ReoptPolicy`; a spec
+        #: string is parsed here, so a malformed one is refused at the
+        #: request boundary like a bad mode); None inherits the
         #: service default.
-        self.reopt_policy = reopt_policy
+        self.reopt_policy = _coerce_reopt(reopt_policy)
         #: Tenant identity for the sharded gateway's per-tenant quotas
         #: (:mod:`repro.service.sharding`); ``None`` means unattributed
         #: traffic, which is never quota limited.  The single-lock
@@ -518,88 +520,114 @@ class QueryService:
     ):
         """Serve one invocation synchronously on the calling thread.
 
+        An ``execution_mode`` outside ``EXECUTION_MODES`` or a malformed
+        ``reopt_policy`` spec raises a bare
+        :class:`~repro.common.errors.ExecutionError` from the
+        :class:`ServiceRequest` constructor, before any cache lookup or
+        optimizer call.
+        """
+        request = ServiceRequest(
+            query,
+            bindings,
+            execute=execute,
+            tag=tag,
+            execution_mode=execution_mode,
+            deadline_seconds=deadline_seconds,
+            reopt_policy=reopt_policy,
+        )
+        return self.serve(canonical_signature(query), request)
+
+    def serve(self, signature, request):
+        """The request path: plan-cache lookup, refresh, decide, execute.
+
+        Every entry point of the serving tier ends here — :meth:`run`,
+        a shard's worker (:mod:`repro.service.sharding`) and the
+        gateway's failover legs — with the canonical ``signature``
+        already computed by whoever routed the request.  The start-up
+        decision reuses the entry's decision-outcome memo, so the
+        chosen static plan is *rebuilt* once per distinct outcome
+        instead of once per invocation; plans the decision compiler
+        could not handle take the interpreted
+        :func:`~repro.executor.startup.activate_plan` pass, which
+        makes identical decisions.
+
         Library errors (:class:`~repro.common.errors.ReproError`) that
         survive the resilience machinery are wrapped in
         :class:`~repro.common.errors.ServiceExecutionError` carrying
-        the request tag, query name, cache-hit state, and attempt
-        count, with the original error chained as ``__cause__``.  An
-        ``execution_mode`` outside ``EXECUTION_MODES`` raises a bare
-        :class:`~repro.common.errors.ExecutionError` before any cache
-        lookup or optimizer call.
+        the request tag, query name, signature, cache-hit state, and
+        attempt count, with the original error chained as
+        ``__cause__``.
         """
-        if execution_mode is not None:
-            check_execution_mode(execution_mode)
+        started = time.perf_counter()
+        bindings = request.bindings
+        cache_hit = None
+        info = {"attempts": 0}
         self._inflight_tokens.append(None)
-        info = {"cache_hit": None, "attempts": 0}
         try:
-            return self._run(
-                query,
-                bindings,
-                execute,
-                tag,
-                execution_mode,
-                deadline_seconds,
-                reopt_policy,
-                info,
+            entry, cache_hit = self.cache.entry_for_signature(
+                signature, request.query
             )
+            optimize_seconds, reoptimized = self._refresh(entry, cache_hit, bindings)
+
+            # One lock acquisition: ``install`` replaces the memo with
+            # the plan, so a memo read apart from its decision program
+            # could hand back a plan rebuilt for the previous one.
+            with entry.lock:
+                plan = entry.plan
+                parameter_space = entry.parameter_space
+                decision = entry.decision
+                memo = entry.chosen_memo
+            decision_started = time.perf_counter()
+            if decision is not None:
+                chosen, report = decision.choose_memoized(bindings, memo)
+            else:
+                chosen, report = activate_plan(
+                    plan,
+                    self.catalog,
+                    parameter_space,
+                    bindings,
+                    branch_and_bound=self.branch_and_bound,
+                    validate=False,
+                )
+            startup_seconds = time.perf_counter() - decision_started
+
+            execution = None
+            if self.default_execute if request.execute is None else request.execute:
+                mode = request.execution_mode
+                if mode is None:
+                    mode = self.execution_mode
+                deadline_seconds = request.deadline_seconds
+                if deadline_seconds is None:
+                    deadline_seconds = self.resilience.deadline_seconds
+                reopt = request.reopt_policy
+                if reopt is None:
+                    reopt = self.reopt_policy
+                execution, chosen, report = self._execute_with_resilience(
+                    entry,
+                    chosen,
+                    report,
+                    decision,
+                    plan,
+                    parameter_space,
+                    bindings,
+                    mode,
+                    Deadline.ensure(deadline_seconds),
+                    reopt,
+                    info,
+                )
         except ReproError as error:
             raise ServiceExecutionError(
-                "request tag=%r query=%r failed: %s" % (tag, query.name, error),
-                tag=tag,
-                query_name=query.name,
-                cache_hit=info["cache_hit"],
+                "request tag=%r query=%r failed: %s"
+                % (request.tag, request.query.name, error),
+                tag=request.tag,
+                query_name=request.query.name,
+                cache_hit=cache_hit,
                 attempts=info["attempts"],
                 cause=error,
+                signature=signature,
             ) from error
         finally:
             self._inflight_tokens.pop()
-
-    def _run(
-        self,
-        query,
-        bindings,
-        execute,
-        tag,
-        execution_mode=None,
-        deadline_seconds=None,
-        reopt_policy=None,
-        info=None,
-    ):
-        started = time.perf_counter()
-        entry, cache_hit = self.cache.entry_for(query)
-        if info is not None:
-            info["cache_hit"] = cache_hit
-        optimize_seconds, reoptimized = self._refresh(entry, cache_hit, bindings)
-
-        plan, parameter_space, decision = entry.snapshot()
-        decision_started = time.perf_counter()
-        chosen, report = self._decide(decision, plan, parameter_space, bindings)
-        startup_seconds = time.perf_counter() - decision_started
-
-        execution = None
-        do_execute = self.default_execute if execute is None else execute
-        if do_execute:
-            mode = self.execution_mode if execution_mode is None else execution_mode
-            if deadline_seconds is None:
-                deadline_seconds = self.resilience.deadline_seconds
-            reopt = (
-                self.reopt_policy
-                if reopt_policy is None
-                else _coerce_reopt(reopt_policy)
-            )
-            execution, chosen, report = self._execute_with_resilience(
-                entry,
-                chosen,
-                report,
-                decision,
-                plan,
-                parameter_space,
-                bindings,
-                mode,
-                Deadline.ensure(deadline_seconds),
-                reopt,
-                info,
-            )
 
         total_seconds = time.perf_counter() - started
         self._record(startup_seconds, optimize_seconds, reoptimized, execution)
@@ -613,7 +641,7 @@ class QueryService:
             startup_seconds,
             execution,
             total_seconds,
-            tag=tag,
+            tag=request.tag,
         )
 
     def _refresh(self, entry, cache_hit, bindings):
@@ -623,9 +651,7 @@ class QueryService:
         re-optimizes a stale one over widened bounds — subject to the
         staleness circuit breaker — and folds the bindings into the
         entry's observed ranges.  Returns ``(optimize_seconds,
-        reoptimized)``.  Shared by :meth:`_run` and the sharded fast
-        path (:mod:`repro.service.sharding`), so both make identical
-        freshness decisions.
+        reoptimized)``.
         """
         optimize_seconds = 0.0
         if not cache_hit:
@@ -739,19 +765,6 @@ class QueryService:
             entry.midquery_redecisions += mid_report.redecisions
             entry.midquery_switches += mid_report.switches
 
-    def _decide(self, decision, plan, parameter_space, bindings):
-        """The start-up decision: compiled program or interpreted pass."""
-        if decision is not None:
-            return decision.choose(bindings)
-        return activate_plan(
-            plan,
-            self.catalog,
-            parameter_space,
-            bindings,
-            branch_and_bound=self.branch_and_bound,
-            validate=False,
-        )
-
     def _execute_with_resilience(
         self,
         entry,
@@ -794,8 +807,7 @@ class QueryService:
         #: kept across retries so later drops re-run even less.
         incremental = None
         while True:
-            if info is not None:
-                info["attempts"] += 1
+            info["attempts"] += 1
             try:
                 with self._db_lock:
                     if use_midquery:
@@ -938,17 +950,21 @@ class QueryService:
         deadline_seconds=None,
         reopt_policy=None,
     ):
-        """Serve one invocation on the pool; returns a Future."""
-        return self._pool.submit(
-            self.run,
+        """Serve one invocation on the pool; returns a Future.
+
+        A request :meth:`run` would refuse at the boundary is refused
+        here the same way: raised to the caller, nothing queued.
+        """
+        request = ServiceRequest(
             query,
             bindings,
-            execute,
-            tag,
-            execution_mode,
-            deadline_seconds,
-            reopt_policy,
+            execute=execute,
+            tag=tag,
+            execution_mode=execution_mode,
+            deadline_seconds=deadline_seconds,
+            reopt_policy=reopt_policy,
         )
+        return self._pool.submit(self.serve, canonical_signature(query), request)
 
     def run_batch(self, requests):
         """Serve many requests concurrently, preserving request order.
@@ -958,14 +974,8 @@ class QueryService:
         order in which pool threads finish.
         """
         futures = [
-            self.submit(
-                request.query,
-                request.bindings,
-                request.execute,
-                request.tag,
-                request.execution_mode,
-                request.deadline_seconds,
-                request.reopt_policy,
+            self._pool.submit(
+                self.serve, canonical_signature(request.query), request
             )
             for request in requests
         ]

@@ -32,35 +32,33 @@ observes:
   the gateway view loses no counts, and per-shard pending/cache-size
   gauges are exported when a metrics registry is attached.
 
-The serving fast path (:meth:`ServiceShard.serve`) is the perf story:
-compared with ``QueryService.run`` it skips the per-request canonical-
-signature recomputation (the gateway routes with it, then hands it
-down), reuses the entry's decision-outcome memo so the chosen static
-plan is *rebuilt* once per distinct outcome instead of once per
-invocation (:meth:`~repro.executor.decision.CompiledDecision.choose_memoized`),
-and processes batched traffic in per-shard chunks so the pool pays one
-future per shard instead of one per request.  Freshness handling —
-plan compilation, staleness re-optimization, circuit breaking, bounds
-observation — is the *same code* (``QueryService._refresh``), so the
-fast path makes bit-identical decisions to the single-lock service;
-the differential test suite asserts exactly that.
+There is one request path.  The gateway canonicalizes and routes each
+query once (memoized per query object), admits the request, and hands
+the owning shard's ``(signature, request)`` pairs to
+:meth:`ShardedQueryService._dispatch`, which differs between entry
+points only in *where* it runs: the caller's thread for ``run``, the
+owning shard's worker for ``submit``, and that worker once per chunk
+for ``run_batch`` (one pool future and one round of outcome accounting
+per shard instead of one per request).  Dispatch calls
+:meth:`ServiceShard.serve`, which adds only a shard's own business —
+liveness, injected faults, the progress heartbeat — to
+:meth:`QueryService.serve() <repro.service.service.QueryService.serve>`,
+the same function the single-lock service and both failover legs run.
+Sharding therefore cannot change what a request observes; the
+entry-point equivalence suite asserts exactly that.
 """
 
 import logging
 import threading
-import time
 from concurrent.futures import CancelledError, Future, ThreadPoolExecutor
 
 from repro.common.errors import (
-    ReproError,
     ServiceExecutionError,
     ServiceOverloadError,
     ShardDownError,
     SnapshotError,
 )
-from repro.executor.startup import activate_plan
 from repro.optimizer.query import canonical_signature, signature_digest
-from repro.resilience.deadline import Deadline
 from repro.resilience.policy import backoff_hint
 from repro.service.durability import (
     DurabilityConfig,
@@ -69,13 +67,7 @@ from repro.service.durability import (
     restore_gateway,
     write_snapshot,
 )
-from repro.service.service import (
-    QueryService,
-    ServiceRequest,
-    ServiceResult,
-    ServiceStatistics,
-    _coerce_reopt,
-)
+from repro.service.service import QueryService, ServiceRequest, ServiceStatistics
 from repro.service.supervision import ShardSupervisor
 
 logger = logging.getLogger(__name__)
@@ -212,6 +204,12 @@ class ServiceShard:
                 self._injected.append([kind, int(after)])
 
     def _check_faults(self):
+        # Nothing armed — always, outside the chaos harness — so look
+        # before taking the lock on every serve.  A fault armed this
+        # instant fires on this serve or the next, exactly as it would
+        # have racing this serve for the lock.
+        if not self._injected:
+            return
         fired = None
         with self._fault_lock:
             for fault in self._injected:
@@ -246,10 +244,10 @@ class ServiceShard:
         """Abruptly lose the worker (chaos hook / operator action).
 
         Marks the shard dead, releases any wedged serve, and cancels
-        queued work.  Queued futures resolve cancelled and in-flight
-        serves resolve with :class:`ShardDownError`; the gateway's
-        completion callbacks fail every one of them over — the kill
-        loses capacity, never requests.
+        queued work.  Queued work resolves cancelled and in-flight
+        serves raise :class:`ShardDownError`; the gateway's dispatch
+        fails every one of them over — the kill loses capacity, never
+        requests.
         """
         self.alive = False
         self._resume.set()
@@ -264,7 +262,7 @@ class ServiceShard:
         partition and fresh breaker state — per-shard state is
         *rebuilt*, never resurrected from a worker whose history is
         suspect.  Pending-slot accounting survives: slots held by
-        in-flight requests are released by their completion callbacks,
+        in-flight requests are released when their dispatch returns,
         so the gauge converges to exact without a reset.
         """
         old_service = self.service
@@ -315,16 +313,14 @@ class ServiceShard:
             self._pending -= amount
 
     def serve(self, signature, request):
-        """Serve one routed request on the calling thread (fast path).
+        """Serve one routed request on the calling thread.
 
-        Semantically :meth:`QueryService.run` with the signature
-        precomputed: identical cache accounting
-        (:meth:`~repro.service.cache.PlanCache.entry_for_signature`),
-        identical freshness/breaker handling (``_refresh``), identical
-        execution resilience, identical error wrapping — minus the
-        per-request signature canonicalization and, via the entry's
-        decision-outcome memo, minus the per-request chosen-plan
-        rebuild.
+        :meth:`QueryService.serve() <repro.service.service.QueryService.serve>`
+        behind what only a shard knows: a dead worker or an injected
+        fault raises :class:`ShardDownError` before the request touches
+        the cache, every serve — failed ones too — advances the
+        progress heartbeat, and a typed execution failure is stamped
+        with this shard's index.
         """
         if not self.alive:
             raise ShardDownError(
@@ -334,136 +330,21 @@ class ServiceShard:
                 reason="crashed",
             )
         self._check_faults()
-        svc = self.service
-        svc._inflight_tokens.append(None)
-        info = {"cache_hit": None, "attempts": 0}
         try:
-            result = self._serve(signature, request, info)
-        except ShardDownError:
+            return self.service.serve(signature, request)
+        except ServiceExecutionError as error:
+            error.shard = self.index
             raise
-        except ReproError as error:
-            raise ServiceExecutionError(
-                "request tag=%r query=%r failed: %s"
-                % (request.tag, request.query.name, error),
-                tag=request.tag,
-                query_name=request.query.name,
-                cache_hit=info["cache_hit"],
-                attempts=info["attempts"],
-                cause=error,
-                shard=self.index,
-                signature=signature,
-            ) from error
-        else:
-            return result
         finally:
-            svc._inflight_tokens.pop()
             with self._pending_lock:
                 self._served += 1
 
-    def _serve(self, signature, request, info):
-        svc = self.service
-        started = time.perf_counter()
-        entry, cache_hit = svc.cache.entry_for_signature(signature, request.query)
-        info["cache_hit"] = cache_hit
-        optimize_seconds, reoptimized = svc._refresh(
-            entry, cache_hit, request.bindings
-        )
+    def submit(self, work):
+        """Queue ``work`` (a zero-argument callable) on the shard worker.
 
-        with entry.lock:
-            plan = entry.plan
-            parameter_space = entry.parameter_space
-            decision = entry.decision
-            memo = entry.chosen_memo
-        decision_started = time.perf_counter()
-        if decision is not None:
-            chosen, report = decision.choose_memoized(request.bindings, memo)
-        else:
-            chosen, report = activate_plan(
-                plan,
-                svc.catalog,
-                parameter_space,
-                request.bindings,
-                branch_and_bound=svc.branch_and_bound,
-                validate=False,
-            )
-        startup_seconds = time.perf_counter() - decision_started
-
-        execution = None
-        do_execute = (
-            svc.default_execute if request.execute is None else request.execute
-        )
-        if do_execute:
-            mode = (
-                svc.execution_mode
-                if request.execution_mode is None
-                else request.execution_mode
-            )
-            deadline_seconds = request.deadline_seconds
-            if deadline_seconds is None:
-                deadline_seconds = svc.resilience.deadline_seconds
-            reopt = (
-                svc.reopt_policy
-                if request.reopt_policy is None
-                else _coerce_reopt(request.reopt_policy)
-            )
-            execution, chosen, report = svc._execute_with_resilience(
-                entry,
-                chosen,
-                report,
-                decision,
-                plan,
-                parameter_space,
-                request.bindings,
-                mode,
-                Deadline.ensure(deadline_seconds),
-                reopt,
-                info,
-            )
-
-        total_seconds = time.perf_counter() - started
-        svc._record(startup_seconds, optimize_seconds, reoptimized, execution)
-        return ServiceResult(
-            entry.digest,
-            cache_hit and not reoptimized,
-            reoptimized,
-            chosen,
-            report,
-            optimize_seconds,
-            startup_seconds,
-            execution,
-            total_seconds,
-            tag=request.tag,
-        )
-
-    def submit(self, signature, request, on_done):
-        """Queue one admitted request on the shard worker."""
-
-        def task():
-            try:
-                return self.serve(signature, request)
-            finally:
-                on_done()
-
-        return self._executor.submit(task)
-
-    def serve_chunk(self, chunk):
-        """Serve ``[(index, signature, request), ...]`` on the worker.
-
-        The batched-replay path: one pool future covers the whole
-        chunk, and the tight loop keeps each request's cost at the
-        fast-path floor.  Returns ``[(index, outcome, is_error)]`` so
-        the gateway can reassemble results in request order and
-        re-raise the earliest failure exactly like
-        :meth:`QueryService.run_batch` does.
+        Raises ``RuntimeError`` once the worker pool has shut down.
         """
-        outcomes = []
-        serve = self.serve
-        for index, signature, request in chunk:
-            try:
-                outcomes.append((index, serve(signature, request), False))
-            except Exception as error:  # re-raised in request order
-                outcomes.append((index, error, True))
-        return outcomes
+        return self._executor.submit(work)
 
     def shutdown(self, wait=True):
         """Stop the shard worker and its wrapped service.
@@ -762,13 +643,17 @@ class ShardedQueryService:
         self._snapshots_written += 1
         return written
 
-    def _maybe_snapshot(self):
-        """Periodic snapshot trigger, counted in completed requests."""
+    def _maybe_snapshot(self, completed):
+        """Periodic snapshot trigger, counted in completed requests.
+
+        A ``run_batch`` chunk counts when it ends, so it triggers at
+        most one snapshot however many periods it spans.
+        """
         config = self.durability
         if config is None or config.snapshot_every is None:
             return
         with self._snapshot_lock:
-            self._completed_since_snapshot += 1
+            self._completed_since_snapshot += completed
             if self._completed_since_snapshot < config.snapshot_every:
                 return
             self._completed_since_snapshot = 0
@@ -865,19 +750,26 @@ class ShardedQueryService:
             else:
                 self._tenant_inflight.pop(tenant, None)
 
-    def _admit(self, shard, tenant, signature=None):
-        """Shard-queue then tenant-quota admission; all-or-nothing."""
+    def _admit(self, request):
+        """Route one request and admit it; ``(signature, shard)``.
+
+        Counts the request submitted, then reserves a shard-queue slot
+        and a tenant-quota slot, all-or-nothing: either rejection
+        raises typed (and counted) with nothing left reserved.
+        """
+        signature, shard = self.route(request.query)
+        self._record_submitted()
         try:
             shard.try_admit()
+            try:
+                self._admit_tenant(request.tenant, shard.index)
+            except ServiceOverloadError:
+                shard.release()
+                raise
         except ServiceOverloadError as error:
             error.signature = signature
             self._reject(error)
-        try:
-            self._admit_tenant(tenant, shard.index)
-        except ServiceOverloadError as error:
-            shard.release()
-            error.signature = signature
-            self._reject(error)
+        return signature, shard
 
     def tenant_inflight(self, tenant):
         """Current in-flight count for ``tenant`` (exact gauge)."""
@@ -897,9 +789,9 @@ class ShardedQueryService:
         with self._outcome_lock:
             self._submitted += amount
 
-    def _record_outcome(self, name):
+    def _record_outcome(self, name, amount=1):
         with self._outcome_lock:
-            self._outcomes[name] += 1
+            self._outcomes[name] += amount
 
     def _record_failover(self, reason):
         with self._outcome_lock:
@@ -940,15 +832,15 @@ class ShardedQueryService:
     def _failover(self, signature, request, origin, reason):
         """Serve a request whose owning shard is down; typed, counted.
 
-        Prefers the next servable sibling shard (its service makes
-        bit-identical decisions — ``_refresh`` is shared code — so the
-        result rows match what the dead shard would have produced);
-        when no sibling is servable the gateway's standby service
-        re-optimizes fresh.  The successful serve is counted as a
-        ``failed_over`` outcome under the originating ``reason``; a
-        failure on the degraded path propagates to the caller and is
-        counted ``failed`` there — either way the request reaches
-        exactly one terminal counter.
+        Prefers the next servable sibling shard (it runs the same
+        ``QueryService.serve``, so the result rows match what the dead
+        shard would have produced); when no sibling is servable the
+        gateway's standby service re-optimizes fresh.  The successful
+        serve is counted as a ``failed_over`` outcome under the
+        originating ``reason``; a failure on the degraded path
+        propagates to :meth:`_dispatch` and is counted ``failed``
+        there — either way the request reaches exactly one terminal
+        counter.
         """
         for offset in range(1, len(self.shards)):
             sibling = self.shards[(origin.index + offset) % len(self.shards)]
@@ -958,23 +850,84 @@ class ShardedQueryService:
                 result = sibling.serve(signature, request)
             except ShardDownError:
                 continue
-            self._record_failover(reason)
-            return result
-        result = self._standby_service().run(
-            request.query,
-            request.bindings,
-            execute=request.execute,
-            tag=request.tag,
-            execution_mode=request.execution_mode,
-            deadline_seconds=request.deadline_seconds,
-            reopt_policy=request.reopt_policy,
-        )
+            break
+        else:
+            result = self._standby_service().serve(signature, request)
         self._record_failover(reason)
         return result
 
     # ------------------------------------------------------------------
     # Serving
     # ------------------------------------------------------------------
+
+    def _dispatch(self, shard, chunk, reason=None):
+        """Serve accepted requests, each to exactly one terminal outcome.
+
+        ``chunk`` is ``[(signature, request), ...]``, all owned by
+        ``shard``; the returned list aligns with it and holds each
+        request's result or the exception it failed with, which the
+        entry point re-raises.  The one place a request meets its
+        shard, on whichever thread the entry point chose: a shard the
+        supervisor routes around (asked once per chunk; the shard's
+        own liveness check runs per serve), or one that dies under a
+        serve, sends the request to :meth:`_failover`, so the caller
+        sees a result either way, never a silently dropped request.  ``reason`` names
+        a shard loss the caller already knows of — the worker pool
+        cancelled the queued work or refused it — and sends the whole
+        chunk straight to the degraded path.  Counts exactly one of
+        :data:`REQUEST_OUTCOMES` per request, once per chunk; only
+        requests the owning shard completed advance the periodic
+        snapshot trigger.
+        """
+        if reason is None and not self.supervisor.is_servable(shard):
+            reason = self.supervisor.down_error(shard).reason
+        outcomes = []
+        completed = failed = 0
+        for signature, request in chunk:
+            lost = reason
+            try:
+                if lost is None:
+                    try:
+                        outcomes.append(shard.serve(signature, request))
+                        completed += 1
+                        continue
+                    except ShardDownError as error:
+                        lost = error.reason or "crashed"
+                outcomes.append(self._failover(signature, request, shard, lost))
+            except Exception as error:  # noqa: BLE001 — the entry point's to raise
+                outcomes.append(error)
+                failed += 1
+        if completed:
+            self._record_outcome("completed", completed)
+            self._maybe_snapshot(completed)
+        if failed:
+            self._record_outcome("failed", failed)
+        return outcomes
+
+    def _on_worker(self, shard, work):
+        """Queue ``work()`` on the shard's worker; the pool future, or None.
+
+        ``work`` takes an optional shard-loss reason for
+        :meth:`_dispatch` and must not raise.  A shard that is not
+        servable gets nothing queued (the work would wait behind a
+        wedged worker), and the pool may refuse the work — it shut
+        down between the health check and the enqueue, the kill race:
+        either way the work runs here, on the calling thread, with the
+        reason, and None is returned.  A returned future that ends
+        *cancelled* — a kill with the work still queued — never ran
+        ``work``; the entry point runs it with reason ``"killed"`` on
+        the thread that finds out, so nothing admitted is left
+        dangling however the shard died.
+        """
+        if not self.supervisor.is_servable(shard):
+            reason = self.supervisor.down_error(shard).reason
+        else:
+            try:
+                return shard.submit(work)
+            except RuntimeError:
+                reason = "killed"
+        work(reason)
+        return None
 
     def submit(
         self,
@@ -998,10 +951,9 @@ class ShardedQueryService:
         completion contract survives shard loss: when the owning
         shard's worker dies under the request, the returned future
         resolves with the failed-over result (or the degraded path's
-        typed error) instead of dangling — the queued work is drained
-        through completion callbacks, which fire for cancelled futures
-        too, so admission slots and quota reservations are released
-        exactly once no matter how the shard died.
+        typed error) instead of dangling, and admission slots and
+        quota reservations are released exactly once — before the
+        future resolves — no matter how the shard died.
         """
         request = ServiceRequest(
             query,
@@ -1013,54 +965,27 @@ class ShardedQueryService:
             reopt_policy=reopt_policy,
             tenant=tenant,
         )
-        signature, shard = self.route(query)
-        self._record_submitted()
-        self._admit(shard, tenant, signature)
-        outer = Future()
-        outer.set_running_or_notify_cancel()
+        signature, shard = self._admit(request)
+        future = Future()
+        future.set_running_or_notify_cancel()
 
-        def settle_failover(reason):
-            try:
-                result = self._failover(signature, request, shard, reason)
-            except Exception as error:  # noqa: BLE001 — routed to caller
-                self._record_outcome("failed")
-                outer.set_exception(error)
+        def settle(reason=None):
+            (outcome,) = self._dispatch(shard, ((signature, request),), reason)
+            shard.release()
+            self._release_tenant(tenant)
+            if isinstance(outcome, Exception):
+                future.set_exception(outcome)
             else:
-                outer.set_result(result)
+                future.set_result(outcome)
 
-        def finish(inner):
-            shard.release()
-            self._release_tenant(tenant)
-            if inner.cancelled():
-                settle_failover("killed")
-                return
-            error = inner.exception()
-            if error is None:
-                self._record_outcome("completed")
-                outer.set_result(inner.result())
-                self._maybe_snapshot()
-            elif isinstance(error, ShardDownError):
-                settle_failover(error.reason or "crashed")
-            else:
-                self._record_outcome("failed")
-                outer.set_exception(error)
-
-        if not self.supervisor.is_servable(shard):
-            shard.release()
-            self._release_tenant(tenant)
-            settle_failover("crashed" if not shard.alive else "restarting")
-            return outer
-        try:
-            inner = shard.submit(signature, request, on_done=lambda: None)
-        except RuntimeError:
-            # The worker pool shut down between the health check and
-            # the enqueue — the kill race.  Serve degraded instead.
-            shard.release()
-            self._release_tenant(tenant)
-            settle_failover("killed")
-            return outer
-        inner.add_done_callback(finish)
-        return outer
+        queued = self._on_worker(shard, settle)
+        if queued is not None:
+            # Nobody waits on the pool future, so a kill that cancels
+            # it fails the request over on the killer's thread.
+            queued.add_done_callback(
+                lambda inner: settle("killed") if inner.cancelled() else None
+            )
+        return future
 
     def run(
         self,
@@ -1073,13 +998,7 @@ class ShardedQueryService:
         reopt_policy=None,
         tenant=None,
     ):
-        """Serve one invocation synchronously (admission still applies).
-
-        A request whose owning shard is down — or dies under the serve
-        — is routed to the degraded path and completes there; the
-        caller sees a result either way, never a silently dropped
-        request.
-        """
+        """Serve one invocation synchronously (admission still applies)."""
         request = ServiceRequest(
             query,
             bindings,
@@ -1090,134 +1009,64 @@ class ShardedQueryService:
             reopt_policy=reopt_policy,
             tenant=tenant,
         )
-        signature, shard = self.route(query)
-        self._record_submitted()
-        self._admit(shard, tenant, signature)
+        signature, shard = self._admit(request)
         try:
-            try:
-                if not self.supervisor.is_servable(shard):
-                    return self._failover(
-                        signature,
-                        request,
-                        shard,
-                        "crashed" if not shard.alive else "restarting",
-                    )
-                try:
-                    result = shard.serve(signature, request)
-                except ShardDownError as error:
-                    return self._failover(
-                        signature, request, shard, error.reason or "crashed"
-                    )
-                self._record_outcome("completed")
-                self._maybe_snapshot()
-                return result
-            except Exception:
-                self._record_outcome("failed")
-                raise
+            (outcome,) = self._dispatch(shard, ((signature, request),))
         finally:
             shard.release()
             self._release_tenant(tenant)
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
 
     def run_batch(self, requests):
         """Serve many requests, results aligned with request order.
 
         The closed-loop replay path: requests are partitioned by
         owning shard and each shard worker runs its chunk in one tight
-        loop, so the pool overhead is one future per *shard* rather
-        than one per request.  Replay is bounded by construction (the
-        caller holds the whole batch), so per-request admission is
-        skipped; the pending gauge still reflects each chunk in
-        flight.  Failures re-raise in request order, matching
-        :meth:`QueryService.run_batch`.
+        loop, so the pool overhead — and the outcome accounting — is
+        once per *shard* rather than once per request.  Replay is
+        bounded by construction (the caller holds the whole batch), so
+        per-request admission is skipped; the pending gauge still
+        reflects each chunk in flight.  Failures re-raise in request
+        order, matching :meth:`QueryService.run_batch`.
         """
         requests = list(requests)
         self._record_submitted(len(requests))
-        chunks = [[] for _ in self.shards]
+        chunks = [([], []) for _ in self.shards]
         for index, request in enumerate(requests):
             signature, shard = self.route(request.query)
-            chunks[shard.index].append((index, signature, request))
+            indexes, chunk = chunks[shard.index]
+            indexes.append(index)
+            chunk.append((signature, request))
 
-        dispatched = []
-        for shard, chunk in zip(self.shards, chunks):
+        outcomes = [None] * len(requests)
+        waiting = []
+        for shard, (indexes, chunk) in zip(self.shards, chunks):
             if not chunk:
-                continue
-            if not self.supervisor.is_servable(shard):
-                dispatched.append((None, shard, chunk))
                 continue
             shard.reserve(len(chunk))
 
-            def task(shard=shard, chunk=chunk):
-                try:
-                    return shard.serve_chunk(chunk)
-                finally:
-                    shard.release(len(chunk))
-
-            try:
-                future = shard._executor.submit(task)
-            except RuntimeError:  # worker pool died under us (kill race)
+            def serve_chunk(reason=None, shard=shard, indexes=indexes, chunk=chunk):
+                served = self._dispatch(shard, chunk, reason)
+                for index, outcome in zip(indexes, served):
+                    outcomes[index] = outcome
                 shard.release(len(chunk))
-                dispatched.append((None, shard, chunk))
-                continue
-            # A cancelled future never ran the task's finally — the
-            # callback returns its chunk's slots so the pending gauge
-            # stays exact across a kill.
-            future.add_done_callback(
-                lambda f, s=shard, n=len(chunk): (
-                    s.release(n) if f.cancelled() else None
-                )
-            )
-            dispatched.append((future, shard, chunk))
 
-        outcomes = [None] * len(requests)
-        for future, shard, chunk in dispatched:
-            if future is None:
-                chunk_outcomes = [
-                    (index, self.supervisor.down_error(shard, signature), True)
-                    for index, signature, request in chunk
-                ]
-            else:
-                try:
-                    chunk_outcomes = future.result()
-                except CancelledError:
-                    chunk_outcomes = [
-                        (
-                            index,
-                            self.supervisor.down_error(shard, signature),
-                            True,
-                        )
-                        for index, signature, request in chunk
-                    ]
-            by_index = {
-                index: (signature, request)
-                for index, signature, request in chunk
-            }
-            for index, outcome, is_error in chunk_outcomes:
-                if is_error and isinstance(outcome, ShardDownError):
-                    signature, request = by_index[index]
-                    try:
-                        outcome = self._failover(
-                            signature,
-                            request,
-                            shard,
-                            outcome.reason or "crashed",
-                        )
-                        is_error = False
-                    except Exception as error:  # noqa: BLE001 — re-raised
-                        # below in request order, like any serve failure
-                        self._record_outcome("failed")
-                        outcome = error
-                elif is_error:
-                    self._record_outcome("failed")
-                else:
-                    self._record_outcome("completed")
-                    self._maybe_snapshot()
-                outcomes[index] = (outcome, is_error)
-        results = []
-        for outcome, is_error in outcomes:
-            if is_error:
+            waiting.append((serve_chunk, self._on_worker(shard, serve_chunk)))
+        for serve_chunk, queued in waiting:
+            if queued is None:
+                continue
+            try:
+                queued.result()
+            except CancelledError:
+                # Killed with the chunk still queued: fail it over
+                # here, on the thread that waits for it.
+                serve_chunk("killed")
+        for outcome in outcomes:
+            if isinstance(outcome, Exception):
                 raise outcome
-            results.append(outcome)
-        return results
+        return outcomes
 
     # ------------------------------------------------------------------
     # Introspection and lifecycle

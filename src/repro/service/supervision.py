@@ -30,8 +30,8 @@ state never survives the worker that accumulated it), and a fresh
 single-thread executor.  Requests in flight on the dead worker are
 not lost: their futures resolve with
 :class:`~repro.common.errors.ShardDownError` (or are cancelled), and
-the gateway's done-callbacks route every one to the degraded path and
-count it.  When the gateway has durable snapshots enabled, the
+the gateway's dispatch routes every one to the degraded path and
+counts it.  When the gateway has durable snapshots enabled, the
 restarted partition is re-warmed from the last snapshot on disk.
 """
 
@@ -203,7 +203,7 @@ class ShardSupervisor:
         Safe to call on a shard in any state (an operator can force a
         restart of a merely suspect shard).  In-flight work on the old
         worker resolves as :class:`ShardDownError`/cancellation and is
-        failed over by the gateway's completion callbacks — restart
+        failed over by the gateway's dispatch — restart
         never drops a request on the floor.
         """
         with self._lock:

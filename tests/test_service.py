@@ -141,15 +141,18 @@ class TestPlanCache:
             for number in range(1, count + 1)
         ]
 
+    def lookup(self, cache, query):
+        return cache.entry_for_signature(canonical_signature(query), query)
+
     def test_miss_then_hit(self, workload2):
         cache = PlanCache(capacity=4)
-        entry, hit = cache.entry_for(workload2.query)
+        entry, hit = self.lookup(cache, workload2.query)
         assert not hit
         # The entry exists but holds no plan yet: still a miss.
-        entry2, hit = cache.entry_for(workload2.query)
+        entry2, hit = self.lookup(cache, workload2.query)
         assert entry2 is entry and not hit
         entry.install(object(), workload2.query.parameter_space)
-        _, hit = cache.entry_for(workload2.query)
+        _, hit = self.lookup(cache, workload2.query)
         assert hit
         stats = cache.stats.snapshot()
         assert stats["lookups"] == 3
@@ -158,10 +161,10 @@ class TestPlanCache:
     def test_lru_eviction(self):
         first, second, third = self.queries(3)
         cache = PlanCache(capacity=2)
-        cache.entry_for(first)
-        cache.entry_for(second)
-        cache.entry_for(first)  # refresh: second is now least recent
-        cache.entry_for(third)  # evicts second
+        self.lookup(cache, first)
+        self.lookup(cache, second)
+        self.lookup(cache, first)  # refresh: second is now least recent
+        self.lookup(cache, third)  # evicts second
         assert len(cache) == 2
         assert first in cache and third in cache
         assert second not in cache
@@ -169,7 +172,7 @@ class TestPlanCache:
 
     def test_invalidate(self, workload2):
         cache = PlanCache(capacity=4)
-        cache.entry_for(workload2.query)
+        self.lookup(cache, workload2.query)
         assert cache.invalidate(workload2.query)
         assert workload2.query not in cache
         assert not cache.invalidate(workload2.query)

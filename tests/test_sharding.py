@@ -7,7 +7,9 @@ served, never *what* it observes.  The differential suite drives the
 same invocation sequence through a single-lock ``QueryService`` and a
 ``ShardedQueryService`` over identically populated databases and
 requires identical rows, identical I/O accounting, and identical
-start-up decisions for all five paper queries in every execution mode.
+start-up decisions for all five paper queries in every execution mode;
+the entry-point suite requires the same of ``run``, ``submit`` and
+``run_batch``, which all end in one ``QueryService.serve``.
 The eviction tests pit the per-shard LRU caches against a reference
 simulation and require exact hit/miss/evict counts, and the admission
 tests require overload to surface as typed
@@ -26,6 +28,7 @@ from repro.catalog.synthetic import populate_database
 from repro.common.errors import ExecutionError, ServiceOverloadError
 from repro.executor.engine import EXECUTION_MODES
 from repro.observability import MetricsRegistry
+from repro.optimizer.optimizer import optimize_dynamic, optimize_static
 from repro.optimizer.query import canonical_signature
 from repro.service import (
     QueryService,
@@ -42,8 +45,18 @@ from repro.workloads.traffic import (
     build_traffic_queries,
     to_service_requests,
 )
+from tests.test_service import bindings_at, narrow_workload
 
 THREADS = 8
+
+#: Ways a request can enter the serving tier: ``(tier, its one-worker
+#: configuration, method)``; the first is the reference.
+ENTRY_POINTS = (
+    (QueryService, {"max_workers": 1}, "run"),
+    (ShardedQueryService, {"shards": 1}, "run"),
+    (ShardedQueryService, {"shards": 1}, "submit"),
+    (ShardedQueryService, {"shards": 1}, "run_batch"),
+)
 
 
 def small_traffic(requests=120, shapes=12, seed=0, tenants=2):
@@ -128,8 +141,101 @@ class TestRouting:
             assert sum(per_shard) == len(served_shapes)
 
 
+def entry_point_stream(name):
+    """``(workload, requests)``: a paper query under three random
+    bindings and one ``reopt_policy="always"`` request, or the
+    narrow-bounds workload with a binding past its bounds (a staleness
+    re-optimization) between two it covers."""
+    if name == "narrow":
+        workload = narrow_workload(bounds=(0.0, 0.3))
+        requests = [
+            ServiceRequest(workload.query, bindings_at(workload, selectivity))
+            for selectivity in (0.2, 0.9, 0.9)
+        ]
+        return workload, requests
+    workload = paper_workload(int(name[1:]))
+    requests = [
+        ServiceRequest(
+            workload.query,
+            random_bindings(workload, seed=17, run_index=run),
+            reopt_policy="always" if run == 3 else None,
+        )
+        for run in range(4)
+    ]
+    return workload, requests
+
+
+def serve_through(entry, workload, requests, optimize):
+    """What a caller and ``stats()`` observe of the stream through one
+    entry point, on a freshly populated database."""
+    tier, options, method = entry
+    database = Database(workload.catalog)
+    populate_database(database, seed=0)
+    with tier(database, optimize=optimize, **options) as service:
+        if method == "run_batch":
+            results = service.run_batch(requests)
+        else:
+            results = [
+                getattr(service, method)(
+                    r.query, r.bindings, reopt_policy=r.reopt_policy
+                )
+                for r in requests
+            ]
+            if method == "submit":
+                results = [future.result(timeout=60.0) for future in results]
+        stats = service.stats()
+    stats = getattr(stats, "total", stats)
+    served = []
+    for result in results:
+        midquery = getattr(result.execution, "midquery", None)
+        served.append(
+            (
+                [repr(record) for record in result.execution.records],
+                result.execution.io_snapshot,
+                # report.choices as positions: which alternative of
+                # each choose-plan, in decision-program order.
+                [
+                    [alternative is chosen for alternative in node.alternatives]
+                    for node, chosen in result.startup_report.choices
+                ],
+                repr(result.chosen),
+                result.digest,
+                midquery and (midquery.checkpoints, midquery.switches),
+                result.cache_hit,
+                result.reoptimized,
+            )
+        )
+    return served, (stats.requests, stats.cache, stats.resilience, stats.optimize_count)
+
+
 class TestDifferential:
     """Sharded and single-lock serving must be observationally equal."""
+
+    @pytest.mark.parametrize(
+        "optimize", (optimize_static, optimize_dynamic), ids=("static", "dynamic")
+    )
+    @pytest.mark.parametrize("stream", ("q1", "q2", "q3", "q4", "q5", "narrow"))
+    def test_entry_points_serve_identically(self, stream, optimize):
+        """Rows, row order, I/O, choices, hit/re-optimization flags
+        and counters are the same whichever entry point a stream
+        takes."""
+        workload, requests = entry_point_stream(stream)
+        reference, *others = [
+            serve_through(entry, workload, requests, optimize)
+            for entry in ENTRY_POINTS
+        ]
+        served, _counters = reference
+        if stream == "narrow":
+            assert [row[-2:] for row in served] == [
+                (False, False),
+                (False, True),
+                (True, False),
+            ]
+        else:
+            # Only the last request asked for mid-query re-decision.
+            assert [row[-3] is not None for row in served] == [False] * 3 + [True]
+        for entry, observed in zip(ENTRY_POINTS[1:], others):
+            assert observed == reference, entry[2]
 
     @pytest.mark.parametrize("mode", EXECUTION_MODES)
     def test_paper_queries_identical_rows_io_and_decisions(self, mode):
@@ -213,20 +319,20 @@ class TestAdmissionControl:
             query = queries[0]
             shard = gateway.shard_for(query)
             _, _, requests = small_traffic(requests=1, shapes=2)
-            # A per-request mode outside EXECUTION_MODES is refused at
-            # the request boundary, before routing or admission: it is
-            # not a submitted-then-failed request, and no shard's cache
-            # or optimizer ever sees the query.
+            # A per-request mode outside EXECUTION_MODES or a malformed
+            # re-optimization spec is refused at the request boundary,
+            # before routing or admission: it is not a submitted-then-
+            # failed request, and no shard's cache or optimizer ever
+            # sees the query.
             for serve in (gateway.run, gateway.submit):
-                with pytest.raises(ExecutionError) as excinfo:
-                    serve(
-                        query,
-                        requests[0].bindings,
-                        execute=True,
-                        execution_mode="compiled",
-                    )
-                assert type(excinfo.value) is ExecutionError
-                assert repr(EXECUTION_MODES) in str(excinfo.value)
+                for option, named in (
+                    ({"execution_mode": "compiled"}, repr(EXECUTION_MODES)),
+                    ({"reopt_policy": "sometimes"}, "'sometimes'"),
+                ):
+                    with pytest.raises(ExecutionError) as excinfo:
+                        serve(query, requests[0].bindings, execute=True, **option)
+                    assert type(excinfo.value) is ExecutionError
+                    assert named in str(excinfo.value)
             outcomes = gateway.request_outcomes()
             assert outcomes.pop("failover_reasons") == {}
             assert set(outcomes.values()) == {0}

@@ -12,6 +12,7 @@ every quiescent point, including across kills and restarts.
 """
 
 import threading
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -36,6 +37,13 @@ def make_gateway(catalog, shards=3, seed=7, **kwargs):
     database = Database(catalog)
     populate_database(database, seed=seed)
     return ShardedQueryService(database, shards=shards, capacity=16, **kwargs)
+
+
+def wait_until(condition, timeout=30.0):
+    deadline = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.001)
 
 
 def assert_conserved(gateway):
@@ -173,68 +181,110 @@ class TestStateMachine:
 class TestFailoverConservation:
     """No request silently lost or duplicated, whatever dies."""
 
-    def test_run_fails_over_from_a_dead_shard(self):
+    @pytest.mark.parametrize(
+        "scenario", ("healthy", "crash", "kill-queued", "all-down")
+    )
+    @pytest.mark.parametrize("entry", ("run", "submit", "run_batch"))
+    def test_every_entry_point_conserves_requests(self, entry, scenario):
+        """One dispatch, so one table: whichever way requests enter
+        and whichever way the shard is lost, each ends in exactly one
+        outcome with a result, and every reservation drains."""
         catalog, _queries, requests = traffic()
-        gateway = make_gateway(catalog)
-        try:
-            target = gateway.shard_for(requests[0].query)
+        gateway = make_gateway(catalog, tenant_quota=len(requests) + 1)
+        target = gateway.shard_for(requests[0].query)
+        routed = sum(gateway.shard_for(r.query) is target for r in requests)
+        wedged = None
+        failover_threads = set()
+        failover = gateway._failover
+
+        def spy(*args):
+            failover_threads.add(threading.current_thread())
+            return failover(*args)
+
+        gateway._failover = spy
+
+        def midway():
+            if scenario != "kill-queued":
+                return
+            # The wedged worker holds one slot; a submit stream or a
+            # run_batch chunk queues behind it, and dies with it.
+            queued = {"run": 0, "submit": routed, "run_batch": routed}[entry]
+            wait_until(lambda: target.pending == 1 + queued)
             target.kill()
-            results = [
-                gateway.run(
-                    request.query,
-                    request.bindings,
-                    tag=request.tag,
-                    tenant=request.tenant,
+
+        try:
+            if scenario == "crash":
+                target.inject_fault("crash", after=1)
+            elif scenario == "all-down":
+                for shard in gateway.shards:
+                    shard.kill()
+            elif scenario == "kill-queued":
+                target.inject_fault("hang")
+                wedged = gateway.submit(requests[0].query, requests[0].bindings)
+                assert target._hanging.wait(timeout=30.0)
+
+            if entry == "run":
+                results = []
+                for index, request in enumerate(requests):
+                    if index == len(requests) // 2:
+                        midway()
+                    results.append(
+                        gateway.run(
+                            request.query, request.bindings, tenant=request.tenant
+                        )
+                    )
+            elif entry == "submit":
+                futures = [
+                    gateway.submit(
+                        request.query, request.bindings, tenant=request.tenant
+                    )
+                    for request in requests
+                ]
+                midway()
+                results = [future.result(timeout=60.0) for future in futures]
+            else:
+                batches = []
+                thread = threading.Thread(
+                    target=lambda: batches.append(gateway.run_batch(requests))
                 )
-                for request in requests
-            ]
+                thread.start()
+                midway()
+                thread.join(timeout=60.0)
+                assert not thread.is_alive()
+                (results,) = batches
+            if wedged is not None:
+                results.append(wedged.result(timeout=60.0))
+
             assert all(result.execution is not None for result in results)
             outcomes = assert_conserved(gateway)
-            assert outcomes["failed"] == 0
-            assert outcomes["failed_over"] > 0
-            assert outcomes["failover_reasons"].get("crashed", 0) > 0
-        finally:
-            gateway.shutdown()
-
-    def test_submit_futures_resolve_despite_kill(self):
-        catalog, _queries, requests = traffic()
-        gateway = make_gateway(catalog)
-        try:
-            target = gateway.shard_for(requests[0].query)
-            target.kill()
-            futures = [
-                gateway.submit(request.query, request.bindings)
-                for request in requests[:8]
-            ]
-            results = [future.result(timeout=60.0) for future in futures]
-            assert all(result.execution is not None for result in results)
-            assert_conserved(gateway)
-        finally:
-            gateway.shutdown()
-
-    def test_run_batch_routes_around_a_dead_shard(self):
-        catalog, _queries, requests = traffic()
-        gateway = make_gateway(catalog)
-        try:
-            target = gateway.shard_for(requests[0].query)
-            target.kill()
-            results = gateway.run_batch(requests)
-            assert len(results) == len(requests)
-            assert all(result.execution is not None for result in results)
-            outcomes = assert_conserved(gateway)
-            assert outcomes["failed"] == 0
-        finally:
-            gateway.shutdown()
-
-    def test_single_shard_gateway_uses_the_standby_path(self):
-        catalog, _queries, requests = traffic()
-        gateway = make_gateway(catalog, shards=1)
-        try:
-            gateway.shards[0].kill()
-            result = gateway.run(requests[0].query, requests[0].bindings)
-            assert result.execution is not None
-            outcomes = assert_conserved(gateway)
-            assert outcomes["failed_over"] == 1
+            assert outcomes["submitted"] == len(results)
+            assert outcomes["failed"] == outcomes["rejected"] == 0
+            if scenario == "healthy":
+                assert outcomes["failed_over"] == 0
+            elif scenario == "all-down":
+                # No sibling left: the standby service took them all.
+                assert outcomes["failed_over"] == len(results)
+                assert gateway._standby.stats().requests == len(results)
+            else:
+                lost = "crashed" if scenario == "crash" else "hung"
+                assert outcomes["failover_reasons"][lost] >= 1
+                assert outcomes["completed"] >= 1
+                if scenario == "kill-queued" and entry != "run":
+                    # Queued work is cancelled by the kill ("killed")
+                    # unless the released worker got to it first and
+                    # found its shard dead ("crashed").
+                    reasons = outcomes["failover_reasons"]
+                    assert reasons.get("killed", 0) + reasons.get("crashed", 0) == routed
+                    # kill() ran here.  A cancelled chunk goes back to
+                    # the run_batch caller that waits for it; nobody
+                    # waits on a submit's pool future, so those fail
+                    # over on the killer's thread.
+                    killer_served = threading.current_thread() in failover_threads
+                    assert killer_served == (
+                        entry == "submit" and reasons.get("killed", 0) > 0
+                    )
+            assert gateway._tenant_inflight == {}
+            assert all(shard.pending == 0 for shard in gateway.shards)
         finally:
             gateway.shutdown()
 

@@ -275,17 +275,19 @@ def test_service_rejects_invalid_mode():
         assert repr(EXECUTION_MODES) in str(excinfo.value)
         with pytest.raises(ExecutionError):
             ServiceRequest(workload.query, bindings, execution_mode=mode)
-    # A bad per-request mode is refused at the request boundary, bare
-    # (not wrapped as a served-and-failed request), before the cache
-    # or the optimizer sees the query.
+    with pytest.raises(ExecutionError):
+        ServiceRequest(workload.query, bindings, reopt_policy="sometimes")
+    # A bad per-request mode or re-optimization spec is refused at the
+    # request boundary, bare (not wrapped as a served-and-failed
+    # request), before the cache or the optimizer sees the query.
     with QueryService(database, max_workers=1) as service:
-        with pytest.raises(ExecutionError) as excinfo:
-            service.run(workload.query, bindings, execution_mode="compiled")
-        assert type(excinfo.value) is ExecutionError
-        future = service.submit(
-            workload.query, bindings, execution_mode="columnar"
-        )
-        assert type(future.exception(timeout=30)) is ExecutionError
+        for option in ({"execution_mode": "compiled"}, {"reopt_policy": "sometimes"}):
+            with pytest.raises(ExecutionError) as excinfo:
+                service.run(workload.query, bindings, **option)
+            assert type(excinfo.value) is ExecutionError
+            with pytest.raises(ExecutionError) as excinfo:
+                service.submit(workload.query, bindings, **option)
+            assert type(excinfo.value) is ExecutionError
         assert len(service.cache) == 0
         assert service.cache.stats_snapshot()["lookups"] == 0
         assert service.stats().requests == 0
