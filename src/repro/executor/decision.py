@@ -9,36 +9,47 @@ long-lived service that interpretation overhead dominates the start-up
 cost the cache is supposed to make negligible.
 
 :class:`CompiledDecision` performs the interpretation **once**, when a
-plan enters the cache: it linearizes the DAG into a topologically
-ordered program of scalar cost evaluators with all catalog statistics
-(cardinalities, page counts, B-tree heights, join selectivities) baked
-in as constants.  Each invocation then runs one linear pass of plain
-float arithmetic — no interval objects, no recursion, no isinstance
-dispatch, no catalog lookups — makes every choose-plan decision, and
-rebuilds only the chosen static plan.
+plan enters the cache.  It linearizes the DAG (children first; a node's
+index is its *slot* in the ``costs``/``cards`` work arrays) and gives
+every node a *rank*, one more than the highest rank among its inputs,
+so the nodes of one rank are independent.  Each node becomes a *row* —
+a plain tuple of its slot, its input slots and its catalog statistics
+(cardinalities, B-tree heights, join selectivities) baked in as
+constants — and the rows of one (rank, operator kind) form a *segment*,
+run by that kind's *kernel*: a module-level ``for`` loop over rows with
+the cost formula inline.  Nodes that read neither a parameter nor an
+input (scans, temporaries) are filled into template arrays instead.  An
+invocation copies the templates, resolves the bindings once into a flat
+parameter list that rows index, runs the segments in rank order — plain
+float arithmetic, one call per segment rather than per node: no
+interval objects, no recursion, no isinstance dispatch, no catalog
+lookups — and rebuilds only the chosen static plan.
 
 At start-up time every parameter is a point, so interval evaluation
-degenerates to scalar evaluation; the compiled formulas replicate the
-cost model's arithmetic operation for operation, which makes the
-compiled decisions *exactly* the decisions the interpreted path takes
-(asserted by the equivalence tests).  Compilation never mutates the
-plan, and a compiled procedure keeps no per-invocation state, so one
-instance serves any number of threads concurrently.
+degenerates to scalar evaluation; the kernels replicate
+:class:`~repro.cost.formulas.CostModel`'s arithmetic operation for
+operation, so the compiled decisions are the interpreted path's
+(asserted by the equivalence tests) — except that a merge join's and an
+index join's terms are summed in another order, a last-ulp difference
+that can break an exact tie between two alternatives the other way.
+Compilation never mutates the plan, and a compiled procedure keeps no
+per-invocation state, so one instance serves any number of threads.
 
 The same program carries the decision into execution.  A mid-query
 checkpoint *pins* a slot — cost ``0.0``, cardinality the observed row
 count: the ``Materialized`` step, applied to a slot of the original
 program instead of recompiling — and only the slots above the pin are
-re-run.  The work arrays of one query, its pins and its dirty slots
-are per-query state, so they live in
+re-run, by the same kernels one row at a time.  One query's work
+arrays, pins and dirty slots are per-query state, so they live in
 :class:`~repro.executor.midquery.IncrementalDecider`, never here: the
 program stays shared and stateless.  What is the same for every query
-(each slot's parents, which steps read which parameter) is derived
-here on first request and cached.
+(each slot's parents, which steps read which parameter, the one-row
+steps) is derived here on first request and cached.
 """
 
-import math
 import time
+from math import ceil, log
+from operator import itemgetter
 
 from repro.algebra.physical import (
     BTreeScan,
@@ -75,30 +86,6 @@ class DecisionCompilationError(PlanError):
     """A plan contains an operator the compiler does not support."""
 
 
-def _selectivity_resolver(predicate, parameter_space):
-    """A ``bindings -> float`` resolver mirroring the runtime valuation.
-
-    A supplied binding always wins; otherwise the parameter's expected
-    value applies (the space's when the parameter is registered there,
-    the predicate's own compile-time expectation when it is not).
-    """
-    if not predicate.is_uncertain:
-        known = float(predicate.known_selectivity)
-        return lambda bindings: known
-    name = predicate.selectivity_parameter
-    if name in parameter_space:
-        expected = parameter_space.get(name).expected
-    else:
-        expected = predicate.expected_selectivity
-
-    def resolve(bindings):
-        if bindings.has_parameter(name):
-            return bindings.parameter(name)
-        return expected
-
-    return resolve
-
-
 def _parameter_read(node):
     """The one parameter a node's step reads from the bindings, if any:
     the memory grant (hash join, sort) or an uncertain selectivity."""
@@ -115,11 +102,136 @@ def _parameter_read(node):
     return None
 
 
-def _fetch_io(record_count, clustered):
-    """Scalar twin of ``CostModel._fetch_io_seconds`` (not buffer-aware)."""
-    if clustered:
-        return record_count / RECORDS_PER_PAGE * SEQ_IO_TIME_PER_PAGE
-    return record_count * IO_TIME_PER_PAGE
+# One kernel per operator kind, each the matching ``CostModel`` formula
+# at a point valuation.  ``values`` is the request's parameter list,
+# ``values[0]`` the memory grant.  A page count is ``pages_for_records``
+# inlined: ``ceil`` of a positive quotient is at least one unless the
+# quotient underflowed to zero, hence ``or 1``.
+
+
+def _filter_btree_scan(rows, costs, cards, values, decisions):
+    for slot, read, cardinality, descend, leaves, clustered in rows:
+        s = values[read]
+        matches = s * cardinality
+        if clustered:
+            fetch_io = matches / RECORDS_PER_PAGE * SEQ_IO_TIME_PER_PAGE
+        else:
+            fetch_io = matches * IO_TIME_PER_PAGE
+        costs[slot] = (
+            descend
+            + s * leaves * SEQ_IO_TIME_PER_PAGE
+            + fetch_io
+            + matches * CPU_COST_WEIGHT
+        )
+        cards[slot] = matches
+
+
+def _filter(rows, costs, cards, values, decisions):
+    for slot, child, read in rows:
+        card = cards[child]
+        costs[slot] = costs[child] + card * CPU_COST_WEIGHT
+        cards[slot] = card * values[read]
+
+
+def _hash_join(rows, costs, cards, values, decisions):
+    memory = values[0]
+    for slot, build, probe, join_sel in rows:
+        build_card = cards[build]
+        probe_card = cards[probe]
+        output = build_card * probe_card * join_sel
+        local = (
+            build_card * 2.0 * CPU_COST_WEIGHT
+            + probe_card * 2.0 * CPU_COST_WEIGHT
+            + output * CPU_COST_WEIGHT
+        )
+        if build_card > 0:
+            build_pages = ceil(build_card / RECORDS_PER_PAGE) or 1
+            if not build_pages <= memory:
+                # Only the spill branch reads the probe side's pages.
+                probe_pages = 0
+                if probe_card > 0:
+                    probe_pages = ceil(probe_card / RECORDS_PER_PAGE) or 1
+                local += (
+                    2.0
+                    * (1.0 - memory / build_pages)
+                    * (build_pages + probe_pages)
+                    * SPILL_IO_TIME_PER_PAGE
+                )
+        costs[slot] = costs[build] + costs[probe] + local
+        cards[slot] = output
+
+
+def _merge_join(rows, costs, cards, values, decisions):
+    for slot, left, right, join_sel in rows:
+        left_card = cards[left]
+        right_card = cards[right]
+        output = left_card * right_card * join_sel
+        costs[slot] = (
+            costs[left]
+            + costs[right]
+            + (left_card + right_card) * 1.5 * CPU_COST_WEIGHT
+            + output * CPU_COST_WEIGHT
+        )
+        cards[slot] = output
+
+
+def _index_join(rows, costs, cards, values, decisions):
+    for slot, outer, read, height, matches_per_probe, clustered in rows:
+        outer_card = cards[outer]
+        residual = values[read]
+        fetched = outer_card * matches_per_probe
+        if clustered:
+            fetch_io = fetched / RECORDS_PER_PAGE * SEQ_IO_TIME_PER_PAGE
+        else:
+            fetch_io = fetched * IO_TIME_PER_PAGE
+        costs[slot] = costs[outer] + (
+            outer_card * height * IO_TIME_PER_PAGE
+            + fetch_io
+            + outer_card * CPU_COST_WEIGHT
+            + fetched * CPU_COST_WEIGHT
+            + fetched * residual * CPU_COST_WEIGHT
+        )
+        cards[slot] = fetched * residual
+
+
+def _sort(rows, costs, cards, values, decisions):
+    memory = values[0]
+    for slot, child in rows:
+        card = cards[child]
+        if card <= 1:
+            local = CPU_COST_WEIGHT
+        else:
+            pages = ceil(card / RECORDS_PER_PAGE) or 1
+            # Mirrors CostModel._sort exactly, floor included.
+            local = max(card * log(card, 2), 1.0) * CPU_COST_WEIGHT
+            if pages > memory:
+                run_count = pages / max(memory, 2.0)
+                merge_passes = max(1, ceil(log(run_count, max(memory - 1, 2))))
+                local += 2.0 * pages * merge_passes * SPILL_IO_TIME_PER_PAGE
+        costs[slot] = costs[child] + local
+        cards[slot] = card
+
+
+def _project(rows, costs, cards, values, decisions):
+    for slot, child in rows:
+        card = cards[child]
+        costs[slot] = costs[child] + card * CPU_COST_WEIGHT
+        cards[slot] = card
+
+
+def _choose_plan(rows, costs, cards, values, decisions):
+    for slot, alternative_slots, pick, node in rows:
+        # The first minimal alternative: strict-``<``, first wins.
+        if pick is None:
+            first, second = alternative_slots
+            best = 1 if costs[second] < costs[first] else 0
+        else:
+            alternative_costs = pick(costs)
+            best = alternative_costs.index(min(alternative_costs))
+        chosen = alternative_slots[best]
+        costs[slot] = costs[chosen]
+        cards[slot] = cards[chosen]
+        decisions.append((node, node.alternatives[best]))
 
 
 class CompiledDecision:
@@ -133,16 +245,20 @@ class CompiledDecision:
     def __init__(self, plan, catalog, parameter_space):
         self.plan = plan
         self.parameter_space = parameter_space
-        self._memory_parameter = parameter_space.get(MEMORY_PARAMETER)
         #: Topological order (children first); pins nodes so the id()
         #: keys of the slot map can never be recycled.
         self._nodes = self._linearize(plan)
         self._slots = {id(node): index for index, node in enumerate(self._nodes)}
-        self._program = [self._compile_node(node, catalog) for node in self._nodes]
-        self._node_count = plan.node_count()
-        self.decision_count = sum(
-            1 for node in self._nodes if isinstance(node, ChoosePlan)
-        )
+        #: ``(name, default)`` per value of a request's parameter list.
+        memory = parameter_space.get(MEMORY_PARAMETER)
+        self._reads = [(MEMORY_PARAMETER, memory.expected)]
+        #: Work-array templates holding the parameter-free nodes, and
+        #: the ``(kernel, rows)`` segments that fill in the rest.
+        self._costs = [0.0] * len(self._nodes)
+        self._cards = [0.0] * len(self._nodes)
+        self._segments = self._build(catalog)
+        choices = (rows for kernel, rows in self._segments if kernel is _choose_plan)
+        self.decision_count = sum(map(len, choices))
 
     # ------------------------------------------------------------------
     # Compilation
@@ -167,221 +283,114 @@ class CompiledDecision:
                 stack.append((child, False))
         return order
 
-    def _compile_node(self, node, catalog):
-        """One ``fn(costs, cards, bindings, memory, decisions)`` step.
+    def _build(self, catalog):
+        """Fill the templates; group every other node's row by (rank,
+        kernel).  A node ranks one above its highest input, so segments
+        run in rank order read only finished slots."""
+        ranks = []
+        groups = {}
+        for slot, node in enumerate(self._nodes):
+            inputs = [self._slots[id(child)] for child in node.inputs()]
+            rank = 1 + max(map(ranks.__getitem__, inputs), default=0)
+            ranks.append(rank)
+            kernel, row = self._row(node, catalog, slot, inputs)
+            if kernel is None:
+                self._costs[slot], self._cards[slot] = row
+            else:
+                groups.setdefault((rank, kernel), []).append(row)
+        # A stable sort: the kinds of one rank keep first-seen order.
+        order = sorted(groups, key=itemgetter(0))
+        return [(kernel, groups[rank, kernel]) for rank, kernel in order]
 
-        Each step writes the node's scalar cost and output cardinality
-        into its slot of the work arrays.  The arithmetic mirrors the
-        corresponding :class:`~repro.cost.formulas.CostModel` formula
-        evaluated at a point valuation, operation for operation.
-        """
-        slot = self._slots[id(node)]
-
+    def _row(self, node, catalog, slot, inputs):
+        """``(kernel, row)`` of one node, the kinds wide plans are made
+        of first; ``(None, (cost, cardinality))`` for a node that reads
+        no parameter and no input."""
+        if isinstance(node, HashJoin):
+            join_sel = self._join_selectivity(catalog, node.predicates)
+            return _hash_join, (slot, inputs[0], inputs[1], join_sel)
+        if isinstance(node, MergeJoin):
+            join_sel = self._join_selectivity(catalog, node.predicates)
+            return _merge_join, (slot, inputs[0], inputs[1], join_sel)
+        if isinstance(node, IndexJoin):
+            inner = node.inner_relation
+            inner_cardinality = catalog.cardinality(inner)
+            join_sel = self._join_selectivity(catalog, node.predicates)
+            return _index_join, (
+                slot,
+                inputs[0],
+                self._read(node.residual_predicate),
+                btree_height(inner_cardinality),
+                inner_cardinality * join_sel,
+                self._clustered(catalog, inner, node.inner_attribute),
+            )
+        if isinstance(node, ChoosePlan):
+            pick = itemgetter(*inputs) if len(inputs) > 2 else None
+            return _choose_plan, (slot, tuple(inputs), pick, node)
+        if isinstance(node, Sort):
+            return _sort, (slot, inputs[0])
+        if isinstance(node, Filter):
+            return _filter, (slot, inputs[0], self._read(node.predicate))
+        if isinstance(node, Project):
+            return _project, (slot, inputs[0])
+        if isinstance(node, FilterBTreeScan):
+            cardinality = catalog.cardinality(node.relation_name)
+            return _filter_btree_scan, (
+                slot,
+                self._read(node.predicate),
+                cardinality,
+                btree_height(cardinality) * IO_TIME_PER_PAGE,
+                btree_leaf_pages(cardinality),
+                self._clustered(catalog, node.relation_name, node.attribute),
+            )
         if isinstance(node, FileScan):
             cardinality = catalog.cardinality(node.relation_name)
             cost = (
                 pages_for_records(cardinality) * SEQ_IO_TIME_PER_PAGE
                 + cardinality * CPU_COST_WEIGHT
             )
-
-            def file_scan(costs, cards, bindings, memory, decisions):
-                costs[slot] = cost
-                cards[slot] = cardinality
-
-            return file_scan
-
+            return None, (cost, cardinality)
         if isinstance(node, BTreeScan):
             cardinality = catalog.cardinality(node.relation_name)
-            clustered = self._clustered(catalog, node.relation_name, node.attribute)
+            if self._clustered(catalog, node.relation_name, node.attribute):
+                fetch_io = cardinality / RECORDS_PER_PAGE * SEQ_IO_TIME_PER_PAGE
+            else:
+                fetch_io = cardinality * IO_TIME_PER_PAGE
             cost = (
                 btree_height(cardinality) * IO_TIME_PER_PAGE
                 + btree_leaf_pages(cardinality) * SEQ_IO_TIME_PER_PAGE
-                + _fetch_io(cardinality, clustered)
+                + fetch_io
                 + cardinality * CPU_COST_WEIGHT
             )
-
-            def btree_scan(costs, cards, bindings, memory, decisions):
-                costs[slot] = cost
-                cards[slot] = cardinality
-
-            return btree_scan
-
-        if isinstance(node, FilterBTreeScan):
-            cardinality = catalog.cardinality(node.relation_name)
-            clustered = self._clustered(catalog, node.relation_name, node.attribute)
-            descend = btree_height(cardinality) * IO_TIME_PER_PAGE
-            leaves = btree_leaf_pages(cardinality)
-            resolve = _selectivity_resolver(node.predicate, self.parameter_space)
-
-            def filter_btree_scan(costs, cards, bindings, memory, decisions):
-                s = resolve(bindings)
-                matches = s * cardinality
-                costs[slot] = (
-                    descend
-                    + s * leaves * SEQ_IO_TIME_PER_PAGE
-                    + _fetch_io(matches, clustered)
-                    + matches * CPU_COST_WEIGHT
-                )
-                cards[slot] = s * cardinality
-
-            return filter_btree_scan
-
-        if isinstance(node, Filter):
-            child = self._slots[id(node.input)]
-            resolve = _selectivity_resolver(node.predicate, self.parameter_space)
-
-            def filter_(costs, cards, bindings, memory, decisions):
-                card = cards[child]
-                costs[slot] = costs[child] + card * CPU_COST_WEIGHT
-                cards[slot] = card * resolve(bindings)
-
-            return filter_
-
-        if isinstance(node, HashJoin):
-            build = self._slots[id(node.build)]
-            probe = self._slots[id(node.probe)]
-            join_sel = self._join_selectivity(catalog, node.predicates)
-
-            def hash_join(costs, cards, bindings, memory, decisions):
-                build_card = cards[build]
-                probe_card = cards[probe]
-                build_pages = pages_for_records(build_card)
-                probe_pages = pages_for_records(probe_card)
-                output = build_card * probe_card * join_sel
-                local = (
-                    build_card * 2.0 * CPU_COST_WEIGHT
-                    + probe_card * 2.0 * CPU_COST_WEIGHT
-                    + output * CPU_COST_WEIGHT
-                )
-                if not (build_pages <= memory or build_pages == 0):
-                    local += (
-                        2.0
-                        * (1.0 - memory / build_pages)
-                        * (build_pages + probe_pages)
-                        * SPILL_IO_TIME_PER_PAGE
-                    )
-                costs[slot] = costs[build] + costs[probe] + local
-                cards[slot] = build_card * probe_card * join_sel
-
-            return hash_join
-
-        if isinstance(node, MergeJoin):
-            left = self._slots[id(node.left)]
-            right = self._slots[id(node.right)]
-            join_sel = self._join_selectivity(catalog, node.predicates)
-
-            def merge_join(costs, cards, bindings, memory, decisions):
-                left_card = cards[left]
-                right_card = cards[right]
-                output = left_card * right_card * join_sel
-                costs[slot] = (
-                    costs[left]
-                    + costs[right]
-                    + (left_card + right_card) * 1.5 * CPU_COST_WEIGHT
-                    + output * CPU_COST_WEIGHT
-                )
-                cards[slot] = left_card * right_card * join_sel
-
-            return merge_join
-
-        if isinstance(node, IndexJoin):
-            outer = self._slots[id(node.outer)]
-            inner_cardinality = catalog.cardinality(node.inner_relation)
-            join_sel = self._join_selectivity(catalog, node.predicates)
-            height = btree_height(inner_cardinality)
-            matches_per_probe = inner_cardinality * join_sel
-            clustered = self._clustered(
-                catalog, node.inner_relation, node.inner_attribute
-            )
-            if node.residual_predicate is not None:
-                resolve = _selectivity_resolver(
-                    node.residual_predicate, self.parameter_space
-                )
-            else:
-                resolve = None
-
-            def index_join(costs, cards, bindings, memory, decisions):
-                outer_card = cards[outer]
-                residual = 1.0 if resolve is None else resolve(bindings)
-                fetched = outer_card * matches_per_probe
-                local = (
-                    outer_card * height * IO_TIME_PER_PAGE
-                    + _fetch_io(fetched, clustered)
-                    + outer_card * CPU_COST_WEIGHT
-                    + fetched * CPU_COST_WEIGHT
-                    + fetched * residual * CPU_COST_WEIGHT
-                )
-                costs[slot] = costs[outer] + local
-                cards[slot] = outer_card * matches_per_probe * residual
-
-            return index_join
-
-        if isinstance(node, Sort):
-            child = self._slots[id(node.input)]
-
-            def sort(costs, cards, bindings, memory, decisions):
-                card = cards[child]
-                if card <= 1:
-                    local = CPU_COST_WEIGHT
-                else:
-                    pages = pages_for_records(card)
-                    # Mirrors CostModel._sort exactly, floor included.
-                    local = max(card * math.log(card, 2), 1.0) * CPU_COST_WEIGHT
-                    if pages > memory:
-                        run_count = pages / max(memory, 2.0)
-                        merge_passes = max(
-                            1, math.ceil(math.log(run_count, max(memory - 1, 2)))
-                        )
-                        local += 2.0 * pages * merge_passes * SPILL_IO_TIME_PER_PAGE
-                costs[slot] = costs[child] + local
-                cards[slot] = card
-
-            return sort
-
-        if isinstance(node, Project):
-            child = self._slots[id(node.input)]
-
-            def project(costs, cards, bindings, memory, decisions):
-                card = cards[child]
-                costs[slot] = costs[child] + card * CPU_COST_WEIGHT
-                cards[slot] = card
-
-            return project
-
+            return None, (cost, cardinality)
         if isinstance(node, Materialized):
-            cardinality = float(node.observed_cardinality)
-
-            def materialized(costs, cards, bindings, memory, decisions):
-                costs[slot] = 0.0
-                cards[slot] = cardinality
-
-            return materialized
-
-        if isinstance(node, ChoosePlan):
-            alternatives = [
-                (self._slots[id(alternative)], alternative)
-                for alternative in node.alternatives
-            ]
-
-            def choose_plan(costs, cards, bindings, memory, decisions):
-                best_slot = None
-                best_alternative = None
-                best_cost = None
-                for alt_slot, alternative in alternatives:
-                    cost = costs[alt_slot]
-                    if best_cost is None or cost < best_cost:
-                        best_cost = cost
-                        best_slot = alt_slot
-                        best_alternative = alternative
-                costs[slot] = best_cost
-                cards[slot] = cards[best_slot]
-                decisions.append((node, best_alternative))
-
-            return choose_plan
-
+            return None, (0.0, float(node.observed_cardinality))
         raise DecisionCompilationError(
             "cannot compile a decision procedure over operator %r" % node
         )
+
+    def _read(self, predicate):
+        """Index of a predicate's selectivity in the request's value list.
+
+        Mirrors the runtime valuation: a supplied binding wins; otherwise
+        the expected value applies (the space's when the parameter is
+        registered there, else the predicate's own).  A known selectivity
+        — and the ``1.0`` of an absent index-join residual — is a read
+        under no name, which no bindings supply.
+        """
+        if predicate is None:
+            read = (None, 1.0)
+        elif not predicate.is_uncertain:
+            read = (None, float(predicate.known_selectivity))
+        else:
+            name = predicate.selectivity_parameter
+            if name in self.parameter_space:
+                read = (name, self.parameter_space.get(name).expected)
+            else:
+                read = (name, predicate.expected_selectivity)
+        if read not in self._reads:
+            self._reads.append(read)
+        return self._reads.index(read)
 
     @staticmethod
     def _clustered(catalog, relation_name, attribute):
@@ -418,34 +427,34 @@ class CompiledDecision:
     def choose_memoized(self, bindings, memo):
         """:meth:`choose` with the chosen-plan rebuild memoized.
 
-        ``memo`` maps a decision-outcome key — the tuple of chosen
-        alternatives, one per choose-plan in program order — to the
-        static plan previously rebuilt for that outcome.  A query
-        shape has only a handful of distinct outcomes, so a serving
-        tier replaying thousands of bindings rebuilds each chosen plan
-        once instead of every invocation.  Decisions themselves are
-        always re-evaluated; plans are immutable, so returning the
-        memoized object is exact.
+        ``memo`` maps a decision-outcome key — the (choose-plan, chosen
+        alternative) pairs in program order — to the static plan
+        previously rebuilt for that outcome.  A query shape has only a
+        handful of distinct outcomes, so a serving tier replaying
+        thousands of bindings rebuilds each chosen plan once instead of
+        every invocation.  Decisions themselves are always re-evaluated;
+        plans are immutable, so returning the memoized object is exact.
         """
         return self._choose(bindings, memo)
 
+    def evaluate(self, bindings):
+        """One full pass: every slot's point cost and cardinality under
+        ``bindings`` as fresh ``(costs, cards)`` work arrays, plus the
+        ``(choose_plan, chosen_alternative)`` decisions in rank order."""
+        get = bindings.get_parameter
+        values = [get(name, default) for name, default in self._reads]
+        costs = self._costs[:]
+        cards = self._cards[:]
+        decisions = []
+        for kernel, rows in self._segments:
+            kernel(rows, costs, cards, values, decisions)
+        return costs, cards, decisions
+
     def _choose(self, bindings, memo):
         started = time.perf_counter()
-        if bindings.has_parameter(MEMORY_PARAMETER):
-            memory = bindings.parameter(MEMORY_PARAMETER)
-        else:
-            memory = self._memory_parameter.expected
-        size = len(self._program)
-        costs = [0.0] * size
-        cards = [0.0] * size
-        decisions = []
-        for step in self._program:
-            step(costs, cards, bindings, memory, decisions)
-        chosen = None
-        outcome = None
-        if memo is not None:
-            outcome = tuple(id(alternative) for _, alternative in decisions)
-            chosen = memo.get(outcome)
+        decisions = self.evaluate(bindings)[2]
+        outcome = tuple(decisions)
+        chosen = None if memo is None else memo.get(outcome)
         if chosen is None:
             chosen_map = {id(node): alternative for node, alternative in decisions}
             chosen = self._rebuild_chosen(self.plan, chosen_map, {})
@@ -454,10 +463,10 @@ class CompiledDecision:
         cpu_seconds = time.perf_counter() - started
         report = StartupReport(
             decisions=len(decisions),
-            cost_evaluations=size,
+            cost_evaluations=len(self._nodes),
             cpu_seconds=cpu_seconds,
-            io_seconds=access_module_read_seconds(self._node_count),
-            node_count=self._node_count,
+            io_seconds=access_module_read_seconds(len(self._nodes)),
+            node_count=len(self._nodes),
             choices=decisions,
         )
         return chosen, report
@@ -487,11 +496,11 @@ class CompiledDecision:
 
     #: Derived on first request, then shared.  Building either twice
     #: yields equal values, so racing threads need no lock.
-    _parents = _readers = None
+    _parents = _readers = _steps = None
 
     def __len__(self):
         """Number of slots: one step per distinct plan node."""
-        return len(self._program)
+        return len(self._nodes)
 
     def slot_of(self, node):
         """Slot of a node of the compiled plan (``None`` for any other)."""
@@ -527,20 +536,31 @@ class CompiledDecision:
         and runs no step.  Returns :meth:`choose`'s ``decisions`` for the
         choose-plan steps that ran, and the number of steps run.
         """
-        if bindings.has_parameter(MEMORY_PARAMETER):
-            memory = bindings.parameter(MEMORY_PARAMETER)
-        else:
-            memory = self._memory_parameter.expected
+        steps = self._steps
+        if steps is None:
+            # One-row segments; a template slot keeps ``None``.
+            steps = [None] * len(self._nodes)
+            for kernel, rows in self._segments:
+                for row in rows:
+                    steps[row[0]] = (kernel, (row,))
+            self._steps = steps
+        get = bindings.get_parameter
+        values = [get(name, default) for name, default in self._reads]
         decisions = []
         ran = 0
         for slot in slots:
             checkpoint = pins.get(slot)
-            if checkpoint is None:
-                self._program[slot](costs, cards, bindings, memory, decisions)
-                ran += 1
-            else:
+            if checkpoint is not None:
                 costs[slot] = 0.0
                 cards[slot] = float(checkpoint.observed_cardinality)
+                continue
+            step = steps[slot]
+            if step is None:
+                costs[slot] = self._costs[slot]
+                cards[slot] = self._cards[slot]
+            else:
+                step[0](step[1], costs, cards, values, decisions)
+            ran += 1
         return decisions, ran
 
     def __repr__(self):

@@ -21,6 +21,7 @@ concurrently with independent bindings — the property the query
 service's plan cache relies on (see :mod:`repro.service`).
 """
 
+import hashlib
 import time
 
 from repro.algebra.physical import (
@@ -28,6 +29,7 @@ from repro.algebra.physical import (
     Filter,
     HashJoin,
     IndexJoin,
+    Materialized,
     MergeJoin,
     Project,
     Sort,
@@ -76,11 +78,13 @@ class StartupReport:
         ran them; the invariant the concurrency and compiled-decision
         equivalence tests assert.  Order-insensitive, because the
         interpreted and compiled procedures visit choose-plan nodes in
-        different (both deterministic) orders.
+        different (both deterministic) orders.  Linear in the plan DAG:
+        one digest per distinct node, shared across the choices.
         """
+        memo = {}
         return tuple(
             sorted(
-                repr((node.signature(), chosen.signature()))
+                (_digest(node, memo), _digest(chosen, memo))
                 for node, chosen in self.choices
                 if chosen is not None
             )
@@ -96,6 +100,22 @@ class StartupReport:
                 self.io_seconds,
             )
         )
+
+
+def _digest(node, memo):
+    """Digest of a node's structural signature, built from its inputs'
+    digests: printing the nested ``signature()`` tuple instead expands
+    the shared DAG into a tree, exponential in plan width."""
+    cached = memo.get(id(node))
+    if cached is None:
+        if isinstance(node, Materialized):
+            local = ("materialized", _digest(node.original, memo))
+        else:
+            local = node._local_signature()
+        inputs = tuple(_digest(child, memo) for child in node.inputs())
+        text = repr((node.operator_name(), local, inputs))
+        cached = memo[id(node)] = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return cached
 
 
 def resolve_dynamic_plan(

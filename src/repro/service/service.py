@@ -339,7 +339,12 @@ class QueryService:
         Service-wide default for running the chosen plan against the
         database after the start-up decision.
     branch_and_bound:
-        Forwarded to the start-up decision procedure.
+        Read only by the interpreted ``activate_plan`` fallback (the
+        paper's Section 4 start-up pruning), which runs when a plan has
+        no compiled program (``compiled=False``, or an operator the
+        compiler rejects).  The compiled program every default request
+        runs evaluates every alternative: once a formula runs inline, a
+        bound test costs what the evaluation it would skip costs.
     validate:
         Validate plans against the catalog when they are installed in
         the cache (the paper's [CAK81] check, once per compilation

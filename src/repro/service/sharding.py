@@ -453,7 +453,9 @@ class ShardedQueryService:
     Remaining keyword arguments (``execute``, ``execution_mode``,
     ``batch_size``, ``compiled``, ``branch_and_bound``, ``validate``,
     ``optimize``, ``tracer``, ``reopt_policy``) are forwarded to every
-    shard's ``QueryService`` unchanged.
+    shard's ``QueryService`` unchanged (``branch_and_bound`` reaches
+    only the interpreted start-up fallback there, never the compiled
+    decision program).
     """
 
     def __init__(

@@ -32,7 +32,8 @@ from repro.algebra.physical import (
     Sort,
 )
 from repro.common.errors import ExecutionError
-from repro.cost.parameters import MEMORY_PARAMETER
+from repro.cost.formulas import CostModel
+from repro.cost.parameters import MEMORY_PARAMETER, Valuation
 from repro.executor import EXECUTION_MODES, execute_plan, validate_plan
 from repro.executor.decision import CompiledDecision, DecisionCompilationError
 from repro.executor.midquery import (
@@ -633,6 +634,103 @@ class TestMidQueryProperties:
         }
         for node, alternative in report.choices:
             assert standing[id(node)] is alternative
+
+    @settings(max_examples=25, deadline=None)
+    @given(workload=workloads(), data=st.data())
+    def test_segments_rerun_and_cost_model_agree_at_the_corners(
+        self, workload, data
+    ):
+        """Segment run == row-at-a-time rerun == ``CostModel``; a pin is
+        a ``Materialized`` input.
+
+        The bindings lean on the formulas' corners: selectivity 0
+        (cardinality 0, zero pages), cardinality <= 1 (the sort floor),
+        memory below one build page, and parameters left unbound.
+        """
+        from repro.executor.startup import _rebuild
+
+        plan = optimize_dynamic(workload.catalog, workload.query).plan
+        space = workload.query.parameter_space
+        bindings = random_bindings(workload, seed=0)
+        selectivity = st.one_of(
+            st.sampled_from([0.0, 1e-9, 1e-4, 1.0]), st.floats(0.0, 1.0)
+        )
+        memory = st.one_of(
+            st.sampled_from([0.0, 0.5, 1.0, 2.0]), st.floats(0.0, 256.0)
+        )
+        for name in bindings.parameter_names():
+            if name != MEMORY_PARAMETER:
+                bindings.bind(name, data.draw(selectivity))
+        if data.draw(st.booleans()):
+            bindings.bind(MEMORY_PARAMETER, data.draw(memory))
+        eligible = _breaker_eligible(plan)
+        picked = data.draw(
+            st.lists(st.sampled_from(eligible), unique_by=id, max_size=3)
+            if eligible
+            else st.just([])
+        )
+        replacements = {
+            id(node): _checkpoint(node, data.draw(st.integers(0, 3000)))
+            for node in picked
+        }
+
+        # Materialized inputs: the program of the substituted plan.
+        substituted, mapping = _substitute(plan, replacements)
+        program = CompiledDecision(substituted, workload.catalog, space)
+        costs, cards, decisions = program.evaluate(bindings)
+        size = len(program)
+        again = ([0.0] * size, [0.0] * size)
+        rerun, ran = program.rerun(range(size), *again, bindings, {})
+        assert ran == size
+        assert again == (costs, cards)
+        assert sorted(rerun, key=lambda pair: program.slot_of(pair[0])) == (
+            sorted(decisions, key=lambda pair: program.slot_of(pair[0]))
+        )
+
+        # Every slot against the interval model at the point valuation,
+        # over the static plan the decisions resolve it to.
+        chosen = {id(node): alternative for node, alternative in decisions}
+        model = CostModel(workload.catalog, Valuation.runtime(space, bindings))
+        resolved = {}
+        for node in sorted(substituted.walk_unique(), key=program.slot_of):
+            slot = program.slot_of(node)
+            if isinstance(node, ChoosePlan):
+                alternatives = [program.slot_of(a) for a in node.alternatives]
+                offered = [costs[alternative] for alternative in alternatives]
+                # First minimal: strict-``<``, first wins.
+                first = alternatives[offered.index(min(offered))]
+                assert program.slot_of(chosen[id(node)]) == first
+                assert (costs[slot], cards[slot]) == (costs[first], cards[first])
+                resolved[id(node)] = resolved[id(chosen[id(node)])]
+                continue
+            resolved[id(node)] = _rebuild(
+                node, [resolved[id(child)] for child in node.inputs()]
+            )
+            expected = model.evaluate(resolved[id(node)])
+            assert costs[slot] == pytest.approx(
+                expected.cost.lower, rel=1e-12, abs=0.0
+            )
+            assert cards[slot] == pytest.approx(
+                expected.cardinality.lower, rel=1e-12, abs=0.0
+            )
+
+        # Pins: the original program with the checkpoints pinned leaves
+        # every surviving node the values the substitution computed.
+        original = CompiledDecision(plan, workload.catalog, space)
+        pins = {
+            original.slot_of(node): replacements[id(node)] for node in picked
+        }
+        size = len(original)
+        pinned = ([0.0] * size, [0.0] * size)
+        original.rerun(range(size), *pinned, bindings, pins)
+        for node in plan.walk_unique():
+            if id(node) in mapping:
+                slot = original.slot_of(node)
+                twin = program.slot_of(mapping[id(node)])
+                assert (pinned[0][slot], pinned[1][slot]) == (
+                    costs[twin],
+                    cards[twin],
+                )
 
     @settings(max_examples=6, deadline=None)
     @given(workload=workloads())
