@@ -15,6 +15,8 @@ After optimization each node carries annotations:
 * ``sort_order`` — qualified attribute the output is sorted on, or ``None``.
 """
 
+import hashlib
+
 from repro.common.errors import PlanError
 
 
@@ -103,9 +105,37 @@ class PhysicalPlan:
         _memo[id(self)] = result
         return result
 
+    def digest(self, _memo=None):
+        """Fixed-size hash of what :meth:`signature` nests: each node is
+        described by its inputs' digests instead of their signatures.
+
+        Printing the nested signature tuple itself expands the shared
+        DAG into a tree, exponential in plan width; digests of several
+        nodes of one DAG under one ``_memo`` stay linear in its size.
+        Equal signatures have equal digests.
+        """
+        if _memo is None:
+            _memo = {}
+        cached = _memo.get(id(self))
+        if cached is None:
+            text = repr(
+                (
+                    self.operator_name(),
+                    self._local_digest(_memo),
+                    tuple(child.digest(_memo) for child in self.inputs()),
+                )
+            )
+            cached = hashlib.sha256(text.encode("utf-8")).hexdigest()
+            _memo[id(self)] = cached
+        return cached
+
     def _local_signature(self):
         """Node-local parameters contributing to the signature."""
         return ()
+
+    def _local_digest(self, memo):
+        """:meth:`_local_signature` with any nested plan digested."""
+        return self._local_signature()
 
     def __repr__(self):
         return "%s(%s)" % (
@@ -418,6 +448,9 @@ class Materialized(PhysicalPlan):
 
     def _local_signature(self):
         return ("materialized", self.original.signature())
+
+    def _local_digest(self, memo):
+        return ("materialized", self.original.digest(memo))
 
     def __repr__(self):
         return "Materialized(%d records of %r)" % (

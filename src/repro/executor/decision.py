@@ -428,8 +428,8 @@ class CompiledDecision:
         """:meth:`choose` with the chosen-plan rebuild memoized.
 
         ``memo`` maps a decision-outcome key — the (choose-plan, chosen
-        alternative) pairs in program order — to the static plan
-        previously rebuilt for that outcome.  A query shape has only a
+        alternative) pairs in rank order, deterministic per program — to
+        the static plan rebuilt for that outcome.  A query shape has only a
         handful of distinct outcomes, so a serving tier replaying
         thousands of bindings rebuilds each chosen plan once instead of
         every invocation.  Decisions themselves are always re-evaluated;

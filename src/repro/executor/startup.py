@@ -21,7 +21,6 @@ concurrently with independent bindings — the property the query
 service's plan cache relies on (see :mod:`repro.service`).
 """
 
-import hashlib
 import time
 
 from repro.algebra.physical import (
@@ -29,7 +28,6 @@ from repro.algebra.physical import (
     Filter,
     HashJoin,
     IndexJoin,
-    Materialized,
     MergeJoin,
     Project,
     Sort,
@@ -84,7 +82,7 @@ class StartupReport:
         memo = {}
         return tuple(
             sorted(
-                (_digest(node, memo), _digest(chosen, memo))
+                (node.digest(memo), chosen.digest(memo))
                 for node, chosen in self.choices
                 if chosen is not None
             )
@@ -100,22 +98,6 @@ class StartupReport:
                 self.io_seconds,
             )
         )
-
-
-def _digest(node, memo):
-    """Digest of a node's structural signature, built from its inputs'
-    digests: printing the nested ``signature()`` tuple instead expands
-    the shared DAG into a tree, exponential in plan width."""
-    cached = memo.get(id(node))
-    if cached is None:
-        if isinstance(node, Materialized):
-            local = ("materialized", _digest(node.original, memo))
-        else:
-            local = node._local_signature()
-        inputs = tuple(_digest(child, memo) for child in node.inputs())
-        text = repr((node.operator_name(), local, inputs))
-        cached = memo[id(node)] = hashlib.sha256(text.encode("utf-8")).hexdigest()
-    return cached
 
 
 def resolve_dynamic_plan(

@@ -23,6 +23,7 @@ from repro.algebra import (
     count_plan_nodes,
     plan_to_text,
 )
+from repro.algebra.physical import Materialized
 from repro.common.errors import OptimizationError, PlanError
 
 
@@ -115,6 +116,22 @@ class TestPhysicalPlanDag:
         assert a.signature() == b.signature()
         c = Filter(FileScan("S"), selection())
         assert a.signature() != c.signature()
+
+    def test_digest_follows_signature(self):
+        """Equal signatures, equal digests — also through the plan a
+        ``Materialized`` nests and under a memo shared across nodes."""
+        a = Filter(FileScan("R"), selection())
+        b = Filter(FileScan("R"), selection())
+        c = Filter(FileScan("S"), selection())
+        assert a.digest() == b.digest() != c.digest()
+        assert Materialized([], a).digest() == Materialized([], b).digest()
+        assert Materialized([], a).digest() != Materialized([], c).digest()
+        assert Materialized([], a).digest() != a.digest()
+        plan, scan, filt = self._shared_dag()
+        memo = {}
+        shared = [node.digest(memo) for node in plan.walk_unique()]
+        assert shared == [node.digest() for node in plan.walk_unique()]
+        assert len(set(shared)) == len({n.signature() for n in plan.walk_unique()})
 
     def test_signature_distinguishes_operators(self):
         assert FileScan("R").signature() != BTreeScan("R", "a").signature()

@@ -220,18 +220,20 @@ class TestStaleness:
 
 
 class TestCompiledDecision:
+    #: (paper query, memory_uncertain, binding seed) of the one known
+    #: exception: a 2-alternative choose-plan off the chosen path whose
+    #: costs tie to one ulp.  The interval model sums a merge join's and
+    #: an index join's terms in another order than the program, so the
+    #: two procedures may break that tie differently.
+    KNOWN_TIE = (5, False, 9)
+
     @pytest.mark.parametrize("paper_query", [1, 2, 3, 4, 5])
     def test_matches_interpreted_resolution(self, paper_query):
         """Every decision equals the interpreted one — with the memory
         grant swept across its [16, 112]-page interval too, so the
         hash-join and sort spill branches and query 5's 38-alternative
         choose-plans are compared, not only the in-memory formulas.
-
-        The interval model sums a merge join's and an index join's
-        terms in another order, so a cost can differ from the program's
-        in the last ulp: two alternatives that tie that closely may
-        break the tie differently (query 5, seed 9 has one such
-        choose-plan).  Nothing else may differ.
+        Only ``KNOWN_TIE`` may differ, and only in its tied choose-plan.
         """
         for memory_uncertain in (False, True):
             workload = paper_workload(
@@ -250,20 +252,31 @@ class TestCompiledDecision:
                 )
                 assert compiled_report.decisions == reference_report.decisions
                 assert compiled_report.cost_evaluations == len(decision)
-                costs = decision.evaluate(bindings)[0]
                 compiled = {
                     id(node): chosen for node, chosen in compiled_report.choices
                 }
-                ties = 0
-                for node, chosen in reference_report.choices:
-                    mine = compiled[id(node)]
-                    if mine is not chosen:
-                        ties += 1
-                        assert costs[decision.slot_of(mine)] == pytest.approx(
-                            costs[decision.slot_of(chosen)], rel=1e-12, abs=0.0
-                        )
-                if ties:
-                    continue
+                differing = [
+                    (node, chosen)
+                    for node, chosen in reference_report.choices
+                    if compiled[id(node)] is not chosen
+                ]
+                if (paper_query, memory_uncertain, seed) != self.KNOWN_TIE:
+                    assert not differing
+                elif differing:
+                    ((tied, chosen),) = differing
+                    assert len(tied.alternatives) == 2
+                    costs = decision.evaluate(bindings)[0]
+                    assert costs[decision.slot_of(chosen)] == pytest.approx(
+                        costs[decision.slot_of(compiled[id(tied)])],
+                        rel=1e-12,
+                        abs=0.0,
+                    )
+                    # Compare every other choice: drop the tied one.
+                    for report in (compiled_report, reference_report):
+                        report.choices = [
+                            pair for pair in report.choices if pair[0] is not tied
+                        ]
+                # The tie is off the chosen path: the plan never differs.
                 assert compiled_plan.signature() == reference_plan.signature()
                 assert (
                     compiled_report.choice_signature()
