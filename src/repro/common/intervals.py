@@ -52,6 +52,22 @@ class Interval:
     # ------------------------------------------------------------------
 
     @classmethod
+    def from_floats(cls, lower, upper):
+        """``Interval(lower, upper)`` for bounds that already are floats.
+
+        The cost model builds two intervals per plan node; this skips
+        the conversions and decides validity with one comparison, which
+        NaN and inverted bounds both fail — they then go through the
+        constructor for its ``ValueError``.
+        """
+        if lower <= upper:
+            interval = object.__new__(cls)
+            _set_lower(interval, lower)
+            _set_upper(interval, upper)
+            return interval
+        return cls(lower, upper)
+
+    @classmethod
     def point(cls, value):
         """The degenerate interval ``[value, value]``."""
         return cls(value, value)
@@ -201,10 +217,7 @@ class Interval:
             return PartialOrder.LESS
         if other.upper < self.lower:
             return PartialOrder.GREATER
-        if self.upper == other.lower and self.is_point != other.is_point:
-            # Touching at a single endpoint with one side a point: still
-            # overlap, hence incomparable.
-            return PartialOrder.INCOMPARABLE
+        # Overlap — touching at a single endpoint included.
         return PartialOrder.INCOMPARABLE
 
     def dominates(self, other):
@@ -236,6 +249,10 @@ class Interval:
     def __iter__(self):
         yield self.lower
         yield self.upper
+
+
+_set_lower = Interval.lower.__set__
+_set_upper = Interval.upper.__set__
 
 
 def _coerce(value):

@@ -30,9 +30,7 @@ that does not consume it (reported as ``wasted_records``).
 import time
 
 from repro.algebra.physical import ChoosePlan, Materialized
-from repro.common.intervals import Interval
 from repro.cost.formulas import CostModel
-from repro.cost.model import CostResult
 from repro.cost.parameters import Valuation
 from repro.executor.engine import ExecutionContext, ExecutionResult
 from repro.executor.iterators import build_iterator
@@ -75,15 +73,8 @@ class _ObservedCostModel(CostModel):
         CostModel.__init__(self, catalog, valuation)
         self._substitutions = substitutions
 
-    def _dispatch(self, plan):
-        substituted = self._substitutions.get(id(plan))
-        if substituted is not None:
-            return CostResult(
-                Interval.zero(),
-                Interval.point(substituted.observed_cardinality),
-                frozenset(),
-            )
-        return CostModel._dispatch(self, plan)
+    def evaluate(self, plan):
+        return CostModel.evaluate(self, self._substitutions.get(id(plan), plan))
 
 
 class AdaptiveExecutor:

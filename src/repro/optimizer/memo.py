@@ -79,8 +79,7 @@ def join_key(relation_set):
 class Group:
     """One equivalence class of logical expressions."""
 
-    __slots__ = ("key", "relations", "mexprs", "_identities", "winners",
-                 "cardinality", "explored")
+    __slots__ = ("key", "relations", "mexprs", "_identities", "winners")
 
     def __init__(self, key, relations):
         self.key = key
@@ -89,9 +88,6 @@ class Group:
         self._identities = set()
         #: property key -> PlanEntry (or None when unsatisfiable)
         self.winners = {}
-        #: output cardinality Interval, set lazily by the engine
-        self.cardinality = None
-        self.explored = False
 
     @property
     def kind(self):

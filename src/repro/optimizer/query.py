@@ -123,6 +123,15 @@ class QuerySpec:
         self.name = name or "query"
         #: qualified attributes the query returns (None = all)
         self.projection = tuple(projection) if projection else None
+        #: the join graph: (left relation, right relation, predicate)
+        self._join_edges = tuple(
+            (
+                predicate.left_attribute.split(".", 1)[0],
+                predicate.right_attribute.split(".", 1)[0],
+                predicate,
+            )
+            for predicate in self.join_predicates
+        )
         self._validate_join_graph()
         self.parameter_space = self._build_parameter_space()
 
@@ -194,9 +203,8 @@ class QuerySpec:
 
     def _validate_join_graph(self):
         relation_set = set(self.relations)
-        for predicate in self.join_predicates:
-            for attribute in (predicate.left_attribute, predicate.right_attribute):
-                relation = attribute.split(".", 1)[0]
+        for left_rel, right_rel, predicate in self._join_edges:
+            for relation in (left_rel, right_rel):
                 if relation not in relation_set:
                     raise OptimizationError(
                         "join predicate %r references unknown relation %r"
@@ -231,15 +239,10 @@ class QuerySpec:
     # Join-graph queries
     # ------------------------------------------------------------------
 
-    def _relation_of(self, attribute):
-        return attribute.split(".", 1)[0]
-
     def cross_predicates(self, left_set, right_set):
         """Join predicates connecting two disjoint relation sets."""
         result = []
-        for predicate in self.join_predicates:
-            left_rel = self._relation_of(predicate.left_attribute)
-            right_rel = self._relation_of(predicate.right_attribute)
+        for left_rel, right_rel, predicate in self._join_edges:
             if left_rel in left_set and right_rel in right_set:
                 result.append(predicate)
             elif left_rel in right_set and right_rel in left_set:
@@ -248,13 +251,11 @@ class QuerySpec:
 
     def internal_predicates(self, relation_set):
         """Join predicates with both sides inside ``relation_set``."""
-        result = []
-        for predicate in self.join_predicates:
-            left_rel = self._relation_of(predicate.left_attribute)
-            right_rel = self._relation_of(predicate.right_attribute)
-            if left_rel in relation_set and right_rel in relation_set:
-                result.append(predicate)
-        return result
+        return [
+            predicate
+            for left_rel, right_rel, predicate in self._join_edges
+            if left_rel in relation_set and right_rel in relation_set
+        ]
 
     def is_connected(self, relation_set):
         """True when the join graph restricted to the set is connected."""
@@ -262,9 +263,7 @@ class QuerySpec:
         if len(relation_set) <= 1:
             return True
         adjacency = {relation: set() for relation in relation_set}
-        for predicate in self.join_predicates:
-            left_rel = self._relation_of(predicate.left_attribute)
-            right_rel = self._relation_of(predicate.right_attribute)
+        for left_rel, right_rel, _ in self._join_edges:
             if left_rel in relation_set and right_rel in relation_set:
                 adjacency[left_rel].add(right_rel)
                 adjacency[right_rel].add(left_rel)

@@ -31,25 +31,32 @@ from repro.optimizer.properties import PhysicalProperty
 
 
 class TransformationRule:
-    """Base class: rewrites one m-expr into equivalent m-exprs."""
+    """Base class: rewrites one m-expr into equivalent m-exprs.
+
+    A rule matches an m-expr against an input group that keeps growing
+    between the engine's sweeps, so each (rule, m-expr) pair carries a
+    ``matched`` cursor — how far into that group it got last time — and
+    matches only the suffix (see ``SearchEngine._explore_all``).
+    """
 
     name = "transformation"
 
-    def apply(self, engine, group, mexpr):
-        """Return new m-exprs for ``group`` derived from ``mexpr``."""
+    def apply(self, engine, group, mexpr, matched):
+        """Return ``(produced, matched)``: new m-exprs for ``group``
+        derived from ``mexpr`` and the pair's advanced cursor."""
         raise NotImplementedError
 
 
 class JoinCommutativity(TransformationRule):
-    """``A join B  ->  B join A``."""
+    """``A join B  ->  B join A`` (no input group: fires once)."""
 
     name = "join-commutativity"
 
-    def apply(self, engine, group, mexpr):
-        if mexpr.kind != MExpr.JOIN:
-            return []
+    def apply(self, engine, group, mexpr, matched):
+        if matched or mexpr.kind != MExpr.JOIN:
+            return (), 1
         flipped = [predicate.flipped() for predicate in mexpr.predicates]
-        return [MExpr.join(mexpr.right_key, mexpr.left_key, flipped)]
+        return [MExpr.join(mexpr.right_key, mexpr.left_key, flipped)], 1
 
 
 class JoinAssociativityLeft(TransformationRule):
@@ -64,25 +71,25 @@ class JoinAssociativityLeft(TransformationRule):
 
     name = "join-associativity-left"
 
-    def apply(self, engine, group, mexpr):
+    def apply(self, engine, group, mexpr, matched):
         if mexpr.kind != MExpr.JOIN or mexpr.left_key[0] != "join":
-            return []
+            return (), 0
         results = []
-        left_group = engine.memo.group(mexpr.left_key)
+        inners = engine.memo.group(mexpr.left_key).mexprs[matched:]
         right_relations = engine.relations_of(mexpr.right_key)
-        for inner in list(left_group.mexprs):
+        for inner in inners:
             if inner.kind != MExpr.JOIN:
                 continue
             a_key = inner.left_key
             b_relations = engine.relations_of(inner.right_key)
             bc_relations = b_relations | right_relations
-            inner_predicates = engine.query.cross_predicates(
+            inner_predicates = engine.cross_predicates(
                 b_relations, right_relations
             )
             if not inner_predicates:
                 continue
             a_relations = engine.relations_of(a_key)
-            outer_predicates = engine.query.cross_predicates(
+            outer_predicates = engine.cross_predicates(
                 a_relations, bc_relations
             )
             if not outer_predicates:
@@ -91,7 +98,7 @@ class JoinAssociativityLeft(TransformationRule):
                 bc_relations, inner.right_key, mexpr.right_key, inner_predicates
             )
             results.append(MExpr.join(a_key, bc_key, outer_predicates))
-        return results
+        return results, matched + len(inners)
 
 
 class JoinAssociativityRight(TransformationRule):
@@ -99,25 +106,25 @@ class JoinAssociativityRight(TransformationRule):
 
     name = "join-associativity-right"
 
-    def apply(self, engine, group, mexpr):
+    def apply(self, engine, group, mexpr, matched):
         if mexpr.kind != MExpr.JOIN or mexpr.right_key[0] != "join":
-            return []
+            return (), 0
         results = []
-        right_group = engine.memo.group(mexpr.right_key)
+        inners = engine.memo.group(mexpr.right_key).mexprs[matched:]
         left_relations = engine.relations_of(mexpr.left_key)
-        for inner in list(right_group.mexprs):
+        for inner in inners:
             if inner.kind != MExpr.JOIN:
                 continue
             b_relations = engine.relations_of(inner.left_key)
             c_key = inner.right_key
             ab_relations = left_relations | b_relations
-            inner_predicates = engine.query.cross_predicates(
+            inner_predicates = engine.cross_predicates(
                 left_relations, b_relations
             )
             if not inner_predicates:
                 continue
             c_relations = engine.relations_of(c_key)
-            outer_predicates = engine.query.cross_predicates(
+            outer_predicates = engine.cross_predicates(
                 ab_relations, c_relations
             )
             if not outer_predicates:
@@ -126,7 +133,7 @@ class JoinAssociativityRight(TransformationRule):
                 ab_relations, mexpr.left_key, inner.left_key, inner_predicates
             )
             results.append(MExpr.join(ab_key, c_key, outer_predicates))
-        return results
+        return results, matched + len(inners)
 
 
 DEFAULT_TRANSFORMATION_RULES = (
@@ -151,6 +158,8 @@ class ImplementationRule:
     """
 
     name = "implementation"
+    #: the m-expr kind the rule implements; the engine only offers it those
+    kind = None
 
     def build(self, engine, group, mexpr, prop):
         """Candidate physical plans for the m-expr under ``prop``."""
@@ -161,9 +170,10 @@ class GetSetToFileScan(ImplementationRule):
     """Get-Set -> File-Scan (no delivered order)."""
 
     name = "getset-filescan"
+    kind = MExpr.GETSET
 
     def build(self, engine, group, mexpr, prop):
-        if mexpr.kind != MExpr.GETSET or not prop.is_any:
+        if not prop.is_any:
             return []
         return [FileScan(mexpr.relation_name)]
 
@@ -178,9 +188,10 @@ class GetSetToBTreeScan(ImplementationRule):
     """
 
     name = "getset-btreescan"
+    kind = MExpr.GETSET
 
     def build(self, engine, group, mexpr, prop):
-        if mexpr.kind != MExpr.GETSET or not engine.config.consider_btree_scan:
+        if not engine.config.consider_btree_scan:
             return []
         relation = mexpr.relation_name
         if prop.is_any:
@@ -201,10 +212,9 @@ class SelectToFilter(ImplementationRule):
     """Select -> Filter over the base group's winner (same property)."""
 
     name = "select-filter"
+    kind = MExpr.SELECT
 
     def build(self, engine, group, mexpr, prop):
-        if mexpr.kind != MExpr.SELECT:
-            return []
         predicate = engine.query.selection_for(mexpr.relation_name)
         entry = engine.best(mexpr.left_key, prop)
         if entry is None:
@@ -220,11 +230,12 @@ class SelectToFilterBTreeScan(ImplementationRule):
     """
 
     name = "select-filter-btreescan"
+    kind = MExpr.SELECT
 
     SARGABLE_OPS = frozenset(("=", "<", "<=", ">", ">="))
 
     def build(self, engine, group, mexpr, prop):
-        if mexpr.kind != MExpr.SELECT or not engine.config.consider_btree_scan:
+        if not engine.config.consider_btree_scan:
             return []
         relation = mexpr.relation_name
         predicate = engine.query.selection_for(relation)
@@ -244,9 +255,10 @@ class JoinToHashJoin(ImplementationRule):
     mirrored m-expr, so both build sides are considered)."""
 
     name = "join-hashjoin"
+    kind = MExpr.JOIN
 
     def build(self, engine, group, mexpr, prop):
-        if mexpr.kind != MExpr.JOIN or not prop.is_any:
+        if not prop.is_any:
             return []
         left = engine.best(mexpr.left_key, PhysicalProperty.any())
         if left is None or engine.partial_prune(left.cost):
@@ -262,9 +274,10 @@ class JoinToMergeJoin(ImplementationRule):
     attributes of the primary predicate (delivered downstream)."""
 
     name = "join-mergejoin"
+    kind = MExpr.JOIN
 
     def build(self, engine, group, mexpr, prop):
-        if mexpr.kind != MExpr.JOIN or not engine.config.consider_merge_join:
+        if not engine.config.consider_merge_join:
             return []
         primary = mexpr.predicates[0]
         if not prop.is_any:
@@ -297,9 +310,10 @@ class JoinToIndexJoin(ImplementationRule):
     """
 
     name = "join-indexjoin"
+    kind = MExpr.JOIN
 
     def build(self, engine, group, mexpr, prop):
-        if mexpr.kind != MExpr.JOIN or not engine.config.consider_index_join:
+        if not engine.config.consider_index_join:
             return []
         right_relations = engine.relations_of(mexpr.right_key)
         if len(right_relations) != 1:

@@ -36,6 +36,11 @@ from repro.optimizer.rules import (
 )
 
 _IN_PROGRESS = object()
+_UNSET = object()
+
+# Bound once for _prune, which compares ~8k cost pairs per 10-way query.
+_LESS, _GREATER = PartialOrder.LESS, PartialOrder.GREATER
+_EQUAL, _INCOMPARABLE = PartialOrder.EQUAL, PartialOrder.INCOMPARABLE
 
 
 class PlanEntry:
@@ -150,15 +155,20 @@ class SearchEngine:
         self.config = config if config is not None else OptimizerConfig()
         self.transformation_rules = tuple(transformation_rules)
         self.implementation_rules = tuple(implementation_rules)
+        self._implementations = {}
+        for rule in self.implementation_rules:
+            self._implementations.setdefault(rule.kind, []).append(rule)
         self.sort_enforcer = SortEnforcer()
         # Per-run state, initialized by optimize():
         self.query = None
         self.memo = None
         self.cost_model = None
         self.stats = None
-        self._queue = None
         self._upper_stack = []
         self._sample_models = None
+        # Exploration state, reset by _explore_all():
+        self._exploration_dirty = False
+        self._cross_predicates = {}
 
     # ------------------------------------------------------------------
     # Entry point
@@ -192,7 +202,6 @@ class SearchEngine:
         )
         self.memo = Memo()
         self.stats = SearchStatistics()
-        self._queue = []
         self._upper_stack = []
         self._sample_models = None
 
@@ -270,16 +279,12 @@ class SearchEngine:
                     "query references unknown relation %r" % relation_name
                 )
             group, _ = self.memo.get_or_create(base_key(relation_name))
-            added = group.add_mexpr(MExpr.getset(relation_name))
-            if added is not None:
-                self._queue.append((group, added))
+            group.add_mexpr(MExpr.getset(relation_name))
             if query.selection_for(relation_name) is not None:
                 sgroup, _ = self.memo.get_or_create(select_key(relation_name))
-                sadded = sgroup.add_mexpr(
+                sgroup.add_mexpr(
                     MExpr.select(relation_name, base_key(relation_name))
                 )
-                if sadded is not None:
-                    self._queue.append((sgroup, sadded))
 
         if len(query.relations) == 1:
             return self.top_key_for_relation(query.relations[0])
@@ -330,6 +335,19 @@ class SearchEngine:
             self._exploration_dirty = True
         return key
 
+    def cross_predicates(self, left_set, right_set):
+        """:meth:`QuerySpec.cross_predicates`, memoized for this run:
+        associativity asks for the same few hundred pairs of relation
+        sets thousands of times.  Kept on the engine, not the query — a
+        cached plan's query would carry the dictionary for its lifetime.
+        """
+        key = (left_set, right_set)
+        predicates = self._cross_predicates.get(key)
+        if predicates is None:
+            predicates = tuple(self.query.cross_predicates(left_set, right_set))
+            self._cross_predicates[key] = predicates
+        return predicates
+
     def _explore_all(self):
         """Apply transformation rules to a global fixpoint.
 
@@ -339,17 +357,32 @@ class SearchEngine:
         on star and cycle join graphs).  We therefore sweep all groups
         repeatedly until no rule adds anything — memoized deduplication
         in :meth:`Group.add_mexpr` guarantees termination.
+
+        Sweeps after the first are incremental: each (m-expr, rule)
+        pair resumes at its cursor into the rule's input group (see
+        :class:`~repro.optimizer.rules.TransformationRule`), so a sweep
+        costs what was added since the last one.  What a cursor skips
+        was produced by an earlier sweep and would be rejected as a
+        duplicate now, so groups and their m-exprs come out in the order
+        a full re-match gives — the order candidates, choose-plan
+        alternatives and first-wins ties all inherit.
         """
-        self._queue = []
+        self._cross_predicates = {}
+        cursors = {}
+        rules = self.transformation_rules
         self._exploration_dirty = True
         while self._exploration_dirty:
             self._exploration_dirty = False
-            for group in list(self.memo.groups()):
+            for group in self.memo.groups():
                 for mexpr in list(group.mexprs):
-                    for rule in self.transformation_rules:
-                        for produced in rule.apply(self, group, mexpr):
+                    for rule in rules:
+                        pair = (mexpr, rule)
+                        produced, cursors[pair] = rule.apply(
+                            self, group, mexpr, cursors.get(pair, 0)
+                        )
+                        for new in produced:
                             self.stats.rule_applications += 1
-                            if group.add_mexpr(produced) is not None:
+                            if group.add_mexpr(new) is not None:
                                 self._exploration_dirty = True
 
     # ------------------------------------------------------------------
@@ -364,12 +397,12 @@ class SearchEngine:
         """
         group = self.memo.group(key)
         prop_key = prop.key()
-        cached = group.winners.get(prop_key)
+        cached = group.winners.get(prop_key, _UNSET)
         if cached is _IN_PROGRESS:
             raise OptimizationError(
                 "cyclic property requirement on group %r" % (key,)
             )
-        if prop_key in group.winners:
+        if cached is not _UNSET:
             return cached
         if not self._property_feasible(group, prop):
             group.winners[prop_key] = None
@@ -379,8 +412,9 @@ class SearchEngine:
         self._upper_stack.append(float("inf"))
         try:
             candidates = []
+            implementations = self._implementations
             for mexpr in list(group.mexprs):
-                for rule in self.implementation_rules:
+                for rule in implementations.get(mexpr.kind, ()):
                     for plan in rule.build(self, group, mexpr, prop):
                         self._consider(candidates, plan, prop)
             for plan in self.sort_enforcer.build(self, group, None, prop):
@@ -446,37 +480,51 @@ class SearchEngine:
         rules), or — with the optional Section 3 heuristic — when it
         is more expensive at every sampled parameter setting.
         """
+        exhaustive = self.config.is_exhaustive
+        multipoint = self.config.multipoint_heuristic and not exhaustive
         kept = []
         for plan, result in candidates:
+            cost = result.cost
+            lower = cost.lower
+            upper = cost.upper
             dominated = False
             survivors = []
-            for kept_plan, kept_result in kept:
+            for pair in kept:
                 if dominated:
-                    survivors.append((kept_plan, kept_result))
+                    survivors.append(pair)
                     continue
-                relation = compare_costs(
-                    kept_result.cost,
-                    result.cost,
-                    exhaustive=self.config.is_exhaustive,
-                )
-                if relation is PartialOrder.LESS:
+                kept_cost = pair[1].cost
+                if exhaustive:
+                    relation = compare_costs(kept_cost, cost, exhaustive=True)
+                # Otherwise kept_cost.compare(cost), on the four bounds:
+                elif kept_cost.upper < lower:
+                    relation = _LESS
+                elif upper < kept_cost.lower:
+                    relation = _GREATER
+                elif lower == upper == kept_cost.lower == kept_cost.upper:
+                    relation = _EQUAL
+                else:
+                    relation = _INCOMPARABLE
+                if relation is _INCOMPARABLE and not multipoint:
+                    survivors.append(pair)
+                elif relation is _LESS:
                     dominated = True
-                    survivors.append((kept_plan, kept_result))
-                elif relation is PartialOrder.EQUAL:
+                    survivors.append(pair)
+                elif relation is _EQUAL:
                     if self._drop_equal():
                         dominated = True
-                    survivors.append((kept_plan, kept_result))
-                elif relation is PartialOrder.GREATER:
+                    survivors.append(pair)
+                elif relation is _GREATER:
                     self.stats.pruned_by_dominance += 1
                     # kept plan is strictly worse; drop it
-                elif self._multipoint_beats(kept_plan, plan):
+                elif self._multipoint_beats(pair[0], plan):
                     dominated = True
                     self.stats.pruned_by_multipoint += 1
-                    survivors.append((kept_plan, kept_result))
-                elif self._multipoint_beats(plan, kept_plan):
+                    survivors.append(pair)
+                elif self._multipoint_beats(plan, pair[0]):
                     self.stats.pruned_by_multipoint += 1
                 else:
-                    survivors.append((kept_plan, kept_result))
+                    survivors.append(pair)
             if dominated:
                 self.stats.pruned_by_dominance += 1
                 kept = survivors
@@ -499,8 +547,6 @@ class SearchEngine:
 
     def _multipoint_beats(self, plan_a, plan_b):
         """Section 3 heuristic: does A beat B at every sampled binding?"""
-        if not self.config.multipoint_heuristic or self.config.is_exhaustive:
-            return False
         strictly_better = False
         for model in self._sampled_models():
             cost_a = model.evaluate(plan_a).cost.lower

@@ -9,16 +9,48 @@ from repro.workloads import make_join_workload
 
 class TestRecommendations:
     def test_repeated_uncertain_query_gets_dynamic(self, workload3):
+        """Dynamic beats static on modelled quantities alone (execution
+        saved per invocation against a larger module to read), and beats
+        run-time optimization once one static optimization (``a``) costs
+        more than one activation (``f``).  ``f`` is catalog validation
+        plus the module read plus the *compiled* decision pass the
+        service runs — tens of microseconds — so ``a`` exceeds it about
+        fivefold: no close race between two measured CPU times decides
+        the verdict."""
+        modelled = recommend_strategy(
+            workload3.catalog,
+            workload3.query,
+            expected_invocations=100,
+            cpu_scale=0.0,
+        )
+        assert modelled.totals["dynamic"] < modelled.totals["static"]
         recommendation = recommend_strategy(
             workload3.catalog, workload3.query, expected_invocations=100
         )
         assert recommendation.strategy == "dynamic"
 
     def test_single_shot_query_gets_runtime_optimization(self, workload3):
-        recommendation = recommend_strategy(
+        """One invocation amortizes nothing.  Whether the dynamic plan
+        (``e + f + g``) undercuts run-time optimization (``a + g``) is a
+        race between two measured optimization times, so the verdict is
+        asserted where it does not depend on them: on the modelled
+        quantities run-time optimization wins, and with the measured
+        ones it still beats the static plan by ``g < b + c`` whatever
+        ``a`` reads."""
+        modelled = recommend_strategy(
+            workload3.catalog,
+            workload3.query,
+            expected_invocations=1,
+            cpu_scale=0.0,
+        )
+        assert modelled.strategy == "run-time optimization"
+        measured = recommend_strategy(
             workload3.catalog, workload3.query, expected_invocations=1
         )
-        assert recommendation.strategy == "run-time optimization"
+        parts = measured.components
+        assert parts["g"] < parts["b"] + parts["c"]
+        assert measured.totals["run-time optimization"] < measured.totals["static"]
+        assert measured.strategy != "static"
 
     def test_certain_query_gets_static(self):
         """With nothing uncertain the dynamic plan degenerates to the

@@ -22,6 +22,36 @@ def intervals(draw):
     return Interval(min(a, b), max(a, b))
 
 
+class TestFromFloats:
+    """The cost model's constructor for bounds that already are floats:
+    one ``lower <= upper`` test in place of two conversions, a NaN check
+    and an order check — and nothing else may differ."""
+
+    @given(intervals())
+    def test_equals_the_constructor_on_valid_bounds(self, interval):
+        fast = Interval.from_floats(interval.lower, interval.upper)
+        assert type(fast) is Interval
+        assert (fast.lower, fast.upper) == (interval.lower, interval.upper)
+        assert fast == interval and hash(fast) == hash(interval)
+        assert repr(fast) == repr(interval)
+        with pytest.raises(AttributeError):
+            fast.lower = 0.0
+
+    @given(
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.floats(allow_nan=True, allow_infinity=True),
+    )
+    def test_rejects_exactly_what_the_constructor_rejects(self, lower, upper):
+        try:
+            expected = Interval(lower, upper)
+        except ValueError as error:
+            with pytest.raises(ValueError) as raised:
+                Interval.from_floats(lower, upper)
+            assert str(raised.value) == str(error)
+        else:
+            assert Interval.from_floats(lower, upper) == expected
+
+
 class TestConstruction:
     def test_point_from_single_argument(self):
         interval = Interval(3.0)

@@ -56,17 +56,62 @@ class TestMemoStructures:
         assert memo.mexpr_count() == 1
 
 
-def _explored_engine(workload):
+def _explored_engine(workload, explore=SearchEngine._explore_all):
     engine = SearchEngine(workload.catalog, OptimizerConfig.dynamic())
     engine.query = workload.query
     engine.memo = Memo()
     engine.stats = __import__(
         "repro.optimizer.search", fromlist=["SearchStatistics"]
     ).SearchStatistics()
-    engine._queue = []
     root = engine._build_initial_groups(workload.query)
-    engine._explore_all()
+    explore(engine)
     return engine, root
+
+
+def _explore_by_full_sweeps(engine):
+    """The reference fixpoint delta exploration must reproduce: every
+    sweep re-matches every m-expr against *all* of its input group
+    (cursor 0), relying on ``add_mexpr`` alone to reject what an earlier
+    sweep already produced."""
+    engine._exploration_dirty = True
+    while engine._exploration_dirty:
+        engine._exploration_dirty = False
+        for group in engine.memo.groups():
+            for mexpr in list(group.mexprs):
+                for rule in engine.transformation_rules:
+                    produced, _ = rule.apply(engine, group, mexpr, 0)
+                    for new in produced:
+                        engine.stats.rule_applications += 1
+                        if group.add_mexpr(new) is not None:
+                            engine._exploration_dirty = True
+
+
+def _memo_contents(engine):
+    """Every group, in creation order, with its m-exprs in list order."""
+    return [
+        (
+            group.key,
+            [(mexpr.identity(), repr(mexpr.predicates)) for mexpr in group.mexprs],
+        )
+        for group in engine.memo.groups()
+    ]
+
+
+class TestDeltaExplorationMatchesFullSweeps:
+    """M-expr *order* is an invariant, not a detail: candidate order,
+    choose-plan alternative order and first-wins ties all inherit it."""
+
+    @pytest.mark.parametrize("topology", ["chain", "star", "cycle"])
+    @pytest.mark.parametrize("relations", [3, 4, 5, 6])
+    def test_same_memo_element_for_element(self, topology, relations):
+        workload = make_join_workload(relations, topology=topology)
+        delta, _ = _explored_engine(workload)
+        reference, _ = _explored_engine(workload, _explore_by_full_sweeps)
+        assert _memo_contents(delta) == _memo_contents(reference)
+        assert (
+            0 < delta.stats.rule_applications
+            <= reference.stats.rule_applications
+        )
 
 
 def _assert_closure_complete(workload):

@@ -9,7 +9,9 @@ with synthetic candidate sets and assert the defining properties:
 * every dropped candidate is dominated by some kept candidate;
 * the minimum envelope of the kept set equals that of the input set
   (nothing potentially optimal was lost);
-* static mode reduces to the classic single winner.
+* static mode reduces to the classic single winner;
+* the comparison ``_prune`` makes inline on the four bounds decides
+  every pair as :func:`repro.cost.model.compare_costs` does.
 """
 
 import pytest
@@ -17,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.common.intervals import Interval
 from repro.common.ordering import PartialOrder
-from repro.cost.model import CostResult
+from repro.cost.model import CostResult, compare_costs
 from repro.optimizer import OptimizerConfig, SearchEngine
 from repro.optimizer.search import SearchStatistics
 
@@ -127,6 +129,60 @@ class TestDynamicPruning:
             candidates_from([Interval.point(5), Interval.point(5)])
         )
         assert len(kept) == 1
+
+
+def prune_with_compare_costs(candidates, drop_equal):
+    """``_prune`` with every pair decided by ``compare_costs`` — the
+    reference the engine's inlined comparison must agree with."""
+    kept = []
+    for plan, result in candidates:
+        dominated = False
+        survivors = []
+        for pair in kept:
+            relation = (
+                None if dominated else compare_costs(pair[1].cost, result.cost)
+            )
+            if relation is PartialOrder.LESS:
+                dominated = True
+            elif relation is PartialOrder.EQUAL and drop_equal:
+                dominated = True
+            if relation is not PartialOrder.GREATER:
+                survivors.append(pair)
+        if not dominated:
+            survivors.append((plan, result))
+        kept = survivors
+    return kept
+
+
+@st.composite
+def touching_interval_lists(draw):
+    """Bounds from five values, so points, shared endpoints and exact
+    duplicates — the cases the four comparisons differ on — are common."""
+    grid = st.sampled_from([0.0, 1.0, 2.5, 2.5000000000000004, 7.0])
+    pairs = draw(st.lists(st.tuples(grid, grid), min_size=1, max_size=10))
+    return [Interval(min(pair), max(pair)) for pair in pairs]
+
+
+class TestInlineComparisonMatchesCompareCosts:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        intervals=st.one_of(interval_lists(), touching_interval_lists()),
+        keep_equal=st.booleans(),
+        static=st.booleans(),
+    )
+    def test_same_survivors_in_the_same_order(self, intervals, keep_equal,
+                                              static):
+        make_config = OptimizerConfig.static if static else OptimizerConfig.dynamic
+        engine = make_engine(make_config(keep_equal_cost_plans=keep_equal))
+        candidates = candidates_from(intervals)
+        expected = prune_with_compare_costs(
+            candidates, drop_equal=static or not keep_equal
+        )
+        kept = engine._prune(candidates)
+        assert [id(plan) for plan, _ in kept] == [
+            id(plan) for plan, _ in expected
+        ]
+        assert engine.stats.pruned_by_dominance == len(candidates) - len(kept)
 
 
 class TestStaticPruning:

@@ -19,6 +19,7 @@ from repro.optimizer import (
     optimize_exhaustive,
     optimize_static,
 )
+from tests._fingerprints import compute_fingerprints, load_golden
 
 
 class TestStaticMode:
@@ -257,3 +258,16 @@ class TestSortEnforcer:
         assert any(
             isinstance(node, Sort) for node in result.plan.walk_unique()
         )
+
+
+class TestGoldenFingerprints:
+    """Plans, cost bounds and search counters of 49 optimizations are
+    pinned to the bit (see ``tests/_fingerprints.py``): a change that
+    makes the optimizer faster must leave every one of them alone."""
+
+    def test_every_case_reproduces_its_golden_fingerprint(self):
+        golden = load_golden()
+        computed = compute_fingerprints()
+        assert sorted(computed) == sorted(golden)
+        differing = [name for name in golden if computed[name] != golden[name]]
+        assert not differing, "fingerprints moved: %s" % ", ".join(differing)

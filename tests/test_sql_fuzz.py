@@ -3,12 +3,14 @@
 Hypothesis generates random well-formed queries over the demo catalog;
 parsing must succeed, the resulting spec must validate, and for
 multi-relation queries the optimality guarantee must hold end to end.
+The generated class is derandomized: a tier-1 run explores the same
+examples every time (the pinned ``@example`` is one a random run found).
 Random *ill-formed* byte soup must raise ``SqlSyntaxError`` (or parse,
 for the rare accidentally valid string) — never crash another way.
 """
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.common.errors import OptimizationError
 from repro.frontend import parse_query
@@ -54,8 +56,20 @@ def well_formed_queries(draw):
     return sql, count, len(selected)
 
 
+#: Nothing here is uncertain, yet one subplan has two alternatives whose
+#: costs tie exactly.  The default config keeps the tie as a choose-plan
+#: (``keep_equal_cost_plans``), and that node's 0.01 s decision overhead
+#: outweighs the 0.0083 s by which the plan containing it is cheaper to
+#: *execute* — so the dynamic optimizer prunes the plan the run-time
+#: optimizer picks (1.7625 s vs 1.7542 s).
+TIE_KEPT_AS_CHOOSE_PLAN = (
+    "SELECT * FROM R1, R2, R3, R4 WHERE R1.b = R2.c AND R2.b = R3.c "
+    "AND R3.b = R4.c AND R3.a < 19 AND R4.a < 101"
+)
+
+
 class TestWellFormedQueries:
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40, deadline=None, derandomize=True)
     @given(query=well_formed_queries())
     def test_parse_and_optimize(self, catalog, query):
         sql, relation_count, _selected = query
@@ -68,14 +82,28 @@ class TestWellFormedQueries:
         assert static.cost.is_point
         assert dynamic.node_count() >= static.node_count()
 
-    @settings(max_examples=15, deadline=None)
+    @settings(max_examples=15, deadline=None, derandomize=True)
     @given(query=well_formed_queries(), binding_seed=st.integers(0, 100))
+    @example(query=(TIE_KEPT_AS_CHOOSE_PLAN, 4, 2), binding_seed=0)
     def test_guarantee_holds_for_fuzzed_queries(self, catalog, query,
                                                 binding_seed):
+        """The guarantee the optimizer gives, stated exactly.
+
+        Execution cost ``g`` of the plan a dynamic plan resolves to
+        equals the run-time optimizer's ``d`` when decisions are free.
+        Under the default config every choose-plan charges its start-up
+        decision to the plans containing it, which can tip a comparison
+        between two *execution* costs closer than that charge: then
+        ``d <= g <= d + overhead * choose_plan_count``.
+        """
         from repro.common.rng import make_rng
         from repro.cost.parameters import Bindings
         from repro.executor import resolve_dynamic_plan
-        from repro.optimizer import optimize_dynamic, optimize_runtime
+        from repro.optimizer import (
+            OptimizerConfig,
+            optimize_dynamic,
+            optimize_runtime,
+        )
         from repro.scenarios import predicted_execution_seconds
 
         sql, _count, _selected = query
@@ -85,19 +113,27 @@ class TestWellFormedQueries:
         for name in spec.parameter_space.uncertain_names():
             bounds = spec.parameter_space.get(name).bounds
             bindings.bind(name, rng.uniform(bounds.lower, bounds.upper))
-        dynamic = optimize_dynamic(catalog, spec)
-        chosen, _ = resolve_dynamic_plan(
-            dynamic.plan, catalog, spec.parameter_space, bindings
+
+        def execution_seconds(plan):
+            return predicted_execution_seconds(
+                plan, catalog, spec.parameter_space, bindings
+            )
+
+        def resolved_seconds(dynamic):
+            chosen, _ = resolve_dynamic_plan(
+                dynamic.plan, catalog, spec.parameter_space, bindings
+            )
+            return execution_seconds(chosen)
+
+        d = execution_seconds(optimize_runtime(catalog, spec, bindings).plan)
+        free = optimize_dynamic(
+            catalog, spec, OptimizerConfig.dynamic(choose_plan_overhead=0.0)
         )
-        optimum = optimize_runtime(catalog, spec, bindings)
-        assert predicted_execution_seconds(
-            chosen, catalog, spec.parameter_space, bindings
-        ) == pytest.approx(
-            predicted_execution_seconds(
-                optimum.plan, catalog, spec.parameter_space, bindings
-            ),
-            rel=1e-9,
-        )
+        assert resolved_seconds(free) == pytest.approx(d, rel=1e-9)
+        default = optimize_dynamic(catalog, spec)
+        g = resolved_seconds(default)
+        slack = default.config.choose_plan_overhead * default.choose_plan_count()
+        assert d * (1 - 1e-9) <= g <= (d + slack) * (1 + 1e-9)
 
 
 class TestIllFormedQueries:
