@@ -198,20 +198,21 @@ def _node_from_dict(data, nodes):
 class AccessModule:
     """A serialized plan, as stored on disk between invocations."""
 
-    def __init__(self, payload_bytes):
+    def __init__(self, payload_bytes, data=None):
         self._payload = payload_bytes
-        data = json.loads(payload_bytes.decode("utf-8"))
+        if data is None:
+            data = json.loads(payload_bytes.decode("utf-8"))
         self._data = data
 
     @classmethod
     def from_plan(cls, plan, query_name="query"):
         """Serialize a plan DAG into an access module."""
         nodes, root = _plan_to_nodes(plan)
-        payload = json.dumps(
-            {"query": query_name, "root": root, "nodes": nodes},
-            separators=(",", ":"),
-        ).encode("utf-8")
-        return cls(payload)
+        data = {"query": query_name, "root": root, "nodes": nodes}
+        payload = json.dumps(data, separators=(",", ":")).encode("utf-8")
+        # The dict is all JSON-native values, so parsing the bytes just
+        # produced would only rebuild it.
+        return cls(payload, data)
 
     def materialize(self):
         """Rebuild the plan DAG (shared nodes stay shared)."""

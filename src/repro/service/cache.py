@@ -7,6 +7,14 @@ optimized for, per-entry usage statistics, and the *covered bounds*:
 the parameter intervals the plan's choose-plan alternatives were
 constructed over.
 
+Life cycle: live -> retained -> gone.  ``capacity`` counts *live*
+entries.  Evicting one *demotes* it: the entry keeps its plan, bounds
+and counters, loses what is cheap to rebuild (decision program, memo,
+fallback plan) and moves to a second LRU map; a later lookup *promotes*
+it back — a hit, since no optimizer runs — and only overflow of the
+retained map drops a plan for real (the paper's "keep the access
+module", Sections 4 and 6).
+
 Staleness (the paper's "plan becomes stale" case): a dynamic plan is
 provably optimal only for bindings inside the compile-time intervals.
 When an invocation's bindings drift outside the covered bounds, the
@@ -29,18 +37,38 @@ from repro.common.intervals import Interval
 from repro.cost.parameters import MEMORY_PARAMETER, Parameter
 from repro.optimizer.query import QuerySpec, canonical_signature, signature_digest
 
+#: Retained (demoted) entries kept per live slot.  Measured on the
+#: benchmark's own plans, a live entry is 12.0 KB of plan DAG + 24.9 KB
+#: of decision program + 6.1 KB of chosen-plan memo (4-way joins; 143.6
+#: + 287.5 + 301.7 KB for 10-way), so a retained plan is <= 29% of a
+#: live entry and four per slot at most about double the cache's bytes.
+RETAINED_PER_SLOT = 4
+
 
 class CacheStatistics:
     """Mutable counters describing cache behaviour."""
 
-    __slots__ = ("lookups", "hits", "misses", "evictions", "invalidations")
+    __slots__ = (
+        "lookups",
+        "hits",
+        "misses",
+        "evictions",
+        "invalidations",
+        "promotions",
+    )
 
     def __init__(self):
         self.lookups = 0
+        #: Lookups that ran no optimizer: a plan was live or retained.
         self.hits = 0
         self.misses = 0
+        #: Demotions out of the live map (retained-tier drops are
+        #: ``evictions - promotions - retained`` while nothing is
+        #: invalidated).
         self.evictions = 0
         self.invalidations = 0
+        #: Hits that found their plan in the retained tier.
+        self.promotions = 0
 
     @property
     def hit_rate(self):
@@ -63,19 +91,21 @@ class CacheStatistics:
             "misses": self.misses,
             "evictions": self.evictions,
             "invalidations": self.invalidations,
+            "promotions": self.promotions,
             "hit_rate": self.hit_rate,
         }
 
     def __repr__(self):
         return (
             "CacheStatistics(lookups=%d, hits=%d, misses=%d, "
-            "evictions=%d, invalidations=%d)"
+            "evictions=%d, invalidations=%d, promotions=%d)"
             % (
                 self.lookups,
                 self.hits,
                 self.misses,
                 self.evictions,
                 self.invalidations,
+                self.promotions,
             )
         )
 
@@ -120,6 +150,9 @@ class PlanCacheEntry:
         #: reader holding the old dict can finish against the plan the
         #: dict was built for.
         self.chosen_memo = {}
+        #: Set by :meth:`demote`, cleared by :meth:`install`: the plan
+        #: is kept but its decision program has to be rebuilt.
+        self.demoted = False
         self.lock = threading.RLock()
 
     def install(self, plan, parameter_space, decision=None):
@@ -132,8 +165,25 @@ class PlanCacheEntry:
         self.plan = plan
         self.decision = decision
         self.chosen_memo = {}
+        self.demoted = False
         self.parameter_space = parameter_space
         self.covered_bounds = _covered_bounds(parameter_space)
+
+    def demote(self):
+        """Drop what is cheap to rebuild; keep plan, bounds, counters.
+
+        Called with the cache lock held, so it must not wait for
+        ``self.lock`` (``_refresh`` takes the two in the other order):
+        an entry busy on another thread is retained as it is, and a
+        request already holding the old references finishes on them.
+        """
+        if self.lock.acquire(blocking=False):
+            try:
+                self.decision = self.fallback_plan = None
+                self.chosen_memo = {}
+                self.demoted = True
+            finally:
+                self.lock.release()
 
     def snapshot(self):
         """Consistent ``(plan, parameter_space, decision)`` for start-up."""
@@ -268,9 +318,15 @@ def _covered_bounds(parameter_space):
 class PlanCache:
     """Thread-safe LRU map from canonical query signature to entry.
 
+    ``capacity`` bounds the *live* entries; up to
+    :data:`RETAINED_PER_SLOT` demoted plans per live slot wait behind
+    them in a second LRU map under the same lock (module docstring).
+    ``entries()``, ``len()`` and snapshots see the live tier only.
+
     With a :class:`~repro.observability.metrics.MetricsRegistry` the
     cache exposes its counters as pull-style ``plan_cache_*`` metrics
-    (lookups, hits, misses, evictions, invalidations, entries): the
+    (lookups, hits, misses, evictions, invalidations, promotions,
+    entries, retained entries): the
     registry reads :class:`CacheStatistics` — already exact under the
     cache lock — at scrape time, so the lookup hot path pays nothing.
     ``metrics=None`` (the default) skips registration entirely.
@@ -282,6 +338,7 @@ class PlanCache:
         self.capacity = int(capacity)
         self.stats = CacheStatistics()
         self._entries = OrderedDict()
+        self._retained = OrderedDict()
         self._lock = threading.Lock()
         if metrics is not None:
             self._register_metrics(metrics)
@@ -321,10 +378,20 @@ class PlanCache:
             "Explicit invalidations plus staleness re-optimizations",
             callback=stat("invalidations"),
         )
+        metrics.counter(
+            "plan_cache_promotions_total",
+            "Hits that promoted a retained plan back into the live tier",
+            callback=stat("promotions"),
+        )
         metrics.gauge(
             "plan_cache_entries",
             "Entries currently cached",
             callback=self.__len__,
+        )
+        metrics.gauge(
+            "plan_cache_retained_entries",
+            "Demoted plans kept behind the live entries",
+            callback=lambda: len(self._retained),
         )
 
     def entry_for_signature(self, signature, query):
@@ -333,10 +400,12 @@ class PlanCache:
         Whoever routes the request canonicalizes the query once and
         hands the signature down.  Returns ``(entry, compiled)`` where
         ``compiled`` says whether a plan was already installed at
-        lookup time — the hit/miss classification.  Creating an entry
-        may evict the least recently used one.  The caller compiles
-        missing plans under ``entry.lock`` and publishes them with
-        ``entry.install``.
+        lookup time — the hit/miss classification: a hit is a lookup
+        that ran no optimizer, so promoting a retained plan is one.
+        Making an entry live may demote the least recently used one.
+        The caller compiles missing plans under ``entry.lock`` and
+        publishes them with ``entry.install``; an ``entry.demoted``
+        one needs only its decision program rebuilt.
         """
         with self._lock:
             self.stats.lookups += 1
@@ -350,13 +419,35 @@ class PlanCache:
                 else:
                     self.stats.misses += 1
                 return entry, compiled
-            entry = PlanCacheEntry(signature, query)
-            self._entries[signature] = entry
-            self.stats.misses += 1
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-                self.stats.evictions += 1
-            return entry, False
+            entry = self._retained.pop(signature, None)
+            compiled = entry is not None
+            if compiled:
+                self.stats.hits += 1
+                self.stats.promotions += 1
+                entry.hits += 1
+            else:
+                entry = PlanCacheEntry(signature, query)
+                self.stats.misses += 1
+            self._make_live(entry)
+            return entry, compiled
+
+    def _make_live(self, entry):
+        """Insert ``entry`` (cache lock held), demoting live overflow.
+
+        The one eviction function: an evicted entry with a plan moves
+        to the retained map, whose own LRU overflow is dropped for
+        real; one without a plan has nothing worth keeping.
+        """
+        self._entries[entry.signature] = entry
+        while len(self._entries) > self.capacity:
+            _, evicted = self._entries.popitem(last=False)
+            self.stats.evictions += 1
+            if evicted.plan is None:
+                continue
+            evicted.demote()
+            self._retained[evicted.signature] = evicted
+            if len(self._retained) > RETAINED_PER_SLOT * self.capacity:
+                self._retained.popitem(last=False)
 
     def seed_entry(self, signature, query):
         """Insert an entry for restore, outside the lookup accounting.
@@ -370,14 +461,11 @@ class PlanCache:
         never clobbers a partition that already warmed itself.
         """
         with self._lock:
-            entry = self._entries.get(signature)
+            entry = self._entries.get(signature) or self._retained.get(signature)
             if entry is not None:
                 return entry, False
             entry = PlanCacheEntry(signature, query)
-            self._entries[signature] = entry
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-                self.stats.evictions += 1
+            self._make_live(entry)
             return entry, True
 
     def get(self, query):
@@ -387,10 +475,13 @@ class PlanCache:
             return self._entries.get(signature)
 
     def invalidate(self, query):
-        """Drop a query's entry; returns True when one was removed."""
+        """Drop a query's entry, live or retained; True when one was."""
         signature = canonical_signature(query)
         with self._lock:
-            removed = self._entries.pop(signature, None) is not None
+            removed = (
+                self._entries.pop(signature, None) is not None
+                or self._retained.pop(signature, None) is not None
+            )
             if removed:
                 self.stats.invalidations += 1
             return removed
@@ -412,17 +503,19 @@ class PlanCache:
         with self._lock:
             snapshot = self.stats.snapshot()
             snapshot["entries"] = len(self._entries)
+            snapshot["retained"] = len(self._retained)
             return snapshot
 
     def entries(self):
-        """Entries in LRU order (least recently used first)."""
+        """Live entries in LRU order (least recently used first)."""
         with self._lock:
             return list(self._entries.values())
 
     def clear(self):
-        """Remove every entry (statistics are retained)."""
+        """Remove every entry, live and retained (statistics are kept)."""
         with self._lock:
             self._entries.clear()
+            self._retained.clear()
 
     def __len__(self):
         with self._lock:

@@ -312,12 +312,13 @@ def render_report(report):
     lines.append("")
     lines.append(
         "  cache: %.1f%% hit rate (%d hits / %d lookups), "
-        "%d evictions, %d re-optimizations"
+        "%d evictions, %d promotions, %d re-optimizations"
         % (
             100.0 * stats.hit_rate,
             stats.cache["hits"],
             stats.cache["lookups"],
             stats.cache["evictions"],
+            stats.cache["promotions"],
             stats.cache["invalidations"],
         )
     )

@@ -330,7 +330,8 @@ class QueryService:
         catalog is the compilation context for every cached plan (one
         service instance per catalog — the cache key assumes it).
     capacity:
-        LRU plan-cache capacity, in entries.
+        LRU plan-cache capacity, in *live* entries (evicted plans are
+        retained behind them; see :class:`~repro.service.cache.PlanCache`).
     max_workers:
         Thread-pool width for :meth:`submit` / :meth:`run_batch`.
     optimize:
@@ -577,12 +578,23 @@ class QueryService:
             # One lock acquisition: ``install`` replaces the memo with
             # the plan, so a memo read apart from its decision program
             # could hand back a plan rebuilt for the previous one.
+            decision_started = time.perf_counter()
             with entry.lock:
+                if entry.demoted:
+                    # Promoted from the retained tier and not re-optimized
+                    # since: rebuilding the program is activation cost
+                    # (paper Section 4), so it is start-up time.
+                    self._install(
+                        entry, entry.plan, entry.parameter_space, entry.query.name
+                    )
+                    if self.tracer is not None:
+                        self.tracer.event(
+                            "plan_promoted", level="info", digest=entry.digest
+                        )
                 plan = entry.plan
                 parameter_space = entry.parameter_space
                 decision = entry.decision
                 memo = entry.chosen_memo
-            decision_started = time.perf_counter()
             if decision is not None:
                 chosen, report = decision.choose_memoized(bindings, memo)
             else:
@@ -722,10 +734,20 @@ class QueryService:
             from repro.executor.validation import validate_plan
 
             plan = validate_plan(plan, self.catalog)
+        self._install(entry, plan, query.parameter_space, query.name)
+        return time.perf_counter() - compile_started
+
+    def _install(self, entry, plan, parameter_space, query_name):
+        """Compile ``plan``'s decision program and publish both.
+
+        Shared by a fresh compile and by the promotion of a retained
+        plan (entry lock held): the optimizer's product is kept across
+        an eviction, the program is what gets rebuilt.
+        """
         decision = None
         if self.compiled:
             try:
-                decision = CompiledDecision(plan, self.catalog, query.parameter_space)
+                decision = CompiledDecision(plan, self.catalog, parameter_space)
             except DecisionCompilationError as error:
                 # The interpreted activate_plan path makes identical
                 # decisions, so this is safe — but it silently costs
@@ -735,19 +757,17 @@ class QueryService:
                 logger.warning(
                     "decision compilation for query %r fell back to the "
                     "interpreter: %s",
-                    query.name,
+                    query_name,
                     error,
                 )
                 if self.tracer is not None:
                     self.tracer.event(
                         "decision_compile_fallback",
                         level="warn",
-                        query=query.name,
+                        query=query_name,
                         reason=str(error),
                     )
-                decision = None
-        entry.install(plan, query.parameter_space, decision)
-        return time.perf_counter() - compile_started
+        entry.install(plan, parameter_space, decision)
 
     def _note_midquery(self, entry, mid_report):
         """Fold a mid-query report into service and entry counters."""

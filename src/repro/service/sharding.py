@@ -423,7 +423,7 @@ class ShardedQueryService:
         :class:`~repro.service.service.QueryService` with its own
         cache, lock, worker thread, and breaker state.
     capacity:
-        Plan-cache capacity *per shard*, in entries.
+        Plan-cache capacity *per shard*, in live entries.
     max_pending:
         Admission bound per shard: requests admitted (via
         :meth:`submit`) beyond this many in flight on one shard are

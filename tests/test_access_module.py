@@ -37,6 +37,25 @@ class TestRoundTrip:
             reloaded.materialize().signature() == dynamic.plan.signature()
         )
 
+    def test_from_plan_keeps_the_dict_it_serialized(self, workload3, monkeypatch):
+        """``from_plan`` does not parse the bytes it just produced, and
+        the module it returns equals one parsed from those bytes."""
+        from repro.executor import access_module
+
+        dynamic = optimize_dynamic(workload3.catalog, workload3.query)
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                access_module.json, "loads", lambda *a, **k: pytest.fail("parsed")
+            )
+            module = AccessModule.from_plan(dynamic.plan, "q3")
+        reloaded = AccessModule.from_bytes(module.to_bytes())
+        assert module._data == reloaded._data
+        assert module.node_count == reloaded.node_count == dynamic.plan.node_count()
+        assert module.query_name == reloaded.query_name == "q3"
+        rebuilt = module.materialize()
+        assert rebuilt.signature() == reloaded.materialize().signature()
+        assert AccessModule.from_plan(rebuilt, "q3").to_bytes() == module.to_bytes()
+
     def test_round_trip_through_topologies(self):
         for topology in ("chain", "star", "cycle"):
             workload = make_join_workload(4, topology=topology, seed=1)

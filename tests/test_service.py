@@ -12,17 +12,22 @@ import json
 import pytest
 
 from repro.__main__ import main
+from repro.catalog import populate_database
 from repro.cost.parameters import MEMORY_PARAMETER, Bindings
 from repro.executor.startup import resolve_dynamic_plan
+from repro.observability import MetricsRegistry, Tracer
 from repro.optimizer import (
     canonical_signature,
     optimize_dynamic,
+    optimize_static,
     signature_digest,
 )
 from repro.optimizer.query import QuerySpec
 from repro.service import (
     CompiledDecision,
     PlanCache,
+    build_snapshot,
+    restore_service,
     QueryService,
     ServiceRequest,
     render_report,
@@ -217,6 +222,167 @@ class TestStaleness:
             low, high = entry.observed[name]
             assert low == pytest.approx(0.10)
             assert high == pytest.approx(0.25)
+
+
+def spoiler_query(workload):
+    """A bare scan of ``workload``'s first relation: the second
+    signature that evicts ``workload.query`` from a one-entry cache."""
+    return QuerySpec([workload.query.relations[0]], {}, [], name="spoiler")
+
+
+class TestRetainedTier:
+    """Eviction demotes a plan, a later lookup promotes it: no second
+    optimizer run, the same answers, the same learned bounds."""
+
+    def test_optimizer_runs_equal_misses_plus_invalidations(self):
+        workload = narrow_workload(bounds=(0.0, 0.3))
+        spoiler = spoiler_query(workload)
+        calls = []
+
+        def counting(catalog, query):
+            calls.append(query.name)
+            return optimize_dynamic(catalog, query)
+
+        registry, tracer = MetricsRegistry(), Tracer()
+        with QueryService(
+            Database(workload.catalog),
+            capacity=1,
+            optimize=counting,
+            execute=False,
+            max_workers=1,
+            metrics=registry,
+            tracer=tracer,
+        ) as service:
+            results = []
+            for selectivity in (0.1, 0.2, 0.25):
+                bindings = bindings_at(workload, selectivity)
+                results.append(service.run(workload.query, bindings))
+                results.append(service.run(spoiler, bindings))
+            # Evicted and re-touched three times each: optimized once.
+            assert calls == [workload.query.name, "spoiler"]
+            assert [r.cache_hit for r in results] == [False, False] + [True] * 4
+            assert all(r.optimize_seconds == 0.0 for r in results[2:])
+            # A drifted binding on a promoted entry is one more run.
+            drifted = service.run(workload.query, bindings_at(workload, 0.9))
+            assert drifted.reoptimized
+            cache = service.cache.stats_snapshot()
+            stats = service.stats()
+        assert len(calls) == 3 == cache["misses"] + cache["invalidations"]
+        assert (cache["misses"], cache["promotions"], cache["evictions"]) == (2, 5, 6)
+        assert (cache["entries"], cache["retained"]) == (1, 1)
+        assert stats.cache == cache and stats.optimize_count == 3
+        metrics = registry.snapshot()
+        assert metrics["plan_cache_promotions_total"]["value"] == 5
+        assert metrics["plan_cache_retained_entries"]["value"] == 1
+        promoted = [e for e in tracer.events if e.name == "plan_promoted"]
+        # The drifted request re-optimized instead of rebuilding the
+        # program of the plan it was about to replace.
+        assert len(promoted) == 4
+        assert {e.meta["digest"] for e in promoted} == {r.digest for r in results}
+
+    @pytest.mark.parametrize("compiled", (True, False), ids=("compiled", "interpreted"))
+    @pytest.mark.parametrize(
+        "optimize", (optimize_static, optimize_dynamic), ids=("static", "dynamic")
+    )
+    def test_promoted_plans_serve_what_a_never_evicting_cache_serves(
+        self, optimize, compiled
+    ):
+        """Paper queries through ``capacity=1`` with a spoiler between
+        requests — every request after the first two is a promotion."""
+        for number in range(1, 6):
+            workload = paper_workload(number)
+            spoiler = spoiler_query(workload)
+            served = []
+            for capacity in (1, 64):
+                database = Database(workload.catalog)
+                populate_database(database, seed=0)
+                with QueryService(
+                    database,
+                    capacity=capacity,
+                    optimize=optimize,
+                    compiled=compiled,
+                    max_workers=1,
+                ) as service:
+                    results = []
+                    for run in range(3):
+                        bindings = random_bindings(workload, seed=17, run_index=run)
+                        results.append(service.run(workload.query, bindings))
+                        results.append(service.run(spoiler, bindings))
+                    cache = service.cache.stats_snapshot()
+                assert cache["promotions"] == (4 if capacity == 1 else 0)
+                assert cache["misses"] == 2
+                served.append(
+                    [
+                        (
+                            [repr(record) for record in r.execution.records],
+                            r.execution.io_snapshot,
+                            r.startup_report.decisions,
+                            r.chosen.digest(),
+                            r.digest,
+                            r.cache_hit,
+                        )
+                        for r in results
+                    ]
+                )
+            assert served[0] == served[1], "query %d" % number
+
+    def test_widened_bounds_and_counters_survive_demotion(self):
+        workload = narrow_workload(bounds=(0.0, 0.3))
+        spoiler = spoiler_query(workload)
+        with QueryService(
+            Database(workload.catalog), capacity=1, execute=False, max_workers=1
+        ) as service:
+            service.run(workload.query, bindings_at(workload, 0.2))
+            assert service.run(workload.query, bindings_at(workload, 0.9)).reoptimized
+            entry = service.cache.get(workload.query)
+            before = (dict(entry.observed), entry.hits, entry.reoptimizations)
+            service.run(spoiler, bindings_at(workload, 0.2))  # demotes it
+            assert service.cache.get(workload.query) is None
+            again = service.run(workload.query, bindings_at(workload, 0.9))
+            assert again.cache_hit and not again.reoptimized
+            assert service.cache.get(workload.query) is entry
+            assert entry.decision is not None and not entry.demoted
+        assert (dict(entry.observed), entry.hits - 1, entry.reoptimizations) == before
+        assert entry.reoptimizations == 1 == service.cache.stats.invalidations
+        for bounds in entry.covered_bounds.values():
+            assert bounds.contains(0.9)
+
+    def test_retained_entry_is_stripped_invalidated_cleared_and_not_snapshotted(
+        self, workload2
+    ):
+        spoiler = spoiler_query(workload2)
+        bindings = random_bindings(workload2, seed=4)
+        with QueryService(
+            Database(workload2.catalog), capacity=1, execute=False, max_workers=1
+        ) as service:
+            service.run(workload2.query, bindings)
+            entry = service.cache.get(workload2.query)
+            service._fallback_plan(entry)
+            assert entry.decision and entry.chosen_memo and entry.fallback_plan
+            service.run(spoiler, bindings)
+            assert entry.plan is not None and entry.demoted
+            assert entry.decision is None and entry.fallback_plan is None
+            assert entry.chosen_memo == {}
+            assert service.cache.stats_snapshot()["retained"] == 1
+            assert [e.query.name for e in service.cache.entries()] == ["spoiler"]
+
+            snapshot = build_snapshot(service)
+            assert [e["query"]["name"] for e in snapshot["entries"]] == ["spoiler"]
+            with QueryService(
+                Database(workload2.catalog), execute=False, max_workers=1
+            ) as restored:
+                assert restore_service(restored, snapshot).restored == 1
+                assert restored.cache.stats_snapshot()["retained"] == 0
+                assert workload2.query not in restored.cache
+
+            assert service.cache.invalidate(workload2.query)
+            assert not service.cache.invalidate(workload2.query)
+            assert service.cache.stats_snapshot()["retained"] == 0
+            assert not service.run(workload2.query, bindings).cache_hit
+            service.cache.clear()
+            cache = service.cache.stats_snapshot()
+            assert (cache["entries"], cache["retained"]) == (0, 0)
+            assert not service.run(spoiler, bindings).cache_hit
 
 
 class TestCompiledDecision:

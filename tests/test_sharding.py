@@ -22,6 +22,8 @@ import threading
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.__main__ import main
 from repro.catalog.synthetic import populate_database
@@ -31,6 +33,7 @@ from repro.observability import MetricsRegistry
 from repro.optimizer.optimizer import optimize_dynamic, optimize_static
 from repro.optimizer.query import canonical_signature
 from repro.service import (
+    PlanCache,
     QueryService,
     ServiceRequest,
     ShardedQueryService,
@@ -495,72 +498,146 @@ class TestExactStatistics:
         assert stats.total.startup_p95 == percentile(merged, 0.95)
 
 
+#: 32 distinct query shapes for the lookup-sequence property.
+PROPERTY_QUERIES = build_traffic_queries(
+    HeavyTrafficSpec(requests=0, query_shapes=32, seed=3)
+)[1]
+
+
+class ReferenceCache:
+    """Two-map reference: a live LRU of ``capacity`` signatures and,
+    behind it, an LRU of evicted ones at four per live slot.  Every
+    looked-up signature is assumed compiled by the time it is evicted
+    (the serving tier compiles before the next lookup)."""
+
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self.live = []  # most recent last
+        self.retained = []
+        self.counters = dict.fromkeys(
+            ("lookups", "hits", "misses", "evictions", "promotions"), 0
+        )
+
+    def lookup(self, signature):
+        counters = self.counters
+        counters["lookups"] += 1
+        if signature in self.live:
+            counters["hits"] += 1
+            self.live.remove(signature)
+        elif signature in self.retained:
+            counters["hits"] += 1
+            counters["promotions"] += 1
+            self.retained.remove(signature)
+        else:
+            counters["misses"] += 1
+        self.live.append(signature)
+        if len(self.live) > self.capacity:
+            self.retained.append(self.live.pop(0))
+            counters["evictions"] += 1
+            if len(self.retained) > 4 * self.capacity:
+                self.retained.pop(0)
+
+    def expected(self):
+        return dict(
+            self.counters, entries=len(self.live), retained=len(self.retained)
+        )
+
+
+#: What :meth:`ReferenceCache.expected` predicts of a ``stats_snapshot``.
+REFERENCE_KEYS = (
+    "lookups", "hits", "misses", "evictions", "promotions", "entries", "retained"
+)
+
+
 class TestEvictionAccounting:
     def test_lru_eviction_matches_reference_simulation(self):
-        """Exact per-shard hit/miss/evict counts vs a reference LRU.
+        """Exact per-shard counts vs the two-map reference.
 
         ``run_batch`` serves each shard's chunk serially in request
-        order, so per-shard cache behaviour is fully determined — a
-        ten-line LRU simulation predicts every counter exactly.
+        order, so per-shard cache behaviour is fully determined — the
+        reference predicts every counter and both tier sizes exactly.
+        Capacity 1 with 24 shapes over 4 shards overflows the retained
+        tier as well (a shard holding six shapes keeps 1 + 4 of them).
         """
-        capacity = 3
         spec = HeavyTrafficSpec(requests=0, query_shapes=24, seed=5)
         catalog, queries, requests = round_robin_requests(spec, rounds=3)
         shard_count = 4
-        with ShardedQueryService(
-            Database(catalog),
-            shards=shard_count,
-            capacity=capacity,
-            execute=False,
-        ) as gateway:
-            gateway.run_batch(requests)
-            snapshots = [
-                shard.service.cache.stats_snapshot()
-                for shard in gateway.shards
-            ]
-            stats = gateway.stats()
+        for capacity in (3, 1):
+            with ShardedQueryService(
+                Database(catalog),
+                shards=shard_count,
+                capacity=capacity,
+                execute=False,
+            ) as gateway:
+                gateway.run_batch(requests)
+                snapshots = [
+                    shard.service.cache.stats_snapshot()
+                    for shard in gateway.shards
+                ]
+                stats = gateway.stats()
 
-        # Reference simulation over each shard's serial sub-sequence.
-        expected = [
-            {"lookups": 0, "hits": 0, "misses": 0, "evictions": 0}
-            for _ in range(shard_count)
-        ]
-        lru = [[] for _ in range(shard_count)]  # most recent last
-        for request in requests:
-            signature = canonical_signature(request.query)
-            index = shard_index_for(signature, shard_count)
-            counters, cached = expected[index], lru[index]
-            counters["lookups"] += 1
-            if signature in cached:
-                counters["hits"] += 1
-                cached.remove(signature)
-                cached.append(signature)
-            else:
-                counters["misses"] += 1
-                cached.append(signature)
-                if len(cached) > capacity:
-                    cached.pop(0)
-                    counters["evictions"] += 1
+            # Reference simulation over each shard's serial sub-sequence.
+            reference = [ReferenceCache(capacity) for _ in range(shard_count)]
+            for request in requests:
+                signature = canonical_signature(request.query)
+                reference[shard_index_for(signature, shard_count)].lookup(signature)
 
-        for index, snapshot in enumerate(snapshots):
-            for key in ("lookups", "hits", "misses", "evictions"):
-                assert snapshot[key] == expected[index][key], (
-                    "shard %d %s" % (index, key)
-                )
-            assert snapshot["entries"] == len(lru[index])
-            assert snapshot["entries"] <= capacity
-        # 24 shapes over 4 shards: some shard holds > capacity shapes
-        # (pigeonhole), so the round-robin stream must have evicted.
-        assert stats.total.cache["evictions"] >= 1
-        assert stats.total.cache["lookups"] == len(requests)
+            for index, snapshot in enumerate(snapshots):
+                expected = reference[index].expected()
+                for key in REFERENCE_KEYS:
+                    assert snapshot[key] == expected[key], (
+                        "capacity %d shard %d %s" % (capacity, index, key)
+                    )
+                assert snapshot["entries"] <= capacity
+                assert snapshot["retained"] <= 4 * capacity
+            # 24 shapes over 4 shards: some shard holds > capacity shapes
+            # (pigeonhole), so the round-robin stream must have evicted —
+            # and come back to what it evicted.
+            total = stats.total.cache
+            assert total["evictions"] >= 1 and total["promotions"] >= 1
+            assert total["lookups"] == len(requests)
+            assert total["promotions"] == sum(s["promotions"] for s in snapshots)
+            assert total["retained"] == sum(s["retained"] for s in snapshots)
+        # At capacity 1 some shard dropped plans for real.
+        assert any(
+            s["evictions"] - s["promotions"] - s["retained"] > 0 for s in snapshots
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        capacity=st.integers(1, 5),
+        shapes=st.lists(st.integers(0, 31), max_size=160),
+    )
+    def test_random_lookup_sequences_match_reference(self, capacity, shapes):
+        """Counters, both LRU orders and the stripped state of retained
+        entries, for any lookup sequence at capacities 1-5."""
+        cache = PlanCache(capacity)
+        reference = ReferenceCache(capacity)
+        for shape in shapes:
+            query = PROPERTY_QUERIES[shape]
+            signature = canonical_signature(query)
+            entry, hit = cache.entry_for_signature(signature, query)
+            if not hit:
+                entry.install(object(), query.parameter_space, decision=object())
+            reference.lookup(signature)
+        snapshot = cache.stats_snapshot()
+        expected = reference.expected()
+        assert {key: snapshot[key] for key in REFERENCE_KEYS} == expected
+        assert [entry.signature for entry in cache.entries()] == reference.live
+        assert list(cache._retained) == reference.retained
+        for entry in cache._retained.values():
+            assert entry.plan is not None and entry.decision is None
+            assert entry.demoted and entry.chosen_memo == {}
 
     @pytest.mark.slow
     def test_concurrent_submit_eviction_conservation(self):
         """8 submitter threads, eviction churn, zero lost counts.
 
-        Shard workers are single threads, so every miss inserts an
-        entry and ``evictions == misses - live entries`` holds exactly
-        per shard no matter how the submitting threads interleave.
+        Shard workers are single threads, so every miss and every
+        promotion makes one entry live and ``evictions == misses +
+        promotions - live entries`` holds exactly per shard no matter
+        how the submitting threads interleave.  A cache-lock /
+        entry-lock inversion in demotion would hang the joins.
         """
         capacity = 2
         shard_count = 4
@@ -605,9 +682,10 @@ class TestEvictionAccounting:
                     )
                     assert len(part.startup_samples) == part.requests
             for thread in threads:
-                thread.join()
+                thread.join(timeout=120.0)
+                assert not thread.is_alive()
             results = [
-                future.result()
+                future.result(timeout=120.0)
                 for futures in futures_per_thread
                 for future in futures
             ]
@@ -624,13 +702,16 @@ class TestEvictionAccounting:
         total_lookups = 0
         for snapshot in snapshots:
             assert snapshot["hits"] + snapshot["misses"] == snapshot["lookups"]
+            assert snapshot["promotions"] <= snapshot["hits"]
             assert snapshot["entries"] <= capacity
+            assert snapshot["retained"] <= 4 * capacity
             assert snapshot["evictions"] == (
-                snapshot["misses"] - snapshot["entries"]
+                snapshot["misses"] + snapshot["promotions"] - snapshot["entries"]
             )
             total_lookups += snapshot["lookups"]
         assert total_lookups == len(requests)
         assert stats.total.cache["evictions"] >= 1
+        assert stats.total.cache["promotions"] >= 1
 
 
 class TestServeBatchCliSharded:
