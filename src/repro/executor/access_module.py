@@ -210,8 +210,7 @@ class AccessModule:
         nodes, root = _plan_to_nodes(plan)
         data = {"query": query_name, "root": root, "nodes": nodes}
         payload = json.dumps(data, separators=(",", ":")).encode("utf-8")
-        # The dict is all JSON-native values, so parsing the bytes just
-        # produced would only rebuild it.
+        # All JSON-native values: parsing ``payload`` would rebuild ``data``.
         return cls(payload, data)
 
     def materialize(self):

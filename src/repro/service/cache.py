@@ -8,12 +8,10 @@ the parameter intervals the plan's choose-plan alternatives were
 constructed over.
 
 Life cycle: live -> retained -> gone.  ``capacity`` counts *live*
-entries.  Evicting one *demotes* it: the entry keeps its plan, bounds
-and counters, loses what is cheap to rebuild (decision program, memo,
-fallback plan) and moves to a second LRU map; a later lookup *promotes*
-it back — a hit, since no optimizer runs — and only overflow of the
-retained map drops a plan for real (the paper's "keep the access
-module", Sections 4 and 6).
+entries.  Evicting one *demotes* it to a second LRU map: it keeps its
+plan, bounds and counters and loses what is cheap to rebuild; a later
+lookup *promotes* it — a hit, since no optimizer runs — and only that
+map's own overflow drops a plan (paper Sections 4, 6; DESIGN.md).
 
 Staleness (the paper's "plan becomes stale" case): a dynamic plan is
 provably optimal only for bindings inside the compile-time intervals.
@@ -37,11 +35,11 @@ from repro.common.intervals import Interval
 from repro.cost.parameters import MEMORY_PARAMETER, Parameter
 from repro.optimizer.query import QuerySpec, canonical_signature, signature_digest
 
-#: Retained (demoted) entries kept per live slot.  Measured on the
-#: benchmark's own plans, a live entry is 12.0 KB of plan DAG + 24.9 KB
-#: of decision program + 6.1 KB of chosen-plan memo (4-way joins; 143.6
-#: + 287.5 + 301.7 KB for 10-way), so a retained plan is <= 29% of a
-#: live entry and four per slot at most about double the cache's bytes.
+#: Retained (demoted) entries kept per live slot.  By deep ``getsizeof``
+#: on the benchmark's 4-way plans a live entry is ~18 KB of plan DAG +
+#: ~27 KB of decision program + 3-6 KB of memo (10-way: 203 + 287 + 240)
+#: and a retained one ~20 KB, so four per slot bound the tier at about
+#: 1.6x the live entries' bytes (DESIGN.md, "Entry life cycle").
 RETAINED_PER_SLOT = 4
 
 
@@ -62,9 +60,6 @@ class CacheStatistics:
         #: Lookups that ran no optimizer: a plan was live or retained.
         self.hits = 0
         self.misses = 0
-        #: Demotions out of the live map (retained-tier drops are
-        #: ``evictions - promotions - retained`` while nothing is
-        #: invalidated).
         self.evictions = 0
         self.invalidations = 0
         #: Hits that found their plan in the retained tier.
@@ -150,8 +145,7 @@ class PlanCacheEntry:
         #: reader holding the old dict can finish against the plan the
         #: dict was built for.
         self.chosen_memo = {}
-        #: Set by :meth:`demote`, cleared by :meth:`install`: the plan
-        #: is kept but its decision program has to be rebuilt.
+        #: Plan kept, decision program dropped (:meth:`demote`).
         self.demoted = False
         self.lock = threading.RLock()
 
@@ -172,10 +166,8 @@ class PlanCacheEntry:
     def demote(self):
         """Drop what is cheap to rebuild; keep plan, bounds, counters.
 
-        Called with the cache lock held, so it must not wait for
-        ``self.lock`` (``_refresh`` takes the two in the other order):
-        an entry busy on another thread is retained as it is, and a
-        request already holding the old references finishes on them.
+        Under the cache lock, so it only *tries* ``self.lock`` (``_refresh``
+        nests them the other way): a busy entry is retained as it is.
         """
         if self.lock.acquire(blocking=False):
             try:
@@ -318,17 +310,15 @@ def _covered_bounds(parameter_space):
 class PlanCache:
     """Thread-safe LRU map from canonical query signature to entry.
 
-    ``capacity`` bounds the *live* entries; up to
-    :data:`RETAINED_PER_SLOT` demoted plans per live slot wait behind
-    them in a second LRU map under the same lock (module docstring).
-    ``entries()``, ``len()`` and snapshots see the live tier only.
+    ``capacity`` bounds the *live* entries, all that ``entries()``,
+    ``len()`` and snapshots see (retained tier: module docstring).
 
     With a :class:`~repro.observability.metrics.MetricsRegistry` the
     cache exposes its counters as pull-style ``plan_cache_*`` metrics
     (lookups, hits, misses, evictions, invalidations, promotions,
-    entries, retained entries): the
-    registry reads :class:`CacheStatistics` — already exact under the
-    cache lock — at scrape time, so the lookup hot path pays nothing.
+    entries, retained entries): the registry reads
+    :class:`CacheStatistics` — already exact under the cache lock — at
+    scrape time, so the lookup hot path pays nothing.
     ``metrics=None`` (the default) skips registration entirely.
     """
 
@@ -400,12 +390,10 @@ class PlanCache:
         Whoever routes the request canonicalizes the query once and
         hands the signature down.  Returns ``(entry, compiled)`` where
         ``compiled`` says whether a plan was already installed at
-        lookup time — the hit/miss classification: a hit is a lookup
-        that ran no optimizer, so promoting a retained plan is one.
-        Making an entry live may demote the least recently used one.
-        The caller compiles missing plans under ``entry.lock`` and
-        publishes them with ``entry.install``; an ``entry.demoted``
-        one needs only its decision program rebuilt.
+        lookup time — a hit is a lookup that ran no optimizer, promotion
+        of a retained plan included.  Making an entry live may demote the
+        least recently used one.  The caller compiles missing plans under
+        ``entry.lock`` (``entry.install``); a ``demoted`` one lacks its program.
         """
         with self._lock:
             self.stats.lookups += 1
@@ -432,22 +420,17 @@ class PlanCache:
             return entry, compiled
 
     def _make_live(self, entry):
-        """Insert ``entry`` (cache lock held), demoting live overflow.
-
-        The one eviction function: an evicted entry with a plan moves
-        to the retained map, whose own LRU overflow is dropped for
-        real; one without a plan has nothing worth keeping.
-        """
+        """Insert ``entry`` (cache lock held); the one eviction function:
+        an evicted plan moves to the retained map, whose overflow is dropped."""
         self._entries[entry.signature] = entry
         while len(self._entries) > self.capacity:
             _, evicted = self._entries.popitem(last=False)
             self.stats.evictions += 1
-            if evicted.plan is None:
-                continue
-            evicted.demote()
-            self._retained[evicted.signature] = evicted
-            if len(self._retained) > RETAINED_PER_SLOT * self.capacity:
-                self._retained.popitem(last=False)
+            if evicted.plan is not None:
+                evicted.demote()
+                self._retained[evicted.signature] = evicted
+                if len(self._retained) > RETAINED_PER_SLOT * self.capacity:
+                    self._retained.popitem(last=False)
 
     def seed_entry(self, signature, query):
         """Insert an entry for restore, outside the lookup accounting.

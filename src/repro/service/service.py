@@ -330,8 +330,7 @@ class QueryService:
         catalog is the compilation context for every cached plan (one
         service instance per catalog — the cache key assumes it).
     capacity:
-        LRU plan-cache capacity, in *live* entries (evicted plans are
-        retained behind them; see :class:`~repro.service.cache.PlanCache`).
+        LRU plan-cache capacity, in *live* entries (see ``PlanCache``).
     max_workers:
         Thread-pool width for :meth:`submit` / :meth:`run_batch`.
     optimize:
@@ -581,12 +580,9 @@ class QueryService:
             decision_started = time.perf_counter()
             with entry.lock:
                 if entry.demoted:
-                    # Promoted from the retained tier and not re-optimized
-                    # since: rebuilding the program is activation cost
-                    # (paper Section 4), so it is start-up time.
-                    self._install(
-                        entry, entry.plan, entry.parameter_space, entry.query.name
-                    )
+                    # Promoted and not re-optimized since: rebuilding the
+                    # program is the paper's activation cost, start-up time.
+                    self._install(entry, entry.plan, entry.parameter_space)
                     if self.tracer is not None:
                         self.tracer.event(
                             "plan_promoted", level="info", digest=entry.digest
@@ -734,16 +730,13 @@ class QueryService:
             from repro.executor.validation import validate_plan
 
             plan = validate_plan(plan, self.catalog)
-        self._install(entry, plan, query.parameter_space, query.name)
+        self._install(entry, plan, query.parameter_space)
         return time.perf_counter() - compile_started
 
-    def _install(self, entry, plan, parameter_space, query_name):
-        """Compile ``plan``'s decision program and publish both.
-
-        Shared by a fresh compile and by the promotion of a retained
-        plan (entry lock held): the optimizer's product is kept across
-        an eviction, the program is what gets rebuilt.
-        """
+    def _install(self, entry, plan, parameter_space):
+        """Compile ``plan``'s decision program and publish both (entry
+        lock held): all of a promotion, the second half of a compile."""
+        query_name = entry.query.name  # widening keeps the name
         decision = None
         if self.compiled:
             try:
