@@ -4,9 +4,9 @@ Commands:
 
 * ``demo``                 — compile, store, activate, and execute the
   motivating example end to end, narrating each step;
-* ``run``                  — optimize and execute one paper query under
-  either executor (``--execution-mode row|batch``) and print rows,
-  I/O totals, and wall time;
+* ``run``                  — optimize and execute one paper query
+  (``--batch-size N`` sets the records per operator advance) and print
+  rows, I/O totals, and wall time;
 * ``experiments [N]``      — regenerate the paper's evaluation
   (Table 1 and Figures 3-8) with N invocations per query (default 100);
 * ``sql "<query>"``        — parse an embedded-SQL query against the
@@ -41,7 +41,6 @@ from repro import (
     populate_database,
     resolve_dynamic_plan,
 )
-from repro.executor.engine import DEFAULT_EXECUTION_MODE, EXECUTION_MODES
 
 
 def _parse_skew(text, command):
@@ -113,8 +112,7 @@ def _run(argv):
     parser = argparse.ArgumentParser(
         prog="python -m repro run",
         description=(
-            "Optimize and execute one paper query end to end, under "
-            "the record-at-a-time or the vectorized batch executor."
+            "Optimize and execute one paper query end to end."
         ),
     )
     parser.add_argument(
@@ -125,17 +123,11 @@ def _run(argv):
         help="paper query number (default 5, the 10-way chain)",
     )
     parser.add_argument(
-        "--execution-mode",
-        choices=EXECUTION_MODES,
-        default=DEFAULT_EXECUTION_MODE,
-        help="executor: record-at-a-time iterators or vectorized "
-        "batches (default %(default)s)",
-    )
-    parser.add_argument(
         "--batch-size",
         type=int,
         default=None,
-        help="records per batch in batch mode (default 1024)",
+        help="records per operator advance; 1 is record-at-a-time "
+        "(default 1024)",
     )
     parser.add_argument(
         "--static",
@@ -192,7 +184,6 @@ def _run(argv):
             bindings,
             workload.query.parameter_space,
             policy=ReoptPolicy.parse(args.reopt),
-            execution_mode=args.execution_mode,
             batch_size=args.batch_size,
         )
     else:
@@ -201,17 +192,15 @@ def _run(argv):
             database,
             bindings,
             workload.query.parameter_space,
-            execution_mode=args.execution_mode,
             batch_size=args.batch_size,
         )
     wall = time.perf_counter() - started
     io = result.io_snapshot
     print(
-        "run %s (%s plan, %s mode, seed %d)"
+        "run %s (%s plan, seed %d)"
         % (
             workload.name,
             "static" if args.static else "dynamic",
-            args.execution_mode,
             args.seed,
         )
     )
@@ -287,12 +276,6 @@ def _serve_batch(argv):
         help="skip data execution; measure optimization and start-up only",
     )
     parser.add_argument(
-        "--execution-mode",
-        choices=EXECUTION_MODES,
-        default=None,
-        help="override the spec's executor (%s)" % " or ".join(EXECUTION_MODES),
-    )
-    parser.add_argument(
         "--shards",
         type=int,
         default=None,
@@ -328,7 +311,6 @@ def _serve_batch(argv):
         "threads": args.threads,
         "capacity": args.capacity,
         "seed": args.seed,
-        "execution_mode": args.execution_mode,
         "shards": args.shards,
         "tenants": args.tenants,
     }
@@ -430,13 +412,6 @@ def _explain(argv):
         "(non-deterministic; excluded by default)",
     )
     parser.add_argument(
-        "--execution-mode",
-        choices=EXECUTION_MODES,
-        default=DEFAULT_EXECUTION_MODE,
-        help="executor used by --analyze; cardinalities and q-errors "
-        "are identical in both (default %(default)s)",
-    )
-    parser.add_argument(
         "--deadline",
         type=float,
         default=None,
@@ -505,7 +480,6 @@ def _explain(argv):
                 bindings,
                 workload.query.parameter_space,
                 policy=ReoptPolicy.parse(args.reopt),
-                execution_mode=args.execution_mode,
                 tracer=Tracer(),
                 deadline=args.deadline,
             )
@@ -515,7 +489,6 @@ def _explain(argv):
                 database,
                 bindings,
                 workload.query.parameter_space,
-                execution_mode=args.execution_mode,
                 deadline=args.deadline,
             )
     except QueryTimeoutError as error:
@@ -589,12 +562,6 @@ def _accuracy(argv):
         action="store_true",
         help="emit the report as JSON instead of the table",
     )
-    parser.add_argument(
-        "--execution-mode",
-        choices=EXECUTION_MODES,
-        default=DEFAULT_EXECUTION_MODE,
-        help="executor for the traced replay (default %(default)s)",
-    )
     args = parser.parse_args(argv)
 
     try:
@@ -613,7 +580,6 @@ def _accuracy(argv):
         invocations=args.invocations,
         seed=args.seed,
         mode="static" if args.static else "dynamic",
-        execution_mode=args.execution_mode,
     )
     if args.json:
         print(report.to_json())
@@ -634,7 +600,6 @@ def _chaos_service(scenario, args):
             requests=args.requests,
             inject_at=args.inject_at,
             heal_at=args.heal_at,
-            execution_mode=args.execution_mode,
         )
     except (ExecutionError, ValueError) as error:
         print("chaos: %s" % error)
@@ -678,12 +643,6 @@ def _chaos(argv):
         type=int,
         default=0,
         help="seed for data, bindings, and fault injection (default 0)",
-    )
-    parser.add_argument(
-        "--execution-mode",
-        choices=EXECUTION_MODES,
-        default=DEFAULT_EXECUTION_MODE,
-        help="executor the service runs under faults (default %(default)s)",
     )
     parser.add_argument(
         "--json",
@@ -794,7 +753,6 @@ def _chaos(argv):
             args.profile,
             query_numbers=numbers,
             seed=args.seed,
-            execution_mode=args.execution_mode,
             reopt=args.reopt,
             skew=skew,
         )

@@ -1,5 +1,5 @@
-"""The execution engine: Volcano-style iterators, access modules, and
-start-up-time machinery.
+"""The execution engine: Volcano-style batch iterators
+(:mod:`.vectorized`), access modules, and start-up-time machinery.
 
 The choose-plan operator — the run-time primitive of the 1989 paper —
 lives here: at plan activation its decision procedure re-evaluates the
@@ -15,8 +15,6 @@ from repro.executor.adaptive import (
     execute_adaptively,
 )
 from repro.executor.engine import (
-    DEFAULT_EXECUTION_MODE,
-    EXECUTION_MODES,
     ExecutionContext,
     ExecutionResult,
     execute_plan,
@@ -36,8 +34,6 @@ from repro.executor.validation import node_is_feasible, validate_plan
 
 __all__ = [
     "BREAKER_KINDS",
-    "DEFAULT_EXECUTION_MODE",
-    "EXECUTION_MODES",
     "AccessModule",
     "AdaptiveExecutor",
     "AdaptiveReport",

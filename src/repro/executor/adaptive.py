@@ -33,8 +33,8 @@ from repro.algebra.physical import ChoosePlan, Materialized
 from repro.cost.formulas import CostModel
 from repro.cost.parameters import Valuation
 from repro.executor.engine import ExecutionContext, ExecutionResult
-from repro.executor.iterators import build_iterator
 from repro.executor.startup import _rebuild
+from repro.executor.vectorized import _drain, build_batch_iterator
 
 
 class AdaptiveReport:
@@ -112,7 +112,7 @@ class AdaptiveExecutor:
             plan, substitutions, context, report
         )
         report.final_plan = final_plan
-        records = list(build_iterator(final_plan, context))
+        records = _drain(build_batch_iterator(final_plan, context))
         self._account_waste(final_plan, substitutions, report)
 
         elapsed = time.perf_counter() - started
@@ -210,7 +210,7 @@ class AdaptiveExecutor:
         """Decide an inner choose-plan and evaluate its winner into a
         temporary result whose observed properties feed later decisions."""
         executable = self._decide(choose, substitutions, context, report)
-        records = list(build_iterator(executable, context))
+        records = _drain(build_batch_iterator(executable, context))
         # ``original`` is the decided executable (itself built over any
         # deeper temporaries), so a temporary can always be traced back
         # to the static plan that produced it.

@@ -16,60 +16,32 @@ from repro.cost.parameters import (
     ParameterSpace,
     Valuation,
 )
-from repro.executor.iterators import build_iterator
 from repro.executor.vectorized import DEFAULT_BATCH_SIZE, build_batch_iterator
 from repro.resilience.deadline import Deadline
 
-#: Valid values of an execution context's ``execution_mode``.
-EXECUTION_MODES = ("row", "batch")
-
-#: The engine every entry point runs when the caller names none.  A
-#: constant, not a setting: on the repo benchmark the batch engine is
-#: far ahead wherever execution matters and within 3% where it does
-#: not, so nothing selects the default at run time.
-DEFAULT_EXECUTION_MODE = "batch"
-
-
-def check_execution_mode(execution_mode):
-    """Raise :class:`ExecutionError` unless the mode names an engine."""
-    if execution_mode not in EXECUTION_MODES:
-        raise ExecutionError(
-            "execution_mode must be one of %r, got %r"
-            % (EXECUTION_MODES, execution_mode)
-        )
-
 
 class ExecutionContext:
-    """Everything iterators need: data, bindings, and a cost model.
-
-    ``execution_mode`` defaults to :data:`DEFAULT_EXECUTION_MODE`
-    (``"batch"``); ``"row"`` must be asked for by name.
-    """
+    """Everything iterators need: data, bindings, and a cost model."""
 
     def __init__(self, database, bindings=None, parameter_space=None,
-                 use_buffer_pool=False, tracer=None,
-                 execution_mode=DEFAULT_EXECUTION_MODE, batch_size=None,
+                 use_buffer_pool=False, tracer=None, batch_size=None,
                  deadline=None):
-        check_execution_mode(execution_mode)
         self.database = database
         self.bindings = bindings if bindings is not None else Bindings()
         self.parameter_space = (
             parameter_space if parameter_space is not None else ParameterSpace()
         )
-        #: ``"batch"`` (vectorized; see :mod:`repro.executor.vectorized`)
-        #: or ``"row"`` (Volcano record-at-a-time).
-        self.execution_mode = execution_mode
         batch_size = DEFAULT_BATCH_SIZE if batch_size is None else int(batch_size)
         if batch_size < 1:
             raise ExecutionError("batch_size must be at least 1")
-        #: Target records per batch in ``"batch"`` mode.
+        #: Target records per operator advance (1 = record-at-a-time).
         self.batch_size = batch_size
         #: Optional :class:`~repro.observability.trace.Tracer`; iterators
         #: record per-operator spans when one is attached.
         self.tracer = tracer
         #: Optional :class:`~repro.resilience.deadline.Deadline`
         #: (accepts plain seconds); iterators check it at open and the
-        #: drive loop checks it at every row/batch boundary.
+        #: drive loop checks it at every batch boundary.
         self.deadline = Deadline.ensure(deadline)
         self._cost_model = None
         #: choose-plan decisions made during this execution:
@@ -159,8 +131,7 @@ class ExecutionResult:
 
 
 def execute_plan(plan, database, bindings=None, parameter_space=None,
-                 use_buffer_pool=False, tracer=None,
-                 execution_mode=DEFAULT_EXECUTION_MODE, batch_size=None,
+                 use_buffer_pool=False, tracer=None, batch_size=None,
                  deadline=None):
     """Run a physical plan to completion and return the result.
 
@@ -170,12 +141,14 @@ def execute_plan(plan, database, bindings=None, parameter_space=None,
     through an LRU pool sized by the memory grant, so repeated fetches
     of hot pages cost no I/O (the [MaL89] refinement).
 
-    ``execution_mode`` selects the engine: ``"batch"``
-    (:data:`DEFAULT_EXECUTION_MODE`) runs the vectorized engine
-    (:mod:`repro.executor.vectorized`), moving ``batch_size`` records
-    per operator advance; ``"row"`` runs the Volcano record-at-a-time
-    iterators.  Both modes produce identical result rows, simulated
-    I/O totals, and choose-plan decisions; batch mode is simply faster.
+    The one engine (:mod:`repro.executor.vectorized`) moves
+    ``batch_size`` records per operator advance
+    (:data:`~repro.executor.vectorized.DEFAULT_BATCH_SIZE` when
+    ``None``; less than 1 raises ``ExecutionError``).  Every batch size
+    produces identical result rows, row order and choose-plan
+    decisions, and identical simulated I/O except ``pages_read`` under
+    ``use_buffer_pool=True``; ``batch_size=1`` is record-at-a-time
+    execution.
 
     With a :class:`~repro.observability.trace.Tracer` every operator
     records a span and the result carries a ``trace`` and a per-operator
@@ -186,10 +159,9 @@ def execute_plan(plan, database, bindings=None, parameter_space=None,
     ``deadline`` (seconds, or a prebuilt
     :class:`~repro.resilience.deadline.Deadline`) arms cooperative
     cancellation: iterators check it once at open and the drive loop
-    checks it at every batch boundary — so the default engine notices
-    an expiry up to ``batch_size`` (:data:`~repro.executor.vectorized.
-    DEFAULT_BATCH_SIZE`) records late; ``execution_mode="row"`` checks
-    at every record.
+    checks it at every batch boundary — so an expiry is noticed up to
+    ``batch_size`` records late; ``batch_size=1`` checks at every
+    record.
     Expiry raises :class:`~repro.common.errors.QueryTimeoutError`
     carrying the rows produced so far, the I/O charged so far, and the
     partial trace when a tracer is attached; the plan's iterators are
@@ -200,7 +172,6 @@ def execute_plan(plan, database, bindings=None, parameter_space=None,
     context = ExecutionContext(database, bindings, parameter_space,
                                use_buffer_pool=use_buffer_pool,
                                tracer=tracer,
-                               execution_mode=execution_mode,
                                batch_size=batch_size,
                                deadline=deadline)
     deadline = context.deadline
@@ -208,37 +179,21 @@ def execute_plan(plan, database, bindings=None, parameter_space=None,
     started = time.perf_counter()
     records = []
     try:
-        if context.execution_mode == "batch":
-            root = build_batch_iterator(plan, context)
-            if deadline is None:
-                for batch in root.batches():
-                    records.extend(batch)
-            else:
-                stream = root.batches()
-                try:
-                    while True:
-                        deadline.check()
-                        batch = next(stream, None)
-                        if batch is None:
-                            break
-                        records.extend(batch)
-                finally:
-                    root.close()
+        root = build_batch_iterator(plan, context)
+        if deadline is None:
+            for batch in root.batches():
+                records.extend(batch)
         else:
-            root = build_iterator(plan, context)
-            if deadline is None:
-                records = list(root)
-            else:
-                stream = iter(root)
-                try:
-                    while True:
-                        deadline.check()
-                        record = next(stream, None)
-                        if record is None:
-                            break
-                        records.append(record)
-                finally:
-                    root.close()
+            stream = root.batches()
+            try:
+                while True:
+                    deadline.check()
+                    batch = next(stream, None)
+                    if batch is None:
+                        break
+                    records.extend(batch)
+            finally:
+                root.close()
     except QueryTimeoutError as error:
         after = context.io_stats.snapshot()
         error.rows_produced = len(records)

@@ -33,7 +33,7 @@ simulated I/O per record *drained*, regardless of whether the record
 came from a live iterator or a checkpoint replay (``Materialized``
 replays charge nothing), so a drain-then-replay run produces byte-
 identical :class:`~repro.storage.iostats.IOStatistics` totals to a
-straight streaming run in both execution modes.  The differential
+straight streaming run at every batch size.  The differential
 tests in ``tests/test_midquery.py`` enforce exactly this.
 
 The buffer pool is not supported on this path: replaying a checkpoint
@@ -56,11 +56,7 @@ from repro.common.units import access_module_read_seconds
 from repro.cost.formulas import CostModel
 from repro.cost.parameters import Bindings, ParameterSpace, Valuation
 from repro.executor.decision import CompiledDecision
-from repro.executor.engine import (
-    DEFAULT_EXECUTION_MODE,
-    ExecutionResult,
-    execute_plan,
-)
+from repro.executor.engine import ExecutionResult, execute_plan
 from repro.executor.startup import StartupReport, _rebuild
 from repro.resilience.deadline import Deadline
 
@@ -584,7 +580,6 @@ def execute_midquery(
     bindings=None,
     parameter_space=None,
     policy=None,
-    execution_mode=DEFAULT_EXECUTION_MODE,
     batch_size=None,
     tracer=None,
     deadline=None,
@@ -626,7 +621,6 @@ def execute_midquery(
             bindings=bindings,
             parameter_space=parameter_space,
             tracer=tracer,
-            execution_mode=execution_mode,
             batch_size=batch_size,
             deadline=deadline,
         )

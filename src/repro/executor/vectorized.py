@@ -1,37 +1,39 @@
-"""Vectorized (batch-at-a-time) execution of the physical algebra.
+"""The physical algebra's operators: Volcano iterators at batch granularity.
 
-The Volcano iterators in :mod:`repro.executor.iterators` move one
-record per ``next()`` through a chain of Python generators, so on the
-service hot path the interpreter's per-record dispatch dominates the
-simulated I/O.  This module executes the same physical plans
-batch-at-a-time: every operator consumes and produces *lists* of
-records (:data:`DEFAULT_BATCH_SIZE` records by default, configurable
-through :class:`~repro.executor.engine.ExecutionContext`), which
-amortizes generator resumption, I/O-charging calls, and predicate
-dispatch over a whole batch.
+Every operator is an iterator with ``open`` / ``batches()`` (Python
+iteration) / ``close`` — the protocol of the Volcano execution engine,
+moving a *list* of records per advance instead of one record
+(:data:`DEFAULT_BATCH_SIZE` by default, ``batch_size`` on
+:class:`~repro.executor.engine.ExecutionContext`), which amortizes
+generator resumption, I/O-charging calls and predicate dispatch over a
+whole batch.  Operators charge their simulated I/O and CPU work to the
+database's :class:`~repro.storage.iostats.IOStatistics`, so executed
+plans can be compared against the optimizer's cost predictions.
 
-Semantics are byte-identical to row mode — same result rows in the
-same order, same simulated page/record I/O totals, same choose-plan
-decisions — because batching changes only *when* work happens, never
-*what* work happens:
+The batch size changes only *when* work happens, never *what* work
+happens: result rows, row order, ``records_processed``,
+``index_probes``, page writes and choose-plan decisions are the same at
+every ``batch_size``, and without a shared buffer pool so is
+``pages_read``.  With ``use_buffer_pool=True`` operators' page accesses
+interleave differently in the shared LRU at different batch sizes, so
+``pages_read`` varies — never above the unpooled count.
+``batch_size=1`` is record-at-a-time execution.
 
 * scans emit page-aligned batches (whole heap pages per batch) and
-  charge exactly the row path's per-page and per-record I/O;
+  charge per page and per record;
 * filters apply one precompiled predicate closure
   (:mod:`repro.executor.predicates`) over a batch in a single
   comprehension;
 * hash joins build their table in one pass over the build side's
-  batches and probe per-batch; the memory-overflow spill charge uses
-  the same build/probe page counts as the row path;
+  batches and probe per batch;
 * choose-plan resolves its decision procedure at open — before any
   batch flows — and then delegates wholesale to the chosen child's
-  batch stream, so dynamic plans vectorize for free;
-* blocking operators (sort, merge join) materialize exactly what the
-  row path materializes.
+  batch stream;
+* blocking operators (sort, merge join) materialize their inputs.
 
-The differential suite in ``tests/test_vectorized.py`` holds the
-row/batch equivalence over all five paper queries, static and
-dynamic, traced and untraced.
+``tests/test_vectorized.py`` holds these invariants over all five paper
+queries, static and dynamic, and pins the I/O totals and row digests the
+deleted record-at-a-time engine produced.
 """
 
 from itertools import compress, islice
@@ -51,12 +53,6 @@ from repro.algebra.physical import (
 )
 from repro.common.errors import ExecutionError
 from repro.common.units import pages_for_records
-from repro.executor.iterators import (
-    _scan_buffer,
-    index_join_outer_attribute,
-    join_sides,
-    sargable_key_range,
-)
 from repro.executor.predicates import (
     compile_batch_mask,
     compile_batch_predicate,
@@ -99,10 +95,9 @@ class BatchPlanIterator:
     """Base class: the open/next-batch/close protocol.
 
     ``_produce_batches`` returns an iterator of non-empty record
-    lists.  Mirrors :class:`~repro.executor.iterators.PlanIterator`:
-    with a tracer on the context the batch stream is wrapped in a
-    counting span (rows advance by batch length); without one the
-    only overhead is a single ``is None`` test at open.
+    lists.  With a tracer on the context the batch stream is wrapped
+    in a counting span (rows advance by batch length); without one
+    the only overhead is a single ``is None`` test at open.
     """
 
     def __init__(self, plan, context):
@@ -113,8 +108,10 @@ class BatchPlanIterator:
     def open(self):
         """Prepare the batch stream; idempotent.
 
-        Checks the context deadline first, mirroring the row engine:
-        an expired query cancels at open, before any batch flows.
+        Checks the context deadline first, so an expired query cancels
+        before any operator does work (blocking operators like sort
+        and hash join do all their work at the first batch, after
+        open).
         """
         if self._stream is None:
             deadline = self.context.deadline
@@ -161,14 +158,34 @@ class FileScanBatchIterator(BatchPlanIterator):
         return heap.scan_batches(self.batch_size, self.context.buffer_pool)
 
 
+def _scan_buffer(context, relation_name, attribute):
+    """Page buffer for index-driven fetches.
+
+    Clustered indexes visit adjacent heap pages, so even without a
+    shared buffer pool a one-page scan buffer absorbs the repeat
+    accesses (every real system keeps the current page pinned).
+    Unclustered fetches keep their one-random-I/O-per-record
+    behaviour.
+    """
+    if context.buffer_pool is not None:
+        return context.buffer_pool
+    index_info = context.database.catalog.index_on(relation_name, attribute)
+    if index_info is not None and index_info.clustered:
+        from repro.storage.buffer import BufferPool
+
+        return BufferPool(
+            1, fault_injector=getattr(context.database, "fault_injector", None)
+        )
+    return None
+
+
 class BTreeScanBatchIterator(BatchPlanIterator):
     """Full B-tree scan in key order, heap fetches bulked per batch.
 
     RIDs are gathered from the leaf chain in batch-size chunks and the
     heap records fetched with :meth:`~repro.storage.heapfile.HeapFile.
-    fetch_many`, which charges the identical per-RID page/record totals
-    in two bulk calls instead of two per record — the difference that
-    made small index-driven plans *slower* in batch mode than row mode.
+    fetch_many`, which charges the per-RID page/record totals in two
+    bulk calls instead of two per record.
     """
 
     def _produce_batches(self):
@@ -248,8 +265,7 @@ def _compile_extra_predicates(predicates):
     """Closure checking the secondary join predicates, or ``None``.
 
     The attribute pairs are extracted once so the per-record check is
-    plain record indexing, matching the row path's
-    ``_extra_predicates_hold`` semantics exactly.
+    plain record indexing.
     """
     pairs = [(p.left_attribute, p.right_attribute) for p in predicates[1:]]
     if not pairs:
@@ -270,8 +286,9 @@ class HashJoinBatchIterator(BatchPlanIterator):
     The build table is assembled from the build side's batches before
     any output flows; probing then streams batch-by-batch.  When the
     build side overflows memory the probe side is materialized first
-    (exactly what the row path does) so the spill charge uses the
-    same total page counts.
+    and the partition-spill I/O the cost model predicts is charged
+    (both inputs written and re-read once) — the result is the same,
+    only the accounting differs, which is all the simulation needs.
     """
 
     def _produce_batches(self):
@@ -471,7 +488,11 @@ class IndexJoinBatchIterator(BatchPlanIterator):
 
 
 class SortBatchIterator(BatchPlanIterator):
-    """Sort enforcer: materializes, orders, re-emits in batches."""
+    """Sort enforcer: materializes, orders, re-emits in batches.
+
+    Inputs larger than memory charge external-merge I/O (one partition
+    pass) so the simulation matches the cost model's shape.
+    """
 
     def _produce_batches(self):
         attribute = self.plan.attribute
@@ -510,11 +531,13 @@ class ProjectBatchIterator(BatchPlanIterator):
 
 
 class ChoosePlanBatchIterator(BatchPlanIterator):
-    """Choose-plan: decide at open, delegate batches wholesale.
+    """The choose-plan operator's run-time behaviour.
 
-    The decision procedure runs *before any batch flows* — identical
-    timing to the row path — and the chosen alternative's batch
-    stream is returned as-is, so choose-plan adds zero per-batch
+    At open — before any batch flows — the decision procedure
+    re-evaluates the alternatives' cost functions under the context's
+    run-time bindings (shared subplans costed once, nested choose-plans
+    resolved bottom-up) and opens only the cheapest alternative, whose
+    batch stream is returned as-is: choose-plan adds zero per-batch
     overhead.
     """
 
@@ -538,10 +561,63 @@ class ChoosePlanBatchIterator(BatchPlanIterator):
 
 
 class MaterializedBatchIterator(BatchPlanIterator):
-    """Replays a run-time temporary result in batches."""
+    """Replays a run-time temporary result (paper Section 7) in batches."""
 
     def _produce_batches(self):
         return _rebatch(self.plan.records, self.batch_size)
+
+
+def sargable_key_range(predicate, bindings):
+    """``(low, high)`` B-tree key bounds a selection predicate admits.
+
+    Inclusive bounds with ``None`` for an open end; the exclusive
+    operators over-approximate and ``<>`` is not sargable (full
+    range), so callers re-apply the predicate to what they fetch.
+    """
+    comparison = predicate.comparison
+    value = comparison.operand.resolve(bindings)
+    op = comparison.op.value
+    if op == "=":
+        return value, value
+    if op in ("<", "<="):
+        return None, value
+    if op in (">", ">="):
+        return value, None
+    return None, None
+
+
+def join_sides(predicate, left_plan):
+    """``(left-side, right-side)`` attributes of a join predicate,
+    oriented so the first belongs to ``left_plan``'s relations."""
+    left_relations = _plan_relations(left_plan)
+    left_rel = predicate.left_attribute.split(".", 1)[0]
+    if left_rel in left_relations:
+        return predicate.left_attribute, predicate.right_attribute
+    return predicate.right_attribute, predicate.left_attribute
+
+
+def index_join_outer_attribute(plan):
+    """The outer-side attribute of an index join's primary predicate."""
+    predicate = plan.predicate
+    inner_qualified = "%s.%s" % (plan.inner_relation, plan.inner_attribute)
+    if predicate.left_attribute == inner_qualified:
+        return predicate.right_attribute
+    return predicate.left_attribute
+
+
+def _plan_relations(plan):
+    """Base relation names referenced below a plan node."""
+    relations = set()
+    for node in plan.walk_unique():
+        relation = getattr(node, "relation_name", None)
+        if relation is not None:
+            relations.add(relation)
+        inner = getattr(node, "inner_relation", None)
+        if inner is not None:
+            relations.add(inner)
+        if isinstance(node, Materialized):
+            relations |= _plan_relations(node.original)
+    return relations
 
 
 def _index_batches(entries, batch_size, heap, pool, filter_batch=None):

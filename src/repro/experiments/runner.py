@@ -1,20 +1,18 @@
 """One-shot runner for the complete reproduced evaluation.
 
-``python -m repro.experiments.runner [N] [--csv DIR] [--accuracy]
-[--execution-mode row|batch]`` optimizes the five paper queries in all
-three scenarios (with and without memory uncertainty), regenerates
-Figures 3-8 and Table 1, prints the report, and optionally writes one
-CSV per figure into DIR (for external plotting tools).  ``--accuracy``
+``python -m repro.experiments.runner [N] [--csv DIR] [--accuracy]``
+optimizes the five paper queries in all three scenarios (with and
+without memory uncertainty), regenerates Figures 3-8 and Table 1,
+prints the report, and optionally writes one CSV per figure into DIR
+(for external plotting tools).  ``--accuracy``
 appends the cost-model accuracy report (per-operator q-error
 distributions from a traced replay of the five queries; see
-:mod:`repro.observability.accuracy`); ``--execution-mode`` selects the
-executor that replay runs under.
+:mod:`repro.observability.accuracy`).
 """
 
 import os
 import sys
 
-from repro.executor.engine import DEFAULT_EXECUTION_MODE, EXECUTION_MODES
 from repro.experiments.figures import (
     ExperimentContext,
     figure3_scenarios,
@@ -60,7 +58,7 @@ def write_csvs(figures, directory):
 
 
 def main(argv=None):
-    """CLI entry: ``[N] [--csv DIR] [--accuracy] [--execution-mode M]``."""
+    """CLI entry: ``[N] [--csv DIR] [--accuracy]``."""
     argv = list(sys.argv[1:] if argv is None else argv)
     csv_directory = None
     if "--csv" in argv:
@@ -69,18 +67,6 @@ def main(argv=None):
             csv_directory = argv[position + 1]
         except IndexError:
             print("--csv requires a directory argument")
-            return 2
-        del argv[position : position + 2]
-    execution_mode = DEFAULT_EXECUTION_MODE
-    if "--execution-mode" in argv:
-        position = argv.index("--execution-mode")
-        try:
-            execution_mode = argv[position + 1]
-        except IndexError:
-            print("--execution-mode requires one of %r" % (EXECUTION_MODES,))
-            return 2
-        if execution_mode not in EXECUTION_MODES:
-            print("--execution-mode must be one of %r" % (EXECUTION_MODES,))
             return 2
         del argv[position : position + 2]
     with_accuracy = "--accuracy" in argv
@@ -93,9 +79,7 @@ def main(argv=None):
     if with_accuracy:
         from repro.observability.accuracy import cost_model_accuracy
 
-        report = cost_model_accuracy(
-            seed=settings.seed, execution_mode=execution_mode
-        )
+        report = cost_model_accuracy(seed=settings.seed)
         print()
         print(report.render())
     if csv_directory is not None:

@@ -7,11 +7,11 @@ actually charges to :class:`~repro.storage.iostats.IOStatistics`.
 This package closes that estimated-vs-actual feedback loop:
 
 * :mod:`.trace` — a low-overhead structured tracer.  Every iterator in
-  :mod:`repro.executor.iterators` records an open/next/close span
+  :mod:`repro.executor.vectorized` records an open/next/close span
   (rows produced, pages charged, per-operator wall time) when a
   :class:`Tracer` is attached to the execution context; with no tracer
   the per-operator check is a single ``is None`` test at ``open`` time
-  and the per-record path is completely untouched.  Optimizer and
+  and the per-batch path is completely untouched.  Optimizer and
   search phases record :class:`PhaseSpan` timings through the same
   object.
 * :mod:`.metrics` — a thread-safe :class:`MetricsRegistry` of

@@ -16,7 +16,6 @@ future mid-query re-optimization layer can consume.
 import json
 
 from repro.catalog import populate_database
-from repro.executor.engine import DEFAULT_EXECUTION_MODE
 from repro.observability.explain import explain_analyze
 from repro.optimizer.optimizer import optimize_dynamic, optimize_static
 from repro.common.stats import percentile
@@ -216,7 +215,6 @@ def cost_model_accuracy(
     invocations=5,
     seed=0,
     mode="dynamic",
-    execution_mode=DEFAULT_EXECUTION_MODE,
 ):
     """Replay paper queries traced and report q-error distributions.
 
@@ -224,10 +222,6 @@ def cost_model_accuracy(
     the dynamic plan (choose-plan decisions resolve at open time, so
     the estimates profiled are the start-up re-evaluations), while
     ``"static"`` executes the traditional expected-value plan.
-    ``execution_mode`` selects the engine (``"batch"`` or ``"row"``);
-    traced row counts are exact in both, so the report is identical —
-    the knob exists to let the accuracy pipeline exercise either
-    executor.
     """
     if mode == "dynamic":
         optimize = optimize_dynamic
@@ -248,7 +242,6 @@ def cost_model_accuracy(
                 database,
                 bindings,
                 workload.query.parameter_space,
-                execution_mode=execution_mode,
             )
             observations.extend(
                 OperatorObservation(workload.name, profile)

@@ -20,7 +20,7 @@ values unless explicitly requested), which is what the golden-file
 tests pin down.
 """
 
-from repro.executor.engine import DEFAULT_EXECUTION_MODE, execute_plan
+from repro.executor.engine import execute_plan
 from repro.observability.trace import Tracer, q_error
 
 
@@ -171,19 +171,16 @@ def build_profile(trace, cost_model):
 
 
 def explain_analyze(plan, database, bindings=None, parameter_space=None,
-                    use_buffer_pool=False,
-                    execution_mode=DEFAULT_EXECUTION_MODE,
-                    batch_size=None, deadline=None):
+                    use_buffer_pool=False, batch_size=None, deadline=None):
     """Execute ``plan`` under a fresh tracer; returns the result.
 
     The returned :class:`~repro.executor.engine.ExecutionResult`
     carries ``trace`` and ``profile``; render the latter for the
     classic ``EXPLAIN ANALYZE`` view.  Dynamic plans work directly —
     the choose-plan operators resolve at open time and the trace shows
-    the chosen alternative beneath them.  ``execution_mode`` selects
-    the engine (``"batch"`` by default, or ``"row"``); spans report
-    exact row counts either way, so the rendered cardinalities and
-    q-errors are identical across modes.
+    the chosen alternative beneath them.  Spans report exact row
+    counts at every ``batch_size``, so the rendered cardinalities and
+    q-errors do not depend on it.
 
     ``deadline`` (seconds or a prebuilt deadline) arms cooperative
     cancellation; on expiry the raised
@@ -197,7 +194,6 @@ def explain_analyze(plan, database, bindings=None, parameter_space=None,
         parameter_space,
         use_buffer_pool=use_buffer_pool,
         tracer=Tracer(),
-        execution_mode=execution_mode,
         batch_size=batch_size,
         deadline=deadline,
     )

@@ -143,15 +143,18 @@ class TraceEvent:
         return "TraceEvent(%s, %s)" % (self.name, self.level)
 
 
-class _TracedStreamBase:
+class _TracedBatchStream:
     """Iterator wrapper accumulating span counters per advance.
 
     Around every ``next`` on the underlying generator the wrapper
     snapshots the shared I/O counters and the clock, and makes its
     span the tracer's *current* span so operators opened inside the
     advance (children pulled for the first time, choose-plan's chosen
-    alternative) link to it as their parent.  Subclasses differ only
-    in how an advance's item contributes to the span's row count.
+    alternative) link to it as their parent.  One advance covers a
+    whole batch and rows advance by the batch's length, so spans
+    report *exact* record counts — ``explain --analyze`` cardinalities
+    and q-error reports are identical at every batch size; only the
+    per-advance wall-clock granularity differs.
     """
 
     __slots__ = ("_tracer", "_span", "_stream", "_io")
@@ -165,7 +168,7 @@ class _TracedStreamBase:
     def __iter__(self):
         return self
 
-    def _advance(self):
+    def __next__(self):
         tracer = self._tracer
         span = self._span
         io = self._io
@@ -177,7 +180,7 @@ class _TracedStreamBase:
         probes = io.index_probes
         started = perf_counter()
         try:
-            item = next(self._stream)
+            batch = next(self._stream)
         except StopIteration:
             span.exhausted = True
             raise
@@ -188,34 +191,7 @@ class _TracedStreamBase:
             span.records_processed += io.records_processed - records
             span.index_probes += io.index_probes - probes
             tracer._current = previous
-        return item
-
-
-class _TracedStream(_TracedStreamBase):
-    """Record-at-a-time traced stream: one row per advance."""
-
-    __slots__ = ()
-
-    def __next__(self):
-        record = self._advance()
-        self._span.rows += 1
-        return record
-
-
-class _TracedBatchStream(_TracedStreamBase):
-    """Batch-at-a-time traced stream: one advance covers a whole batch.
-
-    Spans still report *exact* record counts — rows advance by the
-    batch's length — so ``explain --analyze`` cardinalities and
-    q-error reports are identical across execution modes; only the
-    per-advance wall-clock granularity differs.
-    """
-
-    __slots__ = ()
-
-    def __next__(self):
-        batch = self._advance()
-        self._span.rows += len(batch)
+        span.rows += len(batch)
         return batch
 
 
@@ -234,7 +210,7 @@ class Tracer:
         self._current = None
 
     # ------------------------------------------------------------------
-    # Operator spans (driven by repro.executor.iterators)
+    # Operator spans (driven by repro.executor.vectorized)
     # ------------------------------------------------------------------
 
     def begin_operator(self, plan):
@@ -250,32 +226,16 @@ class Tracer:
             parent.children.append(span.index)
         return span
 
-    def instrument(self, iterator):
-        """Open a span for an iterator and wrap its record stream.
-
-        Called by :meth:`PlanIterator.open
-        <repro.executor.iterators.PlanIterator>` exactly once per
-        iterator.  The ``_produce`` call itself runs under the span
-        too, because several operators (merge join, choose-plan) do
-        real work — including opening children — while producing
-        their stream.
-        """
-        span, stream, io = self._windowed_produce(iterator, "_produce")
-        return _TracedStream(self, span, stream, io)
-
     def instrument_batches(self, iterator):
-        """Like :meth:`instrument` for a vectorized batch iterator.
+        """Open a span for an iterator and wrap its batch stream.
 
         Called by :meth:`BatchPlanIterator.open
-        <repro.executor.vectorized.BatchPlanIterator>`; the span's row
-        count advances by each batch's length, so traces report the
-        same exact cardinalities as row-mode execution.
+        <repro.executor.vectorized.BatchPlanIterator>` exactly once per
+        iterator.  The ``_produce_batches`` call itself runs under the
+        span too, because several operators (merge join, choose-plan)
+        do real work — including opening children — while producing
+        their stream.
         """
-        span, stream, io = self._windowed_produce(iterator, "_produce_batches")
-        return _TracedBatchStream(self, span, stream, io)
-
-    def _windowed_produce(self, iterator, produce_name):
-        """Open a span and run the iterator's produce step under it."""
         span = self.begin_operator(iterator.plan)
         io = iterator.io_stats
         previous = self._current
@@ -286,7 +246,7 @@ class Tracer:
         probes = io.index_probes
         started = perf_counter()
         try:
-            stream = getattr(iterator, produce_name)()
+            stream = iterator._produce_batches()
         finally:
             span.wall_seconds += perf_counter() - started
             span.pages_read += io.pages_read - pages_read
@@ -294,7 +254,7 @@ class Tracer:
             span.records_processed += io.records_processed - records
             span.index_probes += io.index_probes - probes
             self._current = previous
-        return span, stream, io
+        return _TracedBatchStream(self, span, stream, io)
 
     # ------------------------------------------------------------------
     # Phase spans (driven by the optimizer and the service)

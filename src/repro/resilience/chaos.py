@@ -12,8 +12,7 @@ error after at most one execution attempt.
 Determinism is the contract the CI chaos-smoke job enforces: the
 report (:meth:`ChaosReport.to_json`) contains no wall-clock values,
 backoff sleeps are disabled, and every random draw is seeded, so two
-runs with the same profile, seed, and mode produce byte-identical
-reports.
+runs with the same profile and seed produce byte-identical reports.
 """
 
 import hashlib
@@ -21,7 +20,6 @@ import json
 
 from repro.catalog import populate_database
 from repro.common.errors import ServiceExecutionError
-from repro.executor.engine import DEFAULT_EXECUTION_MODE
 from repro.resilience.faults import FaultInjector, fault_profile
 from repro.resilience.policy import ResiliencePolicy, RetryPolicy
 from repro.storage.database import Database
@@ -104,11 +102,9 @@ class QueryOutcome:
 class ChaosReport:
     """The harness's verdict over a whole workload."""
 
-    def __init__(self, profile, seed, execution_mode, outcomes,
-                 reopt=None, skew=None):
+    def __init__(self, profile, seed, outcomes, reopt=None, skew=None):
         self.profile = profile
         self.seed = seed
-        self.execution_mode = execution_mode
         self.outcomes = list(outcomes)
         #: Mid-query re-optimization policy dict, or None when off.
         self.reopt = reopt
@@ -125,7 +121,6 @@ class ChaosReport:
         return {
             "profile": self.profile.to_dict(),
             "seed": self.seed,
-            "execution_mode": self.execution_mode,
             "reopt": self.reopt,
             "skew": list(self.skew) if self.skew is not None else None,
             "queries": [outcome.to_dict() for outcome in self.outcomes],
@@ -139,11 +134,10 @@ class ChaosReport:
     def render(self):
         """Human-readable summary table."""
         lines = [
-            "chaos profile %r (seed %d, %s mode): %s"
+            "chaos profile %r (seed %d): %s"
             % (
                 self.profile.name,
                 self.seed,
-                self.execution_mode,
                 "PASS" if self.passed else "FAIL",
             )
         ]
@@ -199,8 +193,8 @@ def _fresh_service(workload, data_seed, resilience):
 
 
 def run_chaos(profile_name, query_numbers=DEFAULT_QUERIES, seed=0,
-              execution_mode=DEFAULT_EXECUTION_MODE, data_seed=11,
-              max_retries=3, max_degradations=2, reopt=None, skew=None):
+              data_seed=11, max_retries=3, max_degradations=2, reopt=None,
+              skew=None):
     """Replay the paper queries under a named profile; a ChaosReport.
 
     Each query gets its own baseline and faulty databases (identically
@@ -241,9 +235,7 @@ def run_chaos(profile_name, query_numbers=DEFAULT_QUERIES, seed=0,
             workload, data_seed, ResiliencePolicy()
         )
         try:
-            baseline = baseline_service.run(
-                workload.query, bindings, execution_mode=execution_mode
-            )
+            baseline = baseline_service.run(workload.query, bindings)
         finally:
             baseline_service.shutdown()
         outcome = QueryOutcome(
@@ -272,7 +264,6 @@ def run_chaos(profile_name, query_numbers=DEFAULT_QUERIES, seed=0,
                 result = faulty_service.run(
                     workload.query,
                     bindings.copy(),
-                    execution_mode=execution_mode,
                     reopt_policy=reopt,
                 )
             except ServiceExecutionError as error:
@@ -295,7 +286,6 @@ def run_chaos(profile_name, query_numbers=DEFAULT_QUERIES, seed=0,
     return ChaosReport(
         profile,
         seed,
-        execution_mode,
         outcomes,
         reopt=reopt.to_dict() if reopt is not None and reopt.active else None,
         skew=tuple(skew) if skew is not None else None,
@@ -329,14 +319,13 @@ class ServiceChaosReport:
     """Verdict of one shard-fault scenario versus its unfaulted run."""
 
     def __init__(self, scenario, seed, shards, inject_at, heal_at,
-                 execution_mode, target_shard, outcomes, conservation,
-                 supervision, transitions):
+                 target_shard, outcomes, conservation, supervision,
+                 transitions):
         self.scenario = scenario
         self.seed = seed
         self.shards = shards
         self.inject_at = inject_at
         self.heal_at = heal_at
-        self.execution_mode = execution_mode
         self.target_shard = target_shard
         #: Per-request rows: ``{index, tag, outcome, digest, match}``.
         self.outcomes = list(outcomes)
@@ -375,7 +364,6 @@ class ServiceChaosReport:
             "shards": self.shards,
             "inject_at": self.inject_at,
             "heal_at": self.heal_at,
-            "execution_mode": self.execution_mode,
             "target_shard": self.target_shard,
             "requests": [dict(row) for row in self.outcomes],
             "conservation": dict(self.conservation),
@@ -394,12 +382,11 @@ class ServiceChaosReport:
         """Human-readable summary."""
         c = self.conservation
         lines = [
-            "service chaos %r (seed %d, %d shards, %s mode): %s"
+            "service chaos %r (seed %d, %d shards): %s"
             % (
                 self.scenario,
                 self.seed,
                 self.shards,
-                self.execution_mode,
                 "PASS" if self.passed else "FAIL",
             ),
             "  target shard %d, fault at request %d, supervision at %d"
@@ -438,7 +425,7 @@ class ServiceChaosReport:
         )
 
 
-def _service_chaos_gateway(catalog, shards, execution_mode, seed, data_seed):
+def _service_chaos_gateway(catalog, shards, seed, data_seed):
     from repro.catalog import populate_database
     from repro.service.sharding import ShardedQueryService
 
@@ -448,7 +435,6 @@ def _service_chaos_gateway(catalog, shards, execution_mode, seed, data_seed):
         database,
         shards=shards,
         capacity=32,
-        execution_mode=execution_mode,
         resilience_factory=lambda: ResiliencePolicy(
             retry=RetryPolicy(base_delay=0.0, jitter=0.0, seed=seed),
             sleep=lambda _seconds: None,
@@ -457,8 +443,7 @@ def _service_chaos_gateway(catalog, shards, execution_mode, seed, data_seed):
 
 
 def run_service_chaos(scenario, seed=0, shards=3, requests=36, shapes=6,
-                      inject_at=10, heal_at=None,
-                      execution_mode=DEFAULT_EXECUTION_MODE, data_seed=11):
+                      inject_at=10, heal_at=None, data_seed=11):
     """Replay seeded traffic with a shard fault injected mid-stream.
 
     The same Zipf-skewed request stream is served twice, from
@@ -506,9 +491,7 @@ def run_service_chaos(scenario, seed=0, shards=3, requests=36, shapes=6,
     )
     catalog, _queries, service_requests = to_service_requests(spec)
 
-    baseline = _service_chaos_gateway(
-        catalog, shards, execution_mode, seed, data_seed
-    )
+    baseline = _service_chaos_gateway(catalog, shards, seed, data_seed)
     try:
         baseline_digests = [
             rows_sequence_digest(
@@ -521,9 +504,7 @@ def run_service_chaos(scenario, seed=0, shards=3, requests=36, shapes=6,
     finally:
         baseline.shutdown()
 
-    gateway = _service_chaos_gateway(
-        catalog, shards, execution_mode, seed, data_seed
-    )
+    gateway = _service_chaos_gateway(catalog, shards, seed, data_seed)
     target = gateway.shard_for(service_requests[inject_at].query)
     outcomes = [None] * requests
     hung = None  # (index, future)
@@ -612,7 +593,6 @@ def run_service_chaos(scenario, seed=0, shards=3, requests=36, shapes=6,
         shards,
         inject_at,
         heal_at,
-        execution_mode,
         target.index,
         outcomes,
         conservation,

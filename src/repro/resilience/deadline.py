@@ -2,7 +2,7 @@
 
 A :class:`Deadline` is created when an execution (or service request)
 starts and is checked at cooperative points: iterator open and every
-row/batch boundary of the executor's drive loop.  Expiry raises
+batch boundary of the executor's drive loop.  Expiry raises
 :class:`~repro.common.errors.QueryTimeoutError`; the engine enriches
 the error with the partial accounting (rows, I/O delta, trace) before
 letting it propagate, so a timed-out query is still observable.

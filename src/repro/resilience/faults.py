@@ -193,8 +193,8 @@ class FaultInjector:
 
         Called by the storage layer before charging the corresponding
         I/O.  Raises at most one fault per call; the operation counter
-        still advances for every observed operation, so batch-mode
-        bulk charges keep the same operation numbering as row mode.
+        still advances for every observed operation, so bulk charges
+        keep the operation numbering of one-at-a-time charges.
         """
         profile = self.profile
         for _ in range(count):

@@ -92,25 +92,21 @@ def replay_spec(
     execute=None,
     baseline_samples=2,
     optimize=None,
-    execution_mode=None,
     snapshot=None,
 ):
     """Replay a service workload spec; returns a :class:`ReplayReport`.
 
     ``execute`` overrides the spec's execute flag (useful for latency-
     only smoke runs); ``optimize`` overrides the optimizer entry point
-    for both the service and the baseline measurement;
-    ``execution_mode`` overrides the spec's executor (``"row"`` or
-    ``"batch"``).  ``snapshot`` names a plan-cache snapshot file: the
-    replay warm-starts from it when it exists and (re)writes it on
-    shutdown, so repeated replays skip re-optimizing the hot set.
+    for both the service and the baseline measurement.  ``snapshot``
+    names a plan-cache snapshot file: the replay warm-starts from it
+    when it exists and (re)writes it on shutdown, so repeated replays
+    skip re-optimizing the hot set.
     """
     if optimize is None:
         from repro.optimizer.optimizer import optimize_dynamic
 
         optimize = optimize_dynamic
-    if execution_mode is not None:
-        spec = spec.replace(execution_mode=execution_mode)
     workloads, requests = generate_service_requests(spec)
     catalog = workloads[0].catalog
     database = Database(catalog)
@@ -137,7 +133,6 @@ def replay_spec(
             capacity=spec.capacity,
             optimize=optimize,
             execute=do_execute,
-            execution_mode=spec.execution_mode,
             durability=snapshot,
         ) as service:
             restore_stats = service.restore_stats
@@ -153,7 +148,6 @@ def replay_spec(
             max_workers=spec.threads,
             optimize=optimize,
             execute=do_execute,
-            execution_mode=spec.execution_mode,
         ) as service:
             if snapshot is not None:
                 restore_stats = _restore_single(service, snapshot)
@@ -252,7 +246,6 @@ def qps_summary(report):
         "shards": report.spec.shards,
         "tenants": report.spec.tenants,
         "threads": report.spec.threads,
-        "execution_mode": report.spec.execution_mode,
         "latency_us": {
             "p50": 1e6 * percentile(latencies, 0.50) if latencies else 0.0,
             "p95": 1e6 * percentile(latencies, 0.95) if latencies else 0.0,
@@ -282,13 +275,11 @@ def render_report(report):
     stats = report.stats
     lines = []
     lines.append(
-        "serve-batch: %d invocations over %d query shapes, %d threads, "
-        "%s execution"
+        "serve-batch: %d invocations over %d query shapes, %d threads"
         % (
             len(report.results),
             len(report.spec.queries),
             report.spec.threads,
-            report.spec.execution_mode,
         )
     )
     lines.append("")

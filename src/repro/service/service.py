@@ -43,11 +43,7 @@ from repro.common.errors import (
 from repro.common.stats import percentile
 from repro.cost.parameters import MEMORY_PARAMETER
 from repro.executor.decision import CompiledDecision, DecisionCompilationError
-from repro.executor.engine import (
-    DEFAULT_EXECUTION_MODE,
-    check_execution_mode,
-    execute_plan,
-)
+from repro.executor.engine import execute_plan
 from repro.executor.midquery import (
     IncrementalDecider,
     ReoptPolicy,
@@ -103,7 +99,6 @@ class ServiceRequest:
         "bindings",
         "execute",
         "tag",
-        "execution_mode",
         "deadline_seconds",
         "reopt_policy",
         "tenant",
@@ -115,7 +110,6 @@ class ServiceRequest:
         bindings,
         execute=None,
         tag=None,
-        execution_mode=None,
         deadline_seconds=None,
         reopt_policy=None,
         tenant=None,
@@ -125,21 +119,14 @@ class ServiceRequest:
         #: None inherits the service default; True/False overrides it.
         self.execute = execute
         self.tag = tag
-        #: None inherits the service default; ``"row"``/``"batch"``
-        #: overrides it for this invocation alone.  Checked here, at
-        #: the request boundary, so a bad mode costs no queue slot,
-        #: cache entry, or optimizer call.
-        if execution_mode is not None:
-            check_execution_mode(execution_mode)
-        self.execution_mode = execution_mode
         #: Per-request deadline in seconds; None inherits the
         #: resilience policy's service-wide default.
         self.deadline_seconds = deadline_seconds
         #: Per-request mid-query re-optimization policy
         #: (:class:`~repro.executor.midquery.ReoptPolicy`; a spec
-        #: string is parsed here, so a malformed one is refused at the
-        #: request boundary like a bad mode); None inherits the
-        #: service default.
+        #: string is parsed here, at the request boundary, so a
+        #: malformed one costs no queue slot, cache entry, or optimizer
+        #: call); None inherits the service default.
         self.reopt_policy = _coerce_reopt(reopt_policy)
         #: Tenant identity for the sharded gateway's per-tenant quotas
         #: (:mod:`repro.service.sharding`); ``None`` means unattributed
@@ -366,19 +353,12 @@ class QueryService:
         Optional :class:`~repro.observability.trace.Tracer` forwarded
         to plan execution, recording per-operator spans.  ``None``
         costs one ``is None`` test per iterator open.
-    execution_mode:
-        Service-wide default engine for plan execution: ``"batch"``
-        (the vectorized executor,
-        :data:`~repro.executor.engine.DEFAULT_EXECUTION_MODE`) or
-        ``"row"`` (record-at-a-time Volcano iterators).
-        Individual requests override it via
-        :attr:`ServiceRequest.execution_mode`.  A query deadline is
-        checked once per batch in ``"batch"`` mode — up to
-        ``batch_size`` records between checks — and once per record in
-        ``"row"`` mode.
     batch_size:
-        Records per batch in ``"batch"`` mode; ``None`` uses the
-        engine default.
+        Records per operator advance; ``None`` uses the engine default
+        (:data:`~repro.executor.vectorized.DEFAULT_BATCH_SIZE`).  A
+        query deadline is checked once per batch — up to ``batch_size``
+        records between checks; ``batch_size=1`` checks once per
+        record.
     resilience:
         A :class:`~repro.resilience.policy.ResiliencePolicy` bundling
         the transient-fault retry policy, the optional per-signature
@@ -413,7 +393,6 @@ class QueryService:
         compiled=True,
         metrics=None,
         tracer=None,
-        execution_mode=DEFAULT_EXECUTION_MODE,
         batch_size=None,
         resilience=None,
         reopt_policy=None,
@@ -423,12 +402,10 @@ class QueryService:
             from repro.optimizer.optimizer import optimize_dynamic
 
             optimize = optimize_dynamic
-        check_execution_mode(execution_mode)
         self.database = database
         self.catalog = database.catalog
         self.cache = PlanCache(capacity, metrics=metrics)
         self.default_execute = bool(execute)
-        self.execution_mode = execution_mode
         self.batch_size = batch_size
         self.branch_and_bound = bool(branch_and_bound)
         self.validate = bool(validate)
@@ -519,14 +496,12 @@ class QueryService:
         bindings,
         execute=None,
         tag=None,
-        execution_mode=None,
         deadline_seconds=None,
         reopt_policy=None,
     ):
         """Serve one invocation synchronously on the calling thread.
 
-        An ``execution_mode`` outside ``EXECUTION_MODES`` or a malformed
-        ``reopt_policy`` spec raises a bare
+        A malformed ``reopt_policy`` spec raises a bare
         :class:`~repro.common.errors.ExecutionError` from the
         :class:`ServiceRequest` constructor, before any cache lookup or
         optimizer call.
@@ -536,7 +511,6 @@ class QueryService:
             bindings,
             execute=execute,
             tag=tag,
-            execution_mode=execution_mode,
             deadline_seconds=deadline_seconds,
             reopt_policy=reopt_policy,
         )
@@ -606,9 +580,6 @@ class QueryService:
 
             execution = None
             if self.default_execute if request.execute is None else request.execute:
-                mode = request.execution_mode
-                if mode is None:
-                    mode = self.execution_mode
                 deadline_seconds = request.deadline_seconds
                 if deadline_seconds is None:
                     deadline_seconds = self.resilience.deadline_seconds
@@ -623,7 +594,6 @@ class QueryService:
                     plan,
                     parameter_space,
                     bindings,
-                    mode,
                     Deadline.ensure(deadline_seconds),
                     reopt,
                     info,
@@ -792,7 +762,6 @@ class QueryService:
         plan,
         parameter_space,
         bindings,
-        mode,
         deadline,
         reopt,
         info,
@@ -836,7 +805,6 @@ class QueryService:
                             parameter_space,
                             policy=reopt,
                             tracer=self.tracer,
-                            execution_mode=mode,
                             batch_size=self.batch_size,
                             deadline=deadline,
                             choices=report.choices,
@@ -849,7 +817,6 @@ class QueryService:
                             bindings,
                             parameter_space,
                             tracer=self.tracer,
-                            execution_mode=mode,
                             batch_size=self.batch_size,
                             deadline=deadline,
                         )
@@ -964,7 +931,6 @@ class QueryService:
         bindings,
         execute=None,
         tag=None,
-        execution_mode=None,
         deadline_seconds=None,
         reopt_policy=None,
     ):
@@ -978,7 +944,6 @@ class QueryService:
             bindings,
             execute=execute,
             tag=tag,
-            execution_mode=execution_mode,
             deadline_seconds=deadline_seconds,
             reopt_policy=reopt_policy,
         )

@@ -450,9 +450,9 @@ class ShardedQueryService:
         :meth:`stats` instead, which avoids N-way metric-name
         collisions in a registry that has no label dimension.
 
-    Remaining keyword arguments (``execute``, ``execution_mode``,
-    ``batch_size``, ``compiled``, ``branch_and_bound``, ``validate``,
-    ``optimize``, ``tracer``, ``reopt_policy``) are forwarded to every
+    Remaining keyword arguments (``execute``, ``batch_size``,
+    ``compiled``, ``branch_and_bound``, ``validate``, ``optimize``,
+    ``tracer``, ``reopt_policy``) are forwarded to every
     shard's ``QueryService`` unchanged (``branch_and_bound`` reaches
     only the interpreted start-up fallback there, never the compiled
     decision program).
@@ -937,7 +937,6 @@ class ShardedQueryService:
         bindings,
         execute=None,
         tag=None,
-        execution_mode=None,
         deadline_seconds=None,
         reopt_policy=None,
         tenant=None,
@@ -962,7 +961,6 @@ class ShardedQueryService:
             bindings,
             execute=execute,
             tag=tag,
-            execution_mode=execution_mode,
             deadline_seconds=deadline_seconds,
             reopt_policy=reopt_policy,
             tenant=tenant,
@@ -995,7 +993,6 @@ class ShardedQueryService:
         bindings,
         execute=None,
         tag=None,
-        execution_mode=None,
         deadline_seconds=None,
         reopt_policy=None,
         tenant=None,
@@ -1006,7 +1003,6 @@ class ShardedQueryService:
             bindings,
             execute=execute,
             tag=tag,
-            execution_mode=execution_mode,
             deadline_seconds=deadline_seconds,
             reopt_policy=reopt_policy,
             tenant=tenant,

@@ -179,8 +179,11 @@ class HeapFile:
         The batch path of :meth:`fetch`: the same one-page-read-per-RID
         and one-record-per-RID accounting, but charged in bulk when no
         buffer pool is attached (every fetch is a miss, so the totals
-        are position-independent).  With a pool the per-RID access
-        order is preserved so hit patterns match the row-mode path.
+        are position-independent).  With a pool every RID is one
+        access, in order — but a shared pool also sees the other
+        operators' accesses, and how those interleave with this call's
+        depends on the batch size, so pooled ``pages_read`` is not the
+        same at every batch size (never above the unpooled count).
         """
         pages = self._pages
         if buffer_pool is None:

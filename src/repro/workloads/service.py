@@ -23,7 +23,6 @@ Spec JSON format::
       "threads": 8,
       "capacity": 64,
       "execute": true,
-      "execution_mode": "batch",
       "shards": 1,
       "tenants": 0,
       "queries": [
@@ -46,7 +45,6 @@ from repro.catalog.synthetic import build_synthetic_catalog, default_relation_sp
 from repro.common.errors import OptimizationError
 from repro.common.rng import make_rng
 from repro.cost.parameters import Bindings, MEMORY_PARAMETER
-from repro.executor.engine import DEFAULT_EXECUTION_MODE, EXECUTION_MODES
 from repro.optimizer.query import QuerySpec
 from repro.workloads.queries import (
     SELECTION_ATTRIBUTE,
@@ -128,7 +126,6 @@ class ServiceWorkloadSpec:
         capacity=64,
         seed=0,
         execute=True,
-        execution_mode=DEFAULT_EXECUTION_MODE,
         shards=1,
         tenants=0,
     ):
@@ -140,12 +137,6 @@ class ServiceWorkloadSpec:
         self.capacity = int(capacity)
         self.seed = int(seed)
         self.execute = bool(execute)
-        if execution_mode not in EXECUTION_MODES:
-            raise OptimizationError(
-                "execution_mode must be one of %r, got %r"
-                % (EXECUTION_MODES, execution_mode)
-            )
-        self.execution_mode = execution_mode
         #: ``1`` replays through the single-lock service; larger counts
         #: go through the sharded gateway (:mod:`repro.service.sharding`)
         #: with this many plan-cache partitions.
@@ -175,7 +166,6 @@ class ServiceWorkloadSpec:
             capacity=data.get("capacity", 64),
             seed=data.get("seed", 0),
             execute=data.get("execute", True),
-            execution_mode=data.get("execution_mode", DEFAULT_EXECUTION_MODE),
             shards=data.get("shards", 1),
             tenants=data.get("tenants", 0),
         )
@@ -210,7 +200,6 @@ class ServiceWorkloadSpec:
             "capacity": self.capacity,
             "seed": self.seed,
             "execute": self.execute,
-            "execution_mode": self.execution_mode,
             "shards": self.shards,
             "tenants": self.tenants,
         }

@@ -1,6 +1,6 @@
 """Cooperative cancellation lands exactly at iterator boundaries.
 
-Deadlines are checked at operator open and at every row/batch step of
+Deadlines are checked at operator open and at every batch step of
 the engine's drive loop, never inside an operator.  Under a
 :class:`~repro.resilience.deadline.CountingClock` each check advances
 the clock by one second, so a ``Deadline(k)`` expires on the ``k``-th
@@ -14,8 +14,7 @@ check and these tests can pin *where* cancellation happens:
 * the engine closed the plan on the way out: the same database runs
   the same plan again, fault-free, to completion.
 
-The matrix is row/batch × traced/untraced, mirroring the
-differential harness.
+The matrix is batch size 1 (record-granular) / 4 × traced/untraced.
 """
 
 import pytest
@@ -33,6 +32,8 @@ from repro.workloads import paper_workload, random_bindings
 QUERY_NUMBER = 2
 DATA_SEED = 11
 BATCH_SIZE = 4
+#: 1 is record-at-a-time: the deadline is checked at every step.
+BATCH_SIZES = (1, BATCH_SIZE)
 
 
 @pytest.fixture(scope="module")
@@ -49,7 +50,7 @@ def fresh_database(workload):
     return database
 
 
-def run(workload, plan, bindings, mode, deadline=None, tracer=None,
+def run(workload, plan, bindings, batch_size, deadline=None, tracer=None,
         database=None):
     if database is None:
         database = fresh_database(workload)
@@ -59,30 +60,28 @@ def run(workload, plan, bindings, mode, deadline=None, tracer=None,
         bindings,
         workload.query.parameter_space,
         tracer=tracer,
-        execution_mode=mode,
-        batch_size=BATCH_SIZE if mode == "batch" else None,
+        batch_size=batch_size,
         deadline=deadline,
     )
 
 
-def count_checks(workload, plan, bindings, mode):
+def count_checks(workload, plan, bindings, batch_size):
     """Deadline checks a fault-free run performs, and its row count."""
     clock = CountingClock()
     deadline = Deadline(10.0**9, clock=clock)
-    result = run(workload, plan, bindings, mode, deadline=deadline)
+    result = run(workload, plan, bindings, batch_size, deadline=deadline)
     # The constructor reads the clock once; every check reads once.
     return int(clock.now) - 1, result.row_count
 
 
-def batch_prefix_sums(workload, plan, bindings):
+def batch_prefix_sums(workload, plan, bindings, batch_size):
     """Cumulative row counts at every batch boundary, fault-free."""
     database = fresh_database(workload)
     context = ExecutionContext(
         database,
         bindings,
         workload.query.parameter_space,
-        execution_mode="batch",
-        batch_size=BATCH_SIZE,
+        batch_size=batch_size,
     )
     root = build_batch_iterator(plan, context)
     sums, total = [0], 0
@@ -93,10 +92,10 @@ def batch_prefix_sums(workload, plan, bindings):
 
 
 @pytest.mark.parametrize("traced", (False, True), ids=("untraced", "traced"))
-@pytest.mark.parametrize("mode", ("row", "batch"))
-def test_mid_run_expiry_stops_at_a_boundary(setup, mode, traced):
+@pytest.mark.parametrize("batch_size", BATCH_SIZES, ids=("record", "batch"))
+def test_mid_run_expiry_stops_at_a_boundary(setup, batch_size, traced):
     workload, plan, bindings = setup
-    checks, total_rows = count_checks(workload, plan, bindings, mode)
+    checks, total_rows = count_checks(workload, plan, bindings, batch_size)
     assert total_rows > 0 and checks > 3
 
     database = fresh_database(workload)
@@ -106,17 +105,16 @@ def test_mid_run_expiry_stops_at_a_boundary(setup, mode, traced):
     # the drive loop, after some results but before the last ones.
     deadline = Deadline(checks - 2, clock=CountingClock())
     with pytest.raises(QueryTimeoutError) as excinfo:
-        run(workload, plan, bindings, mode, deadline=deadline,
+        run(workload, plan, bindings, batch_size, deadline=deadline,
             tracer=tracer, database=database)
     error = excinfo.value
 
     assert 0 < error.rows_produced < total_rows
-    if mode == "batch":
-        # Cancellation never splits a batch: the partial count is an
-        # exact prefix of the fault-free batch sizes.
-        assert error.rows_produced in batch_prefix_sums(
-            workload, plan, bindings
-        )
+    # Cancellation never splits a batch: the partial count is an exact
+    # prefix of the fault-free batch sizes.
+    assert error.rows_produced in batch_prefix_sums(
+        workload, plan, bindings, batch_size
+    )
 
     # Every page and record the aborted run touched is accounted for.
     after = database.io_stats.snapshot()
@@ -132,16 +130,15 @@ def test_mid_run_expiry_stops_at_a_boundary(setup, mode, traced):
 
     # The engine closed the plan tree on the way out: the same
     # database runs the same plan to completion afterwards.
-    rerun = run(workload, plan, bindings, mode, database=database)
+    rerun = run(workload, plan, bindings, batch_size, database=database)
     assert rerun.row_count == total_rows
 
 
-@pytest.mark.parametrize("mode", ("row", "batch"))
-def test_zero_deadline_expires_at_open(setup, mode):
+def test_zero_deadline_expires_at_open(setup):
     workload, plan, bindings = setup
     deadline = Deadline(0, clock=CountingClock())
     with pytest.raises(QueryTimeoutError) as excinfo:
-        run(workload, plan, bindings, mode, deadline=deadline)
+        run(workload, plan, bindings, None, deadline=deadline)
     error = excinfo.value
     assert error.rows_produced == 0
     assert error.elapsed_seconds >= error.deadline_seconds
@@ -149,41 +146,37 @@ def test_zero_deadline_expires_at_open(setup, mode):
 
 def test_no_deadline_means_no_checks(setup):
     workload, plan, bindings = setup
-    result = run(workload, plan, bindings, "row", deadline=None)
+    result = run(workload, plan, bindings, None, deadline=None)
     assert result.row_count > 0
 
 
-def partial_trace_via_explain(setup, mode):
+def partial_trace_via_explain(setup, batch_size):
     from repro.observability.explain import explain_analyze
 
     workload, plan, bindings = setup
     database = fresh_database(workload)
-    checks, _ = count_checks(workload, plan, bindings, mode)
+    checks, _ = count_checks(workload, plan, bindings, batch_size)
     with pytest.raises(QueryTimeoutError) as excinfo:
         explain_analyze(
             plan,
             database,
             bindings,
             workload.query.parameter_space,
-            execution_mode=mode,
-            batch_size=BATCH_SIZE if mode == "batch" else None,
+            batch_size=batch_size,
             deadline=Deadline(checks - 2, clock=CountingClock()),
         )
-    return excinfo.value
+    error = excinfo.value
+    assert error.trace is not None
+    assert [span.label() for span, _depth in error.trace.walk()]
+    assert error.rows_produced in batch_prefix_sums(
+        workload, plan, bindings, batch_size
+    )
 
 
 def test_timeout_error_carries_partial_trace_via_explain(setup):
-    # Row mode by name: the check count is per record, and the default
-    # engine checks per batch.
-    trace = partial_trace_via_explain(setup, "row").trace
-    assert trace is not None
-    labels = [span.label() for span, _depth in trace.walk()]
-    assert labels
+    # Record-granular: one deadline check per step.
+    partial_trace_via_explain(setup, 1)
 
 
 def test_timeout_error_carries_partial_trace_via_explain_batch(setup):
-    workload, plan, bindings = setup
-    error = partial_trace_via_explain(setup, "batch")
-    assert error.trace is not None
-    assert [span.label() for span, _depth in error.trace.walk()]
-    assert error.rows_produced in batch_prefix_sums(workload, plan, bindings)
+    partial_trace_via_explain(setup, BATCH_SIZE)

@@ -5,8 +5,8 @@ must *complete with the fault-free result multiset* — via retries and
 mid-run degradation — and the resilience counters must land on the
 exact values the per-site fault triggers imply.  The permanent-fault
 profile must fail every query fast, typed, in one attempt.  Reports
-are byte-identical across runs of the same (profile, seed, mode):
-that is the property the CI chaos-smoke job pins.
+are byte-identical across runs of the same (profile, seed): that is
+the property the CI chaos-smoke job pins.
 """
 
 import json
@@ -29,8 +29,9 @@ from repro.resilience.chaos import (
 #: queries 1 and 5 choose index plans doing only 3 and 6 heap reads
 #: through a single site, so they hit one trigger each, while the
 #: join pipelines of queries 2-4 hit both.  Every query crosses the
-#: memory-drop threshold once.  Identical in row and batch modes
-#: because the triggers count logical storage operations.
+#: memory-drop threshold once.  The triggers count logical storage
+#: operations, so bulk (per-batch) charges trip them at the same
+#: operation number one-at-a-time charges would.
 EXPECTED_TRANSIENT_AND_DROP = {
     1: {"transient_retries": 1, "degradations": 1},
     2: {"transient_retries": 2, "degradations": 1},
@@ -41,9 +42,8 @@ EXPECTED_TRANSIENT_AND_DROP = {
 
 
 class TestRecoverableProfiles:
-    @pytest.mark.parametrize("mode", ("row", "batch"))
-    def test_transient_and_drop_all_queries(self, mode):
-        report = run_chaos("transient-and-drop", execution_mode=mode)
+    def test_transient_and_drop_all_queries(self):
+        report = run_chaos("transient-and-drop")
         assert report.passed, report.render()
         assert [o.number for o in report.outcomes] == list(DEFAULT_QUERIES)
         for outcome in report.outcomes:
@@ -85,14 +85,9 @@ class TestRecoverableProfiles:
 
 class TestFailFastProfile:
     def test_broken_disk_fails_every_query_typed(self):
-        outcomes = []
-        for mode in ("row", "batch"):
-            report = run_chaos(
-                "broken-disk", query_numbers=(1, 2), execution_mode=mode
-            )
-            assert report.passed, report.render()
-            outcomes.extend(report.outcomes)
-        for outcome in outcomes:
+        report = run_chaos("broken-disk", query_numbers=(1, 2))
+        assert report.passed, report.render()
+        for outcome in report.outcomes:
             assert outcome.expected == "fail-fast"
             assert outcome.outcome == "failed"
             assert outcome.failure["type"] == "PermanentIOError"

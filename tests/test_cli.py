@@ -1,5 +1,6 @@
 """The ``python -m repro`` command-line interface."""
 
+import pytest
 
 from repro.__main__ import main
 
@@ -36,6 +37,17 @@ class TestCli:
     def test_unknown_command(self, capsys):
         assert main(["bogus"]) == 2
         assert "Commands" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "command", ("run", "serve-batch", "explain", "accuracy", "chaos")
+    )
+    def test_execution_mode_flag_is_unknown(self, command, capsys):
+        """There is one engine: the flag that chose one is refused like
+        any other unknown flag; ``--batch-size 1`` is record-at-a-time."""
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--execution-mode", "batch"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestRunnerCsv:

@@ -56,9 +56,7 @@ class CountingOptimizer:
         return optimize_dynamic(catalog, query, **kwargs)
 
 
-def make_gateway(
-    catalog, shards=3, durability=None, optimizer=None, seed=7, mode="row"
-):
+def make_gateway(catalog, shards=3, durability=None, optimizer=None, seed=7):
     database = Database(catalog)
     populate_database(database, seed=seed)
     return ShardedQueryService(
@@ -67,7 +65,6 @@ def make_gateway(
         capacity=16,
         durability=durability,
         optimize=optimizer or optimize_dynamic,
-        execution_mode=mode,
     )
 
 
@@ -222,11 +219,7 @@ class TestWarmRestore:
             ]
         finally:
             gateway.shutdown()
-        # Restore is engine-independent: a snapshot written under one
-        # execution mode warms a tier serving under the other.
-        warmed = make_gateway(
-            catalog, durability=DurabilityConfig(path), mode="batch"
-        )
+        warmed = make_gateway(catalog, durability=DurabilityConfig(path))
         try:
             assert warmed.restore_stats.restored > 0
             warm = [

@@ -1,8 +1,8 @@
 """Mid-query re-optimization: the differential and property harness.
 
-The backbone is the differential suite: for every paper query, in both
-execution modes, a run that re-decides at *every* pipeline
-breaker (``ReoptPolicy("always")``) must return the same row multiset
+The backbone is the differential suite: for every paper query a run
+that re-decides at *every* pipeline breaker
+(``ReoptPolicy("always")``) must return the same row multiset
 — and, at the pinned seed, byte-identical I/O-charge totals — as a
 run that never re-decides.  Checkpoints replay for free and operators
 charge per record drained, so visiting breakers is invisible to the
@@ -34,7 +34,7 @@ from repro.algebra.physical import (
 from repro.common.errors import ExecutionError
 from repro.cost.formulas import CostModel
 from repro.cost.parameters import MEMORY_PARAMETER, Valuation
-from repro.executor import EXECUTION_MODES, execute_plan, validate_plan
+from repro.executor import execute_plan, validate_plan
 from repro.executor.decision import CompiledDecision, DecisionCompilationError
 from repro.executor.midquery import (
     BREAKER_KINDS,
@@ -53,13 +53,12 @@ from repro.workloads import paper_workload, random_bindings, skewed_bindings
 DATA_SEED = 11
 #: Binding seed of the full rows-plus-I/O identity fixture: at this
 #: seed every paper query is identical across forced and suppressed
-#: runs in both modes, *including* queries where forcing makes
+#: runs, *including* queries where forcing makes
 #: genuine switches (the remainder plans re-decide to the incumbent
 #: shape, so the accounting cannot diverge).
 IDENTITY_SEED = 3
 
 PAPER_QUERIES = (1, 2, 3, 4, 5)
-MODES = EXECUTION_MODES
 
 
 def _setup(number, seed=IDENTITY_SEED, skew=None):
@@ -80,18 +79,17 @@ def _fresh_database(workload, seed=DATA_SEED):
     return database
 
 
-def _run_plain(workload, plan, bindings, mode):
+def _run_plain(workload, plan, bindings):
     database = _fresh_database(workload)
     return execute_plan(
         plan,
         database,
         bindings.copy(),
         workload.query.parameter_space,
-        execution_mode=mode,
     )
 
 
-def _run_midquery(workload, plan, bindings, mode, policy):
+def _run_midquery(workload, plan, bindings, policy):
     database = _fresh_database(workload)
     return execute_midquery(
         plan,
@@ -99,7 +97,6 @@ def _run_midquery(workload, plan, bindings, mode, policy):
         bindings.copy(),
         workload.query.parameter_space,
         policy=policy,
-        execution_mode=mode,
     )
 
 
@@ -204,25 +201,23 @@ class TestReoptPolicy:
 
 
 class TestDifferentialIdentity:
-    """Forced re-decisions == suppressed re-decisions, per query × mode."""
+    """Forced re-decisions == suppressed re-decisions, per query."""
 
-    @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("number", PAPER_QUERIES)
-    def test_rows_and_io_identical(self, number, mode):
+    def test_rows_and_io_identical(self, number):
         workload, plan, bindings = _setup(number)
-        plain = _run_plain(workload, plan, bindings, mode)
+        plain = _run_plain(workload, plan, bindings)
         forced, report = _run_midquery(
-            workload, plan, bindings, mode, ReoptPolicy("always")
+            workload, plan, bindings, ReoptPolicy("always")
         )
         assert rows_digest(forced.records) == rows_digest(plain.records)
         assert forced.io_snapshot == plain.io_snapshot
 
-    @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("number", PAPER_QUERIES)
-    def test_final_plan_is_valid_and_fully_decided(self, number, mode):
+    def test_final_plan_is_valid_and_fully_decided(self, number):
         workload, plan, bindings = _setup(number)
         _, report = _run_midquery(
-            workload, plan, bindings, mode, ReoptPolicy("always")
+            workload, plan, bindings, ReoptPolicy("always")
         )
         final = report.final_plan
         assert final.choose_plan_count() == 0
@@ -238,17 +233,16 @@ class TestDifferentialIdentity:
         improving); the result multiset never may.
         """
         workload, plan, bindings = _setup(number, seed=seed)
-        plain = _run_plain(workload, plan, bindings, "row")
+        plain = _run_plain(workload, plan, bindings)
         forced, report = _run_midquery(
-            workload, plan, bindings, "row", ReoptPolicy("always")
+            workload, plan, bindings, ReoptPolicy("always")
         )
         assert rows_digest(forced.records) == rows_digest(plain.records)
         if report.switches == 0:
             assert forced.io_snapshot == plain.io_snapshot
 
-    @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("number", PAPER_QUERIES)
-    def test_handed_program_changes_nothing(self, number, mode):
+    def test_handed_program_changes_nothing(self, number):
         """``decision=`` only saves the compile: every output is equal."""
         workload, plan, bindings = _setup(number, seed=0, skew=(0.02, 0.6))
         program = CompiledDecision(
@@ -263,7 +257,6 @@ class TestDifferentialIdentity:
                 bindings.copy(),
                 workload.query.parameter_space,
                 policy=ReoptPolicy("always"),
-                execution_mode=mode,
                 choices=startup.choices,
                 decision=decision,
             )
@@ -279,9 +272,9 @@ class TestDifferentialIdentity:
 
     def test_off_policy_is_plain_execution(self):
         workload, plan, bindings = _setup(3)
-        plain = _run_plain(workload, plan, bindings, "row")
+        plain = _run_plain(workload, plan, bindings)
         off, report = _run_midquery(
-            workload, plan, bindings, "row", ReoptPolicy("off")
+            workload, plan, bindings, ReoptPolicy("off")
         )
         assert report.checkpoints == 0
         assert report.final_plan is plan
@@ -294,9 +287,9 @@ class TestCheckpointReuse:
 
     def test_skew_forces_switches_with_identical_rows(self):
         workload, plan, bindings = _setup(3, seed=0, skew=(0.02, 0.6))
-        plain = _run_plain(workload, plan, bindings, "row")
+        plain = _run_plain(workload, plan, bindings)
         forced, report = _run_midquery(
-            workload, plan, bindings, "row", ReoptPolicy("always")
+            workload, plan, bindings, ReoptPolicy("always")
         )
         assert report.switches >= 1
         assert rows_digest(forced.records) == rows_digest(plain.records)
@@ -304,7 +297,7 @@ class TestCheckpointReuse:
     def test_splice_keeps_checkpoints_in_final_plan(self):
         workload, plan, bindings = _setup(3, seed=0, skew=(0.02, 0.6))
         _, report = _run_midquery(
-            workload, plan, bindings, "row", ReoptPolicy("always")
+            workload, plan, bindings, ReoptPolicy("always")
         )
         assert any(
             isinstance(node, Materialized)
@@ -314,13 +307,12 @@ class TestCheckpointReuse:
     def test_splice_never_rereads_drained_work(self):
         workload, plan, bindings = _setup(3, seed=0, skew=(0.02, 0.6))
         spliced, splice_report = _run_midquery(
-            workload, plan, bindings, "row", ReoptPolicy("always")
+            workload, plan, bindings, ReoptPolicy("always")
         )
         restarted, restart_report = _run_midquery(
             workload,
             plan,
             bindings,
-            "row",
             ReoptPolicy("always", on_switch="restart"),
         )
         assert splice_report.switches >= 1
@@ -338,7 +330,7 @@ class TestCheckpointReuse:
     def test_breaker_events_record_observations(self):
         workload, plan, bindings = _setup(3, seed=0, skew=(0.02, 0.6))
         _, report = _run_midquery(
-            workload, plan, bindings, "row", ReoptPolicy("always")
+            workload, plan, bindings, ReoptPolicy("always")
         )
         assert report.checkpoints == len(report.breakers)
         assert report.violations >= 1
@@ -554,9 +546,9 @@ class TestMidQueryProperties:
     ):
         plan = optimize_dynamic(workload.catalog, workload.query).plan
         bindings = random_bindings(workload, seed=binding_seed)
-        plain = _run_plain(workload, plan, bindings, "row")
+        plain = _run_plain(workload, plan, bindings)
         result, report = _run_midquery(
-            workload, plan, bindings, "row", ReoptPolicy("auto")
+            workload, plan, bindings, ReoptPolicy("auto")
         )
         # Auto mode re-decides exactly when an observation violates.
         assert report.redecisions == report.violations
@@ -574,9 +566,9 @@ class TestMidQueryProperties:
     ):
         plan = optimize_dynamic(workload.catalog, workload.query).plan
         bindings = random_bindings(workload, seed=binding_seed)
-        plain = _run_plain(workload, plan, bindings, "row")
+        plain = _run_plain(workload, plan, bindings)
         result, report = _run_midquery(
-            workload, plan, bindings, "row", ReoptPolicy("always")
+            workload, plan, bindings, ReoptPolicy("always")
         )
         for redecision in report.redecision_events:
             if redecision.incumbent_cost is None:
@@ -737,9 +729,9 @@ class TestMidQueryProperties:
     def test_skewed_runs_still_return_true_rows(self, workload):
         plan = optimize_dynamic(workload.catalog, workload.query).plan
         bindings = skewed_bindings(workload, declared=0.02, actual=0.6)
-        plain = _run_plain(workload, plan, bindings, "row")
+        plain = _run_plain(workload, plan, bindings)
         result, report = _run_midquery(
-            workload, plan, bindings, "row", ReoptPolicy("always")
+            workload, plan, bindings, ReoptPolicy("always")
         )
         assert rows_digest(result.records) == rows_digest(plain.records)
         final = report.final_plan

@@ -13,6 +13,7 @@ import pytest
 
 from repro.__main__ import main
 from repro.catalog import populate_database
+from repro.common.errors import ExecutionError
 from repro.cost.parameters import MEMORY_PARAMETER, Bindings
 from repro.executor.startup import resolve_dynamic_plan
 from repro.observability import MetricsRegistry, Tracer
@@ -532,6 +533,35 @@ class TestQueryService:
         for result in results:
             assert result.execution is not None
             assert result.row_count >= 0
+
+    def test_execution_mode_keyword_is_unknown(self, workload2, database2):
+        """One engine: the keyword that chose one fails as any unknown
+        keyword does; ``batch_size=1`` is record-at-a-time."""
+        from repro.executor import execute_plan
+
+        bindings = service_request_bindings(workload2, seed=2, run_index=0)
+        plan = optimize_static(workload2.catalog, workload2.query).plan
+        with pytest.raises(TypeError):
+            execute_plan(plan, database2, bindings, execution_mode="batch")
+        with pytest.raises(TypeError):
+            QueryService(database2, execution_mode="batch")
+        with pytest.raises(TypeError):
+            ServiceRequest(workload2.query, bindings, execution_mode="batch")
+
+    def test_malformed_request_is_refused_at_the_boundary(self, workload2):
+        """Bare (not wrapped as a served-and-failed request), before
+        the cache or the optimizer sees the query."""
+        bindings = service_request_bindings(workload2, seed=2, run_index=0)
+        with pytest.raises(ExecutionError):
+            ServiceRequest(workload2.query, bindings, reopt_policy="sometimes")
+        with QueryService(Database(workload2.catalog), max_workers=1) as service:
+            for serve in (service.run, service.submit):
+                with pytest.raises(ExecutionError) as excinfo:
+                    serve(workload2.query, bindings, reopt_policy="sometimes")
+                assert type(excinfo.value) is ExecutionError
+            assert len(service.cache) == 0
+            assert service.cache.stats_snapshot()["lookups"] == 0
+            assert service.stats().requests == 0
 
     def test_stats_snapshot(self):
         workload = paper_workload(1, seed=0)

@@ -7,7 +7,7 @@ served, never *what* it observes.  The differential suite drives the
 same invocation sequence through a single-lock ``QueryService`` and a
 ``ShardedQueryService`` over identically populated databases and
 requires identical rows, identical I/O accounting, and identical
-start-up decisions for all five paper queries in every execution mode;
+start-up decisions for all five paper queries;
 the entry-point suite requires the same of ``run``, ``submit`` and
 ``run_batch``, which all end in one ``QueryService.serve``.
 The eviction tests pit the per-shard LRU caches against a reference
@@ -28,7 +28,6 @@ from hypothesis import strategies as st
 from repro.__main__ import main
 from repro.catalog.synthetic import populate_database
 from repro.common.errors import ExecutionError, ServiceOverloadError
-from repro.executor.engine import EXECUTION_MODES
 from repro.observability import MetricsRegistry
 from repro.optimizer.optimizer import optimize_dynamic, optimize_static
 from repro.optimizer.query import canonical_signature
@@ -240,8 +239,7 @@ class TestDifferential:
         for entry, observed in zip(ENTRY_POINTS[1:], others):
             assert observed == reference, entry[2]
 
-    @pytest.mark.parametrize("mode", EXECUTION_MODES)
-    def test_paper_queries_identical_rows_io_and_decisions(self, mode):
+    def test_paper_queries_identical_rows_io_and_decisions(self):
         for query_number in range(1, 6):
             workload = paper_workload(query_number)
             single_db = Database(workload.catalog)
@@ -259,15 +257,15 @@ class TestDifferential:
             # requests race the first compile and the hit/miss split
             # becomes timing-dependent on both tiers.
             with QueryService(
-                single_db, max_workers=1, execute=True, execution_mode=mode
+                single_db, max_workers=1, execute=True
             ) as single, ShardedQueryService(
-                sharded_db, shards=3, execute=True, execution_mode=mode
+                sharded_db, shards=3, execute=True
             ) as sharded:
                 single_results = single.run_batch(requests)
                 sharded_results = sharded.run_batch(requests)
 
             for ours, theirs in zip(single_results, sharded_results):
-                label = "query %d mode %s" % (query_number, mode)
+                label = "query %d" % query_number
                 assert ours.digest == theirs.digest, label
                 assert ours.cache_hit == theirs.cache_hit, label
                 assert ours.reoptimized == theirs.reoptimized, label
@@ -322,20 +320,20 @@ class TestAdmissionControl:
             query = queries[0]
             shard = gateway.shard_for(query)
             _, _, requests = small_traffic(requests=1, shapes=2)
-            # A per-request mode outside EXECUTION_MODES or a malformed
-            # re-optimization spec is refused at the request boundary,
-            # before routing or admission: it is not a submitted-then-
-            # failed request, and no shard's cache or optimizer ever
-            # sees the query.
+            # A malformed re-optimization spec is refused at the
+            # request boundary, before routing or admission: it is not
+            # a submitted-then-failed request, and no shard's cache or
+            # optimizer ever sees the query.
             for serve in (gateway.run, gateway.submit):
-                for option, named in (
-                    ({"execution_mode": "compiled"}, repr(EXECUTION_MODES)),
-                    ({"reopt_policy": "sometimes"}, "'sometimes'"),
-                ):
-                    with pytest.raises(ExecutionError) as excinfo:
-                        serve(query, requests[0].bindings, execute=True, **option)
-                    assert type(excinfo.value) is ExecutionError
-                    assert named in str(excinfo.value)
+                with pytest.raises(ExecutionError) as excinfo:
+                    serve(
+                        query,
+                        requests[0].bindings,
+                        execute=True,
+                        reopt_policy="sometimes",
+                    )
+                assert type(excinfo.value) is ExecutionError
+                assert "'sometimes'" in str(excinfo.value)
             outcomes = gateway.request_outcomes()
             assert outcomes.pop("failover_reasons") == {}
             assert set(outcomes.values()) == {0}

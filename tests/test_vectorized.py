@@ -1,18 +1,20 @@
-"""Differential tests: batch execution must equal row execution.
+"""One engine, any batch size: the same rows, order, I/O and decisions.
 
-The vectorized engine re-implements every physical operator, so the
-highest-risk bug is a silent semantic divergence — different rows,
-different simulated I/O, or different start-up decisions than the
-record-at-a-time Volcano path.  These tests execute every paper query
-in both modes from identically populated databases, across static and
-dynamic plans and with tracing on and off, and require byte-identical
-result rows, identical ``IOStatistics`` totals, and identical
-choose-plan decisions.
+``batch_size`` changes only *when* work happens, never *what* work
+happens.  Two things hold that here.  A frozen table: what the deleted
+record-at-a-time engine returned and charged for every paper query,
+which the one engine must reproduce at every batch size.  And a grid over batch size x shared buffer pool:
+rows, row order, choose-plan decisions and every I/O counter are equal
+in every cell, except ``pages_read`` under a shared LRU pool, which
+depends on how operators' page accesses interleave — i.e. on the batch
+size — and is only bounded by the unpooled count.
 
 Batch-boundary edge cases run separately: empty input, a result
-smaller than one batch, batch size 1 (degenerating to row-at-a-time
-granularity), and a final partial batch.
+smaller than one batch, batch size 1 (record-at-a-time granularity),
+and a final partial batch.
 """
+
+import functools
 
 import pytest
 
@@ -29,8 +31,6 @@ from repro.common.errors import ExecutionError, OptimizationError
 from repro.cost.parameters import Bindings
 from repro.executor.engine import (
     DEFAULT_BATCH_SIZE,
-    DEFAULT_EXECUTION_MODE,
-    EXECUTION_MODES,
     ExecutionContext,
     execute_plan,
 )
@@ -42,12 +42,43 @@ from repro.executor.predicates import (
 from repro.executor.vectorized import build_batch_iterator
 from repro.observability import Tracer
 from repro.optimizer.optimizer import optimize_dynamic, optimize_static
+from repro.resilience.chaos import rows_digest
 from repro.storage.database import Database
 from repro.storage.records import Record
-from repro.workloads import binding_series, paper_workload
+from repro.workloads import binding_series, paper_workload, random_bindings
+from tests._reference import reference_rows
 
 PAPER_QUERIES = (1, 2, 3, 4, 5)
 PLAN_KINDS = ("static", "dynamic")
+#: ``None`` is the engine default (:data:`DEFAULT_BATCH_SIZE`).
+BATCH_SIZES = (1, 3, None)
+IO_KEYS = ("pages_read", "pages_written", "records_processed", "index_probes")
+
+#: What the record-at-a-time engine charged, captured at the last
+#: commit that had it (b46c6bb): paper query x plan kind, data seed 11,
+#: ``random_bindings(workload, seed=0)``, no buffer pool — in
+#: :data:`IO_KEYS` order.
+ROW_ENGINE_IO = {
+    (1, "static"): (116, 0, 113, 1),
+    (1, "dynamic"): (138, 0, 1100, 0),
+    (2, "static"): (254, 0, 279, 43),
+    (2, "dynamic"): (275, 0, 2878, 0),
+    (3, "static"): (482, 0, 682, 74),
+    (3, "dynamic"): (550, 0, 5830, 0),
+    (4, "static"): (544, 0, 645, 104),
+    (4, "dynamic"): (566, 0, 4112, 37),
+    (5, "static"): (818, 0, 923, 168),
+    (5, "dynamic"): (735, 0, 5930, 46),
+}
+
+#: ``rows_digest`` of what it returned (the same for both plan kinds).
+ROW_ENGINE_ROWS = {
+    1: "f6c2e3c400c48dffb07ae26bda94d6f4e8cf8fea843f498284b17b62025430ee",
+    2: "c83e1f22f71bc403ed98963aa0543d0df0502b5b74d1d02265f55dbcfad30409",
+    3: "7401e08965a1ff209881590cc2e473550b84ff7b13ec9f8135ecbdbaa1b906ae",
+    4: "4bfe11ad5ad293d51f936c0c1676504050d356e92b0f864948796e8cbc176c96",
+    5: "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+}
 
 
 def _optimize(workload, kind):
@@ -56,7 +87,8 @@ def _optimize(workload, kind):
     return optimize_dynamic(workload.catalog, workload.query).plan
 
 
-def _run(workload, plan, bindings, mode, tracer=None, batch_size=None):
+def _run(workload, plan, bindings, tracer=None, batch_size=None,
+         use_buffer_pool=False):
     database = Database(workload.catalog)
     populate_database(database, seed=11)
     return execute_plan(
@@ -64,31 +96,69 @@ def _run(workload, plan, bindings, mode, tracer=None, batch_size=None):
         database,
         bindings,
         workload.query.parameter_space,
+        use_buffer_pool=use_buffer_pool,
         tracer=tracer,
-        execution_mode=mode,
         batch_size=batch_size,
     )
+
+
+@functools.lru_cache(maxsize=None)
+def _frozen_case(number, kind):
+    """The frozen table's workload, plan, bindings and a default run."""
+    workload = paper_workload(number)
+    plan = _optimize(workload, kind)
+    bindings = random_bindings(workload, seed=0)
+    return workload, plan, bindings, _run(workload, plan, bindings)
+
+
+def _frozen_io(number, kind):
+    return dict(zip(IO_KEYS, ROW_ENGINE_IO[number, kind]))
+
+
+@pytest.mark.parametrize("number", PAPER_QUERIES)
+def test_frozen_rows_are_the_reference_rows(number):
+    """The frozen digests are right, not merely what an engine said."""
+    workload, _plan, bindings, _default = _frozen_case(number, "static")
+    database = Database(workload.catalog)
+    populate_database(database, seed=11)
+    expected = reference_rows(workload, database, bindings)
+    assert rows_digest(expected) == ROW_ENGINE_ROWS[number]
 
 
 @pytest.mark.parametrize("traced", (False, True), ids=("untraced", "traced"))
 @pytest.mark.parametrize("kind", PLAN_KINDS)
 @pytest.mark.parametrize("number", PAPER_QUERIES)
 def test_batch_matches_row(number, kind, traced):
-    workload = paper_workload(number)
-    plan = _optimize(workload, kind)
-    for bindings in binding_series(workload, count=2, seed=5):
-        row = _run(
-            workload, plan, bindings, "row",
-            tracer=Tracer() if traced else None,
-        )
-        batch = _run(
-            workload, plan, bindings, "batch",
-            tracer=Tracer() if traced else None,
-        )
+    """Default batches, traced or not, reproduce the row engine."""
+    workload, plan, bindings, default = _frozen_case(number, kind)
+    result = _run(
+        workload, plan, bindings, tracer=Tracer() if traced else None
+    )
+    assert result.io_snapshot == _frozen_io(number, kind)
+    assert rows_digest(result.records) == ROW_ENGINE_ROWS[number]
+    assert result.records == default.records
+    assert result.decisions == default.decisions
 
-        assert batch.records == row.records
-        assert batch.io_snapshot == row.io_snapshot
-        assert batch.decisions == row.decisions
+
+@pytest.mark.parametrize("pooled", (False, True), ids=("unpooled", "pooled"))
+@pytest.mark.parametrize("batch_size", BATCH_SIZES)
+@pytest.mark.parametrize("number", PAPER_QUERIES)
+def test_batch_size_moves_only_pooled_pages_read(number, batch_size, pooled):
+    """Every batch size reproduces the row engine; a shared pool may
+    save page reads, by an amount that depends on the batch size."""
+    for kind in PLAN_KINDS:
+        workload, plan, bindings, default = _frozen_case(number, kind)
+        result = _run(
+            workload, plan, bindings,
+            batch_size=batch_size, use_buffer_pool=pooled,
+        )
+        assert result.records == default.records  # same rows, same order
+        assert rows_digest(result.records) == ROW_ENGINE_ROWS[number]
+        assert result.decisions == default.decisions
+        io, frozen = dict(result.io_snapshot), _frozen_io(number, kind)
+        if pooled:
+            assert io.pop("pages_read") <= frozen.pop("pages_read")
+        assert io == frozen, kind
 
 
 @pytest.mark.parametrize("kind", PLAN_KINDS)
@@ -98,8 +168,8 @@ def test_batch_trace_reports_exact_rows(number, kind):
     workload = paper_workload(number)
     plan = _optimize(workload, kind)
     bindings = binding_series(workload, count=1, seed=5)[0]
-    row = _run(workload, plan, bindings, "row", tracer=Tracer())
-    batch = _run(workload, plan, bindings, "batch", tracer=Tracer())
+    single = _run(workload, plan, bindings, tracer=Tracer(), batch_size=1)
+    batch = _run(workload, plan, bindings, tracer=Tracer())
 
     assert len(batch.trace.roots) == 1
     root = batch.trace.roots[0]
@@ -107,11 +177,12 @@ def test_batch_trace_reports_exact_rows(number, kind):
     assert root.pages_read == batch.io_snapshot["pages_read"]
     assert root.records_processed == batch.io_snapshot["records_processed"]
 
-    # Span-by-span, the batch trace reports the same per-operator rows
-    # as the row trace (same tree shape, same cardinalities).
-    row_spans = [(s.operator, s.rows) for s, _ in row.trace.walk()]
+    # Span-by-span, a trace reports the same per-operator rows whether
+    # an advance moves one record or a thousand (same tree shape, same
+    # cardinalities).
+    single_spans = [(s.operator, s.rows) for s, _ in single.trace.walk()]
     batch_spans = [(s.operator, s.rows) for s, _ in batch.trace.walk()]
-    assert batch_spans == row_spans
+    assert batch_spans == single_spans
 
 
 # ----------------------------------------------------------------------
@@ -126,7 +197,7 @@ def _edge_workload():
 
 @pytest.mark.parametrize("batch_size", (1, 2, 3, 7, 64, 1024))
 def test_batch_size_sweep_preserves_results(batch_size):
-    """Any batch size — including 1 — yields the row-mode results.
+    """Any batch size — including 1 — yields the same results.
 
     Covers the partial-final-batch case: the result cardinalities are
     not multiples of most of these sizes, so the last batch is short.
@@ -134,11 +205,11 @@ def test_batch_size_sweep_preserves_results(batch_size):
     workload = _edge_workload()
     plan = _optimize(workload, "dynamic")
     bindings = binding_series(workload, count=1, seed=5)[0]
-    row = _run(workload, plan, bindings, "row")
-    batch = _run(workload, plan, bindings, "batch", batch_size=batch_size)
-    assert batch.records == row.records
-    assert batch.io_snapshot == row.io_snapshot
-    assert batch.decisions == row.decisions
+    single = _run(workload, plan, bindings, batch_size=1)
+    batch = _run(workload, plan, bindings, batch_size=batch_size)
+    assert batch.records == single.records
+    assert batch.io_snapshot == single.io_snapshot
+    assert batch.decisions == single.decisions
 
 
 def test_empty_input_produces_no_batches():
@@ -153,11 +224,11 @@ def test_empty_input_produces_no_batches():
     for name in bindings.parameter_names():
         if name.startswith("sel_"):
             bindings.bind(name, 0.0)
-    row = _run(workload, plan, bindings, "row")
-    batch = _run(workload, plan, bindings, "batch")
-    assert row.records == []
+    single = _run(workload, plan, bindings, batch_size=1)
+    batch = _run(workload, plan, bindings)
+    assert single.records == []
     assert batch.records == []
-    assert batch.io_snapshot == row.io_snapshot
+    assert batch.io_snapshot == single.io_snapshot
 
 
 def test_result_smaller_than_one_batch():
@@ -165,7 +236,7 @@ def test_result_smaller_than_one_batch():
     workload = _edge_workload()
     plan = _optimize(workload, "static")
     bindings = binding_series(workload, count=1, seed=5)[0]
-    batch = _run(workload, plan, bindings, "batch")
+    batch = _run(workload, plan, bindings)
     assert 0 < batch.row_count < DEFAULT_BATCH_SIZE
 
 
@@ -176,144 +247,57 @@ def test_batch_iterator_emits_multiple_nonempty_batches():
     fan-out (a join emitting a duplicate block) may overshoot rather
     than split mid-unit — but no operator may emit an *empty* batch,
     and a size far below the result cardinality must produce more than
-    one batch whose concatenation is the row-mode result.
+    one batch whose concatenation is the default-size result.
     """
     workload = _edge_workload()
     plan = _optimize(workload, "static")
     bindings = binding_series(workload, count=1, seed=5)[0]
-    row = _run(workload, plan, bindings, "row")
+    whole = _run(workload, plan, bindings)
     database = Database(workload.catalog)
     populate_database(database, seed=11)
     context = ExecutionContext(
         database,
         bindings,
         workload.query.parameter_space,
-        execution_mode="batch",
         batch_size=4,
     )
     batches = list(build_batch_iterator(plan, context).batches())
     assert len(batches) > 1
     assert all(batch for batch in batches)  # no empty batches emitted
     flattened = [record for batch in batches for record in batch]
-    assert flattened == row.records
+    assert flattened == whole.records
 
 
 # ----------------------------------------------------------------------
-# Mode plumbing
+# Batch-size plumbing
 # ----------------------------------------------------------------------
-
-
-def test_invalid_execution_mode_rejected(capsys):
-    from repro.__main__ import main
-
-    workload = _edge_workload()
-    database = Database(workload.catalog)
-    # "compiled" named a third engine once; it is now just another
-    # unknown mode, rejected with the error that lists the valid ones.
-    for mode in ("columnar", "compiled"):
-        with pytest.raises(ExecutionError) as excinfo:
-            ExecutionContext(database, execution_mode=mode)
-        assert repr(EXECUTION_MODES) in str(excinfo.value)
-        with pytest.raises(SystemExit) as exit_info:
-            main(["run", "--execution-mode", mode])
-        assert exit_info.value.code == 2
-        assert "invalid choice: %r" % mode in capsys.readouterr().err
-    assert EXECUTION_MODES == ("row", "batch")
 
 
 def test_invalid_batch_size_rejected():
     workload = _edge_workload()
     database = Database(workload.catalog)
     with pytest.raises(ExecutionError):
-        ExecutionContext(database, execution_mode="batch", batch_size=0)
+        ExecutionContext(database, batch_size=0)
 
 
 def test_context_defaults():
     workload = _edge_workload()
     database = Database(workload.catalog)
     context = ExecutionContext(database)
-    assert context.execution_mode == DEFAULT_EXECUTION_MODE == "batch"
     assert context.batch_size == DEFAULT_BATCH_SIZE
 
 
-def test_service_execution_mode_default_and_override():
-    """The service default applies; per-request mode overrides it."""
-    from repro.service import QueryService, ServiceRequest
-
-    workload = _edge_workload()
-    database = Database(workload.catalog)
-    populate_database(database, seed=11)
-    bindings = binding_series(workload, count=1, seed=5)[0]
-    with QueryService(
-        database, max_workers=1, execution_mode="batch"
-    ) as service:
-        default_result = service.run(workload.query, bindings)
-        row_result = service.run(
-            workload.query, bindings, execution_mode="row"
-        )
-        batched = service.run_batch(
-            [
-                ServiceRequest(
-                    workload.query, bindings, execution_mode="row"
-                )
-            ]
-        )
-    assert default_result.execution is not None
-    assert default_result.execution.records == row_result.execution.records
-    assert batched[0].execution.records == row_result.execution.records
-
-
-def test_service_rejects_invalid_mode():
-    from repro.service import QueryService, ServiceRequest
-
-    workload = _edge_workload()
-    database = Database(workload.catalog)
-    bindings = binding_series(workload, count=1, seed=5)[0]
-    for mode in ("columnar", "compiled"):
-        with pytest.raises(ExecutionError) as excinfo:
-            QueryService(database, execution_mode=mode)
-        assert repr(EXECUTION_MODES) in str(excinfo.value)
-        with pytest.raises(ExecutionError):
-            ServiceRequest(workload.query, bindings, execution_mode=mode)
-    with pytest.raises(ExecutionError):
-        ServiceRequest(workload.query, bindings, reopt_policy="sometimes")
-    # A bad per-request mode or re-optimization spec is refused at the
-    # request boundary, bare (not wrapped as a served-and-failed
-    # request), before the cache or the optimizer sees the query.
-    with QueryService(database, max_workers=1) as service:
-        for option in ({"execution_mode": "compiled"}, {"reopt_policy": "sometimes"}):
-            with pytest.raises(ExecutionError) as excinfo:
-                service.run(workload.query, bindings, **option)
-            assert type(excinfo.value) is ExecutionError
-            with pytest.raises(ExecutionError) as excinfo:
-                service.submit(workload.query, bindings, **option)
-            assert type(excinfo.value) is ExecutionError
-        assert len(service.cache) == 0
-        assert service.cache.stats_snapshot()["lookups"] == 0
-        assert service.stats().requests == 0
-
-
 def test_workload_spec_execution_mode_roundtrip():
+    """A spec file written while the key existed still loads; the key
+    is ignored like any unknown one, and is no longer a spec field."""
     from repro.workloads.service import ServiceWorkloadSpec
 
-    spec = ServiceWorkloadSpec.from_dict(
-        {
-            "queries": [{"relations": 2}],
-            "invocations": 4,
-            "execution_mode": "batch",
-        }
-    )
-    assert spec.execution_mode == "batch"
-    assert spec.replace(execution_mode="row").execution_mode == "row"
-    unnamed = ServiceWorkloadSpec.from_dict({"queries": [{"relations": 2}]})
-    assert unnamed.execution_mode == DEFAULT_EXECUTION_MODE
-    with pytest.raises(Exception):
-        spec.replace(execution_mode="columnar")
-    with pytest.raises(OptimizationError) as excinfo:
-        ServiceWorkloadSpec.from_dict(
-            {"queries": [{"relations": 2}], "execution_mode": "compiled"}
-        )
-    assert repr(EXECUTION_MODES) in str(excinfo.value)
+    data = {"queries": [{"relations": 2}], "invocations": 4}
+    spec = ServiceWorkloadSpec.from_dict(dict(data, execution_mode="batch"))
+    assert not hasattr(spec, "execution_mode")
+    assert spec.invocations == ServiceWorkloadSpec.from_dict(data).invocations == 4
+    with pytest.raises(OptimizationError):
+        spec.replace(execution_mode="batch")
 
 
 # ----------------------------------------------------------------------
@@ -366,23 +350,6 @@ def test_batch_predicate_kernels_defer_the_unbound_operand_error(op):
     assert compile_batch_mask(predicate, Bindings()) is None
 
 
-def _hash_join_both_modes(build, probe, predicates, batch_size=None):
-    workload = _edge_workload()
-    plan = HashJoin(
-        Materialized(build, FileScan("A")),
-        Materialized(probe, FileScan("B")),
-        predicates,
-    )
-    results = {}
-    for mode in EXECUTION_MODES:
-        database = Database(workload.catalog)
-        results[mode] = execute_plan(
-            plan, database, execution_mode=mode, batch_size=batch_size
-        )
-        assert results[mode].io_snapshot == database.io_stats.snapshot()
-    return results["row"], results["batch"]
-
-
 @pytest.mark.parametrize("batch_size", (None, 1, 3))
 @pytest.mark.parametrize("secondary", (False, True), ids=("plain", "secondary"))
 def test_hash_probe_matches_row_mode(secondary, batch_size):
@@ -400,20 +367,29 @@ def test_hash_probe_matches_row_mode(secondary, batch_size):
     predicates = [JoinPredicate("B.k", "A.k")]
     if secondary:
         predicates.append(JoinPredicate("A.j", "B.j"))
-    row, batch = _hash_join_both_modes(build, probe, predicates, batch_size)
+    plan = HashJoin(
+        Materialized(build, FileScan("A")),
+        Materialized(probe, FileScan("B")),
+        predicates,
+    )
+    database = Database(_edge_workload().catalog)
+    batch = execute_plan(plan, database, batch_size=batch_size)
+    assert batch.io_snapshot == database.io_stats.snapshot()
 
-    assert batch.records == row.records
-    assert batch.io_snapshot == row.io_snapshot
-    assert [list(r.keys()) for r in batch.records] == [
-        list(r.keys()) for r in row.records
-    ]
-    expected = sum(
-        1
+    # Record at a time: each probe record against the build records in
+    # build order, the probe side's fields merged over the build side's.
+    expected = [
+        b.merged_with(p)
         for p in probe
         for b in build
         if b["A.k"] == p["B.k"] and (not secondary or b["A.j"] == p["B.j"])
+    ]
+    assert batch.records == expected
+    assert len(expected) > 0
+    # Build, probe and output records are each charged once.
+    assert batch.io_snapshot["records_processed"] == (
+        len(build) + len(probe) + len(expected)
     )
-    assert batch.row_count == expected > 0
     for record in batch.records:
         assert record["tag"].startswith("probe-")
         assert list(record.keys()) == ["A.k", "A.j", "tag", "B.k", "B.j"]
