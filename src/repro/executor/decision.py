@@ -86,20 +86,22 @@ class DecisionCompilationError(PlanError):
     """A plan contains an operator the compiler does not support."""
 
 
+def _uncertain_predicate(node):
+    """The uncertain selection predicate a node's step reads, if any."""
+    if isinstance(node, (Filter, FilterBTreeScan)):
+        predicate = node.predicate
+    else:
+        predicate = getattr(node, "residual_predicate", None)
+    return predicate if predicate is not None and predicate.is_uncertain else None
+
+
 def _parameter_read(node):
     """The one parameter a node's step reads from the bindings, if any:
     the memory grant (hash join, sort) or an uncertain selectivity."""
     if isinstance(node, (HashJoin, Sort)):
         return MEMORY_PARAMETER
-    if isinstance(node, (Filter, FilterBTreeScan)):
-        predicate = node.predicate
-    elif isinstance(node, IndexJoin):
-        predicate = node.residual_predicate
-    else:
-        return None
-    if predicate is not None and predicate.is_uncertain:
-        return predicate.selectivity_parameter
-    return None
+    predicate = _uncertain_predicate(node)
+    return None if predicate is None else predicate.selectivity_parameter
 
 
 # One kernel per operator kind, each the matching ``CostModel`` formula
@@ -526,6 +528,25 @@ class CompiledDecision:
                     readers.setdefault(read, []).append(slot)
             self._readers = readers
         return self._readers.get(parameter, ())
+
+    def selectivity_reads(self, slots, pins):
+        """``{parameter: predicate}`` of every uncertain selectivity the
+        choose-plans among ``slots`` depend on: read at or below one,
+        without descending into a slot of ``pins``."""
+        nodes = self._nodes
+        stack = [nodes[s] for s in slots if isinstance(nodes[s], ChoosePlan)]
+        seen = set()
+        reads = {}
+        while stack:
+            node = stack.pop()
+            if id(node) in seen or self._slots[id(node)] in pins:
+                continue
+            seen.add(id(node))
+            predicate = _uncertain_predicate(node)
+            if predicate is not None:
+                reads.setdefault(predicate.selectivity_parameter, predicate)
+            stack.extend(node.inputs())
+        return reads
 
     def rerun(self, slots, costs, cards, bindings, pins):
         """Re-run the steps of ``slots`` over the caller's work arrays.

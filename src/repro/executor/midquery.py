@@ -42,10 +42,13 @@ into different hit rates.  The query service never combines the two.
 """
 
 import time
+from math import ceil, floor
 
 from repro.algebra.physical import (
     BTreeScan,
     ChoosePlan,
+    FileScan,
+    Filter,
     FilterBTreeScan,
     HashJoin,
     Materialized,
@@ -55,10 +58,12 @@ from repro.common.errors import ExecutionError
 from repro.common.units import access_module_read_seconds
 from repro.cost.formulas import CostModel
 from repro.cost.parameters import Bindings, ParameterSpace, Valuation
-from repro.executor.decision import CompiledDecision
+from repro.executor.decision import CompiledDecision, _uncertain_predicate
 from repro.executor.engine import ExecutionResult, execute_plan
 from repro.executor.startup import StartupReport, _rebuild
+from repro.executor.vectorized import sargable_key_range
 from repro.resilience.deadline import Deadline
+from repro.storage.iostats import IOStatistics
 
 #: Pipeline-breaker kinds a policy may re-decide at.
 BREAKER_KINDS = ("hash_build", "sort", "btree_scan")
@@ -249,6 +254,11 @@ class MidQueryReport:
         self.decisions_reused = 0
         self.cost_evaluations = 0
         self.decision_seconds = 0.0
+        #: ``parameter -> (declared, observed, "drain" | "probe")``: the
+        #: selectivities re-decisions read in place of the declared ones.
+        self.rebound = {}
+        #: What the probes charged: the run's I/O less this is drains + tail.
+        self.probe_io = IOStatistics().snapshot()
         #: Whether the ``restart`` strategy re-executed from scratch.
         self.restarted = False
         self.final_plan = None
@@ -256,6 +266,11 @@ class MidQueryReport:
         self.choices = []
         #: Every :class:`Redecision` made, across all passes.
         self.redecision_events = []
+
+    @property
+    def probes(self):
+        """Index-only range counts run before re-decisions."""
+        return self.probe_io["index_probes"]
 
     def note_outcome(self, outcome):
         """Fold one decision pass into the counters."""
@@ -276,6 +291,9 @@ class MidQueryReport:
             "switches": self.switches,
             "decisions_reused": self.decisions_reused,
             "cost_evaluations": self.cost_evaluations,
+            "probes": self.probes,
+            "probe_io": dict(self.probe_io),
+            "rebound": {name: list(entry) for name, entry in self.rebound.items()},
             "restarted": self.restarted,
         }
 
@@ -306,6 +324,13 @@ class MidQueryReport:
                     event.estimate.upper,
                     "  VIOLATED" if event.violated else "",
                 )
+            )
+        for name, entry in self.rebound.items():
+            lines.append("  rebound %s: declared %g, observed %g (%s)" % (name, *entry))
+        if self.probes:
+            lines.append(
+                "  %(index_probes)d index-only probe(s) read %(pages_read)d page(s)"
+                % self.probe_io
             )
         if self.restarted:
             lines.append("  restarted from scratch after switch")
@@ -403,6 +428,24 @@ class IncrementalDecider:
                 self._dirty.add(slot)
                 stack.extend(parents[slot])
 
+    def _compiled(self):
+        if self._program is None:
+            self._program = CompiledDecision(
+                self.plan, self.catalog, self.parameter_space
+            )
+        return self._program
+
+    def _pins(self):
+        slot_of = self._program.slot_of
+        return {slot_of(node): pin for node, pin in self._pinned.values()}
+
+    def pending_reads(self):
+        """``{parameter: predicate}`` the next :meth:`decide` depends on: the
+        uncertain selectivities read under a dirty choose-plan, outside pins."""
+        program = self._compiled()
+        slots = range(len(program)) if self._costs is None else self._dirty
+        return program.selectivity_reads(slots, self._pins())
+
     def decide(self):
         """One decision pass: re-run the dirty slots, rebuild the plan.
 
@@ -415,11 +458,7 @@ class IncrementalDecider:
         slot runs none) and ``reused`` the standing choices left alone.
         """
         started = time.perf_counter()
-        program = self._program
-        if program is None:
-            program = self._program = CompiledDecision(
-                self.plan, self.catalog, self.parameter_space
-            )
+        program = self._compiled()
         if self._costs is None:
             self._costs = [0.0] * len(program)
             self._cards = [0.0] * len(program)
@@ -427,12 +466,8 @@ class IncrementalDecider:
         else:
             slots = sorted(self._dirty)
         costs = self._costs
-        pins = {
-            program.slot_of(origin): checkpoint
-            for origin, checkpoint in self._pinned.values()
-        }
         decisions, evaluations = program.rerun(
-            slots, costs, self._cards, self.bindings, pins
+            slots, costs, self._cards, self.bindings, self._pins()
         )
         self._dirty.clear()
         decided = []
@@ -556,6 +591,33 @@ def _next_breaker(plan, kinds, skipped):
     return None
 
 
+def _own_predicate(subplan):
+    """The uncertain predicate of a drained single-relation selection
+    (its row count over the relation's is the selectivity), or ``None``."""
+    if isinstance(subplan, Filter):
+        source = subplan.input
+        if isinstance(source, Materialized):  # a drained B-tree scan
+            source = source.original
+        if not isinstance(source, (FileScan, BTreeScan)):
+            return None
+    elif not isinstance(subplan, FilterBTreeScan):
+        return None
+    return _uncertain_predicate(subplan)
+
+
+def count_qualifying(database, predicate, bindings):
+    """Records a selection predicate admits, counted in the B-tree on its
+    attribute over the scan's key range (``<`` and ``>`` leave the bound's
+    own entries out); ``None`` when no index can answer."""
+    relation, _, attribute = predicate.attribute.partition(".")
+    op = predicate.comparison.op.value
+    if op == "<>" or not database.has_btree(relation, attribute):
+        return None
+    btree = database.btree(relation, attribute)
+    low, high = sargable_key_range(predicate, bindings)
+    return btree.count_range(low, high, inclusive=op not in ("<", ">"))
+
+
 def _strip_checkpoints(plan):
     """Replace every checkpoint by the subplan that produced it."""
     cache = {}
@@ -636,6 +698,32 @@ def execute_midquery(
     # A drained subplan's compile-time cardinality is an *interval*.
     bounds_model = CostModel(catalog, Valuation.bounds(parameter_space))
 
+    def learn(predicate, rows, source):
+        """Rebind a selectivity to ``rows`` over the relation's stored
+        count — on a copy: the caller's ``bindings`` is never written."""
+        name = predicate.selectivity_parameter
+        known = decider.bindings
+        declared = Valuation.runtime(parameter_space, known).selectivity(predicate)
+        relation = predicate.attribute.partition(".")[0]
+        observed = rows / max(1, catalog.cardinality(relation))
+        report.rebound[name] = (declared.lower, observed, source)
+        if known is bindings:
+            known = bindings.copy()
+        decider.rebind(known.bind(name, observed), (name,))
+
+    def verify():
+        """Count, index-only, what the pending decisions read unobserved."""
+        probing = database.io_stats.snapshot()
+        for name, predicate in sorted(decider.pending_reads().items()):
+            if name not in report.rebound:
+                if deadline is not None:
+                    deadline.check()
+                count = count_qualifying(database, predicate, bindings)
+                if count is not None:
+                    learn(predicate, count, "probe")
+        for key, value in database.io_stats.snapshot().items():
+            report.probe_io[key] += value - probing[key]
+
     started = time.perf_counter()
     before = database.io_stats.snapshot()
 
@@ -659,7 +747,11 @@ def execute_midquery(
         decider.pin(decider.origin_of(subplan), checkpoint)
         observed = checkpoint.observed_cardinality
         estimate = bounds_model.evaluate(subplan).cardinality
-        violated = not estimate.contains(observed)
+        # A row count is an integer: a fractional bound rounds outward.
+        violated = not floor(estimate.lower) <= observed <= ceil(estimate.upper)
+        own = _own_predicate(subplan)
+        if own is not None and own.selectivity_parameter not in report.rebound:
+            learn(own, observed, "drain")
         report.breakers.append(
             BreakerEvent(kind, subplan, observed, estimate, violated)
         )
@@ -670,6 +762,7 @@ def execute_midquery(
 
         if policy.mode == "always" or violated:
             report.redecisions += 1
+            verify()
             outcome = decider.decide()
             if outcome.switched:
                 report.switches += 1

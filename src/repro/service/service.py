@@ -87,6 +87,7 @@ RESILIENCE_COUNTERS = (
     "midquery_checkpoints",
     "midquery_redecisions",
     "midquery_switches",
+    "midquery_probes",
     "incremental_redecisions",
 )
 
@@ -740,6 +741,8 @@ class QueryService:
             self._count("midquery_redecisions", mid_report.redecisions)
             if self._m_redecide is not None:
                 self._m_redecide.observe(mid_report.decision_seconds)
+        if mid_report.probes:
+            self._count("midquery_probes", mid_report.probes)
         if mid_report.switches:
             self._count("midquery_switches", mid_report.switches)
             if self.tracer is not None:

@@ -268,6 +268,38 @@ class BTree:
             if node is not None:
                 self.io_stats.charge_page_reads(1)
 
+    def count_range(self, low=None, high=None, inclusive=True):
+        """How many entries ``range_scan(low, high)`` yields, counted in
+        the leaves: the same pages visited and charged, the same fault
+        site, no RID fetched.  ``inclusive=False`` walks entries whose key
+        equals a bound without counting them (``<`` and ``>``)."""
+        if self.fault_injector is not None:
+            self.fault_injector.record("index_probe")
+        self.io_stats.charge_index_probe(1)
+        node = self._root
+        pages = 1
+        while not node.is_leaf:
+            pages += 1
+            position = 0 if low is None else bisect.bisect_right(node.keys, low)
+            node = node.children[position]
+        start = 0 if low is None else bisect.bisect_left(node.keys, low)
+        count = 0
+        while True:
+            keys = node.keys
+            end = len(keys) if high is None else bisect.bisect_right(keys, high)
+            first, last = start, end
+            if not inclusive:
+                first += first < last and keys[first] == low
+                last -= first < last and keys[last - 1] == high
+            count += sum(map(len, node.values[first:last]))
+            node = node.next_leaf
+            if end < len(keys) or node is None:
+                break
+            pages += 1
+            start = 0
+        self.io_stats.charge_page_reads(pages)
+        return count
+
     def keys_in_order(self):
         """All distinct keys in ascending order (no I/O charged)."""
         result = []

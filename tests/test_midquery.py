@@ -15,39 +15,64 @@ triggers a re-decision, and any re-decision picks an alternative whose
 re-costed value is no worse than the incumbent's.
 """
 
+import functools
 import sys
 import threading
+from math import ceil, floor
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from tests._reference import reference_rows
 from tests.test_property_random_queries import workloads
 
+from repro.algebra.expressions import (
+    Comparison,
+    ComparisonOp,
+    SelectionPredicate,
+    UserVariable,
+)
 from repro.algebra.physical import (
     BTreeScan,
     ChoosePlan,
     FileScan,
+    Filter,
     FilterBTreeScan,
     HashJoin,
     Materialized,
     Sort,
 )
-from repro.common.errors import ExecutionError
+from repro.common.errors import ExecutionError, TransientIOError
 from repro.cost.formulas import CostModel
-from repro.cost.parameters import MEMORY_PARAMETER, Valuation
+from repro.cost.parameters import MEMORY_PARAMETER, Bindings, Valuation
 from repro.executor import execute_plan, validate_plan
 from repro.executor.decision import CompiledDecision, DecisionCompilationError
 from repro.executor.midquery import (
     BREAKER_KINDS,
     IncrementalDecider,
     ReoptPolicy,
+    count_qualifying,
     execute_midquery,
     startup_report_from_outcome,
 )
 from repro.optimizer import optimize_dynamic
 from repro.catalog import populate_database
+from repro.resilience import (
+    FaultInjector,
+    FaultProfile,
+    FaultRule,
+    ResiliencePolicy,
+    RetryPolicy,
+)
 from repro.resilience.chaos import rows_digest
+from repro.service import QueryService
 from repro.storage.database import Database
-from repro.workloads import paper_workload, random_bindings, skewed_bindings
+from repro.workloads import (
+    make_join_workload,
+    paper_workload,
+    random_bindings,
+    skewed_bindings,
+)
+from repro.workloads.queries import SELECTION_ATTRIBUTE
 
 #: Data-population seed shared with the chaos harness.
 DATA_SEED = 11
@@ -98,6 +123,20 @@ def _run_midquery(workload, plan, bindings, policy):
         workload.query.parameter_space,
         policy=policy,
     )
+
+
+def _io_less_probes(result, report):
+    """The run's I/O account minus what the index-only probes charged:
+    by the I/O-identity invariant, the drains plus the final plan."""
+    return {
+        key: value - report.probe_io[key]
+        for key, value in result.io_snapshot.items()
+    }
+
+
+def _rounds_into(estimate, observed):
+    """The violation rule: an integer count against outward-rounded bounds."""
+    return floor(estimate.lower) <= observed <= ceil(estimate.upper)
 
 
 def _checkpoint(node, cardinality):
@@ -211,7 +250,7 @@ class TestDifferentialIdentity:
             workload, plan, bindings, ReoptPolicy("always")
         )
         assert rows_digest(forced.records) == rows_digest(plain.records)
-        assert forced.io_snapshot == plain.io_snapshot
+        assert _io_less_probes(forced, report) == plain.io_snapshot
 
     @pytest.mark.parametrize("number", PAPER_QUERIES)
     def test_final_plan_is_valid_and_fully_decided(self, number):
@@ -239,7 +278,8 @@ class TestDifferentialIdentity:
         )
         assert rows_digest(forced.records) == rows_digest(plain.records)
         if report.switches == 0:
-            assert forced.io_snapshot == plain.io_snapshot
+            assert _io_less_probes(forced, report) == plain.io_snapshot
+        assert bool(report.probes) == bool(report.redecisions)
 
     @pytest.mark.parametrize("number", PAPER_QUERIES)
     def test_handed_program_changes_nothing(self, number):
@@ -333,12 +373,12 @@ class TestCheckpointReuse:
             workload, plan, bindings, ReoptPolicy("always")
         )
         assert report.checkpoints == len(report.breakers)
-        assert report.violations >= 1
+        assert report.violations == sum(e.violated for e in report.breakers)
         for event in report.breakers:
             assert event.kind in BREAKER_KINDS
             assert event.observed >= 0
             assert event.violated == (
-                not event.estimate.contains(event.observed)
+                not _rounds_into(event.estimate, event.observed)
             )
         data = report.to_dict()
         assert data["switches"] == report.switches
@@ -554,10 +594,14 @@ class TestMidQueryProperties:
         assert report.redecisions == report.violations
         for event in report.breakers:
             if not event.violated:
-                assert event.estimate.contains(event.observed)
+                assert _rounds_into(event.estimate, event.observed)
         assert rows_digest(result.records) == rows_digest(plain.records)
         if report.switches == 0:
-            assert result.io_snapshot == plain.io_snapshot
+            assert _io_less_probes(result, report) == plain.io_snapshot
+        if not report.violations:
+            assert not report.probes and not report.rebound or all(
+                source == "drain" for _, _, source in report.rebound.values()
+            )
 
     @settings(max_examples=8, deadline=None)
     @given(workload=workloads(), binding_seed=st.integers(0, 1000))
@@ -736,3 +780,245 @@ class TestMidQueryProperties:
         assert rows_digest(result.records) == rows_digest(plain.records)
         final = report.final_plan
         assert final.choose_plan_count() == 0
+
+
+# ----------------------------------------------------------------------
+# What a re-decision reads: observed selectivities, not declared ones
+# ----------------------------------------------------------------------
+
+#: The selectivity every predicate *declares* in the lie matrix, inside
+#: the compile-time bounds; a lying relation's data behaves like one of
+#: ``TRUE_SELECTIVITIES`` instead (``skew_reopt``'s 0.3–0.8 range).
+DECLARED = 0.02
+LIE_BOUNDS = (0.0, 0.1)
+TRUE_SELECTIVITIES = (0.3, 0.55, 0.8)
+
+#: ``auto``'s simulated seconds summed over ``TRUE_SELECTIVITIES`` at the
+#: parent commit (8aa72ea: no feedback, no probe, 3 / 2 switches a run).
+PARENT_AUTO_SECONDS = {"all": 28.809, "R1+R2": 12.3641}
+
+LIE_CELLS = {
+    "all": ("R1", "R2", "R3"),
+    "R1": ("R1",),
+    "R1+R2": ("R1", "R2"),
+    "R1+R3": ("R1", "R3"),
+    "R2": ("R2",),
+    "none": (),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _chain(bounds=LIE_BOUNDS):
+    """A 3-way chain join with one bounded predicate per relation — the
+    ``skew_reopt`` fixture: ``(workload, database, plan, program)``."""
+    workload = make_join_workload(3, selectivity_bounds=bounds)
+    database = populate_database(Database(workload.catalog), seed=0)
+    plan = optimize_dynamic(workload.catalog, workload.query).plan
+    program = CompiledDecision(plan, workload.catalog, workload.query.parameter_space)
+    return workload, database, plan, program
+
+
+def _lying_bindings(workload, actual):
+    """Every parameter declared ``DECLARED``; ``actual`` maps a relation
+    to the selectivity its bound value really has (default: no lie)."""
+    bindings = Bindings()
+    for name in workload.query.relations:
+        predicate = workload.query.selection_for(name)
+        domain = workload.catalog.domain_size(name, SELECTION_ATTRIBUTE)
+        bindings.bind(predicate.selectivity_parameter, DECLARED)
+        bindings.bind_variable(
+            predicate.comparison.operand.name, actual.get(name, DECLARED) * domain
+        )
+    return bindings
+
+
+def _run_chain(bindings, mode, database=None):
+    workload, stored, plan, program = _chain()
+    _, startup = program.choose(bindings)
+    return execute_midquery(
+        plan,
+        database if database is not None else stored,
+        bindings,
+        workload.query.parameter_space,
+        policy=ReoptPolicy(mode),
+        choices=startup.choices,
+        decision=program,
+    )
+
+
+class TestVerifiedRedecisions:
+    """Own-predicate feedback plus verify-before-you-switch."""
+
+    @pytest.mark.parametrize("cell", sorted(LIE_CELLS))
+    def test_lie_matrix(self, cell):
+        """Whoever lies, ``auto`` returns the true rows, leaves the
+        caller's bindings alone and does not lose to doing nothing
+        (simulated seconds summed over the selectivity range)."""
+        workload, database, _, _ = _chain()
+        liars = LIE_CELLS[cell]
+        seconds = {"off": 0.0, "auto": 0.0}
+        for true in TRUE_SELECTIVITIES:
+            bindings = _lying_bindings(workload, dict.fromkeys(liars, true))
+            expected = rows_digest(reference_rows(workload, database, bindings))
+            before = repr(bindings)
+            off, _ = _run_chain(bindings, "off")
+            auto, report = _run_chain(bindings, "auto")
+            assert repr(bindings) == before
+            assert rows_digest(off.records) == expected
+            assert rows_digest(auto.records) == expected
+            seconds["off"] += off.simulated_seconds()
+            seconds["auto"] += auto.simulated_seconds()
+            if "R1" in liars:
+                # The first drain (R1's B-tree scan) violates: the other
+                # two predicates are counted before anything switches.
+                assert report.breakers[0].violated
+                assert report.probes == 2
+                assert report.switches == 1
+                assert {
+                    name: source for name, (_, _, source) in report.rebound.items()
+                } == {"sel_R1": "drain", "sel_R2": "probe", "sel_R3": "probe"}
+                for name, (declared, observed, _) in report.rebound.items():
+                    assert declared == DECLARED
+                    stated = true if name[4:] in liars else DECLARED
+                    assert observed == pytest.approx(stated, abs=0.05)
+            else:
+                # Nothing violates: no probe, no re-decision, same bytes.
+                assert report.violations == report.redecisions == 0
+                assert report.probes == 0 and not any(report.probe_io.values())
+                assert [entry[2] for entry in report.rebound.values()] == ["drain"]
+                assert auto.io_snapshot == off.io_snapshot
+        assert seconds["auto"] <= seconds["off"]
+        if cell in PARENT_AUTO_SECONDS:
+            assert seconds["auto"] < PARENT_AUTO_SECONDS[cell]
+
+    def test_report_names_what_the_decision_read(self):
+        workload, _, _, _ = _chain()
+        bindings = _lying_bindings(workload, dict.fromkeys(("R1", "R2", "R3"), 0.6))
+        result, report = _run_chain(bindings, "auto")
+        data = report.to_dict()
+        assert data["probes"] == report.probes == 2
+        assert data["probe_io"] == report.probe_io
+        assert report.probe_io["index_probes"] == 2
+        assert report.probe_io["pages_read"] > 0
+        assert report.probe_io["records_processed"] == 0
+        assert set(data["rebound"]) == {"sel_R1", "sel_R2", "sel_R3"}
+        assert data["rebound"]["sel_R2"][0] == DECLARED
+        assert data["rebound"]["sel_R2"][2] == "probe"
+        text = report.render()
+        assert "rebound sel_R2: declared 0.02, observed" in text
+        assert "2 index-only probe(s)" in text
+        # The run's account covers the probes, and says how much they were.
+        for key, value in report.probe_io.items():
+            assert result.io_snapshot[key] >= value
+
+    def test_rounding_noise_on_a_pinned_join_is_not_a_violation(self):
+        """Both inputs of the build join are checkpoints, so its estimate
+        is a fractional *point* an integer count can never equal."""
+        workload, database, _, _ = _chain((0.0, 1.0))
+        query = workload.query
+        bindings = Bindings()
+        for name, selectivity in zip(query.relations, (0.3, 0.4, 0.5)):
+            predicate = query.selection_for(name)
+            domain = workload.catalog.domain_size(name, SELECTION_ATTRIBUTE)
+            bindings.bind(predicate.selectivity_parameter, selectivity)
+            bindings.bind_variable(
+                predicate.comparison.operand.name, selectivity * domain
+            )
+
+        def index_scan(name):
+            return FilterBTreeScan(name, SELECTION_ATTRIBUTE, query.selection_for(name))
+
+        first, second = query.join_predicates
+        plan = HashJoin(
+            HashJoin(index_scan("R1"), index_scan("R2"), first),
+            Filter(FileScan("R3"), query.selection_for("R3")),
+            second,
+        )
+        _, report = execute_midquery(
+            plan, database, bindings, query.parameter_space, policy=ReoptPolicy("auto")
+        )
+        event = report.breakers[-1]
+        assert event.kind == "hash_build"
+        assert all(isinstance(side, Materialized) for side in event.operator.inputs())
+        low, high = event.to_dict()["estimate"]
+        assert low == high and low != int(low)  # reported unrounded
+        assert floor(low) <= event.observed <= ceil(high)
+        assert not event.estimate.contains(event.observed)
+        assert not event.violated
+        assert report.violations == report.redecisions == report.probes == 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        relation=st.sampled_from(("R1", "R2", "R3")),
+        op=st.sampled_from(list(ComparisonOp)),
+        value=st.one_of(st.integers(-3, 1300), st.floats(-3.0, 1300.0)),
+    )
+    def test_probe_counts_what_the_filter_returns(self, relation, op, value):
+        _, database, _, _ = _chain()
+        attribute = "%s.%s" % (relation, SELECTION_ATTRIBUTE)
+        predicate = SelectionPredicate(
+            Comparison(attribute, op, UserVariable("v")), selectivity_parameter="s"
+        )
+        bindings = Bindings().bind_variable("v", value)
+        io_stats = database.io_stats
+
+        before = io_stats.snapshot()
+        count = count_qualifying(database, predicate, bindings)
+        probed = {key: io_stats.snapshot()[key] - before[key] for key in before}
+        if op is ComparisonOp.NE:
+            assert count is None and not any(probed.values())
+            return
+        filtered = execute_plan(
+            Filter(FileScan(relation), predicate), database, bindings
+        )
+        assert count == filtered.row_count
+
+        from repro.executor.vectorized import sargable_key_range
+
+        before = io_stats.snapshot()
+        for _ in database.btree(relation, attribute).range_scan(
+            *sargable_key_range(predicate, bindings)
+        ):
+            pass
+        scanned = {key: io_stats.snapshot()[key] - before[key] for key in before}
+        assert probed == scanned  # descent + leaves walked, no record
+
+    def test_transient_fault_in_a_probe_is_retried_like_a_scans(self):
+        workload, _, _, _ = _chain()
+        bindings = _lying_bindings(workload, dict.fromkeys(("R1", "R2", "R3"), 0.6))
+        clean = populate_database(Database(workload.catalog), seed=0)
+        expected, report = _run_chain(bindings, "auto", clean)
+        # One B-tree scan is drained, then the two probes run: the second
+        # ``index_probe`` operation of the query is the first probe.
+        assert [event.kind for event in report.breakers][:1] == ["btree_scan"]
+        assert report.probes == 2
+        profile = FaultProfile(
+            "probe-fault", rules=(FaultRule("index_probe", at_operations=(2,), limit=1),)
+        )
+
+        faulty = populate_database(Database(workload.catalog), seed=0)
+        injector = faulty.install_fault_injector(FaultInjector(profile, seed=0))
+        with pytest.raises(TransientIOError) as excinfo:
+            _run_chain(bindings, "auto", faulty)
+        assert excinfo.value.site == "index_probe"
+        assert injector.site_operations["index_probe"] == 2
+
+        served = populate_database(Database(workload.catalog), seed=0)
+        served.install_fault_injector(FaultInjector(profile, seed=0))
+        service = QueryService(
+            served,
+            max_workers=1,
+            resilience=ResiliencePolicy(
+                retry=RetryPolicy(max_retries=3, base_delay=0.0, jitter=0.0),
+                sleep=lambda _seconds: None,
+            ),
+        )
+        with service:
+            result = service.run(workload.query, bindings, reopt_policy="auto")
+        assert rows_digest(result.execution.records) == rows_digest(expected.records)
+        assert result.execution.midquery.probes == 2
+        counts = service.resilience_counts()
+        assert counts["transient_retries"] == 1
+        assert counts["midquery_probes"] == 2
+        assert counts["permanent_failures"] == counts["timeouts"] == 0
+        assert service.stats().requests == 1
