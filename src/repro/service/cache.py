@@ -9,9 +9,11 @@ constructed over.
 
 Life cycle: live -> retained -> gone.  ``capacity`` counts *live*
 entries.  Evicting one *demotes* it to a second LRU map: it keeps its
-plan, bounds and counters and loses what is cheap to rebuild; a later
-lookup *promotes* it — a hit, since no optimizer runs — and only that
-map's own overflow drops a plan (paper Sections 4, 6; DESIGN.md).
+plan, its decision program, bounds and counters and loses only the
+chosen-plan memo and the on-demand fallback plan; a later lookup
+*promotes* it — a hit that costs a lookup, since neither the optimizer
+nor the decision compiler runs — and only that map's own overflow drops
+a plan (paper Sections 4, 6; DESIGN.md).
 
 Staleness (the paper's "plan becomes stale" case): a dynamic plan is
 provably optimal only for bindings inside the compile-time intervals.
@@ -37,9 +39,10 @@ from repro.optimizer.query import QuerySpec, canonical_signature, signature_dige
 
 #: Retained (demoted) entries kept per live slot.  By deep ``getsizeof``
 #: on the benchmark's 4-way plans a live entry is ~18 KB of plan DAG +
-#: ~27 KB of decision program + 3-6 KB of memo (10-way: 203 + 287 + 240)
-#: and a retained one ~20 KB, so four per slot bound the tier at about
-#: 1.6x the live entries' bytes (DESIGN.md, "Entry life cycle").
+#: ~25 KB of decision program + 3-6 KB of memo (10-way: 203 + 280 + 240)
+#: and a retained one, which keeps plan and program, ~47 KB (10-way:
+#: ~490), so four per slot bound the tier at about 3.7x the live
+#: entries' bytes (DESIGN.md, "Entry life cycle").
 RETAINED_PER_SLOT = 4
 
 
@@ -141,11 +144,11 @@ class PlanCacheEntry:
         #: ``QueryService.serve``: one query shape has only a few
         #: distinct choose-plan outcomes, so the chosen static plan is
         #: rebuilt once per outcome instead of once per invocation.
-        #: Replaced (never mutated in place) by ``install``, so a
-        #: reader holding the old dict can finish against the plan the
-        #: dict was built for.
+        #: Replaced (never cleared in place) by ``install`` and
+        #: ``demote``, so a reader holding the old dict can finish
+        #: against the plan the dict was built for.
         self.chosen_memo = {}
-        #: Plan kept, decision program dropped (:meth:`demote`).
+        #: Demoted and not served since (:meth:`demote`).
         self.demoted = False
         self.lock = threading.RLock()
 
@@ -164,18 +167,15 @@ class PlanCacheEntry:
         self.covered_bounds = _covered_bounds(parameter_space)
 
     def demote(self):
-        """Drop what is cheap to rebuild; keep plan, bounds, counters.
+        """Drop the memo and the fallback plan; keep plan, program, bounds.
 
-        Under the cache lock, so it only *tries* ``self.lock`` (``_refresh``
-        nests them the other way): a busy entry is retained as it is.
+        Needs no entry lock: both are replaced, never mutated, and stay
+        valid for the unchanged plan, so a request that read either
+        finishes on it.
         """
-        if self.lock.acquire(blocking=False):
-            try:
-                self.decision = self.fallback_plan = None
-                self.chosen_memo = {}
-                self.demoted = True
-            finally:
-                self.lock.release()
+        self.chosen_memo = {}
+        self.fallback_plan = None
+        self.demoted = True
 
     def snapshot(self):
         """Consistent ``(plan, parameter_space, decision)`` for start-up."""
@@ -393,7 +393,7 @@ class PlanCache:
         lookup time — a hit is a lookup that ran no optimizer, promotion
         of a retained plan included.  Making an entry live may demote the
         least recently used one.  The caller compiles missing plans under
-        ``entry.lock`` (``entry.install``); a ``demoted`` one lacks its program.
+        ``entry.lock`` (``entry.install``).
         """
         with self._lock:
             self.stats.lookups += 1

@@ -20,8 +20,9 @@ durable without pickling code objects:
   JSON document via the atomic temp-file + ``os.replace`` dance:
   readers see either the old snapshot or the new one, never a torn
   write.  :func:`read_snapshot` refuses wrong formats/versions
-  (:class:`~repro.common.errors.SnapshotVersionError`) and failed
-  checksums (:class:`~repro.common.errors.SnapshotCorruptError`).
+  (:class:`~repro.common.errors.SnapshotVersionError`) and bytes that
+  do not decode, parse or checksum
+  (:class:`~repro.common.errors.SnapshotCorruptError`).
 * **Restore** — :func:`restore_gateway` routes each entry to the shard
   owning its recomputed canonical signature (so the snapshot survives
   a shard-count change), seeds the partition outside the hit/miss
@@ -275,14 +276,19 @@ def read_snapshot(path):
     """Load and validate a snapshot document; typed errors on refusal."""
     path = os.fspath(path)
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, "rb") as handle:
             raw = handle.read()
     except OSError as error:
         raise SnapshotError(
             "cannot read snapshot %s: %s" % (path, error), reason="unreadable"
         ) from error
     try:
-        snapshot = json.loads(raw)
+        snapshot = json.loads(raw.decode("utf-8"))
+    except UnicodeDecodeError as error:
+        raise SnapshotCorruptError(
+            "snapshot %s is not valid UTF-8: %s" % (path, error),
+            reason="bad_encoding",
+        ) from error
     except ValueError as error:
         raise SnapshotCorruptError(
             "snapshot %s is not valid JSON: %s" % (path, error),

@@ -303,7 +303,8 @@ def render_report(report):
     lines.append("")
     lines.append(
         "  cache: %.1f%% hit rate (%d hits / %d lookups), "
-        "%d evictions, %d promotions, %d re-optimizations"
+        "%d evictions, %d promotions, %d re-optimizations, "
+        "%d decision compiles"
         % (
             100.0 * stats.hit_rate,
             stats.cache["hits"],
@@ -311,6 +312,7 @@ def render_report(report):
             stats.cache["evictions"],
             stats.cache["promotions"],
             stats.cache["invalidations"],
+            stats.resilience["decision_compiles"],
         )
     )
     lines.append(

@@ -83,6 +83,7 @@ RESILIENCE_COUNTERS = (
     "fallback_activations",
     "breaker_trips",
     "breaker_short_circuits",
+    "decision_compiles",
     "decision_fallbacks",
     "midquery_checkpoints",
     "midquery_redecisions",
@@ -555,9 +556,9 @@ class QueryService:
             decision_started = time.perf_counter()
             with entry.lock:
                 if entry.demoted:
-                    # Promoted and not re-optimized since: rebuilding the
-                    # program is the paper's activation cost, start-up time.
-                    self._install(entry, entry.plan, entry.parameter_space)
+                    # Promoted and not re-optimized since: the program it
+                    # kept through demotion serves as it is.
+                    entry.demoted = False
                     if self.tracer is not None:
                         self.tracer.event(
                             "plan_promoted", level="info", digest=entry.digest
@@ -693,7 +694,8 @@ class QueryService:
                 self._m_rows.inc(execution.row_count)
 
     def _compile(self, entry, query):
-        """Optimize ``query`` into ``entry`` (entry lock held); seconds."""
+        """Optimize ``query`` and compile its decision program into
+        ``entry`` (entry lock held); seconds."""
         compile_started = time.perf_counter()
         result = self._optimize(self.catalog, query)
         plan = result.plan
@@ -701,17 +703,11 @@ class QueryService:
             from repro.executor.validation import validate_plan
 
             plan = validate_plan(plan, self.catalog)
-        self._install(entry, plan, query.parameter_space)
-        return time.perf_counter() - compile_started
-
-    def _install(self, entry, plan, parameter_space):
-        """Compile ``plan``'s decision program and publish both (entry
-        lock held): all of a promotion, the second half of a compile."""
-        query_name = entry.query.name  # widening keeps the name
         decision = None
         if self.compiled:
             try:
-                decision = CompiledDecision(plan, self.catalog, parameter_space)
+                decision = CompiledDecision(plan, self.catalog, query.parameter_space)
+                self._count("decision_compiles")
             except DecisionCompilationError as error:
                 # The interpreted activate_plan path makes identical
                 # decisions, so this is safe — but it silently costs
@@ -721,17 +717,18 @@ class QueryService:
                 logger.warning(
                     "decision compilation for query %r fell back to the "
                     "interpreter: %s",
-                    query_name,
+                    query.name,
                     error,
                 )
                 if self.tracer is not None:
                     self.tracer.event(
                         "decision_compile_fallback",
                         level="warn",
-                        query=query_name,
+                        query=query.name,
                         reason=str(error),
                     )
-        entry.install(plan, parameter_space, decision)
+        entry.install(plan, query.parameter_space, decision)
+        return time.perf_counter() - compile_started
 
     def _note_midquery(self, entry, mid_report):
         """Fold a mid-query report into service and entry counters."""
@@ -917,16 +914,17 @@ class QueryService:
         (the caller then keeps re-deciding the dynamic plan instead).
         """
         with entry.lock:
-            if entry.fallback_plan is None:
+            # Read once: demotion clears the field without the entry lock.
+            fallback = entry.fallback_plan
+            if fallback is None:
                 from repro.optimizer.optimizer import optimize_static
 
                 try:
-                    entry.fallback_plan = optimize_static(
-                        self.catalog, entry.query
-                    ).plan
+                    fallback = optimize_static(self.catalog, entry.query).plan
                 except OptimizationError:
                     return None
-            return entry.fallback_plan
+                entry.fallback_plan = fallback
+            return fallback
 
     def submit(
         self,

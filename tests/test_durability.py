@@ -10,10 +10,13 @@ tests prove at the counter level by wrapping the optimizer entry
 point and requiring zero calls after restore.
 """
 
+import functools
 import json
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.__main__ import main
 from repro.catalog.synthetic import populate_database
@@ -171,6 +174,107 @@ def read_checksum_of(entries):
     from repro.service.durability import _checksum
 
     return _checksum(entries)
+
+
+def served_plans(catalog, requests, snapshot):
+    """What a two-shard gateway restored from ``snapshot`` serves."""
+    with ShardedQueryService(
+        Database(catalog), shards=2, capacity=16, execute=False
+    ) as gateway:
+        restore_gateway(gateway, snapshot)
+        return [
+            (result.digest, result.cache_hit, result.chosen.digest())
+            for result in gateway.run_batch(requests)
+        ]
+
+
+@functools.lru_cache(maxsize=None)
+def two_entry_snapshot():
+    """``(catalog, requests, file bytes, served plans)`` of a real
+    two-entry snapshot, built once for every fuzzed example."""
+    catalog, _queries, requests = traffic(requests=8, shapes=2)
+    with QueryService(
+        Database(catalog), capacity=16, execute=False, max_workers=1
+    ) as service:
+        service.run_batch(requests)
+        snapshot = build_snapshot(service)
+    assert len(snapshot["entries"]) == 2
+    payload = json.dumps(snapshot, sort_keys=True, indent=1).encode("utf-8")
+    return catalog, requests, payload, served_plans(catalog, requests, snapshot)
+
+
+def mutated_snapshot(data, original):
+    """One truncation, single-bit flip, or format/version skew."""
+    kind = data.draw(st.sampled_from(("truncate", "flip", "skew")))
+    if kind == "truncate":
+        return original[: data.draw(st.integers(0, len(original) - 1))]
+    if kind == "flip":
+        bit = data.draw(st.integers(0, 8 * len(original) - 1))
+        flipped = bytearray(original)
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        return bytes(flipped)
+    document = json.loads(original)
+    document["format"] = data.draw(st.sampled_from((SNAPSHOT_FORMAT, "", None)))
+    document["version"] = data.draw(
+        st.one_of(st.integers(), st.floats(), st.booleans(), st.none(), st.text())
+    )
+    return json.dumps(document, sort_keys=True, indent=1).encode("utf-8")
+
+
+class TestSnapshotIntegrity:
+    """No damaged snapshot restores a plan the original would not."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_damaged_snapshot_is_refused_or_serves_the_original_plans(
+        self, tmp_path_factory, data
+    ):
+        catalog, requests, original, expected = two_entry_snapshot()
+        path = tmp_path_factory.getbasetemp() / "fuzzed.json"
+        path.write_bytes(mutated_snapshot(data, original))
+        try:
+            snapshot = read_snapshot(path)
+        except SnapshotError:
+            return
+        # Accepted: a neutral change (a float spelled another way,
+        # ``"version": true``) — it must serve exactly what the
+        # original serves.
+        assert served_plans(catalog, requests, snapshot) == expected
+
+    def test_non_utf8_snapshot_is_refused_typed_by_every_reader(
+        self, tmp_path, capsys
+    ):
+        """One high-bit-flipped byte: gateway construction cold-starts,
+        a supervisor restart comes back cold, ``serve-batch`` exits 2."""
+        catalog, _queries, requests = traffic()
+        path = tmp_path / "cache.json"
+        gateway = make_gateway(catalog, durability=DurabilityConfig(path))
+        try:
+            gateway.run_batch(requests)
+        finally:
+            gateway.shutdown()
+        damaged = bytearray(path.read_bytes())
+        damaged[damaged.index(b'"entries"')] |= 0x80
+        path.write_bytes(bytes(damaged))
+        with pytest.raises(SnapshotCorruptError) as excinfo:
+            read_snapshot(path)
+        assert excinfo.value.reason == "bad_encoding"
+
+        config = DurabilityConfig(path, snapshot_on_shutdown=False)
+        gateway = make_gateway(catalog, durability=config)
+        try:
+            assert gateway.restore_stats is None
+            gateway.shard_for(requests[0].query).kill()
+            gateway.supervisor.check()
+            assert gateway.supervisor.counts()["restarts"] == 1
+            assert gateway.snapshot_counts()["failures"] == 2
+            assert len(gateway.run_batch(requests)) == len(requests)
+        finally:
+            gateway.shutdown()
+
+        code = main(["serve-batch", "--invocations", "8", "--snapshot", str(path)])
+        assert code == 2
+        assert "not valid UTF-8" in capsys.readouterr().out
 
 
 class TestWarmRestore:

@@ -73,35 +73,57 @@ class TestOptimizationScale:
         assert module.byte_size < dynamic.node_count() * 1000
 
 
+@pytest.fixture(scope="class")
+def churn():
+    """The ``churn_compile`` construction — 120 shapes, Zipf 1.1, 2
+    shards x 12 live entries, 1,000 requests — served once: ``(optimizer
+    calls, shapes, per-shard cache snapshots, gateway statistics)``."""
+    from repro.service import ShardedQueryService
+    from repro.storage import Database
+    from repro.workloads.traffic import HeavyTrafficSpec, to_service_requests
+
+    spec = HeavyTrafficSpec(
+        requests=1000, query_shapes=120, zipf_s=1.1, relations=4, seed=7
+    )
+    catalog, _queries, requests = to_service_requests(spec)
+    calls = []
+
+    def counting(catalog, query):
+        calls.append(query.name)
+        return optimize_dynamic(catalog, query)
+
+    with ShardedQueryService(
+        Database(catalog), shards=2, capacity=12, optimize=counting, execute=False
+    ) as gateway:
+        gateway.run_batch(requests)
+        shards = [s.service.cache.stats_snapshot() for s in gateway.shards]
+        stats = gateway.stats().total
+    shapes = len({request.query.name for request in requests})
+    return calls, shapes, shards, stats
+
+
 class TestRecompilationIsCounted:
-    def test_churn_stream_optimizes_each_shape_once_within_the_retained_bound(self):
-        """The ``churn_compile`` construction — 120 shapes, Zipf 1.1,
-        2 shards x 12 live entries, 1,000 requests — runs the optimizer
-        for first touches, re-optimizations and plans the retained tier
-        itself overflowed: never for a plan the process still holds."""
-        from repro.service import ShardedQueryService
-        from repro.storage import Database
-        from repro.workloads.traffic import HeavyTrafficSpec, to_service_requests
-
-        spec = HeavyTrafficSpec(
-            requests=1000, query_shapes=120, zipf_s=1.1, relations=4, seed=7
-        )
-        catalog, _queries, requests = to_service_requests(spec)
-        calls = []
-
-        def counting(catalog, query):
-            calls.append(query.name)
-            return optimize_dynamic(catalog, query)
-
-        with ShardedQueryService(
-            Database(catalog), shards=2, capacity=12, optimize=counting, execute=False
-        ) as gateway:
-            gateway.run_batch(requests)
-            shards = [s.service.cache.stats_snapshot() for s in gateway.shards]
-        shapes = len({request.query.name for request in requests})
+    def test_churn_stream_optimizes_each_shape_once_within_the_retained_bound(
+        self, churn
+    ):
+        """The optimizer runs for first touches, re-optimizations and
+        plans the retained tier itself overflowed: never for a plan the
+        process still holds."""
+        calls, shapes, shards, _stats = churn
         cache = {key: sum(s[key] for s in shards) for key in shards[0]}
         overflows = cache["evictions"] - cache["promotions"] - cache["retained"]
         assert cache["evictions"] > 2 * shapes  # the stream does churn
         assert len(calls) == cache["misses"] + cache["invalidations"]
         assert len(calls) <= shapes + cache["invalidations"] + overflows
         assert all(s["retained"] <= 48 for s in shards)
+
+    def test_churn_stream_compiles_a_decision_program_per_optimizer_run(
+        self, churn
+    ):
+        """A retained plan keeps its program: more promotions than
+        optimizer runs, and the decision compiler runs exactly when the
+        optimizer does."""
+        calls, _shapes, _shards, stats = churn
+        assert stats.cache["promotions"] > len(calls)
+        assert stats.resilience["decision_compiles"] == len(calls)
+        assert stats.resilience["decision_fallbacks"] == 0

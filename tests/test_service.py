@@ -276,10 +276,11 @@ class TestRetainedTier:
         assert metrics["plan_cache_promotions_total"]["value"] == 5
         assert metrics["plan_cache_retained_entries"]["value"] == 1
         promoted = [e for e in tracer.events if e.name == "plan_promoted"]
-        # The drifted request re-optimized instead of rebuilding the
-        # program of the plan it was about to replace.
+        # Five promotions, the drifted one re-optimized before it served.
         assert len(promoted) == 4
         assert {e.meta["digest"] for e in promoted} == {r.digest for r in results}
+        # A program is compiled per optimizer run; no promotion compiles.
+        assert stats.resilience["decision_compiles"] == len(calls)
 
     @pytest.mark.parametrize("compiled", (True, False), ids=("compiled", "interpreted"))
     @pytest.mark.parametrize(
@@ -348,6 +349,27 @@ class TestRetainedTier:
         for bounds in entry.covered_bounds.values():
             assert bounds.contains(0.9)
 
+    def test_promotion_serves_on_the_program_the_live_entry_compiled(
+        self, workload2
+    ):
+        spoiler = spoiler_query(workload2)
+        bindings = random_bindings(workload2, seed=4)
+        with QueryService(
+            Database(workload2.catalog), capacity=1, execute=False, max_workers=1
+        ) as service:
+            first = service.run(workload2.query, bindings)
+            entry = service.cache.get(workload2.query)
+            decision = entry.decision
+            service.run(spoiler, bindings)  # demotes it
+            assert entry.chosen_memo == {}
+            again = service.run(workload2.query, bindings)
+            assert again.cache_hit and service.cache.get(workload2.query) is entry
+            assert entry.decision is decision and not entry.demoted
+            assert again.chosen.digest() == first.chosen.digest()
+            assert len(entry.chosen_memo) == 1
+            # The query's program and the spoiler's; none on promotion.
+            assert service.resilience_counts()["decision_compiles"] == 2
+
     def test_retained_entry_is_stripped_invalidated_cleared_and_not_snapshotted(
         self, workload2
     ):
@@ -359,10 +381,11 @@ class TestRetainedTier:
             service.run(workload2.query, bindings)
             entry = service.cache.get(workload2.query)
             service._fallback_plan(entry)
-            assert entry.decision and entry.chosen_memo and entry.fallback_plan
+            decision = entry.decision
+            assert decision and entry.chosen_memo and entry.fallback_plan
             service.run(spoiler, bindings)
             assert entry.plan is not None and entry.demoted
-            assert entry.decision is None and entry.fallback_plan is None
+            assert entry.decision is decision and entry.fallback_plan is None
             assert entry.chosen_memo == {}
             assert service.cache.stats_snapshot()["retained"] == 1
             assert [e.query.name for e in service.cache.entries()] == ["spoiler"]

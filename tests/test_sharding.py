@@ -611,12 +611,14 @@ class TestEvictionAccounting:
         entries, for any lookup sequence at capacities 1-5."""
         cache = PlanCache(capacity)
         reference = ReferenceCache(capacity)
+        programs = {}
         for shape in shapes:
             query = PROPERTY_QUERIES[shape]
             signature = canonical_signature(query)
             entry, hit = cache.entry_for_signature(signature, query)
             if not hit:
-                entry.install(object(), query.parameter_space, decision=object())
+                programs[signature] = object()
+                entry.install(object(), query.parameter_space, programs[signature])
             reference.lookup(signature)
         snapshot = cache.stats_snapshot()
         expected = reference.expected()
@@ -624,7 +626,8 @@ class TestEvictionAccounting:
         assert [entry.signature for entry in cache.entries()] == reference.live
         assert list(cache._retained) == reference.retained
         for entry in cache._retained.values():
-            assert entry.plan is not None and entry.decision is None
+            assert entry.plan is not None
+            assert entry.decision is programs[entry.signature]
             assert entry.demoted and entry.chosen_memo == {}
 
     @pytest.mark.slow
