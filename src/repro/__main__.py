@@ -339,12 +339,11 @@ def _serve_batch(argv):
         if restored is not None:
             print(
                 "snapshot: restored %d cached plans from %s "
-                "(%d skipped, %d decision fallbacks, %d errors)"
+                "(%d skipped, %d errors)"
                 % (
                     restored.restored,
                     args.snapshot,
                     restored.skipped,
-                    restored.decision_fallbacks,
                     len(restored.errors),
                 )
             )

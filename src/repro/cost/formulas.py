@@ -1,25 +1,37 @@
 """Cost formulas for every physical algorithm (paper Section 5).
 
+Each operator kind's cost is stated once, as a *kernel*: a module-level
+``for`` loop over *rows* with the formula inline.  A row is a plain
+tuple — its node's *slot* in the caller's ``costs``/``cards`` work
+arrays, its inputs' slots, the indexes of the parameters it reads in
+the caller's value list, and its catalog statistics folded in as
+constants — built by :class:`RowBuilder`.  Two programs run the
+kernels:
+
+* :class:`CostModel` evaluates a plan DAG over intervals, with memo-
+  ization (each shared subplan is costed once — the sharing
+  optimization the paper applies at start-up time).  It runs each
+  node's kernel at the two corners of the parameters and is used at
+  compile time with a ``bounds`` valuation (interval costs), by the
+  static optimizer with an ``expected`` valuation, and at start-up or
+  run time with a ``runtime`` valuation, where both corners coincide;
+* :class:`~repro.executor.decision.CompiledDecision` runs the same
+  kernels over whole segments of a cached plan at the request's point
+  bindings — the start-up decision procedure re-evaluates these very
+  formulas, so its costs are the interval model's, bit for bit.
+
 All formulas are monotone in their uncertain arguments (cardinalities
 and selectivities increase cost; memory decreases it), so evaluating
 them at the interval endpoints yields exact interval costs — the
 paper's construction: "the upper and lower bounds of the cost
 intervals are computed using traditional cost formulas supplied with
 the appropriate upper and lower bound values for the parameters ...
-assuming that cost functions are monotonic in all their arguments".
-
-A single :class:`CostModel` instance evaluates a whole plan DAG with
-memoization (each shared subplan is costed once — the sharing
-optimization the paper applies at start-up time).  The same class is
-used:
-
-* at compile time with a ``bounds`` valuation (interval costs),
-* at compile time with an ``expected`` valuation (static optimizer),
-* at start-up time with a ``runtime`` valuation (the choose-plan
-  decision procedure re-evaluates these very formulas).
+assuming that cost functions are monotonic in all their arguments"
+(``tests/test_cost_model.py::TestKernelMonotonicity``).
 """
 
 import math
+from math import ceil, log
 
 from repro.algebra.physical import (
     BTreeScan,
@@ -66,9 +78,13 @@ def lru_page_faults(record_count, page_count, buffer_pages):
     the paper): the Cardenas estimate gives the distinct pages touched,
     ``Y = P (1 - (1 - 1/P)^k)``; while they fit in the buffer each
     faults once, afterwards accesses miss with probability
-    ``1 - B/P``.  Monotone increasing in ``record_count`` and
-    decreasing in ``buffer_pages``, so interval evaluation at the
-    corners stays exact.
+    ``1 - B/P``.  Every distinct page faults at least once, so the
+    estimate is floored at ``Y``: without the floor, less than one
+    access past the point where the buffer fills, the estimate grew
+    with the buffer (25.5 fetches over 25 pages: 16.1703 faults with 16
+    buffer pages, 16.1721 with 112).  Monotone increasing in
+    ``record_count`` and decreasing in ``buffer_pages``, so interval
+    evaluation at the corners stays exact.
     """
     if record_count <= 0 or page_count <= 0:
         return 0.0
@@ -81,7 +97,9 @@ def lru_page_faults(record_count, page_count, buffer_pages):
         1.0 - per_access_hit
     )
     remaining = max(0.0, record_count - fill_accesses)
-    return buffer_pages + remaining * (1.0 - buffer_pages / page_count)
+    return max(
+        distinct, buffer_pages + remaining * (1.0 - buffer_pages / page_count)
+    )
 
 
 def btree_height(cardinality):
@@ -96,93 +114,140 @@ def btree_leaf_pages(cardinality):
     return max(1, math.ceil(cardinality / BTREE_COST_FANOUT))
 
 
-def hash_join_seconds(build_card, probe_card, join_sel, memory_pages):
-    """Local cost of a hash join: CPU plus partition spill I/O."""
-    build_pages = pages_for_records(build_card)
-    probe_pages = pages_for_records(probe_card)
-    output = build_card * probe_card * join_sel
-    cpu = (
-        build_card * 2.0 * CPU_COST_WEIGHT
-        + probe_card * 2.0 * CPU_COST_WEIGHT
-        + output * CPU_COST_WEIGHT
-    )
-    if build_pages <= memory_pages or build_pages == 0:
-        spill_fraction = 0.0
-    else:
-        spill_fraction = 1.0 - memory_pages / build_pages
-    io = (
-        2.0
-        * spill_fraction
-        * (build_pages + probe_pages)
-        * SPILL_IO_TIME_PER_PAGE
-    )
-    return cpu + io
+# One kernel per operator kind; the choose-plan rule is each caller's
+# own (an argmin at a point, an envelope over an interval).  ``values``
+# is the caller's parameter list, ``values[0]`` the memory grant, and
+# ``decisions`` the choose-plan kernel's output, unused here.  A page
+# count is ``pages_for_records`` inlined: ``ceil`` of a positive
+# quotient is at least one unless the quotient underflowed to zero,
+# hence ``or 1``.  An index-fetching row's ``fetch`` column is its fetch
+# mode: ``False``, unclustered (one random fault per record); ``True``,
+# clustered (the records' adjacent pages, read sequentially); or,
+# buffered, the relation's heap-page count (unclustered, [MaL89] faults
+# through the memory grant).  Identity tests keep the branch as cheap as
+# a flag's.
 
 
-def merge_join_seconds(left_card, right_card, join_sel):
-    """Local cost of a merge join over sorted inputs (CPU only)."""
-    output = left_card * right_card * join_sel
-    return (
-        (left_card + right_card) * 1.5 * CPU_COST_WEIGHT
-        + output * CPU_COST_WEIGHT
-    )
+def _filter_btree_scan(rows, costs, cards, values, decisions):
+    for slot, read, cardinality, descend, leaves, fetch in rows:
+        s = values[read]
+        matches = s * cardinality
+        if fetch is False:
+            fetch_io = matches * IO_TIME_PER_PAGE
+        elif fetch is True:
+            fetch_io = matches / RECORDS_PER_PAGE * SEQ_IO_TIME_PER_PAGE
+        else:
+            fetch_io = lru_page_faults(matches, fetch, values[0]) * IO_TIME_PER_PAGE
+        costs[slot] = (
+            descend
+            + s * leaves * SEQ_IO_TIME_PER_PAGE
+            + fetch_io
+            + matches * CPU_COST_WEIGHT
+        )
+        cards[slot] = matches
 
 
-def sort_seconds(card, memory_pages):
-    """Local cost of sorting ``card`` records in ``memory_pages``."""
-    if card <= 1:
-        return CPU_COST_WEIGHT
-    pages = pages_for_records(card)
-    # Floored at the card <= 1 constant: n*log2(n) dips below 1 for
-    # n < ~1.56, and corner evaluation requires monotonicity in card.
-    cpu = max(card * math.log(card, 2), 1.0) * CPU_COST_WEIGHT
-    if pages <= memory_pages:
-        return cpu
-    # External merge sort: one partition pass plus merge passes.
-    run_count = pages / max(memory_pages, 2.0)
-    merge_passes = max(
-        1, math.ceil(math.log(run_count, max(memory_pages - 1, 2)))
-    )
-    io = 2.0 * pages * merge_passes * SPILL_IO_TIME_PER_PAGE
-    return cpu + io
+def _filter(rows, costs, cards, values, decisions):
+    for slot, child, read in rows:
+        card = cards[child]
+        costs[slot] = costs[child] + card * CPU_COST_WEIGHT
+        cards[slot] = card * values[read]
 
 
-def index_scan_seconds(height, leaf_pages, fetch_io, records):
-    """Cost of a B-tree scan: descent, leaf chain, record fetches, CPU."""
-    return (
-        height * IO_TIME_PER_PAGE
-        + leaf_pages * SEQ_IO_TIME_PER_PAGE
-        + fetch_io
-        + records * CPU_COST_WEIGHT
-    )
+def _hash_join(rows, costs, cards, values, decisions):
+    memory = values[0]
+    for slot, build, probe, join_sel in rows:
+        build_card = cards[build]
+        probe_card = cards[probe]
+        output = build_card * probe_card * join_sel
+        local = (
+            build_card * 2.0 * CPU_COST_WEIGHT
+            + probe_card * 2.0 * CPU_COST_WEIGHT
+            + output * CPU_COST_WEIGHT
+        )
+        if build_card > 0:
+            build_pages = ceil(build_card / RECORDS_PER_PAGE) or 1
+            if not build_pages <= memory:
+                # Partition spill I/O; only this branch reads the probe
+                # side's pages.
+                probe_pages = 0
+                if probe_card > 0:
+                    probe_pages = ceil(probe_card / RECORDS_PER_PAGE) or 1
+                local += (
+                    2.0
+                    * (1.0 - memory / build_pages)
+                    * (build_pages + probe_pages)
+                    * SPILL_IO_TIME_PER_PAGE
+                )
+        costs[slot] = costs[build] + costs[probe] + local
+        cards[slot] = output
 
 
-def index_join_seconds(outer_card, height, fetched, fetch_io, residual_sel):
-    """Local cost of an index join: one descent per outer record plus
-    fetching and (residual-)filtering the ``fetched`` inner records."""
-    io = outer_card * height * IO_TIME_PER_PAGE + fetch_io
-    cpu = (
-        outer_card * CPU_COST_WEIGHT
-        + fetched * CPU_COST_WEIGHT
-        + fetched * residual_sel * CPU_COST_WEIGHT
-    )
-    return io + cpu
+def _merge_join(rows, costs, cards, values, decisions):
+    # Over sorted inputs: CPU only.
+    for slot, left, right, join_sel in rows:
+        left_card = cards[left]
+        right_card = cards[right]
+        output = left_card * right_card * join_sel
+        costs[slot] = (
+            costs[left]
+            + costs[right]
+            + (left_card + right_card) * 1.5 * CPU_COST_WEIGHT
+            + output * CPU_COST_WEIGHT
+        )
+        cards[slot] = output
 
 
-def _per_record_cost(child):
-    """An input's cost plus one CPU unit for each record it delivers."""
-    return Interval.from_floats(
-        child.cost.lower + child.cardinality.lower * CPU_COST_WEIGHT,
-        child.cost.upper + child.cardinality.upper * CPU_COST_WEIGHT,
-    )
+def _index_join(rows, costs, cards, values, decisions):
+    # One descent per outer record plus fetching and (residual-)
+    # filtering the fetched inner records.
+    for slot, outer, read, height, matches_per_probe, fetch in rows:
+        outer_card = cards[outer]
+        residual = values[read]
+        fetched = outer_card * matches_per_probe
+        if fetch is False:
+            fetch_io = fetched * IO_TIME_PER_PAGE
+        elif fetch is True:
+            fetch_io = fetched / RECORDS_PER_PAGE * SEQ_IO_TIME_PER_PAGE
+        else:
+            fetch_io = lru_page_faults(fetched, fetch, values[0]) * IO_TIME_PER_PAGE
+        costs[slot] = costs[outer] + (
+            outer_card * height * IO_TIME_PER_PAGE
+            + fetch_io
+            + outer_card * CPU_COST_WEIGHT
+            + fetched * CPU_COST_WEIGHT
+            + fetched * residual * CPU_COST_WEIGHT
+        )
+        cards[slot] = fetched * residual
 
 
-def _corner_cost(inputs_lower, inputs_upper, lower, upper):
-    """Cost interval of a node: its inputs' cost bounds plus its own
-    formula's values at the lower and upper corners."""
-    if upper < lower:  # numeric noise in non-strictly-monotone corners
-        lower, upper = upper, lower
-    return Interval.from_floats(inputs_lower + lower, inputs_upper + upper)
+def _sort(rows, costs, cards, values, decisions):
+    memory = values[0]
+    for slot, child in rows:
+        card = cards[child]
+        if card <= 1:
+            local = CPU_COST_WEIGHT
+        else:
+            pages = ceil(card / RECORDS_PER_PAGE) or 1
+            # Floored at the card <= 1 constant: n*log2(n) dips below 1
+            # for n < ~1.56, and corner evaluation requires monotonicity
+            # in card.
+            local = max(card * log(card, 2), 1.0) * CPU_COST_WEIGHT
+            if pages > memory:
+                # External merge sort: one partition pass plus merge
+                # passes.
+                run_count = pages / max(memory, 2.0)
+                merge_passes = max(1, ceil(log(run_count, max(memory - 1, 2))))
+                local += 2.0 * pages * merge_passes * SPILL_IO_TIME_PER_PAGE
+        costs[slot] = costs[child] + local
+        cards[slot] = card
+
+
+def _project(rows, costs, cards, values, decisions):
+    for slot, child in rows:
+        card = cards[child]
+        costs[slot] = costs[child] + card * CPU_COST_WEIGHT
+        cards[slot] = card
 
 
 def _split_attribute(qualified):
@@ -193,15 +258,152 @@ def _split_attribute(qualified):
     return relation, attribute
 
 
+class RowBuilder:
+    """Each plan node as the kernel row that states its cost.
+
+    ``read(predicate)`` is the caller's index of a selection predicate's
+    selectivity in its value list; ``read(None)`` that of the constant
+    ``1.0`` (an absent index-join residual, a full index scan).  With
+    ``buffered``, an unclustered index fetch is priced by
+    :func:`lru_page_faults` through the memory grant.  Catalog
+    statistics are looked up once per index and join predicate.
+    """
+
+    def __init__(self, catalog, read, buffered=False):
+        self.catalog = catalog
+        self.read = read
+        self.buffered = buffered
+        self._join_domains = {}
+        self._indexes = {}
+        self._full_scans = {}
+
+    def join_selectivity(self, predicates):
+        """Selectivity of a conjunction of equi-join predicates.
+
+        Per the paper: each predicate contributes one over the larger
+        of the two join-attribute domain sizes; known at compile time.
+        """
+        selectivity = 1.0
+        domains = self._join_domains
+        for predicate in predicates:
+            key = (predicate.left_attribute, predicate.right_attribute)
+            domain = domains.get(key)
+            if domain is None:
+                left_rel, left_attr = _split_attribute(key[0])
+                right_rel, right_attr = _split_attribute(key[1])
+                domain = domains[key] = max(
+                    self.catalog.domain_size(left_rel, left_attr),
+                    self.catalog.domain_size(right_rel, right_attr),
+                )
+            selectivity /= domain
+        return selectivity
+
+    def row(self, node, slot, inputs):
+        """``(kernel, row)`` of the node in ``slot`` over its ``inputs``'
+        slots, the kinds plans are made of most first; ``(None, (cost,
+        cardinality))`` for a node that reads no parameter and no input;
+        ``None`` for a choose-plan or an operator without a formula."""
+        kind = type(node)
+        if kind is HashJoin:
+            join_sel = self.join_selectivity(node.predicates)
+            return _hash_join, (slot, inputs[0], inputs[1], join_sel)
+        if kind is MergeJoin:
+            join_sel = self.join_selectivity(node.predicates)
+            return _merge_join, (slot, inputs[0], inputs[1], join_sel)
+        if kind is Sort:
+            return _sort, (slot, inputs[0])
+        if kind is IndexJoin:
+            cardinality, height, _, fetch = self._index(
+                node.inner_relation, node.inner_attribute
+            )
+            return _index_join, (
+                slot,
+                inputs[0],
+                self.read(node.residual_predicate),
+                height,
+                cardinality * self.join_selectivity(node.predicates),
+                fetch,
+            )
+        if kind is BTreeScan:
+            # The filtered scan at selectivity one.  Unless its fetches
+            # read the memory grant it is a constant, run once per index
+            # as the one slot of a program whose one value is that 1.0.
+            key = (node.relation_name, node.attribute)
+            constant = self._full_scans.get(key)
+            if constant is None:
+                row = self._scan(node, 0, 0)
+                if self.buffered and row[5] is not True:
+                    return _filter_btree_scan, (slot, self.read(None)) + row[2:]
+                cost, cardinality = [0.0], [0.0]
+                _filter_btree_scan((row,), cost, cardinality, (1.0,), None)
+                constant = self._full_scans[key] = None, (cost[0], cardinality[0])
+            return constant
+        if kind is Filter:
+            return _filter, (slot, inputs[0], self.read(node.predicate))
+        if kind is FilterBTreeScan:
+            return _filter_btree_scan, self._scan(
+                node, slot, self.read(node.predicate)
+            )
+        if kind is FileScan:
+            cardinality = self.catalog.cardinality(node.relation_name)
+            cost = (
+                pages_for_records(cardinality) * SEQ_IO_TIME_PER_PAGE
+                + cardinality * CPU_COST_WEIGHT
+            )
+            return None, (cost, cardinality)
+        if kind is Project:
+            return _project, (slot, inputs[0])
+        if kind is Materialized:
+            return None, (0.0, float(node.observed_cardinality))
+        return None
+
+    def _scan(self, node, slot, read):
+        cardinality, height, leaves, fetch = self._index(
+            node.relation_name, node.attribute
+        )
+        return slot, read, cardinality, height * IO_TIME_PER_PAGE, leaves, fetch
+
+    def _index(self, relation_name, attribute):
+        """``(cardinality, height, leaf pages, fetch mode)`` of the B-tree
+        on ``attribute`` of ``relation_name``."""
+        key = (relation_name, attribute)
+        index = self._indexes.get(key)
+        if index is None:
+            cardinality = self.catalog.cardinality(relation_name)
+            info = self.catalog.index_on(relation_name, attribute)
+            if info is not None and info.clustered:
+                fetch = True
+            elif self.buffered:
+                fetch = pages_for_records(cardinality)
+            else:
+                fetch = False
+            index = self._indexes[key] = (
+                cardinality,
+                btree_height(cardinality),
+                btree_leaf_pages(cardinality),
+                fetch,
+            )
+        return index
+
+
 class CostModel:
     """Evaluates cost, cardinality, and sort order over a plan DAG.
 
-    Every handler evaluates its formula on plain floats at the two
-    corners of its arguments — lower bounds of cardinalities and
+    A two-corner program over the kernels.  The first time the model
+    sees a node it gives it a slot in two pairs of ``costs``/``cards``
+    work arrays, one per corner — the lower bounds of cardinalities and
     selectivities with the upper bound of memory, and the reverse —
-    and wraps the two results in intervals once, at the end.
-    Cardinalities and selectivities are non-negative, so a product's
-    bounds are the products of the bounds.
+    builds its row once and runs its kernel once per corner.  Each
+    corner's value list holds its memory bound first and every
+    predicate's selectivity bound, read once per predicate.
+    Cardinalities and selectivities are non-negative and the kernels
+    monotone, so the lower corner never exceeds the upper one, and a
+    slot's two corners wrap into intervals as they are.  What is
+    interval-specific stays here: the choose-plan envelope plus
+    overhead, sort orders, and the :class:`CostResult` per node.
+
+    One model serves one optimization or resolution pass; it is not
+    shared between threads.
     """
 
     def __init__(
@@ -232,286 +434,136 @@ class CostModel:
         dynamic plan is stored as a DAG ... and the cost of shared
         subexpressions is computed only once".
         """
-        cached = self._cache.get(id(plan))
-        if cached is not None:
-            # The cache pins the plan object, so the id cannot have
-            # been recycled by the allocator.
-            return cached[1]
-        handler = self._HANDLERS.get(type(plan))
-        if handler is None:
-            raise PlanError("no cost formula for operator %r" % plan)
-        result = handler(self, plan)
-        self._cache[id(plan)] = (plan, result)
-        self.evaluations += 1
-        return result
+        slot = self._slots.get(plan)
+        if slot is None:
+            slot = self._evaluate(plan)
+        return self._results[slot]
+
+    def evaluated(self, plan):
+        """The :class:`CostResult` of a node this model has already
+        evaluated, else ``None``; evaluates nothing."""
+        slot = self._slots.get(plan)
+        return None if slot is None else self._results[slot]
 
     def invalidate(self):
         """Drop everything derived from the valuation (after changing it)."""
-        self._cache = {}
-        self._join_domains = {}
         memory = self.valuation.memory_pages()
-        self._memory_lower = memory.lower
-        self._memory_upper = memory.upper
+        selectivity = self.valuation.selectivity
+        #: node -> slot (plan nodes hash and compare by identity); per
+        #: slot, the node's result and its two corners' costs and
+        #: cardinalities.
+        self._slots = {}
+        self._results = []
+        self._lower_costs, self._lower_cards = [], []
+        self._upper_costs, self._upper_cards = [], []
+        lower_values = self._lower_values = [memory.upper]
+        upper_values = self._upper_values = [memory.lower]
+        #: The one-row segment a node's kernel runs on.
+        self._segment = [None]
+        reads = {}
+
+        def read(predicate):
+            # A closure, not a method: the row builder holding it must
+            # not hold the model (no reference cycle).
+            known = reads.get(id(predicate))
+            if known is not None:
+                return known[0]
+            index = len(lower_values)
+            if predicate is None:
+                lower_values.append(1.0)
+                upper_values.append(1.0)
+            else:
+                bounds = selectivity(predicate)
+                lower_values.append(bounds.lower)
+                upper_values.append(bounds.upper)
+            # The predicate rides along so its id cannot be recycled.
+            reads[id(predicate)] = (index, predicate)
+            return index
+
+        self._rows = RowBuilder(self.catalog, read, self.buffer_aware)
+        self._row = self._rows.row
 
     def join_selectivity(self, predicates):
-        """Selectivity of a conjunction of equi-join predicates.
-
-        Per the paper: each predicate contributes one over the larger
-        of the two join-attribute domain sizes; known at compile time.
-        """
-        selectivity = 1.0
-        domains = self._join_domains
-        for predicate in predicates:
-            key = (predicate.left_attribute, predicate.right_attribute)
-            domain = domains.get(key)
-            if domain is None:
-                left_rel, left_attr = _split_attribute(key[0])
-                right_rel, right_attr = _split_attribute(key[1])
-                domain = domains[key] = max(
-                    self.catalog.domain_size(left_rel, left_attr),
-                    self.catalog.domain_size(right_rel, right_attr),
-                )
-            selectivity /= domain
-        return selectivity
+        """Selectivity of a conjunction of equi-join predicates
+        (:meth:`RowBuilder.join_selectivity`)."""
+        return self._rows.join_selectivity(predicates)
 
     # ------------------------------------------------------------------
-    # Scans
+    # The two corners
     # ------------------------------------------------------------------
 
-    def _file_scan(self, plan):
-        cardinality = self.catalog.cardinality(plan.relation_name)
-        pages = pages_for_records(cardinality)
-        cost = pages * SEQ_IO_TIME_PER_PAGE + cardinality * CPU_COST_WEIGHT
-        return CostResult(Interval.point(cost), Interval.point(cardinality))
-
-    def _btree_scan(self, plan):
-        cardinality = self.catalog.cardinality(plan.relation_name)
-        height = btree_height(cardinality)
-        leaves = btree_leaf_pages(cardinality)
-        # Unclustered: the descent and leaf chain are cheap, but every
-        # record costs one random heap-page fetch (a fault, when the
-        # buffer-aware refinement is active).
-        fetch_lower, fetch_upper = self._fetch_io_bounds(
-            plan.relation_name, plan.attribute, cardinality, cardinality
-        )
-        cost = _corner_cost(
-            0.0,
-            0.0,
-            index_scan_seconds(height, leaves, fetch_lower, cardinality),
-            index_scan_seconds(height, leaves, fetch_upper, cardinality),
-        )
-        order = "%s.%s" % (plan.relation_name, plan.attribute)
-        return CostResult(cost, Interval.point(cardinality), frozenset((order,)))
-
-    def _fetch_faults(self, record_count, heap_pages, memory_pages):
-        """I/O faults for random record fetches, buffer-aware or not."""
-        if not self.buffer_aware:
-            return record_count
-        return lru_page_faults(record_count, heap_pages, memory_pages)
-
-    def _fetch_io_seconds(self, record_count, heap_pages, memory_pages,
-                          clustered):
-        """I/O seconds to fetch ``record_count`` index-qualified records.
-
-        Clustered indexes read the matching records' adjacent pages
-        sequentially; unclustered indexes pay one random fault per
-        record (or the [MaL89] estimate when buffer-aware).
-        """
-        if clustered:
-            pages = record_count / RECORDS_PER_PAGE
-            return pages * SEQ_IO_TIME_PER_PAGE
-        faults = self._fetch_faults(record_count, heap_pages, memory_pages)
-        return faults * IO_TIME_PER_PAGE
-
-    def _fetch_io_bounds(self, relation_name, attribute, fewest, most):
-        """:meth:`_fetch_io_seconds` through the index on ``attribute`` at
-        the two corners: the fewest records with the most memory, and
-        the most records with the least."""
-        heap_pages = pages_for_records(self.catalog.cardinality(relation_name))
-        index_info = self.catalog.index_on(relation_name, attribute)
-        clustered = index_info is not None and index_info.clustered
-        return (
-            self._fetch_io_seconds(
-                fewest, heap_pages, self._memory_upper, clustered
-            ),
-            self._fetch_io_seconds(
-                most, heap_pages, self._memory_lower, clustered
-            ),
-        )
-
-    def _filter_btree_scan(self, plan):
-        cardinality = self.catalog.cardinality(plan.relation_name)
-        selectivity = self.valuation.selectivity(plan.predicate)
-        height = btree_height(cardinality)
-        leaves = btree_leaf_pages(cardinality)
-        matches_lower = selectivity.lower * cardinality
-        matches_upper = selectivity.upper * cardinality
-        fetch_lower, fetch_upper = self._fetch_io_bounds(
-            plan.relation_name, plan.attribute, matches_lower, matches_upper
-        )
-        cost = _corner_cost(
-            0.0,
-            0.0,
-            index_scan_seconds(
-                height, selectivity.lower * leaves, fetch_lower, matches_lower
-            ),
-            index_scan_seconds(
-                height, selectivity.upper * leaves, fetch_upper, matches_upper
-            ),
-        )
-        order = "%s.%s" % (plan.relation_name, plan.attribute)
-        return CostResult(
-            cost,
-            Interval.from_floats(matches_lower, matches_upper),
-            frozenset((order,)),
-        )
-
-    # ------------------------------------------------------------------
-    # Selection
-    # ------------------------------------------------------------------
-
-    def _filter(self, plan):
-        child = self.evaluate(plan.input)
-        selectivity = self.valuation.selectivity(plan.predicate)
-        out_cardinality = Interval.from_floats(
-            child.cardinality.lower * selectivity.lower,
-            child.cardinality.upper * selectivity.upper,
-        )
-        return CostResult(
-            _per_record_cost(child), out_cardinality, child.sort_orders
-        )
-
-    # ------------------------------------------------------------------
-    # Joins
-    # ------------------------------------------------------------------
-
-    def _hash_join(self, plan):
-        build = self.evaluate(plan.build)
-        probe = self.evaluate(plan.probe)
-        join_sel = self.join_selectivity(plan.predicates)
-        build_card = build.cardinality
-        probe_card = probe.cardinality
-        cost = _corner_cost(
-            build.cost.lower + probe.cost.lower,
-            build.cost.upper + probe.cost.upper,
-            hash_join_seconds(
-                build_card.lower, probe_card.lower, join_sel,
-                self._memory_upper,
-            ),
-            hash_join_seconds(
-                build_card.upper, probe_card.upper, join_sel,
-                self._memory_lower,
-            ),
-        )
-        out_cardinality = Interval.from_floats(
-            build_card.lower * probe_card.lower * join_sel,
-            build_card.upper * probe_card.upper * join_sel,
-        )
-        # Hash join scrambles any input order.
-        return CostResult(cost, out_cardinality)
-
-    def _merge_join(self, plan):
-        left = self.evaluate(plan.left)
-        right = self.evaluate(plan.right)
-        join_sel = self.join_selectivity(plan.predicates)
-        left_card = left.cardinality
-        right_card = right.cardinality
-        cost = _corner_cost(
-            left.cost.lower + right.cost.lower,
-            left.cost.upper + right.cost.upper,
-            merge_join_seconds(left_card.lower, right_card.lower, join_sel),
-            merge_join_seconds(left_card.upper, right_card.upper, join_sel),
-        )
-        out_cardinality = Interval.from_floats(
-            left_card.lower * right_card.lower * join_sel,
-            left_card.upper * right_card.upper * join_sel,
-        )
-        primary = plan.predicates[0]
-        orders = frozenset((primary.left_attribute, primary.right_attribute))
-        return CostResult(cost, out_cardinality, orders)
-
-    def _index_join(self, plan):
-        outer = self.evaluate(plan.outer)
-        inner_cardinality = self.catalog.cardinality(plan.inner_relation)
-        join_sel = self.join_selectivity(plan.predicates)
-        height = btree_height(inner_cardinality)
-        matches_per_probe = inner_cardinality * join_sel
-        if plan.residual_predicate is not None:
-            residual = self.valuation.selectivity(plan.residual_predicate)
-            residual_lower = residual.lower
-            residual_upper = residual.upper
+    def _evaluate(self, plan):
+        """Give a node its slot and fill it; returns the slot."""
+        slots = self._slots
+        results = self._results
+        inputs = []
+        for child in plan.inputs():
+            input_slot = slots.get(child)
+            if input_slot is None:
+                input_slot = self._evaluate(child)
+            inputs.append(input_slot)
+        lower_costs = self._lower_costs
+        lower_cards = self._lower_cards
+        upper_costs = self._upper_costs
+        upper_cards = self._upper_cards
+        slot = len(results)
+        kind = type(plan)
+        if kind is ChoosePlan:
+            result = self._choose_plan(list(map(results.__getitem__, inputs)))
+            cost = result.cost
+            cardinality = result.cardinality
+            lower_costs.append(cost.lower)
+            upper_costs.append(cost.upper)
+            lower_cards.append(cardinality.lower)
+            upper_cards.append(cardinality.upper)
         else:
-            residual_lower = residual_upper = 1.0
-        outer_card = outer.cardinality
-        fetched_lower = outer_card.lower * matches_per_probe
-        fetched_upper = outer_card.upper * matches_per_probe
-        fetch_lower, fetch_upper = self._fetch_io_bounds(
-            plan.inner_relation, plan.inner_attribute, fetched_lower, fetched_upper
-        )
-        cost = _corner_cost(
-            outer.cost.lower,
-            outer.cost.upper,
-            index_join_seconds(
-                outer_card.lower, height, fetched_lower, fetch_lower, residual_lower
-            ),
-            index_join_seconds(
-                outer_card.upper, height, fetched_upper, fetch_upper, residual_upper
-            ),
-        )
-        out_cardinality = Interval.from_floats(
-            fetched_lower * residual_lower, fetched_upper * residual_upper
-        )
-        return CostResult(cost, out_cardinality, outer.sort_orders)
+            built = self._row(plan, slot, inputs)
+            if built is None:
+                raise PlanError("no cost formula for operator %r" % plan)
+            kernel, row = built
+            if kernel is None:
+                cost, cardinality = row
+                cardinality = float(cardinality)
+                lower_costs.append(cost)
+                upper_costs.append(cost)
+                lower_cards.append(cardinality)
+                upper_cards.append(cardinality)
+            else:
+                lower_costs.append(0.0)
+                upper_costs.append(0.0)
+                lower_cards.append(0.0)
+                upper_cards.append(0.0)
+                segment = self._segment
+                segment[0] = row
+                kernel(segment, lower_costs, lower_cards, self._lower_values, None)
+                kernel(segment, upper_costs, upper_cards, self._upper_values, None)
+            # Sort orders: file scans, temporaries and hash joins (which
+            # scramble any input order) deliver none.
+            if kind is HashJoin or kind is FileScan or kind is Materialized:
+                orders = frozenset()
+            elif kind is MergeJoin:
+                primary = plan.predicates[0]
+                orders = frozenset((primary.left_attribute, primary.right_attribute))
+            elif kind is Sort:
+                orders = frozenset((plan.attribute,))
+            elif kind is BTreeScan or kind is FilterBTreeScan:
+                orders = frozenset(("%s.%s" % (plan.relation_name, plan.attribute),))
+            else:  # Filter, Project, IndexJoin
+                orders = results[inputs[0]].sort_orders
+            result = CostResult(
+                Interval.from_floats(lower_costs[slot], upper_costs[slot]),
+                Interval.from_floats(lower_cards[slot], upper_cards[slot]),
+                orders,
+            )
+        results.append(result)
+        slots[plan] = slot
+        self.evaluations += 1
+        return slot
 
-    # ------------------------------------------------------------------
-    # Enforcers and decoration
-    # ------------------------------------------------------------------
-
-    def _sort(self, plan):
-        child = self.evaluate(plan.input)
-        cost = _corner_cost(
-            child.cost.lower,
-            child.cost.upper,
-            sort_seconds(child.cardinality.lower, self._memory_upper),
-            sort_seconds(child.cardinality.upper, self._memory_lower),
-        )
-        return CostResult(cost, child.cardinality, frozenset((plan.attribute,)))
-
-    def _project(self, plan):
-        child = self.evaluate(plan.input)
-        return CostResult(
-            _per_record_cost(child), child.cardinality, child.sort_orders
-        )
-
-    def _choose_plan(self, plan):
-        results = [self.evaluate(alternative) for alternative in plan.alternatives]
+    def _choose_plan(self, results):
         cost = choose_plan_cost(
             [result.cost for result in results], self.choose_plan_overhead
         )
         cardinality = Interval.hull([result.cardinality for result in results])
-        orders = frozenset.intersection(
-            *[result.sort_orders for result in results]
-        )
+        orders = frozenset.intersection(*[result.sort_orders for result in results])
         return CostResult(cost, cardinality, orders)
-
-    def _materialized(self, plan):
-        # A run-time temporary: its production cost is sunk and its
-        # cardinality is *observed*, not estimated (paper Section 7).
-        return CostResult(
-            Interval.zero(), Interval.point(plan.observed_cardinality)
-        )
-
-    #: The one dispatch: plan node type -> cost handler.
-    _HANDLERS = {
-        FileScan: _file_scan,
-        BTreeScan: _btree_scan,
-        FilterBTreeScan: _filter_btree_scan,
-        Filter: _filter,
-        HashJoin: _hash_join,
-        MergeJoin: _merge_join,
-        IndexJoin: _index_join,
-        Sort: _sort,
-        Project: _project,
-        ChoosePlan: _choose_plan,
-        Materialized: _materialized,
-    }

@@ -61,22 +61,6 @@ class AdaptiveReport:
         )
 
 
-class _ObservedCostModel(CostModel):
-    """Cost model that substitutes observations for estimates.
-
-    Nodes mapped in ``substitutions`` (choose-plan nodes that were
-    already decided and materialized) are costed as their temporary:
-    zero remaining cost, observed cardinality.
-    """
-
-    def __init__(self, catalog, valuation, substitutions):
-        CostModel.__init__(self, catalog, valuation)
-        self._substitutions = substitutions
-
-    def evaluate(self, plan):
-        return CostModel.evaluate(self, self._substitutions.get(id(plan), plan))
-
-
 class AdaptiveExecutor:
     """Executes dynamic plans with run-time (not just start-up) choices."""
 
@@ -144,20 +128,20 @@ class AdaptiveExecutor:
         """Pick the cheapest alternative under current observations."""
         decision_started = time.perf_counter()
         valuation = Valuation.runtime(self.parameter_space, context.bindings)
-        cost_model = _ObservedCostModel(
-            self.database.catalog, valuation, substitutions
-        )
-        best_plan = None
-        best_cost = None
+        cost_model = CostModel(self.database.catalog, valuation)
+        substituted = {}
+        best_plan = best_candidate = best_cost = None
         for alternative in choose.alternatives:
-            cost = cost_model.evaluate(alternative).cost.lower
+            candidate = self._substitute(alternative, substitutions, substituted)
+            cost = cost_model.evaluate(candidate).cost.lower
             if best_cost is None or cost < best_cost:
                 best_cost = cost
                 best_plan = alternative
+                best_candidate = candidate
         report.decisions += 1
         report.decision_seconds += time.perf_counter() - decision_started
         context.record_decision(choose, best_plan)
-        return self._substitute(best_plan, substitutions, {})
+        return best_candidate
 
     def _resolve_remaining(self, plan, substitutions, context, report):
         """Resolve every undecided choose-plan with observations.
@@ -169,9 +153,7 @@ class AdaptiveExecutor:
         """
         decision_started = time.perf_counter()
         valuation = Valuation.runtime(self.parameter_space, context.bindings)
-        cost_model = _ObservedCostModel(
-            self.database.catalog, valuation, substitutions
-        )
+        cost_model = CostModel(self.database.catalog, valuation)
         cache = {}
 
         def resolve(node):

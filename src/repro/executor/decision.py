@@ -26,14 +26,14 @@ interval objects, no recursion, no isinstance dispatch, no catalog
 lookups — and rebuilds only the chosen static plan.
 
 At start-up time every parameter is a point, so interval evaluation
-degenerates to scalar evaluation; the kernels replicate
-:class:`~repro.cost.formulas.CostModel`'s arithmetic operation for
-operation, so the compiled decisions are the interpreted path's
-(asserted by the equivalence tests) — except that a merge join's and an
-index join's terms are summed in another order, a last-ulp difference
-that can break an exact tie between two alternatives the other way.
-Compilation never mutates the plan, and a compiled procedure keeps no
-per-invocation state, so one instance serves any number of threads.
+degenerates to scalar evaluation.  The rows and kernels are
+:mod:`repro.cost.formulas`' own — the one statement of each operator's
+cost, which :class:`~repro.cost.formulas.CostModel` runs at its two
+corners — so a compiled decision is the interpreted path's, bit for
+bit (asserted by the equivalence tests).  Only the choose-plan argmin
+is this module's.  Compilation never mutates the plan, and a compiled
+procedure keeps no per-invocation state, so one instance serves any
+number of threads.
 
 The same program carries the decision into execution.  A mid-query
 checkpoint *pins* a slot — cost ``0.0``, cardinality the observed row
@@ -48,36 +48,18 @@ steps) is derived here on first request and cached.
 """
 
 import time
-from math import ceil, log
 from operator import itemgetter
 
 from repro.algebra.physical import (
-    BTreeScan,
     ChoosePlan,
-    FileScan,
     Filter,
     FilterBTreeScan,
     HashJoin,
-    IndexJoin,
-    Materialized,
-    MergeJoin,
-    Project,
     Sort,
 )
 from repro.common.errors import PlanError
-from repro.common.units import (
-    CPU_COST_WEIGHT,
-    IO_TIME_PER_PAGE,
-    RECORDS_PER_PAGE,
-    SEQ_IO_TIME_PER_PAGE,
-    access_module_read_seconds,
-    pages_for_records,
-)
-from repro.cost.formulas import (
-    SPILL_IO_TIME_PER_PAGE,
-    btree_height,
-    btree_leaf_pages,
-)
+from repro.common.units import access_module_read_seconds
+from repro.cost.formulas import RowBuilder
 from repro.cost.parameters import MEMORY_PARAMETER
 from repro.executor.startup import StartupReport, _rebuild
 
@@ -104,121 +86,9 @@ def _parameter_read(node):
     return None if predicate is None else predicate.selectivity_parameter
 
 
-# One kernel per operator kind, each the matching ``CostModel`` formula
-# at a point valuation.  ``values`` is the request's parameter list,
-# ``values[0]`` the memory grant.  A page count is ``pages_for_records``
-# inlined: ``ceil`` of a positive quotient is at least one unless the
-# quotient underflowed to zero, hence ``or 1``.
-
-
-def _filter_btree_scan(rows, costs, cards, values, decisions):
-    for slot, read, cardinality, descend, leaves, clustered in rows:
-        s = values[read]
-        matches = s * cardinality
-        if clustered:
-            fetch_io = matches / RECORDS_PER_PAGE * SEQ_IO_TIME_PER_PAGE
-        else:
-            fetch_io = matches * IO_TIME_PER_PAGE
-        costs[slot] = (
-            descend
-            + s * leaves * SEQ_IO_TIME_PER_PAGE
-            + fetch_io
-            + matches * CPU_COST_WEIGHT
-        )
-        cards[slot] = matches
-
-
-def _filter(rows, costs, cards, values, decisions):
-    for slot, child, read in rows:
-        card = cards[child]
-        costs[slot] = costs[child] + card * CPU_COST_WEIGHT
-        cards[slot] = card * values[read]
-
-
-def _hash_join(rows, costs, cards, values, decisions):
-    memory = values[0]
-    for slot, build, probe, join_sel in rows:
-        build_card = cards[build]
-        probe_card = cards[probe]
-        output = build_card * probe_card * join_sel
-        local = (
-            build_card * 2.0 * CPU_COST_WEIGHT
-            + probe_card * 2.0 * CPU_COST_WEIGHT
-            + output * CPU_COST_WEIGHT
-        )
-        if build_card > 0:
-            build_pages = ceil(build_card / RECORDS_PER_PAGE) or 1
-            if not build_pages <= memory:
-                # Only the spill branch reads the probe side's pages.
-                probe_pages = 0
-                if probe_card > 0:
-                    probe_pages = ceil(probe_card / RECORDS_PER_PAGE) or 1
-                local += (
-                    2.0
-                    * (1.0 - memory / build_pages)
-                    * (build_pages + probe_pages)
-                    * SPILL_IO_TIME_PER_PAGE
-                )
-        costs[slot] = costs[build] + costs[probe] + local
-        cards[slot] = output
-
-
-def _merge_join(rows, costs, cards, values, decisions):
-    for slot, left, right, join_sel in rows:
-        left_card = cards[left]
-        right_card = cards[right]
-        output = left_card * right_card * join_sel
-        costs[slot] = (
-            costs[left]
-            + costs[right]
-            + (left_card + right_card) * 1.5 * CPU_COST_WEIGHT
-            + output * CPU_COST_WEIGHT
-        )
-        cards[slot] = output
-
-
-def _index_join(rows, costs, cards, values, decisions):
-    for slot, outer, read, height, matches_per_probe, clustered in rows:
-        outer_card = cards[outer]
-        residual = values[read]
-        fetched = outer_card * matches_per_probe
-        if clustered:
-            fetch_io = fetched / RECORDS_PER_PAGE * SEQ_IO_TIME_PER_PAGE
-        else:
-            fetch_io = fetched * IO_TIME_PER_PAGE
-        costs[slot] = costs[outer] + (
-            outer_card * height * IO_TIME_PER_PAGE
-            + fetch_io
-            + outer_card * CPU_COST_WEIGHT
-            + fetched * CPU_COST_WEIGHT
-            + fetched * residual * CPU_COST_WEIGHT
-        )
-        cards[slot] = fetched * residual
-
-
-def _sort(rows, costs, cards, values, decisions):
-    memory = values[0]
-    for slot, child in rows:
-        card = cards[child]
-        if card <= 1:
-            local = CPU_COST_WEIGHT
-        else:
-            pages = ceil(card / RECORDS_PER_PAGE) or 1
-            # Mirrors CostModel._sort exactly, floor included.
-            local = max(card * log(card, 2), 1.0) * CPU_COST_WEIGHT
-            if pages > memory:
-                run_count = pages / max(memory, 2.0)
-                merge_passes = max(1, ceil(log(run_count, max(memory - 1, 2))))
-                local += 2.0 * pages * merge_passes * SPILL_IO_TIME_PER_PAGE
-        costs[slot] = costs[child] + local
-        cards[slot] = card
-
-
-def _project(rows, costs, cards, values, decisions):
-    for slot, child in rows:
-        card = cards[child]
-        costs[slot] = costs[child] + card * CPU_COST_WEIGHT
-        cards[slot] = card
+# The one kernel of this module: the start-up choose-plan rule.  The
+# other kinds' kernels, and the rows they run, are
+# :mod:`repro.cost.formulas`'.
 
 
 def _choose_plan(rows, costs, cards, values, decisions):
@@ -289,13 +159,24 @@ class CompiledDecision:
         """Fill the templates; group every other node's row by (rank,
         kernel).  A node ranks one above its highest input, so segments
         run in rank order read only finished slots."""
+        rows = RowBuilder(catalog, self._read)
         ranks = []
         groups = {}
         for slot, node in enumerate(self._nodes):
             inputs = [self._slots[id(child)] for child in node.inputs()]
             rank = 1 + max(map(ranks.__getitem__, inputs), default=0)
             ranks.append(rank)
-            kernel, row = self._row(node, catalog, slot, inputs)
+            if isinstance(node, ChoosePlan):
+                pick = itemgetter(*inputs) if len(inputs) > 2 else None
+                built = _choose_plan, (slot, tuple(inputs), pick, node)
+            else:
+                built = rows.row(node, slot, inputs)
+                if built is None:
+                    raise DecisionCompilationError(
+                        "cannot compile a decision procedure over operator %r"
+                        % node
+                    )
+            kernel, row = built
             if kernel is None:
                 self._costs[slot], self._cards[slot] = row
             else:
@@ -303,73 +184,6 @@ class CompiledDecision:
         # A stable sort: the kinds of one rank keep first-seen order.
         order = sorted(groups, key=itemgetter(0))
         return [(kernel, groups[rank, kernel]) for rank, kernel in order]
-
-    def _row(self, node, catalog, slot, inputs):
-        """``(kernel, row)`` of one node, the kinds wide plans are made
-        of first; ``(None, (cost, cardinality))`` for a node that reads
-        no parameter and no input."""
-        if isinstance(node, HashJoin):
-            join_sel = self._join_selectivity(catalog, node.predicates)
-            return _hash_join, (slot, inputs[0], inputs[1], join_sel)
-        if isinstance(node, MergeJoin):
-            join_sel = self._join_selectivity(catalog, node.predicates)
-            return _merge_join, (slot, inputs[0], inputs[1], join_sel)
-        if isinstance(node, IndexJoin):
-            inner = node.inner_relation
-            inner_cardinality = catalog.cardinality(inner)
-            join_sel = self._join_selectivity(catalog, node.predicates)
-            return _index_join, (
-                slot,
-                inputs[0],
-                self._read(node.residual_predicate),
-                btree_height(inner_cardinality),
-                inner_cardinality * join_sel,
-                self._clustered(catalog, inner, node.inner_attribute),
-            )
-        if isinstance(node, ChoosePlan):
-            pick = itemgetter(*inputs) if len(inputs) > 2 else None
-            return _choose_plan, (slot, tuple(inputs), pick, node)
-        if isinstance(node, Sort):
-            return _sort, (slot, inputs[0])
-        if isinstance(node, Filter):
-            return _filter, (slot, inputs[0], self._read(node.predicate))
-        if isinstance(node, Project):
-            return _project, (slot, inputs[0])
-        if isinstance(node, FilterBTreeScan):
-            cardinality = catalog.cardinality(node.relation_name)
-            return _filter_btree_scan, (
-                slot,
-                self._read(node.predicate),
-                cardinality,
-                btree_height(cardinality) * IO_TIME_PER_PAGE,
-                btree_leaf_pages(cardinality),
-                self._clustered(catalog, node.relation_name, node.attribute),
-            )
-        if isinstance(node, FileScan):
-            cardinality = catalog.cardinality(node.relation_name)
-            cost = (
-                pages_for_records(cardinality) * SEQ_IO_TIME_PER_PAGE
-                + cardinality * CPU_COST_WEIGHT
-            )
-            return None, (cost, cardinality)
-        if isinstance(node, BTreeScan):
-            cardinality = catalog.cardinality(node.relation_name)
-            if self._clustered(catalog, node.relation_name, node.attribute):
-                fetch_io = cardinality / RECORDS_PER_PAGE * SEQ_IO_TIME_PER_PAGE
-            else:
-                fetch_io = cardinality * IO_TIME_PER_PAGE
-            cost = (
-                btree_height(cardinality) * IO_TIME_PER_PAGE
-                + btree_leaf_pages(cardinality) * SEQ_IO_TIME_PER_PAGE
-                + fetch_io
-                + cardinality * CPU_COST_WEIGHT
-            )
-            return None, (cost, cardinality)
-        if isinstance(node, Materialized):
-            return None, (0.0, float(node.observed_cardinality))
-        raise DecisionCompilationError(
-            "cannot compile a decision procedure over operator %r" % node
-        )
 
     def _read(self, predicate):
         """Index of a predicate's selectivity in the request's value list.
@@ -393,24 +207,6 @@ class CompiledDecision:
         if read not in self._reads:
             self._reads.append(read)
         return self._reads.index(read)
-
-    @staticmethod
-    def _clustered(catalog, relation_name, attribute):
-        index_info = catalog.index_on(relation_name, attribute)
-        return index_info is not None and index_info.clustered
-
-    @staticmethod
-    def _join_selectivity(catalog, predicates):
-        """Compile-time twin of ``CostModel.join_selectivity``."""
-        selectivity = 1.0
-        for predicate in predicates:
-            left_rel, left_attr = predicate.left_attribute.split(".", 1)
-            right_rel, right_attr = predicate.right_attribute.split(".", 1)
-            selectivity /= max(
-                catalog.domain_size(left_rel, left_attr),
-                catalog.domain_size(right_rel, right_attr),
-            )
-        return selectivity
 
     # ------------------------------------------------------------------
     # Start-up

@@ -180,9 +180,9 @@ def _partial_lower_bound(plan, resolved_cache, cost_model, bound):
         resolved = resolved_cache.get(id(child))
         if resolved is None:
             continue
-        cached = cost_model._cache.get(id(resolved[1]))
-        if cached is not None:
-            total += cached[1].cost.lower
+        result = cost_model.evaluated(resolved[1])
+        if result is not None:
+            total += result.cost.lower
             if total > bound:
                 break
     return total

@@ -126,9 +126,8 @@ class PhaseSpan:
 class TraceEvent:
     """One discrete, levelled occurrence noted during a traced activity.
 
-    Events record things spans cannot: a decision-procedure
-    compilation falling back to the interpreter, a retry after an
-    injected fault, a mid-run plan degradation.  ``level`` is
+    Events record things spans cannot: a promoted plan, a retry after
+    an injected fault, a mid-run plan degradation.  ``level`` is
     ``"info"`` or ``"warn"``; ``meta`` carries free-form details.
     """
 

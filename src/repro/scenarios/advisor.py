@@ -13,8 +13,8 @@ Estimates, in the paper's Figure 3 notation:
 * ``a``/``e`` — measured optimization times (static/dynamic);
 * ``b``/``f`` — activation: catalog validation + module read, plus for
   dynamic plans a measured decision pass as the query service runs it
-  — the compiled program, the interpreter only where compilation fails
-  (scaled to the simulated machine, see :mod:`repro.cost.calibration`);
+  — the compiled program (scaled to the simulated machine, see
+  :mod:`repro.cost.calibration`);
 * ``c`` — the static plan's cost interval midpoint under the
   compile-time bounds (its expected execution over the parameter
   range);
@@ -30,8 +30,7 @@ from repro.cost.calibration import DEFAULT_CPU_SCALE
 from repro.cost.formulas import CostModel
 from repro.cost.parameters import Bindings, Valuation
 from repro.executor.access_module import AccessModule
-from repro.executor.decision import CompiledDecision, DecisionCompilationError
-from repro.executor.startup import resolve_dynamic_plan
+from repro.executor.decision import CompiledDecision
 from repro.optimizer.optimizer import optimize_dynamic, optimize_static
 
 
@@ -84,14 +83,9 @@ def recommend_strategy(catalog, query, expected_invocations=100,
     b = CATALOG_VALIDATION_SECONDS + static_module.read_seconds()
 
     # One decision pass at the expected bindings, for the CPU estimate.
-    try:
-        _, report = CompiledDecision(
-            dynamic_result.plan, catalog, query.parameter_space
-        ).choose(Bindings())
-    except DecisionCompilationError:
-        _, report = resolve_dynamic_plan(
-            dynamic_result.plan, catalog, query.parameter_space, Bindings()
-        )
+    _, report = CompiledDecision(
+        dynamic_result.plan, catalog, query.parameter_space
+    ).choose(Bindings())
     f = (
         CATALOG_VALIDATION_SECONDS
         + dynamic_module.read_seconds()

@@ -123,8 +123,8 @@ class PlanCacheEntry:
         self.digest = signature_digest(signature)
         self.query = query
         self.plan = None
-        #: Compiled start-up decision procedure, or None for the
-        #: interpreted fallback (see :mod:`repro.executor.decision`).
+        #: The plan's compiled start-up decision procedure (see
+        #: :mod:`repro.executor.decision`); None until one is installed.
         self.decision = None
         self.parameter_space = query.parameter_space
         self.covered_bounds = _covered_bounds(query.parameter_space)

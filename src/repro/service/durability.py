@@ -28,9 +28,8 @@ durable without pickling code objects:
   a shard-count change), seeds the partition outside the hit/miss
   accounting (:meth:`~repro.service.cache.PlanCache.seed_entry`),
   materializes the plan, re-compiles the start-up decision program
-  (interpreted fallback on
-  :class:`~repro.executor.decision.DecisionCompilationError`, counted),
-  and installs everything under the entry lock.  Restored entries have
+  (an entry whose program does not compile is a restore error), and
+  installs everything under the entry lock.  Restored entries have
   a plan installed, so the first live request for a restored signature
   is a cache *hit* that skips compilation entirely — the counter-level
   proof that warm restore works.
@@ -60,7 +59,7 @@ from repro.executor.access_module import (
 )
 from repro.optimizer.query import QuerySpec, canonical_signature
 from repro.cost.parameters import Parameter, ParameterSpace
-from repro.executor.decision import CompiledDecision, DecisionCompilationError
+from repro.executor.decision import CompiledDecision
 
 __all__ = [
     "DurabilityConfig",
@@ -169,16 +168,13 @@ def _entry_to_dict(entry):
 class RestoreStats:
     """What one restore pass did, for logs, tests, and metrics."""
 
-    __slots__ = ("restored", "skipped", "decision_fallbacks", "errors")
+    __slots__ = ("restored", "skipped", "errors")
 
     def __init__(self):
         self.restored = 0
         #: Entries already present in the target partition (restore
         #: never clobbers a warmer-than-snapshot entry).
         self.skipped = 0
-        #: Restored entries whose decision program did not re-compile
-        #: (they serve through the interpreted start-up path).
-        self.decision_fallbacks = 0
         #: Per-entry restore failures, as ``(query_name, message)``;
         #: one bad entry never aborts the rest of the restore.
         self.errors = []
@@ -188,15 +184,13 @@ class RestoreStats:
         return {
             "restored": self.restored,
             "skipped": self.skipped,
-            "decision_fallbacks": self.decision_fallbacks,
             "errors": list(self.errors),
         }
 
     def __repr__(self):
-        return "RestoreStats(restored=%d, skipped=%d, fallbacks=%d, errors=%d)" % (
+        return "RestoreStats(restored=%d, skipped=%d, errors=%d)" % (
             self.restored,
             self.skipped,
-            self.decision_fallbacks,
             len(self.errors),
         )
 
@@ -329,23 +323,17 @@ def read_snapshot(path):
 def _restore_entry(service, data):
     """Rebuild one entry inside ``service``'s cache partition.
 
-    Returns ``("restored", decision_fell_back)`` or ``("skipped",
-    False)`` when the partition already holds the signature.
+    Returns ``"restored"``, or ``"skipped"`` when the partition already
+    holds the signature.
     """
     query = _query_from_dict(data["query"])
     signature = canonical_signature(query)
     entry, created = service.cache.seed_entry(signature, query)
     if not created:
-        return "skipped", False
+        return "skipped"
     space = _space_from_list(data["parameters"])
     plan = AccessModule.from_bytes(data["plan"].encode("utf-8")).materialize()
-    decision = None
-    fell_back = False
-    if service.compiled:
-        try:
-            decision = CompiledDecision(plan, service.catalog, space)
-        except DecisionCompilationError:
-            fell_back = True
+    decision = CompiledDecision(plan, service.catalog, space)
     with entry.lock:
         entry.install(plan, space, decision)
         entry.observed = {
@@ -354,13 +342,13 @@ def _restore_entry(service, data):
         }
         entry.hits = int(data.get("hits", 0))
         entry.reoptimizations = int(data.get("reoptimizations", 0))
-    return "restored", fell_back
+    return "restored"
 
 
 def _restore_entries(service, entries, stats):
     for data in entries:
         try:
-            outcome, fell_back = _restore_entry(service, data)
+            outcome = _restore_entry(service, data)
         except Exception as error:  # noqa: BLE001 — one bad entry must
             # not cold-start the whole tier; the rest still restore.
             name = None
@@ -372,8 +360,6 @@ def _restore_entries(service, entries, stats):
             continue
         if outcome == "restored":
             stats.restored += 1
-            if fell_back:
-                stats.decision_fallbacks += 1
         else:
             stats.skipped += 1
 

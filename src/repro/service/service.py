@@ -9,9 +9,10 @@ chosen static plan.
 
 Concurrency model:
 
-* start-up decisions (:func:`~repro.executor.startup.activate_plan`)
-  are re-entrant over a shared plan DAG, so any number of pool threads
-  resolve the same cached plan simultaneously without locking;
+* start-up decisions (each cached plan's
+  :class:`~repro.executor.decision.CompiledDecision`) keep no state
+  between invocations, so any number of pool threads resolve the same
+  cached plan simultaneously without locking;
 * plan *compilation* and staleness-driven re-optimization mutate the
   cache entry and therefore run under the per-entry lock
   (single-flight: a burst of first requests optimizes once);
@@ -26,7 +27,6 @@ submitted to the pool, so thread scheduling cannot perturb any RNG
 stream (see :mod:`repro.workloads.service`).
 """
 
-import logging
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -42,7 +42,7 @@ from repro.common.errors import (
 )
 from repro.common.stats import percentile
 from repro.cost.parameters import MEMORY_PARAMETER
-from repro.executor.decision import CompiledDecision, DecisionCompilationError
+from repro.executor.decision import CompiledDecision
 from repro.executor.engine import execute_plan
 from repro.executor.midquery import (
     IncrementalDecider,
@@ -50,7 +50,6 @@ from repro.executor.midquery import (
     execute_midquery,
     startup_report_from_outcome,
 )
-from repro.executor.startup import activate_plan
 from repro.optimizer.query import canonical_signature
 from repro.resilience.deadline import Deadline
 from repro.resilience.policy import ResiliencePolicy
@@ -63,9 +62,6 @@ __all__ = [
     "ServiceStatistics",
     "percentile",
 ]
-
-logger = logging.getLogger(__name__)
-
 
 def _coerce_reopt(policy):
     """None / spec string / ReoptPolicy -> optional ReoptPolicy."""
@@ -84,7 +80,6 @@ RESILIENCE_COUNTERS = (
     "breaker_trips",
     "breaker_short_circuits",
     "decision_compiles",
-    "decision_fallbacks",
     "midquery_checkpoints",
     "midquery_redecisions",
     "midquery_switches",
@@ -327,23 +322,10 @@ class QueryService:
     execute:
         Service-wide default for running the chosen plan against the
         database after the start-up decision.
-    branch_and_bound:
-        Read only by the interpreted ``activate_plan`` fallback (the
-        paper's Section 4 start-up pruning), which runs when a plan has
-        no compiled program (``compiled=False``, or an operator the
-        compiler rejects).  The compiled program every default request
-        runs evaluates every alternative: once a formula runs inline, a
-        bound test costs what the evaluation it would skip costs.
     validate:
         Validate plans against the catalog when they are installed in
         the cache (the paper's [CAK81] check, once per compilation
         rather than once per start-up — catalogs here are static).
-    compiled:
-        Compile each cached plan's start-up decision procedure into a
-        scalar evaluation program (:mod:`repro.executor.decision`).
-        Plans the compiler cannot handle fall back to the interpreted
-        :func:`~repro.executor.startup.resolve_dynamic_plan` path,
-        which makes identical decisions, just slower.
     metrics:
         Optional :class:`~repro.observability.metrics.MetricsRegistry`.
         When given, the service records request/re-optimization
@@ -390,9 +372,7 @@ class QueryService:
         max_workers=8,
         optimize=None,
         execute=True,
-        branch_and_bound=False,
         validate=False,
-        compiled=True,
         metrics=None,
         tracer=None,
         batch_size=None,
@@ -409,9 +389,7 @@ class QueryService:
         self.cache = PlanCache(capacity, metrics=metrics)
         self.default_execute = bool(execute)
         self.batch_size = batch_size
-        self.branch_and_bound = bool(branch_and_bound)
         self.validate = bool(validate)
-        self.compiled = bool(compiled)
         self.metrics = metrics
         self.tracer = tracer
         self.resilience = resilience if resilience is not None else ResiliencePolicy()
@@ -525,12 +503,9 @@ class QueryService:
         a shard's worker (:mod:`repro.service.sharding`) and the
         gateway's failover legs — with the canonical ``signature``
         already computed by whoever routed the request.  The start-up
-        decision reuses the entry's decision-outcome memo, so the
-        chosen static plan is *rebuilt* once per distinct outcome
-        instead of once per invocation; plans the decision compiler
-        could not handle take the interpreted
-        :func:`~repro.executor.startup.activate_plan` pass, which
-        makes identical decisions.
+        decision runs the entry's compiled program and reuses its
+        decision-outcome memo, so the chosen static plan is *rebuilt*
+        once per distinct outcome instead of once per invocation.
 
         Library errors (:class:`~repro.common.errors.ReproError`) that
         survive the resilience machinery are wrapped in
@@ -567,17 +542,7 @@ class QueryService:
                 parameter_space = entry.parameter_space
                 decision = entry.decision
                 memo = entry.chosen_memo
-            if decision is not None:
-                chosen, report = decision.choose_memoized(bindings, memo)
-            else:
-                chosen, report = activate_plan(
-                    plan,
-                    self.catalog,
-                    parameter_space,
-                    bindings,
-                    branch_and_bound=self.branch_and_bound,
-                    validate=False,
-                )
+            chosen, report = decision.choose_memoized(bindings, memo)
             startup_seconds = time.perf_counter() - decision_started
 
             execution = None
@@ -703,30 +668,10 @@ class QueryService:
             from repro.executor.validation import validate_plan
 
             plan = validate_plan(plan, self.catalog)
-        decision = None
-        if self.compiled:
-            try:
-                decision = CompiledDecision(plan, self.catalog, query.parameter_space)
-                self._count("decision_compiles")
-            except DecisionCompilationError as error:
-                # The interpreted activate_plan path makes identical
-                # decisions, so this is safe — but it silently costs
-                # start-up latency on every later invocation, so it is
-                # counted and logged instead of swallowed.
-                self._count("decision_fallbacks")
-                logger.warning(
-                    "decision compilation for query %r fell back to the "
-                    "interpreter: %s",
-                    query.name,
-                    error,
-                )
-                if self.tracer is not None:
-                    self.tracer.event(
-                        "decision_compile_fallback",
-                        level="warn",
-                        query=query.name,
-                        reason=str(error),
-                    )
+        # A plan the program cannot compile is one the cost model cannot
+        # cost: the DecisionCompilationError fails the request, typed.
+        decision = CompiledDecision(plan, self.catalog, query.parameter_space)
+        self._count("decision_compiles")
         entry.install(plan, query.parameter_space, decision)
         return time.perf_counter() - compile_started
 

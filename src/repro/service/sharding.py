@@ -451,11 +451,8 @@ class ShardedQueryService:
         collisions in a registry that has no label dimension.
 
     Remaining keyword arguments (``execute``, ``batch_size``,
-    ``compiled``, ``branch_and_bound``, ``validate``, ``optimize``,
-    ``tracer``, ``reopt_policy``) are forwarded to every
-    shard's ``QueryService`` unchanged (``branch_and_bound`` reaches
-    only the interpreted start-up fallback there, never the compiled
-    decision program).
+    ``validate``, ``optimize``, ``tracer``, ``reopt_policy``) are
+    forwarded to every shard's ``QueryService`` unchanged.
     """
 
     def __init__(

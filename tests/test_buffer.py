@@ -3,7 +3,13 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.algebra.physical import FileScan, Filter, FilterBTreeScan
+from repro.algebra.physical import (
+    BTreeScan,
+    FileScan,
+    Filter,
+    FilterBTreeScan,
+    IndexJoin,
+)
 from repro.cost.formulas import CostModel, lru_page_faults
 from repro.cost.parameters import Bindings, Valuation
 from repro.executor import execute_plan
@@ -72,11 +78,15 @@ class TestLruFaultFormula:
             previous = faults
 
     def test_antimonotone_in_buffer(self):
-        previous = float("inf")
-        for buffer_pages in (4, 16, 64, 128, 250):
-            faults = lru_page_faults(500, 250, buffer_pages)
-            assert faults <= previous + 1e-9
-            previous = faults
+        # 25.5 fetches over 25 pages: less than one access past the
+        # point where 16 buffer pages fill, the estimate without its
+        # floor at the distinct pages touched grew with the buffer.
+        for records, pages in ((500, 250), (25.5, 25)):
+            previous = float("inf")
+            for buffer_pages in (4, 16, 64, 128, 250):
+                faults = lru_page_faults(records, pages, buffer_pages)
+                assert faults <= previous + 1e-9
+                previous = faults
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -94,21 +104,30 @@ class TestLruFaultFormula:
 
 
 class TestBufferAwareCostModel:
-    def test_buffer_aware_never_costs_more(self, workload1):
-        space = workload1.query.parameter_space
-        bindings = Bindings().bind("sel_R1", 0.8)
-        plan = FilterBTreeScan(
-            "R1", "a", workload1.query.selection_for("R1")
-        )
-        naive = CostModel(
-            workload1.catalog, Valuation.runtime(space, bindings)
-        ).evaluate(plan).cost.lower
-        aware = CostModel(
-            workload1.catalog,
-            Valuation.runtime(space, bindings),
-            buffer_aware=True,
-        ).evaluate(plan).cost.lower
-        assert aware <= naive + 1e-9
+    def test_buffer_aware_never_costs_more(self, workload2):
+        """Every unclustered fetch: a filtered and a full index scan, and
+        an index join's inner records."""
+        space = workload2.query.parameter_space
+        bindings = Bindings().bind("sel_R1", 0.8).bind("sel_R2", 0.8)
+        selection = workload2.query.selection_for("R1")
+        join = workload2.query.join_predicates[0]
+        inner, attribute = join.right_attribute.split(".")
+        for plan in (
+            FilterBTreeScan("R1", "a", selection),
+            BTreeScan("R1", "a"),
+            IndexJoin(
+                Filter(FileScan("R1"), selection), inner, attribute, join
+            ),
+        ):
+            naive = CostModel(
+                workload2.catalog, Valuation.runtime(space, bindings)
+            ).evaluate(plan).cost.lower
+            aware = CostModel(
+                workload2.catalog,
+                Valuation.runtime(space, bindings),
+                buffer_aware=True,
+            ).evaluate(plan).cost.lower
+            assert aware < naive
 
     def test_buffer_awareness_matters_at_high_selectivity(self, workload1):
         # At selectivity near 1 the naive model charges one fault per

@@ -20,12 +20,23 @@ from repro.algebra.physical import (
     HashJoin,
     IndexJoin,
     MergeJoin,
+    Project,
     Sort,
 )
-from repro.catalog import build_synthetic_catalog, default_relation_specs
+from repro.catalog import (
+    IndexInfo,
+    SyntheticRelationSpec,
+    build_synthetic_catalog,
+    default_relation_specs,
+)
 from repro.common.intervals import Interval
 from repro.common.ordering import PartialOrder
-from repro.cost.formulas import CostModel, btree_height, btree_leaf_pages
+from repro.cost.formulas import (
+    CostModel,
+    RowBuilder,
+    btree_height,
+    btree_leaf_pages,
+)
 from repro.cost.model import (
     CHOOSE_PLAN_OVERHEAD_SECONDS,
     add_costs,
@@ -343,3 +354,88 @@ class TestIntervalContainment:
             tolerance = 1e-9 + abs(compile_card.upper) * 1e-9
             assert compile_card.lower - tolerance <= runtime_card.lower
             assert runtime_card.upper <= compile_card.upper + tolerance
+
+
+def kernel_nodes():
+    """One node per operator kind a kernel costs, its inputs in slots 0
+    and 1; the index join probes ``R2.c``."""
+    sel = selection("R1")
+    join = JoinPredicate("R1.b", "R2.c")
+    scan = FileScan("R1")
+    return {
+        "filter_btree_scan": FilterBTreeScan("R1", "a", sel),
+        "btree_scan": BTreeScan("R1", "a"),
+        "filter": Filter(scan, sel),
+        "hash_join": HashJoin(scan, FileScan("R2"), join),
+        "merge_join": MergeJoin(scan, FileScan("R2"), join),
+        "index_join": IndexJoin(scan, "R2", "c", join, residual_predicate=sel),
+        "sort": Sort(scan, "R1.b"),
+        "project": Project(scan, ("R1.a",)),
+    }
+
+
+def ordered_pair(values, gaps):
+    """``(low, high)`` with ``high >= low``; often equal, so one input
+    moves while the others stay put."""
+    return st.tuples(values, st.one_of(st.just(0), gaps)).map(
+        lambda pair: (pair[0], pair[0] + pair[1])
+    )
+
+
+class TestKernelMonotonicity:
+    """Every kernel, run on a one-row segment, is non-decreasing in each
+    input cardinality, input cost and selectivity and non-increasing in
+    memory over the declared bounds, in every fetch mode.  Corner
+    evaluation (``CostModel``'s lower corner never exceeds its upper
+    one), interval containment and the optimality argument all rest on
+    it."""
+
+    @pytest.mark.parametrize("kind", sorted(kernel_nodes()))
+    @settings(max_examples=150, deadline=None)
+    @given(
+        relation_cards=st.tuples(st.integers(1, 5000), st.integers(1, 5000)),
+        fetch=st.sampled_from(["unclustered", "clustered", "buffered"]),
+        cards=st.tuples(*[ordered_pair(st.floats(0, 1e5), st.floats(0, 1e5))] * 2),
+        costs=st.tuples(*[ordered_pair(st.floats(0, 1e3), st.floats(0, 1e3))] * 2),
+        selectivity=ordered_pair(st.floats(0, 1), st.floats(0, 1)).map(
+            lambda pair: (pair[0], min(pair[1], 1.0))
+        ),
+        memory=ordered_pair(st.integers(16, 112), st.integers(0, 96)).map(
+            lambda pair: (pair[0], min(pair[1], 112))
+        ),
+    )
+    def test_kernel_is_monotone(
+        self, kind, relation_cards, fetch, cards, costs, selectivity, memory
+    ):
+        catalog = build_synthetic_catalog(
+            [
+                SyntheticRelationSpec("R%d" % number, cardinality)
+                for number, cardinality in enumerate(relation_cards, 1)
+            ]
+        )
+        if fetch == "clustered":
+            catalog.add_index(IndexInfo("R1", "a", clustered=True))
+            catalog.add_index(IndexInfo("R2", "c", clustered=True))
+        node = kernel_nodes()[kind]
+        # Value list: the memory grant, the selectivity, and the 1.0 of
+        # an absent predicate.
+        rows = RowBuilder(
+            catalog,
+            lambda predicate: 2 if predicate is None else 1,
+            buffered=fetch == "buffered",
+        )
+        kernel, row = rows.row(node, 2, [0, 1][: len(node.inputs())])
+        if kernel is None:  # a constant: no input, no parameter read
+            return
+
+        def corner(end, memory_pages):
+            work_costs = [costs[0][end], costs[1][end], 0.0]
+            work_cards = [cards[0][end], cards[1][end], 0.0]
+            values = [memory_pages, selectivity[end], 1.0]
+            kernel([row], work_costs, work_cards, values, None)
+            return work_costs[2], work_cards[2]
+
+        lower_cost, lower_card = corner(0, memory[1])
+        upper_cost, upper_card = corner(1, memory[0])
+        assert lower_cost <= upper_cost
+        assert lower_card <= upper_card

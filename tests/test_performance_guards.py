@@ -1,10 +1,11 @@
 """Performance regression guards.
 
-Loose wall-clock ceilings (10x typical) that catch accidental
-exponential blow-ups — e.g. an unmemoized DAG walk or a rule-closure
-regression — without flaking on machine noise; beside them, exact
-counts of the work one optimization of paper query 5 does, which no
-machine noise can move.
+Exact counts of the work paper query 5's optimizations and start-up
+resolution do, which no machine noise can move, and which an
+accidental exponential blow-up — an unmemoized DAG walk, a
+rule-closure regression, a subplan costed twice — would; beside them,
+loose wall-clock ceilings (10x typical) on the plan walks no counter
+covers.
 """
 
 import time
@@ -12,6 +13,7 @@ import time
 import pytest
 
 from repro.executor import AccessModule, resolve_dynamic_plan
+from repro.executor.decision import CompiledDecision
 from repro.optimizer import optimize_dynamic, optimize_static
 from repro.workloads import paper_workload, random_bindings
 
@@ -22,35 +24,31 @@ def query5():
 
 
 class TestOptimizationScale:
-    def test_query5_dynamic_optimization_under_two_seconds(self, query5):
-        started = time.perf_counter()
-        result = optimize_dynamic(query5.catalog, query5.query)
-        elapsed = time.perf_counter() - started
-        assert elapsed < 2.0, "q5 dynamic optimization took %.2fs" % elapsed
-        assert result.node_count() > 500  # sanity: the full plan space
-
     def test_query5_dynamic_optimization_work_is_counted(self, query5):
-        statistics = optimize_dynamic(query5.catalog, query5.query).statistics
+        result = optimize_dynamic(query5.catalog, query5.query)
+        statistics = result.statistics
         assert statistics.mexprs_total == 350
         assert statistics.cost_evaluations == 1169
         # Delta exploration: each production is made once (a full
         # re-match per sweep needs 2,685 for the same 350 m-exprs).
         assert statistics.rule_applications <= 1650
+        assert result.node_count() == 1123
 
-    def test_query5_static_optimization_under_one_second(self, query5):
-        started = time.perf_counter()
-        optimize_static(query5.catalog, query5.query)
-        assert time.perf_counter() - started < 1.0
+    def test_query5_static_optimization_work_is_counted(self, query5):
+        statistics = optimize_static(query5.catalog, query5.query).statistics
+        assert statistics.mexprs_total == 350
+        assert statistics.cost_evaluations == 733
 
-    def test_query5_startup_resolution_under_half_second(self, query5):
+    def test_query5_startup_resolution_work_is_counted(self, query5):
+        """The interpreted resolution costs each resolved alternative's
+        distinct nodes once; the program runs one step per DAG node."""
         dynamic = optimize_dynamic(query5.catalog, query5.query)
-        bindings = random_bindings(query5, seed=0)
-        started = time.perf_counter()
-        resolve_dynamic_plan(
-            dynamic.plan, query5.catalog, query5.query.parameter_space,
-            bindings,
+        space = query5.query.parameter_space
+        _plan, report = resolve_dynamic_plan(
+            dynamic.plan, query5.catalog, space, random_bindings(query5, seed=0)
         )
-        assert time.perf_counter() - started < 0.5
+        assert (report.cost_evaluations, report.decisions) == (978, 145)
+        assert len(CompiledDecision(dynamic.plan, query5.catalog, space)) == 1123
 
     def test_query5_plan_metrics_linear_time(self, query5):
         dynamic = optimize_dynamic(query5.catalog, query5.query)
@@ -126,4 +124,3 @@ class TestRecompilationIsCounted:
         calls, _shapes, _shards, stats = churn
         assert stats.cache["promotions"] > len(calls)
         assert stats.resilience["decision_compiles"] == len(calls)
-        assert stats.resilience["decision_fallbacks"] == 0

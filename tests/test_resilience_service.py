@@ -8,8 +8,6 @@ typed error), and the resilience counters record exactly what the
 profile injected.
 """
 
-import logging
-
 import pytest
 
 from repro.catalog import populate_database
@@ -30,7 +28,7 @@ from repro.resilience import (
     RetryPolicy,
     fault_profile,
 )
-from repro.service import QueryService
+from repro.service import QueryService, build_snapshot, restore_service
 from repro.service.decision import DecisionCompilationError
 from repro.storage import Database
 from repro.workloads import paper_workload, random_bindings
@@ -201,25 +199,37 @@ class TestDeadline:
         assert isinstance(excinfo.value.cause, QueryTimeoutError)
 
 
-class TestDecisionFallbackSurfaced:
-    def test_counted_and_logged(self, workload, monkeypatch, caplog):
+class TestUncompilablePlan:
+    def test_request_and_restore_fail_typed(self, workload, monkeypatch):
+        """A plan whose program does not compile is a plan the cost model
+        cannot cost: no interpreted path serves it."""
+        import repro.service.durability as durability_module
         import repro.service.service as service_module
+
+        bindings = random_bindings(workload, seed=0, run_index=0)
+        _, healthy = make_service(workload, execute=False)
+        with healthy:
+            healthy.run(workload.query, bindings)
+            snapshot = build_snapshot(healthy)
 
         def broken(*_args, **_kwargs):
             raise DecisionCompilationError("forced for the test")
 
         monkeypatch.setattr(service_module, "CompiledDecision", broken)
-        bindings = random_bindings(workload, seed=0, run_index=0)
+        monkeypatch.setattr(durability_module, "CompiledDecision", broken)
         _, service = make_service(workload, execute=False)
-        with service, caplog.at_level(logging.WARNING, "repro.service.service"):
-            result = service.run(workload.query, bindings)
-        # The interpreter path still decided a plan.
-        assert result.chosen is not None
-        assert service.resilience_counts()["decision_fallbacks"] == 1
-        assert any(
-            "fell back to the interpreter" in record.message
-            for record in caplog.records
-        )
+        with service, pytest.raises(ServiceExecutionError) as excinfo:
+            service.run(workload.query, bindings)
+        error = excinfo.value
+        assert isinstance(error.cause, DecisionCompilationError)
+        assert error.__cause__ is error.cause
+        assert service.resilience_counts()["decision_compiles"] == 0
+
+        _, restored = make_service(workload, execute=False)
+        with restored:
+            stats = restore_service(restored, snapshot)
+        assert stats.restored == 0
+        assert stats.errors == [(workload.query.name, "forced for the test")]
 
 
 class TestCircuitBreaker:

@@ -282,13 +282,10 @@ class TestRetainedTier:
         # A program is compiled per optimizer run; no promotion compiles.
         assert stats.resilience["decision_compiles"] == len(calls)
 
-    @pytest.mark.parametrize("compiled", (True, False), ids=("compiled", "interpreted"))
     @pytest.mark.parametrize(
         "optimize", (optimize_static, optimize_dynamic), ids=("static", "dynamic")
     )
-    def test_promoted_plans_serve_what_a_never_evicting_cache_serves(
-        self, optimize, compiled
-    ):
+    def test_promoted_plans_serve_what_a_never_evicting_cache_serves(self, optimize):
         """Paper queries through ``capacity=1`` with a spoiler between
         requests — every request after the first two is a promotion."""
         for number in range(1, 6):
@@ -302,7 +299,6 @@ class TestRetainedTier:
                     database,
                     capacity=capacity,
                     optimize=optimize,
-                    compiled=compiled,
                     max_workers=1,
                 ) as service:
                     results = []
@@ -410,20 +406,14 @@ class TestRetainedTier:
 
 
 class TestCompiledDecision:
-    #: (paper query, memory_uncertain, binding seed) of the one known
-    #: exception: a 2-alternative choose-plan off the chosen path whose
-    #: costs tie to one ulp.  The interval model sums a merge join's and
-    #: an index join's terms in another order than the program, so the
-    #: two procedures may break that tie differently.
-    KNOWN_TIE = (5, False, 9)
-
     @pytest.mark.parametrize("paper_query", [1, 2, 3, 4, 5])
     def test_matches_interpreted_resolution(self, paper_query):
         """Every decision equals the interpreted one — with the memory
         grant swept across its [16, 112]-page interval too, so the
         hash-join and sort spill branches and query 5's 38-alternative
         choose-plans are compared, not only the in-memory formulas.
-        Only ``KNOWN_TIE`` may differ, and only in its tied choose-plan.
+        Both run the same kernels, so not even an exact tie may break
+        differently (g_i = d_i).
         """
         for memory_uncertain in (False, True):
             workload = paper_workload(
@@ -445,28 +435,10 @@ class TestCompiledDecision:
                 compiled = {
                     id(node): chosen for node, chosen in compiled_report.choices
                 }
-                differing = [
-                    (node, chosen)
+                assert all(
+                    compiled[id(node)] is chosen
                     for node, chosen in reference_report.choices
-                    if compiled[id(node)] is not chosen
-                ]
-                if (paper_query, memory_uncertain, seed) != self.KNOWN_TIE:
-                    assert not differing
-                elif differing:
-                    ((tied, chosen),) = differing
-                    assert len(tied.alternatives) == 2
-                    costs = decision.evaluate(bindings)[0]
-                    assert costs[decision.slot_of(chosen)] == pytest.approx(
-                        costs[decision.slot_of(compiled[id(tied)])],
-                        rel=1e-12,
-                        abs=0.0,
-                    )
-                    # Compare every other choice: drop the tied one.
-                    for report in (compiled_report, reference_report):
-                        report.choices = [
-                            pair for pair in report.choices if pair[0] is not tied
-                        ]
-                # The tie is off the chosen path: the plan never differs.
+                )
                 assert compiled_plan.signature() == reference_plan.signature()
                 assert (
                     compiled_report.choice_signature()
@@ -487,8 +459,7 @@ class TestQueryService:
         ]
 
     @pytest.mark.slow
-    @pytest.mark.parametrize("compiled", [True, False])
-    def test_concurrent_startup_matches_single_threaded(self, compiled):
+    def test_concurrent_startup_matches_single_threaded(self):
         workload = paper_workload(2, seed=0)
         all_bindings = [
             service_request_bindings(workload, seed=0, run_index=index)
@@ -498,7 +469,6 @@ class TestQueryService:
             Database(workload.catalog),
             execute=False,
             max_workers=self.THREADS,
-            compiled=compiled,
         )
         with service:
             results = service.run_batch(
