@@ -3,13 +3,13 @@
 The service's reason to exist is the paper's embedded-SQL argument:
 optimization cost is paid once per query shape, and every further
 invocation pays only the choose-plan start-up decision.  This bench
-replays a >=100-invocation mixed workload through the query service
+replays a >=100-invocation mixed workload through a one-shard gateway
 and asserts the acceptance bar: a cache-hit invocation is at least 5x
 cheaper in wall-clock time than optimizing the query from scratch.
 
 It also gates the observability layer's hot-path cost: with tracing
-disabled, a metrics-instrumented service must stay within 5% of the
-uninstrumented service on the cached-invocation path (min-of-repeats
+disabled, a metrics-instrumented gateway must stay within 5% of an
+uninstrumented one on the cached-invocation path (min-of-repeats
 wall-clock, so scheduler noise does not decide the verdict).
 
 ``REPRO_BENCH_N`` scales the invocation count (floor 100 here — below
@@ -44,7 +44,6 @@ def service_spec():
             ServiceQuerySpec(4, topology="chain", weight=1),
         ],
         invocations=max(FLOOR_INVOCATIONS, bench_invocations()),
-        threads=8,
         capacity=64,
         seed=0,
         execute=False,
@@ -58,27 +57,24 @@ def test_service_cache_amortization(benchmark, results_dir):
     # Benchmark the unit the service amortizes down to: one complete
     # cached invocation (lookup + start-up decision), measured through
     # the public entry point against a warm cache.
-    from repro.service import QueryService, ServiceRequest
+    from repro.service import ServiceRequest, ShardedQueryService
     from repro.storage import Database
-    from repro.workloads.service import (
-        generate_service_requests,
-    )
+    from repro.workloads.service import generate_service_requests
 
     workloads, requests = generate_service_requests(spec)
-    service = QueryService(
+    with ShardedQueryService(
         Database(workloads[0].catalog),
+        shards=1,
         capacity=spec.capacity,
-        max_workers=1,
         execute=False,
-    )
-    with service:
+    ) as gateway:
         warm = [
             ServiceRequest(workload.query, bindings)
             for workload, bindings in requests[:16]
         ]
-        service.run_batch(warm)  # every shape compiled and cached
+        gateway.run_batch(warm)  # every shape compiled and cached
         workload, bindings = requests[0]
-        benchmark(lambda: service.run(workload.query, bindings))
+        benchmark(lambda: gateway.run(workload.query, bindings))
 
     write_and_print(results_dir, "service_cache", render_report(report))
 
@@ -155,12 +151,12 @@ MAX_DISABLED_OVERHEAD = 0.05
 def test_tracing_disabled_overhead(results_dir):
     """Metrics wired, tracer off: cached path within 5% of baseline.
 
-    The two services are timed in strictly alternating batches and
+    The two gateways are timed in strictly alternating batches and
     compared min-to-min, so slow drift (CPU frequency, background
     load) hits both sides equally instead of deciding the verdict.
     """
     from repro.observability import MetricsRegistry
-    from repro.service import QueryService
+    from repro.service import ShardedQueryService
     from repro.storage import Database
     from repro.workloads import paper_workload
     from repro.workloads.service import service_request_bindings
@@ -172,14 +168,11 @@ def test_tracing_disabled_overhead(results_dir):
     ]
 
     def make_service(metrics):
-        service = QueryService(
-            Database(workload.catalog),
-            execute=False,
-            max_workers=1,
-            metrics=metrics,
+        gateway = ShardedQueryService(
+            Database(workload.catalog), shards=1, execute=False, metrics=metrics
         )
-        service.run(workload.query, all_bindings[0])  # compile once
-        return service
+        gateway.run(workload.query, all_bindings[0])  # compile once
+        return gateway
 
     def batch_seconds(service):
         started = time.perf_counter()

@@ -78,8 +78,8 @@ from repro.observability.accuracy import cost_model_accuracy
 from repro.observability.explain import explain_analyze
 from repro.service import (
     PlanCache,
-    QueryService,
     ServiceRequest,
+    ShardedQueryService,
     replay_spec,
 )
 from repro.scenarios import (
@@ -124,7 +124,6 @@ __all__ = [
     "ParameterSpace",
     "PartialOrder",
     "PlanCache",
-    "QueryService",
     "QuerySpec",
     "ReoptPolicy",
     "RunTimeOptimizationScenario",
@@ -132,6 +131,7 @@ __all__ = [
     "Select",
     "SelectionPredicate",
     "ServiceRequest",
+    "ShardedQueryService",
     "ShrinkingAccessModule",
     "StaticPlanScenario",
     "Tracer",

@@ -12,7 +12,7 @@ Commands:
 * ``sql "<query>"``        — parse an embedded-SQL query against the
   demo catalog and print its static and dynamic plans;
 * ``serve-batch [spec]``   — replay a service workload through the
-  plan-cache query service and report hit rate, start-up latency
+  serving gateway and report hit rate, start-up latency
   percentiles, and speedup over optimize-per-query (``--help`` for
   flags);
 * ``explain [sql]``        — print a query's optimized plan; with
@@ -253,12 +253,6 @@ def _serve_batch(argv):
         help="override the spec's invocation count",
     )
     parser.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="override the spec's service thread-pool width",
-    )
-    parser.add_argument(
         "--capacity",
         type=int,
         default=None,
@@ -279,8 +273,7 @@ def _serve_batch(argv):
         "--shards",
         type=int,
         default=None,
-        help="replay through the sharded gateway with this many "
-        "plan-cache partitions (1 = single-lock service)",
+        help="override the spec's gateway plan-cache partition count",
     )
     parser.add_argument(
         "--tenants",
@@ -308,7 +301,6 @@ def _serve_batch(argv):
 
     overrides = {
         "invocations": args.invocations,
-        "threads": args.threads,
         "capacity": args.capacity,
         "seed": args.seed,
         "shards": args.shards,

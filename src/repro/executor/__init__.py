@@ -27,7 +27,6 @@ from repro.executor.midquery import (
     ReoptPolicy,
     execute_midquery,
 )
-from repro.executor.plan_store import PlanStore
 from repro.executor.shrinking import ShrinkingAccessModule
 from repro.executor.startup import StartupReport, activate_plan, resolve_dynamic_plan
 from repro.executor.validation import node_is_feasible, validate_plan
@@ -42,7 +41,6 @@ __all__ = [
     "ExecutionResult",
     "IncrementalDecider",
     "MidQueryReport",
-    "PlanStore",
     "ReoptPolicy",
     "execute_midquery",
     "ShrinkingAccessModule",

@@ -15,11 +15,10 @@ This package closes that estimated-vs-actual feedback loop:
   search phases record :class:`PhaseSpan` timings through the same
   object.
 * :mod:`.metrics` — a thread-safe :class:`MetricsRegistry` of
-  counters, gauges, and histograms, wired into
-  :class:`~repro.service.service.QueryService` and
-  :class:`~repro.service.cache.PlanCache` (cache hit/miss, start-up
-  latency histograms, re-optimization counts), exportable as JSON and
-  Prometheus text format.
+  counters, gauges, and histograms, wired into the serving gateway
+  :class:`~repro.service.sharding.ShardedQueryService` (cache
+  hit/miss, start-up latency histograms, re-optimization counts),
+  exportable as JSON and Prometheus text format.
 * :mod:`.explain` — ``EXPLAIN ANALYZE``: execute a plan under a
   tracer and render the operator tree annotated with estimated vs
   actual cardinality and cost, plus a q-error summary

@@ -1,17 +1,15 @@
 """A thread-safe metrics registry: counters, gauges, histograms.
 
 The registry is the service-level half of the observability layer:
-:class:`~repro.service.service.QueryService` and
-:class:`~repro.service.cache.PlanCache` record cache hits and misses,
-start-up decision latencies, and staleness-driven re-optimizations
-here, and operators can scrape the state as JSON
-(:meth:`MetricsRegistry.to_json`) or Prometheus text exposition format
-(:meth:`MetricsRegistry.to_prometheus`).
+the serving gateway (:class:`~repro.service.sharding.ShardedQueryService`)
+and its partitions record cache hits and misses, start-up decision
+latencies, and staleness-driven re-optimizations here, and operators
+can scrape the state as JSON (:meth:`MetricsRegistry.to_json`) or
+Prometheus text exposition format (:meth:`MetricsRegistry.to_prometheus`).
 
 Exactness over sampling: every instrument updates under a lock, so
 concurrent updates are never lost — the property the 8-thread
-concurrency test asserts by summing per-thread deltas against the
-registry totals.  Instruments are cheap (one lock round-trip and a few
+concurrency tests assert against exact totals.  Instruments are cheap (one lock round-trip and a few
 float ops per update) but not free; subsystems accept ``metrics=None``
 and skip instrumentation entirely when no registry is attached.
 
@@ -20,8 +18,8 @@ Two wiring styles keep the hot path fast:
 * **push** instruments are updated inline (``inc``/``observe``) where
   no pre-existing counter tracks the quantity;
 * **pull** instruments take a ``callback`` and read an existing,
-  already-locked internal counter at scrape time — mirroring, say, the
-  plan cache's :class:`~repro.service.cache.CacheStatistics` into the
+  already-locked internal counter at scrape time — summing, say, the
+  partitions' :class:`~repro.service.cache.CacheStatistics` into the
   registry at zero per-request cost.  Callback-backed instruments are
   read-only; pushing to one raises.
 """

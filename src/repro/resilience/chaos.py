@@ -2,8 +2,8 @@
 
 For each paper query the harness runs one invocation twice, from
 identically seeded databases: once fault-free (the baseline) and once
-through a :class:`~repro.service.service.QueryService` with a
-:class:`~repro.resilience.faults.FaultInjector` installed.  A
+through a one-shard :class:`~repro.service.sharding.ShardedQueryService`
+with a :class:`~repro.resilience.faults.FaultInjector` installed.  A
 *recoverable* profile must complete — via retries and mid-run plan
 degradation — with the same result multiset as the baseline; a
 profile containing permanent faults must fail fast with the typed
@@ -178,18 +178,15 @@ class ChaosReport:
 
 
 def _fresh_service(workload, data_seed, resilience):
-    """A single-use service over a freshly populated database."""
-    from repro.service.service import QueryService
+    """A single-use one-shard gateway over a freshly populated database."""
+    from repro.service.sharding import ShardedQueryService
 
     database = Database(workload.catalog)
     populate_database(database, seed=data_seed)
-    service = QueryService(
-        database,
-        max_workers=1,
-        execute=True,
-        resilience=resilience,
+    gateway = ShardedQueryService(
+        database, shards=1, resilience_factory=lambda: resilience
     )
-    return database, service
+    return database, gateway
 
 
 def run_chaos(profile_name, query_numbers=DEFAULT_QUERIES, seed=0,
@@ -279,7 +276,7 @@ def run_chaos(profile_name, query_numbers=DEFAULT_QUERIES, seed=0,
                 outcome.digest = rows_digest(result.execution.records)
                 outcome.rows_match = outcome.digest == outcome.baseline_digest
             outcome.injector = injector.snapshot()
-            outcome.resilience = faulty_service.resilience_counts()
+            outcome.resilience = faulty_service.stats().total.resilience
         finally:
             faulty_service.shutdown()
         outcomes.append(outcome)

@@ -1,7 +1,8 @@
 """Service-level resilience: retry, circuit breaking, degradation.
 
-The :class:`ResiliencePolicy` is the single knob the
-:class:`~repro.service.service.QueryService` takes; it bundles
+The :class:`ResiliencePolicy` is the single resilience knob of a plan-
+cache partition (the gateway's ``resilience_factory`` makes one per
+shard); it bundles
 
 * a :class:`RetryPolicy` — exponential backoff with seeded jitter for
   transient storage faults;

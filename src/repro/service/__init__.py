@@ -8,14 +8,14 @@ turns that amortization argument into a running subsystem:
 * :mod:`.cache` — an LRU cache of optimized dynamic plans keyed by the
   canonical query signature, with per-entry hit statistics, observed
   binding ranges, and staleness-driven re-optimization;
-* :mod:`.service` — :class:`QueryService`, a thread-pooled front end
-  over the optimizer and executor: repeated queries skip optimization
-  entirely and go straight to the start-up decision procedure under
-  fresh bindings;
-* :mod:`.sharding` — :class:`ShardedQueryService`, a gateway over N
+* :mod:`.sharding` — :class:`ShardedQueryService`, the one serving
+  front end (``run`` / ``submit`` / ``run_batch``): a gateway over N
   shards that partition the plan cache by signature hash, with bounded
   admission queues, per-tenant quotas, and exactly aggregated
-  statistics (the heavy-traffic serving tier);
+  statistics; ``shards=1`` is a single-partition deployment;
+* :mod:`.service` — :class:`QueryService`, the partition core each
+  shard routes to: repeated queries skip optimization entirely and go
+  straight to the start-up decision procedure under fresh bindings;
 * :mod:`.supervision` — :class:`ShardSupervisor`, health-checking the
   gateway's shard workers (progress heartbeats, hang detection) and
   restarting dead ones while the gateway fails affected requests over
@@ -36,7 +36,6 @@ from repro.service.durability import (
     build_snapshot,
     read_snapshot,
     restore_gateway,
-    restore_service,
     write_snapshot,
 )
 from repro.service.replay import ReplayReport, render_report, replay_spec
@@ -77,7 +76,6 @@ __all__ = [
     "render_report",
     "replay_spec",
     "restore_gateway",
-    "restore_service",
     "shard_index_for",
     "write_snapshot",
 ]

@@ -313,16 +313,12 @@ class PlanCache:
     ``capacity`` bounds the *live* entries, all that ``entries()``,
     ``len()`` and snapshots see (retained tier: module docstring).
 
-    With a :class:`~repro.observability.metrics.MetricsRegistry` the
-    cache exposes its counters as pull-style ``plan_cache_*`` metrics
-    (lookups, hits, misses, evictions, invalidations, promotions,
-    entries, retained entries): the registry reads
-    :class:`CacheStatistics` — already exact under the cache lock — at
-    scrape time, so the lookup hot path pays nothing.
-    ``metrics=None`` (the default) skips registration entirely.
+    Its counters are exact under the cache lock; a gateway with a
+    metrics registry exports them as pull-style ``plan_cache_*`` metrics
+    summed over its partitions (:mod:`repro.service.sharding`).
     """
 
-    def __init__(self, capacity=64, metrics=None):
+    def __init__(self, capacity=64):
         if capacity < 1:
             raise ValueError("plan cache capacity must be at least 1")
         self.capacity = int(capacity)
@@ -330,59 +326,6 @@ class PlanCache:
         self._entries = OrderedDict()
         self._retained = OrderedDict()
         self._lock = threading.Lock()
-        if metrics is not None:
-            self._register_metrics(metrics)
-
-    def _register_metrics(self, metrics):
-        """Mirror the cache counters into pull-style instruments."""
-
-        def stat(field):
-            def read():
-                with self._lock:
-                    return getattr(self.stats, field)
-
-            return read
-
-        metrics.counter(
-            "plan_cache_lookups_total",
-            "Plan-cache lookups",
-            callback=stat("lookups"),
-        )
-        metrics.counter(
-            "plan_cache_hits_total",
-            "Lookups that found a compiled plan",
-            callback=stat("hits"),
-        )
-        metrics.counter(
-            "plan_cache_misses_total",
-            "Lookups without a compiled plan",
-            callback=stat("misses"),
-        )
-        metrics.counter(
-            "plan_cache_evictions_total",
-            "LRU evictions",
-            callback=stat("evictions"),
-        )
-        metrics.counter(
-            "plan_cache_invalidations_total",
-            "Explicit invalidations plus staleness re-optimizations",
-            callback=stat("invalidations"),
-        )
-        metrics.counter(
-            "plan_cache_promotions_total",
-            "Hits that promoted a retained plan back into the live tier",
-            callback=stat("promotions"),
-        )
-        metrics.gauge(
-            "plan_cache_entries",
-            "Entries currently cached",
-            callback=self.__len__,
-        )
-        metrics.gauge(
-            "plan_cache_retained_entries",
-            "Demoted plans kept behind the live entries",
-            callback=lambda: len(self._retained),
-        )
 
     def entry_for_signature(self, signature, query):
         """Look up (or create) the entry for a query's canonical signature.

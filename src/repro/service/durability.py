@@ -6,12 +6,12 @@ time to learn; re-reaching amortized latency then costs one full
 re-optimization per hot signature.  This module makes that state
 durable without pickling code objects:
 
-* **Snapshot** — :func:`build_snapshot` walks a gateway's (or single
-  service's) plan-cache entries and serializes, per entry, the plain
-  data a fresh process needs to rebuild it: the query spec (relations,
-  selection predicates, join predicates, projection), the installed
-  plan as an :class:`~repro.executor.access_module.AccessModule` JSON
-  payload, the *current* parameter space (including bounds widened by
+* **Snapshot** — :func:`build_snapshot` walks a gateway's plan-cache
+  entries and serializes, per entry, the plain data a fresh process
+  needs to rebuild it: the query spec (relations, selection
+  predicates, join predicates, projection), the installed plan as an
+  :class:`~repro.executor.access_module.AccessModule` JSON payload,
+  the *current* parameter space (including bounds widened by
   staleness re-optimizations), the observed binding ranges, and the
   hit/re-optimization counters.  Decision programs are deliberately
   **not** stored — generated code is re-compiled on load, so a
@@ -69,7 +69,6 @@ __all__ = [
     "build_snapshot",
     "read_snapshot",
     "restore_gateway",
-    "restore_service",
     "write_snapshot",
 ]
 
@@ -209,23 +208,17 @@ def _checksum(entries):
     return hashlib.sha256(body.encode("utf-8")).hexdigest()
 
 
-def build_snapshot(tier):
-    """A snapshot document for a gateway or a single service.
+def build_snapshot(gateway):
+    """A snapshot document for a
+    :class:`~repro.service.sharding.ShardedQueryService`.
 
-    ``tier`` is a :class:`~repro.service.sharding.ShardedQueryService`
-    or a plain :class:`~repro.service.service.QueryService`; every
-    compiled entry across its cache(s) is captured.  Entries without a
-    plan (admitted but never compiled) are skipped — there is nothing
-    to warm from them.
+    Every compiled live entry across the shards' caches is captured.
+    Entries without a plan (admitted but never compiled) are skipped —
+    there is nothing to warm from them.
     """
-    services = (
-        [shard.service for shard in tier.shards]
-        if hasattr(tier, "shards")
-        else [tier]
-    )
     entries = []
-    for service in services:
-        for entry in service.cache.entries():
+    for shard in gateway.shards:
+        for entry in shard.service.cache.entries():
             data = _entry_to_dict(entry)
             if data is not None:
                 entries.append(data)
@@ -362,13 +355,6 @@ def _restore_entries(service, entries, stats):
             stats.restored += 1
         else:
             stats.skipped += 1
-
-
-def restore_service(service, snapshot):
-    """Warm one :class:`QueryService`'s cache from a snapshot document."""
-    stats = RestoreStats()
-    _restore_entries(service, snapshot["entries"], stats)
-    return stats
 
 
 def restore_gateway(gateway, snapshot, only_shard=None):

@@ -1,11 +1,13 @@
-"""Workload replay through the query service.
+"""Workload replay through the serving gateway.
 
 Implements the ``python -m repro serve-batch`` CLI: materialize a
 :class:`~repro.workloads.service.ServiceWorkloadSpec`, push its full
-invocation sequence through a :class:`~repro.service.QueryService`
-thread pool, and report the quantities the paper's amortization
-argument is about — cache hit rate, start-up latency percentiles, and
-the speedup over optimizing every invocation from scratch.
+invocation sequence through a
+:class:`~repro.service.sharding.ShardedQueryService` of ``spec.shards``
+partitions (``run_batch``: each shard's share in request order on its
+worker), and report the quantities the paper's amortization argument
+is about — cache hit rate, start-up latency percentiles, and the
+speedup over optimizing every invocation from scratch.
 
 The baseline is *optimize-per-query*: a system without a plan cache
 pays a fresh optimization for every invocation (the paper's run-time
@@ -20,9 +22,11 @@ import json
 import time
 
 from repro.catalog.synthetic import populate_database
+from repro.common.errors import SnapshotError
 from repro.common.rng import make_rng
 from repro.common.stats import percentile
-from repro.service.service import QueryService, ServiceRequest
+from repro.service.durability import read_snapshot
+from repro.service.service import ServiceRequest
 from repro.service.sharding import ShardedQueryService
 from repro.storage.database import Database
 from repro.workloads.service import generate_service_requests
@@ -35,21 +39,20 @@ class ReplayReport:
         self,
         spec,
         results,
-        stats,
+        gateway_stats,
         wall_seconds,
         baseline_means,
         per_query,
-        sharded_stats=None,
         restore_stats=None,
     ):
         self.spec = spec
         self.results = results
-        #: :class:`~repro.service.service.ServiceStatistics` snapshot.
-        self.stats = stats
-        #: :class:`~repro.service.sharding.ShardedServiceStatistics`
-        #: when the replay went through the sharded gateway, else None
-        #: (``stats`` is then its exact aggregate).
-        self.sharded_stats = sharded_stats
+        #: The gateway's
+        #: :class:`~repro.service.sharding.ShardedServiceStatistics`.
+        self.gateway_stats = gateway_stats
+        #: Its exact aggregate, a
+        #: :class:`~repro.service.service.ServiceStatistics`.
+        self.stats = gateway_stats.total
         #: :class:`~repro.service.durability.RestoreStats` when the
         #: replay warm-started from a snapshot, else None.
         self.restore_stats = restore_stats
@@ -101,7 +104,9 @@ def replay_spec(
     for both the service and the baseline measurement.  ``snapshot``
     names a plan-cache snapshot file: the replay warm-starts from it
     when it exists and (re)writes it on shutdown, so repeated replays
-    skip re-optimizing the hot set.
+    skip re-optimizing the hot set.  A damaged snapshot raises its
+    :class:`~repro.common.errors.SnapshotError` before anything is
+    served or overwritten.
     """
     if optimize is None:
         from repro.optimizer.optimizer import optimize_dynamic
@@ -124,44 +129,21 @@ def replay_spec(
         )
         for index, (workload, bindings) in enumerate(requests)
     ]
-    sharded_stats = None
-    restore_stats = None
-    if spec.shards > 1:
-        with ShardedQueryService(
-            database,
-            shards=spec.shards,
-            capacity=spec.capacity,
-            optimize=optimize,
-            execute=do_execute,
-            durability=snapshot,
-        ) as service:
-            restore_stats = service.restore_stats
-            started = time.perf_counter()
-            results = service.run_batch(service_requests)
-            wall_seconds = time.perf_counter() - started
-            sharded_stats = service.stats()
-            stats = sharded_stats.total
-    else:
-        with QueryService(
-            database,
-            capacity=spec.capacity,
-            max_workers=spec.threads,
-            optimize=optimize,
-            execute=do_execute,
-        ) as service:
-            if snapshot is not None:
-                restore_stats = _restore_single(service, snapshot)
-            started = time.perf_counter()
-            results = service.run_batch(service_requests)
-            wall_seconds = time.perf_counter() - started
-            stats = service.stats()
-            if snapshot is not None:
-                from repro.service.durability import (
-                    build_snapshot,
-                    write_snapshot,
-                )
-
-                write_snapshot(snapshot, build_snapshot(service))
+    if snapshot is not None:
+        _refuse_damaged(snapshot)
+    with ShardedQueryService(
+        database,
+        shards=spec.shards,
+        capacity=spec.capacity,
+        optimize=optimize,
+        execute=do_execute,
+        durability=snapshot,
+    ) as gateway:
+        restore_stats = gateway.restore_stats
+        started = time.perf_counter()
+        results = gateway.run_batch(service_requests)
+        wall_seconds = time.perf_counter() - started
+        gateway_stats = gateway.stats()
 
     baseline_means = {}
     for workload in workloads:
@@ -185,27 +167,27 @@ def replay_spec(
     return ReplayReport(
         spec,
         results,
-        stats,
+        gateway_stats,
         wall_seconds,
         baseline_means,
         per_query,
-        sharded_stats=sharded_stats,
         restore_stats=restore_stats,
     )
 
 
-def _restore_single(service, path):
-    """Warm a single (unsharded) service from ``path`` if it exists."""
-    from repro.common.errors import SnapshotError
-    from repro.service.durability import read_snapshot, restore_service
+def _refuse_damaged(path):
+    """Raise if ``path`` holds a snapshot that does not read back.
 
+    A gateway cold-starts over a damaged file and overwrites it on
+    shutdown; a one-shot replay refuses it instead, so the damage is
+    reported rather than silently replaced.  An absent file is the
+    first run's cold start.
+    """
     try:
-        snapshot = read_snapshot(path)
+        read_snapshot(path)
     except SnapshotError as error:
-        if error.reason == "unreadable":  # first run: cold start
-            return None
-        raise
-    return restore_service(service, snapshot)
+        if error.reason != "unreadable":
+            raise
 
 
 def _assign_tenants(spec):
@@ -234,7 +216,7 @@ def qps_summary(report):
     Written by ``serve-batch --qps-report``.
     """
     latencies = sorted(result.total_seconds for result in report.results)
-    summary = {
+    return {
         "invocations": len(report.results),
         "wall_seconds": report.wall_seconds,
         "qps": (
@@ -245,7 +227,6 @@ def qps_summary(report):
         "hit_rate": report.hit_rate,
         "shards": report.spec.shards,
         "tenants": report.spec.tenants,
-        "threads": report.spec.threads,
         "latency_us": {
             "p50": 1e6 * percentile(latencies, 0.50) if latencies else 0.0,
             "p95": 1e6 * percentile(latencies, 0.95) if latencies else 0.0,
@@ -254,13 +235,11 @@ def qps_summary(report):
                 1e6 * sum(latencies) / len(latencies) if latencies else 0.0
             ),
         },
+        "overload": dict(report.gateway_stats.overload),
+        "per_shard_requests": [
+            part.requests for part in report.gateway_stats.per_shard
+        ],
     }
-    if report.sharded_stats is not None:
-        summary["overload"] = dict(report.sharded_stats.overload)
-        summary["per_shard_requests"] = [
-            part.requests for part in report.sharded_stats.per_shard
-        ]
-    return summary
 
 
 def write_qps_report(report, path):
@@ -275,12 +254,8 @@ def render_report(report):
     stats = report.stats
     lines = []
     lines.append(
-        "serve-batch: %d invocations over %d query shapes, %d threads"
-        % (
-            len(report.results),
-            len(report.spec.queries),
-            report.spec.threads,
-        )
+        "serve-batch: %d invocations over %d query shapes"
+        % (len(report.results), len(report.spec.queries))
     )
     lines.append("")
     lines.append(
@@ -335,15 +310,14 @@ def render_report(report):
         )
     else:
         lines.append("  wall time: %.3fs" % report.wall_seconds)
-    if report.sharded_stats is not None:
-        sharded = report.sharded_stats
-        lines.append(
-            "  sharded gateway: %d shards, per-shard requests %s, "
-            "%d overload rejections"
-            % (
-                len(sharded.per_shard),
-                [part.requests for part in sharded.per_shard],
-                sharded.rejections,
-            )
+    gateway = report.gateway_stats
+    lines.append(
+        "  sharded gateway: %d shards, per-shard requests %s, "
+        "%d overload rejections"
+        % (
+            len(gateway.per_shard),
+            [part.requests for part in gateway.per_shard],
+            gateway.rejections,
         )
+    )
     return "\n".join(lines)

@@ -1,18 +1,21 @@
-"""The long-lived query service: cached plans, concurrent start-up.
+"""One plan-cache partition and the request path that serves it.
 
-:class:`QueryService` fronts the optimizer and executor with the
-paper's embedded-SQL amortization: the *first* invocation of a query
-pays full dynamic-plan optimization; every later invocation finds the
-compiled plan in the LRU cache and pays only the choose-plan start-up
-decision under its fresh bindings, then (optionally) executes the
-chosen static plan.
+:class:`QueryService` is the partition core behind the one serving
+front end, :class:`~repro.service.sharding.ShardedQueryService`: the
+gateway routes each request to a shard, and the shard's
+``QueryService.serve`` applies the paper's embedded-SQL amortization.
+The *first* invocation of a query pays full dynamic-plan optimization;
+every later invocation finds the compiled plan in the LRU cache and
+pays only the choose-plan start-up decision under its fresh bindings,
+then (optionally) executes the chosen static plan.  A single-partition
+deployment is ``ShardedQueryService(database, shards=1)``.
 
 Concurrency model:
 
 * start-up decisions (each cached plan's
   :class:`~repro.executor.decision.CompiledDecision`) keep no state
-  between invocations, so any number of pool threads resolve the same
-  cached plan simultaneously without locking;
+  between invocations, so any number of caller threads resolve the
+  same cached plan simultaneously without locking;
 * plan *compilation* and staleness-driven re-optimization mutate the
   cache entry and therefore run under the per-entry lock
   (single-flight: a burst of first requests optimizes once);
@@ -23,13 +26,12 @@ Concurrency model:
 Determinism: the service itself draws no randomness.  Workload
 generation and replay derive every stream from explicit seeds via
 :mod:`repro.common.rng`, and requests are generated *before* they are
-submitted to the pool, so thread scheduling cannot perturb any RNG
-stream (see :mod:`repro.workloads.service`).
+served, so thread scheduling cannot perturb any RNG stream (see
+:mod:`repro.workloads.service`).
 """
 
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from repro.common.errors import (
     MemoryDropError,
@@ -50,7 +52,6 @@ from repro.executor.midquery import (
     execute_midquery,
     startup_report_from_outcome,
 )
-from repro.optimizer.query import canonical_signature
 from repro.resilience.deadline import Deadline
 from repro.resilience.policy import ResiliencePolicy
 from repro.service.cache import PlanCache
@@ -69,7 +70,7 @@ def _coerce_reopt(policy):
         return policy
     return ReoptPolicy.parse(policy)
 
-#: Resilience outcome counters the service always tracks (the metrics
+#: Resilience outcome counters every partition tracks (the metrics
 #: registry mirrors them when one is attached).
 RESILIENCE_COUNTERS = (
     "transient_retries",
@@ -127,8 +128,7 @@ class ServiceRequest:
         self.reopt_policy = _coerce_reopt(reopt_policy)
         #: Tenant identity for the sharded gateway's per-tenant quotas
         #: (:mod:`repro.service.sharding`); ``None`` means unattributed
-        #: traffic, which is never quota limited.  The single-lock
-        #: service carries it through untouched.
+        #: traffic, which is never quota limited.
         self.tenant = tenant
 
     def __repr__(self):
@@ -305,7 +305,11 @@ class ServiceStatistics:
 
 
 class QueryService:
-    """A thread-pooled query front end with a dynamic-plan cache.
+    """One plan-cache partition: the request path the gateway routes to.
+
+    Constructed only by :class:`~repro.service.sharding.ShardedQueryService`,
+    one per shard; callers serve through the gateway's ``run`` /
+    ``submit`` / ``run_batch``.
 
     Parameters
     ----------
@@ -313,26 +317,30 @@ class QueryService:
         The :class:`~repro.storage.database.Database` served; its
         catalog is the compilation context for every cached plan (one
         service instance per catalog — the cache key assumes it).
+    db_lock:
+        The lock serializing data execution against ``database``; the
+        gateway passes one lock to every partition, so all executions
+        serialize against the same database.
     capacity:
         LRU plan-cache capacity, in *live* entries (see ``PlanCache``).
-    max_workers:
-        Thread-pool width for :meth:`submit` / :meth:`run_batch`.
     optimize:
         Optimizer entry point, ``optimize_dynamic`` by default.
     execute:
-        Service-wide default for running the chosen plan against the
-        database after the start-up decision.
+        Default for running the chosen plan against the database after
+        the start-up decision.
     validate:
         Validate plans against the catalog when they are installed in
         the cache (the paper's [CAK81] check, once per compilation
         rather than once per start-up — catalogs here are static).
     metrics:
         Optional :class:`~repro.observability.metrics.MetricsRegistry`.
-        When given, the service records request/re-optimization
-        counters, start-up and optimization latency histograms, and an
-        in-flight gauge, and the plan cache mirrors its hit/miss
-        counters into the same registry.  ``None`` (the default) keeps
-        the hot path free of instrument updates.
+        When given, the partition pushes into the registry's shared
+        (get-or-create) instruments: the re-optimization and row
+        counters, the start-up, optimization and re-decision latency
+        histograms, and the resilience counters.  The pull counts
+        (requests, in-flight, ``plan_cache_*``) are sums over the
+        partitions, registered once by the gateway.  ``None`` keeps the
+        hot path free of instrument updates.
     tracer:
         Optional :class:`~repro.observability.trace.Tracer` forwarded
         to plan execution, recording per-operator spans.  ``None``
@@ -351,25 +359,18 @@ class QueryService:
         ``None`` uses the policy defaults (retries on, breaker off, no
         deadline), which leave fault-free behaviour untouched.
     reopt_policy:
-        Service-wide default
-        :class:`~repro.executor.midquery.ReoptPolicy` (or a spec
-        string for :meth:`~repro.executor.midquery.ReoptPolicy.parse`)
+        Default :class:`~repro.executor.midquery.ReoptPolicy` (or a
+        spec string for :meth:`~repro.executor.midquery.ReoptPolicy.parse`)
         governing mid-query re-optimization at pipeline breakers.
         ``None`` (the default) disables it; individual requests
         override it per invocation.
-    db_lock:
-        The lock serializing data execution against ``database``.
-        ``None`` (the default) creates a private lock; a sharded
-        deployment passes one shared lock so every shard's executions
-        serialize against the same database exactly like a single
-        service would (see :mod:`repro.service.sharding`).
     """
 
     def __init__(
         self,
         database,
+        db_lock,
         capacity=64,
-        max_workers=8,
         optimize=None,
         execute=True,
         validate=False,
@@ -378,7 +379,6 @@ class QueryService:
         batch_size=None,
         resilience=None,
         reopt_policy=None,
-        db_lock=None,
     ):
         if optimize is None:
             from repro.optimizer.optimizer import optimize_dynamic
@@ -386,7 +386,7 @@ class QueryService:
             optimize = optimize_dynamic
         self.database = database
         self.catalog = database.catalog
-        self.cache = PlanCache(capacity, metrics=metrics)
+        self.cache = PlanCache(capacity)
         self.default_execute = bool(execute)
         self.batch_size = batch_size
         self.validate = bool(validate)
@@ -395,10 +395,7 @@ class QueryService:
         self.resilience = resilience if resilience is not None else ResiliencePolicy()
         self.reopt_policy = _coerce_reopt(reopt_policy)
         self._optimize = optimize
-        self._pool = ThreadPoolExecutor(
-            max_workers=max_workers, thread_name_prefix="repro-service"
-        )
-        self._db_lock = db_lock if db_lock is not None else threading.Lock()
+        self._db_lock = db_lock
         self._stats_lock = threading.Lock()
         self._startup_seconds = []
         self._optimize_seconds = []
@@ -408,11 +405,6 @@ class QueryService:
         #: under the GIL, so ``len`` is an exact lock-free gauge.
         self._inflight_tokens = []
         if metrics is not None:
-            metrics.counter(
-                "service_requests_total",
-                "Invocations served",
-                callback=self._request_count,
-            )
             self._m_reoptimizations = metrics.counter(
                 "service_reoptimizations_total",
                 "Staleness-driven in-place re-optimizations",
@@ -432,11 +424,6 @@ class QueryService:
                 "service_redecide_seconds",
                 "Mid-query decision latency per invocation that re-decided",
             )
-            metrics.gauge(
-                "service_inflight_requests",
-                "Invocations currently running",
-                callback=self._inflight_tokens.__len__,
-            )
             self._m_resilience = {
                 name: metrics.counter(
                     "service_%s_total" % name,
@@ -449,10 +436,14 @@ class QueryService:
             self._m_startup = self._m_optimize = self._m_redecide = None
             self._m_resilience = None
 
-    def _request_count(self):
-        """Exact served-request total (pull-style metric callback)."""
+    def request_count(self):
+        """Exact served-request total."""
         with self._stats_lock:
             return self._requests
+
+    def inflight_count(self):
+        """Requests inside :meth:`serve` right now (exact, lock-free)."""
+        return len(self._inflight_tokens)
 
     def _count(self, name, amount=1):
         """Bump one resilience counter (and its mirrored metric)."""
@@ -461,51 +452,21 @@ class QueryService:
         if self._m_resilience is not None:
             self._m_resilience[name].inc(amount)
 
-    def resilience_counts(self):
-        """Snapshot dict of the resilience outcome counters."""
-        with self._stats_lock:
-            return dict(self._resilience_counts)
-
     # ------------------------------------------------------------------
     # Serving
     # ------------------------------------------------------------------
 
-    def run(
-        self,
-        query,
-        bindings,
-        execute=None,
-        tag=None,
-        deadline_seconds=None,
-        reopt_policy=None,
-    ):
-        """Serve one invocation synchronously on the calling thread.
-
-        A malformed ``reopt_policy`` spec raises a bare
-        :class:`~repro.common.errors.ExecutionError` from the
-        :class:`ServiceRequest` constructor, before any cache lookup or
-        optimizer call.
-        """
-        request = ServiceRequest(
-            query,
-            bindings,
-            execute=execute,
-            tag=tag,
-            deadline_seconds=deadline_seconds,
-            reopt_policy=reopt_policy,
-        )
-        return self.serve(canonical_signature(query), request)
-
     def serve(self, signature, request):
         """The request path: plan-cache lookup, refresh, decide, execute.
 
-        Every entry point of the serving tier ends here — :meth:`run`,
-        a shard's worker (:mod:`repro.service.sharding`) and the
-        gateway's failover legs — with the canonical ``signature``
-        already computed by whoever routed the request.  The start-up
-        decision runs the entry's compiled program and reuses its
-        decision-outcome memo, so the chosen static plan is *rebuilt*
-        once per distinct outcome instead of once per invocation.
+        Every entry point of the serving tier ends here — the gateway's
+        ``run``, ``submit`` and ``run_batch`` through the owning shard
+        (:mod:`repro.service.sharding`), and the gateway's failover
+        legs — with the canonical ``signature`` already computed by the
+        gateway's router.  The start-up decision runs the entry's
+        compiled program and reuses its decision-outcome memo, so the
+        chosen static plan is *rebuilt* once per distinct outcome
+        instead of once per invocation.
 
         Library errors (:class:`~repro.common.errors.ReproError`) that
         survive the resilience machinery are wrapped in
@@ -871,47 +832,8 @@ class QueryService:
                 entry.fallback_plan = fallback
             return fallback
 
-    def submit(
-        self,
-        query,
-        bindings,
-        execute=None,
-        tag=None,
-        deadline_seconds=None,
-        reopt_policy=None,
-    ):
-        """Serve one invocation on the pool; returns a Future.
-
-        A request :meth:`run` would refuse at the boundary is refused
-        here the same way: raised to the caller, nothing queued.
-        """
-        request = ServiceRequest(
-            query,
-            bindings,
-            execute=execute,
-            tag=tag,
-            deadline_seconds=deadline_seconds,
-            reopt_policy=reopt_policy,
-        )
-        return self._pool.submit(self.serve, canonical_signature(query), request)
-
-    def run_batch(self, requests):
-        """Serve many requests concurrently, preserving request order.
-
-        ``requests`` is an iterable of :class:`ServiceRequest`.  The
-        result list aligns with the request list regardless of the
-        order in which pool threads finish.
-        """
-        futures = [
-            self._pool.submit(
-                self.serve, canonical_signature(request.query), request
-            )
-            for request in requests
-        ]
-        return [future.result() for future in futures]
-
     # ------------------------------------------------------------------
-    # Introspection and lifecycle
+    # Introspection
     # ------------------------------------------------------------------
 
     def stats(self):
@@ -928,17 +850,6 @@ class QueryService:
             optimize,
             resilience,
         )
-
-    def shutdown(self, wait=True):
-        """Stop the pool; the cache stays readable."""
-        self._pool.shutdown(wait=wait)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc_value, traceback):
-        self.shutdown()
-        return False
 
     def __repr__(self):
         return "QueryService(%d cached plans, %d requests)" % (

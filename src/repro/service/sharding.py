@@ -1,24 +1,21 @@
-"""A sharded serving tier: partitioned plan cache behind one gateway.
+"""The serving front end: one gateway over partitioned plan caches.
 
-The single :class:`~repro.service.service.QueryService` of PR 2 puts
-every request through one plan cache guarded by one lock and one
-thread pool — fine for a benchmark harness, a bottleneck for the
-ROADMAP's "heavy traffic from millions of users" regime.  This module
-scales that front end out without changing what any single request
-observes:
+:class:`ShardedQueryService` (the **gateway**) is the only class with
+``run`` / ``submit`` / ``run_batch``; a single-partition deployment is
+``ShardedQueryService(database, shards=1)``.  Partitioning changes
+where a request is served, never what it observes:
 
-* :class:`ShardedQueryService` (the **gateway**) canonicalizes each
-  query once, hashes its signature digest, and routes the request to
-  one of N :class:`ServiceShard`\\ s.  Routing is pure function of the
-  canonical signature, so every invocation of one query shape lands on
-  the same shard and the optimize-once/execute-many amortization is
-  preserved per partition.
-* each **shard** owns a full :class:`~repro.service.service.QueryService`
-  — its own :class:`~repro.service.cache.PlanCache` partition with its
-  own lock, its own worker thread, and its own staleness/circuit-
-  breaker state — so requests for *different* signatures never
+* the gateway canonicalizes each query once, hashes its signature
+  digest, and routes the request to one of N :class:`ServiceShard`\\ s.
+  Routing is pure function of the canonical signature, so every
+  invocation of one query shape lands on the same shard and the
+  optimize-once/execute-many amortization is preserved per partition.
+* each **shard** owns one :class:`~repro.service.service.QueryService`
+  partition — its own :class:`~repro.service.cache.PlanCache` with its
+  own lock and its own staleness/circuit-breaker state — plus its own
+  worker thread, so requests for *different* signatures never
   serialize on a shared cache lock.  Shards share one database lock,
-  so data execution is serialized exactly as in a single service.
+  so data execution is serialized exactly as in one partition.
 * **admission control**: each shard's queue is bounded; when it is
   full — or the requesting tenant is at its in-flight quota — the
   gateway fast-rejects at submit time with a typed
@@ -29,8 +26,10 @@ observes:
   the per-shard :class:`~repro.service.service.ServiceStatistics`
   snapshots with :meth:`ServiceStatistics.aggregate` — counters
   summed, percentiles recomputed over the union of raw samples — so
-  the gateway view loses no counts, and per-shard pending/cache-size
-  gauges are exported when a metrics registry is attached.
+  the gateway view loses no counts.  With a metrics registry the
+  gateway exports the pull counts (requests, in-flight,
+  ``plan_cache_*``) as sums over the live partitions, plus per-shard
+  pending/cache-size gauges.
 
 There is one request path.  The gateway canonicalizes and routes each
 query once (memoized per query object), admits the request, and hands
@@ -43,9 +42,9 @@ per shard instead of one per request).  Dispatch calls
 :meth:`ServiceShard.serve`, which adds only a shard's own business —
 liveness, injected faults, the progress heartbeat — to
 :meth:`QueryService.serve() <repro.service.service.QueryService.serve>`,
-the same function the single-lock service and both failover legs run.
-Sharding therefore cannot change what a request observes; the
-entry-point equivalence suite asserts exactly that.
+the same function both failover legs run.  Neither the entry point nor
+the shard count can change what a request observes; the entry-point
+equivalence suite asserts exactly that.
 """
 
 import logging
@@ -93,6 +92,33 @@ REQUEST_OUTCOMES = ("completed", "failed_over", "failed")
 #: Deterministic shard fault kinds accepted by
 #: :meth:`ServiceShard.inject_fault` (the service-tier chaos hooks).
 SHARD_FAULT_KINDS = ("crash", "hang", "slow")
+
+#: Plan-cache pull metrics: ``(name, stats_snapshot key, kind, help)``.
+_PLAN_CACHE_METRICS = (
+    ("plan_cache_lookups_total", "lookups", "counter", "Plan-cache lookups"),
+    ("plan_cache_hits_total", "hits", "counter", "Lookups that found a compiled plan"),
+    ("plan_cache_misses_total", "misses", "counter", "Lookups without a compiled plan"),
+    ("plan_cache_evictions_total", "evictions", "counter", "LRU evictions"),
+    (
+        "plan_cache_invalidations_total",
+        "invalidations",
+        "counter",
+        "Explicit invalidations plus staleness re-optimizations",
+    ),
+    (
+        "plan_cache_promotions_total",
+        "promotions",
+        "counter",
+        "Hits that promoted a retained plan back into the live tier",
+    ),
+    ("plan_cache_entries", "entries", "gauge", "Entries currently cached"),
+    (
+        "plan_cache_retained_entries",
+        "retained",
+        "gauge",
+        "Demoted plans kept behind the live entries",
+    ),
+)
 
 #: Routing-memo size bound: the gateway caches (signature, shard) per
 #: query *object*; past this many distinct objects the memo is cleared
@@ -257,15 +283,13 @@ class ServiceShard:
         """Install a rebuilt service and a fresh worker.
 
         The old executor is shut down (releasing a wedged serve, which
-        then fails typed and is failed over), the old service's pool
-        stops, and the shard comes back alive with a cold cache
-        partition and fresh breaker state — per-shard state is
-        *rebuilt*, never resurrected from a worker whose history is
-        suspect.  Pending-slot accounting survives: slots held by
+        then fails typed and is failed over), and the shard comes back
+        alive with a cold cache partition and fresh breaker state —
+        per-shard state is *rebuilt*, never resurrected from a worker
+        whose history is suspect.  Pending-slot accounting survives: slots held by
         in-flight requests are released when their dispatch returns,
         so the gauge converges to exact without a reset.
         """
-        old_service = self.service
         self._resume.set()
         self._executor.shutdown(wait=False, cancel_futures=True)
         with self._fault_lock:
@@ -276,7 +300,6 @@ class ServiceShard:
         )
         self.generation += 1
         self.alive = True
-        old_service.shutdown(wait=False)
 
     def try_admit(self, amount=1):
         """Reserve queue slots or fast-reject; never blocks.
@@ -347,14 +370,13 @@ class ServiceShard:
         return self._executor.submit(work)
 
     def shutdown(self, wait=True):
-        """Stop the shard worker and its wrapped service.
+        """Stop the shard worker; the partition stays readable.
 
         Releases a wedged serve first so a hung worker cannot block
         shutdown forever.
         """
         self._resume.set()
         self._executor.shutdown(wait=wait)
-        self.service.shutdown(wait=wait)
 
     def __repr__(self):
         return "ServiceShard(%d, pending=%d, %d cached plans)" % (
@@ -417,11 +439,11 @@ class ShardedQueryService:
     database:
         The shared :class:`~repro.storage.database.Database`.  All
         shards execute against it under one shared lock, so I/O
-        accounting matches a single-lock service exactly.
+        accounting does not depend on the shard count.
     shards:
-        Number of partitions.  Each shard is a full
-        :class:`~repro.service.service.QueryService` with its own
-        cache, lock, worker thread, and breaker state.
+        Number of partitions.  Each shard is one
+        :class:`~repro.service.service.QueryService` (its own cache,
+        cache lock and breaker state) plus a worker thread.
     capacity:
         Plan-cache capacity *per shard*, in live entries.
     max_pending:
@@ -443,12 +465,14 @@ class ShardedQueryService:
         not share one instance.  ``None`` gives each shard the policy
         defaults.
     metrics:
-        Optional registry.  The gateway registers its own overload
-        counters and per-shard gauges (``service_shard<i>_pending``,
-        ``service_shard<i>_cache_entries``); shards are created
-        *without* a registry — their exact counters are aggregated by
-        :meth:`stats` instead, which avoids N-way metric-name
-        collisions in a registry that has no label dimension.
+        Optional registry.  Every partition pushes into the same
+        get-or-create instruments (latency histograms, resilience
+        counters); the gateway registers the pull counts once, as
+        scrape-time sums over ``shard.service`` —
+        ``service_requests_total``, ``service_inflight_requests`` and
+        ``plan_cache_*``, equal to :meth:`stats` at quiescence — plus
+        its overload counters and per-shard gauges
+        (``service_shard<i>_pending``, ``service_shard<i>_cache_entries``).
 
     Remaining keyword arguments (``execute``, ``batch_size``,
     ``validate``, ``optimize``, ``tracer``, ``reopt_policy``) are
@@ -524,6 +548,7 @@ class ShardedQueryService:
         #: query reference keeps the id stable for the memo's lifetime.
         self._route_memo = {}
         if metrics is not None:
+            self._register_partition_metrics(metrics)
             self._m_overload = {
                 reason: metrics.counter(
                     "service_overload_%s_total" % reason,
@@ -565,6 +590,35 @@ class ShardedQueryService:
         else:
             self._m_overload = None
 
+    def _register_partition_metrics(self, metrics):
+        """Pull counts as sums over the partitions, read at scrape time.
+
+        Each read goes through ``shard.service``, so after a restart
+        the shard's new partition is the one counted.
+        """
+
+        def summed(read):
+            return lambda: sum(read(shard.service) for shard in self.shards)
+
+        metrics.counter(
+            "service_requests_total",
+            "Invocations served",
+            callback=summed(QueryService.request_count),
+        )
+        metrics.gauge(
+            "service_inflight_requests",
+            "Invocations currently running",
+            callback=summed(QueryService.inflight_count),
+        )
+        for name, key, kind, help_text in _PLAN_CACHE_METRICS:
+            getattr(metrics, kind)(
+                name,
+                help_text,
+                callback=summed(
+                    lambda service, key=key: service.cache.stats_snapshot()[key]
+                ),
+            )
+
     # ------------------------------------------------------------------
     # Shard construction and recovery
     # ------------------------------------------------------------------
@@ -578,11 +632,10 @@ class ShardedQueryService:
         )
         return QueryService(
             self.database,
+            self._db_lock,
             capacity=self._capacity,
-            max_workers=1,
-            metrics=None,
+            metrics=self.metrics,
             resilience=resilience,
-            db_lock=self._db_lock,
             **self._service_kwargs,
         )
 
@@ -1023,8 +1076,8 @@ class ShardedQueryService:
         once per *shard* rather than once per request.  Replay is
         bounded by construction (the caller holds the whole batch), so
         per-request admission is skipped; the pending gauge still
-        reflects each chunk in flight.  Failures re-raise in request
-        order, matching :meth:`QueryService.run_batch`.
+        reflects each chunk in flight.  The first failure in request
+        order is re-raised once every chunk has finished.
         """
         requests = list(requests)
         self._record_submitted(len(requests))
@@ -1075,7 +1128,7 @@ class ShardedQueryService:
         )
 
     def shutdown(self, wait=True):
-        """Stop every shard's worker and wrapped service.
+        """Stop every shard's worker.
 
         With durability enabled, a final snapshot is written first —
         quiescing before persisting — so a clean shutdown always
@@ -1090,9 +1143,6 @@ class ShardedQueryService:
                 self._note_snapshot_failure("shutdown", error)
         for shard in self.shards:
             shard.shutdown(wait=wait)
-        with self._standby_lock:
-            if self._standby is not None:
-                self._standby.shutdown(wait=wait)
 
     def __enter__(self):
         return self

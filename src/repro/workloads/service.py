@@ -4,7 +4,7 @@ A *service workload* models the paper's embedded-SQL deployment: a
 fixed set of parameterized queries (think precompiled application
 statements) invoked over and over with fresh host-variable bindings.
 A :class:`ServiceWorkloadSpec` describes the mix — query shapes,
-weights, invocation count, thread width — and can be loaded from a
+weights, invocation count, shard count — and can be loaded from a
 JSON file for the ``python -m repro serve-batch`` CLI.
 
 All queries in one spec share a single catalog (a service fronts one
@@ -12,15 +12,13 @@ database), so a k-way query runs over the first k relations of the
 largest query's catalog.  Every random stream — the mix order and each
 invocation's bindings — derives from the spec seed through
 :mod:`repro.common.rng`, and requests are fully generated before any
-of them is submitted to a thread pool: replays are reproducible under
-concurrency.
+of them is served: replays are reproducible under concurrency.
 
 Spec JSON format::
 
     {
       "seed": 0,
       "invocations": 120,
-      "threads": 8,
       "capacity": 64,
       "execute": true,
       "shards": 1,
@@ -122,7 +120,6 @@ class ServiceWorkloadSpec:
         self,
         queries,
         invocations=120,
-        threads=8,
         capacity=64,
         seed=0,
         execute=True,
@@ -133,13 +130,11 @@ class ServiceWorkloadSpec:
         if not self.queries:
             raise OptimizationError("a service workload needs at least one query")
         self.invocations = int(invocations)
-        self.threads = int(threads)
         self.capacity = int(capacity)
         self.seed = int(seed)
         self.execute = bool(execute)
-        #: ``1`` replays through the single-lock service; larger counts
-        #: go through the sharded gateway (:mod:`repro.service.sharding`)
-        #: with this many plan-cache partitions.
+        #: Plan-cache partitions of the gateway the spec replays
+        #: through (:mod:`repro.service.sharding`).
         self.shards = int(shards)
         #: ``0`` leaves requests unattributed; larger counts assign each
         #: invocation a Zipf-distributed tenant identity from a derived
@@ -147,8 +142,6 @@ class ServiceWorkloadSpec:
         self.tenants = int(tenants)
         if self.invocations < 0:
             raise OptimizationError("invocations must be non-negative")
-        if self.threads < 1:
-            raise OptimizationError("a service needs at least one thread")
         if self.capacity < 1:
             raise OptimizationError("plan cache capacity must be at least 1")
         if self.shards < 1:
@@ -158,11 +151,11 @@ class ServiceWorkloadSpec:
 
     @classmethod
     def from_dict(cls, data):
-        """Build a spec from a parsed JSON object."""
+        """Build a spec from a parsed JSON object; unknown top-level
+        keys are ignored."""
         return cls(
             [ServiceQuerySpec.from_dict(query) for query in data.get("queries", ())],
             invocations=data.get("invocations", 120),
-            threads=data.get("threads", 8),
             capacity=data.get("capacity", 64),
             seed=data.get("seed", 0),
             execute=data.get("execute", True),
@@ -177,7 +170,7 @@ class ServiceWorkloadSpec:
             return cls.from_dict(json.load(handle))
 
     @classmethod
-    def default(cls, invocations=120, threads=8, seed=0, execute=True):
+    def default(cls, invocations=120, seed=0, execute=True):
         """The built-in demonstration mix: three shapes, skewed weights."""
         return cls(
             [
@@ -186,7 +179,6 @@ class ServiceWorkloadSpec:
                 ServiceQuerySpec(4, topology="chain", weight=1),
             ],
             invocations=invocations,
-            threads=threads,
             seed=seed,
             execute=execute,
         )
@@ -196,7 +188,6 @@ class ServiceWorkloadSpec:
         fields = {
             "queries": self.queries,
             "invocations": self.invocations,
-            "threads": self.threads,
             "capacity": self.capacity,
             "seed": self.seed,
             "execute": self.execute,
@@ -216,10 +207,10 @@ class ServiceWorkloadSpec:
         return max(query.relations for query in self.queries)
 
     def __repr__(self):
-        return "ServiceWorkloadSpec(%d queries, %d invocations, %d threads)" % (
+        return "ServiceWorkloadSpec(%d queries, %d invocations, %d shards)" % (
             len(self.queries),
             self.invocations,
-            self.threads,
+            self.shards,
         )
 
 
@@ -228,7 +219,7 @@ def build_service_workloads(spec):
 
     Returns a list of :class:`~repro.workloads.queries.Workload`
     objects — one per mix entry, all sharing the same catalog (and
-    hence servable by a single :class:`~repro.service.QueryService`).
+    hence servable by one gateway).
     """
     specs = default_relation_specs(spec.max_relations(), seed=spec.seed)
     catalog = build_synthetic_catalog(specs, seed=spec.seed)

@@ -28,12 +28,10 @@ from repro.common.errors import (
 from repro.optimizer.optimizer import optimize_dynamic
 from repro.service import (
     DurabilityConfig,
-    QueryService,
     ShardedQueryService,
     build_snapshot,
     read_snapshot,
     restore_gateway,
-    restore_service,
     write_snapshot,
 )
 from repro.service.durability import SNAPSHOT_FORMAT, SNAPSHOT_VERSION
@@ -193,11 +191,11 @@ def two_entry_snapshot():
     """``(catalog, requests, file bytes, served plans)`` of a real
     two-entry snapshot, built once for every fuzzed example."""
     catalog, _queries, requests = traffic(requests=8, shapes=2)
-    with QueryService(
-        Database(catalog), capacity=16, execute=False, max_workers=1
-    ) as service:
-        service.run_batch(requests)
-        snapshot = build_snapshot(service)
+    with ShardedQueryService(
+        Database(catalog), shards=1, capacity=16, execute=False
+    ) as gateway:
+        gateway.run_batch(requests)
+        snapshot = build_snapshot(gateway)
     assert len(snapshot["entries"]) == 2
     payload = json.dumps(snapshot, sort_keys=True, indent=1).encode("utf-8")
     return catalog, requests, payload, served_plans(catalog, requests, snapshot)
@@ -376,19 +374,14 @@ class TestWarmRestore:
         assert again.skipped == len(snapshot["entries"])
 
     def test_single_service_round_trip(self, tmp_path):
+        """One partition: snapshot, restore, serve without optimizing."""
         catalog, _queries, requests = traffic()
-        database = Database(catalog)
-        populate_database(database, seed=7)
-        with QueryService(database, capacity=16) as service:
-            service.run_batch(requests)
-            snapshot = build_snapshot(service)
-        database2 = Database(catalog)
-        populate_database(database2, seed=7)
+        with make_gateway(catalog, shards=1) as gateway:
+            gateway.run_batch(requests)
+            snapshot = build_snapshot(gateway)
         optimizer = CountingOptimizer()
-        with QueryService(
-            database2, capacity=16, optimize=optimizer
-        ) as fresh:
-            stats = restore_service(fresh, snapshot)
+        with make_gateway(catalog, shards=1, optimizer=optimizer) as fresh:
+            stats = restore_gateway(fresh, snapshot)
             assert stats.restored == len(snapshot["entries"])
             results = fresh.run_batch(requests)
         assert optimizer.calls == 0

@@ -1,21 +1,23 @@
 """One grand tour: every major subsystem in a single scenario.
 
-SQL with host variables → advisor → dynamic compilation → persistent
-plan store → catalog drift → validated activation → execution →
-adaptive execution — on a star-topology join, checked against the
+SQL with host variables → advisor → dynamic compilation → access-module
+bytes → catalog drift → validated activation → execution → adaptive
+execution — on a star-topology join, checked against the
 reference evaluator at every step.
 """
 
 import pytest
 
 from repro import (
+    AccessModule,
     Database,
     execute_plan,
+    optimize_dynamic,
     parse_query,
     populate_database,
 )
 from repro.cost.parameters import Bindings
-from repro.executor import PlanStore, execute_adaptively
+from repro.executor import activate_plan, execute_adaptively
 from repro.scenarios import recommend_strategy
 from repro.workloads import make_join_workload
 
@@ -47,7 +49,7 @@ def make_bindings(workload, sel_r1, sel_r3):
 
 
 class TestGrandTour:
-    def test_full_lifecycle(self, world, tmp_path):
+    def test_full_lifecycle(self, world):
         workload, database = world
         catalog = workload.catalog
 
@@ -62,10 +64,14 @@ class TestGrandTour:
         )
         assert recommendation.strategy == "dynamic"
 
-        # 3. Compile into the persistent store.
-        store = PlanStore(tmp_path / "plans")
-        compiled = store.compile(catalog, query)
+        # 3. Compile once into access-module bytes (what survives restarts).
+        compiled = optimize_dynamic(catalog, query)
         assert compiled.choose_plan_count() >= 1
+        payload = AccessModule.from_plan(compiled.plan, "tour").to_bytes()
+
+        def activate(bindings):
+            plan = AccessModule.from_bytes(payload).materialize()
+            return activate_plan(plan, catalog, query.parameter_space, bindings)
 
         # 4. Catalog drift: an index disappears between compile and run.
         catalog.drop_index("R2", "a")
@@ -75,9 +81,7 @@ class TestGrandTour:
         keys = ["R2.a", "R3.a"]
         for sel_r1, sel_r3 in ((0.05, 0.9), (0.8, 0.1)):
             bindings = make_bindings(workload, sel_r1, sel_r3)
-            chosen, report = store.activate(
-                "tour", catalog, query.parameter_space, bindings
-            )
+            chosen, report = activate(bindings)
             assert chosen.choose_plan_count() == 0
             executed = execute_plan(
                 chosen, database, bindings, query.parameter_space
@@ -99,16 +103,14 @@ class TestGrandTour:
 
         # 6. Adaptive execution agrees with plain execution.
         bindings = make_bindings(workload, 0.4, 0.6)
-        plan = store.load("tour").materialize()
+        plan = AccessModule.from_bytes(payload).materialize()
         from repro.executor import validate_plan
 
         plan = validate_plan(plan, catalog)
         adaptive_result, adaptive_report = execute_adaptively(
             plan, database, bindings, query.parameter_space
         )
-        plain_chosen, _ = store.activate(
-            "tour", catalog, query.parameter_space, bindings
-        )
+        plain_chosen, _ = activate(bindings)
         plain_result = execute_plan(
             plain_chosen, database, bindings, query.parameter_space
         )

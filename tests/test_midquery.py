@@ -64,7 +64,7 @@ from repro.resilience import (
     RetryPolicy,
 )
 from repro.resilience.chaos import rows_digest
-from repro.service import QueryService
+from repro.service import ShardedQueryService
 from repro.storage.database import Database
 from repro.workloads import (
     make_join_workload,
@@ -1003,20 +1003,19 @@ class TestVerifiedRedecisions:
 
         served = populate_database(Database(workload.catalog), seed=0)
         served.install_fault_injector(FaultInjector(profile, seed=0))
-        service = QueryService(
-            served,
-            max_workers=1,
-            resilience=ResiliencePolicy(
-                retry=RetryPolicy(max_retries=3, base_delay=0.0, jitter=0.0),
-                sleep=lambda _seconds: None,
-            ),
+        policy = ResiliencePolicy(
+            retry=RetryPolicy(max_retries=3, base_delay=0.0, jitter=0.0),
+            sleep=lambda _seconds: None,
         )
-        with service:
-            result = service.run(workload.query, bindings, reopt_policy="auto")
+        with ShardedQueryService(
+            served, shards=1, resilience_factory=lambda: policy
+        ) as gateway:
+            result = gateway.run(workload.query, bindings, reopt_policy="auto")
         assert rows_digest(result.execution.records) == rows_digest(expected.records)
         assert result.execution.midquery.probes == 2
-        counts = service.resilience_counts()
+        stats = gateway.stats().total
+        counts = stats.resilience
         assert counts["transient_retries"] == 1
         assert counts["midquery_probes"] == 2
         assert counts["permanent_failures"] == counts["timeouts"] == 0
-        assert service.stats().requests == 1
+        assert stats.requests == 1

@@ -3,9 +3,9 @@
 The registry promises *exact* counters under concurrency — every
 ``inc``/``observe`` holds the instrument's lock, so parallel updates
 can never be lost the way unlocked ``+=`` read-modify-write races lose
-them.  The hammer tests drive instruments and a full
-:class:`~repro.service.service.QueryService` from eight threads and
-require per-thread deltas to sum exactly to the registry totals.
+them.  The hammer tests drive instruments and a three-shard
+:class:`~repro.service.sharding.ShardedQueryService` from eight
+threads and require the registry totals to equal the exact counts.
 """
 
 import json
@@ -19,10 +19,11 @@ from repro.observability import (
     Histogram,
     MetricsRegistry,
 )
-from repro.service import QueryService, ServiceRequest
+from repro.service import ShardedQueryService
 from repro.storage import Database
 from repro.workloads import paper_workload
-from repro.workloads.service import service_request_bindings
+from repro.workloads.traffic import HeavyTrafficSpec, to_service_requests
+from tests.test_service import serve_concurrently
 
 THREADS = 8
 
@@ -158,58 +159,43 @@ class TestConcurrency:
         assert snapshot["sum"] == expected
 
     @pytest.mark.slow
-    def test_service_load_deltas_sum_to_totals(self):
-        """8-thread service load: per-thread deltas equal the registry.
-
-        Each pool thread serves its own slice of requests and tallies
-        what it saw (requests served, rows returned); the registry's
-        counters must equal the tallies exactly — the concurrency
-        contract of the metrics layer under real contention.
-        """
-        workload = paper_workload(2, seed=0)
+    def test_gateway_counters_equal_stats_total(self):
+        """8 caller threads through a 3-shard gateway: at quiescence
+        every pull count (a sum over the partitions) equals
+        ``stats().total``, and the push instruments the partitions share
+        saw every request."""
+        catalog, _queries, requests = to_service_requests(
+            HeavyTrafficSpec(requests=THREADS * 12, query_shapes=12, seed=3)
+        )
         registry = MetricsRegistry()
-        service = QueryService(
-            Database(workload.catalog),
-            execute=False,
-            max_workers=THREADS,
-            metrics=registry,
-        )
-        per_query = 12
-        with service:
-            results = service.run_batch(
-                ServiceRequest(
-                    workload.query,
-                    service_request_bindings(
-                        workload, seed=3, run_index=index
-                    ),
-                )
-                for index in range(THREADS * per_query)
-            )
+        with ShardedQueryService(
+            Database(catalog), shards=3, capacity=2, execute=False, metrics=registry
+        ) as gateway:
+            results = serve_concurrently(gateway, requests, THREADS)
+            stats = gateway.stats()
+            snapshot = registry.snapshot()
 
-        total = THREADS * per_query
-        snapshot = registry.snapshot()
-        assert snapshot["service_requests_total"]["value"] == total
-        assert snapshot["plan_cache_lookups_total"]["value"] == total
-        assert (
-            snapshot["plan_cache_hits_total"]["value"]
-            + snapshot["plan_cache_misses_total"]["value"]
-            == total
-        )
-        assert snapshot["service_startup_seconds"]["count"] == total
+        total = stats.total
+        assert total.requests == len(requests)
+        assert sum(1 for part in stats.per_shard if part.requests) == 3
+        assert snapshot["service_requests_total"]["value"] == total.requests
         assert snapshot["service_inflight_requests"]["value"] == 0
-
-        # The registry agrees with the service's own accounting.
-        stats = service.stats()
-        assert stats.requests == total
-        cache = service.cache.stats.snapshot()
-        assert snapshot["plan_cache_hits_total"]["value"] == cache["hits"]
+        for key in (
+            "lookups", "hits", "misses", "evictions", "invalidations", "promotions"
+        ):
+            assert snapshot["plan_cache_%s_total" % key]["value"] == total.cache[key]
+        assert snapshot["plan_cache_entries"]["value"] == total.cache["entries"]
         assert (
-            snapshot["plan_cache_misses_total"]["value"] == cache["misses"]
+            snapshot["plan_cache_retained_entries"]["value"] == total.cache["retained"]
         )
-        reopt = sum(1 for result in results if result.reoptimized)
-        assert (
-            snapshot["service_reoptimizations_total"]["value"] == reopt
+        assert total.cache["evictions"] >= 1
+        assert snapshot["service_startup_seconds"]["count"] == total.requests
+        assert snapshot["service_optimize_seconds"]["count"] == total.optimize_count
+        assert snapshot["service_reoptimizations_total"]["value"] == sum(
+            result.reoptimized for result in results
         )
+        for name, value in total.resilience.items():
+            assert snapshot["service_%s_total" % name]["value"] == value
 
 
 class TestRedecideHistogram:
@@ -223,12 +209,12 @@ class TestRedecideHistogram:
         database = Database(workload.catalog)
         populate_database(database, seed=11)
         bindings = skewed_bindings(workload, declared=0.02, actual=0.6)
-        with QueryService(database, metrics=metrics) as service:
+        with ShardedQueryService(database, shards=1, metrics=metrics) as gateway:
             results = [
-                service.run(workload.query, bindings, reopt_policy=reopt_policy)
+                gateway.run(workload.query, bindings, reopt_policy=reopt_policy)
                 for _ in range(3)
             ]
-            return results, service.resilience_counts()
+            return results, gateway.stats().total.resilience
 
     def test_observed_only_when_a_request_redecides(self):
         registry = MetricsRegistry()

@@ -1,8 +1,8 @@
 """Service-level resilience: retry, degradation, breaker, wrapping.
 
-Each test builds a single-threaded :class:`QueryService` over a
-freshly populated database, installs a fault injector with a
-deterministic per-site trigger profile, and asserts *outcomes*: the
+Each test builds a one-shard gateway over a freshly populated
+database, installs a fault injector with a deterministic per-site
+trigger profile, and asserts *outcomes*: the
 query completes with the fault-free rows (or fails fast with the
 typed error), and the resilience counters record exactly what the
 profile injected.
@@ -28,8 +28,9 @@ from repro.resilience import (
     RetryPolicy,
     fault_profile,
 )
-from repro.service import QueryService, build_snapshot, restore_service
+from repro.service import ShardedQueryService, build_snapshot, restore_gateway
 from repro.service.decision import DecisionCompilationError
+from repro.service.service import RESILIENCE_COUNTERS
 from repro.storage import Database
 from repro.workloads import paper_workload, random_bindings
 
@@ -52,14 +53,22 @@ def quiet_policy(max_retries=3, max_degradations=2, breaker=None,
 def make_service(workload, resilience=None, metrics=None, execute=True):
     database = Database(workload.catalog)
     populate_database(database, seed=DATA_SEED)
-    service = QueryService(
+    return database, one_shard(database, resilience, metrics, execute)
+
+
+def one_shard(database, resilience=None, metrics=None, execute=True):
+    return ShardedQueryService(
         database,
-        max_workers=1,
+        shards=1,
         execute=execute,
-        resilience=resilience,
+        resilience_factory=lambda: resilience,
         metrics=metrics,
     )
-    return database, service
+
+
+def counts_of(gateway):
+    """The gateway's resilience outcome counters."""
+    return gateway.stats().total.resilience
 
 
 def run_once(workload, profile=None, resilience=None, metrics=None,
@@ -95,7 +104,7 @@ class TestTransientRetry:
         assert [r.as_dict() for r in result.execution.records] == [
             r.as_dict() for r in baseline.execution.records
         ]
-        counts = service.resilience_counts()
+        counts = counts_of(service)
         assert counts["transient_retries"] == 2
         assert counts["permanent_failures"] == 0
         assert counts["degradations"] == 0
@@ -118,7 +127,7 @@ class TestTransientRetry:
         error = excinfo.value
         assert type(error.cause).__name__ == "TransientIOError"
         assert error.attempts == 2  # initial try + the one retried attempt
-        assert service.resilience_counts()["transient_retries"] == 1
+        assert counts_of(service)["transient_retries"] == 1
 
 
 class TestPermanentFailure:
@@ -138,7 +147,7 @@ class TestPermanentFailure:
         assert error.query_name == workload.query.name
         assert error.cache_hit is False
         assert error.attempts == 1
-        counts = service.resilience_counts()
+        counts = counts_of(service)
         assert counts["permanent_failures"] == 1
         assert counts["transient_retries"] == 0
         snapshot = database.fault_injector.snapshot()
@@ -150,7 +159,7 @@ class TestDegradation:
         baseline, result, service = run_once(
             workload, profile=fault_profile("memory-drop")
         )
-        counts = service.resilience_counts()
+        counts = counts_of(service)
         assert counts["degradations"] == 1
         assert counts["fallback_activations"] == 0
         assert sorted(
@@ -170,10 +179,10 @@ class TestDegradation:
             profile=profile,
             resilience=quiet_policy(max_degradations=0),
         )
-        counts = service.resilience_counts()
+        counts = counts_of(service)
         assert counts["degradations"] == 1
         assert counts["fallback_activations"] == 1
-        entry = service.cache.get(workload.query)
+        entry = service.shards[0].service.cache.get(workload.query)
         assert entry.fallback_plan is not None
         assert result.execution.row_count == baseline.execution.row_count
 
@@ -187,7 +196,7 @@ class TestDeadline:
         error = excinfo.value
         assert isinstance(error.cause, QueryTimeoutError)
         assert error.cause.rows_produced == 0
-        assert service.resilience_counts()["timeouts"] == 1
+        assert counts_of(service)["timeouts"] == 1
 
     def test_policy_default_deadline_applies(self, workload):
         bindings = random_bindings(workload, seed=0, run_index=0)
@@ -223,11 +232,11 @@ class TestUncompilablePlan:
         error = excinfo.value
         assert isinstance(error.cause, DecisionCompilationError)
         assert error.__cause__ is error.cause
-        assert service.resilience_counts()["decision_compiles"] == 0
+        assert counts_of(service)["decision_compiles"] == 0
 
         _, restored = make_service(workload, execute=False)
         with restored:
-            stats = restore_service(restored, snapshot)
+            stats = restore_gateway(restored, snapshot)
         assert stats.restored == 0
         assert stats.errors == [(workload.query.name, "forced for the test")]
 
@@ -240,11 +249,10 @@ class TestCircuitBreaker:
 
         workload = narrow_workload(bounds=(0.0, 0.3))
         breaker = CircuitBreaker(failure_threshold=1, cooldown=2)
-        service = QueryService(
+        service = one_shard(
             Database(workload.catalog),
-            execute=False,
-            max_workers=1,
             resilience=quiet_policy(breaker=breaker),
+            execute=False,
         )
         with service:
             first = service.run(workload.query, bindings_at(workload, 0.2))
@@ -253,7 +261,7 @@ class TestCircuitBreaker:
             tripped = service.run(workload.query, bindings_at(workload, 0.9))
             assert tripped.reoptimized
             assert breaker.trips == 1
-            assert service.resilience_counts()["breaker_trips"] == 1
+            assert counts_of(service)["breaker_trips"] == 1
 
             # Bounds are now [0.0, 0.9]; 0.95 is stale again, but the
             # breaker is open: served from cache, no re-optimization.
@@ -263,7 +271,7 @@ class TestCircuitBreaker:
                 )
                 assert not held.reoptimized and held.cache_hit
                 assert (
-                    service.resilience_counts()["breaker_short_circuits"]
+                    counts_of(service)["breaker_short_circuits"]
                     == expected
                 )
 
@@ -271,21 +279,19 @@ class TestCircuitBreaker:
             reopened = service.run(workload.query, bindings_at(workload, 0.95))
             assert reopened.reoptimized
             assert breaker.trips == 2
-        entry = service.cache.get(workload.query)
+        entry = service.shards[0].service.cache.get(workload.query)
         assert entry.reoptimizations == 2
 
     def test_disabled_by_default(self):
         from tests.test_service import bindings_at, narrow_workload
 
         workload = narrow_workload(bounds=(0.0, 0.3))
-        service = QueryService(
-            Database(workload.catalog), execute=False, max_workers=1
-        )
+        service = one_shard(Database(workload.catalog), execute=False)
         with service:
             service.run(workload.query, bindings_at(workload, 0.2))
             for _ in range(3):
                 service.run(workload.query, bindings_at(workload, 0.9))
-        counts = service.resilience_counts()
+        counts = counts_of(service)
         assert counts["breaker_trips"] == 0
         assert counts["breaker_short_circuits"] == 0
 
@@ -296,7 +302,7 @@ class TestCountersSurfaced:
         _, _, service = run_once(
             workload, profile=fault_profile("transient-io"), metrics=metrics
         )
-        counts = service.resilience_counts()
+        counts = counts_of(service)
         assert counts["transient_retries"] == 2
         assert (
             metrics.get("service_transient_retries_total").value
@@ -308,6 +314,6 @@ class TestCountersSurfaced:
         _, _, service = run_once(
             workload, profile=fault_profile("transient-io")
         )
-        stats = service.stats()
+        stats = service.stats().total
         assert stats.resilience["transient_retries"] == 2
-        assert set(stats.resilience) == set(service.resilience_counts())
+        assert set(stats.resilience) == set(RESILIENCE_COUNTERS)

@@ -1,13 +1,14 @@
 """The query service: plan cache, concurrency, staleness, CLI.
 
-The stress test is the load-bearing one: many pool threads resolve the
-*same* cached dynamic plan under different bindings, and every
-decision must match a single-threaded interpreted reference run —
-start-up procedures are re-entrant and the compiled decision programs
-make identical choices.
+The stress test is the load-bearing one: eight caller threads serve
+through one partition and resolve the *same* cached dynamic plan under
+different bindings, and every decision must match a single-threaded
+interpreted reference run — start-up procedures are re-entrant and the
+compiled decision programs make identical choices.
 """
 
 import json
+import threading
 
 import pytest
 
@@ -27,12 +28,12 @@ from repro.optimizer.query import QuerySpec
 from repro.service import (
     CompiledDecision,
     PlanCache,
-    build_snapshot,
-    restore_service,
-    QueryService,
     ServiceRequest,
+    ShardedQueryService,
+    build_snapshot,
     render_report,
     replay_spec,
+    restore_gateway,
 )
 from repro.storage import Database
 from repro.workloads import paper_workload, random_bindings
@@ -57,6 +58,37 @@ def narrow_workload(bounds=(0.0, 0.3)):
         [ServiceQuerySpec(2, selectivity_bounds=bounds)], seed=7
     )
     return build_service_workloads(spec)[0]
+
+
+def one_shard(database, **options):
+    """A single-partition gateway and its partition's QueryService."""
+    gateway = ShardedQueryService(database, shards=1, **options)
+    return gateway, gateway.shards[0].service
+
+
+def serve_concurrently(gateway, requests, threads=8):
+    """``gateway.run`` from ``threads`` caller threads; results in
+    request order."""
+    results = [None] * len(requests)
+    barrier = threading.Barrier(threads)
+
+    def caller(offset):
+        barrier.wait()
+        for index in range(offset, len(requests), threads):
+            request = requests[index]
+            results[index] = gateway.run(request.query, request.bindings)
+
+    callers = [
+        threading.Thread(target=caller, args=(offset,)) for offset in range(threads)
+    ]
+    for thread in callers:
+        thread.start()
+    for thread in callers:
+        thread.join(timeout=120.0)
+        assert not thread.is_alive()
+    # A caller that raised left its remaining slots empty.
+    assert all(result is not None for result in results)
+    return results
 
 
 def bindings_at(workload, selectivity):
@@ -188,20 +220,18 @@ class TestPlanCache:
 class TestStaleness:
     def test_out_of_bounds_binding_reoptimizes_in_place(self):
         workload = narrow_workload(bounds=(0.0, 0.3))
-        service = QueryService(
-            Database(workload.catalog), execute=False, max_workers=2
-        )
-        with service:
-            inside = service.run(workload.query, bindings_at(workload, 0.2))
+        gateway, service = one_shard(Database(workload.catalog), execute=False)
+        with gateway:
+            inside = gateway.run(workload.query, bindings_at(workload, 0.2))
             assert not inside.cache_hit and not inside.reoptimized
 
-            drifted = service.run(workload.query, bindings_at(workload, 0.9))
+            drifted = gateway.run(workload.query, bindings_at(workload, 0.9))
             assert drifted.reoptimized and not drifted.cache_hit
             assert drifted.optimize_seconds > 0.0
 
             # The widened plan now covers the drifted value: no second
             # re-optimization, and the entry survived under its key.
-            again = service.run(workload.query, bindings_at(workload, 0.9))
+            again = gateway.run(workload.query, bindings_at(workload, 0.9))
             assert again.cache_hit and not again.reoptimized
         assert len(service.cache) == 1
         entry = service.cache.get(workload.query)
@@ -212,12 +242,10 @@ class TestStaleness:
 
     def test_observed_ranges_are_tracked(self):
         workload = narrow_workload()
-        service = QueryService(
-            Database(workload.catalog), execute=False, max_workers=2
-        )
-        with service:
-            service.run(workload.query, bindings_at(workload, 0.10))
-            service.run(workload.query, bindings_at(workload, 0.25))
+        gateway, service = one_shard(Database(workload.catalog), execute=False)
+        with gateway:
+            gateway.run(workload.query, bindings_at(workload, 0.10))
+            gateway.run(workload.query, bindings_at(workload, 0.25))
         entry = service.cache.get(workload.query)
         for name in entry.covered_bounds:
             low, high = entry.observed[name]
@@ -245,26 +273,26 @@ class TestRetainedTier:
             return optimize_dynamic(catalog, query)
 
         registry, tracer = MetricsRegistry(), Tracer()
-        with QueryService(
+        gateway, service = one_shard(
             Database(workload.catalog),
             capacity=1,
             optimize=counting,
             execute=False,
-            max_workers=1,
             metrics=registry,
             tracer=tracer,
-        ) as service:
+        )
+        with gateway:
             results = []
             for selectivity in (0.1, 0.2, 0.25):
                 bindings = bindings_at(workload, selectivity)
-                results.append(service.run(workload.query, bindings))
-                results.append(service.run(spoiler, bindings))
+                results.append(gateway.run(workload.query, bindings))
+                results.append(gateway.run(spoiler, bindings))
             # Evicted and re-touched three times each: optimized once.
             assert calls == [workload.query.name, "spoiler"]
             assert [r.cache_hit for r in results] == [False, False] + [True] * 4
             assert all(r.optimize_seconds == 0.0 for r in results[2:])
             # A drifted binding on a promoted entry is one more run.
-            drifted = service.run(workload.query, bindings_at(workload, 0.9))
+            drifted = gateway.run(workload.query, bindings_at(workload, 0.9))
             assert drifted.reoptimized
             cache = service.cache.stats_snapshot()
             stats = service.stats()
@@ -295,17 +323,15 @@ class TestRetainedTier:
             for capacity in (1, 64):
                 database = Database(workload.catalog)
                 populate_database(database, seed=0)
-                with QueryService(
-                    database,
-                    capacity=capacity,
-                    optimize=optimize,
-                    max_workers=1,
-                ) as service:
+                gateway, service = one_shard(
+                    database, capacity=capacity, optimize=optimize
+                )
+                with gateway:
                     results = []
                     for run in range(3):
                         bindings = random_bindings(workload, seed=17, run_index=run)
-                        results.append(service.run(workload.query, bindings))
-                        results.append(service.run(spoiler, bindings))
+                        results.append(gateway.run(workload.query, bindings))
+                        results.append(gateway.run(spoiler, bindings))
                     cache = service.cache.stats_snapshot()
                 assert cache["promotions"] == (4 if capacity == 1 else 0)
                 assert cache["misses"] == 2
@@ -327,16 +353,17 @@ class TestRetainedTier:
     def test_widened_bounds_and_counters_survive_demotion(self):
         workload = narrow_workload(bounds=(0.0, 0.3))
         spoiler = spoiler_query(workload)
-        with QueryService(
-            Database(workload.catalog), capacity=1, execute=False, max_workers=1
-        ) as service:
-            service.run(workload.query, bindings_at(workload, 0.2))
-            assert service.run(workload.query, bindings_at(workload, 0.9)).reoptimized
+        gateway, service = one_shard(
+            Database(workload.catalog), capacity=1, execute=False
+        )
+        with gateway:
+            gateway.run(workload.query, bindings_at(workload, 0.2))
+            assert gateway.run(workload.query, bindings_at(workload, 0.9)).reoptimized
             entry = service.cache.get(workload.query)
             before = (dict(entry.observed), entry.hits, entry.reoptimizations)
-            service.run(spoiler, bindings_at(workload, 0.2))  # demotes it
+            gateway.run(spoiler, bindings_at(workload, 0.2))  # demotes it
             assert service.cache.get(workload.query) is None
-            again = service.run(workload.query, bindings_at(workload, 0.9))
+            again = gateway.run(workload.query, bindings_at(workload, 0.9))
             assert again.cache_hit and not again.reoptimized
             assert service.cache.get(workload.query) is entry
             assert entry.decision is not None and not entry.demoted
@@ -350,59 +377,60 @@ class TestRetainedTier:
     ):
         spoiler = spoiler_query(workload2)
         bindings = random_bindings(workload2, seed=4)
-        with QueryService(
-            Database(workload2.catalog), capacity=1, execute=False, max_workers=1
-        ) as service:
-            first = service.run(workload2.query, bindings)
+        gateway, service = one_shard(
+            Database(workload2.catalog), capacity=1, execute=False
+        )
+        with gateway:
+            first = gateway.run(workload2.query, bindings)
             entry = service.cache.get(workload2.query)
             decision = entry.decision
-            service.run(spoiler, bindings)  # demotes it
+            gateway.run(spoiler, bindings)  # demotes it
             assert entry.chosen_memo == {}
-            again = service.run(workload2.query, bindings)
+            again = gateway.run(workload2.query, bindings)
             assert again.cache_hit and service.cache.get(workload2.query) is entry
             assert entry.decision is decision and not entry.demoted
             assert again.chosen.digest() == first.chosen.digest()
             assert len(entry.chosen_memo) == 1
             # The query's program and the spoiler's; none on promotion.
-            assert service.resilience_counts()["decision_compiles"] == 2
+            assert service.stats().resilience["decision_compiles"] == 2
 
     def test_retained_entry_is_stripped_invalidated_cleared_and_not_snapshotted(
         self, workload2
     ):
         spoiler = spoiler_query(workload2)
         bindings = random_bindings(workload2, seed=4)
-        with QueryService(
-            Database(workload2.catalog), capacity=1, execute=False, max_workers=1
-        ) as service:
-            service.run(workload2.query, bindings)
+        gateway, service = one_shard(
+            Database(workload2.catalog), capacity=1, execute=False
+        )
+        with gateway:
+            gateway.run(workload2.query, bindings)
             entry = service.cache.get(workload2.query)
             service._fallback_plan(entry)
             decision = entry.decision
             assert decision and entry.chosen_memo and entry.fallback_plan
-            service.run(spoiler, bindings)
+            gateway.run(spoiler, bindings)
             assert entry.plan is not None and entry.demoted
             assert entry.decision is decision and entry.fallback_plan is None
             assert entry.chosen_memo == {}
             assert service.cache.stats_snapshot()["retained"] == 1
             assert [e.query.name for e in service.cache.entries()] == ["spoiler"]
 
-            snapshot = build_snapshot(service)
+            snapshot = build_snapshot(gateway)
             assert [e["query"]["name"] for e in snapshot["entries"]] == ["spoiler"]
-            with QueryService(
-                Database(workload2.catalog), execute=False, max_workers=1
-            ) as restored:
-                assert restore_service(restored, snapshot).restored == 1
-                assert restored.cache.stats_snapshot()["retained"] == 0
-                assert workload2.query not in restored.cache
+            restored, partition = one_shard(Database(workload2.catalog), execute=False)
+            with restored:
+                assert restore_gateway(restored, snapshot).restored == 1
+                assert partition.cache.stats_snapshot()["retained"] == 0
+                assert workload2.query not in partition.cache
 
             assert service.cache.invalidate(workload2.query)
             assert not service.cache.invalidate(workload2.query)
             assert service.cache.stats_snapshot()["retained"] == 0
-            assert not service.run(workload2.query, bindings).cache_hit
+            assert not gateway.run(workload2.query, bindings).cache_hit
             service.cache.clear()
             cache = service.cache.stats_snapshot()
             assert (cache["entries"], cache["retained"]) == (0, 0)
-            assert not service.run(spoiler, bindings).cache_hit
+            assert not gateway.run(spoiler, bindings).cache_hit
 
 
 class TestCompiledDecision:
@@ -465,15 +493,12 @@ class TestQueryService:
             service_request_bindings(workload, seed=0, run_index=index)
             for index in range(48)
         ]
-        service = QueryService(
-            Database(workload.catalog),
-            execute=False,
-            max_workers=self.THREADS,
-        )
-        with service:
-            results = service.run_batch(
-                ServiceRequest(workload.query, bindings)
-                for bindings in all_bindings
+        gateway, service = one_shard(Database(workload.catalog), execute=False)
+        with gateway:
+            results = serve_concurrently(
+                gateway,
+                [ServiceRequest(workload.query, bindings) for bindings in all_bindings],
+                self.THREADS,
             )
             plan = service.cache.get(workload.query).plan
         expected = self.reference_signatures(workload, plan, all_bindings)
@@ -495,31 +520,29 @@ class TestQueryService:
             calls.append(query.name)
             return real(catalog, query)
 
-        service = QueryService(
-            Database(workload.catalog),
-            execute=False,
-            max_workers=self.THREADS,
-            optimize=counting_optimize,
+        gateway, _ = one_shard(
+            Database(workload.catalog), execute=False, optimize=counting_optimize
         )
         all_bindings = [
             service_request_bindings(workload, seed=1, run_index=index)
             for index in range(16)
         ]
-        with service:
-            service.run_batch(
-                ServiceRequest(workload.query, bindings)
-                for bindings in all_bindings
+        with gateway:
+            serve_concurrently(
+                gateway,
+                [ServiceRequest(workload.query, bindings) for bindings in all_bindings],
+                self.THREADS,
             )
         assert len(calls) == 1
 
     def test_execution_through_the_service(self, workload2, database2):
-        service = QueryService(database2, execute=True, max_workers=4)
+        gateway, _ = one_shard(database2, execute=True)
         all_bindings = [
             service_request_bindings(workload2, seed=2, run_index=index)
             for index in range(8)
         ]
-        with service:
-            results = service.run_batch(
+        with gateway:
+            results = gateway.run_batch(
                 ServiceRequest(workload2.query, bindings)
                 for bindings in all_bindings
             )
@@ -537,7 +560,7 @@ class TestQueryService:
         with pytest.raises(TypeError):
             execute_plan(plan, database2, bindings, execution_mode="batch")
         with pytest.raises(TypeError):
-            QueryService(database2, execution_mode="batch")
+            ShardedQueryService(database2, shards=1, execution_mode="batch")
         with pytest.raises(TypeError):
             ServiceRequest(workload2.query, bindings, execution_mode="batch")
 
@@ -547,27 +570,26 @@ class TestQueryService:
         bindings = service_request_bindings(workload2, seed=2, run_index=0)
         with pytest.raises(ExecutionError):
             ServiceRequest(workload2.query, bindings, reopt_policy="sometimes")
-        with QueryService(Database(workload2.catalog), max_workers=1) as service:
-            for serve in (service.run, service.submit):
+        gateway, service = one_shard(Database(workload2.catalog))
+        with gateway:
+            for serve in (gateway.run, gateway.submit):
                 with pytest.raises(ExecutionError) as excinfo:
                     serve(workload2.query, bindings, reopt_policy="sometimes")
                 assert type(excinfo.value) is ExecutionError
             assert len(service.cache) == 0
             assert service.cache.stats_snapshot()["lookups"] == 0
-            assert service.stats().requests == 0
+            assert gateway.stats().requests == 0
 
     def test_stats_snapshot(self):
         workload = paper_workload(1, seed=0)
-        service = QueryService(
-            Database(workload.catalog), execute=False, max_workers=2
-        )
-        with service:
+        gateway, _ = one_shard(Database(workload.catalog), execute=False)
+        with gateway:
             for index in range(6):
-                service.run(
+                gateway.run(
                     workload.query,
                     service_request_bindings(workload, 0, index),
                 )
-        stats = service.stats()
+        stats = gateway.stats().total
         assert stats.requests == 6
         assert stats.optimize_count == 1
         assert stats.startup_p50 <= stats.startup_p95
@@ -589,25 +611,31 @@ class TestReplayDeterminism:
 
     @pytest.mark.slow
     def test_replay_decisions_survive_thread_scheduling(self):
-        spec = ServiceWorkloadSpec.default(
-            invocations=24, threads=8, seed=4, execute=False
-        )
-        first = replay_spec(spec)
-        second = replay_spec(spec)
+        spec = ServiceWorkloadSpec.default(invocations=24, seed=4, execute=False)
+        workloads, generated = generate_service_requests(spec)
+        requests = [
+            ServiceRequest(workload.query, bindings)
+            for workload, bindings in generated
+        ]
 
-        def signatures(report):
-            return [
-                result.startup_report.choice_signature()
-                for result in report.results
-            ]
+        def replay():
+            gateway, _ = one_shard(Database(workloads[0].catalog), execute=False)
+            with gateway:
+                results = serve_concurrently(gateway, requests)
+                return results, gateway.stats().total
+
+        (first, first_stats), (second, second_stats) = replay(), replay()
+
+        def signatures(results):
+            return [result.startup_report.choice_signature() for result in results]
 
         assert signatures(first) == signatures(second)
         # Hit/miss *classification* is timing-dependent (a burst of
         # concurrent first requests may each count as a miss before the
         # plan lands), so only the scheduling-invariant parts compare.
-        assert first.stats.cache["lookups"] == second.stats.cache["lookups"]
-        assert [result.tag for result in first.results] == [
-            result.tag for result in second.results
+        assert first_stats.cache["lookups"] == second_stats.cache["lookups"]
+        assert [result.digest for result in first] == [
+            result.digest for result in second
         ]
 
 
@@ -646,7 +674,6 @@ class TestServeBatchCli:
                 )
             ],
             invocations=20,
-            threads=4,
             seed=9,
             execute=False,
         )

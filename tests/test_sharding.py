@@ -4,12 +4,12 @@ admission control, and exact statistics.
 The contract under test is the module docstring of
 :mod:`repro.service.sharding`: sharding changes *where* a request is
 served, never *what* it observes.  The differential suite drives the
-same invocation sequence through a single-lock ``QueryService`` and a
-``ShardedQueryService`` over identically populated databases and
-requires identical rows, identical I/O accounting, and identical
-start-up decisions for all five paper queries;
-the entry-point suite requires the same of ``run``, ``submit`` and
-``run_batch``, which all end in one ``QueryService.serve``.
+same invocation sequence through a one-shard gateway and a multi-shard
+gateway over identically populated databases and requires identical
+rows, identical I/O accounting, and identical start-up decisions for
+all five paper queries; the entry-point suite requires the same of
+``run``, ``submit`` and ``run_batch``, which all end in one
+``QueryService.serve``.
 The eviction tests pit the per-shard LRU caches against a reference
 simulation and require exact hit/miss/evict counts, and the admission
 tests require overload to surface as typed
@@ -33,7 +33,6 @@ from repro.optimizer.optimizer import optimize_dynamic, optimize_static
 from repro.optimizer.query import canonical_signature
 from repro.service import (
     PlanCache,
-    QueryService,
     ServiceRequest,
     ShardedQueryService,
     shard_index_for,
@@ -51,10 +50,9 @@ from tests.test_service import bindings_at, narrow_workload
 
 THREADS = 8
 
-#: Ways a request can enter the serving tier: ``(tier, its one-worker
+#: Ways a request can enter the serving tier: ``(tier, its one-shard
 #: configuration, method)``; the first is the reference.
 ENTRY_POINTS = (
-    (QueryService, {"max_workers": 1}, "run"),
     (ShardedQueryService, {"shards": 1}, "run"),
     (ShardedQueryService, {"shards": 1}, "submit"),
     (ShardedQueryService, {"shards": 1}, "run_batch"),
@@ -185,8 +183,7 @@ def serve_through(entry, workload, requests, optimize):
             ]
             if method == "submit":
                 results = [future.result(timeout=60.0) for future in results]
-        stats = service.stats()
-    stats = getattr(stats, "total", stats)
+        stats = service.stats().total
     served = []
     for result in results:
         midquery = getattr(result.execution, "midquery", None)
@@ -211,7 +208,7 @@ def serve_through(entry, workload, requests, optimize):
 
 
 class TestDifferential:
-    """Sharded and single-lock serving must be observationally equal."""
+    """One-shard and multi-shard serving must be observationally equal."""
 
     @pytest.mark.parametrize(
         "optimize", (optimize_static, optimize_dynamic), ids=("static", "dynamic")
@@ -253,11 +250,10 @@ class TestDifferential:
                 )
                 for run in range(3)
             ]
-            # One worker each side: with a wider pool, same-signature
-            # requests race the first compile and the hit/miss split
-            # becomes timing-dependent on both tiers.
-            with QueryService(
-                single_db, max_workers=1, execute=True
+            # ``run_batch`` serves each shard's share serially on its
+            # worker, so the hit/miss split is not timing-dependent.
+            with ShardedQueryService(
+                single_db, shards=1, execute=True
             ) as single, ShardedQueryService(
                 sharded_db, shards=3, execute=True
             ) as sharded:
@@ -271,7 +267,7 @@ class TestDifferential:
                 assert ours.reoptimized == theirs.reoptimized, label
                 # Identical start-up decisions, not just identical
                 # row counts: the memoized fast path must choose the
-                # very same static plan the single service chooses.
+                # very same static plan on one shard as on three.
                 assert repr(ours.chosen) == repr(theirs.chosen), label
                 assert (
                     ours.startup_report.decisions
@@ -287,8 +283,8 @@ class TestDifferential:
 
     def test_traffic_stream_identical_results_startup_only(self):
         catalog, _, requests = small_traffic(requests=200, shapes=16)
-        with QueryService(
-            Database(catalog), capacity=32, max_workers=1, execute=False
+        with ShardedQueryService(
+            Database(catalog), shards=1, capacity=32, execute=False
         ) as single, ShardedQueryService(
             Database(catalog), shards=4, capacity=32, execute=False
         ) as sharded:
@@ -303,7 +299,7 @@ class TestDifferential:
         # Cache accounting is partition-invariant: the same lookups,
         # hits, and misses, just split across shards.
         for key in ("lookups", "hits", "misses"):
-            assert single_stats.cache[key] == sharded_stats.total.cache[key]
+            assert single_stats.total.cache[key] == sharded_stats.total.cache[key]
 
 
 class TestAdmissionControl:
@@ -441,6 +437,8 @@ class TestAdmissionControl:
 
 class TestExactStatistics:
     def test_aggregate_equals_per_shard_sums(self):
+        """Closed-loop replay: every request counted once, on exactly
+        one shard, and none shed."""
         metrics = MetricsRegistry()
         catalog, _, requests = small_traffic(requests=160, shapes=12)
         with ShardedQueryService(
