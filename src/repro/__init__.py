@@ -31,12 +31,9 @@ from repro.algebra import (
     ComparisonOp,
     FileScan,
     Filter,
-    GetSet,
     HashJoin,
-    Join,
     JoinPredicate,
     Literal,
-    Select,
     SelectionPredicate,
     UserVariable,
     plan_to_text,
@@ -110,11 +107,9 @@ __all__ = [
     "DynamicPlanScenario",
     "FileScan",
     "Filter",
-    "GetSet",
     "HashJoin",
     "IndexInfo",
     "Interval",
-    "Join",
     "JoinPredicate",
     "Literal",
     "MetricsRegistry",
@@ -128,7 +123,6 @@ __all__ = [
     "ReoptPolicy",
     "RunTimeOptimizationScenario",
     "SearchEngine",
-    "Select",
     "SelectionPredicate",
     "ServiceRequest",
     "ShardedQueryService",

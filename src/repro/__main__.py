@@ -48,9 +48,17 @@ def _parse_skew(text, command):
     parts = text.split(":")
     if len(parts) == 2:
         try:
-            return float(parts[0]), float(parts[1])
+            skew = float(parts[0]), float(parts[1])
         except ValueError:
             pass
+        else:
+            if all(0.0 <= selectivity <= 1.0 for selectivity in skew):
+                return skew
+            print(
+                "%s: --skew selectivities must lie in [0, 1], got %s"
+                % (command, text)
+            )
+            return None
     print("%s: --skew must be DECLARED:ACTUAL "
           "(two floats, e.g. 0.02:0.6)" % command)
     return None
@@ -157,6 +165,11 @@ def _run(argv):
         "run time (e.g. 0.02:0.6)",
     )
     args = parser.parse_args(argv)
+    skew = None
+    if args.skew is not None:
+        skew = _parse_skew(args.skew, "run")
+        if skew is None:
+            return 2
 
     from repro.executor.midquery import ReoptPolicy
     from repro.workloads.bindings import skewed_bindings
@@ -166,13 +179,8 @@ def _run(argv):
     plan = optimize(workload.catalog, workload.query).plan
     database = Database(workload.catalog)
     populate_database(database, seed=args.seed)
-    if args.skew is not None:
-        skew = _parse_skew(args.skew, "run")
-        if skew is None:
-            return 2
-        bindings = skewed_bindings(
-            workload, declared=skew[0], actual=skew[1], seed=args.seed
-        )
+    if skew is not None:
+        bindings = skewed_bindings(workload, declared=skew[0], actual=skew[1])
     else:
         bindings = random_bindings(workload, seed=args.seed)
     mid_report = None

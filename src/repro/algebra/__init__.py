@@ -1,9 +1,11 @@
-"""Logical and physical algebras (Table 1 of the paper).
+"""The physical algebra and predicates (Table 1 of the paper).
 
-Logical operators describe queries as optimizer input; physical
-operators describe the algorithms of the execution engine.  The
-mapping between them is defined by the implementation rules in
-:mod:`repro.optimizer.rules`:
+Table 1's logical operators are the parts of the optimizer's input, a
+:class:`~repro.optimizer.query.QuerySpec`: its relations (Get-Set),
+one selection predicate per relation (Select) and its equi-join
+predicates (Join).  Physical operators describe the algorithms of the
+execution engine.  The mapping between them is defined by the
+implementation rules in :mod:`repro.optimizer.rules`:
 
 ====================  ==================================
 Logical operator      Physical algorithms
@@ -24,8 +26,6 @@ from repro.algebra.expressions import (
     SelectionPredicate,
     UserVariable,
 )
-from repro.algebra.logical import GetSet, Join, LogicalExpression, Select
-from repro.algebra.logical import Project as LogicalProject
 from repro.algebra.physical import (
     BTreeScan,
     ChoosePlan,
@@ -49,18 +49,13 @@ __all__ = [
     "FileScan",
     "Filter",
     "FilterBTreeScan",
-    "GetSet",
     "HashJoin",
     "IndexJoin",
-    "Join",
     "JoinPredicate",
     "Literal",
-    "LogicalExpression",
-    "LogicalProject",
     "Project",
     "MergeJoin",
     "PhysicalPlan",
-    "Select",
     "SelectionPredicate",
     "Sort",
     "UserVariable",

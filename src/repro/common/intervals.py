@@ -6,9 +6,10 @@ whose true value is only known to lie within the bounds.  The paper
 available memory.  The operations implemented here follow the paper:
 
 * addition adds both bounds;
-* subtraction — used only to maintain branch-and-bound limits —
-  subtracts **only the lower bound**, "since we can only be sure that
-  the lower-bound cost will be used up";
+* branch-and-bound pruning may count **only the lower bound** of a
+  committed cost, "since we can only be sure that the lower-bound cost
+  will be used up" (the optimizer compares ``.lower`` against its
+  best upper bound);
 * two intervals are ``LESS``/``GREATER`` only when they do not overlap,
   ``EQUAL`` only when both are the same point, and ``INCOMPARABLE``
   whenever they overlap.
@@ -73,11 +74,6 @@ class Interval:
         return cls(value, value)
 
     @classmethod
-    def zero(cls):
-        """The additive identity ``[0, 0]``."""
-        return cls(0.0, 0.0)
-
-    @classmethod
     def hull(cls, intervals):
         """Smallest interval containing every interval in ``intervals``."""
         intervals = list(intervals)
@@ -128,10 +124,6 @@ class Interval:
         """True when ``value`` lies within the closed interval."""
         return self.lower <= value <= self.upper
 
-    def overlaps(self, other):
-        """True when the two closed intervals share at least one value."""
-        return self.lower <= other.upper and other.lower <= self.upper
-
     # ------------------------------------------------------------------
     # Arithmetic (all monotone, hence exact on intervals)
     # ------------------------------------------------------------------
@@ -141,61 +133,6 @@ class Interval:
         return Interval(self.lower + other.lower, self.upper + other.upper)
 
     __radd__ = __add__
-
-    def subtract_lower(self, other):
-        """Branch-and-bound subtraction: remove only the *lower* bound.
-
-        Used to tighten a cost limit after committing to a subplan; the
-        paper notes that only the subplan's guaranteed (lower-bound)
-        cost may be deducted, which is why interval pruning is weaker
-        than traditional point pruning.  The result keeps this
-        interval's bounds reduced by ``other.lower`` and is clamped so
-        it remains a valid interval.
-        """
-        other = _coerce(other)
-        lower = self.lower - other.lower
-        upper = self.upper - other.lower
-        if lower > upper:  # cannot happen, but stay defensive
-            lower = upper
-        return Interval(lower, upper)
-
-    def __mul__(self, other):
-        other = _coerce(other)
-        products = (
-            self.lower * other.lower,
-            self.lower * other.upper,
-            self.upper * other.lower,
-            self.upper * other.upper,
-        )
-        return Interval(min(products), max(products))
-
-    __rmul__ = __mul__
-
-    def scale(self, factor):
-        """Multiply by a non-negative scalar."""
-        if factor < 0:
-            raise ValueError("scale factor must be non-negative")
-        return Interval(self.lower * factor, self.upper * factor)
-
-    def clamp(self, lo, hi):
-        """Intersect with ``[lo, hi]``; empty intersections collapse."""
-        lower = min(max(self.lower, lo), hi)
-        upper = max(min(self.upper, hi), lo)
-        if lower > upper:
-            lower = upper
-        return Interval(lower, upper)
-
-    def apply_monotone(self, fn, increasing=True):
-        """Map a monotone scalar function over the interval.
-
-        ``fn`` must be monotone over the interval; ``increasing``
-        selects the direction, so decreasing functions swap the bounds.
-        """
-        lo = fn(self.lower)
-        hi = fn(self.upper)
-        if not increasing:
-            lo, hi = hi, lo
-        return Interval(lo, hi)
 
     # ------------------------------------------------------------------
     # Comparison (the heart of the paper)
@@ -219,15 +156,6 @@ class Interval:
             return PartialOrder.GREATER
         # Overlap — touching at a single endpoint included.
         return PartialOrder.INCOMPARABLE
-
-    def dominates(self, other):
-        """True when this interval is certainly no worse than ``other``.
-
-        Used for pruning: a plan may be discarded if an alternative's
-        cost dominates it (is LESS, or both are the same point).
-        """
-        cmp = self.compare(other)
-        return cmp in (PartialOrder.LESS, PartialOrder.EQUAL)
 
     # ------------------------------------------------------------------
     # Dunder plumbing

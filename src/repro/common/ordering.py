@@ -16,26 +16,3 @@ class PartialOrder(enum.Enum):
     GREATER = "greater"
     EQUAL = "equal"
     INCOMPARABLE = "incomparable"
-
-    def flipped(self):
-        """Return the comparison as seen from the other operand."""
-        if self is PartialOrder.LESS:
-            return PartialOrder.GREATER
-        if self is PartialOrder.GREATER:
-            return PartialOrder.LESS
-        return self
-
-    @property
-    def is_comparable(self):
-        """True unless the two elements were incomparable."""
-        return self is not PartialOrder.INCOMPARABLE
-
-    @property
-    def is_le(self):
-        """True when the left operand is known to be no worse."""
-        return self in (PartialOrder.LESS, PartialOrder.EQUAL)
-
-    @property
-    def is_ge(self):
-        """True when the left operand is known to be no better."""
-        return self in (PartialOrder.GREATER, PartialOrder.EQUAL)

@@ -439,12 +439,6 @@ class CostModel:
             slot = self._evaluate(plan)
         return self._results[slot]
 
-    def evaluated(self, plan):
-        """The :class:`CostResult` of a node this model has already
-        evaluated, else ``None``; evaluates nothing."""
-        slot = self._slots.get(plan)
-        return None if slot is None else self._results[slot]
-
     def invalidate(self):
         """Drop everything derived from the valuation (after changing it)."""
         memory = self.valuation.memory_pages()
@@ -482,11 +476,6 @@ class CostModel:
 
         self._rows = RowBuilder(self.catalog, read, self.buffer_aware)
         self._row = self._rows.row
-
-    def join_selectivity(self, predicates):
-        """Selectivity of a conjunction of equi-join predicates
-        (:meth:`RowBuilder.join_selectivity`)."""
-        return self._rows.join_selectivity(predicates)
 
     # ------------------------------------------------------------------
     # The two corners

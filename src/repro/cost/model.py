@@ -67,11 +67,3 @@ def choose_plan_cost(alternative_costs, overhead=CHOOSE_PLAN_OVERHEAD_SECONDS):
     """
     envelope = Interval.envelope_min(alternative_costs)
     return envelope + Interval.point(overhead)
-
-
-def add_costs(costs):
-    """Sum a sequence of cost intervals (both bounds add)."""
-    total = Interval.zero()
-    for cost in costs:
-        total = total + cost
-    return total

@@ -228,11 +228,6 @@ class Valuation:
         """Uncertain parameters at their actual run-time values."""
         return cls(space, cls._MODE_RUNTIME, bindings)
 
-    @property
-    def is_point_valued(self):
-        """True when every parameter resolves to a point interval."""
-        return self.mode != self._MODE_BOUNDS
-
     def value_of(self, name):
         """The interval value of a named parameter under this valuation."""
         parameter = self.space.get(name)

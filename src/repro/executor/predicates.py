@@ -158,24 +158,3 @@ def compile_batch_mask(predicate, bindings):
             return [compare(record[attribute], value) for record in records]
 
     return mask_batch
-
-
-def compile_conjunction(predicates, bindings):
-    """Compile several predicates into one conjunction closure.
-
-    Returns ``None`` for an empty predicate list so callers can skip
-    the filter entirely instead of paying a no-op call per record.
-    """
-    closures = [compile_predicate(p, bindings) for p in predicates]
-    if not closures:
-        return None
-    if len(closures) == 1:
-        return closures[0]
-
-    def conjunction(record):
-        for closure in closures:
-            if not closure(record):
-                return False
-        return True
-
-    return conjunction

@@ -50,7 +50,6 @@ class StartupReport:
         cpu_seconds,
         io_seconds,
         node_count,
-        pruned_alternatives=0,
         choices=(),
     ):
         self.decisions = decisions
@@ -58,7 +57,6 @@ class StartupReport:
         self.cpu_seconds = cpu_seconds
         self.io_seconds = io_seconds
         self.node_count = node_count
-        self.pruned_alternatives = pruned_alternatives
         #: (choose_plan_node, chosen_original_alternative) pairs
         self.choices = list(choices)
 
@@ -100,28 +98,21 @@ class StartupReport:
         )
 
 
-def resolve_dynamic_plan(
-    plan, catalog, parameter_space, bindings, branch_and_bound=False
-):
+def resolve_dynamic_plan(plan, catalog, parameter_space, bindings):
     """Resolve every choose-plan in a dynamic plan under bindings.
 
     Returns ``(static_plan, report)``.  The shared cost model caches
     each subplan's cost, so shared subexpressions are evaluated once.
-    With ``branch_and_bound=True`` (the paper's proposed-but-not-
-    implemented start-up optimization, our extension) alternatives
-    whose accumulated input cost already exceeds the best alternative
-    found so far are abandoned early.
     """
     valuation = Valuation.runtime(parameter_space, bindings)
     cost_model = CostModel(catalog, valuation)
     resolved_cache = {}
     decision_count = 0
-    pruned = 0
     choices = []
     started = time.perf_counter()
 
     def resolve(node):
-        nonlocal decision_count, pruned
+        nonlocal decision_count
         cached = resolved_cache.get(id(node))
         if cached is not None:
             return cached[1]
@@ -135,13 +126,6 @@ def resolve_dynamic_plan(
             best_original = None
             best_cost = None
             for alternative in node.alternatives:
-                if branch_and_bound and best_cost is not None:
-                    partial = _partial_lower_bound(
-                        alternative, resolved_cache, cost_model, best_cost
-                    )
-                    if partial > best_cost:
-                        pruned += 1
-                        continue
                 resolved_alternative = resolve(alternative)
                 cost = cost_model.evaluate(resolved_alternative).cost.lower
                 if best_cost is None or cost < best_cost:
@@ -163,29 +147,9 @@ def resolve_dynamic_plan(
         cpu_seconds=cpu_seconds,
         io_seconds=access_module_read_seconds(plan.node_count()),
         node_count=plan.node_count(),
-        pruned_alternatives=pruned,
         choices=choices,
     )
     return chosen, report
-
-
-def _partial_lower_bound(plan, resolved_cache, cost_model, bound):
-    """Cheap lower bound on a plan's cost: its already-resolved inputs.
-
-    Only inputs whose resolved form and cost are both cached are
-    summed, so the check itself does no new cost-function work.
-    """
-    total = 0.0
-    for child in plan.inputs():
-        resolved = resolved_cache.get(id(child))
-        if resolved is None:
-            continue
-        result = cost_model.evaluated(resolved[1])
-        if result is not None:
-            total += result.cost.lower
-            if total > bound:
-                break
-    return total
 
 
 def _rebuild(node, new_children):
@@ -220,7 +184,6 @@ def activate_plan(
     catalog,
     parameter_space,
     bindings,
-    branch_and_bound=False,
     validate=True,
 ):
     """Activate a plan as the execution engine would at start-up time.
@@ -245,6 +208,4 @@ def activate_plan(
             node_count=plan.node_count(),
         )
         return plan, report
-    return resolve_dynamic_plan(
-        plan, catalog, parameter_space, bindings, branch_and_bound
-    )
+    return resolve_dynamic_plan(plan, catalog, parameter_space, bindings)

@@ -6,7 +6,6 @@ the "selectivities and memory" series adds one more uncertain variable
 per query.
 """
 
-from repro.cost.parameters import MEMORY_PARAMETER
 from repro.experiments.results import ExperimentSettings, FigureResult
 from repro.scenarios.breakeven import (
     breakeven_runtime_vs_dynamic,
@@ -375,12 +374,3 @@ def figure8_runtime_vs_dynamic(settings=None):
         )
     return figure
 
-
-# ----------------------------------------------------------------------
-# Memory parameter sanity helper (used by tests)
-# ----------------------------------------------------------------------
-
-
-def memory_is_uncertain(workload):
-    """True when the workload treats memory as a run-time parameter."""
-    return workload.query.parameter_space.get(MEMORY_PARAMETER).uncertain

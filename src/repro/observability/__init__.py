@@ -11,9 +11,7 @@ This package closes that estimated-vs-actual feedback loop:
   (rows produced, pages charged, per-operator wall time) when a
   :class:`Tracer` is attached to the execution context; with no tracer
   the per-operator check is a single ``is None`` test at ``open`` time
-  and the per-batch path is completely untouched.  Optimizer and
-  search phases record :class:`PhaseSpan` timings through the same
-  object.
+  and the per-batch path is completely untouched.
 * :mod:`.metrics` — a thread-safe :class:`MetricsRegistry` of
   counters, gauges, and histograms, wired into the serving gateway
   :class:`~repro.service.sharding.ShardedQueryService` (cache
@@ -43,9 +41,7 @@ from repro.observability.metrics import (
 from repro.observability.trace import (
     ExecutionTrace,
     OperatorSpan,
-    PhaseSpan,
     Tracer,
-    maybe_phase,
     q_error,
 )
 
@@ -56,8 +52,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "OperatorSpan",
-    "PhaseSpan",
     "Tracer",
-    "maybe_phase",
     "q_error",
 ]

@@ -55,15 +55,6 @@ class OperatorProfile:
             return None
         return q_error(self.estimated_rows.midpoint, self.actual_rows)
 
-    @property
-    def cost_ratio(self):
-        """Estimated-over-actual cost ratio as a q-error (or None)."""
-        if self.estimated_cost is None:
-            return None
-        return q_error(
-            self.estimated_cost.midpoint, self.actual_seconds, floor=1e-9
-        )
-
     def __repr__(self):
         return "OperatorProfile(%s, est=%r, act=%d)" % (
             self.span.label(),
@@ -96,14 +87,6 @@ class ExecutionProfile:
         """Mean cardinality q-error across operators (1.0 when empty)."""
         errors = self.cardinality_q_errors()
         return sum(errors) / len(errors) if errors else 1.0
-
-    def summary(self):
-        """Aggregate figures as a plain dict."""
-        return {
-            "operators": len(self.operators),
-            "max_q_error": self.max_q_error(),
-            "mean_q_error": self.mean_q_error(),
-        }
 
     def render(self, show_wall=False):
         """The annotated operator tree plus a q-error summary."""

@@ -21,7 +21,7 @@ Two wiring styles keep the hot path fast:
   already-locked internal counter at scrape time — summing, say, the
   partitions' :class:`~repro.service.cache.CacheStatistics` into the
   registry at zero per-request cost.  Callback-backed instruments are
-  read-only; pushing to one raises.
+  read-only; pushing to one raises.  Gauges are always pull.
 """
 
 import json
@@ -101,50 +101,25 @@ class Counter:
 
 
 class Gauge:
-    """A value that can go up and down (e.g. in-flight requests)."""
+    """A value that can go up and down (e.g. in-flight requests).
+
+    Pull only: ``callback`` reads the quantity from the counter that
+    already tracks it, at scrape time.
+    """
 
     kind = "gauge"
 
-    __slots__ = ("name", "help", "_value", "_lock", "_callback")
+    __slots__ = ("name", "help", "_callback")
 
-    def __init__(self, name, help="", callback=None):
+    def __init__(self, name, help="", *, callback):
         self.name = _check_name(name)
         self.help = help
-        self._value = 0.0
-        self._lock = threading.Lock()
         self._callback = callback
-
-    def _writable(self):
-        if self._callback is not None:
-            raise MetricsError(
-                "callback-backed gauge %s is read-only" % self.name
-            )
-
-    def set(self, value):
-        """Replace the gauge's value."""
-        self._writable()
-        with self._lock:
-            self._value = float(value)
-
-    def inc(self, amount=1):
-        """Add ``amount`` (may be negative)."""
-        self._writable()
-        with self._lock:
-            self._value += amount
-
-    def dec(self, amount=1):
-        """Subtract ``amount``."""
-        self._writable()
-        with self._lock:
-            self._value -= amount
 
     @property
     def value(self):
         """Current value."""
-        if self._callback is not None:
-            return self._callback()
-        with self._lock:
-            return self._value
+        return self._callback()
 
     def snapshot(self):
         """Plain-data view of the instrument."""
@@ -187,26 +162,6 @@ class Histogram:
             self._sum += value
             self._count += 1
 
-    @property
-    def count(self):
-        """Number of observations."""
-        with self._lock:
-            return self._count
-
-    @property
-    def sum(self):
-        """Sum of all observed values."""
-        with self._lock:
-            return self._sum
-
-    @property
-    def mean(self):
-        """Mean observation (0.0 when empty)."""
-        with self._lock:
-            if self._count == 0:
-                return 0.0
-            return self._sum / self._count
-
     def snapshot(self):
         """Cumulative bucket counts plus sum/count, as plain data."""
         with self._lock:
@@ -227,7 +182,7 @@ class Histogram:
         }
 
     def __repr__(self):
-        return "Histogram(%s, count=%d)" % (self.name, self.count)
+        return "Histogram(%s, count=%d)" % (self.name, self.snapshot()["count"])
 
 
 class MetricsRegistry:
@@ -269,8 +224,8 @@ class MetricsRegistry:
             Counter, "counter", name, help=help, callback=callback
         )
 
-    def gauge(self, name, help="", callback=None):
-        """Get or create a :class:`Gauge` (pull-style with callback)."""
+    def gauge(self, name, help="", *, callback):
+        """Get or create a :class:`Gauge` reading ``callback``."""
         return self._get_or_create(
             Gauge, "gauge", name, help=help, callback=callback
         )

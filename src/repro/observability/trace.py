@@ -1,17 +1,13 @@
 """Structured execution tracing for the Volcano executor.
 
-A :class:`Tracer` collects two kinds of spans:
-
-* :class:`OperatorSpan` — one per iterator instance in an executed
-  plan tree.  The span accumulates the operator's *inclusive* work:
-  rows produced, simulated I/O charged to the shared
-  :class:`~repro.storage.iostats.IOStatistics` while the operator's
-  stream was advancing (which covers its whole subtree, exactly like
-  the cost model's inclusive cost formulas), and wall-clock seconds.
-  Exclusive figures are derived by subtracting child spans.
-* :class:`PhaseSpan` — one per named phase (optimizer search stages,
-  start-up decision passes), with wall-clock seconds and free-form
-  metadata counters.
+A :class:`Tracer` collects one :class:`OperatorSpan` per iterator
+instance in an executed plan tree, plus one :class:`TraceEvent` per
+noted occurrence.  A span accumulates the operator's *inclusive*
+work: rows produced, simulated I/O charged to the shared
+:class:`~repro.storage.iostats.IOStatistics` while the operator's
+stream was advancing (which covers its whole subtree, exactly like
+the cost model's inclusive cost formulas), and wall-clock seconds.
+Exclusive figures are derived by subtracting child spans.
 
 Observer effect: tracing must never change what a plan computes or
 charges.  Spans only *read* the I/O counters (snapshot deltas around
@@ -25,7 +21,6 @@ iterator *open* (not per record), so tracing adds no measurable
 overhead when off — asserted by ``benchmarks/bench_service_cache.py``.
 """
 
-from contextlib import contextmanager, nullcontext
 from time import perf_counter
 
 
@@ -109,20 +104,6 @@ class OperatorSpan:
         )
 
 
-class PhaseSpan:
-    """Wall-clock timing of one named phase, with metadata counters."""
-
-    __slots__ = ("name", "seconds", "meta")
-
-    def __init__(self, name, meta=None):
-        self.name = name
-        self.seconds = 0.0
-        self.meta = dict(meta or {})
-
-    def __repr__(self):
-        return "PhaseSpan(%s, %.6fs)" % (self.name, self.seconds)
-
-
 class TraceEvent:
     """One discrete, levelled occurrence noted during a traced activity.
 
@@ -195,7 +176,7 @@ class _TracedBatchStream:
 
 
 class Tracer:
-    """Collects operator and phase spans for one traced activity.
+    """Collects operator spans and events for one traced activity.
 
     A tracer is single-execution, single-thread state (like an
     :class:`~repro.executor.engine.ExecutionContext`); concurrent
@@ -204,7 +185,6 @@ class Tracer:
 
     def __init__(self):
         self.spans = []
-        self.phases = []
         self.events = []
         self._current = None
 
@@ -256,25 +236,6 @@ class Tracer:
         return _TracedBatchStream(self, span, stream, io)
 
     # ------------------------------------------------------------------
-    # Phase spans (driven by the optimizer and the service)
-    # ------------------------------------------------------------------
-
-    @contextmanager
-    def phase(self, name, **meta):
-        """Context manager timing one named phase."""
-        span = PhaseSpan(name, meta)
-        started = perf_counter()
-        try:
-            yield span
-        finally:
-            span.seconds = perf_counter() - started
-            self.phases.append(span)
-
-    def phase_seconds(self, name):
-        """Total seconds across all phases with ``name``."""
-        return sum(span.seconds for span in self.phases if span.name == name)
-
-    # ------------------------------------------------------------------
     # Events (driven by the service's resilience paths)
     # ------------------------------------------------------------------
 
@@ -290,18 +251,17 @@ class Tracer:
 
     def trace(self):
         """The collected operator spans as an :class:`ExecutionTrace`."""
-        return ExecutionTrace(self.spans, self.phases, self.events)
+        return ExecutionTrace(self.spans, self.events)
 
     def __repr__(self):
-        return "Tracer(%d spans, %d phases)" % (len(self.spans), len(self.phases))
+        return "Tracer(%d spans, %d events)" % (len(self.spans), len(self.events))
 
 
 class ExecutionTrace:
     """The span forest of one execution, with derived aggregates."""
 
-    def __init__(self, spans, phases=(), events=()):
+    def __init__(self, spans, events=()):
         self.spans = list(spans)
-        self.phases = list(phases)
         self.events = list(events)
 
     @property
@@ -369,17 +329,6 @@ class ExecutionTrace:
 
     def __repr__(self):
         return "ExecutionTrace(%d spans)" % len(self.spans)
-
-
-def maybe_phase(tracer, name, **meta):
-    """``tracer.phase(...)`` or a no-op context when ``tracer`` is None.
-
-    The helper low layers (optimizer, search engine) call so the
-    untraced path stays a single ``is None`` test.
-    """
-    if tracer is None:
-        return nullcontext(None)
-    return tracer.phase(name, **meta)
 
 
 def _operator_detail(plan):

@@ -124,10 +124,6 @@ class Memo:
         except KeyError:
             raise OptimizationError("no memo group for key %r" % (key,)) from None
 
-    def has_group(self, key):
-        """True when the group exists."""
-        return key in self._groups
-
     def get_or_create(self, key):
         """Fetch or create the group for a key.
 

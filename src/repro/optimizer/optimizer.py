@@ -11,18 +11,11 @@ Four entry points mirror the paper's optimization scenarios:
 * :func:`optimize_exhaustive` — every comparison incomparable; the
   exhaustive plan used to validate the optimality guarantee.
 
-Every entry point accepts an optional
-:class:`~repro.observability.trace.Tracer`; when given, the run
-records phase spans (group construction, exploration, plan
-extraction) with the search statistics attached — the optimizer half
-of the observability layer.  ``tracer=None`` costs a single ``is
-None`` test per phase.
+Every entry point takes a :class:`~repro.optimizer.query.QuerySpec`.
 """
 
 from repro.cost.parameters import Valuation
-from repro.observability.trace import maybe_phase
 from repro.optimizer.config import OptimizerConfig
-from repro.optimizer.query import QuerySpec
 from repro.optimizer.search import OptimizationResult, SearchEngine
 
 __all__ = [
@@ -34,61 +27,37 @@ __all__ = [
 ]
 
 
-def _as_query(query, memory_uncertain=False):
-    """Accept either a QuerySpec or a logical expression tree."""
-    if isinstance(query, QuerySpec):
-        return query
-    return QuerySpec.from_logical(query, memory_uncertain=memory_uncertain)
-
-
-def _run(catalog, query, config, mode, valuation=None, tracer=None):
-    """Optimize under a phase span carrying the search statistics."""
-    engine = SearchEngine(catalog, config)
-    with maybe_phase(tracer, "optimize:%s" % mode) as span:
-        result = engine.optimize(query, valuation=valuation, tracer=tracer)
-        if span is not None:
-            span.meta.update(result.statistics.as_dict())
-            span.meta["query"] = query.name
-    return result
-
-
-def optimize_static(catalog, query, config=None, tracer=None):
+def optimize_static(catalog, query, config=None):
     """Traditional optimization: one static plan from expected values."""
-    query = _as_query(query)
     if config is None:
         config = OptimizerConfig.static()
     elif not config.is_static:
         raise ValueError("optimize_static needs a static-mode config")
-    return _run(catalog, query, config, "static", tracer=tracer)
+    return SearchEngine(catalog, config).optimize(query)
 
 
-def optimize_dynamic(catalog, query, config=None, tracer=None):
+def optimize_dynamic(catalog, query, config=None):
     """Dynamic-plan optimization: interval costs, choose-plan operators."""
-    query = _as_query(query)
     if config is None:
         config = OptimizerConfig.dynamic()
-    return _run(catalog, query, config, "dynamic", tracer=tracer)
+    return SearchEngine(catalog, config).optimize(query)
 
 
-def optimize_runtime(catalog, query, bindings, config=None, tracer=None):
+def optimize_runtime(catalog, query, bindings, config=None):
     """Complete optimization at start-up time with actual bindings.
 
     This is the paper's second scenario: parameters are points (their
     true values), costs are totally ordered, and a fresh static plan is
     produced for this one invocation.
     """
-    query = _as_query(query)
     if config is None:
         config = OptimizerConfig.static()
     valuation = Valuation.runtime(query.parameter_space, bindings)
-    return _run(
-        catalog, query, config, "runtime", valuation=valuation, tracer=tracer
-    )
+    return SearchEngine(catalog, config).optimize(query, valuation=valuation)
 
 
-def optimize_exhaustive(catalog, query, config=None, tracer=None):
+def optimize_exhaustive(catalog, query, config=None):
     """Produce the exhaustive plan (every comparison incomparable)."""
-    query = _as_query(query)
     if config is None:
         config = OptimizerConfig.exhaustive()
-    return _run(catalog, query, config, "exhaustive", tracer=tracer)
+    return SearchEngine(catalog, config).optimize(query)

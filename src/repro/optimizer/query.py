@@ -3,22 +3,15 @@
 A :class:`QuerySpec` captures a select-join query — the class of
 queries in the paper's experiments — as a set of relations, at most
 one selection predicate per relation, and a set of equi-join
-predicates forming a join graph.  It can be built directly or derived
-from a logical algebra tree of :class:`~repro.algebra.logical.GetSet`,
-``Select``, and ``Join`` operators (selections must already be pushed
-onto their relations, as in all the paper's queries).
+predicates forming a join graph — Table 1's Get-Set, Select and Join,
+with every selection already pushed onto its relation, as in all the
+paper's queries.  Workloads, the SQL frontend and the traffic
+generator all build one directly.
 """
 
 import hashlib
 
 from repro.algebra.expressions import Literal, UserVariable
-from repro.algebra.logical import (
-    GetSet,
-    Join,
-    LogicalExpression,
-    Project,
-    Select,
-)
 from repro.common.errors import OptimizationError
 from repro.cost.parameters import Parameter, ParameterSpace
 
@@ -68,7 +61,6 @@ def canonical_signature(query):
     The signature is a nested tuple of primitives, so it is hashable,
     comparable, and stable across processes (no ``id()`` anywhere).
     """
-    query = query if isinstance(query, QuerySpec) else QuerySpec.from_logical(query)
     selections = tuple(
         _selection_signature(relation_name, query.selections[relation_name])
         for relation_name in sorted(query.selections)
@@ -135,72 +127,6 @@ class QuerySpec:
         self._validate_join_graph()
         self.parameter_space = self._build_parameter_space()
 
-    # ------------------------------------------------------------------
-    # Construction helpers
-    # ------------------------------------------------------------------
-
-    @classmethod
-    def from_logical(cls, expression, memory_uncertain=False, name=None):
-        """Normalize a logical algebra tree into a :class:`QuerySpec`.
-
-        A single top-level :class:`~repro.algebra.logical.Project` is
-        accepted as the query's output attribute list.
-        """
-        if not isinstance(expression, LogicalExpression):
-            raise OptimizationError(
-                "expected a logical expression, got %r" % (expression,)
-            )
-        projection = None
-        if isinstance(expression, Project):
-            projection = expression.attributes
-            expression = expression.input
-            if isinstance(expression, Project):
-                raise OptimizationError("nested projections are not supported")
-        relations = []
-        selections = {}
-        join_predicates = []
-        cls._collect(expression, relations, selections, join_predicates)
-        return cls(
-            relations,
-            selections,
-            join_predicates,
-            memory_uncertain=memory_uncertain,
-            name=name,
-            projection=projection,
-        )
-
-    @classmethod
-    def _collect(cls, expression, relations, selections, join_predicates):
-        if isinstance(expression, GetSet):
-            relations.append(expression.relation_name)
-            return expression.relation_name
-        if isinstance(expression, Select):
-            below = cls._collect(
-                expression.input, relations, selections, join_predicates
-            )
-            if below is None:
-                raise OptimizationError(
-                    "selections must be pushed down onto single relations; "
-                    "found Select above a join"
-                )
-            if below in selections:
-                raise OptimizationError(
-                    "at most one selection predicate per relation "
-                    "(relation %r has two)" % below
-                )
-            selections[below] = expression.predicate
-            return below
-        if isinstance(expression, Join):
-            cls._collect(expression.left, relations, selections, join_predicates)
-            cls._collect(expression.right, relations, selections, join_predicates)
-            join_predicates.extend(expression.predicates)
-            return None
-        if isinstance(expression, Project):
-            raise OptimizationError(
-                "projections are only supported at the top of the query"
-            )
-        raise OptimizationError("unsupported logical operator %r" % expression)
-
     def _validate_join_graph(self):
         relation_set = set(self.relations)
         for left_rel, right_rel, predicate in self._join_edges:
@@ -249,14 +175,6 @@ class QuerySpec:
                 result.append(predicate.flipped())
         return result
 
-    def internal_predicates(self, relation_set):
-        """Join predicates with both sides inside ``relation_set``."""
-        return [
-            predicate
-            for left_rel, right_rel, predicate in self._join_edges
-            if left_rel in relation_set and right_rel in relation_set
-        ]
-
     def is_connected(self, relation_set):
         """True when the join graph restricted to the set is connected."""
         relation_set = set(relation_set)
@@ -282,8 +200,7 @@ class QuerySpec:
         """All ordered splits ``(A, B)`` of a connected set into two
         connected, non-empty halves joined by at least one predicate.
 
-        Used by tests as the ground truth the rule closure must reach,
-        and by the exhaustive enumerator.
+        Used by tests as the ground truth the rule closure must reach.
         """
         relation_list = sorted(relation_set)
         count = len(relation_list)

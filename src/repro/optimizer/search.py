@@ -10,9 +10,9 @@ cost incomparability:
 * when that set has more than one member, the plans are linked by a
   choose-plan operator (the plan-robustness enforcer) and the robust
   plan is what parent operators consume;
-* branch-and-bound pruning subtracts only guaranteed (lower-bound)
-  cost and can discard a candidate only when its lower bound exceeds
-  the smallest known upper bound, which is why dynamic-plan
+* branch-and-bound pruning counts only guaranteed (lower-bound) cost
+  and can discard a candidate only when its lower bound exceeds the
+  smallest known upper bound, which is why dynamic-plan
   optimization is measurably slower than static optimization
   (Figure 5).
 """
@@ -174,20 +174,14 @@ class SearchEngine:
     # Entry point
     # ------------------------------------------------------------------
 
-    def optimize(self, query, valuation=None, tracer=None):
+    def optimize(self, query, valuation=None):
         """Optimize a query; returns an :class:`OptimizationResult`.
 
         ``valuation`` defaults to the mode-appropriate one: expected
         values for static mode, compile-time bounds otherwise.  Passing
         a runtime valuation performs run-time optimization (the
         paper's second scenario).
-
-        With a :class:`~repro.observability.trace.Tracer` the three
-        search phases — memo/group construction, exploration, winner
-        extraction — each record a timed phase span.
         """
-        from repro.observability.trace import maybe_phase
-
         started = time.perf_counter()
         self.query = query
         if valuation is None:
@@ -205,26 +199,18 @@ class SearchEngine:
         self._upper_stack = []
         self._sample_models = None
 
-        with maybe_phase(tracer, "search:build-groups"):
-            root_key = self._build_initial_groups(query)
-        with maybe_phase(tracer, "search:explore") as explore_span:
-            self._explore_all()
-            if explore_span is not None:
-                explore_span.meta["mexprs"] = self.memo.mexpr_count()
-                explore_span.meta["rule_applications"] = (
-                    self.stats.rule_applications
-                )
-        with maybe_phase(tracer, "search:extract"):
-            entry = self.best(root_key, PhysicalProperty.any())
-            if entry is None:
-                raise OptimizationError("no plan found for query %r" % query.name)
-            if query.projection is not None:
-                # Projection is decoration: apply it once above the winner.
-                from repro.algebra.physical import Project
+        root_key = self._build_initial_groups(query)
+        self._explore_all()
+        entry = self.best(root_key, PhysicalProperty.any())
+        if entry is None:
+            raise OptimizationError("no plan found for query %r" % query.name)
+        if query.projection is not None:
+            # Projection is decoration: apply it once above the winner.
+            from repro.algebra.physical import Project
 
-                projected = Project(entry.plan, query.projection)
-                result = self.cost_model.evaluate(projected)
-                entry = PlanEntry(projected, result, entry.alternatives)
+            projected = Project(entry.plan, query.projection)
+            result = self.cost_model.evaluate(projected)
+            entry = PlanEntry(projected, result, entry.alternatives)
 
         self.stats.groups_created = self.memo.group_count()
         self.stats.mexprs_total = self.memo.mexpr_count()

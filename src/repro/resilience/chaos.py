@@ -222,9 +222,7 @@ def run_chaos(profile_name, query_numbers=DEFAULT_QUERIES, seed=0,
         workload = paper_workload(number, memory_uncertain=True)
         if skew is not None:
             declared, actual = skew
-            bindings = skewed_bindings(
-                workload, declared=declared, actual=actual, seed=seed
-            )
+            bindings = skewed_bindings(workload, declared=declared, actual=actual)
         else:
             bindings = random_bindings(workload, seed=seed, run_index=0)
 

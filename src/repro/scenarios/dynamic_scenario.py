@@ -9,7 +9,6 @@ measured) — and executes the chosen alternative.
 from repro.common.units import CATALOG_VALIDATION_SECONDS
 from repro.executor.access_module import AccessModule
 from repro.executor.startup import resolve_dynamic_plan
-from repro.observability.trace import maybe_phase
 from repro.optimizer.config import OptimizerConfig
 from repro.optimizer.optimizer import optimize_dynamic
 from repro.scenarios.scenario import (
@@ -24,18 +23,12 @@ class DynamicPlanScenario:
 
     name = "dynamic"
 
-    def __init__(self, workload, config=None, startup_branch_and_bound=False,
-                 cpu_scale=1.0, tracer=None):
+    def __init__(self, workload, config=None, cpu_scale=1.0):
         self.workload = workload
         self.config = config if config is not None else OptimizerConfig.dynamic()
-        self.startup_branch_and_bound = startup_branch_and_bound
         #: measured-CPU to simulated-seconds factor (see cost.calibration)
         self.cpu_scale = float(cpu_scale)
-        #: Optional tracer recording the compile and activation phases.
-        self.tracer = tracer
-        self.result = optimize_dynamic(
-            workload.catalog, workload.query, self.config, tracer=tracer
-        )
+        self.result = optimize_dynamic(workload.catalog, workload.query, self.config)
         self.module = AccessModule.from_plan(
             self.result.plan, workload.query.name
         )
@@ -49,17 +42,12 @@ class DynamicPlanScenario:
 
     def invoke(self, bindings):
         """One invocation: activate (decide) then execute (predicted)."""
-        with maybe_phase(self.tracer, "scenario:dynamic:activate") as span:
-            chosen, report = resolve_dynamic_plan(
-                self.plan,
-                self.workload.catalog,
-                self.workload.query.parameter_space,
-                bindings,
-                branch_and_bound=self.startup_branch_and_bound,
-            )
-            if span is not None:
-                span.meta["decisions"] = report.decisions
-                span.meta["cost_evaluations"] = report.cost_evaluations
+        chosen, report = resolve_dynamic_plan(
+            self.plan,
+            self.workload.catalog,
+            self.workload.query.parameter_space,
+            bindings,
+        )
         self.last_report = report
         self.last_chosen = chosen
         activation = (

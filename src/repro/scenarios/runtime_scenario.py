@@ -19,14 +19,11 @@ class RunTimeOptimizationScenario:
 
     name = "run-time-optimization"
 
-    def __init__(self, workload, config=None, cpu_scale=1.0, tracer=None):
+    def __init__(self, workload, config=None, cpu_scale=1.0):
         self.workload = workload
         self.config = config if config is not None else OptimizerConfig.static()
         #: measured-CPU to simulated-seconds factor (see cost.calibration)
         self.cpu_scale = float(cpu_scale)
-        #: Optional tracer; every per-invocation optimization records
-        #: its search phases (see repro.optimizer.optimizer).
-        self.tracer = tracer
         self.last_result = None
 
     def invoke(self, bindings):
@@ -36,7 +33,6 @@ class RunTimeOptimizationScenario:
             self.workload.query,
             bindings,
             self.config,
-            tracer=self.tracer,
         )
         self.last_result = result
         execution = predicted_execution_seconds(

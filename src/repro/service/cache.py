@@ -198,25 +198,11 @@ class PlanCacheEntry:
                     stale.append((name, value))
         return stale
 
-    def observe(self, bindings):
-        """Record the binding values of one invocation."""
-        with self.lock:
-            for name in self.covered_bounds:
-                if not bindings.has_parameter(name):
-                    continue
-                value = bindings.parameter(name)
-                seen = self.observed.get(name)
-                if seen is None:
-                    self.observed[name] = (value, value)
-                else:
-                    self.observed[name] = (min(seen[0], value), max(seen[1], value))
-
     def check_and_observe(self, bindings):
-        """One-lock fusion of :meth:`stale_parameters` + :meth:`observe`.
+        """:meth:`stale_parameters` plus recording the binding values.
 
-        The serving hot path needs both on every invocation; doing
-        them in one pass under one lock acquisition halves the
-        per-request entry-lock traffic.  Returns the stale
+        One pass under one lock acquisition folds each bound value into
+        the entry's observed ``(lo, hi)`` range.  Returns the stale
         ``(name, value)`` list.  Observation is order-insensitive with
         respect to re-optimization: the observed (lo, hi) fold depends
         only on the parameter *names*, which widening preserves, so
@@ -400,18 +386,6 @@ class PlanCache:
         with self._lock:
             return self._entries.get(signature)
 
-    def invalidate(self, query):
-        """Drop a query's entry, live or retained; True when one was."""
-        signature = canonical_signature(query)
-        with self._lock:
-            removed = (
-                self._entries.pop(signature, None) is not None
-                or self._retained.pop(signature, None) is not None
-            )
-            if removed:
-                self.stats.invalidations += 1
-            return removed
-
     def record_reoptimization(self):
         """Count one staleness-driven in-place re-optimization."""
         with self._lock:
@@ -436,12 +410,6 @@ class PlanCache:
         """Live entries in LRU order (least recently used first)."""
         with self._lock:
             return list(self._entries.values())
-
-    def clear(self):
-        """Remove every entry, live and retained (statistics are kept)."""
-        with self._lock:
-            self._entries.clear()
-            self._retained.clear()
 
     def __len__(self):
         with self._lock:

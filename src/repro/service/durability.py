@@ -178,14 +178,6 @@ class RestoreStats:
         #: one bad entry never aborts the rest of the restore.
         self.errors = []
 
-    def to_dict(self):
-        """The restore outcome as a JSON-serializable dict."""
-        return {
-            "restored": self.restored,
-            "skipped": self.skipped,
-            "errors": list(self.errors),
-        }
-
     def __repr__(self):
         return "RestoreStats(restored=%d, skipped=%d, errors=%d)" % (
             self.restored,

@@ -1134,7 +1134,6 @@ class ShardedQueryService:
         quiescing before persisting — so a clean shutdown always
         leaves a warm-restorable image behind.
         """
-        self.supervisor.stop()
         config = self.durability
         if config is not None and config.snapshot_on_shutdown:
             try:
@@ -1150,9 +1149,6 @@ class ShardedQueryService:
     def __exit__(self, exc_type, exc_value, traceback):
         self.shutdown()
         return False
-
-    def __len__(self):
-        return len(self.shards)
 
     def __repr__(self):
         return "ShardedQueryService(%d shards, %d cached plans)" % (

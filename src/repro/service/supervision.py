@@ -20,8 +20,8 @@ check; it is wedged when requests are pending (or its worker reports
 hanging) and the counter did not move.  Count-based detection makes
 every transition reproducible under replay — the chaos harness calls
 :meth:`check` at fixed request indexes and asserts the exact
-transition sequence.  A background checking thread is available
-(:meth:`start`) for wall-clock deployments but is off by default.
+transition sequence.  Nothing checks on a timer: the owner of the
+gateway decides when a sweep runs.
 
 Restarting rebuilds the shard's :class:`~repro.service.service.QueryService`
 from the gateway's construction recipe: a fresh plan-cache partition,
@@ -98,8 +98,6 @@ class ShardSupervisor:
         #: Every state transition, as ``(shard, from, to)`` — a
         #: deterministic audit trail the chaos report embeds.
         self.transitions = []
-        self._thread = None
-        self._stop = threading.Event()
 
     # ------------------------------------------------------------------
     # Introspection
@@ -228,38 +226,6 @@ class ShardSupervisor:
             signature=signature,
             reason="crashed" if not shard.alive else "restarting",
         )
-
-    # ------------------------------------------------------------------
-    # Optional wall-clock checking thread
-    # ------------------------------------------------------------------
-
-    def start(self, interval_seconds=1.0):
-        """Run :meth:`check` every ``interval_seconds`` in the background.
-
-        For wall-clock deployments; tests and the chaos harness call
-        :meth:`check` explicitly instead, keeping every transition
-        deterministic.
-        """
-        if self._thread is not None:
-            return
-        self._stop.clear()
-
-        def loop():
-            while not self._stop.wait(interval_seconds):
-                self.check()
-
-        self._thread = threading.Thread(
-            target=loop, name="repro-shard-supervisor", daemon=True
-        )
-        self._thread.start()
-
-    def stop(self):
-        """Stop the background checking thread, if running."""
-        if self._thread is None:
-            return
-        self._stop.set()
-        self._thread.join()
-        self._thread = None
 
     def __repr__(self):
         with self._lock:

@@ -54,7 +54,7 @@ def random_bindings(workload, seed=0, run_index=0):
     return bindings
 
 
-def skewed_bindings(workload, declared=0.02, actual=0.6, seed=0):
+def skewed_bindings(workload, declared=0.02, actual=0.6):
     """Bindings whose declared selectivities lie about the data.
 
     Every uncertain selection parameter is *declared* as ``declared``
@@ -66,11 +66,7 @@ def skewed_bindings(workload, declared=0.02, actual=0.6, seed=0):
     re-optimization exists for.  Both rates are clamped to each
     predicate's compile-time bounds so no *staleness* machinery
     triggers — the lie is only visible at run time.
-
-    ``seed`` jitters nothing; it is accepted for signature parity with
-    :func:`random_bindings` and reserved for future per-relation skew.
     """
-    del seed
     query = workload.query
     catalog = workload.catalog
     bindings = Bindings()

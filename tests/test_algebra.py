@@ -1,4 +1,4 @@
-"""Logical expressions, physical plan DAGs, and the plan printer."""
+"""Physical plan DAGs and the plan printer."""
 
 import pytest
 
@@ -10,13 +10,10 @@ from repro.algebra import (
     FileScan,
     Filter,
     FilterBTreeScan,
-    GetSet,
     HashJoin,
     IndexJoin,
-    Join,
     JoinPredicate,
     MergeJoin,
-    Select,
     SelectionPredicate,
     Sort,
     UserVariable,
@@ -24,7 +21,7 @@ from repro.algebra import (
     plan_to_text,
 )
 from repro.algebra.physical import Materialized
-from repro.common.errors import OptimizationError, PlanError
+from repro.common.errors import PlanError
 
 
 def selection(rel="R"):
@@ -32,48 +29,6 @@ def selection(rel="R"):
         Comparison("%s.a" % rel, ComparisonOp.LT, UserVariable("v")),
         selectivity_parameter="sel_%s" % rel,
     )
-
-
-class TestLogicalAlgebra:
-    def test_getset(self):
-        expression = GetSet("R")
-        assert expression.relations() == frozenset({"R"})
-        assert expression.children() == ()
-
-    def test_select_collects_uncertain_parameters(self):
-        expression = Select(GetSet("R"), selection())
-        assert expression.uncertain_parameters() == ["sel_R"]
-        assert expression.relations() == frozenset({"R"})
-
-    def test_join_relations_union(self):
-        join = Join(
-            Select(GetSet("R"), selection("R")),
-            GetSet("S"),
-            JoinPredicate("R.b", "S.c"),
-        )
-        assert join.relations() == frozenset({"R", "S"})
-        assert join.uncertain_parameters() == ["sel_R"]
-
-    def test_join_without_predicate_rejected(self):
-        with pytest.raises(OptimizationError):
-            Join(GetSet("R"), GetSet("S"), [])
-
-    def test_structural_equality(self):
-        a = Select(GetSet("R"), selection())
-        b = Select(GetSet("R"), selection())
-        assert a == b and hash(a) == hash(b)
-
-    def test_join_equality_ignores_predicate_order(self):
-        p1 = JoinPredicate("R.b", "S.c")
-        p2 = JoinPredicate("R.a", "S.a")
-        a = Join(GetSet("R"), GetSet("S"), [p1, p2])
-        b = Join(GetSet("R"), GetSet("S"), [p2, p1])
-        assert a == b
-
-    def test_walk(self):
-        join = Join(GetSet("R"), GetSet("S"), JoinPredicate("R.b", "S.c"))
-        kinds = [type(node).__name__ for node in join.walk()]
-        assert kinds == ["Join", "GetSet", "GetSet"]
 
 
 class TestPhysicalPlanDag:

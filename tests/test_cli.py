@@ -49,6 +49,20 @@ class TestCli:
         assert exit_info.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        (
+            ["run", "--query", "2", "--skew", "1.5:-0.2"],
+            ["chaos", "--queries", "1", "--skew", "0.02:7"],
+            ["chaos", "--queries", "1", "--skew", "nan:0.5"],
+        ),
+    )
+    def test_skew_outside_unit_interval_exits_2(self, argv, capsys):
+        """A selectivity is a fraction of the rows: outside [0, 1] the
+        lie cannot be bound, so the command refuses it up front."""
+        assert main(argv) == 2
+        assert "must lie in [0, 1]" in capsys.readouterr().out
+
 
 class TestRunnerCsv:
     def test_csv_export(self, tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""PartialOrder, machine units, RNG derivation, and error hierarchy."""
+"""Machine units, RNG derivation, and error hierarchy."""
 
 import pytest
 
@@ -11,7 +11,6 @@ from repro.common.errors import (
     PlanError,
     ReproError,
 )
-from repro.common.ordering import PartialOrder
 from repro.common.rng import derive_seed, make_rng
 from repro.common.units import (
     CATALOG_VALIDATION_SECONDS,
@@ -22,26 +21,6 @@ from repro.common.units import (
     access_module_read_seconds,
     pages_for_records,
 )
-
-
-class TestPartialOrder:
-    def test_flipped(self):
-        assert PartialOrder.LESS.flipped() is PartialOrder.GREATER
-        assert PartialOrder.GREATER.flipped() is PartialOrder.LESS
-        assert PartialOrder.EQUAL.flipped() is PartialOrder.EQUAL
-        assert PartialOrder.INCOMPARABLE.flipped() is PartialOrder.INCOMPARABLE
-
-    def test_is_comparable(self):
-        assert PartialOrder.LESS.is_comparable
-        assert PartialOrder.EQUAL.is_comparable
-        assert not PartialOrder.INCOMPARABLE.is_comparable
-
-    def test_le_ge(self):
-        assert PartialOrder.LESS.is_le
-        assert PartialOrder.EQUAL.is_le
-        assert not PartialOrder.GREATER.is_le
-        assert PartialOrder.GREATER.is_ge
-        assert not PartialOrder.INCOMPARABLE.is_ge
 
 
 class TestUnits:

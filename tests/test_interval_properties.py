@@ -5,9 +5,9 @@ model, so these tests state its algebraic contract as hypotheses over
 random intervals rather than hand-picked examples:
 
 * **containment** — for any members ``x in A`` and ``y in B``, the
-  combined value lands inside the combined interval (`+`, `*`,
-  ``hull``, ``envelope_min``).  IEEE-754 rounding is monotone, so
-  containment holds exactly, with no tolerance;
+  combined value lands inside the combined interval (`+`, ``hull``,
+  ``envelope_min``).  IEEE-754 rounding is monotone, so containment
+  holds exactly, with no tolerance;
 * **comparison structure** — ``INCOMPARABLE`` is symmetric,
   ``LESS``/``GREATER`` are dual, overlap is equivalent to
   incomparability for non-identical-point pairs, and ``EQUAL`` arises
@@ -17,8 +17,6 @@ random intervals rather than hand-picked examples:
   classic one when nothing is uncertain (the paper's requirement that
   dynamic plans cost nothing extra for fully-bound queries).
 """
-
-import math
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -77,13 +75,6 @@ def test_addition_containment(am, bm):
     assert (a + b).contains(x + y)
 
 
-@given(members(), members())
-def test_multiplication_containment(am, bm):
-    a, x = am
-    b, y = bm
-    assert (a * b).contains(x * y)
-
-
 @given(st.lists(members(), min_size=1, max_size=6))
 def test_hull_contains_every_member(pairs):
     hull = Interval.hull(interval for interval, _ in pairs)
@@ -107,34 +98,6 @@ def test_envelope_min_within_hull(ivs):
     assert hull.lower <= envelope.lower
     assert envelope.upper <= hull.upper
     assert envelope.lower == hull.lower
-
-
-@given(members(), intervals())
-def test_subtract_lower_containment(am, b):
-    """Branch-and-bound deduction: x - b.lower stays in A - b.lower."""
-    a, x = am
-    result = a.subtract_lower(b)
-    assert result.contains(x - b.lower)
-    # Width is preserved in real arithmetic; in floats a large shift
-    # can absorb a narrow width, so tolerate rounding at the shifted
-    # magnitude.
-    tolerance = 1e-9 * max(1.0, abs(a.lower), abs(a.upper), abs(b.lower))
-    assert math.isclose(result.width, a.width, abs_tol=tolerance)
-
-
-@given(members(), st.floats(min_value=0.0, max_value=1e3))
-def test_scale_containment(am, factor):
-    a, x = am
-    assert a.scale(factor).contains(x * factor)
-
-
-@given(members(), intervals())
-def test_clamp_containment(am, bounds):
-    a, x = am
-    lo, hi = bounds.lower, bounds.upper
-    clamped = a.clamp(lo, hi)
-    assert lo <= clamped.lower <= clamped.upper <= hi
-    assert clamped.contains(min(max(x, lo), hi))
 
 
 # ----------------------------------------------------------------------
@@ -170,7 +133,7 @@ def test_overlap_means_incomparable(a, b):
     identical_points = a.is_point and b.is_point and a.lower == b.lower
     if identical_points:
         assert result == PartialOrder.EQUAL
-    elif a.overlaps(b):
+    elif a.lower <= b.upper and b.lower <= a.upper:
         assert result == PartialOrder.INCOMPARABLE
     else:
         assert result in (PartialOrder.LESS, PartialOrder.GREATER)
@@ -180,14 +143,6 @@ def test_overlap_means_incomparable(a, b):
 def test_equal_only_for_identical_points(a, b):
     if a.compare(b) == PartialOrder.EQUAL:
         assert a.is_point and b.is_point and a.lower == b.lower
-
-
-@given(intervals(), intervals())
-def test_dominates_requires_disjoint_or_equal(a, b):
-    if a.dominates(b):
-        assert a.upper < b.lower or (
-            a.is_point and b.is_point and a.lower == b.lower
-        )
 
 
 # ----------------------------------------------------------------------
@@ -200,13 +155,6 @@ def test_point_addition_collapses(x, y):
     result = Interval.point(x) + Interval.point(y)
     assert result.is_point
     assert result.lower == x + y
-
-
-@given(finite, finite)
-def test_point_multiplication_collapses(x, y):
-    result = Interval.point(x) * Interval.point(y)
-    assert result.is_point
-    assert result.lower == x * y
 
 
 @given(finite, finite)
@@ -237,5 +185,4 @@ def test_scalar_coercion_matches_point(x, y):
     """Bare numbers coerce to points in mixed arithmetic."""
     interval = Interval.point(x)
     assert interval + y == interval + Interval.point(y)
-    assert interval * y == interval * Interval.point(y)
     assert interval.compare(y) == interval.compare(Interval.point(y))

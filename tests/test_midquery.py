@@ -90,9 +90,7 @@ def _setup(number, seed=IDENTITY_SEED, skew=None):
     workload = paper_workload(number, memory_uncertain=True)
     plan = optimize_dynamic(workload.catalog, workload.query).plan
     if skew is not None:
-        bindings = skewed_bindings(
-            workload, declared=skew[0], actual=skew[1], seed=seed
-        )
+        bindings = skewed_bindings(workload, declared=skew[0], actual=skew[1])
     else:
         bindings = random_bindings(workload, seed=seed)
     return workload, plan, bindings

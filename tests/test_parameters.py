@@ -97,13 +97,11 @@ class TestValuation:
 
     def test_expected_valuation_is_point(self):
         valuation = Valuation.expected(self._space())
-        assert valuation.is_point_valued
         assert valuation.value_of("sel_R") == Interval.point(0.05)
         assert valuation.memory_pages() == Interval.point(64)
 
     def test_bounds_valuation_uses_full_interval(self):
         valuation = Valuation.bounds(self._space())
-        assert not valuation.is_point_valued
         assert valuation.value_of("sel_R") == Interval(0, 1)
 
     def test_bounds_valuation_keeps_known_parameters_as_points(self):
@@ -122,7 +120,6 @@ class TestValuation:
         bindings = Bindings().bind("sel_R", 0.7)
         valuation = Valuation.runtime(self._space(), bindings)
         assert valuation.value_of("sel_R") == Interval.point(0.7)
-        assert valuation.is_point_valued
 
     def test_runtime_valuation_falls_back_to_expected(self):
         valuation = Valuation.runtime(self._space(), Bindings())

@@ -1,15 +1,13 @@
-"""Projection: the remaining Table 1 logical operator, end to end."""
+"""Projection: Table 1's Project row, a ``QuerySpec.projection``, end to end."""
 
 import pytest
 
-from repro.algebra import GetSet, Join, JoinPredicate, LogicalProject, Select
 from repro.algebra.physical import Project as PhysicalProject
-from repro.common.errors import OptimizationError, PlanError
+from repro.common.errors import PlanError
 from repro.executor import AccessModule, execute_plan, resolve_dynamic_plan
 from repro.frontend import parse_query
 from repro.optimizer import QuerySpec, optimize_dynamic, optimize_static
 from repro.workloads import random_bindings
-from repro.workloads.queries import make_selection_predicate
 
 
 @pytest.fixture(scope="module")
@@ -21,33 +19,6 @@ def projected_query(workload2):
         name="projected",
         projection=("R1.a", "R2.c"),
     )
-
-
-class TestLogicalProject:
-    def test_requires_attributes(self):
-        with pytest.raises(OptimizationError):
-            LogicalProject(GetSet("R"), [])
-
-    def test_from_logical_top_level(self):
-        expression = LogicalProject(
-            Join(
-                Select(GetSet("R1"), make_selection_predicate("R1")),
-                GetSet("R2"),
-                JoinPredicate("R1.b", "R2.c"),
-            ),
-            ["R1.a"],
-        )
-        spec = QuerySpec.from_logical(expression)
-        assert spec.projection == ("R1.a",)
-
-    def test_nested_projection_rejected(self):
-        expression = Join(
-            LogicalProject(GetSet("R1"), ["R1.a"]),
-            GetSet("R2"),
-            JoinPredicate("R1.b", "R2.c"),
-        )
-        with pytest.raises(OptimizationError):
-            QuerySpec.from_logical(expression)
 
 
 class TestPhysicalProject:

@@ -5,10 +5,7 @@ import pytest
 from repro.algebra import (
     Comparison,
     ComparisonOp,
-    GetSet,
-    Join,
     JoinPredicate,
-    Select,
     SelectionPredicate,
 )
 from repro.common.errors import OptimizationError
@@ -54,41 +51,6 @@ class TestConstruction:
         assert spec.uncertain_variable_count() == 1
 
 
-class TestFromLogical:
-    def test_normalizes_select_join_tree(self):
-        r_pred = make_selection_predicate("R")
-        expression = Join(
-            Select(GetSet("R"), r_pred),
-            GetSet("S"),
-            JoinPredicate("R.b", "S.c"),
-        )
-        spec = QuerySpec.from_logical(expression)
-        assert set(spec.relations) == {"R", "S"}
-        assert spec.selection_for("R") is r_pred
-        assert spec.selection_for("S") is None
-        assert len(spec.join_predicates) == 1
-
-    def test_select_above_join_rejected(self):
-        expression = Select(
-            Join(GetSet("R"), GetSet("S"), JoinPredicate("R.b", "S.c")),
-            make_selection_predicate("R"),
-        )
-        with pytest.raises(OptimizationError):
-            QuerySpec.from_logical(expression)
-
-    def test_two_selections_on_one_relation_rejected(self):
-        expression = Select(
-            Select(GetSet("R"), make_selection_predicate("R")),
-            make_selection_predicate("R"),
-        )
-        with pytest.raises(OptimizationError):
-            QuerySpec.from_logical(expression)
-
-    def test_non_logical_input_rejected(self):
-        with pytest.raises(OptimizationError):
-            QuerySpec.from_logical("not a query")
-
-
 class TestParameterSpace:
     def test_uncertain_selectivities_registered(self):
         spec = chain_spec(3)
@@ -124,12 +86,6 @@ class TestJoinGraph:
     def test_cross_predicates_empty_for_unconnected_sets(self):
         spec = chain_spec(3)
         assert spec.cross_predicates({"R1"}, {"R3"}) == []
-
-    def test_internal_predicates(self):
-        spec = chain_spec(3)
-        assert len(spec.internal_predicates({"R1", "R2", "R3"})) == 2
-        assert len(spec.internal_predicates({"R1", "R2"})) == 1
-        assert spec.internal_predicates({"R1"}) == []
 
     def test_is_connected(self):
         spec = chain_spec(4)

@@ -208,14 +208,6 @@ class TestPlanCache:
         assert second not in cache
         assert cache.stats.evictions == 1
 
-    def test_invalidate(self, workload2):
-        cache = PlanCache(capacity=4)
-        self.lookup(cache, workload2.query)
-        assert cache.invalidate(workload2.query)
-        assert workload2.query not in cache
-        assert not cache.invalidate(workload2.query)
-        assert cache.stats.invalidations == 1
-
 
 class TestStaleness:
     def test_out_of_bounds_binding_reoptimizes_in_place(self):
@@ -394,9 +386,7 @@ class TestRetainedTier:
             # The query's program and the spoiler's; none on promotion.
             assert service.stats().resilience["decision_compiles"] == 2
 
-    def test_retained_entry_is_stripped_invalidated_cleared_and_not_snapshotted(
-        self, workload2
-    ):
+    def test_retained_entry_is_stripped_and_not_snapshotted(self, workload2):
         spoiler = spoiler_query(workload2)
         bindings = random_bindings(workload2, seed=4)
         gateway, service = one_shard(
@@ -422,15 +412,6 @@ class TestRetainedTier:
                 assert restore_gateway(restored, snapshot).restored == 1
                 assert partition.cache.stats_snapshot()["retained"] == 0
                 assert workload2.query not in partition.cache
-
-            assert service.cache.invalidate(workload2.query)
-            assert not service.cache.invalidate(workload2.query)
-            assert service.cache.stats_snapshot()["retained"] == 0
-            assert not gateway.run(workload2.query, bindings).cache_hit
-            service.cache.clear()
-            cache = service.cache.stats_snapshot()
-            assert (cache["entries"], cache["retained"]) == (0, 0)
-            assert not gateway.run(spoiler, bindings).cache_hit
 
 
 class TestCompiledDecision:

@@ -6,8 +6,7 @@ from repro.common.units import CATALOG_VALIDATION_SECONDS
 from repro.executor import activate_plan, resolve_dynamic_plan
 from repro.executor.startup import StartupReport
 from repro.optimizer import optimize_dynamic, optimize_static
-from repro.scenarios import predicted_execution_seconds
-from repro.workloads import binding_series, random_bindings
+from repro.workloads import random_bindings
 
 
 class TestResolveDynamicPlan:
@@ -70,33 +69,6 @@ class TestResolveDynamicPlan:
             workload2.query.parameter_space, bindings,
         )
         assert a.signature() == b.signature()
-
-
-class TestStartupBranchAndBound:
-    """The Section 4 extension: bound-pruned decision procedures must
-    never change which plan is chosen."""
-
-    def test_same_choice_with_and_without_pruning(self, workload3):
-        dynamic = optimize_dynamic(workload3.catalog, workload3.query)
-        for bindings in binding_series(workload3, count=6, seed=2):
-            plain, _ = resolve_dynamic_plan(
-                dynamic.plan, workload3.catalog,
-                workload3.query.parameter_space, bindings,
-            )
-            pruned, report = resolve_dynamic_plan(
-                dynamic.plan, workload3.catalog,
-                workload3.query.parameter_space, bindings,
-                branch_and_bound=True,
-            )
-            cost_plain = predicted_execution_seconds(
-                plain, workload3.catalog,
-                workload3.query.parameter_space, bindings,
-            )
-            cost_pruned = predicted_execution_seconds(
-                pruned, workload3.catalog,
-                workload3.query.parameter_space, bindings,
-            )
-            assert cost_plain == pytest.approx(cost_pruned, rel=1e-9)
 
 
 class TestActivatePlan:
