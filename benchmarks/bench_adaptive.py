@@ -4,38 +4,28 @@
 Scenario: the selectivity *estimates* handed to start-up time are
 wrong (they claim 0.05, the data delivers 0.9).  Plain start-up
 resolution trusts them and picks a plan that is catastrophic under the
-true parameters; the adaptive executor materializes the selections,
-observes their actual cardinalities, and re-decides the joins.
+true parameters; ``execute_midquery`` with ``ReoptPolicy("always")``
+drains each pipeline breaker, observes its actual cardinality, counts
+the predicates it has not drained in their B-trees, and re-decides the
+rest of the plan.
+
+Every reported number is a deterministic cost-model figure (the final
+plan's true cost with its checkpoints stripped, and the run's simulated
+seconds), so the gate cannot flap.
 """
 
 from conftest import write_and_print
 
-from repro.algebra.physical import Materialized
 from repro.catalog import populate_database
-from repro.executor import execute_adaptively, resolve_dynamic_plan
-from repro.executor.startup import _rebuild
+from repro.executor import resolve_dynamic_plan
+from repro.executor.midquery import ReoptPolicy, execute_midquery, strip_checkpoints
 from repro.optimizer import optimize_dynamic
 from repro.scenarios import predicted_execution_seconds
 from repro.storage import Database
-from repro.workloads import paper_workload, random_bindings
+from repro.workloads import paper_workload, skewed_bindings
 
 
-def _strip_materialized(plan):
-    if isinstance(plan, Materialized):
-        return _strip_materialized(plan.original)
-    return _rebuild(plan, [_strip_materialized(c) for c in plan.inputs()])
-
-
-def _bindings(workload, claimed, actual):
-    bindings = random_bindings(workload, seed=0)
-    for relation in workload.query.relations:
-        domain = workload.catalog.domain_size(relation, "a")
-        bindings.bind("sel_%s" % relation, claimed)
-        bindings.bind_variable("v_%s" % relation, actual * domain)
-    return bindings
-
-
-def test_adaptive_execution_recovery(benchmark, results_dir):
+def test_adaptive_execution_recovery(results_dir):
     workload = paper_workload(3)
     database = Database(workload.catalog)
     populate_database(database, seed=0)
@@ -43,25 +33,22 @@ def test_adaptive_execution_recovery(benchmark, results_dir):
     dynamic = optimize_dynamic(workload.catalog, workload.query)
 
     claimed, actual = 0.05, 0.9
-    lied = _bindings(workload, claimed, actual)
-    truth = _bindings(workload, actual, actual)
+    lied = skewed_bindings(workload, declared=claimed, actual=actual)
+    truth = skewed_bindings(workload, declared=actual, actual=actual)
 
-    fooled_plan, _ = resolve_dynamic_plan(
-        dynamic.plan, workload.catalog, space, lied
+    def true_cost(plan):
+        return predicted_execution_seconds(plan, workload.catalog, space, truth)
+
+    fooled_cost = true_cost(
+        resolve_dynamic_plan(dynamic.plan, workload.catalog, space, lied)[0]
     )
-    fooled_cost = predicted_execution_seconds(
-        fooled_plan, workload.catalog, space, truth
+    optimal_cost = true_cost(
+        resolve_dynamic_plan(dynamic.plan, workload.catalog, space, truth)[0]
     )
-    optimal_plan, _ = resolve_dynamic_plan(
-        dynamic.plan, workload.catalog, space, truth
+    result, report = execute_midquery(
+        dynamic.plan, database, lied, space, policy=ReoptPolicy("always")
     )
-    optimal_cost = predicted_execution_seconds(
-        optimal_plan, workload.catalog, space, truth
-    )
-    _, report = execute_adaptively(dynamic.plan, database, lied, space)
-    adaptive_cost = predicted_execution_seconds(
-        _strip_materialized(report.final_plan), workload.catalog, space, truth
-    )
+    final_cost = true_cost(strip_checkpoints(report.final_plan))
 
     lines = [
         "=" * 72,
@@ -71,23 +58,19 @@ def test_adaptive_execution_recovery(benchmark, results_dir):
         % (claimed, actual),
         "-" * 72,
         "fooled start-up plan, true cost  : %8.2f s" % fooled_cost,
-        "adaptive executor's plan         : %8.2f s" % adaptive_cost,
+        "re-decided final plan, true cost : %8.2f s" % final_cost,
         "true optimum                     : %8.2f s" % optimal_cost,
-        "materialized temporaries         : %d subplans, %d records "
-        "(%d wasted)"
+        "whole run, simulated             : %8.2f s" % result.simulated_seconds(),
+        "breakers drained                 : %d (%d records), %d switch(es), "
+        "%d index-only probe(s)"
         % (
-            report.materialized_subplans,
-            report.materialized_records,
-            report.wasted_records,
+            report.checkpoints,
+            report.checkpoint_records,
+            report.switches,
+            report.probes,
         ),
-        "note: the residual gap to the optimum is the scan decisions, "
-        "which must be made before anything can be observed.",
     ]
     write_and_print(results_dir, "adaptive", "\n".join(lines))
 
-    assert adaptive_cost < fooled_cost * 0.8
-    assert optimal_cost <= adaptive_cost + 1e-9
-
-    benchmark(
-        lambda: execute_adaptively(dynamic.plan, database, lied, space)
-    )
+    assert final_cost < fooled_cost * 0.8
+    assert optimal_cost <= final_cost + 1e-9

@@ -11,7 +11,8 @@ data:
   library did before this module existed);
 * ``restart``  — re-decide at every breaker, but on a switch throw the
   checkpoints away and re-execute the new plan from scratch (the
-  classic re-optimization strategy, and the baseline to beat);
+  classic re-optimization strategy, and the baseline to beat); derived
+  exactly from the splice run, see :func:`_restart_arm`;
 * ``splice``   — re-decide at every breaker and continue over the
   materialized checkpoints, paying only the undrained remainder.
 
@@ -48,7 +49,8 @@ from repro import (
     populate_database,
 )
 from repro.executor.decision import CompiledDecision
-from repro.executor.midquery import ReoptPolicy, execute_midquery
+from repro.executor.engine import ExecutionResult
+from repro.executor.midquery import ReoptPolicy, execute_midquery, strip_checkpoints
 from repro.cost.parameters import Bindings
 from repro.resilience.chaos import rows_digest
 from repro.workloads import make_join_workload, skewed_bindings
@@ -95,6 +97,28 @@ def _bounded_scenario(declared, actual):
     return workload, bindings, data_seed
 
 
+def _restart_arm(spliced, final_plan, database, bindings, space):
+    """The ``restart`` arm, derived from the splice run: the same drains
+    and re-decisions, then the final plan re-executed from scratch.
+
+    Its I/O is ``splice - tail + full``: ``tail`` executes the final plan
+    over its checkpoints (a replay charges nothing, so this is the
+    splice run's last step) and ``full`` executes it with the
+    checkpoints stripped.
+    """
+
+    def run(plan):
+        return execute_plan(plan, database, bindings.copy(), space)
+
+    tail = run(final_plan)
+    full = run(strip_checkpoints(final_plan))
+    io = {
+        key: spliced.io_snapshot[key] - tail.io_snapshot[key] + full.io_snapshot[key]
+        for key in spliced.io_snapshot
+    }
+    return ExecutionResult(full.records, io, full.decisions, 0.0)
+
+
 def _measure_scenario(workload, bindings, data_seed):
     """Simulated seconds of the three arms on one skewed query."""
     plan = optimize_dynamic(workload.catalog, workload.query).plan
@@ -106,19 +130,15 @@ def _measure_scenario(workload, bindings, data_seed):
         return database
 
     plain = execute_plan(plan, fresh_database(), bindings.copy(), space)
-    restarted, restart_report = execute_midquery(
-        plan,
-        fresh_database(),
-        bindings.copy(),
-        space,
-        policy=ReoptPolicy("always", on_switch="restart"),
-    )
     spliced, splice_report = execute_midquery(
         plan,
         fresh_database(),
         bindings.copy(),
         space,
         policy=ReoptPolicy("always"),
+    )
+    restarted = _restart_arm(
+        spliced, splice_report.final_plan, fresh_database(), bindings, space
     )
 
     digest = rows_digest(plain.records)
@@ -143,7 +163,6 @@ def _measure_scenario(workload, bindings, data_seed):
         "query": workload.name,
         "rows": plain.row_count,
         "switches": splice_report.switches,
-        "restart_switches": restart_report.switches,
         "no_reopt_seconds": plain.simulated_seconds(),
         "restart_seconds": restarted.simulated_seconds(),
         "splice_seconds": spliced.simulated_seconds(),

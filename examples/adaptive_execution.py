@@ -5,41 +5,24 @@ it is given.  If the selectivity *estimates* are wrong — here the
 application claims 5 % but the data delivers 90 % — every start-up
 decision is fooled.  The paper's future-work sketch evaluates subplans
 into temporary results so their actual properties can drive the
-remaining decisions; ``repro.executor.adaptive`` implements it.
+remaining decisions; ``execute_midquery`` with
+``ReoptPolicy("always")`` implements it at every pipeline breaker.
 
 Run:  python examples/adaptive_execution.py
 """
 
 from repro import (
     Database,
+    ReoptPolicy,
+    execute_midquery,
     optimize_dynamic,
     paper_workload,
     populate_database,
-    random_bindings,
     resolve_dynamic_plan,
 )
-from repro.algebra.physical import Materialized
-from repro.executor import execute_adaptively
-from repro.executor.startup import _rebuild
+from repro.executor.midquery import strip_checkpoints
 from repro.scenarios import predicted_execution_seconds
-
-
-def strip_materialized(plan):
-    """Trace temporaries back to the plans that produced them."""
-    if isinstance(plan, Materialized):
-        return strip_materialized(plan.original)
-    return _rebuild(plan, [strip_materialized(c) for c in plan.inputs()])
-
-
-def bindings_claiming(workload, claimed, actual):
-    """Bindings whose estimates lie: parameters say ``claimed`` but the
-    user-variable values make the data deliver ``actual``."""
-    bindings = random_bindings(workload, seed=0)
-    for relation in workload.query.relations:
-        domain = workload.catalog.domain_size(relation, "a")
-        bindings.bind("sel_%s" % relation, claimed)
-        bindings.bind_variable("v_%s" % relation, actual * domain)
-    return bindings
+from repro.workloads import skewed_bindings
 
 
 def main():
@@ -51,8 +34,8 @@ def main():
 
     dynamic = optimize_dynamic(catalog, query)
     claimed, actual = 0.05, 0.9
-    lied = bindings_claiming(workload, claimed, actual)
-    truth = bindings_claiming(workload, actual, actual)
+    lied = skewed_bindings(workload, declared=claimed, actual=actual)
+    truth = skewed_bindings(workload, declared=actual, actual=actual)
 
     print(
         "4-way join; estimates claim selectivity %.2f, data delivers %.2f"
@@ -67,16 +50,18 @@ def main():
         % fooled_cost
     )
 
-    result, report = execute_adaptively(dynamic.plan, database, lied, space)
-    adaptive_cost = predicted_execution_seconds(
-        strip_materialized(report.final_plan), catalog, space, truth
+    result, report = execute_midquery(
+        dynamic.plan, database, lied, space, policy=ReoptPolicy("always")
+    )
+    final_cost = predicted_execution_seconds(
+        strip_checkpoints(report.final_plan), catalog, space, truth
     )
     print(
-        "adaptive execution (observes %d temporaries, %d records): "
+        "re-deciding at every breaker (%d drained, %d records): "
         "true cost %.1fs" % (
-            report.materialized_subplans,
-            report.materialized_records,
-            adaptive_cost,
+            report.checkpoints,
+            report.checkpoint_records,
+            final_cost,
         )
     )
 
@@ -85,14 +70,14 @@ def main():
     print("perfect information would achieve:        true cost %.1fs" % optimal_cost)
     print()
     print(
-        "recovered %.0f%% of the estimation-error penalty; the rest is "
-        "the scan decisions," % (
+        "recovered %.0f%% of the estimation-error penalty"
+        % (
             100.0
-            * (fooled_cost - adaptive_cost)
+            * (fooled_cost - final_cost)
             / max(fooled_cost - optimal_cost, 1e-9)
         )
     )
-    print("which must be made before anything can be observed.")
+    print(report.render())
     print("result rows: %d (identical under every strategy)" % result.row_count)
 
 

@@ -31,6 +31,7 @@ import sys
 from repro import (
     Bindings,
     Database,
+    ReoptPolicy,
     execute_midquery,
     execute_plan,
     optimize_dynamic,
@@ -62,6 +63,17 @@ def _parse_skew(text, command):
     print("%s: --skew must be DECLARED:ACTUAL "
           "(two floats, e.g. 0.02:0.6)" % command)
     return None
+
+
+def _parse_reopt(text, command):
+    """Parse a ``--reopt`` policy spec; None (after saying why) on error."""
+    from repro.common.errors import ExecutionError
+
+    try:
+        return ReoptPolicy.parse(text)
+    except ExecutionError as error:
+        print("%s: %s" % (command, error))
+        return None
 
 
 def _demo():
@@ -153,8 +165,10 @@ def _run(argv):
         "--reopt",
         default=None,
         metavar="SPEC",
-        help="mid-query re-optimization policy, e.g. 'auto', 'always', "
-        "'always+restart', or 'auto:sort,hash_build' (default off)",
+        help="mid-query re-optimization policy: 'off' (the default), "
+        "'auto' (re-decide when a pipeline breaker's observed "
+        "cardinality leaves its compile-time interval), or 'always' "
+        "(re-decide at every breaker)",
     )
     parser.add_argument(
         "--skew",
@@ -170,8 +184,12 @@ def _run(argv):
         skew = _parse_skew(args.skew, "run")
         if skew is None:
             return 2
+    policy = None
+    if args.reopt is not None:
+        policy = _parse_reopt(args.reopt, "run")
+        if policy is None:
+            return 2
 
-    from repro.executor.midquery import ReoptPolicy
     from repro.workloads.bindings import skewed_bindings
 
     workload = paper_workload(args.query, seed=args.seed)
@@ -185,13 +203,13 @@ def _run(argv):
         bindings = random_bindings(workload, seed=args.seed)
     mid_report = None
     started = time.perf_counter()
-    if args.reopt is not None:
+    if policy is not None:
         result, mid_report = execute_midquery(
             plan,
             database,
             bindings,
             workload.query.parameter_space,
-            policy=ReoptPolicy.parse(args.reopt),
+            policy=policy,
             batch_size=args.batch_size,
         )
     else:
@@ -430,18 +448,22 @@ def _explain(argv):
         default=None,
         metavar="SPEC",
         help="run --analyze through mid-query re-optimization with "
-        "this policy (e.g. 'always'); the profile annotates the "
+        "this policy ('off', 'auto' or 'always'); the profile annotates the "
         "final (possibly spliced) plan and the re-optimization "
         "report follows it",
     )
     args = parser.parse_args(argv)
 
-    if args.reopt is not None and not args.analyze:
-        print("explain: --reopt requires --analyze")
-        return 2
+    policy = None
+    if args.reopt is not None:
+        if not args.analyze:
+            print("explain: --reopt requires --analyze")
+            return 2
+        policy = _parse_reopt(args.reopt, "explain")
+        if policy is None:
+            return 2
 
     from repro.common.errors import InjectedFaultError, QueryTimeoutError
-    from repro.executor.midquery import ReoptPolicy
     from repro.observability.trace import Tracer
     from repro.resilience.faults import FaultInjector, fault_profile
 
@@ -472,13 +494,13 @@ def _explain(argv):
     )
     mid_report = None
     try:
-        if args.reopt is not None:
+        if policy is not None:
             executed, mid_report = execute_midquery(
                 result.plan,
                 database,
                 bindings,
                 workload.query.parameter_space,
-                policy=ReoptPolicy.parse(args.reopt),
+                policy=policy,
                 tracer=Tracer(),
                 deadline=args.deadline,
             )
@@ -659,7 +681,7 @@ def _chaos(argv):
         default=None,
         metavar="SPEC",
         help="run the faulty service through mid-query "
-        "re-optimization with this policy (e.g. 'always'); the "
+        "re-optimization with this policy ('off', 'auto' or 'always'); the "
         "baseline stays plain, so rows_match also checks that "
         "re-optimization preserves results",
     )

@@ -424,11 +424,12 @@ class Project(PhysicalPlan):
 class Materialized(PhysicalPlan):
     """A temporary result produced at run time (paper Section 7).
 
-    Created only at run time — by the adaptive executor's decision
-    procedures ("evaluates subplans into temporary results") and as the
-    checkpoint of each pipeline breaker mid-query re-optimization
-    drains; replays the stored records and reports their *observed*
-    cardinality.  Never appears in compile-time plans or access modules.
+    Created only at run time, as the checkpoint of each pipeline
+    breaker :func:`~repro.executor.midquery.execute_midquery` drains
+    ("evaluating subplans into temporary results"); replays the stored
+    records for free and reports their *observed* cardinality, which
+    the remaining choose-plan decisions read.  Never appears in
+    compile-time plans or access modules.
     """
 
     def __init__(self, records, original):

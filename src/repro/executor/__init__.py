@@ -9,18 +9,12 @@ alternative.
 """
 
 from repro.executor.access_module import AccessModule
-from repro.executor.adaptive import (
-    AdaptiveExecutor,
-    AdaptiveReport,
-    execute_adaptively,
-)
 from repro.executor.engine import (
     ExecutionContext,
     ExecutionResult,
     execute_plan,
 )
 from repro.executor.midquery import (
-    BREAKER_KINDS,
     BreakerEvent,
     IncrementalDecider,
     MidQueryReport,
@@ -32,10 +26,7 @@ from repro.executor.startup import StartupReport, activate_plan, resolve_dynamic
 from repro.executor.validation import node_is_feasible, validate_plan
 
 __all__ = [
-    "BREAKER_KINDS",
     "AccessModule",
-    "AdaptiveExecutor",
-    "AdaptiveReport",
     "BreakerEvent",
     "ExecutionContext",
     "ExecutionResult",
@@ -46,7 +37,6 @@ __all__ = [
     "ShrinkingAccessModule",
     "StartupReport",
     "activate_plan",
-    "execute_adaptively",
     "execute_plan",
     "node_is_feasible",
     "resolve_dynamic_plan",

@@ -1,8 +1,10 @@
 """Mid-query re-optimization at pipeline breakers.
 
-The paper decides between alternative plans only at start-up; this
-module extends the choose-plan idea into execution, following the two
-natural anchor points identified by later work: *pipeline breakers*
+The paper decides between alternative plans only at start-up, and its
+Section 7 sketches the generalization: "evaluating subplans as part of
+choose-plan decision procedures", so that a temporary result's known
+cardinality drives the remaining decisions.  This module is that
+mechanism, anchored where later work places it: *pipeline breakers*
 (arXiv:2010.00728) are where intermediate results materialize anyway,
 so observed cardinalities are free, and *incremental re-costing*
 (arXiv:1409.6288) bounds the re-decision overhead by re-running only
@@ -25,8 +27,7 @@ policy triggers — re-runs only the *affected* choose-plan decisions
 with the observed cardinality pinned.  The re-decision never restarts
 drained work: the checkpoint replaces the subplan in every alternative
 that contains it, so switching plans costs only the undrained
-remainder.  A ``restart`` switch strategy (re-executing the switched
-plan from scratch) exists purely as the baseline the benchmark beats.
+remainder.
 
 I/O identity is the module's core invariant: operators charge
 simulated I/O per record *drained*, regardless of whether the record
@@ -65,89 +66,44 @@ from repro.executor.vectorized import sargable_key_range
 from repro.resilience.deadline import Deadline
 from repro.storage.iostats import IOStatistics
 
-#: Pipeline-breaker kinds a policy may re-decide at.
-BREAKER_KINDS = ("hash_build", "sort", "btree_scan")
-
 #: Valid re-optimization modes.
 REOPT_MODES = ("off", "auto", "always")
 
+
 class ReoptPolicy:
-    """When and where mid-query re-optimization happens.
+    """When mid-query re-optimization re-decides.
 
     ``mode`` is ``"off"`` (never re-decide; plain execution), ``"auto"``
     (re-decide only when an observed cardinality leaves its
     compile-time interval), or ``"always"`` (re-decide at every
-    breaker — the forcing mode the differential tests and the
-    benchmark use).  ``breakers`` restricts which breaker kinds act as
-    decision points.  ``on_switch`` is ``"splice"`` (continue over the
-    checkpoints; the paper-faithful strategy) or ``"restart"``
-    (re-execute the switched plan from scratch; the benchmark's
-    baseline).
+    breaker: the paper's Section 7 sketch, and the forcing mode the
+    differential tests use).
     """
 
-    def __init__(self, mode="auto", breakers=BREAKER_KINDS, on_switch="splice"):
+    def __init__(self, mode="auto"):
         if mode not in REOPT_MODES:
             raise ExecutionError(
                 "reopt mode must be one of %r, got %r" % (REOPT_MODES, mode)
             )
-        breakers = tuple(breakers)
-        for kind in breakers:
-            if kind not in BREAKER_KINDS:
-                raise ExecutionError(
-                    "unknown breaker kind %r (valid: %r)"
-                    % (kind, BREAKER_KINDS)
-                )
-        if on_switch not in ("splice", "restart"):
-            raise ExecutionError(
-                "on_switch must be 'splice' or 'restart', got %r" % (on_switch,)
-            )
         self.mode = mode
-        self.breakers = breakers
-        self.on_switch = on_switch
 
     @property
     def active(self):
         """Whether this policy ever visits breakers."""
-        return self.mode != "off" and bool(self.breakers)
+        return self.mode != "off"
 
     @classmethod
     def parse(cls, text):
-        """Parse a CLI policy spec.
-
-        Grammar: ``mode[+restart][:breaker,breaker,...]`` — e.g.
-        ``"off"``, ``"auto"``, ``"always"``, ``"always:sort,hash_build"``,
-        ``"always+restart"``.
-        """
-        text = (text or "").strip()
-        if not text:
-            return cls("off")
-        if ":" in text:
-            head, _, tail = text.partition(":")
-            breakers = tuple(
-                part.strip() for part in tail.split(",") if part.strip()
-            )
-        else:
-            head, breakers = text, BREAKER_KINDS
-        on_switch = "splice"
-        if "+" in head:
-            head, _, strategy = head.partition("+")
-            on_switch = strategy.strip()
-        return cls(head.strip(), breakers or BREAKER_KINDS, on_switch)
+        """Parse a CLI policy spec: one of :data:`REOPT_MODES`; empty or
+        ``None`` is ``"off"``."""
+        return cls((text or "").strip() or "off")
 
     def to_dict(self):
         """Plain-data form for reports and metrics."""
-        return {
-            "mode": self.mode,
-            "breakers": list(self.breakers),
-            "on_switch": self.on_switch,
-        }
+        return {"mode": self.mode}
 
     def __repr__(self):
-        return "ReoptPolicy(mode=%r, breakers=%r, on_switch=%r)" % (
-            self.mode,
-            self.breakers,
-            self.on_switch,
-        )
+        return "ReoptPolicy(mode=%r)" % (self.mode,)
 
 
 class BreakerEvent:
@@ -259,8 +215,6 @@ class MidQueryReport:
         self.rebound = {}
         #: What the probes charged: the run's I/O less this is drains + tail.
         self.probe_io = IOStatistics().snapshot()
-        #: Whether the ``restart`` strategy re-executed from scratch.
-        self.restarted = False
         self.final_plan = None
         #: (choose_plan, chosen_original) pairs of the final decisions.
         self.choices = []
@@ -294,18 +248,16 @@ class MidQueryReport:
             "probes": self.probes,
             "probe_io": dict(self.probe_io),
             "rebound": {name: list(entry) for name, entry in self.rebound.items()},
-            "restarted": self.restarted,
         }
 
     def render(self):
         """Human-readable summary."""
         lines = [
-            "mid-query re-optimization (%s, on_switch=%s): "
+            "mid-query re-optimization (%s): "
             "%d checkpoint(s), %d violation(s), %d redecision(s), "
             "%d switch(es)"
             % (
                 self.policy.mode,
-                self.policy.on_switch,
                 self.checkpoints,
                 self.violations,
                 self.redecisions,
@@ -332,8 +284,6 @@ class MidQueryReport:
                 "  %(index_probes)d index-only probe(s) read %(pages_read)d page(s)"
                 % self.probe_io
             )
-        if self.restarted:
-            lines.append("  restarted from scratch after switch")
         return "\n".join(lines)
 
     def __repr__(self):
@@ -568,7 +518,7 @@ def _postorder(plan):
     return order
 
 
-def _next_breaker(plan, kinds, skipped):
+def _next_breaker(plan, skipped):
     """The innermost undrained pipeline breaker, or ``None``.
 
     Returns ``(kind, subplan)`` where ``subplan`` is the static subplan
@@ -586,7 +536,7 @@ def _next_breaker(plan, kinds, skipped):
             kind, subplan = "hash_build", node.build
         else:
             continue
-        if kind in kinds and subplan is not plan and id(subplan) not in skipped:
+        if subplan is not plan and id(subplan) not in skipped:
             return kind, subplan
     return None
 
@@ -618,8 +568,9 @@ def count_qualifying(database, predicate, bindings):
     return btree.count_range(low, high, inclusive=op not in ("<", ">"))
 
 
-def _strip_checkpoints(plan):
-    """Replace every checkpoint by the subplan that produced it."""
+def strip_checkpoints(plan):
+    """Replace every checkpoint by the subplan that produced it: the
+    static plan a run's ``final_plan`` executes, costed from scratch."""
     cache = {}
 
     def strip(node):
@@ -737,7 +688,7 @@ def execute_midquery(
     # plan has nodes.
     node_count = len(decision) if decision is not None else plan.node_count()
     for _ in range(node_count + 1):
-        breaker = _next_breaker(current, policy.breakers, skipped)
+        breaker = _next_breaker(current, skipped)
         if breaker is None:
             break
         kind, subplan = breaker
@@ -771,17 +722,11 @@ def execute_midquery(
         report.note_outcome(outcome)
         current = outcome.plan
 
-    if policy.on_switch == "restart" and report.switches:
-        final = _strip_checkpoints(current)
-        report.restarted = True
-    else:
-        final = current
-
-    tail = run(final, tracer)
+    tail = run(current, tracer)
     elapsed = time.perf_counter() - started
     after = database.io_stats.snapshot()
     delta = {key: after[key] - before[key] for key in after}
-    report.final_plan = final
+    report.final_plan = current
     report.choices = decider.choices()
     result = ExecutionResult(
         tail.records,

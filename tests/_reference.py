@@ -41,15 +41,24 @@ def reference_rows(workload, database, bindings):
                 break
         else:
             raise AssertionError("disconnected join graph in reference")
-        joined = []
-        for left_record in current:
-            for right_record in filtered[candidate]:
-                merged = left_record.merged_with(right_record)
-                if all(
-                    merged[p.left_attribute] == merged[p.right_attribute]
-                    for p in predicates
-                ):
-                    joined.append(merged)
+        # (joined-side attribute, candidate attribute) per predicate.
+        pairs = [
+            (p.right_attribute, p.left_attribute)
+            if p.left_attribute.split(".", 1)[0] == candidate
+            else (p.left_attribute, p.right_attribute)
+            for p in predicates
+        ]
+        matches = {}
+        for right_record in filtered[candidate]:
+            key = tuple(right_record[mine] for _, mine in pairs)
+            matches.setdefault(key, []).append(right_record)
+        joined = [
+            left_record.merged_with(right_record)
+            for left_record in current
+            for right_record in matches.get(
+                tuple(left_record[theirs] for theirs, _ in pairs), ()
+            )
+        ]
         placed.add(candidate)
         applied.update(
             (p.left_attribute, p.right_attribute) for p in predicates

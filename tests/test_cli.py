@@ -63,6 +63,21 @@ class TestCli:
         assert main(argv) == 2
         assert "must lie in [0, 1]" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "argv",
+        (
+            ["run", "--query", "2", "--reopt", "sometimes"],
+            ["run", "--query", "2", "--reopt", "auto:sort"],
+            ["explain", "--analyze", "--reopt", "bogus"],
+        ),
+    )
+    def test_bad_reopt_policy_exits_2(self, argv, capsys):
+        """A policy is parsed before any work: one line, no traceback."""
+        assert main(argv) == 2
+        output = capsys.readouterr().out
+        assert output.startswith("%s: reopt mode must be one of" % argv[0])
+        assert output.count("\n") == 1
+
 
 class TestRunnerCsv:
     def test_csv_export(self, tmp_path, capsys):

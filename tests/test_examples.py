@@ -51,3 +51,4 @@ class TestExamples:
         load_example("adaptive_execution").main()
         output = capsys.readouterr().out
         assert "recovered" in output
+        assert "mid-query re-optimization (always)" in output

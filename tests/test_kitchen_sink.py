@@ -1,8 +1,8 @@
 """One grand tour: every major subsystem in a single scenario.
 
 SQL with host variables → advisor → dynamic compilation → access-module
-bytes → catalog drift → validated activation → execution → adaptive
-execution — on a star-topology join, checked against the
+bytes → catalog drift → validated activation → execution → mid-query
+re-decisions — on a star-topology join, checked against the
 reference evaluator at every step.
 """
 
@@ -17,7 +17,7 @@ from repro import (
     populate_database,
 )
 from repro.cost.parameters import Bindings
-from repro.executor import activate_plan, execute_adaptively
+from repro.executor import ReoptPolicy, activate_plan, execute_midquery
 from repro.scenarios import recommend_strategy
 from repro.workloads import make_join_workload
 
@@ -101,20 +101,24 @@ class TestGrandTour:
                 expected, keys
             )
 
-        # 6. Adaptive execution agrees with plain execution.
+        # 6. Re-deciding at every breaker agrees with plain execution.
         bindings = make_bindings(workload, 0.4, 0.6)
         plan = AccessModule.from_bytes(payload).materialize()
         from repro.executor import validate_plan
 
         plan = validate_plan(plan, catalog)
-        adaptive_result, adaptive_report = execute_adaptively(
-            plan, database, bindings, query.parameter_space
+        midquery_result, midquery_report = execute_midquery(
+            plan,
+            database,
+            bindings,
+            query.parameter_space,
+            policy=ReoptPolicy("always"),
         )
         plain_chosen, _ = activate(bindings)
         plain_result = execute_plan(
             plain_chosen, database, bindings, query.parameter_space
         )
-        assert row_multiset(adaptive_result.records, keys) == row_multiset(
+        assert row_multiset(midquery_result.records, keys) == row_multiset(
             plain_result.records, keys
         )
-        assert adaptive_report.decisions >= 1
+        assert midquery_report.redecisions >= 1
