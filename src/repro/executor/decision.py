@@ -44,7 +44,8 @@ arrays, pins and dirty slots are per-query state, so they live in
 :class:`~repro.executor.midquery.IncrementalDecider`, never here: the
 program stays shared and stateless.  What is the same for every query
 (each slot's parents, which steps read which parameter, the one-row
-steps) is derived here on first request and cached.
+steps, the selectivities the decisions read) is derived here on first
+request and cached.
 """
 
 import time
@@ -292,9 +293,9 @@ class CompiledDecision:
     # Mid-query re-decision (the caller owns all per-query state)
     # ------------------------------------------------------------------
 
-    #: Derived on first request, then shared.  Building either twice
+    #: Derived on first request, then shared.  Building any twice
     #: yields equal values, so racing threads need no lock.
-    _parents = _readers = _steps = None
+    _parents = _readers = _steps = _read_set = None
 
     def __len__(self):
         """Number of slots: one step per distinct plan node."""
@@ -343,6 +344,13 @@ class CompiledDecision:
                 reads.setdefault(predicate.selectivity_parameter, predicate)
             stack.extend(node.inputs())
         return reads
+
+    def read_set(self):
+        """``{parameter: predicate}`` of every uncertain selectivity some
+        choose-plan depends on: once each is exact, so is every decision."""
+        if self._read_set is None:
+            self._read_set = self.selectivity_reads(range(len(self._nodes)), {})
+        return self._read_set
 
     def rerun(self, slots, costs, cards, bindings, pins):
         """Re-run the steps of ``slots`` over the caller's work arrays.
