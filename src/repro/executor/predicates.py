@@ -57,53 +57,67 @@ def compile_predicate(predicate, bindings):
         return unbound
 
     def closure(record):
-        # Exact-key access first; fall back to Record indexing (which
-        # suffix-matches unqualified names) only when the key misses.
-        try:
-            return compare(record._fields[attribute], value)
-        except KeyError:
-            return compare(record[attribute], value)
+        return compare(record[attribute], value)
 
     return closure
 
 
-#: The batch kernels, ``kernel(records, attribute, value)``: one
+#: The batch kernels, ``kernel(records, position, value)``: one
 #: comprehension per operator with the comparison written inline, so
-#: the per-record path is one exact-key dict lookup and one compare —
-#: no ``operator.lt`` call.  Filters keep the qualifying records; masks
+#: the per-record path is one tuple index and one compare — no
+#: ``operator.lt`` call.  Filters keep the qualifying records; masks
 #: yield one bool per record for callers that filter a parallel list.
 _FILTER_KERNELS = {
-    ComparisonOp.EQ: lambda rs, a, v: [r for r in rs if r._fields[a] == v],
-    ComparisonOp.NE: lambda rs, a, v: [r for r in rs if r._fields[a] != v],
-    ComparisonOp.LT: lambda rs, a, v: [r for r in rs if r._fields[a] < v],
-    ComparisonOp.LE: lambda rs, a, v: [r for r in rs if r._fields[a] <= v],
-    ComparisonOp.GT: lambda rs, a, v: [r for r in rs if r._fields[a] > v],
-    ComparisonOp.GE: lambda rs, a, v: [r for r in rs if r._fields[a] >= v],
+    ComparisonOp.EQ: lambda rs, i, v: [r for r in rs if r._values[i] == v],
+    ComparisonOp.NE: lambda rs, i, v: [r for r in rs if r._values[i] != v],
+    ComparisonOp.LT: lambda rs, i, v: [r for r in rs if r._values[i] < v],
+    ComparisonOp.LE: lambda rs, i, v: [r for r in rs if r._values[i] <= v],
+    ComparisonOp.GT: lambda rs, i, v: [r for r in rs if r._values[i] > v],
+    ComparisonOp.GE: lambda rs, i, v: [r for r in rs if r._values[i] >= v],
 }
 _MASK_KERNELS = {
-    ComparisonOp.EQ: lambda rs, a, v: [r._fields[a] == v for r in rs],
-    ComparisonOp.NE: lambda rs, a, v: [r._fields[a] != v for r in rs],
-    ComparisonOp.LT: lambda rs, a, v: [r._fields[a] < v for r in rs],
-    ComparisonOp.LE: lambda rs, a, v: [r._fields[a] <= v for r in rs],
-    ComparisonOp.GT: lambda rs, a, v: [r._fields[a] > v for r in rs],
-    ComparisonOp.GE: lambda rs, a, v: [r._fields[a] >= v for r in rs],
+    ComparisonOp.EQ: lambda rs, i, v: [r._values[i] == v for r in rs],
+    ComparisonOp.NE: lambda rs, i, v: [r._values[i] != v for r in rs],
+    ComparisonOp.LT: lambda rs, i, v: [r._values[i] < v for r in rs],
+    ComparisonOp.LE: lambda rs, i, v: [r._values[i] <= v for r in rs],
+    ComparisonOp.GT: lambda rs, i, v: [r._values[i] > v for r in rs],
+    ComparisonOp.GE: lambda rs, i, v: [r._values[i] >= v for r in rs],
 }
+
+
+def column_position(attribute):
+    """``position(records) -> int``: where ``attribute`` sits in a batch.
+
+    Every batch an operator emits shares one
+    :class:`~repro.storage.records.Layout`, so the position is read off
+    the first record's layout and resolved (exact name, else its unique
+    suffix match — the semantics of ``Record`` indexing) only when the
+    layout differs from the last batch's: once per operator and layout.
+    The batch must be non-empty.
+    """
+    layout = position = None
+
+    def resolve(records):
+        nonlocal layout, position
+        first = records[0]._layout
+        if first is not layout:
+            position = first.position(attribute)
+            layout = first
+        return position
+
+    return resolve
 
 
 def compile_batch_predicate(predicate, bindings):
     """Compile a predicate into ``filter_batch(records) -> records``.
 
     The vectorized filter path: one call filters a whole batch in a
-    single comprehension specialised to the predicate's operator.  The
-    fast path indexes each record's exact field dict directly (no
-    method dispatch, no suffix matching); if any record lacks the
-    exact qualified key the whole batch falls back to
-    :class:`~repro.storage.records.Record` indexing, which performs
-    the interpreted path's suffix matching.  Predicates are pure, so
-    re-filtering the batch on fallback is side-effect free.
+    single comprehension specialised to the predicate's operator,
+    indexing each record's values tuple at the attribute's position
+    (:func:`column_position`) — no method dispatch, no name lookup per
+    record.  A batch's records share one layout.
     """
     comparison = getattr(predicate, "comparison", predicate)
-    attribute = comparison.attribute
     try:
         value = comparison.operand.resolve(bindings)
     except ExecutionError:
@@ -117,16 +131,13 @@ def compile_batch_predicate(predicate, bindings):
 
         return unbound
 
-    exact = _FILTER_KERNELS[comparison.op]
+    kernel = _FILTER_KERNELS[comparison.op]
+    position = column_position(comparison.attribute)
 
     def filter_batch(records):
-        try:
-            return exact(records, attribute, value)
-        except KeyError:
-            compare = _OP_FUNCTIONS[comparison.op]
-            return [
-                record for record in records if compare(record[attribute], value)
-            ]
+        if not records:
+            return []
+        return kernel(records, position(records), value)
 
     return filter_batch
 
@@ -135,10 +146,9 @@ def compile_batch_mask(predicate, bindings):
     """Compile a predicate into ``mask_batch(records) -> [bool, ...]``.
 
     For vectorized operators that filter a list running parallel to
-    ``records`` (the index join's outer records).  Same exact-key fast
-    path and whole-batch suffix-matching fallback as
-    :func:`compile_batch_predicate`.  Returns ``None`` when the
-    operand is unbound so callers can fall back to
+    ``records`` (the index join's inner records).  The same kernels and
+    position lookup as :func:`compile_batch_predicate`.  Returns
+    ``None`` when the operand is unbound so callers can fall back to
     :func:`compile_predicate`, whose closure raises the interpreted
     path's error on first use.
     """
@@ -147,14 +157,12 @@ def compile_batch_mask(predicate, bindings):
         value = comparison.operand.resolve(bindings)
     except ExecutionError:
         return None
-    attribute = comparison.attribute
-    exact = _MASK_KERNELS[comparison.op]
+    kernel = _MASK_KERNELS[comparison.op]
+    position = column_position(comparison.attribute)
 
     def mask_batch(records):
-        try:
-            return exact(records, attribute, value)
-        except KeyError:
-            compare = _OP_FUNCTIONS[comparison.op]
-            return [compare(record[attribute], value) for record in records]
+        if not records:
+            return []
+        return kernel(records, position(records), value)
 
     return mask_batch

@@ -54,11 +54,14 @@ from repro.algebra.physical import (
 from repro.common.errors import ExecutionError
 from repro.common.units import pages_for_records
 from repro.executor.predicates import (
+    column_position,
     compile_batch_mask,
     compile_batch_predicate,
     compile_predicate,
 )
 from repro.storage.records import Record
+
+_new = Record.__new__
 
 #: Records per batch when the execution context does not override it.
 DEFAULT_BATCH_SIZE = 1024
@@ -247,18 +250,43 @@ class FilterBatchIterator(BatchPlanIterator):
         return generate()
 
 
-def _batch_values(batch, attribute):
-    """One attribute's value per record of a batch.
+def _column(attribute):
+    """``values(batch)``: one attribute's value per record of a batch.
 
-    Fast path: direct exact-key access into each record's field dict;
-    if any record lacks the exact qualified key, the whole batch
-    falls back to :class:`~repro.storage.records.Record` indexing
-    (suffix matching), preserving interpreted semantics.
+    The attribute's position is resolved once per layout
+    (:func:`~repro.executor.predicates.column_position`), so the
+    per-record path is one tuple index.
     """
-    try:
-        return [record._fields[attribute] for record in batch]
-    except KeyError:
-        return [record[attribute] for record in batch]
+    position = column_position(attribute)
+
+    def values(batch):
+        if not batch:
+            return []
+        i = position(batch)
+        return [record._values[i] for record in batch]
+
+    return values
+
+
+def _joined(pairs, layout, gather):
+    """Join outputs on ``layout`` for ``(left, right)`` record pairs.
+
+    Each output's values are ``left._values + right._values`` — the
+    field order of ``left.merged_with(right)`` — passed through
+    ``gather`` only when the two sides share a name (the right side's
+    value wins), as :meth:`~repro.storage.records.Layout.merged` says.
+    """
+    out = []
+    append = out.append
+    new = _new
+    for left, right in pairs:
+        merged = new(Record)
+        merged._layout = layout
+        values = left._values + right._values
+        merged._values = values if gather is None else gather(values)
+        merged.rid = None
+        append(merged)
+    return out
 
 
 def _compile_extra_predicates(predicates):
@@ -296,45 +324,22 @@ class HashJoinBatchIterator(BatchPlanIterator):
         build_child = build_batch_iterator(plan.build, self.context)
         probe_child = build_batch_iterator(plan.probe, self.context)
         build_attr, probe_attr = join_sides(plan.predicate, plan.build)
+        build_keys = _column(build_attr)
+        probe_keys = _column(probe_attr)
         extra = _compile_extra_predicates(plan.predicates)
         memory = self.context.memory_pages
         batch_size = self.batch_size
-
-        def probe_batch(table, batch):
-            matched = []
-            append = matched.append
-            get = table.get
-            keys = _batch_values(batch, probe_attr)
-            if extra is not None:
-                for record, key in zip(batch, keys):
-                    for match in get(key, ()):
-                        merged = match.merged_with(record)
-                        if extra(merged):
-                            append(merged)
-                return matched
-            # No secondary predicate: every match is output, so build
-            # it in place — ``merged_with``'s field order and its
-            # "probe side wins" rule without the call per match.
-            new = Record.__new__
-            for record, key in zip(batch, keys):
-                bucket = get(key)
-                if bucket is not None:
-                    fields = record._fields
-                    for match in bucket:
-                        merged = new(Record)
-                        merged._fields = {**match._fields, **fields}
-                        merged.rid = None
-                        append(merged)
-            return matched
 
         def generate():
             charge = self.io_stats.charge_records
             table = {}
             build_count = 0
+            build_layout = None
             for batch in build_child.batches():
                 charge(len(batch))
                 build_count += len(batch)
-                for record, key in zip(batch, _batch_values(batch, build_attr)):
+                build_layout = batch[0]._layout
+                for record, key in zip(batch, build_keys(batch)):
                     bucket = table.get(key)
                     if bucket is None:
                         table[key] = [record]
@@ -357,8 +362,34 @@ class HashJoinBatchIterator(BatchPlanIterator):
                         yield batch
 
                 probe_batches = charged_batches()
+            get = table.get
+            new = _new
             for batch in probe_batches:
-                matched = probe_batch(table, batch)
+                keys = probe_keys(batch)
+                if not table:
+                    continue
+                # ``_joined`` inline: a pair tuple per match made
+                # ``join_exec``'s execution ~9% slower.  Build fields
+                # first, the probe side's winning on a shared name.
+                layout, gather = build_layout.merged(batch[0]._layout)
+                matched = []
+                append = matched.append
+                for record, key in zip(batch, keys):
+                    bucket = get(key)
+                    if bucket is not None:
+                        values = record._values
+                        for match in bucket:
+                            merged = new(Record)
+                            merged._layout = layout
+                            merged._values = (
+                                match._values + values
+                                if gather is None
+                                else gather(match._values + values)
+                            )
+                            merged.rid = None
+                            append(merged)
+                if extra is not None:
+                    matched = [merged for merged in matched if extra(merged)]
                 if matched:
                     charge(len(matched))
                     yield matched
@@ -380,8 +411,13 @@ class MergeJoinBatchIterator(BatchPlanIterator):
         def generate():
             charge = self.io_stats.charge_records
             charge(len(left_records) + len(right_records))
-            left_keys = _batch_values(left_records, left_attr)
-            right_keys = _batch_values(right_records, right_attr)
+            left_keys = _column(left_attr)(left_records)
+            right_keys = _column(right_attr)(right_records)
+            if not (left_records and right_records):
+                return
+            layout, gather = left_records[0]._layout.merged(
+                right_records[0]._layout
+            )
             out = []
             left_index = 0
             right_index = 0
@@ -406,12 +442,18 @@ class MergeJoinBatchIterator(BatchPlanIterator):
                         and right_keys[right_end] == right_key
                     ):
                         right_end += 1
-                    for i in range(left_index, left_end):
-                        left_record = left_records[i]
-                        for j in range(right_index, right_end):
-                            merged = left_record.merged_with(right_records[j])
-                            if extra is None or extra(merged):
-                                out.append(merged)
+                    block = _joined(
+                        [
+                            (left_records[i], right_records[j])
+                            for i in range(left_index, left_end)
+                            for j in range(right_index, right_end)
+                        ],
+                        layout,
+                        gather,
+                    )
+                    if extra is not None:
+                        block = [merged for merged in block if extra(merged)]
+                    out.extend(block)
                     left_index = left_end
                     right_index = right_end
                     if len(out) >= batch_size:
@@ -434,7 +476,7 @@ class IndexJoinBatchIterator(BatchPlanIterator):
         database = self.context.database
         btree = database.btree(plan.inner_relation, plan.inner_attribute)
         heap = database.heap(plan.inner_relation)
-        outer_attr = index_join_outer_attribute(plan)
+        outer_keys = _column(index_join_outer_attribute(plan))
         pool = _scan_buffer(self.context, plan.inner_relation, plan.inner_attribute)
         residual_mask = None
         residual = None
@@ -454,7 +496,7 @@ class IndexJoinBatchIterator(BatchPlanIterator):
             fetch_many = heap.fetch_many
             for batch in outer_child.batches():
                 charge(len(batch))
-                rid_lists = search_many(_batch_values(batch, outer_attr))
+                rid_lists = search_many(outer_keys(batch))
                 outers = []
                 rids = []
                 for outer_record, matches in zip(batch, rid_lists):
@@ -472,14 +514,9 @@ class IndexJoinBatchIterator(BatchPlanIterator):
                     )
                 else:
                     pairs = zip(outers, inners)
-                if extra is None:
-                    out = [o.merged_with(i) for o, i in pairs]
-                else:
-                    out = [
-                        m
-                        for o, i in pairs
-                        if extra(m := o.merged_with(i))
-                    ]
+                out = _joined(pairs, *batch[0]._layout.merged(heap.layout))
+                if extra is not None:
+                    out = [merged for merged in out if extra(merged)]
                 if out:
                     charge(len(out))
                     yield out
@@ -505,10 +542,8 @@ class SortBatchIterator(BatchPlanIterator):
             if pages > self.context.memory_pages:
                 self.io_stats.charge_page_writes(pages)
                 self.io_stats.charge_page_reads(pages)
-            try:
-                ordered = sorted(records, key=lambda r: r._fields[attribute])
-            except KeyError:
-                ordered = sorted(records, key=lambda r: r[attribute])
+            i = records[0]._layout.position(attribute) if records else None
+            ordered = sorted(records, key=lambda r: r._values[i])
             yield from _rebatch(ordered, batch_size)
 
         return generate()

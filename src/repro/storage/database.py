@@ -90,12 +90,15 @@ class Database:
                 return row["%s.%s" % (relation_name, name)]
 
             rows.sort(key=sort_key)
-        for row in rows:
-            rid = heap.insert(row)
-            record = heap._pages[rid[0]][rid[1]]
-            for attribute_name, btree in btrees.items():
-                key = record["%s.%s" % (relation_name, attribute_name)]
-                btree.insert(key, rid)
+        rids = heap.bulk_load(rows)
+        pages = heap._pages
+        for attribute_name, btree in btrees.items():
+            position = heap.layout.positions[
+                "%s.%s" % (relation_name, attribute_name)
+            ]
+            insert = btree.insert
+            for rid in rids:
+                insert(pages[rid[0]][rid[1]]._values[position], rid)
 
     # ------------------------------------------------------------------
     # Access

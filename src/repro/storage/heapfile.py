@@ -10,7 +10,7 @@ example.
 
 from repro.common.errors import ExecutionError
 from repro.common.units import RECORDS_PER_PAGE
-from repro.storage.records import Record
+from repro.storage.records import Layout
 
 
 class HeapFile:
@@ -27,6 +27,10 @@ class HeapFile:
         #: consulted before every simulated device access, so an
         #: injected fault aborts the operation before its I/O charge.
         self.fault_injector = fault_injector
+        self._attribute_names = tuple(attribute.name for attribute in schema)
+        #: The :class:`~repro.storage.records.Layout` every stored record
+        #: of the relation shares: its qualified attribute names.
+        self.layout = Layout(schema.qualified_names())
         self._pages = []
 
     # ------------------------------------------------------------------
@@ -40,34 +44,50 @@ class HeapFile:
         relation name so that downstream operators always see
         ``relation.attribute`` keys.
         """
-        qualified = {}
-        for attribute in self.schema:
-            name = attribute.name
-            if name in fields:
-                value = fields[name]
-            else:
-                qualified_name = "%s.%s" % (self.schema.relation_name, name)
-                if qualified_name not in fields:
-                    raise ExecutionError(
-                        "missing field %r when inserting into %r"
-                        % (name, self.schema.relation_name)
-                    )
-                value = fields[qualified_name]
-            qualified["%s.%s" % (self.schema.relation_name, name)] = value
-        if not self._pages or len(self._pages[-1]) >= self.records_per_page:
-            if self.fault_injector is not None:
-                self.fault_injector.record("heap_write")
-            self._pages.append([])
-            self.io_stats.charge_page_writes(1)
-        page_number = len(self._pages) - 1
-        slot = len(self._pages[page_number])
-        record = Record(qualified, rid=(page_number, slot))
-        self._pages[page_number].append(record)
-        return record.rid
+        return self.bulk_load((fields,))[0]
 
     def bulk_load(self, rows):
-        """Insert many rows; returns the RIDs in insertion order."""
-        return [self.insert(row) for row in rows]
+        """Insert many rows; returns the RIDs in insertion order.
+
+        Each row's values, in schema order, become one record on the
+        heap's :attr:`layout`.
+        """
+        layout = self.layout
+        names = self._attribute_names
+        pages = self._pages
+        per_page = self.records_per_page
+        rids = []
+        for fields in rows:
+            try:
+                values = [fields[name] for name in names]
+            except KeyError:
+                values = self._qualified_values(fields)
+            if not pages or len(pages[-1]) >= per_page:
+                if self.fault_injector is not None:
+                    self.fault_injector.record("heap_write")
+                pages.append([])
+                self.io_stats.charge_page_writes(1)
+            page = pages[-1]
+            rid = (len(pages) - 1, len(page))
+            page.append(layout.record(values, rid))
+            rids.append(rid)
+        return rids
+
+    def _qualified_values(self, fields):
+        """A row's values in schema order, each field given bare or
+        qualified with the relation name."""
+        values = []
+        for name, qualified_name in zip(self._attribute_names, self.layout.names):
+            if name in fields:
+                values.append(fields[name])
+            elif qualified_name in fields:
+                values.append(fields[qualified_name])
+            else:
+                raise ExecutionError(
+                    "missing field %r when inserting into %r"
+                    % (name, self.schema.relation_name)
+                )
+        return values
 
     # ------------------------------------------------------------------
     # Access

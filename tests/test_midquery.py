@@ -22,6 +22,7 @@ from math import ceil, floor
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from tests._layouts import LayoutRecorder
 from tests._reference import reference_rows
 from tests.test_property_random_queries import workloads
 
@@ -348,6 +349,28 @@ class TestCheckpointReuse:
             isinstance(node, Materialized)
             for node in report.final_plan.walk_unique()
         )
+
+    @pytest.mark.parametrize("batch_size", (1, 3, 1024))
+    def test_checkpoint_replays_keep_one_layout_per_operator(self, batch_size):
+        """A switch replays drained records through ``Materialized``;
+        each replay, and every operator above it, still emits one layout
+        object (the batch kernels' precondition)."""
+        workload, plan, bindings = _setup(3, seed=0, skew=(0.02, 0.6))
+        recorder = LayoutRecorder()
+        result, report = execute_midquery(
+            plan,
+            _fresh_database(workload),
+            bindings.copy(),
+            workload.query.parameter_space,
+            policy=ReoptPolicy("always"),
+            batch_size=batch_size,
+            tracer=recorder,
+        )
+        assert report.switches >= 1
+        assert any(isinstance(p, Materialized) for p in recorder.emitting())
+        assert recorder.mixed() == []
+        plain = _run_plain(workload, plan, bindings)
+        assert rows_digest(result.records) == rows_digest(plain.records)
 
     def test_splice_never_rereads_drained_work(self):
         """Restarting after a switch would pay for the drains and then the

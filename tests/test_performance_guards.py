@@ -3,12 +3,10 @@
 Exact counts of the work paper query 5's optimizations and start-up
 resolution do, which no machine noise can move, and which an
 accidental exponential blow-up — an unmemoized DAG walk, a
-rule-closure regression, a subplan costed twice — would; beside them,
-loose wall-clock ceilings (10x typical) on the plan walks no counter
-covers.
+rule-closure regression, a subplan costed twice — would.  The plan
+walks (tree size, node count, signature, access-module round trip) are
+held to one ``inputs()`` call per distinct node.
 """
-
-import time
 
 import pytest
 
@@ -50,25 +48,47 @@ class TestOptimizationScale:
         assert (report.cost_evaluations, report.decisions) == (978, 145)
         assert len(CompiledDecision(dynamic.plan, query5.catalog, space)) == 1123
 
-    def test_query5_plan_metrics_linear_time(self, query5):
+    def test_query5_plan_metrics_linear_time(self, query5, monkeypatch):
         dynamic = optimize_dynamic(query5.catalog, query5.query)
-        started = time.perf_counter()
+        nodes = dynamic.plan.node_count()
+        calls = _count_inputs_calls(monkeypatch, dynamic.plan)
         # tree_node_count is astronomically large but must be computed
-        # by DP over the DAG, not by expansion.
+        # by DP over the DAG, not by expansion: each walk asks each
+        # distinct node for its inputs once.
         assert dynamic.plan.tree_node_count() > 10 ** 6
-        dynamic.plan.node_count()
+        assert dynamic.plan.node_count() == nodes == 1123
         dynamic.plan.signature()
-        assert time.perf_counter() - started < 0.5
+        assert calls[0] == 3 * nodes
 
-    def test_query5_module_round_trip_under_half_second(self, query5):
+    def test_query5_module_round_trip_counted(self, query5, monkeypatch):
         dynamic = optimize_dynamic(query5.catalog, query5.query)
-        started = time.perf_counter()
+        nodes = dynamic.plan.node_count()
+        calls = _count_inputs_calls(monkeypatch, dynamic.plan)
         module = AccessModule.from_plan(dynamic.plan, "q5")
-        module.materialize()
-        assert time.perf_counter() - started < 0.5
+        assert calls[0] == nodes  # serialized once per distinct node
+        # One stored node per DAG node, rebuilt with the sharing intact.
+        rebuilt = module.materialize()
+        assert module.node_count == rebuilt.node_count() == nodes
+        assert rebuilt.digest() == dynamic.plan.digest()
         # Module stays proportional to the DAG (the paper's argument
         # for why dynamic-plan modules are practical).
         assert module.byte_size < dynamic.node_count() * 1000
+
+
+def _count_inputs_calls(monkeypatch, plan):
+    """``[calls]``: ``inputs()`` calls on ``plan``'s node classes from
+    here on.  A walk memoized over the DAG makes one per distinct node;
+    one that expands it into a tree makes one per tree node."""
+    calls = [0]
+    classes = {type(node) for node in plan.walk_unique()}
+    for cls, inputs in [(cls, cls.inputs) for cls in classes]:
+
+        def counted(self, _inputs=inputs):
+            calls[0] += 1
+            return _inputs(self)
+
+        monkeypatch.setattr(cls, "inputs", counted)
+    return calls
 
 
 @pytest.fixture(scope="class")

@@ -1,6 +1,7 @@
 """Heap files, records, I/O accounting, and the Database container."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.catalog import Attribute, Schema
 from repro.catalog import (
@@ -11,6 +12,7 @@ from repro.catalog import (
 )
 from repro.common.errors import CatalogError, ExecutionError
 from repro.storage import Database, HeapFile, IOStatistics, Record
+from repro.storage.records import Layout
 
 
 def make_heap(records_per_page=4):
@@ -54,6 +56,83 @@ class TestRecord:
     def test_equality_and_hash(self):
         assert Record({"R.a": 1}) == Record({"R.a": 1})
         assert len({Record({"R.a": 1}), Record({"R.a": 1})}) == 1
+
+
+#: Qualified and bare names over two relations: merges overlap, and a
+#: bare lookup can be unique, missing or ambiguous.
+FIELD_NAMES = ("R.a", "R.b", "S.a", "S.c", "a", "b", "c", "d")
+FIELDS = st.dictionaries(st.sampled_from(FIELD_NAMES), st.integers(-3, 3), max_size=5)
+
+
+def _dict_lookup(fields, name):
+    """Indexing of the dict-per-row record this one replaced: the exact
+    key, else the unique suffix match (either side unqualified)."""
+    if name in fields:
+        return fields[name]
+    matches = [
+        value
+        for key, value in fields.items()
+        if key.endswith("." + name) or name.endswith("." + key)
+    ]
+    if len(matches) == 1:
+        return matches[0]
+    if not matches:
+        raise ExecutionError(
+            "record has no field %r (fields: %s)" % (name, sorted(fields))
+        )
+    raise ExecutionError("field reference %r is ambiguous" % name)
+
+
+def _outcome(function):
+    """``("value", result)`` or ``("error", message)``."""
+    try:
+        return ("value", function())
+    except ExecutionError as error:
+        return ("error", str(error))
+
+
+class TestRecordMatchesTheDictReference:
+    """A values tuple over a shared layout behaves as the dict it replaced."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(left=FIELDS, right=FIELDS)
+    def test_merged_with_is_the_dict_merge(self, left, right):
+        expected = {**left, **right}  # left's order, then right's; right wins
+        merged = Record(left).merged_with(Record(right))
+        assert list(merged.as_dict().items()) == list(expected.items())
+        assert list(merged.keys()) == list(expected)
+        assert merged == Record(expected) == Record(dict(reversed(expected.items())))
+        assert hash(merged) == hash(tuple(sorted(expected.items())))
+        assert repr(merged) == "Record(%s)" % ", ".join(
+            "%s=%r" % (key, expected[key]) for key in sorted(expected)
+        )
+        # Records on shared layouts merge onto one memoized layout object.
+        left_layout, right_layout = Layout(left), Layout(right)
+        pairs = [
+            (left_layout.record(left.values()), right_layout.record(right.values()))
+            for _ in range(2)
+        ]
+        first, second = (a.merged_with(b) for a, b in pairs)
+        assert first._layout is second._layout
+        assert list(first.as_dict().items()) == list(expected.items())
+
+    @settings(max_examples=200, deadline=None)
+    @given(fields=FIELDS, names=st.lists(st.sampled_from(FIELD_NAMES), max_size=5))
+    def test_lookup_and_project_match_the_dict_reference(self, fields, names):
+        record = Record(fields)
+        for name in FIELD_NAMES:
+            expected = _outcome(lambda: _dict_lookup(fields, name))
+            assert _outcome(lambda: record[name]) == expected
+            assert (name in record) == (expected[0] == "value")
+            assert record.get(name, "absent") == (
+                expected[1] if expected[0] == "value" else "absent"
+            )
+        expected = _outcome(
+            lambda: list({name: _dict_lookup(fields, name) for name in names}.items())
+        )
+        assert _outcome(lambda: list(record.project(names).as_dict().items())) == (
+            expected
+        )
 
 
 class TestHeapFile:
@@ -101,6 +180,18 @@ class TestHeapFile:
         heap, _ = make_heap()
         with pytest.raises(ExecutionError):
             heap.fetch((99, 0))
+
+    def test_records_share_the_heap_layout(self):
+        heap, _ = make_heap()
+        heap.bulk_load([{"a": 1, "b": 2}, {"R.a": 3, "b": 4}])
+        heap.insert({"b": 6, "a": 5})
+        records = heap.all_records()
+        assert all(record._layout is heap.layout for record in records)
+        assert [record.as_dict() for record in records] == [
+            {"R.a": 1, "R.b": 2},
+            {"R.a": 3, "R.b": 4},
+            {"R.a": 5, "R.b": 6},
+        ]
 
     def test_scan_preserves_insertion_order(self):
         heap, _ = make_heap()

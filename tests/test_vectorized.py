@@ -44,8 +44,9 @@ from repro.observability import Tracer
 from repro.optimizer.optimizer import optimize_dynamic, optimize_static
 from repro.resilience.chaos import rows_digest
 from repro.storage.database import Database
-from repro.storage.records import Record
+from repro.storage.records import Layout
 from repro.workloads import binding_series, paper_workload, random_bindings
+from tests._layouts import LayoutRecorder
 from tests._reference import reference_rows
 
 PAPER_QUERIES = (1, 2, 3, 4, 5)
@@ -185,6 +186,20 @@ def test_batch_trace_reports_exact_rows(number, kind):
     assert batch_spans == single_spans
 
 
+@pytest.mark.parametrize("batch_size", BATCH_SIZES)
+@pytest.mark.parametrize("kind", PLAN_KINDS)
+@pytest.mark.parametrize("number", PAPER_QUERIES)
+def test_every_operator_emits_one_layout(number, kind, batch_size):
+    """Kernels read an attribute's position off a batch's first record,
+    so each operator's batches must all share one layout object."""
+    workload, plan, bindings, default = _frozen_case(number, kind)
+    recorder = LayoutRecorder()
+    result = _run(workload, plan, bindings, tracer=recorder, batch_size=batch_size)
+    assert result.records == default.records
+    assert recorder.emitting()
+    assert recorder.mixed() == []
+
+
 # ----------------------------------------------------------------------
 # Batch-boundary edge cases
 # ----------------------------------------------------------------------
@@ -304,12 +319,18 @@ def test_workload_spec_execution_mode_roundtrip():
 # Kernels: operator-specialised batch predicates and the hash probe
 # ----------------------------------------------------------------------
 
+def _batch(names, rows):
+    """Records on one shared layout, as every engine batch is."""
+    layout = Layout(names)
+    return [layout.record(row) for row in rows]
+
+
 _PREDICATE_BATCHES = {
-    # attribute asked for -> records; "exact" hits the field dict's key,
-    # the other two miss it (KeyError) and suffix-match instead.
-    "exact": ("R.a", [Record({"R.a": value, "R.b": -value}) for value in range(7)]),
-    "qualified-over-bare": ("R.a", [Record({"a": value}) for value in range(7)]),
-    "bare-over-qualified": ("a", [Record({"R.a": value}) for value in range(7)]),
+    # attribute asked for -> records; "exact" is a name of the layout,
+    # the other two resolve to a position by suffix match.
+    "exact": ("R.a", _batch(("R.a", "R.b"), [(v, -v) for v in range(7)])),
+    "qualified-over-bare": ("R.a", _batch(("a",), [(v,) for v in range(7)])),
+    "bare-over-qualified": ("a", _batch(("R.a",), [(v,) for v in range(7)])),
 }
 
 
@@ -329,11 +350,16 @@ def test_batch_predicate_kernels_match_the_row_closure(op, shape):
         assert filter_batch(batch) == [r for r in batch if qualifies(r)]
         assert mask_batch(batch) == [qualifies(r) for r in batch]
         assert filter_batch([]) == [] and mask_batch([]) == []
-        # Exact-key records first, so a miss strikes mid-comprehension:
-        # the batch falls back as a whole and still agrees.
-        mixed = _PREDICATE_BATCHES["exact"][1] + batch
-        assert filter_batch(mixed) == [r for r in mixed if qualifies(r)]
-        assert mask_batch(mixed) == [qualifies(r) for r in mixed]
+        # A batch on another layout, the attribute one place further
+        # right: the same closures resolve its position again, and again
+        # when the first layout comes back.
+        shifted = _batch(
+            ("X.z",) + tuple(batch[0].keys()),
+            [(-100, *r.as_dict().values()) for r in batch],
+        )
+        for records in (shifted, batch):
+            assert filter_batch(records) == [r for r in records if qualifies(r)]
+            assert mask_batch(records) == [qualifies(r) for r in records]
 
 
 @pytest.mark.parametrize("op", list(ComparisonOp), ids=lambda op: op.name)
@@ -356,14 +382,20 @@ def test_hash_probe_matches_row_mode(secondary, batch_size):
     # Keys 1 and 2 repeat on both sides, 3 is build-only, 4 probe-only;
     # "tag" is on both sides, so the merged record must take the probe
     # side's value and keep the build side's position for it.
-    build = [
-        Record({"A.k": key, "A.j": index % 2, "tag": "build-%d" % index})
-        for index, key in enumerate((1, 2, 1, 3, 2, 2))
-    ]
-    probe = [
-        Record({"B.k": key, "tag": "probe-%d" % index, "B.j": index % 2})
-        for index, key in enumerate((2, 4, 1, 2, 4, 1, 1))
-    ]
+    build = _batch(
+        ("A.k", "A.j", "tag"),
+        [
+            (key, index % 2, "build-%d" % index)
+            for index, key in enumerate((1, 2, 1, 3, 2, 2))
+        ],
+    )
+    probe = _batch(
+        ("B.k", "tag", "B.j"),
+        [
+            (key, "probe-%d" % index, index % 2)
+            for index, key in enumerate((2, 4, 1, 2, 4, 1, 1))
+        ],
+    )
     predicates = [JoinPredicate("B.k", "A.k")]
     if secondary:
         predicates.append(JoinPredicate("A.j", "B.j"))
