@@ -228,6 +228,12 @@ class Valuation:
         """Uncertain parameters at their actual run-time values."""
         return cls(space, cls._MODE_RUNTIME, bindings)
 
+    @property
+    def is_bounds(self):
+        """True for :meth:`bounds`, the one mode that reads no uncertain
+        parameter's expected value."""
+        return self.mode == self._MODE_BOUNDS
+
     def value_of(self, name):
         """The interval value of a named parameter under this valuation."""
         parameter = self.space.get(name)

@@ -133,6 +133,39 @@ class CompiledDecision:
         choices = (rows for kernel, rows in self._segments if kernel is _choose_plan)
         self.decision_count = sum(map(len, choices))
 
+    @classmethod
+    def rebound(cls, program, nodes, parameter_space):
+        """``program`` moved onto a re-bound copy of its plan.
+
+        ``nodes`` maps each node of ``program.plan`` by ``id()`` to its
+        copy (:func:`~repro.executor.startup.rebind_plan`), and
+        ``parameter_space`` is the copy's query's, registering every
+        parameter the plan reads, as a query's space does.  Segments
+        and templates are shared — rows hold only slots, read indices
+        and catalog constants — so only the choose-plan rows, which name
+        their node, and each read's default, the copy's expected value,
+        are made anew.  The result equals a program compiled from the
+        copy, at a fraction of the cost.
+        """
+        self = cls.__new__(cls)
+        self.plan = nodes[id(program.plan)]
+        self.parameter_space = parameter_space
+        self._nodes = [nodes[id(node)] for node in program._nodes]
+        self._slots = {id(node): index for index, node in enumerate(self._nodes)}
+        self._reads = [
+            (name, default if name is None else parameter_space.get(name).expected)
+            for name, default in program._reads
+        ]
+        self._costs = program._costs
+        self._cards = program._cards
+        self._segments = []
+        for kernel, rows in program._segments:
+            if kernel is _choose_plan:
+                rows = [row[:3] + (nodes[id(row[3])],) for row in rows]
+            self._segments.append((kernel, rows))
+        self.decision_count = program.decision_count
+        return self
+
     # ------------------------------------------------------------------
     # Compilation
     # ------------------------------------------------------------------

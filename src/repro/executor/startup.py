@@ -22,10 +22,12 @@ service's plan cache relies on (see :mod:`repro.service`).
 """
 
 import time
+from operator import is_
 
 from repro.algebra.physical import (
     ChoosePlan,
     Filter,
+    FilterBTreeScan,
     HashJoin,
     IndexJoin,
     MergeJoin,
@@ -154,16 +156,14 @@ def resolve_dynamic_plan(plan, catalog, parameter_space, bindings):
 
 def _rebuild(node, new_children):
     """Copy a node onto resolved children (identity when unchanged)."""
-    old_children = list(node.inputs())
-    if all(new is old for new, old in zip(new_children, old_children)):
+    if all(map(is_, new_children, node.inputs())):
         return node
-    if isinstance(node, Filter):
+    kind = type(node)
+    if kind is HashJoin or kind is MergeJoin:
+        return kind(new_children[0], new_children[1], node.predicates)
+    if kind is Filter:
         return Filter(new_children[0], node.predicate)
-    if isinstance(node, HashJoin):
-        return HashJoin(new_children[0], new_children[1], node.predicates)
-    if isinstance(node, MergeJoin):
-        return MergeJoin(new_children[0], new_children[1], node.predicates)
-    if isinstance(node, IndexJoin):
+    if kind is IndexJoin:
         return IndexJoin(
             new_children[0],
             node.inner_relation,
@@ -171,12 +171,77 @@ def _rebuild(node, new_children):
             node.predicates,
             residual_predicate=node.residual_predicate,
         )
-    if isinstance(node, Sort):
+    if kind is Sort:
         return Sort(new_children[0], node.attribute)
-    if isinstance(node, Project):
+    if kind is Project:
         return Project(new_children[0], node.attributes)
     # Leaves have no children and always hit the identity path above.
     return node
+
+
+#: Optimizer annotations a re-bound node copies from its source.
+_ANNOTATIONS = ("cost", "cardinality", "sort_order")
+
+
+def rebind_plan(plan, predicates):
+    """Copy a plan onto other selection predicates.
+
+    ``predicates`` maps the ``id()`` of each selection predicate the
+    plan carries to the one that replaces it.  One walk over the DAG
+    returns ``(plan, nodes)``: the copy, and ``nodes`` mapping each
+    source node's ``id()`` to its copy.  ``Filter``,
+    ``FilterBTreeScan`` and an ``IndexJoin`` residual take their
+    replacement predicate; a node with none at or below it is shared,
+    not copied; DAG sharing and the order of choose-plan alternatives
+    are kept.  A copy carries only the annotations its source holds
+    itself, never the class defaults.
+    """
+    nodes = {}
+
+    def visit(node):
+        copy = nodes.get(id(node))
+        if copy is None:
+            children = [visit(child) for child in node.inputs()]
+            copy = nodes[id(node)] = _rebind(node, children, predicates)
+        return copy
+
+    return visit(plan), nodes
+
+
+def _rebind(node, children, predicates):
+    """One node of :func:`rebind_plan` over its re-bound ``children``."""
+    kind = type(node)
+    if kind is Filter or kind is FilterBTreeScan:
+        predicate = predicates.get(id(node.predicate), node.predicate)
+        if predicate is node.predicate:
+            copy = _rebuild(node, children)
+        elif kind is Filter:
+            copy = Filter(children[0], predicate)
+        else:
+            copy = FilterBTreeScan(node.relation_name, node.attribute, predicate)
+    elif kind is IndexJoin and node.residual_predicate is not None:
+        residual = predicates.get(id(node.residual_predicate), node.residual_predicate)
+        if residual is node.residual_predicate:
+            copy = _rebuild(node, children)
+        else:
+            copy = IndexJoin(
+                children[0],
+                node.inner_relation,
+                node.inner_attribute,
+                node.predicates,
+                residual_predicate=residual,
+            )
+    elif kind is ChoosePlan:
+        unchanged = all(map(is_, children, node.alternatives))
+        copy = node if unchanged else ChoosePlan(children)
+    else:
+        copy = _rebuild(node, children)
+    if copy is not node:
+        annotations = node.__dict__
+        for name in _ANNOTATIONS:
+            if name in annotations:
+                setattr(copy, name, annotations[name])
+    return copy
 
 
 def activate_plan(

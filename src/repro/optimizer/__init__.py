@@ -24,7 +24,12 @@ from repro.optimizer.optimizer import (
     optimize_static,
 )
 from repro.optimizer.properties import PhysicalProperty
-from repro.optimizer.query import QuerySpec, canonical_signature, signature_digest
+from repro.optimizer.query import (
+    QuerySpec,
+    canonical_signature,
+    input_signature,
+    signature_digest,
+)
 from repro.optimizer.search import SearchEngine, SearchStatistics
 
 __all__ = [
@@ -36,6 +41,7 @@ __all__ = [
     "SearchEngine",
     "SearchStatistics",
     "canonical_signature",
+    "input_signature",
     "signature_digest",
     "optimize_dynamic",
     "optimize_exhaustive",

@@ -25,8 +25,9 @@ def _operand_signature(operand):
     return ("operand", repr(operand))
 
 
-def _selection_signature(relation_name, predicate):
-    """Stable identity of one selection predicate."""
+def _selection_signature(relation_name, predicate, expected=True):
+    """Stable identity of one selection predicate; with ``expected``
+    false, an uncertain predicate's expected selectivity is left out."""
     comparison = predicate.comparison
     if predicate.is_uncertain:
         certainty = (
@@ -34,8 +35,9 @@ def _selection_signature(relation_name, predicate):
             predicate.selectivity_parameter,
             float(predicate.selectivity_bounds.lower),
             float(predicate.selectivity_bounds.upper),
-            float(predicate.expected_selectivity),
         )
+        if expected:
+            certainty += (float(predicate.expected_selectivity),)
     else:
         certainty = ("known", float(predicate.known_selectivity))
     return (
@@ -50,13 +52,22 @@ def _selection_signature(relation_name, predicate):
 def canonical_signature(query):
     """Canonical structural identity of a query, for plan caching.
 
-    Two queries share a signature exactly when a dynamic plan compiled
-    for one is usable for the other against the same catalog: same
-    relation set, same selection predicates (attribute, operator,
-    operand, and selectivity description), same join predicates
+    Two queries share a signature when they state the same query with
+    the same compile-time knowledge: same relation set, same selection
+    predicates (attribute, operator, operand, and selectivity
+    description — bounds *and* expected value), same join predicates
     (orientation-normalized — an equi-join is symmetric), same
     projection, and the same unbound-parameter set.  The query *name*
     is deliberately excluded: it is presentation, not semantics.
+
+    The expected selectivity is more than a dynamic plan needs: the
+    dynamic optimizer costs over the bounds and never reads it.  It
+    stays in the key because what a cache entry serves does read it — a
+    static plan is optimized at it, and start-up falls back to it for a
+    parameter a request leaves unbound — and because each entry keeps
+    its own observed ranges, re-optimizations and snapshot.  Queries
+    that differ only there share one optimizer run instead
+    (:func:`input_signature`).
 
     The signature is a nested tuple of primitives, so it is hashable,
     comparable, and stable across processes (no ``id()`` anywhere).
@@ -78,6 +89,49 @@ def canonical_signature(query):
         ("projection", query.projection),
         ("memory_uncertain", query.memory_uncertain),
         ("unbound", tuple(query.parameter_space.uncertain_names())),
+    )
+
+
+def input_signature(query):
+    """What the dynamic optimizer reads of a query: the key under which
+    one partition shares an optimizer run between cache entries.
+
+    It holds the relations in query order, per relation its selection
+    (attribute, operator, operand; an uncertain predicate's parameter
+    name and bounds, a known selectivity), the join predicates as
+    written, the projection, and every parameter of the space with its
+    bounds and uncertainty, plus the expected value of each *certain*
+    parameter (the memory grant).  An uncertain predicate's expected
+    value is left out: an optimizer run over the bounds never reads it
+    (``OptimizationResult.bounds_only``).  Nothing is sorted, because
+    relation and join order drive the search's order of alternatives
+    and its first-wins ties.
+    """
+    selections = tuple(
+        _selection_signature(name, query.selections[name], expected=False)
+        for name in query.relations
+        if name in query.selections
+    )
+    joins = tuple(
+        (predicate.left_attribute, predicate.right_attribute)
+        for predicate in query.join_predicates
+    )
+    parameters = tuple(
+        (
+            parameter.name,
+            float(parameter.bounds.lower),
+            float(parameter.bounds.upper),
+            parameter.uncertain,
+            None if parameter.uncertain else parameter.expected,
+        )
+        for parameter in query.parameter_space
+    )
+    return (
+        ("relations", query.relations),
+        ("selections", selections),
+        ("joins", joins),
+        ("projection", query.projection),
+        ("parameters", parameters),
     )
 
 

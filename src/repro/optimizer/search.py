@@ -101,9 +101,26 @@ class SearchStatistics:
 
 
 class OptimizationResult:
-    """Everything an optimization run produces."""
+    """Everything an optimization run produces.
 
-    def __init__(self, plan, entry, query, config, memo, statistics, root_key):
+    ``bounds_only`` says the run read nothing of the query beyond its
+    :func:`~repro.optimizer.query.input_signature`: it costed over the
+    compile-time bounds, without the multipoint heuristic (whose samples
+    are seeded with the query name).  Static mode and runtime
+    valuations read expected values or bindings, so their runs are not.
+    """
+
+    def __init__(
+        self,
+        plan,
+        entry,
+        query,
+        config,
+        memo,
+        statistics,
+        root_key,
+        bounds_only=False,
+    ):
         self.plan = plan
         self.entry = entry
         self.query = query
@@ -111,6 +128,7 @@ class OptimizationResult:
         self.memo = memo
         self.statistics = statistics
         self.root_key = root_key
+        self.bounds_only = bounds_only
 
     @property
     def cost(self):
@@ -216,8 +234,20 @@ class SearchEngine:
         self.stats.mexprs_total = self.memo.mexpr_count()
         self.stats.cost_evaluations = self.cost_model.evaluations
         self.stats.optimization_seconds = time.perf_counter() - started
+        bounds_only = (
+            valuation.is_bounds
+            and not self.config.is_static
+            and not self.config.multipoint_heuristic
+        )
         return OptimizationResult(
-            entry.plan, entry, query, self.config, self.memo, self.stats, root_key
+            entry.plan,
+            entry,
+            query,
+            self.config,
+            self.memo,
+            self.stats,
+            root_key,
+            bounds_only=bounds_only,
         )
 
     # ------------------------------------------------------------------

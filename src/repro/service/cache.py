@@ -157,9 +157,13 @@ class PlanCacheEntry:
         self.chosen_memo = {}
         #: Demoted and not served since (:meth:`demote`).
         self.demoted = False
+        #: The optimizer run the plan was compiled or re-bound from, if
+        #: its partition shares it (``QueryService``, "Shared
+        #: compiles"); holding it keeps it shareable.
+        self.compiled_from = None
         self.lock = threading.RLock()
 
-    def install(self, plan, parameter_space, decision=None):
+    def install(self, plan, parameter_space, decision=None, compiled_from=None):
         """Publish a compiled plan (call with ``self.lock`` held).
 
         Replaces the start-up decision program atomically with the
@@ -168,6 +172,7 @@ class PlanCacheEntry:
         """
         self.plan = plan
         self.decision = decision
+        self.compiled_from = compiled_from
         self.chosen_memo = {}
         self.demoted = False
         self.parameter_space = parameter_space

@@ -279,7 +279,7 @@ def render_report(report):
     lines.append(
         "  cache: %.1f%% hit rate (%d hits / %d lookups), "
         "%d evictions, %d promotions, %d re-optimizations, "
-        "%d decision compiles"
+        "%d decision compiles, %d shared compiles"
         % (
             100.0 * stats.hit_rate,
             stats.cache["hits"],
@@ -288,6 +288,7 @@ def render_report(report):
             stats.cache["promotions"],
             stats.cache["invalidations"],
             stats.resilience["decision_compiles"],
+            stats.resilience["shared_compiles"],
         )
     )
     lines.append(

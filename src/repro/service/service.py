@@ -32,6 +32,7 @@ served, so thread scheduling cannot perturb any RNG stream (see
 
 import threading
 import time
+import weakref
 
 from repro.common.errors import (
     MemoryDropError,
@@ -52,6 +53,8 @@ from repro.executor.midquery import (
     execute_midquery,
     startup_report_from_outcome,
 )
+from repro.executor.startup import rebind_plan
+from repro.optimizer.query import input_signature
 from repro.resilience.deadline import Deadline
 from repro.resilience.policy import ResiliencePolicy
 from repro.service.cache import PlanCache
@@ -81,6 +84,7 @@ RESILIENCE_COUNTERS = (
     "breaker_trips",
     "breaker_short_circuits",
     "decision_compiles",
+    "shared_compiles",
     "midquery_checkpoints",
     "midquery_redecisions",
     "midquery_switches",
@@ -89,6 +93,35 @@ RESILIENCE_COUNTERS = (
     "settled_requests",
     "incremental_redecisions",
 )
+
+
+class SharedCompile:
+    """One optimizer run a partition shares: the query it optimized,
+    the plan and the decision program compiled from it.
+
+    Immutable; every cache entry installed from it holds it, which is
+    what keeps it in the partition's weak memo.
+    """
+
+    __slots__ = ("query", "plan", "decision", "__weakref__")
+
+    def __init__(self, query, plan, decision):
+        self.query = query
+        self.plan = plan
+        self.decision = decision
+
+    def rebind(self, query):
+        """``(plan, decision)`` for ``query``, which has this run's
+        input signature: the plan and program re-bound to its own
+        selection predicates and parameter space."""
+        predicates = {
+            id(predicate): query.selections[relation_name]
+            for relation_name, predicate in self.query.selections.items()
+        }
+        plan, nodes = rebind_plan(self.plan, predicates)
+        return plan, CompiledDecision.rebound(
+            self.decision, nodes, query.parameter_space
+        )
 
 
 class ServiceRequest:
@@ -397,6 +430,10 @@ class QueryService:
         self.resilience = resilience if resilience is not None else ResiliencePolicy()
         self.reopt_policy = _coerce_reopt(reopt_policy)
         self._optimize = optimize
+        #: input signature -> SharedCompile of the first bounds-only
+        #: optimizer run over it, alive while an entry holds it.
+        self._shared = weakref.WeakValueDictionary()
+        self._shared_lock = threading.Lock()
         self._db_lock = db_lock
         self._stats_lock = threading.Lock()
         self._startup_seconds = []
@@ -622,20 +659,40 @@ class QueryService:
                 self._m_rows.inc(execution.row_count)
 
     def _compile(self, entry, query):
-        """Optimize ``query`` and compile its decision program into
-        ``entry`` (entry lock held); seconds."""
-        compile_started = time.perf_counter()
-        result = self._optimize(self.catalog, query)
-        plan = result.plan
-        if self.validate:
-            from repro.executor.validation import validate_plan
+        """Install ``query``'s plan and decision program into ``entry``
+        (entry lock held); seconds.
 
-            plan = validate_plan(plan, self.catalog)
-        # A plan the program cannot compile is one the cost model cannot
-        # cost: the DecisionCompilationError fails the request, typed.
-        decision = CompiledDecision(plan, self.catalog, query.parameter_space)
-        self._count("decision_compiles")
-        entry.install(plan, query.parameter_space, decision)
+        A query whose input signature a live or retained entry's
+        optimizer run already covered re-binds that run's plan and
+        program; any other runs the optimizer and compiles a program,
+        and a bounds-only run becomes shareable.  The memo lock is never
+        held across the optimizer, so two misses on one input signature
+        may both optimize; both results are correct.
+        """
+        compile_started = time.perf_counter()
+        key = input_signature(query)
+        with self._shared_lock:
+            shared = self._shared.get(key)
+        if shared is not None:
+            plan, decision = shared.rebind(query)
+            self._count("shared_compiles")
+        else:
+            result = self._optimize(self.catalog, query)
+            plan = result.plan
+            if self.validate:
+                from repro.executor.validation import validate_plan
+
+                plan = validate_plan(plan, self.catalog)
+            # A plan the program cannot compile is one the cost model
+            # cannot cost: the DecisionCompilationError fails the
+            # request, typed.
+            decision = CompiledDecision(plan, self.catalog, query.parameter_space)
+            self._count("decision_compiles")
+            if result.bounds_only:
+                shared = SharedCompile(query, plan, decision)
+                with self._shared_lock:
+                    self._shared.setdefault(key, shared)
+        entry.install(plan, query.parameter_space, decision, compiled_from=shared)
         return time.perf_counter() - compile_started
 
     def _note_midquery(self, entry, decision, mid_report):

@@ -124,15 +124,19 @@ class TestRecompilationIsCounted:
     def test_churn_stream_optimizes_each_shape_once_within_the_retained_bound(
         self, churn
     ):
-        """The optimizer runs for first touches, re-optimizations and
-        plans the retained tier itself overflowed: never for a plan the
-        process still holds."""
-        calls, shapes, shards, _stats = churn
+        """Every install is an optimizer run or a shared compile: first
+        touches, re-optimizations and plans the retained tier itself
+        overflowed, never a plan the process still holds.  The shapes
+        differ only in expected selectivity, one optimizer input, so
+        each shard runs the optimizer once for it."""
+        calls, shapes, shards, stats = churn
         cache = {key: sum(s[key] for s in shards) for key in shards[0]}
         overflows = cache["evictions"] - cache["promotions"] - cache["retained"]
+        shared = stats.resilience["shared_compiles"]
         assert cache["evictions"] > 2 * shapes  # the stream does churn
-        assert len(calls) == cache["misses"] + cache["invalidations"]
-        assert len(calls) <= shapes + cache["invalidations"] + overflows
+        assert len(calls) + shared == cache["misses"] + cache["invalidations"]
+        assert len(calls) + shared <= shapes + cache["invalidations"] + overflows
+        assert len(calls) <= len(shards) + cache["invalidations"]
         assert all(s["retained"] <= 48 for s in shards)
 
     def test_churn_stream_compiles_a_decision_program_per_optimizer_run(
@@ -140,7 +144,10 @@ class TestRecompilationIsCounted:
     ):
         """A retained plan keeps its program: more promotions than
         optimizer runs, and the decision compiler runs exactly when the
-        optimizer does."""
+        optimizer does; a shared compile re-binds a program instead."""
         calls, _shapes, _shards, stats = churn
         assert stats.cache["promotions"] > len(calls)
         assert stats.resilience["decision_compiles"] == len(calls)
+        installs = stats.cache["misses"] + stats.cache["invalidations"]
+        programs = stats.resilience["decision_compiles"]
+        assert programs + stats.resilience["shared_compiles"] == installs

@@ -288,7 +288,8 @@ class TestRetainedTier:
             assert drifted.reoptimized
             cache = service.cache.stats_snapshot()
             stats = service.stats()
-        assert len(calls) == 3 == cache["misses"] + cache["invalidations"]
+        shared = stats.resilience["shared_compiles"]
+        assert len(calls) + shared == 3 == cache["misses"] + cache["invalidations"]
         assert (cache["misses"], cache["promotions"], cache["evictions"]) == (2, 5, 6)
         assert (cache["entries"], cache["retained"]) == (1, 1)
         assert stats.cache == cache and stats.optimize_count == 3
@@ -301,6 +302,7 @@ class TestRetainedTier:
         assert {e.meta["digest"] for e in promoted} == {r.digest for r in results}
         # A program is compiled per optimizer run; no promotion compiles.
         assert stats.resilience["decision_compiles"] == len(calls)
+        assert shared == 0  # the spoiler and the widening change the input
 
     @pytest.mark.parametrize(
         "optimize", (optimize_static, optimize_dynamic), ids=("static", "dynamic")
