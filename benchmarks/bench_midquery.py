@@ -36,7 +36,11 @@ bug.
 One wall-clock record rides along per scenario,
 ``redecision_us_per_pass``: the splice arm's ``decision_seconds /
 redecisions`` with the plan's decision program compiled beforehand, so
-it is the cost of a re-decision pass and nothing else.
+it is the cost of a re-decision pass and nothing else.  Two exact counts
+pin the same work: ``steps_per_redecision``, the decision-program steps
+the splice arm ran over its re-decisions (the opening decision included,
+as in the wall record; every pass runs the whole program), and
+``probes``, the index-only counts it ran before deciding.
 """
 
 from conftest import write_and_print, write_json_results
@@ -167,6 +171,9 @@ def _measure_scenario(workload, bindings, data_seed):
         "restart_seconds": restarted.simulated_seconds(),
         "splice_seconds": spliced.simulated_seconds(),
         "redecision_us_per_pass": 1e6 * min(pass_seconds),
+        "steps_per_redecision": splice_report.cost_evaluations
+        / splice_report.redecisions,
+        "probes": splice_report.probes,
     }
 
 
@@ -231,6 +238,8 @@ def test_midquery_switch_beats_restart(results_dir):
                 "x",
             ),
             ("redecision_us_per_pass", m["redecision_us_per_pass"], "us"),
+            ("steps_per_redecision", m["steps_per_redecision"], "count"),
+            ("probes", m["probes"], "count"),
         ):
             records.append(
                 {

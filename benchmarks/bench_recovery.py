@@ -8,6 +8,14 @@ per-request first-touch latency of both starts over the same hot set
 and gates the acceptance bar: the snapshot-restored p50 must be at
 least 3x faster than the cold p50.
 
+Each hot shape names its own selectivity parameters, as distinct
+prepared statements do.  Shapes that differ only in an expected
+selectivity share one input signature, and a partition re-binds the
+plan it already optimized for one of them (a shared compile), so the
+cold start would not optimize once per shape.  Counted asserts pin
+both starts' work: a cold start runs the optimizer once per shape and
+shares nothing; a restored start runs neither.
+
 Latencies are collected across several fresh gateways per variant
 (each cold sample really is a first touch), and the verdict compares
 p50s so scheduler noise in one serve does not decide it.
@@ -17,10 +25,16 @@ import time
 
 from conftest import write_and_print, write_json_results
 
+from repro.algebra.expressions import SelectionPredicate
 from repro.common import percentile
+from repro.optimizer.query import QuerySpec
 from repro.service import DurabilityConfig, ShardedQueryService
 from repro.storage import Database
-from repro.workloads.traffic import HeavyTrafficSpec, to_service_requests
+from repro.workloads.traffic import (
+    HeavyTrafficSpec,
+    build_traffic_queries,
+    to_service_requests,
+)
 
 SHAPES = 8
 SHARDS = 3
@@ -38,6 +52,41 @@ def make_gateway(catalog, durability=None):
         execute=False,
         durability=durability,
     )
+
+
+def distinct_input_queries(spec):
+    """The spec's shapes, each with its own selectivity parameter names."""
+    catalog, queries = build_traffic_queries(spec)
+    distinct = []
+    for shape, query in enumerate(queries):
+        selections = {
+            name: SelectionPredicate(
+                predicate.comparison,
+                selectivity_parameter="%s_%d"
+                % (predicate.selectivity_parameter, shape),
+                selectivity_bounds=(
+                    predicate.selectivity_bounds.lower,
+                    predicate.selectivity_bounds.upper,
+                ),
+                expected_selectivity=predicate.expected_selectivity,
+            )
+            for name, predicate in query.selections.items()
+        }
+        distinct.append(
+            QuerySpec(
+                relations=query.relations,
+                selections=selections,
+                join_predicates=query.join_predicates,
+                name=query.name,
+            )
+        )
+    return catalog, distinct
+
+
+def compile_counts(gateway):
+    """``(optimizer runs, shared compiles)`` summed over the shards."""
+    counts = gateway.stats().total.resilience
+    return counts["decision_compiles"], counts["shared_compiles"]
 
 
 def first_touch_requests(requests):
@@ -67,7 +116,8 @@ def test_recovery_restore_speedup(results_dir, tmp_path):
     spec = HeavyTrafficSpec(
         requests=64, query_shapes=SHAPES, tenants=2, seed=0
     )
-    catalog, _queries, requests = to_service_requests(spec)
+    catalog, queries = distinct_input_queries(spec)
+    _, _, requests = to_service_requests(spec, catalog=catalog, queries=queries)
     hot = first_touch_requests(requests)
     assert len(hot) == SHAPES
 
@@ -87,9 +137,12 @@ def test_recovery_restore_speedup(results_dir, tmp_path):
         cold = make_gateway(catalog)
         try:
             cold_results = serve_hot_set(cold, hot, cold_samples)
+            cold_compiles = compile_counts(cold)
         finally:
             cold.shutdown()
         assert not any(result.cache_hit for result in cold_results)
+        # One optimizer run per shape, none re-bound from another's.
+        assert cold_compiles == (SHAPES, 0)
 
         restored = make_gateway(
             catalog,
@@ -102,11 +155,14 @@ def test_recovery_restore_speedup(results_dir, tmp_path):
             assert stats is not None and stats.restored == SHAPES
             assert stats.errors == []
             restored_results = serve_hot_set(restored, hot, restored_samples)
+            restored_compiles = compile_counts(restored)
         finally:
             restored.shutdown()
         # The counter-level proof of warm restore: every first touch
-        # after a restore is a cache hit — the optimizer never runs.
+        # after a restore is a cache hit — the optimizer never runs and
+        # nothing is re-bound.
         assert all(result.cache_hit for result in restored_results)
+        assert restored_compiles == (0, 0)
 
     cold_p50 = percentile(cold_samples, 0.50)
     restored_p50 = percentile(restored_samples, 0.50)

@@ -16,7 +16,6 @@ from repro.executor.engine import (
 )
 from repro.executor.midquery import (
     BreakerEvent,
-    IncrementalDecider,
     MidQueryReport,
     ReoptPolicy,
     execute_midquery,
@@ -30,7 +29,6 @@ __all__ = [
     "BreakerEvent",
     "ExecutionContext",
     "ExecutionResult",
-    "IncrementalDecider",
     "MidQueryReport",
     "ReoptPolicy",
     "execute_midquery",

@@ -35,17 +35,16 @@ is this module's.  Compilation never mutates the plan, and a compiled
 procedure keeps no per-invocation state, so one instance serves any
 number of threads.
 
-The same program carries the decision into execution.  A mid-query
-checkpoint *pins* a slot — cost ``0.0``, cardinality the observed row
-count: the ``Materialized`` step, applied to a slot of the original
-program instead of recompiling — and only the slots above the pin are
-re-run, by the same kernels one row at a time.  One query's work
-arrays, pins and dirty slots are per-query state, so they live in
-:class:`~repro.executor.midquery.IncrementalDecider`, never here: the
-program stays shared and stateless.  What is the same for every query
-(each slot's parents, which steps read which parameter, the one-row
-steps, the selectivities the decisions read) is derived here on first
-request and cached.
+The same program carries the decision into execution.  Every
+re-decision — at a mid-query breaker, at start-up verification, after a
+memory drop — is one whole pass of it.  A drained subplan's checkpoint
+*pins* its slot: cost ``0.0``, cardinality the observed row count (the
+``Materialized`` step, applied to a slot of the original program
+instead of recompiling), and the chosen plan is rebuilt with the
+checkpoint in the node's place.  Pins and standing choices are the
+caller's, passed in per pass, so the program stays shared and
+stateless; the selectivities the decisions read (:meth:`read_set`)
+are derived here once and cached.
 """
 
 import time
@@ -55,8 +54,6 @@ from repro.algebra.physical import (
     ChoosePlan,
     Filter,
     FilterBTreeScan,
-    HashJoin,
-    Sort,
 )
 from repro.common.errors import PlanError
 from repro.common.units import access_module_read_seconds
@@ -78,15 +75,6 @@ def _uncertain_predicate(node):
     return predicate if predicate is not None and predicate.is_uncertain else None
 
 
-def _parameter_read(node):
-    """The one parameter a node's step reads from the bindings, if any:
-    the memory grant (hash join, sort) or an uncertain selectivity."""
-    if isinstance(node, (HashJoin, Sort)):
-        return MEMORY_PARAMETER
-    predicate = _uncertain_predicate(node)
-    return None if predicate is None else predicate.selectivity_parameter
-
-
 # The one kernel of this module: the start-up choose-plan rule.  The
 # other kinds' kernels, and the rows they run, are
 # :mod:`repro.cost.formulas`'.
@@ -105,6 +93,33 @@ def _choose_plan(rows, costs, cards, values, decisions):
         costs[slot] = costs[chosen]
         cards[slot] = cards[chosen]
         decisions.append((node, node.alternatives[best]))
+
+
+def rebuild_chosen(plan, chosen, built, origins=None):
+    """The static plan ``plan`` resolves to under ``chosen``
+    (``id(choose_plan) -> alternative``), rebuilding only the chosen
+    subgraph: losing alternatives are never visited.
+
+    ``built`` maps ``id(node)`` to the static node built for it and
+    fills as the walk goes, children first; an entry placed there
+    beforehand (a checkpoint) stands in for its node.  ``origins``, when
+    given, maps ``id(static node)`` to the last plan node built into it:
+    a choose-plan rather than the alternative it chose.
+    """
+
+    def visit(node):
+        result = built.get(id(node))
+        if result is None:
+            if isinstance(node, ChoosePlan):
+                result = visit(chosen[id(node)])
+            else:
+                result = _rebuild(node, [visit(child) for child in node.inputs()])
+            built[id(node)] = result
+            if origins is not None:
+                origins[id(result)] = node
+        return result
+
+    return visit(plan)
 
 
 class CompiledDecision:
@@ -246,15 +261,17 @@ class CompiledDecision:
     # Start-up
     # ------------------------------------------------------------------
 
-    def choose(self, bindings):
+    def choose(self, bindings, pins=None):
         """Run every decision procedure under ``bindings``.
 
         Returns ``(static_plan, report)`` exactly like
-        :func:`~repro.executor.startup.resolve_dynamic_plan`.  All
-        working state is local to this call — safe to invoke from any
-        number of threads on the same instance.
+        :func:`~repro.executor.startup.resolve_dynamic_plan`.  ``pins``
+        are drained nodes (see :meth:`evaluate`); the plan is rebuilt
+        with each checkpoint in its node's place.  All working state is
+        local to this call — safe to invoke from any number of threads
+        on the same instance.
         """
-        return self._choose(bindings, None)
+        return self._choose(bindings, None, pins)
 
     def choose_memoized(self, bindings, memo):
         """:meth:`choose` with the chosen-plan rebuild memoized.
@@ -267,29 +284,58 @@ class CompiledDecision:
         every invocation.  Decisions themselves are always re-evaluated;
         plans are immutable, so returning the memoized object is exact.
         """
-        return self._choose(bindings, memo)
+        return self._choose(bindings, memo, None)
 
-    def evaluate(self, bindings):
+    def evaluate(self, bindings, pins=None):
         """One full pass: every slot's point cost and cardinality under
         ``bindings`` as fresh ``(costs, cards)`` work arrays, plus the
-        ``(choose_plan, chosen_alternative)`` decisions in rank order."""
+        ``(choose_plan, chosen_alternative)`` decisions in rank order.
+
+        ``pins`` maps a slot to the
+        :class:`~repro.algebra.physical.Materialized` checkpoint of its
+        drained node.  Once its segment has run, a pinned slot takes cost
+        ``0.0`` and the observed row count (the ``Materialized`` step,
+        applied to a slot of this program instead of recompiling), and a
+        pinned choose-plan decides nothing: its standing choice is kept.
+        """
         get = bindings.get_parameter
         values = [get(name, default) for name, default in self._reads]
         costs = self._costs[:]
         cards = self._cards[:]
         decisions = []
+        if not pins:
+            for kernel, rows in self._segments:
+                kernel(rows, costs, cards, values, decisions)
+            return costs, cards, decisions
+        pinned = [
+            (slot, float(checkpoint.observed_cardinality))
+            for slot, checkpoint in pins.items()
+        ]
+
+        def pin():
+            for slot, observed in pinned:
+                costs[slot] = 0.0
+                cards[slot] = observed
+
+        pin()
         for kernel, rows in self._segments:
             kernel(rows, costs, cards, values, decisions)
+            # Before a later rank reads it (one rank's slots never read
+            # each other).
+            pin()
+        slots = self._slots
+        decisions = [pair for pair in decisions if slots[id(pair[0])] not in pins]
         return costs, cards, decisions
 
-    def _choose(self, bindings, memo):
+    def _choose(self, bindings, memo, pins):
         started = time.perf_counter()
-        decisions = self.evaluate(bindings)[2]
+        decisions = self.evaluate(bindings, pins)[2]
         outcome = tuple(decisions)
         chosen = None if memo is None else memo.get(outcome)
         if chosen is None:
+            built = {id(self._nodes[slot]): pin for slot, pin in (pins or {}).items()}
             chosen_map = {id(node): alternative for node, alternative in decisions}
-            chosen = self._rebuild_chosen(self.plan, chosen_map, {})
+            chosen = rebuild_chosen(self.plan, chosen_map, built)
             if memo is not None:
                 memo[outcome] = chosen
         cpu_seconds = time.perf_counter() - started
@@ -303,32 +349,9 @@ class CompiledDecision:
         )
         return chosen, report
 
-    def _rebuild_chosen(self, node, chosen_map, memo):
-        """The static plan under the decisions, rebuilding only the
-        chosen subgraph (losing alternatives are skipped entirely)."""
-        cached = memo.get(id(node))
-        if cached is not None:
-            return cached
-        if isinstance(node, ChoosePlan):
-            result = self._rebuild_chosen(chosen_map[id(node)], chosen_map, memo)
-        else:
-            result = _rebuild(
-                node,
-                [
-                    self._rebuild_chosen(child, chosen_map, memo)
-                    for child in node.inputs()
-                ],
-            )
-        memo[id(node)] = result
-        return result
-
-    # ------------------------------------------------------------------
-    # Mid-query re-decision (the caller owns all per-query state)
-    # ------------------------------------------------------------------
-
-    #: Derived on first request, then shared.  Building any twice
-    #: yields equal values, so racing threads need no lock.
-    _parents = _readers = _steps = _read_set = None
+    #: Derived on first request, then shared.  Building it twice yields
+    #: equal values, so racing threads need no lock.
+    _read_set = None
 
     def __len__(self):
         """Number of slots: one step per distinct plan node."""
@@ -338,88 +361,22 @@ class CompiledDecision:
         """Slot of a node of the compiled plan (``None`` for any other)."""
         return self._slots.get(id(node))
 
-    def parent_slots(self):
-        """``slot -> parent slots``; a choose-plan is its alternatives' parent."""
-        if self._parents is None:
-            parents = [[] for _ in self._nodes]
-            for slot, node in enumerate(self._nodes):
-                for child in node.inputs():
-                    parents[self._slots[id(child)]].append(slot)
-            self._parents = parents
-        return self._parents
-
-    def reader_slots(self, parameter):
-        """Slots whose step reads ``parameter`` from the bindings."""
-        if self._readers is None:
-            readers = {}
-            for slot, node in enumerate(self._nodes):
-                read = _parameter_read(node)
-                if read is not None:
-                    readers.setdefault(read, []).append(slot)
-            self._readers = readers
-        return self._readers.get(parameter, ())
-
-    def selectivity_reads(self, slots, pins):
-        """``{parameter: predicate}`` of every uncertain selectivity the
-        choose-plans among ``slots`` depend on: read at or below one,
-        without descending into a slot of ``pins``."""
-        nodes = self._nodes
-        stack = [nodes[s] for s in slots if isinstance(nodes[s], ChoosePlan)]
-        seen = set()
-        reads = {}
-        while stack:
-            node = stack.pop()
-            if id(node) in seen or self._slots[id(node)] in pins:
-                continue
-            seen.add(id(node))
-            predicate = _uncertain_predicate(node)
-            if predicate is not None:
-                reads.setdefault(predicate.selectivity_parameter, predicate)
-            stack.extend(node.inputs())
-        return reads
-
     def read_set(self):
         """``{parameter: predicate}`` of every uncertain selectivity some
         choose-plan depends on: once each is exact, so is every decision."""
         if self._read_set is None:
-            self._read_set = self.selectivity_reads(range(len(self._nodes)), {})
+            reads = {}
+            below = set()
+            # Parents before children: a node is below a choose-plan when
+            # it is one or a parent is.
+            for node in reversed(self._nodes):
+                if id(node) in below or isinstance(node, ChoosePlan):
+                    below.update(map(id, node.inputs()))
+                    predicate = _uncertain_predicate(node)
+                    if predicate is not None:
+                        reads.setdefault(predicate.selectivity_parameter, predicate)
+            self._read_set = reads
         return self._read_set
-
-    def rerun(self, slots, costs, cards, bindings, pins):
-        """Re-run the steps of ``slots`` over the caller's work arrays.
-
-        ``slots`` must ascend (program order is topological) and be
-        closed upward, so every step reads current inputs.  A slot in
-        ``pins`` (``slot -> Materialized``) takes the checkpoint's values
-        and runs no step.  Returns :meth:`choose`'s ``decisions`` for the
-        choose-plan steps that ran, and the number of steps run.
-        """
-        steps = self._steps
-        if steps is None:
-            # One-row segments; a template slot keeps ``None``.
-            steps = [None] * len(self._nodes)
-            for kernel, rows in self._segments:
-                for row in rows:
-                    steps[row[0]] = (kernel, (row,))
-            self._steps = steps
-        get = bindings.get_parameter
-        values = [get(name, default) for name, default in self._reads]
-        decisions = []
-        ran = 0
-        for slot in slots:
-            checkpoint = pins.get(slot)
-            if checkpoint is not None:
-                costs[slot] = 0.0
-                cards[slot] = float(checkpoint.observed_cardinality)
-                continue
-            step = steps[slot]
-            if step is None:
-                costs[slot] = self._costs[slot]
-                cards[slot] = self._cards[slot]
-            else:
-                step[0](step[1], costs, cards, values, decisions)
-            ran += 1
-        return decisions, ran
 
     def __repr__(self):
         return "CompiledDecision(%d nodes, %d decisions)" % (

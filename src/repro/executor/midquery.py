@@ -6,9 +6,9 @@ choose-plan decision procedures", so that a temporary result's known
 cardinality drives the remaining decisions.  This module is that
 mechanism, anchored where later work places it: *pipeline breakers*
 (arXiv:2010.00728) are where intermediate results materialize anyway,
-so observed cardinalities are free, and *incremental re-costing*
-(arXiv:1409.6288) bounds the re-decision overhead by re-running only
-the steps of the plan's compiled decision program whose inputs moved.
+so observed cardinalities are free.  A re-decision is one whole pass
+of the plan's compiled decision program, the one start-up runs, with
+every drained subplan pinned to its observed row count.
 
 Three breaker kinds are recognised:
 
@@ -23,11 +23,11 @@ Three breaker kinds are recognised:
 At each breaker :func:`execute_midquery` drains the breaker subplan,
 checkpoints the rows into a
 :class:`~repro.algebra.physical.Materialized` node, and — when the
-policy triggers — re-runs only the *affected* choose-plan decisions
-with the observed cardinality pinned.  The re-decision never restarts
-drained work: the checkpoint replaces the subplan in every alternative
-that contains it, so switching plans costs only the undrained
-remainder.
+policy triggers — first counts, index-only, every selectivity the
+decisions read that nothing has observed yet, then re-runs the program
+over the pins.  The re-decision never restarts drained work: the
+checkpoint replaces the subplan in every alternative that contains
+it, so switching plans costs only the undrained remainder.
 
 What one run observed need not be relearned by the next.  A caller
 that remembers which declared selectivities a run found false (the
@@ -55,7 +55,6 @@ from math import ceil, floor
 
 from repro.algebra.physical import (
     BTreeScan,
-    ChoosePlan,
     FileScan,
     Filter,
     FilterBTreeScan,
@@ -64,12 +63,15 @@ from repro.algebra.physical import (
     Sort,
 )
 from repro.common.errors import ExecutionError
-from repro.common.units import access_module_read_seconds
 from repro.cost.formulas import CostModel
 from repro.cost.parameters import Bindings, ParameterSpace, Valuation
-from repro.executor.decision import CompiledDecision, _uncertain_predicate
+from repro.executor.decision import (
+    CompiledDecision,
+    _uncertain_predicate,
+    rebuild_chosen,
+)
 from repro.executor.engine import ExecutionResult, execute_plan
-from repro.executor.startup import StartupReport, _rebuild
+from repro.executor.startup import _rebuild
 from repro.executor.vectorized import sargable_key_range
 from repro.resilience.deadline import Deadline
 from repro.storage.iostats import IOStatistics
@@ -145,61 +147,6 @@ class BreakerEvent:
         )
 
 
-class Redecision:
-    """One choose-plan decision re-made at a breaker."""
-
-    __slots__ = ("node", "chosen", "prior", "incumbent_cost", "candidate_cost")
-
-    def __init__(self, node, chosen, prior, incumbent_cost, candidate_cost):
-        self.node = node
-        self.chosen = chosen
-        self.prior = prior
-        #: Re-costed value of the previously chosen alternative, or
-        #: ``None`` when this is the first decision for the node.
-        self.incumbent_cost = incumbent_cost
-        self.candidate_cost = candidate_cost
-
-    @property
-    def switched(self):
-        """Whether the re-decision picked a different alternative."""
-        return self.prior is not None and self.chosen is not self.prior
-
-    def __repr__(self):
-        return "Redecision(switched=%s, incumbent=%r, candidate=%r)" % (
-            self.switched,
-            self.incumbent_cost,
-            self.candidate_cost,
-        )
-
-
-class DecisionOutcome:
-    """Result of one :meth:`IncrementalDecider.decide` pass."""
-
-    def __init__(self, plan, decided, reused, cost_evaluations, seconds, choices):
-        self.plan = plan
-        #: :class:`Redecision` entries for choose-plans decided this pass.
-        self.decided = decided
-        #: Choose-plans whose standing choice was kept without an argmin.
-        self.reused = reused
-        #: Scalar steps of the decision program re-run this pass.
-        self.cost_evaluations = cost_evaluations
-        self.seconds = seconds
-        #: Every standing (choose_plan, chosen_original) pair.
-        self.choices = choices
-
-    @property
-    def switched(self):
-        """Whether any decision changed relative to the incumbent."""
-        return any(entry.switched for entry in self.decided)
-
-    def __repr__(self):
-        return "DecisionOutcome(decided=%d, reused=%d, evals=%d)" % (
-            len(self.decided),
-            self.reused,
-            self.cost_evaluations,
-        )
-
-
 class MidQueryReport:
     """Accounting of one mid-query-re-optimized execution."""
 
@@ -215,7 +162,7 @@ class MidQueryReport:
         self.redecisions = 0
         #: Passes that changed at least one choice.
         self.switches = 0
-        self.decisions_reused = 0
+        #: Decision-program steps run: one whole program per pass.
         self.cost_evaluations = 0
         self.decision_seconds = 0.0
         #: ``parameter -> (declared, observed, "startup" | "drain" |
@@ -232,20 +179,11 @@ class MidQueryReport:
         self.final_plan = None
         #: (choose_plan, chosen_original) pairs of the final decisions.
         self.choices = []
-        #: Every :class:`Redecision` made, across all passes.
-        self.redecision_events = []
 
     @property
     def probes(self):
         """Index-only range counts run before re-decisions."""
         return self.probe_io["index_probes"]
-
-    def note_outcome(self, outcome):
-        """Fold one decision pass into the counters."""
-        self.decisions_reused += outcome.reused
-        self.cost_evaluations += outcome.cost_evaluations
-        self.decision_seconds += outcome.seconds
-        self.redecision_events.extend(outcome.decided)
 
     def to_dict(self):
         """Plain-data form; deterministic (no wall-clock values)."""
@@ -257,7 +195,6 @@ class MidQueryReport:
             "violations": self.violations,
             "redecisions": self.redecisions,
             "switches": self.switches,
-            "decisions_reused": self.decisions_reused,
             "cost_evaluations": self.cost_evaluations,
             "probes": self.probes,
             "probe_io": dict(self.probe_io),
@@ -309,214 +246,6 @@ class MidQueryReport:
         )
 
 
-class IncrementalDecider:
-    """Incrementally re-decides a dynamic plan's choose-plan operators.
-
-    One decider owns one dynamic plan for the lifetime of a query and
-    runs the plan's :class:`~repro.executor.decision.CompiledDecision`
-    — the program start-up runs, so start-up, breaker re-decisions and
-    memory-drop degradation are one decision procedure.  The program
-    is shared and stateless; what belongs to this query lives here: the
-    ``costs``/``cards`` work arrays, the pins, and the *dirty* slots,
-    whose inputs moved since they were computed.  :meth:`pin` and
-    :meth:`rebind` only mark slots dirty; :meth:`decide` re-runs exactly
-    those, in program order.
-
-    ``decision`` is the plan's program when the caller holds one (the
-    plan cache does); otherwise the first :meth:`decide` compiles it —
-    raising :class:`~repro.executor.decision.DecisionCompilationError`
-    for a plan the compiler rejects — and a run that only splices
-    compiles nothing.  ``choices`` seeds decisions made at start-up.
-    """
-
-    def __init__(
-        self, plan, catalog, parameter_space, bindings, decision=None, choices=()
-    ):
-        if decision is not None and decision.plan is not plan:
-            raise ExecutionError("decision program was compiled for another plan")
-        self.plan = plan
-        self.catalog = catalog
-        self.parameter_space = parameter_space
-        self.bindings = bindings
-        self._program = decision
-        #: Filled by the first :meth:`decide`; until then every slot is
-        #: dirty and nothing needs marking.
-        self._costs = self._cards = None
-        self._dirty = set()
-        #: id(choose_plan) -> (choose_plan, chosen original alternative)
-        self._choices = {
-            id(choose): (choose, chosen)
-            for choose, chosen in choices
-            if chosen is not None
-        }
-        #: id(dynamic node) -> (dynamic node, Materialized checkpoint)
-        self._pinned = {}
-        #: id(dynamic node) -> (resolved inputs, resolved static node)
-        self._resolved = {}
-        #: id(resolved node) -> dynamic node it came from
-        self._origin = {}
-
-    def origin_of(self, resolved):
-        """The dynamic-plan node a resolved node was built from."""
-        return self._origin.get(id(resolved), resolved)
-
-    def pin(self, origin, checkpoint):
-        """Pin a dynamic node to a materialized checkpoint.
-
-        Every later pass resolves ``origin`` — in *every* alternative
-        that shares it — to the checkpoint, whose cost is zero and
-        whose cardinality is the observed row count.  Only the slots
-        above the pin become dirty.
-        """
-        self._pinned[id(origin)] = (origin, checkpoint)
-        if self._costs is not None:
-            self._mark_dirty((self._program.slot_of(origin),))
-
-    def rebind(self, bindings, changed_parameters):
-        """Adopt new bindings.
-
-        ``changed_parameters`` names the parameters whose values moved
-        (e.g. ``("memory_pages",)`` after a mid-run memory drop); the
-        steps that read one, and the slots above those, become dirty.
-        """
-        self.bindings = bindings
-        if self._costs is not None:
-            for parameter in changed_parameters:
-                self._mark_dirty(self._program.reader_slots(parameter))
-
-    def _mark_dirty(self, slots):
-        """Add the upward closure of ``slots`` (the set stays closed)."""
-        parents = self._program.parent_slots()
-        stack = list(slots)
-        while stack:
-            slot = stack.pop()
-            if slot is not None and slot not in self._dirty:
-                self._dirty.add(slot)
-                stack.extend(parents[slot])
-
-    def _compiled(self):
-        if self._program is None:
-            self._program = CompiledDecision(
-                self.plan, self.catalog, self.parameter_space
-            )
-        return self._program
-
-    def _pins(self):
-        slot_of = self._program.slot_of
-        return {slot_of(node): pin for node, pin in self._pinned.values()}
-
-    def pending_reads(self):
-        """``{parameter: predicate}`` the next :meth:`decide` depends on: the
-        uncertain selectivities read under a dirty choose-plan, outside pins."""
-        program = self._compiled()
-        slots = range(len(program)) if self._costs is None else self._dirty
-        return program.selectivity_reads(slots, self._pins())
-
-    def decide(self):
-        """One decision pass: re-run the dirty slots, rebuild the plan.
-
-        Each dirty choose-plan takes the argmin over its alternatives'
-        slots — the comparison
-        :func:`~repro.executor.startup.resolve_dynamic_plan` makes,
-        strict-``<`` first-wins tie-break included, so a pass under
-        unchanged information re-picks the incumbent.  The outcome's
-        ``cost_evaluations`` counts the scalar steps re-run (a pinned
-        slot runs none) and ``reused`` the standing choices left alone.
-        """
-        started = time.perf_counter()
-        program = self._compiled()
-        if self._costs is None:
-            self._costs = [0.0] * len(program)
-            self._cards = [0.0] * len(program)
-            slots = range(len(program))
-        else:
-            slots = sorted(self._dirty)
-        costs = self._costs
-        decisions, evaluations = program.rerun(
-            slots, costs, self._cards, self.bindings, self._pins()
-        )
-        self._dirty.clear()
-        decided = []
-        for choose, chosen in decisions:
-            _, prior = self._choices.get(id(choose), (choose, None))
-            incumbent = None if prior is None else costs[program.slot_of(prior)]
-            candidate = costs[program.slot_of(chosen)]
-            decided.append(Redecision(choose, chosen, prior, incumbent, candidate))
-            self._choices[id(choose)] = (choose, chosen)
-        return self._outcome(started, decided, evaluations)
-
-    def splice(self):
-        """Re-resolve the plan over the pins without re-deciding.
-
-        Runs no step and needs no program: standing choices (seeded or
-        decided) are kept verbatim, and dirty slots stay dirty for the
-        next :meth:`decide`.
-        """
-        return self._outcome(time.perf_counter(), [], 0)
-
-    def _outcome(self, started, decided, evaluations):
-        return DecisionOutcome(
-            self._resolve(self.plan, {}),
-            decided,
-            len(self._choices) - len(decided),
-            evaluations,
-            time.perf_counter() - started,
-            self.choices(),
-        )
-
-    def _resolve(self, node, seen):
-        """The static plan below ``node`` under the choices and pins.
-
-        A node whose resolved inputs are the objects they were last
-        pass resolves to the object it was last pass, so subtrees no
-        pin or switch reached keep their identity across passes
-        (``execute_midquery`` tracks drained subplans by it).
-        """
-        key = id(node)
-        result = seen.get(key)
-        if result is not None:
-            return result
-        pinned = self._pinned.get(key)
-        if pinned is not None:
-            result = pinned[1]
-        elif isinstance(node, ChoosePlan):
-            result = self._resolve(self._choices[key][1], seen)
-        else:
-            inputs = [self._resolve(child, seen) for child in node.inputs()]
-            cached = self._resolved.get(key)
-            if cached is not None and cached[0] == inputs:
-                result = cached[1]
-            else:
-                result = _rebuild(node, inputs)
-                self._resolved[key] = (inputs, result)
-        seen[key] = result
-        self._origin[id(result)] = node
-        return result
-
-    def choices(self):
-        """Current (choose_plan, chosen_original) pairs, decision order."""
-        return list(self._choices.values())
-
-
-def startup_report_from_outcome(outcome, node_count):
-    """Adapt a :class:`DecisionOutcome` to the service's report type.
-
-    Charges the access-module read for ``node_count`` nodes exactly as
-    :func:`~repro.executor.startup.activate_plan` would, and carries
-    ``reused_decisions`` so callers can observe the incremental saving.
-    """
-    report = StartupReport(
-        decisions=len(outcome.decided),
-        cost_evaluations=outcome.cost_evaluations,
-        cpu_seconds=outcome.seconds,
-        io_seconds=access_module_read_seconds(node_count),
-        node_count=node_count,
-        choices=outcome.choices,
-    )
-    report.reused_decisions = outcome.reused
-    return report
-
-
 def _postorder(plan):
     """Unique nodes, children before parents (innermost-first)."""
     seen = set()
@@ -534,7 +263,7 @@ def _postorder(plan):
     return order
 
 
-def _next_breaker(plan, skipped):
+def _next_breaker(plan):
     """The innermost undrained pipeline breaker, or ``None``.
 
     Returns ``(kind, subplan)`` where ``subplan`` is the static subplan
@@ -552,7 +281,7 @@ def _next_breaker(plan, skipped):
             kind, subplan = "hash_build", node.build
         else:
             continue
-        if subplan is not plan and id(subplan) not in skipped:
+        if subplan is not plan:
             return kind, subplan
     return None
 
@@ -625,15 +354,18 @@ def execute_midquery(
     :func:`~repro.executor.engine.execute_plan` of the same query, and
     the differential tests assert the two are identical.
 
-    ``choices`` optionally seeds the decider with start-up decisions
-    already made (a :class:`~repro.executor.startup.StartupReport`'s
-    ``choices`` list); the initial pass then splices without re-costing
-    instead of repeating the start-up argmin.  ``decision`` is the
-    plan's :class:`~repro.executor.decision.CompiledDecision` when the
-    caller holds one (a plan-cache entry does); without it the program
-    is compiled on the first re-decision, and never for a run that only
-    splices.  ``tracer`` attaches to the final plan execution only;
-    breaker drains run untraced.
+    ``choices`` optionally seeds the standing choices with start-up
+    decisions already made (a
+    :class:`~repro.executor.startup.StartupReport`'s ``choices`` list);
+    the run then starts from them instead of repeating the start-up
+    argmin.  Each re-decision is one whole pass of the plan's
+    :class:`~repro.executor.decision.CompiledDecision` over the
+    checkpoints so far; a pinned choose-plan keeps its standing choice.
+    ``decision`` is that program when the caller holds one (a
+    plan-cache entry does); without it the program is compiled on the
+    first re-decision, and never for a run that does not re-decide.
+    ``tracer`` attaches to the final plan execution only; breaker
+    drains run untraced.
 
     ``distrusted`` (``{parameter: predicate}``, a plan-cache entry's
     record of declarations an earlier run found false) matters only
@@ -671,6 +403,8 @@ def execute_midquery(
     if not policy.active:
         report.final_plan = plan
         return run(plan, tracer), report
+    if decision is not None and decision.plan is not plan:
+        raise ExecutionError("decision program was compiled for another plan")
 
     catalog = database.catalog
     # What decisions read: the caller's bindings, copied at the first
@@ -679,7 +413,7 @@ def execute_midquery(
 
     def learn(predicate, rows, source):
         """Bind a selectivity to ``rows`` over the relation's stored
-        count; returns the parameter's name."""
+        count."""
         nonlocal known
         name = predicate.selectivity_parameter
         declared = Valuation.runtime(parameter_space, known).selectivity(predicate)
@@ -689,23 +423,28 @@ def execute_midquery(
         if known is bindings:
             known = bindings.copy()
         known.bind(name, observed)
-        return name
 
-    def count(predicates, source):
-        """Count, index-only, each predicate nothing observed yet; returns
-        the names counted."""
+    def compiled():
+        nonlocal decision
+        if decision is None:
+            decision = CompiledDecision(plan, catalog, parameter_space)
+        return decision
+
+    def count(source):
+        """The one probe rule, at start-up and at breakers alike: count,
+        index-only, every selectivity the decisions read
+        (:meth:`~repro.executor.decision.CompiledDecision.read_set`) that
+        nothing has observed yet."""
         probing = database.io_stats.snapshot()
-        counted = []
-        for name, predicate in sorted(predicates.items()):
+        for name, predicate in sorted(compiled().read_set().items()):
             if name not in report.rebound:
                 if deadline is not None:
                     deadline.check()
                 rows = count_qualifying(database, predicate, bindings)
                 if rows is not None:
-                    counted.append(learn(predicate, rows, source))
+                    learn(predicate, rows, source)
         for key, value in database.io_stats.snapshot().items():
             report.probe_io[key] += value - probing[key]
-        return counted
 
     def finish(tail, final_plan, final_choices):
         after = database.io_stats.snapshot()
@@ -725,48 +464,72 @@ def execute_midquery(
     before = database.io_stats.snapshot()
 
     if distrusted and policy.mode == "auto":
-        if decision is None:
-            decision = CompiledDecision(plan, catalog, parameter_space)
-        reads = decision.read_set().keys()
-        if distrusted.keys() >= reads:
-            count(distrusted, "startup")
+        reads = compiled().read_set()
+        if distrusted.keys() >= reads.keys():
+            count("startup")
             chosen, report.startup = decision.choose(known)
             choices = report.startup.choices
-            report.settled = report.rebound.keys() >= reads
+            report.settled = report.rebound.keys() >= reads.keys()
             if report.settled:
                 return finish(run(chosen, tracer), chosen, choices)
 
-    decider = IncrementalDecider(
-        plan, catalog, parameter_space, known, decision, choices or ()
-    )
+    #: id(choose_plan) -> (choose_plan, its standing choice)
+    standing = {
+        id(choose): (choose, chosen)
+        for choose, chosen in choices or ()
+        if chosen is not None
+    }
+    #: id(dynamic node) -> (dynamic node, its checkpoint)
+    pinned = {}
+    #: id(node of the current plan) -> dynamic node it was built for
+    origins = {}
+
+    def settle(redecide):
+        """Rebuild the plan over the pins, first re-deciding when asked
+        (one whole pass of the program); whether a standing choice moved."""
+        begun = time.perf_counter()
+        switched = False
+        if redecide:
+            program = compiled()
+            pins = {program.slot_of(node): pin for node, pin in pinned.values()}
+            for choose, chosen in program.evaluate(known, pins)[2]:
+                prior = standing.get(id(choose))
+                switched = switched or (prior is not None and prior[1] is not chosen)
+                standing[id(choose)] = (choose, chosen)
+            report.cost_evaluations += len(program)
+        origins.clear()
+        rebuilt = rebuild_chosen(
+            plan,
+            {key: chosen for key, (_, chosen) in standing.items()},
+            {key: pin for key, (_, pin) in pinned.items()},
+            origins,
+        )
+        report.decision_seconds += time.perf_counter() - begun
+        return rebuilt, switched
+
     # A drained subplan's compile-time cardinality is an *interval*.
     bounds_model = CostModel(catalog, Valuation.bounds(parameter_space))
 
-    outcome = decider.splice() if choices else decider.decide()
-    report.note_outcome(outcome)
-    current = outcome.plan
-
-    skipped = set()
-    # Bounded defensively: every iteration pins one more dynamic node
-    # (or skips one subplan), so the loop cannot run longer than the
-    # plan has nodes.
+    current, _ = settle(not choices)
+    # Bounded defensively: every iteration pins one more dynamic node,
+    # so the loop cannot run longer than the plan has nodes.
     node_count = len(decision) if decision is not None else plan.node_count()
     for _ in range(node_count + 1):
-        breaker = _next_breaker(current, skipped)
+        breaker = _next_breaker(current)
         if breaker is None:
             break
         kind, subplan = breaker
         drained = run(subplan)
-        skipped.add(id(subplan))
         checkpoint = Materialized(drained.records, subplan)
-        decider.pin(decider.origin_of(subplan), checkpoint)
+        origin = origins.get(id(subplan), subplan)
+        pinned[id(origin)] = (origin, checkpoint)
         observed = checkpoint.observed_cardinality
         estimate = bounds_model.evaluate(subplan).cardinality
         # A row count is an integer: a fractional bound rounds outward.
         violated = not floor(estimate.lower) <= observed <= ceil(estimate.upper)
         own = _own_predicate(subplan)
         if own is not None and own.selectivity_parameter not in report.rebound:
-            decider.rebind(known, (learn(own, observed, "drain"),))
+            learn(own, observed, "drain")
         report.breakers.append(
             BreakerEvent(kind, subplan, observed, estimate, violated)
         )
@@ -775,18 +538,12 @@ def execute_midquery(
         if violated:
             report.violations += 1
 
-        if policy.mode == "always" or violated:
+        redecide = policy.mode == "always" or violated
+        if redecide:
             report.redecisions += 1
-            # Verify before deciding: count what the decision reads unobserved.
-            counted = count(decider.pending_reads(), "probe")
-            if counted:
-                decider.rebind(known, counted)
-            outcome = decider.decide()
-            if outcome.switched:
-                report.switches += 1
-        else:
-            outcome = decider.splice()
-        report.note_outcome(outcome)
-        current = outcome.plan
+            count("probe")
+        current, switched = settle(redecide)
+        report.switches += switched
 
-    return finish(run(current, tracer), current, decider.choices())
+    final_choices = list(standing.values())
+    return finish(run(current, tracer), current, final_choices)

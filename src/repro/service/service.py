@@ -47,12 +47,7 @@ from repro.common.stats import percentile
 from repro.cost.parameters import MEMORY_PARAMETER
 from repro.executor.decision import CompiledDecision
 from repro.executor.engine import execute_plan
-from repro.executor.midquery import (
-    IncrementalDecider,
-    ReoptPolicy,
-    execute_midquery,
-    startup_report_from_outcome,
-)
+from repro.executor.midquery import ReoptPolicy, execute_midquery
 from repro.executor.startup import rebind_plan
 from repro.optimizer.query import input_signature
 from repro.resilience.deadline import Deadline
@@ -758,9 +753,8 @@ class QueryService:
           selectivity the decisions read, the run counts them and
           replaces the start-up decision (``report``) with its own;
         * a mid-run memory drop re-decides the choose-plans under the
-          shrunk grant with the same decision program start-up ran
-          (a second drop re-runs only the steps the grant can reach)
-          and restarts on the re-decided alternative; past
+          shrunk grant with one whole pass of the decision program
+          start-up ran, and restarts on the re-decided alternative; past
           ``max_degradations`` restarts the service activates the
           conservative static fallback plan instead;
         * permanent faults and deadline expiry fail fast, typed.
@@ -772,9 +766,6 @@ class QueryService:
         transient_retries = 0
         degradations = 0
         use_midquery = reopt is not None and reopt.active
-        #: Incremental decider, created on the first memory drop and
-        #: kept across retries so later drops re-run even less.
-        incremental = None
         while True:
             info["attempts"] += 1
             try:
@@ -829,7 +820,6 @@ class QueryService:
             except MemoryDropError as error:
                 degradations += 1
                 self._count("degradations")
-                previous_bindings = bindings
                 bindings = bindings.copy().bind(
                     MEMORY_PARAMETER, error.new_memory_pages
                 )
@@ -855,21 +845,7 @@ class QueryService:
                             digest=entry.digest,
                         )
                 else:
-                    if incremental is None:
-                        incremental = IncrementalDecider(
-                            plan,
-                            self.catalog,
-                            parameter_space,
-                            previous_bindings,
-                            decision,
-                            report.choices,
-                        )
-                    incremental.rebind(bindings, (MEMORY_PARAMETER,))
-                    outcome = incremental.decide()
-                    chosen = outcome.plan
-                    report = startup_report_from_outcome(
-                        outcome, plan.node_count()
-                    )
+                    chosen, report = decision.choose(bindings)
                     self._count("incremental_redecisions")
             except PermanentIOError as error:
                 self._count("permanent_failures")

@@ -53,11 +53,9 @@ from repro.cost.parameters import MEMORY_PARAMETER, Bindings, Valuation
 from repro.executor import execute_plan, resolve_dynamic_plan, validate_plan
 from repro.executor.decision import CompiledDecision, DecisionCompilationError
 from repro.executor.midquery import (
-    IncrementalDecider,
     ReoptPolicy,
     count_qualifying,
     execute_midquery,
-    startup_report_from_outcome,
     strip_checkpoints,
 )
 from repro.optimizer import optimize_dynamic
@@ -161,22 +159,6 @@ def _breaker_eligible(plan):
             eligible[id(node.build)] = node.build
     eligible.pop(id(plan), None)
     return list(eligible.values())
-
-
-def _upward_closure(plan, node):
-    """``node`` and every node of ``plan`` that has it below (by id)."""
-    parents = {}
-    for parent in plan.walk_unique():
-        for child in parent.inputs():
-            parents.setdefault(id(child), []).append(parent)
-    closure = {}
-    stack = [node]
-    while stack:
-        current = stack.pop()
-        if id(current) not in closure:
-            closure[id(current)] = current
-            stack.extend(parents.get(id(current), ()))
-    return closure
 
 
 def _substitute(plan, replacements):
@@ -448,90 +430,29 @@ class TestSection7Recovery:
 
 
 class TestIncrementalDecider:
+    """Re-decisions are whole passes of the plan's decision program."""
+
     def test_first_decide_matches_startup_resolution(self):
-        workload, plan, bindings = _setup(3)
-        decider = IncrementalDecider(
-            plan, workload.catalog, workload.query.parameter_space, bindings
-        )
-        outcome = decider.decide()
-        chosen, _ = resolve_dynamic_plan(
-            plan, workload.catalog, workload.query.parameter_space, bindings
-        )
-        assert outcome.plan.signature() == chosen.signature()
-        assert len(outcome.decided) == plan.choose_plan_count()
-        assert outcome.cost_evaluations > 0
-
-    def test_second_decide_is_fully_cached(self):
-        workload, plan, bindings = _setup(3)
-        decider = IncrementalDecider(
-            plan, workload.catalog, workload.query.parameter_space, bindings
-        )
-        first = decider.decide()
-        second = decider.decide()
-        assert second.plan is first.plan
-        assert second.cost_evaluations == 0
-        assert not second.decided
-
-    def test_memory_rebind_recosts_fewer_groups_than_fresh(self):
-        workload, plan, bindings = _setup(3)
-        space = workload.query.parameter_space
-        memory = space.get(MEMORY_PARAMETER)
-        dropped = bindings.copy().bind(
-            MEMORY_PARAMETER, max(int(memory.bounds.lower), 1)
-        )
-
-        incremental = IncrementalDecider(
-            plan, workload.catalog, space, bindings
-        )
-        incremental.decide()
-        incremental.rebind(dropped, (MEMORY_PARAMETER,))
-        warm = incremental.decide()
-
-        fresh = IncrementalDecider(
-            plan, workload.catalog, space, dropped
-        ).decide()
-        assert warm.plan.signature() == fresh.plan.signature()
-        assert warm.cost_evaluations < fresh.cost_evaluations
-
-    def test_pin_reruns_exactly_the_upward_closure(self):
         workload, plan, bindings = _setup(3)
         space = workload.query.parameter_space
         program = CompiledDecision(plan, workload.catalog, space)
-        decider = IncrementalDecider(
-            plan, workload.catalog, space, bindings, program
+        chosen, report = program.choose(bindings, {})
+        expected, oracle = resolve_dynamic_plan(
+            plan, workload.catalog, space, bindings
         )
-        first = decider.decide()
-        assert first.cost_evaluations == len(program) == plan.node_count()
-
-        scan = next(
-            node
-            for node in plan.walk_unique()
-            if isinstance(node, (FileScan, BTreeScan, FilterBTreeScan))
-        )
-        decider.pin(scan, _checkpoint(scan, 5))
-        closure = _upward_closure(plan, scan)
-        pinned = decider.decide()
-        # The pinned slot itself runs no step.
-        assert pinned.cost_evaluations == len(closure) - 1
-        assert pinned.cost_evaluations < len(program)
-        assert len(pinned.decided) + pinned.reused == plan.choose_plan_count()
-        assert {id(entry.node) for entry in pinned.decided} == {
-            key
-            for key, node in closure.items()
-            if isinstance(node, ChoosePlan)
-        }
-
-        again = decider.decide()
-        assert again.cost_evaluations == 0
-        assert not again.decided
-        assert again.plan is pinned.plan
+        assert chosen.signature() == expected.signature()
+        assert report.choice_signature() == oracle.choice_signature()
+        assert report.decisions == plan.choose_plan_count()
+        assert report.cost_evaluations == len(program) == plan.node_count()
 
     def test_splice_compiles_nothing_and_keeps_choices(self, monkeypatch):
+        """A run seeded with start-up choices that never re-decides needs
+        no program: it only rebuilds the plan over its checkpoints."""
         from repro.executor import midquery
 
         workload, plan, bindings = _setup(3)
         space = workload.query.parameter_space
-        _, startup = CompiledDecision(plan, workload.catalog, space).choose(
+        chosen, startup = CompiledDecision(plan, workload.catalog, space).choose(
             bindings
         )
 
@@ -539,43 +460,55 @@ class TestIncrementalDecider:
             raise DecisionCompilationError("splice must not compile")
 
         monkeypatch.setattr(midquery, "CompiledDecision", refuse)
-        decider = IncrementalDecider(
-            plan, workload.catalog, space, bindings, choices=startup.choices
+        # Under the paper's [0, 1] bounds no observation violates.
+        result, report = execute_midquery(
+            plan,
+            _fresh_database(workload),
+            bindings.copy(),
+            space,
+            policy=ReoptPolicy("auto"),
+            choices=startup.choices,
         )
-        outcome = decider.splice()
-        assert outcome.cost_evaluations == 0
-        assert not outcome.decided
-        assert outcome.plan.choose_plan_count() == 0
+        assert report.checkpoints > 0
+        assert report.redecisions == report.cost_evaluations == 0
+        assert report.choices == startup.choices
+        assert strip_checkpoints(report.final_plan).signature() == chosen.signature()
+        assert rows_digest(result.records) == rows_digest(
+            _run_plain(workload, plan, bindings).records
+        )
         # Only a decision needs the program, and then fails typed.
         with pytest.raises(DecisionCompilationError):
-            decider.decide()
+            execute_midquery(
+                plan,
+                _fresh_database(workload),
+                bindings.copy(),
+                space,
+                policy=ReoptPolicy("always"),
+                choices=startup.choices,
+            )
 
     def test_one_program_serves_eight_threads(self):
-        """The program holds no per-query state: deciders do not interact."""
+        """The program holds no per-query state: pinned passes on one
+        program from eight threads equal the same passes run alone."""
         workload, plan, _ = _setup(4)
         space = workload.query.parameter_space
         targets = _breaker_eligible(plan)
 
         def scenario(index, program):
             bindings = random_bindings(workload, seed=index)
-            decider = IncrementalDecider(
-                plan, workload.catalog, space, bindings, program
-            )
-            trail = []
-            outcome = decider.decide()
+            trail = [sorted(program.read_set())]
+            pins = {}
             for step in range(4):
                 target = targets[(index * 7 + step * 3) % len(targets)]
-                decider.pin(target, _checkpoint(target, index * 11 + step))
-                outcome = decider.decide()
+                pins[program.slot_of(target)] = _checkpoint(target, index * 11 + step)
+                costs, cards, _ = program.evaluate(bindings, pins)
+                chosen, report = program.choose(bindings, pins)
                 trail.append(
                     (
-                        outcome.cost_evaluations,
-                        outcome.plan.signature(),
-                        [(id(n), id(c)) for n, c in outcome.choices],
-                        [
-                            (entry.incumbent_cost, entry.candidate_cost)
-                            for entry in outcome.decided
-                        ],
+                        costs,
+                        cards,
+                        chosen.signature(),
+                        [(id(n), id(c)) for n, c in report.choices],
                     )
                 )
             return trail
@@ -583,8 +516,7 @@ class TestIncrementalDecider:
         threads = 8
         alone = CompiledDecision(plan, workload.catalog, space)
         expected = [scenario(index, alone) for index in range(threads)]
-        # A fresh program, so the threads also race to derive its
-        # slot->parents map.
+        # A fresh program, so the threads also race to derive its read set.
         shared = CompiledDecision(plan, workload.catalog, space)
         results = [None] * threads
         barrier = threading.Barrier(threads)
@@ -615,7 +547,14 @@ class TestIncrementalDecider:
         space = workload.query.parameter_space
         program = CompiledDecision(other, workload.catalog, space)
         with pytest.raises(ExecutionError):
-            IncrementalDecider(plan, workload.catalog, space, bindings, program)
+            execute_midquery(
+                plan,
+                _fresh_database(workload),
+                bindings,
+                space,
+                policy=ReoptPolicy("always"),
+                decision=program,
+            )
 
     def test_service_import_path_reexports_the_program(self):
         import repro.service.decision as service_path
@@ -623,17 +562,33 @@ class TestIncrementalDecider:
         assert service_path.CompiledDecision is CompiledDecision
         assert service_path.DecisionCompilationError is DecisionCompilationError
 
-    def test_startup_report_adapter_carries_reuse(self):
-        workload, plan, bindings = _setup(2)
-        decider = IncrementalDecider(
-            plan, workload.catalog, workload.query.parameter_space, bindings
+    def test_memory_drop_is_choose_on_the_shrunk_grant(self):
+        """A mid-run memory drop re-decides with one whole pass: the
+        served plan and choices are ``choose`` on the shrunk bindings."""
+        workload, _, bindings = _setup(3)
+        database = _fresh_database(workload)
+        profile = FaultProfile("drop", memory_drops=(MemoryDropStage(3, 2),))
+        injector = database.install_fault_injector(FaultInjector(profile, seed=0))
+        policy = ResiliencePolicy(
+            retry=RetryPolicy(max_retries=3, base_delay=0.0, jitter=0.0),
+            sleep=lambda _seconds: None,
         )
-        outcome = decider.decide()
-        report = startup_report_from_outcome(outcome, plan.node_count())
-        assert report.decisions == len(outcome.decided)
-        assert report.cost_evaluations == outcome.cost_evaluations
-        assert report.node_count == plan.node_count()
-        assert report.reused_decisions == outcome.reused
+        with ShardedQueryService(
+            database, shards=1, resilience_factory=lambda: policy
+        ) as gateway:
+            result = gateway.run(workload.query, bindings.copy())
+            counts = gateway.stats().total.resilience
+            program = _entry(gateway).decision
+        assert injector.memory_drops_fired == 1
+        assert counts["degradations"] == counts["incremental_redecisions"] == 1
+        shrunk = bindings.copy().bind(MEMORY_PARAMETER, 2)
+        chosen, report = program.choose(shrunk)
+        assert result.startup_report.choices == report.choices
+        assert result.startup_report.cost_evaluations == len(program)
+        assert result.chosen.signature() == chosen.signature()
+        assert rows_digest(result.execution.records) == rows_digest(
+            _run_plain(workload, program.plan, bindings).records
+        )
 
 
 class TestMidQueryProperties:
@@ -668,19 +623,40 @@ class TestMidQueryProperties:
     def test_redecisions_never_pick_costlier_alternatives(
         self, workload, binding_seed
     ):
+        """Every pass re-picks each choice as the first minimal
+        alternative, so a switch never moves to a costlier one."""
+
+        class Recording(CompiledDecision):
+            def evaluate(self, bindings, pins=None):
+                costs, cards, decisions = super().evaluate(bindings, pins)
+                passes.append((costs, decisions))
+                return costs, cards, decisions
+
         plan = optimize_dynamic(workload.catalog, workload.query).plan
+        space = workload.query.parameter_space
         bindings = random_bindings(workload, seed=binding_seed)
         plain = _run_plain(workload, plan, bindings)
-        result, report = _run_midquery(
-            workload, plan, bindings, ReoptPolicy("always")
+        passes = []
+        program = Recording(plan, workload.catalog, space)
+        result, report = execute_midquery(
+            plan,
+            _fresh_database(workload),
+            bindings.copy(),
+            space,
+            policy=ReoptPolicy("always"),
+            decision=program,
         )
-        for redecision in report.redecision_events:
-            if redecision.incumbent_cost is None:
-                continue
-            assert (
-                redecision.candidate_cost
-                <= redecision.incumbent_cost + 1e-9
-            )
+        # The opening decision, then one whole pass per re-decision.
+        assert len(passes) == report.redecisions + 1
+        assert report.cost_evaluations == len(passes) * len(program)
+        standing = {}
+        for costs, decisions in passes:
+            for node, chosen in decisions:
+                prior = standing.get(id(node))
+                if prior is not None:
+                    candidate = costs[program.slot_of(chosen)]
+                    assert candidate <= costs[program.slot_of(prior)] + 1e-9
+                standing[id(node)] = chosen
         assert rows_digest(result.records) == rows_digest(plain.records)
 
     @settings(max_examples=25, deadline=None)
@@ -692,7 +668,7 @@ class TestMidQueryProperties:
     def test_pinned_decisions_match_the_interpreted_oracle(
         self, workload, binding_seed, data
     ):
-        """Scalar decider over pins == interpreted pass over substitution."""
+        """A pinned pass == interpreted pass over the substitution."""
         plan = optimize_dynamic(workload.catalog, workload.query).plan
         space = workload.query.parameter_space
         bindings = random_bindings(workload, seed=binding_seed)
@@ -707,23 +683,21 @@ class TestMidQueryProperties:
             for node in picked
         }
 
-        decider = IncrementalDecider(plan, workload.catalog, space, bindings)
-        decider.decide()
-        for node in picked:
-            decider.pin(node, replacements[id(node)])
-        outcome = decider.decide()
+        program = CompiledDecision(plan, workload.catalog, space)
+        pins = {program.slot_of(node): replacements[id(node)] for node in picked}
+        pinned, pass_report = program.choose(bindings, pins)
 
         substituted, mapping = _substitute(plan, replacements)
         chosen, report = resolve_dynamic_plan(
             substituted, workload.catalog, space, bindings
         )
-        assert outcome.plan.signature() == chosen.signature()
+        assert pinned.signature() == chosen.signature()
         # Every choose-plan the substitution left reachable made the
-        # same choice (the decider also holds choices for choose-plans
-        # that only exist below a pin; the oracle never sees those).
+        # same choice (the pass also decides choose-plans that only
+        # exist below a pin; the oracle never sees those).
         standing = {
             id(mapping[id(node)]): mapping.get(id(alternative))
-            for node, alternative in outcome.choices
+            for node, alternative in pass_report.choices
             if id(node) in mapping
         }
         for node, alternative in report.choices:
@@ -734,8 +708,7 @@ class TestMidQueryProperties:
     def test_segments_rerun_and_cost_model_agree_at_the_corners(
         self, workload, data
     ):
-        """Segment run == row-at-a-time rerun == ``CostModel``; a pin is
-        a ``Materialized`` input.
+        """Segment run == ``CostModel``; a pin is a ``Materialized`` input.
 
         The bindings lean on the formulas' corners: selectivity 0
         (cardinality 0, zero pages), cardinality <= 1 (the sort floor),
@@ -772,14 +745,6 @@ class TestMidQueryProperties:
         substituted, mapping = _substitute(plan, replacements)
         program = CompiledDecision(substituted, workload.catalog, space)
         costs, cards, decisions = program.evaluate(bindings)
-        size = len(program)
-        again = ([0.0] * size, [0.0] * size)
-        rerun, ran = program.rerun(range(size), *again, bindings, {})
-        assert ran == size
-        assert again == (costs, cards)
-        assert sorted(rerun, key=lambda pair: program.slot_of(pair[0])) == (
-            sorted(decisions, key=lambda pair: program.slot_of(pair[0]))
-        )
 
         # Every slot against the interval model at the point valuation,
         # over the static plan the decisions resolve it to.
@@ -812,9 +777,7 @@ class TestMidQueryProperties:
         pins = {
             original.slot_of(node): replacements[id(node)] for node in picked
         }
-        size = len(original)
-        pinned = ([0.0] * size, [0.0] * size)
-        original.rerun(range(size), *pinned, bindings, pins)
+        pinned = original.evaluate(bindings, pins)
         for node in plan.walk_unique():
             if id(node) in mapping:
                 slot = original.slot_of(node)
@@ -1140,9 +1103,11 @@ class TestStartupVerification:
             assert "distrusted=['sel_R1', 'sel_R2', 'sel_R3']" in repr(entry)
             program = entry.decision
             assert program.read_set() is program.read_set()  # derived once
-            assert program.read_set() == program.selectivity_reads(
-                range(len(program)), {}
-            )
+            assert set(program.read_set()) == {
+                node.predicate.selectivity_parameter
+                for node in program.plan.walk_unique()
+                if isinstance(node, (Filter, FilterBTreeScan))
+            }
             assert set(program.read_set()) == set(entry.distrusted)
 
             result, bindings = _serve(gateway, ("R1", "R2", "R3"), 0.3)
@@ -1169,6 +1134,25 @@ class TestStartupVerification:
         assert report.choices == program.choose(counted)[1].choices
         assert counts["startup_verifications"] == counts["settled_requests"] == 1
         assert counts["midquery_probes"] == 2 + 3
+
+    def test_breakers_and_startup_count_the_read_set_less_what_was_observed(self):
+        """One probe rule: before deciding on observations, a breaker
+        re-decision and a start-up verification on the same entry each
+        count every selectivity the decisions read that nothing observed."""
+        liars = ("R1", "R2", "R3")
+        with _gateway() as gateway:
+            first, _ = _serve(gateway, liars, 0.55)
+            program = _entry(gateway).decision
+            second, _ = _serve(gateway, liars, 0.3)
+        reads = set(program.read_set())
+        breaker, startup = first.execution.midquery, second.execution.midquery
+        assert breaker.redecisions and startup.settled and not startup.checkpoints
+        for report, source in ((breaker, "probe"), (startup, "startup")):
+            sources = {name: entry[2] for name, entry in report.rebound.items()}
+            drained = {name for name, how in sources.items() if how == "drain"}
+            counted = {name for name, how in sources.items() if how == source}
+            assert counted == reads - drained
+            assert report.probes == len(counted)
 
     @pytest.mark.parametrize(
         "data, low, high", (("independent", 0.9, 1.0), ("hot join", 2.0, 3.0))
