@@ -26,26 +26,120 @@ Commands:
   baselines (exit code 1 when any query misses its expectation).
 """
 
+
+import argparse
 import sys
+import time
 
 from repro import (
     Bindings,
     Database,
     ReoptPolicy,
+    Tracer,
+    cost_model_accuracy,
     execute_midquery,
     execute_plan,
+    explain_analyze,
     optimize_dynamic,
     optimize_static,
     paper_workload,
     parse_query,
     plan_to_text,
     populate_database,
+    random_bindings,
+    replay_spec,
     resolve_dynamic_plan,
+    skewed_bindings,
 )
+from repro.common.errors import (
+    ExecutionError,
+    InjectedFaultError,
+    OptimizationError,
+    QueryTimeoutError,
+    SnapshotError,
+)
+from repro.experiments import runner
+from repro.frontend.sql import SqlSyntaxError
+from repro.resilience.faults import FAULT_PROFILES, FaultInjector, fault_profile
+from repro.service.replay import render_report, write_qps_report
+from repro.workloads.queries import Workload
+from repro.workloads.service import ServiceWorkloadSpec
 
 
-def _parse_skew(text, command):
-    """Parse a ``DECLARED:ACTUAL`` selectivity pair; None on error."""
+class _InputError(Exception):
+    """A bad argument value: ``main`` prints ``<command>: <reason>``
+    and exits 2."""
+
+
+#: Flags several commands take, each declared once.  A command may
+#: override a default (``_parser``); argparse parent parsers cannot do
+#: that, because their children share one action object per flag.
+_SHARED_FLAGS = {
+    "--query": dict(
+        type=int,
+        choices=(1, 2, 3, 4, 5),
+        help="paper query number (default %(default)s)",
+    ),
+    "--seed": dict(
+        type=int,
+        default=0,
+        help="seed for data population, bindings and fault injection "
+        "(default %(default)s)",
+    ),
+    "--static": dict(
+        action="store_true",
+        help="use the static expected-value plan instead of the dynamic "
+        "plan",
+    ),
+    "--reopt": dict(
+        metavar="SPEC",
+        help="mid-query re-optimization policy: 'off' (the default), "
+        "'auto' (re-decide when a pipeline breaker's observed "
+        "cardinality leaves its compile-time interval), or 'always' "
+        "(re-decide at every breaker)",
+    ),
+    "--skew": dict(
+        metavar="DECLARED:ACTUAL",
+        help="bind lying selectivities: declare DECLARED but make the "
+        "data behave like ACTUAL, so estimates diverge only at run "
+        "time (e.g. 0.02:0.6)",
+    ),
+    "--queries": dict(
+        default="1,2,3,4,5",
+        help="comma-separated paper query numbers (default all five)",
+    ),
+    "--json": dict(
+        action="store_true",
+        help="emit the report as JSON instead of the table",
+    ),
+}
+
+
+def _parser(command, description, shared=(), **defaults):
+    """A command's parser with the named shared flags added."""
+    parser = argparse.ArgumentParser(
+        prog="python -m repro " + command, description=description
+    )
+    for flag in shared:
+        options = dict(_SHARED_FLAGS[flag])
+        if flag[2:] in defaults:
+            options["default"] = defaults[flag[2:]]
+        parser.add_argument(flag, **options)
+    return parser
+
+
+def _queries(text):
+    try:
+        numbers = tuple(int(part) for part in text.split(",") if part.strip())
+    except ValueError:
+        raise _InputError("--queries must be comma-separated integers")
+    if not numbers or any(n not in (1, 2, 3, 4, 5) for n in numbers):
+        raise _InputError("query numbers must be between 1 and 5")
+    return numbers
+
+
+def _skew(text):
+    """A ``DECLARED:ACTUAL`` selectivity pair."""
     parts = text.split(":")
     if len(parts) == 2:
         try:
@@ -55,28 +149,61 @@ def _parse_skew(text, command):
         else:
             if all(0.0 <= selectivity <= 1.0 for selectivity in skew):
                 return skew
-            print(
-                "%s: --skew selectivities must lie in [0, 1], got %s"
-                % (command, text)
+            raise _InputError(
+                "--skew selectivities must lie in [0, 1], got %s" % text
             )
-            return None
-    print("%s: --skew must be DECLARED:ACTUAL "
-          "(two floats, e.g. 0.02:0.6)" % command)
-    return None
+    raise _InputError(
+        "--skew must be DECLARED:ACTUAL (two floats, e.g. 0.02:0.6)"
+    )
 
 
-def _parse_reopt(text, command):
-    """Parse a ``--reopt`` policy spec; None (after saying why) on error."""
-    from repro.common.errors import ExecutionError
-
+def _reopt(text):
     try:
         return ReoptPolicy.parse(text)
     except ExecutionError as error:
-        print("%s: %s" % (command, error))
-        return None
+        raise _InputError(error)
 
 
-def _demo():
+#: The post-parse check: each shared flag's text -> its value, in this
+#: order, before any work.
+_CONVERTERS = {"queries": _queries, "skew": _skew, "reopt": _reopt}
+
+
+def _paper_setup(args, populate=True):
+    """``run``'s and ``explain``'s set-up: the paper query (or the SQL
+    text over its catalog) and its static or dynamic plan; populating,
+    also the database and the (``--skew``-lying or random) bindings."""
+    workload = paper_workload(args.query, seed=args.seed)
+    sql = getattr(args, "sql", None)
+    if sql is not None:
+        query = parse_query(sql, workload.catalog, name="cli-query")
+        workload = Workload(workload.catalog, query, workload.specs, args.seed)
+    optimize = optimize_static if args.static else optimize_dynamic
+    plan = optimize(workload.catalog, workload.query).plan
+    if not populate:
+        return workload, plan, None, None
+    database = Database(workload.catalog)
+    populate_database(database, seed=args.seed)
+    skew = getattr(args, "skew", None)
+    if skew is not None:
+        bindings = skewed_bindings(workload, declared=skew[0], actual=skew[1])
+    else:
+        bindings = random_bindings(workload, seed=args.seed)
+    return workload, plan, database, bindings
+
+
+def _plan_kind(args):
+    return "static" if args.static else "dynamic"
+
+
+_DEMO = _parser(
+    "demo",
+    "Compile, store, activate, and execute the motivating example end "
+    "to end, narrating each step.",
+)
+
+
+def _demo(args):
     workload = paper_workload(2)
     catalog, query = workload.catalog, workload.query
     print("Dynamic Query Evaluation Plans — demo")
@@ -123,93 +250,32 @@ def _demo():
     return 0
 
 
-def _run(argv):
-    import argparse
-    import time
+_RUN = _parser(
+    "run",
+    "Optimize and execute one paper query end to end.",
+    ("--query", "--static", "--seed", "--reopt", "--skew"),
+    query=5,
+)
+_RUN.add_argument(
+    "--batch-size",
+    type=int,
+    default=None,
+    help="records per operator advance; 1 is record-at-a-time "
+    "(default 1024)",
+)
 
-    from repro.workloads.bindings import random_bindings
 
-    parser = argparse.ArgumentParser(
-        prog="python -m repro run",
-        description=(
-            "Optimize and execute one paper query end to end."
-        ),
-    )
-    parser.add_argument(
-        "--query",
-        type=int,
-        default=5,
-        choices=(1, 2, 3, 4, 5),
-        help="paper query number (default 5, the 10-way chain)",
-    )
-    parser.add_argument(
-        "--batch-size",
-        type=int,
-        default=None,
-        help="records per operator advance; 1 is record-at-a-time "
-        "(default 1024)",
-    )
-    parser.add_argument(
-        "--static",
-        action="store_true",
-        help="execute the static expected-value plan instead of the "
-        "dynamic plan",
-    )
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=0,
-        help="seed for data population and bindings (default 0)",
-    )
-    parser.add_argument(
-        "--reopt",
-        default=None,
-        metavar="SPEC",
-        help="mid-query re-optimization policy: 'off' (the default), "
-        "'auto' (re-decide when a pipeline breaker's observed "
-        "cardinality leaves its compile-time interval), or 'always' "
-        "(re-decide at every breaker)",
-    )
-    parser.add_argument(
-        "--skew",
-        default=None,
-        metavar="DECLARED:ACTUAL",
-        help="bind lying selectivities: declare DECLARED but make the "
-        "data behave like ACTUAL, so estimates diverge only at "
-        "run time (e.g. 0.02:0.6)",
-    )
-    args = parser.parse_args(argv)
-    skew = None
-    if args.skew is not None:
-        skew = _parse_skew(args.skew, "run")
-        if skew is None:
-            return 2
-    policy = None
-    if args.reopt is not None:
-        policy = _parse_reopt(args.reopt, "run")
-        if policy is None:
-            return 2
-
-    from repro.workloads.bindings import skewed_bindings
-
-    workload = paper_workload(args.query, seed=args.seed)
-    optimize = optimize_static if args.static else optimize_dynamic
-    plan = optimize(workload.catalog, workload.query).plan
-    database = Database(workload.catalog)
-    populate_database(database, seed=args.seed)
-    if skew is not None:
-        bindings = skewed_bindings(workload, declared=skew[0], actual=skew[1])
-    else:
-        bindings = random_bindings(workload, seed=args.seed)
+def _run(args):
+    workload, plan, database, bindings = _paper_setup(args)
     mid_report = None
     started = time.perf_counter()
-    if policy is not None:
+    if args.reopt is not None:
         result, mid_report = execute_midquery(
             plan,
             database,
             bindings,
             workload.query.parameter_space,
-            policy=policy,
+            policy=args.reopt,
             batch_size=args.batch_size,
         )
     else:
@@ -224,11 +290,7 @@ def _run(argv):
     io = result.io_snapshot
     print(
         "run %s (%s plan, seed %d)"
-        % (
-            workload.name,
-            "static" if args.static else "dynamic",
-            args.seed,
-        )
+        % (workload.name, _plan_kind(args), args.seed)
     )
     print(
         "  %d rows in %.6fs wall; pages read %d, written %d, "
@@ -249,91 +311,84 @@ def _run(argv):
     return 0
 
 
-def _serve_batch(argv):
-    import argparse
+_SQL = _parser(
+    "sql",
+    "Parse an embedded-SQL query against the demo catalog and print its "
+    "static and dynamic plans.",
+)
+_SQL.add_argument(
+    "sql", nargs="?", default=None, help='e.g. "SELECT * FROM R1 ..."'
+)
 
-    from repro.common.errors import OptimizationError, SnapshotError
-    from repro.service import render_report, replay_spec
-    from repro.service.replay import write_qps_report
-    from repro.workloads.service import ServiceWorkloadSpec
 
-    parser = argparse.ArgumentParser(
-        prog="python -m repro serve-batch",
-        description=(
-            "Replay a workload through the plan-cache query service "
-            "and report hit rate, start-up latency, and speedup vs "
-            "optimize-per-query."
-        ),
-    )
-    parser.add_argument(
-        "spec",
-        nargs="?",
-        default=None,
-        help="JSON workload spec (see repro.workloads.service); "
-        "omit for the built-in default mix",
-    )
-    parser.add_argument(
-        "--invocations",
-        type=int,
-        default=None,
-        help="override the spec's invocation count",
-    )
-    parser.add_argument(
-        "--capacity",
-        type=int,
-        default=None,
-        help="override the spec's plan-cache capacity",
-    )
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        help="override the spec's workload seed",
-    )
-    parser.add_argument(
-        "--no-execute",
-        action="store_true",
-        help="skip data execution; measure optimization and start-up only",
-    )
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        help="override the spec's gateway plan-cache partition count",
-    )
-    parser.add_argument(
-        "--tenants",
-        type=int,
-        default=None,
-        help="assign each invocation a Zipf-distributed tenant "
-        "identity from this many tenants (0 = unattributed)",
-    )
-    parser.add_argument(
-        "--qps-report",
-        metavar="PATH",
-        default=None,
-        help="write a JSON throughput/latency summary (qps, p50/p95/"
-        "p99 request latency, hit rate, per-shard counts) to PATH",
-    )
-    parser.add_argument(
-        "--snapshot",
-        metavar="PATH",
-        default=None,
-        help="durable plan-cache snapshot file: warm-start from it "
-        "when it exists and rewrite it on shutdown, so repeated "
-        "replays skip re-optimizing the hot set",
-    )
-    args = parser.parse_args(argv)
+def _sql(args):
+    if args.sql is None:
+        print("usage: python -m repro sql \"SELECT * FROM R1 ...\"")
+        return 2
+    workload = paper_workload(2)
+    query = parse_query(args.sql, workload.catalog, name="cli-query")
+    print("parsed: %r" % query)
+    static = optimize_static(workload.catalog, query)
+    print("static plan:")
+    print(plan_to_text(static.plan))
+    dynamic = optimize_dynamic(workload.catalog, query)
+    print("dynamic plan:")
+    print(plan_to_text(dynamic.plan))
+    return 0
 
+
+_SERVE_BATCH = _parser(
+    "serve-batch",
+    "Replay a workload through the plan-cache query service and report "
+    "hit rate, start-up latency, and speedup vs optimize-per-query.  "
+    "--seed, --invocations, --capacity and --shards override the "
+    "spec's fields.",
+    ("--seed",),
+    seed=None,
+)
+_SERVE_BATCH.add_argument(
+    "spec",
+    nargs="?",
+    default=None,
+    help="JSON workload spec (see repro.workloads.service); "
+    "omit for the built-in default mix",
+)
+for _flag, _field in (
+    ("--invocations", "invocation count"),
+    ("--capacity", "plan-cache capacity"),
+    ("--shards", "gateway plan-cache partition count"),
+):
+    _SERVE_BATCH.add_argument(
+        _flag, type=int, default=None, help="override the spec's " + _field
+    )
+_SERVE_BATCH.add_argument(
+    "--no-execute",
+    action="store_true",
+    help="skip data execution; measure optimization and start-up only",
+)
+_SERVE_BATCH.add_argument(
+    "--qps-report",
+    metavar="PATH",
+    default=None,
+    help="write a JSON throughput/latency summary (qps, p50/p95/"
+    "p99 request latency, hit rate, per-shard counts) to PATH",
+)
+_SERVE_BATCH.add_argument(
+    "--snapshot",
+    metavar="PATH",
+    default=None,
+    help="durable plan-cache snapshot file: warm-start from it "
+    "when it exists and rewrite it on shutdown, so repeated "
+    "replays skip re-optimizing the hot set",
+)
+
+
+def _serve_batch(args):
     overrides = {
-        "invocations": args.invocations,
-        "capacity": args.capacity,
-        "seed": args.seed,
-        "shards": args.shards,
-        "tenants": args.tenants,
+        key: getattr(args, key)
+        for key in ("invocations", "capacity", "seed", "shards")
+        if getattr(args, key) is not None
     }
-    overrides = {key: value for key, value in overrides.items()
-                 if value is not None}
     if args.no_execute:
         overrides["execute"] = False
     try:
@@ -344,13 +399,11 @@ def _serve_batch(argv):
         if overrides:
             spec = spec.replace(**overrides)
     except (OSError, ValueError, OptimizationError) as error:
-        print("serve-batch: invalid workload spec: %s" % error)
-        return 2
+        raise _InputError("invalid workload spec: %s" % error)
     try:
         report = replay_spec(spec, snapshot=args.snapshot)
     except SnapshotError as error:
-        print("serve-batch: snapshot %s: %s" % (args.snapshot, error))
-        return 2
+        raise _InputError("snapshot %s: %s" % (args.snapshot, error))
     print(render_report(report))
     if args.snapshot is not None:
         restored = report.restore_stats
@@ -374,139 +427,86 @@ def _serve_batch(argv):
     return 0
 
 
-def _explain(argv):
-    import argparse
+_EXPLAIN = _parser(
+    "explain",
+    "Print a query's optimized plan; with --analyze, execute it under "
+    "the tracer and annotate each operator with estimated vs actual "
+    "cardinality and cost.  --reopt (with --analyze) profiles the "
+    "final, possibly spliced, plan and prints the re-optimization "
+    "report after it.",
+    ("--query", "--static", "--seed", "--reopt"),
+    query=2,
+)
+_EXPLAIN.add_argument(
+    "sql",
+    nargs="?",
+    default=None,
+    help="SQL text parsed against the selected paper query's "
+    "catalog; omit to explain the paper query itself",
+)
+_EXPLAIN.add_argument(
+    "--analyze",
+    action="store_true",
+    help="execute the plan and report actual rows, cost, and "
+    "q-error per operator",
+)
+_EXPLAIN.add_argument(
+    "--wall",
+    action="store_true",
+    help="include wall-clock per-operator timings "
+    "(non-deterministic; excluded by default)",
+)
+_EXPLAIN.add_argument(
+    "--deadline",
+    type=float,
+    default=None,
+    metavar="SECONDS",
+    help="query deadline for --analyze; on expiry the partial "
+    "trace collected before cancellation is rendered",
+)
+_EXPLAIN.add_argument(
+    "--fault-profile",
+    default=None,
+    metavar="NAME",
+    help="run --analyze with this fault-injection profile "
+    "installed (see python -m repro chaos for the names)",
+)
 
-    from repro.observability.explain import explain_analyze
-    from repro.workloads.queries import Workload
-    from repro.workloads.bindings import random_bindings
 
-    parser = argparse.ArgumentParser(
-        prog="python -m repro explain",
-        description=(
-            "Print a query's optimized plan; with --analyze, execute "
-            "it under the tracer and annotate each operator with "
-            "estimated vs actual cardinality and cost."
-        ),
+def _explain(args):
+    if args.reopt is not None and not args.analyze:
+        raise _InputError("--reopt requires --analyze")
+    workload, plan, database, bindings = _paper_setup(
+        args, populate=args.analyze
     )
-    parser.add_argument(
-        "sql",
-        nargs="?",
-        default=None,
-        help="SQL text parsed against the selected paper query's "
-        "catalog; omit to explain the paper query itself",
-    )
-    parser.add_argument(
-        "--query",
-        type=int,
-        default=2,
-        choices=(1, 2, 3, 4, 5),
-        help="paper query number supplying the catalog and query "
-        "(default 2)",
-    )
-    parser.add_argument(
-        "--analyze",
-        action="store_true",
-        help="execute the plan and report actual rows, cost, and "
-        "q-error per operator",
-    )
-    parser.add_argument(
-        "--static",
-        action="store_true",
-        help="explain the static expected-value plan instead of the "
-        "dynamic plan",
-    )
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=0,
-        help="seed for data population and bindings (default 0)",
-    )
-    parser.add_argument(
-        "--wall",
-        action="store_true",
-        help="include wall-clock per-operator timings "
-        "(non-deterministic; excluded by default)",
-    )
-    parser.add_argument(
-        "--deadline",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="query deadline for --analyze; on expiry the partial "
-        "trace collected before cancellation is rendered",
-    )
-    parser.add_argument(
-        "--fault-profile",
-        default=None,
-        metavar="NAME",
-        help="run --analyze with this fault-injection profile "
-        "installed (see python -m repro chaos for the names)",
-    )
-    parser.add_argument(
-        "--reopt",
-        default=None,
-        metavar="SPEC",
-        help="run --analyze through mid-query re-optimization with "
-        "this policy ('off', 'auto' or 'always'); the profile annotates the "
-        "final (possibly spliced) plan and the re-optimization "
-        "report follows it",
-    )
-    args = parser.parse_args(argv)
-
-    policy = None
-    if args.reopt is not None:
-        if not args.analyze:
-            print("explain: --reopt requires --analyze")
-            return 2
-        policy = _parse_reopt(args.reopt, "explain")
-        if policy is None:
-            return 2
-
-    from repro.common.errors import InjectedFaultError, QueryTimeoutError
-    from repro.observability.trace import Tracer
-    from repro.resilience.faults import FaultInjector, fault_profile
-
-    workload = paper_workload(args.query, seed=args.seed)
-    if args.sql is not None:
-        query = parse_query(args.sql, workload.catalog, name="cli-query")
-        workload = Workload(
-            workload.catalog, query, workload.specs, args.seed
-        )
-    optimize = optimize_static if args.static else optimize_dynamic
-    result = optimize(workload.catalog, workload.query)
-
     if not args.analyze:
-        print("plan (%s):" % ("static" if args.static else "dynamic"))
-        print(plan_to_text(result.plan))
+        print("plan (%s):" % _plan_kind(args))
+        print(plan_to_text(plan))
         return 0
 
-    database = Database(workload.catalog)
-    populate_database(database, seed=args.seed)
     injector = None
     if args.fault_profile is not None:
         injector = database.install_fault_injector(
             FaultInjector(fault_profile(args.fault_profile), seed=args.seed)
         )
-    bindings = random_bindings(workload, seed=args.seed)
     header = "EXPLAIN ANALYZE %s (%s plan, seed %d)" % (
-        workload.name, "static" if args.static else "dynamic", args.seed
+        workload.name, _plan_kind(args), args.seed
     )
     mid_report = None
     try:
-        if policy is not None:
+        if args.reopt is not None:
             executed, mid_report = execute_midquery(
-                result.plan,
+                plan,
                 database,
                 bindings,
                 workload.query.parameter_space,
-                policy=policy,
+                policy=args.reopt,
                 tracer=Tracer(),
                 deadline=args.deadline,
             )
         else:
             executed = explain_analyze(
-                result.plan,
+                plan,
                 database,
                 bindings,
                 workload.query.parameter_space,
@@ -543,243 +543,119 @@ def _explain(argv):
     return 0
 
 
-def _accuracy(argv):
-    import argparse
+_ACCURACY = _parser(
+    "accuracy",
+    "Replay the paper queries under the tracer and report "
+    "per-operator cost-model q-error distributions.",
+    ("--queries", "--seed", "--static", "--json"),
+)
+_ACCURACY.add_argument(
+    "--invocations",
+    type=int,
+    default=5,
+    help="binding sets replayed per query (default 5)",
+)
 
-    from repro.observability.accuracy import cost_model_accuracy
 
-    parser = argparse.ArgumentParser(
-        prog="python -m repro accuracy",
-        description=(
-            "Replay the paper queries under the tracer and report "
-            "per-operator cost-model q-error distributions."
-        ),
-    )
-    parser.add_argument(
-        "--queries",
-        default="1,2,3,4,5",
-        help="comma-separated paper query numbers (default all five)",
-    )
-    parser.add_argument(
-        "--invocations",
-        type=int,
-        default=5,
-        help="binding sets replayed per query (default 5)",
-    )
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=0,
-        help="seed for data population and bindings (default 0)",
-    )
-    parser.add_argument(
-        "--static",
-        action="store_true",
-        help="profile the static expected-value plans instead of the "
-        "dynamic plans",
-    )
-    parser.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the report as JSON instead of the table",
-    )
-    args = parser.parse_args(argv)
-
-    try:
-        numbers = tuple(
-            int(part) for part in args.queries.split(",") if part.strip()
-        )
-    except ValueError:
-        print("accuracy: --queries must be comma-separated integers")
-        return 2
-    if not numbers or any(n not in (1, 2, 3, 4, 5) for n in numbers):
-        print("accuracy: query numbers must be between 1 and 5")
-        return 2
-
+def _accuracy(args):
     report = cost_model_accuracy(
-        query_numbers=numbers,
+        query_numbers=args.queries,
         invocations=args.invocations,
         seed=args.seed,
-        mode="static" if args.static else "dynamic",
+        mode=_plan_kind(args),
     )
-    if args.json:
-        print(report.to_json())
-    else:
-        print(report.render())
+    print(report.to_json() if args.json else report.render())
     return 0
 
 
-def _chaos_service(scenario, args):
-    from repro.common.errors import ExecutionError
-    from repro.resilience.chaos import run_service_chaos
-
-    try:
-        report = run_service_chaos(
-            scenario,
-            seed=args.seed,
-            shards=args.shards,
-            requests=args.requests,
-            inject_at=args.inject_at,
-            heal_at=args.heal_at,
-        )
-    except (ExecutionError, ValueError) as error:
-        print("chaos: %s" % error)
-        return 2
-    if args.output is not None:
-        with open(args.output, "w") as handle:
-            handle.write(report.to_json())
-            handle.write("\n")
-    print(report.to_json() if args.json else report.render())
-    return 0 if report.passed else 1
-
-
-def _chaos(argv):
-    import argparse
-
-    from repro.common.errors import ExecutionError
-    from repro.resilience.chaos import run_chaos
-    from repro.resilience.faults import FAULT_PROFILES
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro chaos",
-        description=(
-            "Replay the paper queries through the resilient query "
-            "service under a named fault-injection profile and check "
-            "outcomes against fault-free baselines."
-        ),
-    )
-    parser.add_argument(
-        "--profile",
-        default="transient-and-drop",
-        help="fault profile to inject (one of: %s; default "
-        "transient-and-drop)" % ", ".join(sorted(FAULT_PROFILES)),
-    )
-    parser.add_argument(
-        "--queries",
-        default="1,2,3,4,5",
-        help="comma-separated paper query numbers (default all five)",
-    )
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=0,
-        help="seed for data, bindings, and fault injection (default 0)",
-    )
-    parser.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the deterministic JSON report instead of the table",
-    )
-    parser.add_argument(
-        "--output",
-        default=None,
-        metavar="PATH",
-        help="also write the JSON report to this file",
-    )
-    parser.add_argument(
-        "--reopt",
-        default=None,
-        metavar="SPEC",
-        help="run the faulty service through mid-query "
-        "re-optimization with this policy ('off', 'auto' or 'always'); the "
-        "baseline stays plain, so rows_match also checks that "
-        "re-optimization preserves results",
-    )
-    parser.add_argument(
-        "--skew",
-        default=None,
-        metavar="DECLARED:ACTUAL",
-        help="replace random bindings with lying selectivities "
-        "(e.g. 0.02:0.6) so re-decisions actually switch plans",
-    )
-    scenario_group = parser.add_mutually_exclusive_group()
-    scenario_group.add_argument(
+_CHAOS = _parser(
+    "chaos",
+    "Replay the paper queries through the resilient query service "
+    "under a named fault-injection profile and check outcomes against "
+    "fault-free baselines.  --reopt runs the faulty service through "
+    "mid-query re-optimization while the baseline stays plain, so "
+    "rows_match also checks that re-optimization preserves results.",
+    ("--queries", "--seed", "--json", "--reopt", "--skew"),
+)
+_CHAOS.add_argument(
+    "--profile",
+    default="transient-and-drop",
+    help="fault profile to inject (one of: %s; default "
+    "transient-and-drop)" % ", ".join(sorted(FAULT_PROFILES)),
+)
+_CHAOS.add_argument(
+    "--output",
+    default=None,
+    metavar="PATH",
+    help="also write the JSON report to this file",
+)
+_SCENARIOS = _CHAOS.add_mutually_exclusive_group()
+for _flag, _help in (
+    (
         "--kill-shard",
-        action="store_true",
-        help="service-tier scenario: kill a shard worker mid-replay "
-        "and assert failover + supervised restart preserve results",
-    )
-    scenario_group.add_argument(
+        "kill a shard worker mid-replay and assert failover + "
+        "supervised restart preserve results",
+    ),
+    (
         "--hang-shard",
-        action="store_true",
-        help="service-tier scenario: wedge a shard worker mid-request "
-        "and assert the hung request completes via failover after the "
-        "supervisor escalates suspect -> down -> restart",
-    )
-    scenario_group.add_argument(
+        "wedge a shard worker mid-request and assert the hung request "
+        "completes via failover after the supervisor escalates "
+        "suspect -> down -> restart",
+    ),
+    (
         "--slow-shard",
-        action="store_true",
-        help="service-tier scenario: a shard reports stalled serves; "
-        "the supervisor marks it suspect and recovers it without a "
-        "restart",
+        "a shard reports stalled serves; the supervisor marks it "
+        "suspect and recovers it without a restart",
+    ),
+):
+    _SCENARIOS.add_argument(
+        _flag,
+        dest="scenario",
+        action="store_const",
+        const=_flag[2:],
+        help="service-tier scenario: " + _help,
     )
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=3,
-        help="gateway shard count for the service-tier scenarios "
-        "(default 3)",
-    )
-    parser.add_argument(
-        "--requests",
-        type=int,
-        default=36,
-        help="traffic length for the service-tier scenarios "
-        "(default 36)",
-    )
-    parser.add_argument(
-        "--inject-at",
-        type=int,
-        default=10,
-        help="request index at which the shard fault fires "
-        "(default 10)",
-    )
-    parser.add_argument(
+for _flag, _default, _help in (
+    ("--shards", 3, "gateway shard count (default 3)"),
+    ("--requests", 36, "traffic length (default 36)"),
+    ("--inject-at", 10, "request index of the shard fault (default 10)"),
+    (
         "--heal-at",
+        None,
+        "request index of the supervisor sweep (default inject-at + 6)",
+    ),
+):
+    _CHAOS.add_argument(
+        _flag,
         type=int,
-        default=None,
-        help="request index at which the supervisor sweeps "
-        "(default inject-at + 6)",
+        default=_default,
+        help="service-tier scenarios' " + _help,
     )
-    args = parser.parse_args(argv)
 
-    scenario = None
-    if args.kill_shard:
-        scenario = "kill-shard"
-    elif args.hang_shard:
-        scenario = "hang-shard"
-    elif args.slow_shard:
-        scenario = "slow-shard"
-    if scenario is not None:
-        return _chaos_service(scenario, args)
+
+def _chaos(args):
+    from repro.resilience.chaos import run_chaos, run_service_chaos
 
     try:
-        numbers = tuple(
-            int(part) for part in args.queries.split(",") if part.strip()
-        )
-    except ValueError:
-        print("chaos: --queries must be comma-separated integers")
-        return 2
-    if not numbers or any(n not in (1, 2, 3, 4, 5) for n in numbers):
-        print("chaos: query numbers must be between 1 and 5")
-        return 2
-    skew = None
-    if args.skew is not None:
-        skew = _parse_skew(args.skew, "chaos")
-        if skew is None:
-            return 2
-
-    try:
-        report = run_chaos(
-            args.profile,
-            query_numbers=numbers,
-            seed=args.seed,
-            reopt=args.reopt,
-            skew=skew,
-        )
-    except ExecutionError as error:
-        print("chaos: %s" % error)
-        return 2
+        if args.scenario is not None:
+            report = run_service_chaos(
+                args.scenario,
+                seed=args.seed,
+                shards=args.shards,
+                requests=args.requests,
+                inject_at=args.inject_at,
+                heal_at=args.heal_at,
+            )
+        else:
+            report = run_chaos(
+                args.profile,
+                query_numbers=args.queries,
+                seed=args.seed,
+                reopt=args.reopt,
+                skew=args.skew,
+            )
+    except (ExecutionError, ValueError) as error:
+        raise _InputError(error)
     if args.output is not None:
         with open(args.output, "w") as handle:
             handle.write(report.to_json())
@@ -788,50 +664,37 @@ def _chaos(argv):
     return 0 if report.passed else 1
 
 
-def _experiments(argv):
-    from repro.experiments.runner import main as run_experiments
-
-    return run_experiments(argv)
-
-
-def _sql(argv):
-    if not argv:
-        print("usage: python -m repro sql \"SELECT * FROM R1 ...\"")
-        return 2
-    workload = paper_workload(2)
-    query = parse_query(argv[0], workload.catalog, name="cli-query")
-    print("parsed: %r" % query)
-    static = optimize_static(workload.catalog, query)
-    print("static plan:")
-    print(plan_to_text(static.plan))
-    dynamic = optimize_dynamic(workload.catalog, query)
-    print("dynamic plan:")
-    print(plan_to_text(dynamic.plan))
-    return 0
+#: command -> (parser, handler); a handler takes the checked arguments
+#: and returns the exit code.
+COMMANDS = {
+    "demo": (_DEMO, _demo),
+    "run": (_RUN, _run),
+    "experiments": (runner.PARSER, runner.run),
+    "sql": (_SQL, _sql),
+    "serve-batch": (_SERVE_BATCH, _serve_batch),
+    "explain": (_EXPLAIN, _explain),
+    "accuracy": (_ACCURACY, _accuracy),
+    "chaos": (_CHAOS, _chaos),
+}
 
 
 def main(argv=None):
     """Dispatch a CLI command; returns the process exit code."""
     argv = list(sys.argv[1:] if argv is None else argv)
     command = argv[0] if argv else "demo"
-    if command == "demo":
-        return _demo()
-    if command == "run":
-        return _run(argv[1:])
-    if command == "experiments":
-        return _experiments(argv[1:])
-    if command == "sql":
-        return _sql(argv[1:])
-    if command == "serve-batch":
-        return _serve_batch(argv[1:])
-    if command == "explain":
-        return _explain(argv[1:])
-    if command == "accuracy":
-        return _accuracy(argv[1:])
-    if command == "chaos":
-        return _chaos(argv[1:])
-    print(__doc__)
-    return 2
+    if command not in COMMANDS:
+        print(__doc__)
+        return 2
+    parser, handler = COMMANDS[command]
+    try:
+        args = parser.parse_args(argv[1:])
+        for dest, convert in _CONVERTERS.items():
+            if getattr(args, dest, None) is not None:
+                setattr(args, dest, convert(getattr(args, dest)))
+        return handler(args)
+    except (_InputError, SqlSyntaxError, argparse.ArgumentError) as error:
+        print("%s: %s" % (command, error))
+        return 2
 
 
 if __name__ == "__main__":

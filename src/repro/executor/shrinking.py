@@ -11,17 +11,9 @@ implement it as an optional wrapper so its size/robustness trade-off
 can be measured (see ``benchmarks/bench_shrinking.py``).
 """
 
-from repro.algebra.physical import (
-    ChoosePlan,
-    Filter,
-    HashJoin,
-    IndexJoin,
-    MergeJoin,
-    Project,
-    Sort,
-)
+from repro.algebra.physical import ChoosePlan
 from repro.executor.access_module import AccessModule
-from repro.executor.startup import resolve_dynamic_plan
+from repro.executor.startup import _rebuild, resolve_dynamic_plan
 
 
 class ShrinkingAccessModule:
@@ -115,7 +107,7 @@ class ShrinkingAccessModule:
                 result = ChoosePlan(survivors)
         else:
             children = [self._shrink_node(child, cache) for child in node.inputs()]
-            result = _copy_onto(node, children)
+            result = _rebuild(node, children)
         cache[id(node)] = (node, result)
         return result
 
@@ -131,28 +123,3 @@ class ShrinkingAccessModule:
             self.shrink_count,
         )
 
-
-def _copy_onto(node, children):
-    """Rebuild a non-choose node over (possibly) new children."""
-    old = list(node.inputs())
-    if all(new is previous for new, previous in zip(children, old)):
-        return node
-    if isinstance(node, Filter):
-        return Filter(children[0], node.predicate)
-    if isinstance(node, HashJoin):
-        return HashJoin(children[0], children[1], node.predicates)
-    if isinstance(node, MergeJoin):
-        return MergeJoin(children[0], children[1], node.predicates)
-    if isinstance(node, IndexJoin):
-        return IndexJoin(
-            children[0],
-            node.inner_relation,
-            node.inner_attribute,
-            node.predicates,
-            residual_predicate=node.residual_predicate,
-        )
-    if isinstance(node, Sort):
-        return Sort(children[0], node.attribute)
-    if isinstance(node, Project):
-        return Project(children[0], node.attributes)
-    return node

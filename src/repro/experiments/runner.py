@@ -10,6 +10,7 @@ distributions from a traced replay of the five queries; see
 :mod:`repro.observability.accuracy`).
 """
 
+import argparse
 import os
 import sys
 
@@ -57,35 +58,54 @@ def write_csvs(figures, directory):
     return paths
 
 
-def main(argv=None):
-    """CLI entry: ``[N] [--csv DIR] [--accuracy]``."""
-    argv = list(sys.argv[1:] if argv is None else argv)
-    csv_directory = None
-    if "--csv" in argv:
-        position = argv.index("--csv")
-        try:
-            csv_directory = argv[position + 1]
-        except IndexError:
-            print("--csv requires a directory argument")
-            return 2
-        del argv[position : position + 2]
-    with_accuracy = "--accuracy" in argv
-    if with_accuracy:
-        argv.remove("--accuracy")
-    invocations = int(argv[0]) if argv else 100
-    settings = ExperimentSettings(invocations=invocations)
+PARSER = argparse.ArgumentParser(
+    prog="python -m repro experiments",
+    description="Regenerate the paper's evaluation: Table 1 and "
+    "Figures 3-8.",
+    exit_on_error=False,
+)
+PARSER.add_argument(
+    "invocations",
+    nargs="?",
+    type=int,
+    default=100,
+    help="invocations per query (default 100)",
+)
+PARSER.add_argument(
+    "--csv", metavar="DIR", help="also write one CSV per figure into DIR"
+)
+PARSER.add_argument(
+    "--accuracy",
+    action="store_true",
+    help="append the cost-model accuracy report",
+)
+
+
+def run(args):
+    """Run the evaluation :data:`PARSER` describes; the exit code."""
+    settings = ExperimentSettings(invocations=args.invocations)
     figures, table1, settings = run_all_experiments(settings)
     print(render_report(figures, table1, settings))
-    if with_accuracy:
+    if args.accuracy:
         from repro.observability.accuracy import cost_model_accuracy
 
         report = cost_model_accuracy(seed=settings.seed)
         print()
         print(report.render())
-    if csv_directory is not None:
-        for path in write_csvs(figures, csv_directory):
+    if args.csv is not None:
+        for path in write_csvs(figures, args.csv):
             print("wrote %s" % path)
     return 0
+
+
+def main(argv=None):
+    """CLI entry: ``[N] [--csv DIR] [--accuracy]``; the exit code."""
+    try:
+        args = PARSER.parse_args(argv)
+    except argparse.ArgumentError as error:
+        print("experiments: %s" % error)
+        return 2
+    return run(args)
 
 
 if __name__ == "__main__":

@@ -131,11 +131,6 @@ class PlanCacheEntry:
         self.observed = {}
         self.hits = 0
         self.reoptimizations = 0
-        #: Mid-query re-decision passes run over this plan's breakers
-        #: (see :mod:`repro.executor.midquery`).
-        self.midquery_redecisions = 0
-        #: Mid-query passes that switched to a cheaper alternative.
-        self.midquery_switches = 0
         #: ``{parameter: predicate}`` of declared selectivities the last
         #: run that observed them found outside ``covered_bounds``; once
         #: they cover the decisions' read set, later ``auto`` runs count

@@ -23,7 +23,6 @@ import time
 
 from repro.catalog.synthetic import populate_database
 from repro.common.errors import SnapshotError
-from repro.common.rng import make_rng
 from repro.common.stats import percentile
 from repro.service.durability import read_snapshot
 from repro.service.service import ServiceRequest
@@ -119,15 +118,9 @@ def replay_spec(
     if do_execute:
         populate_database(database, seed=spec.seed)
 
-    tenants = _assign_tenants(spec)
     service_requests = [
-        ServiceRequest(
-            workload.query,
-            bindings,
-            tag=workload.query.name,
-            tenant=tenants[index] if tenants is not None else None,
-        )
-        for index, (workload, bindings) in enumerate(requests)
+        ServiceRequest(workload.query, bindings, tag=workload.query.name)
+        for workload, bindings in requests
     ]
     if snapshot is not None:
         _refuse_damaged(snapshot)
@@ -190,23 +183,6 @@ def _refuse_damaged(path):
             raise
 
 
-def _assign_tenants(spec):
-    """Deterministic Zipf-distributed tenant per invocation, or None.
-
-    Derived from the spec seed through its own stream, so enabling
-    tenancy never reshuffles the mix or binding draws.
-    """
-    if spec.tenants < 1:
-        return None
-    rng = make_rng(spec.seed, "service-tenants")
-    ranks = range(spec.tenants)
-    weights = [1.0 / (rank + 1) for rank in ranks]
-    return [
-        "tenant-%d" % rng.choices(ranks, weights=weights)[0]
-        for _ in range(spec.invocations)
-    ]
-
-
 def qps_summary(report):
     """Throughput/latency summary of one replay, as a JSON-ready dict.
 
@@ -226,7 +202,6 @@ def qps_summary(report):
         ),
         "hit_rate": report.hit_rate,
         "shards": report.spec.shards,
-        "tenants": report.spec.tenants,
         "latency_us": {
             "p50": 1e6 * percentile(latencies, 0.50) if latencies else 0.0,
             "p95": 1e6 * percentile(latencies, 0.95) if latencies else 0.0,

@@ -154,7 +154,7 @@ class ServiceRequest:
         #: (:class:`~repro.executor.midquery.ReoptPolicy`; a spec
         #: string is parsed here, at the request boundary, so a
         #: malformed one costs no queue slot, cache entry, or optimizer
-        #: call); None inherits the service default.
+        #: call); None means off.
         self.reopt_policy = _coerce_reopt(reopt_policy)
         #: Tenant identity for the sharded gateway's per-tenant quotas
         #: (:mod:`repro.service.sharding`); ``None`` means unattributed
@@ -358,10 +358,6 @@ class QueryService:
     execute:
         Default for running the chosen plan against the database after
         the start-up decision.
-    validate:
-        Validate plans against the catalog when they are installed in
-        the cache (the paper's [CAK81] check, once per compilation
-        rather than once per start-up — catalogs here are static).
     metrics:
         Optional :class:`~repro.observability.metrics.MetricsRegistry`.
         When given, the partition pushes into the registry's shared
@@ -375,12 +371,6 @@ class QueryService:
         Optional :class:`~repro.observability.trace.Tracer` forwarded
         to plan execution, recording per-operator spans.  ``None``
         costs one ``is None`` test per iterator open.
-    batch_size:
-        Records per operator advance; ``None`` uses the engine default
-        (:data:`~repro.executor.vectorized.DEFAULT_BATCH_SIZE`).  A
-        query deadline is checked once per batch — up to ``batch_size``
-        records between checks; ``batch_size=1`` checks once per
-        record.
     resilience:
         A :class:`~repro.resilience.policy.ResiliencePolicy` bundling
         the transient-fault retry policy, the optional per-signature
@@ -388,12 +378,11 @@ class QueryService:
         mid-run degradation budget, and the default query deadline.
         ``None`` uses the policy defaults (retries on, breaker off, no
         deadline), which leave fault-free behaviour untouched.
-    reopt_policy:
-        Default :class:`~repro.executor.midquery.ReoptPolicy` (or a
-        spec string for :meth:`~repro.executor.midquery.ReoptPolicy.parse`)
-        governing mid-query re-optimization at pipeline breakers.
-        ``None`` (the default) disables it; individual requests
-        override it per invocation.
+
+    Execution runs at the engine's default batch size
+    (:data:`~repro.executor.vectorized.DEFAULT_BATCH_SIZE`), so a query
+    deadline is checked once per batch; mid-query re-optimization is
+    per request (``ServiceRequest.reopt_policy``).
     """
 
     def __init__(
@@ -403,12 +392,9 @@ class QueryService:
         capacity=64,
         optimize=None,
         execute=True,
-        validate=False,
         metrics=None,
         tracer=None,
-        batch_size=None,
         resilience=None,
-        reopt_policy=None,
     ):
         if optimize is None:
             from repro.optimizer.optimizer import optimize_dynamic
@@ -418,12 +404,9 @@ class QueryService:
         self.catalog = database.catalog
         self.cache = PlanCache(capacity)
         self.default_execute = bool(execute)
-        self.batch_size = batch_size
-        self.validate = bool(validate)
         self.metrics = metrics
         self.tracer = tracer
         self.resilience = resilience if resilience is not None else ResiliencePolicy()
-        self.reopt_policy = _coerce_reopt(reopt_policy)
         self._optimize = optimize
         #: input signature -> SharedCompile of the first bounds-only
         #: optimizer run over it, alive while an entry holds it.
@@ -546,8 +529,6 @@ class QueryService:
                 if deadline_seconds is None:
                     deadline_seconds = self.resilience.deadline_seconds
                 reopt = request.reopt_policy
-                if reopt is None:
-                    reopt = self.reopt_policy
                 execution, chosen, report = self._execute_with_resilience(
                     entry,
                     chosen,
@@ -674,10 +655,6 @@ class QueryService:
         else:
             result = self._optimize(self.catalog, query)
             plan = result.plan
-            if self.validate:
-                from repro.executor.validation import validate_plan
-
-                plan = validate_plan(plan, self.catalog)
             # A plan the program cannot compile is one the cost model
             # cannot cost: the DecisionCompilationError fails the
             # request, typed.
@@ -691,9 +668,9 @@ class QueryService:
         return time.perf_counter() - compile_started
 
     def _note_midquery(self, entry, decision, mid_report):
-        """Fold a mid-query report into service and entry counters, and
-        what it observed of the decisions' selectivities into the
-        entry's distrusted set."""
+        """Fold a mid-query report into service counters, and what it
+        observed of the decisions' selectivities into the entry's
+        distrusted set."""
         if mid_report.startup is not None:
             self._count("startup_verifications")
         if mid_report.settled:
@@ -715,9 +692,6 @@ class QueryService:
                     digest=entry.digest,
                     switches=mid_report.switches,
                 )
-        with entry.lock:
-            entry.midquery_redecisions += mid_report.redecisions
-            entry.midquery_switches += mid_report.switches
         if mid_report.rebound:
             reads = decision.read_set()
             entry.distrust(
@@ -778,7 +752,6 @@ class QueryService:
                             parameter_space,
                             policy=reopt,
                             tracer=self.tracer,
-                            batch_size=self.batch_size,
                             deadline=deadline,
                             choices=report.choices,
                             decision=decision,
@@ -791,7 +764,6 @@ class QueryService:
                             bindings,
                             parameter_space,
                             tracer=self.tracer,
-                            batch_size=self.batch_size,
                             deadline=deadline,
                         )
                 if use_midquery:

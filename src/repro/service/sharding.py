@@ -473,10 +473,8 @@ class ShardedQueryService:
         ``plan_cache_*``, equal to :meth:`stats` at quiescence — plus
         its overload counters and per-shard gauges
         (``service_shard<i>_pending``, ``service_shard<i>_cache_entries``).
-
-    Remaining keyword arguments (``execute``, ``batch_size``,
-    ``validate``, ``optimize``, ``tracer``, ``reopt_policy``) are
-    forwarded to every shard's ``QueryService`` unchanged.
+    execute, optimize, tracer:
+        Forwarded to every shard's ``QueryService`` unchanged.
     """
 
     def __init__(
@@ -491,9 +489,10 @@ class ShardedQueryService:
         metrics=None,
         durability=None,
         backoff_seed=0,
-        supervisor_down_after=2,
         supervisor_auto_restart=True,
-        **service_kwargs,
+        execute=True,
+        optimize=None,
+        tracer=None,
     ):
         if shards < 1:
             raise ValueError("shard count must be at least 1")
@@ -509,7 +508,9 @@ class ShardedQueryService:
         self._capacity = capacity
         self._max_pending = max_pending
         self._resilience_factory = resilience_factory
-        self._service_kwargs = dict(service_kwargs)
+        self._execute = execute
+        self._optimize = optimize
+        self._tracer = tracer
         self.shards = []
         for index in range(shards):
             self.shards.append(
@@ -531,11 +532,7 @@ class ShardedQueryService:
         #: fresh" degraded path when no sibling shard is servable.
         self._standby = None
         self._standby_lock = threading.Lock()
-        self.supervisor = ShardSupervisor(
-            self,
-            down_after=supervisor_down_after,
-            auto_restart=supervisor_auto_restart,
-        )
+        self.supervisor = ShardSupervisor(self, auto_restart=supervisor_auto_restart)
         self.durability = DurabilityConfig.coerce(durability)
         self._snapshot_lock = threading.Lock()
         self._completed_since_snapshot = 0
@@ -634,9 +631,11 @@ class ShardedQueryService:
             self.database,
             self._db_lock,
             capacity=self._capacity,
+            optimize=self._optimize,
+            execute=self._execute,
             metrics=self.metrics,
+            tracer=self._tracer,
             resilience=resilience,
-            **self._service_kwargs,
         )
 
     def _rebuild_shard(self, shard):

@@ -76,19 +76,19 @@ class ShardSupervisor:
     ----------
     gateway:
         The owning :class:`~repro.service.sharding.ShardedQueryService`.
-    down_after:
-        Consecutive no-progress checks (strikes) before a wedged shard
-        is declared down.  The first strike only marks it suspect, so
-        one slow check interval never triggers a restart.
     auto_restart:
         Restart a shard as soon as a check finds it down.  When off,
         the shard stays down (requests keep failing over) until
         :meth:`restart_shard` is called explicitly.
     """
 
-    def __init__(self, gateway, down_after=2, auto_restart=True):
+    #: Consecutive no-progress checks (strikes) before a wedged shard
+    #: is declared down.  The first strike only marks it suspect, so
+    #: one slow check interval never triggers a restart.
+    down_after = 2
+
+    def __init__(self, gateway, auto_restart=True):
         self.gateway = gateway
-        self.down_after = int(down_after)
         self.auto_restart = bool(auto_restart)
         self._lock = threading.Lock()
         self._health = {

@@ -22,7 +22,6 @@ Spec JSON format::
       "capacity": 64,
       "execute": true,
       "shards": 1,
-      "tenants": 0,
       "queries": [
         {"relations": 2, "topology": "chain", "weight": 3},
         {"relations": 4, "topology": "star", "weight": 1,
@@ -124,7 +123,6 @@ class ServiceWorkloadSpec:
         seed=0,
         execute=True,
         shards=1,
-        tenants=0,
     ):
         self.queries = list(queries)
         if not self.queries:
@@ -136,18 +134,12 @@ class ServiceWorkloadSpec:
         #: Plan-cache partitions of the gateway the spec replays
         #: through (:mod:`repro.service.sharding`).
         self.shards = int(shards)
-        #: ``0`` leaves requests unattributed; larger counts assign each
-        #: invocation a Zipf-distributed tenant identity from a derived
-        #: stream (deterministic per seed).
-        self.tenants = int(tenants)
         if self.invocations < 0:
             raise OptimizationError("invocations must be non-negative")
         if self.capacity < 1:
             raise OptimizationError("plan cache capacity must be at least 1")
         if self.shards < 1:
             raise OptimizationError("a service needs at least one shard")
-        if self.tenants < 0:
-            raise OptimizationError("tenant count must be non-negative")
 
     @classmethod
     def from_dict(cls, data):
@@ -160,7 +152,6 @@ class ServiceWorkloadSpec:
             seed=data.get("seed", 0),
             execute=data.get("execute", True),
             shards=data.get("shards", 1),
-            tenants=data.get("tenants", 0),
         )
 
     @classmethod
@@ -192,7 +183,6 @@ class ServiceWorkloadSpec:
             "seed": self.seed,
             "execute": self.execute,
             "shards": self.shards,
-            "tenants": self.tenants,
         }
         unknown = set(overrides) - set(fields)
         if unknown:

@@ -1,5 +1,7 @@
 """The ``python -m repro`` command-line interface."""
 
+import re
+
 import pytest
 
 from repro.__main__ import main
@@ -77,6 +79,72 @@ class TestCli:
         output = capsys.readouterr().out
         assert output.startswith("%s: reopt mode must be one of" % argv[0])
         assert output.count("\n") == 1
+
+
+    @pytest.mark.parametrize(
+        "argv, reason",
+        (
+            (["sql", "SELEC x"], "expected keyword 'SELECT'"),
+            (["explain", "SELEC x"], "expected keyword 'SELECT'"),
+            (["experiments", "x"], "invalid int value: 'x'"),
+            (["explain", "--reopt", "always"], "--reopt requires --analyze"),
+        ),
+    )
+    def test_input_error_is_one_line_exit_2(self, argv, reason, capsys):
+        """Malformed SQL, a non-integer invocation count and a flag
+        missing its companion fail typed: one line, no traceback."""
+        assert main(argv) == 2
+        output = capsys.readouterr().out
+        assert output.startswith("%s: " % argv[0])
+        assert reason in output
+        assert output.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "command, options",
+        (
+            ("demo", ()),
+            (
+                "run",
+                ("--batch-size", "--query", "--reopt", "--seed", "--skew",
+                 "--static"),
+            ),
+            ("experiments", ("--accuracy", "--csv")),
+            ("sql", ()),
+            (
+                "serve-batch",
+                ("--capacity", "--invocations", "--no-execute",
+                 "--qps-report", "--seed", "--shards", "--snapshot"),
+            ),
+            (
+                "explain",
+                ("--analyze", "--deadline", "--fault-profile", "--query",
+                 "--reopt", "--seed", "--static", "--wall"),
+            ),
+            (
+                "accuracy",
+                ("--invocations", "--json", "--queries", "--seed", "--static"),
+            ),
+            (
+                "chaos",
+                ("--hang-shard", "--heal-at", "--inject-at", "--json",
+                 "--kill-shard", "--output", "--profile", "--queries",
+                 "--reopt", "--requests", "--seed", "--shards", "--skew",
+                 "--slow-shard"),
+            ),
+        ),
+    )
+    def test_every_command_answers_help(self, command, options, capsys):
+        """Each command's ``--help`` exits 0 and lists exactly its
+        options; no command parses argv by hand."""
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--help"])
+        assert exit_info.value.code == 0
+        listed = set()
+        for line in capsys.readouterr().out.splitlines():
+            if line.startswith("  -"):
+                column = re.split(r"\s{2,}", line.strip())[0]
+                listed.update(part.split(" ")[0] for part in column.split(", "))
+        assert listed == {"-h", "--help", *options}
 
 
 class TestRunnerCsv:

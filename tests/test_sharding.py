@@ -722,7 +722,6 @@ class TestServeBatchCliSharded:
                 "--invocations", "24",
                 "--no-execute",
                 "--shards", "3",
-                "--tenants", "2",
                 "--qps-report", str(report_path),
             ]
         )
@@ -732,7 +731,6 @@ class TestServeBatchCliSharded:
         summary = json.loads(report_path.read_text())
         assert summary["invocations"] == 24
         assert summary["shards"] == 3
-        assert summary["tenants"] == 2
         assert sum(summary["per_shard_requests"]) == 24
         assert summary["overload"] == {
             "shard_queue_full": 0,
