@@ -427,14 +427,18 @@ class Materialized(PhysicalPlan):
     Created only at run time, as the checkpoint of each pipeline
     breaker :func:`~repro.executor.midquery.execute_midquery` drains
     ("evaluating subplans into temporary results"); replays the stored
-    records for free and reports their *observed* cardinality, which
-    the remaining choose-plan decisions read.  Never appears in
+    rows for free and reports their *observed* cardinality, which the
+    remaining choose-plan decisions read.  Never appears in
     compile-time plans or access modules.
     """
 
-    def __init__(self, records, original):
-        self.records = list(records)
+    def __init__(self, rows, original, layout=None):
+        #: The drained value tuples, a list kept as given.
+        self.rows = rows
         self.original = original
+        #: The :class:`~repro.storage.records.Layout` of ``rows``; only a
+        #: checkpoint that is executed needs one.
+        self.layout = layout
 
     def inputs(self):
         return ()
@@ -445,7 +449,7 @@ class Materialized(PhysicalPlan):
     @property
     def observed_cardinality(self):
         """Actual record count of the temporary."""
-        return len(self.records)
+        return len(self.rows)
 
     def _local_signature(self):
         return ("materialized", self.original.signature())
@@ -455,7 +459,7 @@ class Materialized(PhysicalPlan):
 
     def __repr__(self):
         return "Materialized(%d records of %r)" % (
-            len(self.records),
+            len(self.rows),
             self.original.operator_name(),
         )
 

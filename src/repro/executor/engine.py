@@ -142,9 +142,11 @@ def execute_plan(plan, database, bindings=None, parameter_space=None,
     of hot pages cost no I/O (the [MaL89] refinement).
 
     The one engine (:mod:`repro.executor.vectorized`) moves
-    ``batch_size`` records per operator advance
+    ``batch_size`` value tuples per operator advance
     (:data:`~repro.executor.vectorized.DEFAULT_BATCH_SIZE` when
-    ``None``; less than 1 raises ``ExecutionError``).  Every batch size
+    ``None``; less than 1 raises ``ExecutionError``); the root's tuples
+    become the result's :class:`~repro.storage.records.Record` objects,
+    on the root operator's layout, inside the timed run.  Every batch size
     produces identical result rows, row order and choose-plan
     decisions, and identical simulated I/O except ``pages_read`` under
     ``use_buffer_pool=True``; ``batch_size=1`` is record-at-a-time
@@ -174,15 +176,37 @@ def execute_plan(plan, database, bindings=None, parameter_space=None,
                                tracer=tracer,
                                batch_size=batch_size,
                                deadline=deadline)
+    started = time.perf_counter()
+    layout, rows, delta = drive(plan, context)
+    records = layout.records(rows)
+    elapsed = time.perf_counter() - started
+    result = ExecutionResult(records, delta, list(context.decisions), elapsed)
+    if tracer is not None:
+        from repro.observability.explain import build_profile
+
+        result.trace = tracer.trace()
+        result.profile = build_profile(result.trace, context.cost_model)
+    return result
+
+
+def drive(plan, context):
+    """Run ``plan`` to completion under ``context``.
+
+    Returns ``(layout, rows, io)``: the root operator's
+    :class:`~repro.storage.records.Layout`, its value tuples in order,
+    and the I/O charged.  This is :func:`execute_plan` before result
+    assembly; a mid-query checkpoint keeps what it returns as it is.
+    A :class:`~repro.common.errors.QueryTimeoutError` carries the rows
+    produced, the I/O charged and (with a tracer) the trace so far.
+    """
     deadline = context.deadline
     before = context.io_stats.snapshot()
-    started = time.perf_counter()
-    records = []
+    rows = []
     try:
         root = build_batch_iterator(plan, context)
         if deadline is None:
             for batch in root.batches():
-                records.extend(batch)
+                rows.extend(batch)
         else:
             stream = root.batches()
             try:
@@ -191,23 +215,15 @@ def execute_plan(plan, database, bindings=None, parameter_space=None,
                     batch = next(stream, None)
                     if batch is None:
                         break
-                    records.extend(batch)
+                    rows.extend(batch)
             finally:
                 root.close()
     except QueryTimeoutError as error:
         after = context.io_stats.snapshot()
-        error.rows_produced = len(records)
+        error.rows_produced = len(rows)
         error.io_snapshot = {key: after[key] - before[key] for key in after}
-        if tracer is not None:
-            error.trace = tracer.trace()
+        if context.tracer is not None:
+            error.trace = context.tracer.trace()
         raise
-    elapsed = time.perf_counter() - started
     after = context.io_stats.snapshot()
-    delta = {key: after[key] - before[key] for key in after}
-    result = ExecutionResult(records, delta, list(context.decisions), elapsed)
-    if tracer is not None:
-        from repro.observability.explain import build_profile
-
-        result.trace = tracer.trace()
-        result.profile = build_profile(result.trace, context.cost_model)
-    return result
+    return root.layout, rows, {key: after[key] - before[key] for key in after}

@@ -70,7 +70,12 @@ from repro.executor.decision import (
     _uncertain_predicate,
     rebuild_chosen,
 )
-from repro.executor.engine import ExecutionResult, execute_plan
+from repro.executor.engine import (
+    ExecutionContext,
+    ExecutionResult,
+    drive,
+    execute_plan,
+)
 from repro.executor.startup import _rebuild
 from repro.executor.vectorized import sargable_key_range
 from repro.resilience.deadline import Deadline
@@ -344,6 +349,7 @@ def execute_midquery(
     choices=None,
     decision=None,
     distrusted=None,
+    memo=None,
 ):
     """Execute a dynamic plan with runtime choose-plan points.
 
@@ -377,7 +383,12 @@ def execute_midquery(
     succeeded the run is ``settled``: every selectivity its decisions
     read is exact, so it executes the decided plan plainly, and a join
     cardinality the estimate gets wrong goes unchecked.  Otherwise the
-    breakers are visited as usual, from the decided choices.
+    breakers are visited as usual, from the decided choices.  ``memo``
+    is ``decision``'s chosen-plan memo when the caller keeps one (a
+    plan-cache entry's ``chosen_memo``, read together with
+    ``decision``): the start-up decision then goes through
+    :meth:`~repro.executor.decision.CompiledDecision.choose_memoized`,
+    which rebuilds each decided plan once, not once a run.
     """
     if plan is None:
         raise ExecutionError("cannot execute an empty plan")
@@ -467,7 +478,9 @@ def execute_midquery(
         reads = compiled().read_set()
         if distrusted.keys() >= reads.keys():
             count("startup")
-            chosen, report.startup = decision.choose(known)
+            chosen, report.startup = decision.choose_memoized(
+                known, {} if memo is None else memo
+            )
             choices = report.startup.choices
             report.settled = report.rebound.keys() >= reads.keys()
             if report.settled:
@@ -519,8 +532,15 @@ def execute_midquery(
         if breaker is None:
             break
         kind, subplan = breaker
-        drained = run(subplan)
-        checkpoint = Materialized(drained.records, subplan)
+        context = ExecutionContext(
+            database,
+            bindings,
+            parameter_space,
+            batch_size=batch_size,
+            deadline=deadline,
+        )
+        layout, rows, _ = drive(subplan, context)
+        checkpoint = Materialized(rows, subplan, layout)
         origin = origins.get(id(subplan), subplan)
         pinned[id(origin)] = (origin, checkpoint)
         observed = checkpoint.observed_cardinality

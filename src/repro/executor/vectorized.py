@@ -2,13 +2,25 @@
 
 Every operator is an iterator with ``open`` / ``batches()`` (Python
 iteration) / ``close`` — the protocol of the Volcano execution engine,
-moving a *list* of records per advance instead of one record
+moving a *list* of value tuples per advance instead of one record
 (:data:`DEFAULT_BATCH_SIZE` by default, ``batch_size`` on
 :class:`~repro.executor.engine.ExecutionContext`), which amortizes
 generator resumption, I/O-charging calls and predicate dispatch over a
 whole batch.  Operators charge their simulated I/O and CPU work to the
 database's :class:`~repro.storage.iostats.IOStatistics`, so executed
 plans can be compared against the optimizer's cost predictions.
+
+Opening an operator builds and opens its inputs and fixes its output
+:attr:`~BatchPlanIterator.layout` from theirs — a scan has its heap's
+layout; a filter, sort or choose-plan its input's; a join the memoized
+merge of its inputs' (:meth:`~repro.storage.records.Layout.merged`); a
+projection the memoized projection; a ``Materialized`` checkpoint its
+rows' — so every kernel resolves its attribute positions once per
+operator, before any batch flows, and indexes ``t[i]``.  Opening does
+no I/O: blocking operators drain their inputs at their first batch, so
+the order in which pages are read is the order batches are pulled.
+Records are made only from the root's tuples, at result assembly
+(:func:`~repro.executor.engine.execute_plan`).
 
 The batch size changes only *when* work happens, never *what* work
 happens: result rows, row order, ``records_processed``,
@@ -21,11 +33,12 @@ interleave differently in the shared LRU at different batch sizes, so
 
 * scans emit page-aligned batches (whole heap pages per batch) and
   charge per page and per record;
-* filters apply one precompiled predicate closure
+* filters apply one compiled kernel
   (:mod:`repro.executor.predicates`) over a batch in a single
   comprehension;
-* hash joins build their table in one pass over the build side's
-  batches and probe per batch;
+* joins emit ``left + right`` tuples, passed through the merge's gather
+  only when the two sides share a name; hash joins build their table in
+  one pass over the build side's batches and probe per batch;
 * choose-plan resolves its decision procedure at open — before any
   batch flows — and then delegates wholesale to the chosen child's
   batch stream;
@@ -36,7 +49,9 @@ queries, static and dynamic, and pins the I/O totals and row digests the
 deleted record-at-a-time engine produced.
 """
 
+from collections import defaultdict
 from itertools import compress, islice
+from operator import itemgetter
 
 from repro.algebra.physical import (
     BTreeScan,
@@ -54,14 +69,12 @@ from repro.algebra.physical import (
 from repro.common.errors import ExecutionError
 from repro.common.units import pages_for_records
 from repro.executor.predicates import (
-    column_position,
+    column,
     compile_batch_mask,
     compile_batch_predicate,
-    compile_predicate,
+    deferred,
 )
-from repro.storage.records import Record
-
-_new = Record.__new__
+from repro.storage.records import Layout
 
 #: Records per batch when the execution context does not override it.
 DEFAULT_BATCH_SIZE = 1024
@@ -94,14 +107,24 @@ def build_batch_iterator(plan, context):
     raise ExecutionError("no batch iterator for operator %r" % plan)
 
 
+def _open(plan, context):
+    """The opened batch iterator of an operator's input."""
+    return build_batch_iterator(plan, context).open()
+
+
 class BatchPlanIterator:
     """Base class: the open/next-batch/close protocol.
 
-    ``_produce_batches`` returns an iterator of non-empty record
-    lists.  With a tracer on the context the batch stream is wrapped
-    in a counting span (rows advance by batch length); without one
-    the only overhead is a single ``is None`` test at open.
+    ``_produce_batches`` opens the operator's inputs, sets
+    :attr:`layout` and returns an iterator of non-empty lists of value
+    tuples on it.  With a tracer on the context the batch stream is
+    wrapped in a counting span (rows advance by batch length); without
+    one the only overhead is a single ``is None`` test at open.
     """
+
+    #: The :class:`~repro.storage.records.Layout` of every tuple the
+    #: operator emits; fixed at open.
+    layout = None
 
     def __init__(self, plan, context):
         self.plan = plan
@@ -112,9 +135,7 @@ class BatchPlanIterator:
         """Prepare the batch stream; idempotent.
 
         Checks the context deadline first, so an expired query cancels
-        before any operator does work (blocking operators like sort
-        and hash join do all their work at the first batch, after
-        open).
+        before any operator does work.
         """
         if self._stream is None:
             deadline = self.context.deadline
@@ -158,6 +179,7 @@ class FileScanBatchIterator(BatchPlanIterator):
 
     def _produce_batches(self):
         heap = self.context.database.heap(self.plan.relation_name)
+        self.layout = heap.layout
         return heap.scan_batches(self.batch_size, self.context.buffer_pool)
 
 
@@ -186,7 +208,7 @@ class BTreeScanBatchIterator(BatchPlanIterator):
     """Full B-tree scan in key order, heap fetches bulked per batch.
 
     RIDs are gathered from the leaf chain in batch-size chunks and the
-    heap records fetched with :meth:`~repro.storage.heapfile.HeapFile.
+    heap tuples fetched with :meth:`~repro.storage.heapfile.HeapFile.
     fetch_many`, which charges the per-RID page/record totals in two
     bulk calls instead of two per record.
     """
@@ -196,6 +218,7 @@ class BTreeScanBatchIterator(BatchPlanIterator):
         plan = self.plan
         btree = database.btree(plan.relation_name, plan.attribute)
         heap = database.heap(plan.relation_name)
+        self.layout = heap.layout
         pool = _scan_buffer(self.context, plan.relation_name, plan.attribute)
         return _index_batches(
             btree.range_scan(), self.context.batch_size, heap, pool
@@ -207,7 +230,7 @@ class FilterBTreeScanBatchIterator(BatchPlanIterator):
 
     Qualifying RIDs are bulk-fetched per chunk (see
     :class:`BTreeScanBatchIterator`) and the full predicate is
-    re-applied over the fetched chunk with one compiled batch closure
+    re-applied over the fetched chunk with one compiled batch kernel
     (exact semantics for the exclusive operators).
     """
 
@@ -216,10 +239,11 @@ class FilterBTreeScanBatchIterator(BatchPlanIterator):
         plan = self.plan
         btree = database.btree(plan.relation_name, plan.attribute)
         heap = database.heap(plan.relation_name)
+        self.layout = heap.layout
         low, high = sargable_key_range(plan.predicate, self.context.bindings)
         pool = _scan_buffer(self.context, plan.relation_name, plan.attribute)
         filter_batch = compile_batch_predicate(
-            plan.predicate, self.context.bindings
+            plan.predicate, self.context.bindings, heap.layout
         )
         return _index_batches(
             btree.range_scan(low, high),
@@ -231,12 +255,13 @@ class FilterBTreeScanBatchIterator(BatchPlanIterator):
 
 
 class FilterBatchIterator(BatchPlanIterator):
-    """Predicate filter: one compiled closure over each input batch."""
+    """Predicate filter: one compiled kernel over each input batch."""
 
     def _produce_batches(self):
-        child = build_batch_iterator(self.plan.input, self.context)
+        child = _open(self.plan.input, self.context)
+        self.layout = child.layout
         filter_batch = compile_batch_predicate(
-            self.plan.predicate, self.context.bindings
+            self.plan.predicate, self.context.bindings, child.layout
         )
 
         def generate():
@@ -250,62 +275,28 @@ class FilterBatchIterator(BatchPlanIterator):
         return generate()
 
 
-def _column(attribute):
-    """``values(batch)``: one attribute's value per record of a batch.
+def _secondary_predicates(predicates, layout):
+    """``keep(rows) -> rows`` checking the secondary join predicates on
+    join outputs on ``layout``, or ``None`` when there are none.
 
-    The attribute's position is resolved once per layout
-    (:func:`~repro.executor.predicates.column_position`), so the
-    per-record path is one tuple index.
+    Both sides' positions are resolved once; an attribute that does not
+    resolve raises on the first output (:func:`~repro.executor.
+    predicates.deferred`).
     """
-    position = column_position(attribute)
-
-    def values(batch):
-        if not batch:
-            return []
-        i = position(batch)
-        return [record._values[i] for record in batch]
-
-    return values
-
-
-def _joined(pairs, layout, gather):
-    """Join outputs on ``layout`` for ``(left, right)`` record pairs.
-
-    Each output's values are ``left._values + right._values`` — the
-    field order of ``left.merged_with(right)`` — passed through
-    ``gather`` only when the two sides share a name (the right side's
-    value wins), as :meth:`~repro.storage.records.Layout.merged` says.
-    """
-    out = []
-    append = out.append
-    new = _new
-    for left, right in pairs:
-        merged = new(Record)
-        merged._layout = layout
-        values = left._values + right._values
-        merged._values = values if gather is None else gather(values)
-        merged.rid = None
-        append(merged)
-    return out
-
-
-def _compile_extra_predicates(predicates):
-    """Closure checking the secondary join predicates, or ``None``.
-
-    The attribute pairs are extracted once so the per-record check is
-    plain record indexing.
-    """
-    pairs = [(p.left_attribute, p.right_attribute) for p in predicates[1:]]
+    try:
+        pairs = [
+            (layout.position(p.left_attribute), layout.position(p.right_attribute))
+            for p in predicates[1:]
+        ]
+    except ExecutionError as error:
+        return deferred(error)
     if not pairs:
         return None
 
-    def holds(merged):
-        for left, right in pairs:
-            if merged[left] != merged[right]:
-                return False
-        return True
+    def keep(rows):
+        return [t for t in rows if all(t[i] == t[j] for i, j in pairs)]
 
-    return holds
+    return keep
 
 
 class HashJoinBatchIterator(BatchPlanIterator):
@@ -321,40 +312,33 @@ class HashJoinBatchIterator(BatchPlanIterator):
 
     def _produce_batches(self):
         plan = self.plan
-        build_child = build_batch_iterator(plan.build, self.context)
-        probe_child = build_batch_iterator(plan.probe, self.context)
-        build_attr, probe_attr = join_sides(plan.predicate, plan.build)
-        build_keys = _column(build_attr)
-        probe_keys = _column(probe_attr)
-        extra = _compile_extra_predicates(plan.predicates)
+        build_child = _open(plan.build, self.context)
+        probe_child = _open(plan.probe, self.context)
+        build_attr, probe_attr = join_sides(plan.predicate, build_child.layout)
+        build_keys = column(build_child.layout, build_attr)
+        probe_keys = column(probe_child.layout, probe_attr)
+        self.layout, gather = build_child.layout.merged(probe_child.layout)
+        extra = _secondary_predicates(plan.predicates, self.layout)
         memory = self.context.memory_pages
         batch_size = self.batch_size
 
         def generate():
             charge = self.io_stats.charge_records
-            table = {}
+            table = defaultdict(list)
             build_count = 0
-            build_layout = None
             for batch in build_child.batches():
                 charge(len(batch))
                 build_count += len(batch)
-                build_layout = batch[0]._layout
-                for record, key in zip(batch, build_keys(batch)):
-                    bucket = table.get(key)
-                    if bucket is None:
-                        table[key] = [record]
-                    else:
-                        bucket.append(record)
+                for row, key in zip(batch, build_keys(batch)):
+                    table[key].append(row)
             build_pages = pages_for_records(build_count)
             if build_pages > memory:
-                probe_records = []
-                for batch in probe_child.batches():
-                    charge(len(batch))
-                    probe_records.extend(batch)
-                spill_pages = build_pages + pages_for_records(len(probe_records))
+                probe_rows = _drain(probe_child)
+                charge(len(probe_rows))
+                spill_pages = build_pages + pages_for_records(len(probe_rows))
                 self.io_stats.charge_page_writes(spill_pages)
                 self.io_stats.charge_page_reads(spill_pages)
-                probe_batches = _rebatch(probe_records, batch_size)
+                probe_batches = _rebatch(probe_rows, batch_size)
             else:
                 def charged_batches():
                     for batch in probe_child.batches():
@@ -363,33 +347,21 @@ class HashJoinBatchIterator(BatchPlanIterator):
 
                 probe_batches = charged_batches()
             get = table.get
-            new = _new
             for batch in probe_batches:
                 keys = probe_keys(batch)
                 if not table:
                     continue
-                # ``_joined`` inline: a pair tuple per match made
-                # ``join_exec``'s execution ~9% slower.  Build fields
-                # first, the probe side's winning on a shared name.
-                layout, gather = build_layout.merged(batch[0]._layout)
-                matched = []
-                append = matched.append
-                for record, key in zip(batch, keys):
-                    bucket = get(key)
-                    if bucket is not None:
-                        values = record._values
-                        for match in bucket:
-                            merged = new(Record)
-                            merged._layout = layout
-                            merged._values = (
-                                match._values + values
-                                if gather is None
-                                else gather(match._values + values)
-                            )
-                            merged.rid = None
-                            append(merged)
+                # Build fields first, the probe side's winning on a
+                # shared name.
+                matched = [
+                    match + row
+                    for row, key in zip(batch, keys)
+                    for match in get(key, ())
+                ]
+                if gather is not None:
+                    matched = list(map(gather, matched))
                 if extra is not None:
-                    matched = [merged for merged in matched if extra(merged)]
+                    matched = extra(matched)
                 if matched:
                     charge(len(matched))
                     yield matched
@@ -402,26 +374,28 @@ class MergeJoinBatchIterator(BatchPlanIterator):
 
     def _produce_batches(self):
         plan = self.plan
-        left_records = _drain(build_batch_iterator(plan.left, self.context))
-        right_records = _drain(build_batch_iterator(plan.right, self.context))
-        left_attr, right_attr = join_sides(plan.predicate, plan.left)
-        extra = _compile_extra_predicates(plan.predicates)
+        left_child = _open(plan.left, self.context)
+        right_child = _open(plan.right, self.context)
+        left_attr, right_attr = join_sides(plan.predicate, left_child.layout)
+        left_column = column(left_child.layout, left_attr)
+        right_column = column(right_child.layout, right_attr)
+        self.layout, gather = left_child.layout.merged(right_child.layout)
+        extra = _secondary_predicates(plan.predicates, self.layout)
         batch_size = self.batch_size
 
         def generate():
+            left_rows = _drain(left_child)
+            right_rows = _drain(right_child)
             charge = self.io_stats.charge_records
-            charge(len(left_records) + len(right_records))
-            left_keys = _column(left_attr)(left_records)
-            right_keys = _column(right_attr)(right_records)
-            if not (left_records and right_records):
+            charge(len(left_rows) + len(right_rows))
+            left_keys = left_column(left_rows)
+            right_keys = right_column(right_rows)
+            if not (left_rows and right_rows):
                 return
-            layout, gather = left_records[0]._layout.merged(
-                right_records[0]._layout
-            )
             out = []
             left_index = 0
             right_index = 0
-            while left_index < len(left_records) and right_index < len(right_records):
+            while left_index < len(left_rows) and right_index < len(right_rows):
                 left_key = left_keys[left_index]
                 right_key = right_keys[right_index]
                 if left_key < right_key:
@@ -432,27 +406,25 @@ class MergeJoinBatchIterator(BatchPlanIterator):
                     # Gather the duplicate blocks on both sides.
                     left_end = left_index
                     while (
-                        left_end < len(left_records)
+                        left_end < len(left_rows)
                         and left_keys[left_end] == left_key
                     ):
                         left_end += 1
                     right_end = right_index
                     while (
-                        right_end < len(right_records)
+                        right_end < len(right_rows)
                         and right_keys[right_end] == right_key
                     ):
                         right_end += 1
-                    block = _joined(
-                        [
-                            (left_records[i], right_records[j])
-                            for i in range(left_index, left_end)
-                            for j in range(right_index, right_end)
-                        ],
-                        layout,
-                        gather,
-                    )
+                    block = [
+                        left + right
+                        for left in left_rows[left_index:left_end]
+                        for right in right_rows[right_index:right_end]
+                    ]
+                    if gather is not None:
+                        block = list(map(gather, block))
                     if extra is not None:
-                        block = [merged for merged in block if extra(merged)]
+                        block = extra(block)
                     out.extend(block)
                     left_index = left_end
                     right_index = right_end
@@ -472,23 +444,19 @@ class IndexJoinBatchIterator(BatchPlanIterator):
 
     def _produce_batches(self):
         plan = self.plan
-        outer_child = build_batch_iterator(plan.outer, self.context)
+        outer_child = _open(plan.outer, self.context)
         database = self.context.database
         btree = database.btree(plan.inner_relation, plan.inner_attribute)
         heap = database.heap(plan.inner_relation)
-        outer_keys = _column(index_join_outer_attribute(plan))
+        outer_keys = column(outer_child.layout, index_join_outer_attribute(plan))
         pool = _scan_buffer(self.context, plan.inner_relation, plan.inner_attribute)
-        residual_mask = None
         residual = None
         if plan.residual_predicate is not None:
-            residual_mask = compile_batch_mask(
-                plan.residual_predicate, self.context.bindings
+            residual = compile_batch_mask(
+                plan.residual_predicate, self.context.bindings, heap.layout
             )
-            if residual_mask is None:  # unbound operand: defer the error
-                residual = compile_predicate(
-                    plan.residual_predicate, self.context.bindings
-                )
-        extra = _compile_extra_predicates(plan.predicates)
+        self.layout, gather = outer_child.layout.merged(heap.layout)
+        extra = _secondary_predicates(plan.predicates, self.layout)
 
         def generate():
             charge = self.io_stats.charge_records
@@ -499,24 +467,21 @@ class IndexJoinBatchIterator(BatchPlanIterator):
                 rid_lists = search_many(outer_keys(batch))
                 outers = []
                 rids = []
-                for outer_record, matches in zip(batch, rid_lists):
+                for outer_row, matches in zip(batch, rid_lists):
                     if matches:
-                        outers.extend([outer_record] * len(matches))
+                        outers.extend([outer_row] * len(matches))
                         rids.extend(matches)
                 if not rids:
                     continue
                 inners = fetch_many(rids, pool)
-                if residual_mask is not None:
-                    pairs = compress(zip(outers, inners), residual_mask(inners))
-                elif residual is not None:
-                    pairs = (
-                        (o, i) for o, i in zip(outers, inners) if residual(i)
-                    )
-                else:
-                    pairs = zip(outers, inners)
-                out = _joined(pairs, *batch[0]._layout.merged(heap.layout))
+                pairs = zip(outers, inners)
+                if residual is not None:
+                    pairs = compress(pairs, residual(inners))
+                out = [outer + inner for outer, inner in pairs]
+                if gather is not None:
+                    out = list(map(gather, out))
                 if extra is not None:
-                    out = [merged for merged in out if extra(merged)]
+                    out = extra(out)
                 if out:
                     charge(len(out))
                     yield out
@@ -532,19 +497,22 @@ class SortBatchIterator(BatchPlanIterator):
     """
 
     def _produce_batches(self):
-        attribute = self.plan.attribute
-        records = _drain(build_batch_iterator(self.plan.input, self.context))
+        child = _open(self.plan.input, self.context)
+        self.layout = child.layout
+        try:
+            sort_key = itemgetter(child.layout.position(self.plan.attribute))
+        except ExecutionError as error:
+            sort_key = deferred(error)  # a row is never empty: raises on the first
         batch_size = self.batch_size
 
         def generate():
-            self.io_stats.charge_records(len(records))
-            pages = pages_for_records(len(records))
+            rows = _drain(child)
+            self.io_stats.charge_records(len(rows))
+            pages = pages_for_records(len(rows))
             if pages > self.context.memory_pages:
                 self.io_stats.charge_page_writes(pages)
                 self.io_stats.charge_page_reads(pages)
-            i = records[0]._layout.position(attribute) if records else None
-            ordered = sorted(records, key=lambda r: r._values[i])
-            yield from _rebatch(ordered, batch_size)
+            yield from _rebatch(sorted(rows, key=sort_key), batch_size)
 
         return generate()
 
@@ -553,14 +521,21 @@ class ProjectBatchIterator(BatchPlanIterator):
     """Attribute projection applied over whole batches."""
 
     def _produce_batches(self):
-        child = build_batch_iterator(self.plan.input, self.context)
+        child = _open(self.plan.input, self.context)
         attributes = self.plan.attributes
+        try:
+            self.layout, gather = child.layout.projected(attributes)
+        except ExecutionError as error:
+            self.layout, project = Layout(dict.fromkeys(attributes)), deferred(error)
+        else:
+            def project(rows):
+                return list(map(gather, rows))
 
         def generate():
             charge = self.io_stats.charge_records
             for batch in child.batches():
                 charge(len(batch))
-                yield [record.project(attributes) for record in batch]
+                yield project(batch)
 
         return generate()
 
@@ -572,13 +547,14 @@ class ChoosePlanBatchIterator(BatchPlanIterator):
     re-evaluates the alternatives' cost functions under the context's
     run-time bindings (shared subplans costed once, nested choose-plans
     resolved bottom-up) and opens only the cheapest alternative, whose
-    batch stream is returned as-is: choose-plan adds zero per-batch
-    overhead.
+    layout and batch stream are returned as-is: choose-plan adds zero
+    per-batch overhead.
     """
 
     def _produce_batches(self):
-        chosen = self.choose()
-        return build_batch_iterator(chosen, self.context).batches()
+        chosen = _open(self.choose(), self.context)
+        self.layout = chosen.layout
+        return chosen.batches()
 
     def choose(self):
         """The resolved plan the decision procedure selects."""
@@ -599,7 +575,8 @@ class MaterializedBatchIterator(BatchPlanIterator):
     """Replays a run-time temporary result (paper Section 7) in batches."""
 
     def _produce_batches(self):
-        return _rebatch(self.plan.records, self.batch_size)
+        self.layout = self.plan.layout
+        return _rebatch(self.plan.rows, self.batch_size)
 
 
 def sargable_key_range(predicate, bindings):
@@ -621,12 +598,12 @@ def sargable_key_range(predicate, bindings):
     return None, None
 
 
-def join_sides(predicate, left_plan):
+def join_sides(predicate, left_layout):
     """``(left-side, right-side)`` attributes of a join predicate,
-    oriented so the first belongs to ``left_plan``'s relations."""
-    left_relations = _plan_relations(left_plan)
-    left_rel = predicate.left_attribute.split(".", 1)[0]
-    if left_rel in left_relations:
+    oriented so the first belongs to the input on ``left_layout``: the
+    one holding a field of the predicate's left relation."""
+    prefix = predicate.left_attribute.split(".", 1)[0] + "."
+    if any(name.startswith(prefix) for name in left_layout.names):
         return predicate.left_attribute, predicate.right_attribute
     return predicate.right_attribute, predicate.left_attribute
 
@@ -640,23 +617,8 @@ def index_join_outer_attribute(plan):
     return predicate.left_attribute
 
 
-def _plan_relations(plan):
-    """Base relation names referenced below a plan node."""
-    relations = set()
-    for node in plan.walk_unique():
-        relation = getattr(node, "relation_name", None)
-        if relation is not None:
-            relations.add(relation)
-        inner = getattr(node, "inner_relation", None)
-        if inner is not None:
-            relations.add(inner)
-        if isinstance(node, Materialized):
-            relations |= _plan_relations(node.original)
-    return relations
-
-
 def _index_batches(entries, batch_size, heap, pool, filter_batch=None):
-    """Heap records for a B-tree ``(key, rid)`` stream, in batches.
+    """Heap tuples for a B-tree ``(key, rid)`` stream, in batches.
 
     RIDs are taken ``batch_size`` at a time and bulk-fetched; with a
     ``filter_batch`` each fetched chunk is filtered and empty results
@@ -676,17 +638,17 @@ def _index_batches(entries, batch_size, heap, pool, filter_batch=None):
             return
 
 
-def _drain(batch_iterator):
-    """Materialize a batch stream into one flat record list."""
-    records = []
-    for batch in batch_iterator.batches():
-        records.extend(batch)
-    return records
+def _drain(iterator):
+    """Materialize an opened iterator's batch stream into one list."""
+    rows = []
+    for batch in iterator.batches():
+        rows.extend(batch)
+    return rows
 
 
-def _rebatch(records, batch_size):
-    """Slice a record list into batches of ``batch_size``."""
+def _rebatch(rows, batch_size):
+    """Slice a list of tuples into batches of ``batch_size``."""
     return (
-        records[start : start + batch_size]
-        for start in range(0, len(records), batch_size)
+        rows[start : start + batch_size]
+        for start in range(0, len(rows), batch_size)
     )

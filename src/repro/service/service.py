@@ -534,6 +534,7 @@ class QueryService:
                     chosen,
                     report,
                     decision,
+                    memo,
                     plan,
                     parameter_space,
                     bindings,
@@ -708,6 +709,7 @@ class QueryService:
         chosen,
         report,
         decision,
+        memo,
         plan,
         parameter_space,
         bindings,
@@ -756,6 +758,7 @@ class QueryService:
                             choices=report.choices,
                             decision=decision,
                             distrusted=entry.distrusted,
+                            memo=memo,
                         )
                     else:
                         execution = execute_plan(

@@ -90,15 +90,16 @@ class Database:
                 return row["%s.%s" % (relation_name, name)]
 
             rows.sort(key=sort_key)
+        first = heap.record_count
         rids = heap.bulk_load(rows)
-        pages = heap._pages
+        stored = heap._rows
         for attribute_name, btree in btrees.items():
             position = heap.layout.positions[
                 "%s.%s" % (relation_name, attribute_name)
             ]
             insert = btree.insert
-            for rid in rids:
-                insert(pages[rid[0]][rid[1]]._values[position], rid)
+            for index, rid in enumerate(rids, first):
+                insert(stored[index][position], rid)
 
     # ------------------------------------------------------------------
     # Access

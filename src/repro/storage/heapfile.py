@@ -6,6 +6,14 @@ fetching a single record by RID charges one page read — this is the
 behaviour that makes unclustered index scans expensive at high
 selectivity, the effect at the heart of the paper's motivating
 example.
+
+A heap stores one flat list of value tuples.  Pages are appended full
+and only the last page is ever partial, so page ``p`` is the slice
+``[p * records_per_page, (p + 1) * records_per_page)`` and a
+page-aligned batch is one slice of the list.  The engine moves those
+tuples; :meth:`HeapFile.scan`, :meth:`HeapFile.fetch` and
+:meth:`HeapFile.all_records` build :class:`~repro.storage.records.Record`
+objects on the heap's layout on demand.
 """
 
 from repro.common.errors import ExecutionError
@@ -28,10 +36,12 @@ class HeapFile:
         #: injected fault aborts the operation before its I/O charge.
         self.fault_injector = fault_injector
         self._attribute_names = tuple(attribute.name for attribute in schema)
-        #: The :class:`~repro.storage.records.Layout` every stored record
-        #: of the relation shares: its qualified attribute names.
+        #: The :class:`~repro.storage.records.Layout` every stored
+        #: values tuple of the relation is read through: its qualified
+        #: attribute names.
         self.layout = Layout(schema.qualified_names())
-        self._pages = []
+        #: Every stored values tuple, in RID order (see the module doc).
+        self._rows = []
 
     # ------------------------------------------------------------------
     # Loading
@@ -49,28 +59,25 @@ class HeapFile:
     def bulk_load(self, rows):
         """Insert many rows; returns the RIDs in insertion order.
 
-        Each row's values, in schema order, become one record on the
-        heap's :attr:`layout`.
+        Each row's values, in schema order, are stored as one tuple
+        read through the heap's :attr:`layout`.
         """
-        layout = self.layout
         names = self._attribute_names
-        pages = self._pages
+        stored = self._rows
         per_page = self.records_per_page
         rids = []
         for fields in rows:
             try:
-                values = [fields[name] for name in names]
+                values = tuple([fields[name] for name in names])
             except KeyError:
                 values = self._qualified_values(fields)
-            if not pages or len(pages[-1]) >= per_page:
+            page, slot = divmod(len(stored), per_page)
+            if slot == 0:
                 if self.fault_injector is not None:
                     self.fault_injector.record("heap_write")
-                pages.append([])
                 self.io_stats.charge_page_writes(1)
-            page = pages[-1]
-            rid = (len(pages) - 1, len(page))
-            page.append(layout.record(values, rid))
-            rids.append(rid)
+            stored.append(values)
+            rids.append((page, slot))
         return rids
 
     def _qualified_values(self, fields):
@@ -87,7 +94,7 @@ class HeapFile:
                     "missing field %r when inserting into %r"
                     % (name, self.schema.relation_name)
                 )
-        return values
+        return tuple(values)
 
     # ------------------------------------------------------------------
     # Access
@@ -96,12 +103,20 @@ class HeapFile:
     @property
     def page_count(self):
         """Number of allocated pages."""
-        return len(self._pages)
+        return -(-len(self._rows) // self.records_per_page)
 
     @property
     def record_count(self):
         """Total records stored."""
-        return sum(len(page) for page in self._pages)
+        return len(self._rows)
+
+    def _index(self, rid):
+        """The position of ``rid``'s values in :attr:`_rows`."""
+        page_number, slot = rid
+        index = page_number * self.records_per_page + slot
+        if not (0 <= slot < self.records_per_page and 0 <= index < len(self._rows)):
+            raise ExecutionError("invalid RID %r" % (rid,))
+        return index
 
     def scan(self, buffer_pool=None):
         """Yield every record, charging one page read per page.
@@ -109,65 +124,54 @@ class HeapFile:
         With a ``buffer_pool``, resident pages cost no I/O (the pool is
         touched so the scan competes for frames like any access).
         """
-        for page_number, page in enumerate(self._pages):
+        record = self.layout.record
+        rows = self._rows
+        per_page = self.records_per_page
+        for page_number, start in enumerate(range(0, len(rows), per_page)):
             if buffer_pool is None or not buffer_pool.access(
                 (self.schema.relation_name, page_number)
             ):
                 if self.fault_injector is not None:
                     self.fault_injector.record("heap_read")
                 self.io_stats.charge_page_reads(1)
-            for record in page:
+            for slot, values in enumerate(rows[start : start + per_page]):
                 self.io_stats.charge_records(1)
-                yield record
+                yield record(values, (page_number, slot))
 
     def scan_batches(self, batch_size, buffer_pool=None):
-        """Yield page-aligned record batches, charging per page.
+        """Yield page-aligned batches of value tuples, charging per page.
 
-        The batch path of :meth:`scan`: identical page-read and
-        record charges (one page read per page touched, one record
-        charge per record), but batched — records are charged per
-        page instead of one call per record, and batches only break
-        at page boundaries, so a batch holds whole pages.  A batch is
-        flushed once it reaches ``batch_size`` records; the final
-        batch may be smaller.
+        The batch path of :meth:`scan`: identical page-read and record
+        charges (one page read per page touched, one record charge per
+        record), but each batch is one slice of the stored tuples
+        holding whole pages — ``ceil(batch_size / records_per_page)``
+        of them, as every page but the last is full — charged in bulk.
+        The final batch may be smaller.
         """
         if batch_size < 1:
             raise ExecutionError("batch_size must be at least 1")
-        if buffer_pool is None:
-            # No pool: every page is a miss, so pages and records can
-            # be charged in bulk per batch instead of per page.
-            batch = []
-            page_count = 0
-            for page in self._pages:
-                page_count += 1
-                batch.extend(page)
-                if len(batch) >= batch_size:
-                    if self.fault_injector is not None:
-                        self.fault_injector.record("heap_read", page_count)
-                    self.io_stats.charge_page_reads(page_count)
-                    self.io_stats.charge_records(len(batch))
-                    page_count = 0
-                    yield batch
-                    batch = []
-            if batch:
-                if self.fault_injector is not None:
-                    self.fault_injector.record("heap_read", page_count)
-                self.io_stats.charge_page_reads(page_count)
-                self.io_stats.charge_records(len(batch))
-                yield batch
-            return
-        batch = []
-        for page_number, page in enumerate(self._pages):
-            if not buffer_pool.access((self.schema.relation_name, page_number)):
-                if self.fault_injector is not None:
-                    self.fault_injector.record("heap_read")
-                self.io_stats.charge_page_reads(1)
-            self.io_stats.charge_records(len(page))
-            batch.extend(page)
-            if len(batch) >= batch_size:
-                yield batch
-                batch = []
-        if batch:
+        rows = self._rows
+        per_page = self.records_per_page
+        step = -(-batch_size // per_page) * per_page
+        injector = self.fault_injector
+        io_stats = self.io_stats
+        relation = self.schema.relation_name
+        for start in range(0, len(rows), step):
+            batch = rows[start : start + step]
+            first_page = start // per_page
+            touched = -(-len(batch) // per_page)
+            if buffer_pool is None:
+                # No pool: every page is a miss, charged in bulk.
+                if injector is not None:
+                    injector.record("heap_read", touched)
+                io_stats.charge_page_reads(touched)
+            else:
+                for page_number in range(first_page, first_page + touched):
+                    if not buffer_pool.access((relation, page_number)):
+                        if injector is not None:
+                            injector.record("heap_read")
+                        io_stats.charge_page_reads(1)
+            io_stats.charge_records(len(batch))
             yield batch
 
     def fetch(self, rid, buffer_pool=None):
@@ -178,23 +182,22 @@ class HeapFile:
         rarely share pages — unless an LRU ``buffer_pool`` still holds
         the page ([MaL89]'s refinement).
         """
-        page_number, slot = rid
-        try:
-            page = self._pages[page_number]
-            record = page[slot]
-        except IndexError:
-            raise ExecutionError("invalid RID %r" % (rid,)) from None
+        return self.layout.record(self._fetch_values(rid, buffer_pool), rid)
+
+    def _fetch_values(self, rid, buffer_pool):
+        """:meth:`fetch`'s charges, returning the stored values tuple."""
+        values = self._rows[self._index(rid)]
         if buffer_pool is None or not buffer_pool.access(
-            (self.schema.relation_name, page_number)
+            (self.schema.relation_name, rid[0])
         ):
             if self.fault_injector is not None:
                 self.fault_injector.record("heap_read")
             self.io_stats.charge_page_reads(1)
         self.io_stats.charge_records(1)
-        return record
+        return values
 
     def fetch_many(self, rids, buffer_pool=None):
-        """Fetch several records by RID, with the charges of :meth:`fetch`.
+        """Value tuples of several RIDs, with the charges of :meth:`fetch`.
 
         The batch path of :meth:`fetch`: the same one-page-read-per-RID
         and one-record-per-RID accounting, but charged in bulk when no
@@ -204,28 +207,35 @@ class HeapFile:
         operators' accesses, and how those interleave with this call's
         depends on the batch size, so pooled ``pages_read`` is not the
         same at every batch size (never above the unpooled count).
+
+        The RIDs are the heap's own, as its B-trees hand them out: the
+        bulk path checks only that each lands inside the heap, where
+        :meth:`fetch` also rejects a slot past the end of its page.
         """
-        pages = self._pages
-        if buffer_pool is None:
-            try:
-                records = [pages[rid[0]][rid[1]] for rid in rids]
-            except IndexError:
-                for rid in rids:
-                    self.fetch(rid)  # re-raises with the offending RID
-                raise ExecutionError("invalid RID in %r" % (rids,))
-            if self.fault_injector is not None:
-                self.fault_injector.record("heap_read", len(records))
-            self.io_stats.charge_page_reads(len(records))
-            self.io_stats.charge_records(len(records))
-            return records
-        return [self.fetch(rid, buffer_pool) for rid in rids]
+        if buffer_pool is not None:
+            return [self._fetch_values(rid, buffer_pool) for rid in rids]
+        rows = self._rows
+        per_page = self.records_per_page
+        try:
+            values = [rows[page * per_page + slot] for page, slot in rids]
+        except IndexError:
+            for rid in rids:
+                self._index(rid)  # raises on the offending RID
+            raise
+        if self.fault_injector is not None:
+            self.fault_injector.record("heap_read", len(values))
+        self.io_stats.charge_page_reads(len(values))
+        self.io_stats.charge_records(len(values))
+        return values
 
     def all_records(self):
         """All records without charging I/O (catalog/loader internals)."""
-        result = []
-        for page in self._pages:
-            result.extend(page)
-        return result
+        record = self.layout.record
+        per_page = self.records_per_page
+        return [
+            record(values, divmod(index, per_page))
+            for index, values in enumerate(self._rows)
+        ]
 
     def __len__(self):
         return self.record_count

@@ -3,17 +3,21 @@
 A record is stored in a heap file under a record identifier (RID) of
 ``(page_number, slot)``.  Its fields are a tuple of values read through
 a :class:`Layout` — the qualified attribute names in field order plus
-a name → position map — which every record of the same schema shares:
-a heap file owns one layout for its relation, and an operator's output
-records share the layout it derived from its inputs'.
+a name → position map — which every record of the same schema shares.
+
+The execution engine moves the bare values tuples.  A heap file owns
+one layout for its relation, and every operator fixes the layout of its
+output from its inputs' when it opens, so a kernel resolves an
+attribute's position once per operator and then indexes ``t[i]``.
+:class:`Record` objects are made only at the API boundary: a heap
+file's ``scan`` / ``fetch`` / ``all_records``, and result assembly
+(:meth:`Layout.records`).
 
 Derived layouts are memoized on the layout they are derived from, so
 the same pair of inputs always yields the same layout *object*: a join
-output is ``left._values + right._values`` on the left layout's merge
-with the right one (a gather over that concatenation only when the two
-share a name), and a projection is a gather on the source layout's
-projection.  Batch kernels rely on the identity: they resolve an
-attribute's position once per layout and then index ``r._values[i]``.
+output is ``left + right`` on the left layout's merge with the right
+one (a gather over that concatenation only when the two share a name),
+and a projection is a gather on the source layout's projection.
 """
 
 from operator import itemgetter
@@ -127,6 +131,20 @@ class Layout:
         record._values = tuple(values)
         record.rid = rid
         return record
+
+    def records(self, rows):
+        """One :class:`Record` on this layout per values tuple of ``rows``."""
+        out = []
+        append = out.append
+        new = _new
+        cls = Record
+        for values in rows:
+            record = new(cls)
+            record._layout = self
+            record._values = values
+            record.rid = None
+            append(record)
+        return out
 
     def __repr__(self):
         return "Layout(%s)" % ", ".join(self.names)

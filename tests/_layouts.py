@@ -1,43 +1,53 @@
-"""Shared test helper: a tracer that watches every operator's layouts.
+"""Shared test helper: a tracer that watches every operator's output.
 
-Batch kernels read an attribute's position off a batch's first record
-(``repro.executor.predicates.column_position``), which is only right
-when every record of the batch shares one
-:class:`~repro.storage.records.Layout`.  The engine promises more:
-every batch an operator emits shares one layout object.
-:class:`LayoutRecorder` collects, per operator, the layouts its batches
-held, so a test can hold that promise over whole plans.
+Every operator fixes one :class:`~repro.storage.records.Layout` for its
+output when it opens, and batch kernels index the tuples it emits by
+positions resolved on that layout — which is only right when every
+tuple the operator emits is a plain values tuple as wide as the
+layout.  :class:`LayoutRecorder` collects, per operator, the shapes of
+the rows its batches held, so a test can hold that promise over whole
+plans.
 """
 
 from repro.observability import Tracer
+from repro.storage.records import Layout
 
 
 class LayoutRecorder(Tracer):
     """A :class:`~repro.observability.Tracer` that also records, per
-    operator iterator, the set of layouts its emitted records held."""
+    operator iterator, the ``(type, width)`` of every row it emitted."""
 
     def __init__(self):
         super().__init__()
-        #: operator iterator -> set of layouts its batches held
-        self.layouts = {}
+        #: operator iterator -> set of (row type, row width) it emitted,
+        #: in the order the iterators opened (the root first)
+        self.shapes = {}
 
     def instrument_batches(self, iterator):
+        seen = self.shapes.setdefault(iterator, set())  # before its inputs
         stream = super().instrument_batches(iterator)
-        seen = self.layouts.setdefault(iterator, set())
 
         def watched():
             for batch in stream:
-                seen.update(record._layout for record in batch)
+                seen.update((type(row), len(row)) for row in batch)
                 yield batch
 
         return watched()
 
-    def emitting(self):
-        """Operators that emitted at least one record."""
-        return [iterator.plan for iterator, seen in self.layouts.items() if seen]
+    def root(self):
+        """The first operator opened: the plan root."""
+        return next(iter(self.shapes))
 
-    def mixed(self):
-        """Operators whose records held more than one layout object."""
+    def emitting(self):
+        """Operators that emitted at least one row."""
+        return [iterator.plan for iterator, seen in self.shapes.items() if seen]
+
+    def mismatched(self):
+        """Operators without a layout, or that emitted a row other than a
+        values tuple as wide as their layout."""
         return [
-            iterator.plan for iterator, seen in self.layouts.items() if len(seen) > 1
+            iterator.plan
+            for iterator, seen in self.shapes.items()
+            if not isinstance(iterator.layout, Layout)
+            or seen - {(tuple, len(iterator.layout.names))}
         ]

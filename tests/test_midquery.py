@@ -334,9 +334,10 @@ class TestCheckpointReuse:
 
     @pytest.mark.parametrize("batch_size", (1, 3, 1024))
     def test_checkpoint_replays_keep_one_layout_per_operator(self, batch_size):
-        """A switch replays drained records through ``Materialized``;
-        each replay, and every operator above it, still emits one layout
-        object (the batch kernels' precondition)."""
+        """A switch replays drained tuples through ``Materialized``; each
+        replay, and every operator above it, emits values tuples as wide
+        as its one layout (the batch kernels' precondition), and the
+        result's records are on the root's layout."""
         workload, plan, bindings = _setup(3, seed=0, skew=(0.02, 0.6))
         recorder = LayoutRecorder()
         result, report = execute_midquery(
@@ -350,7 +351,9 @@ class TestCheckpointReuse:
         )
         assert report.switches >= 1
         assert any(isinstance(p, Materialized) for p in recorder.emitting())
-        assert recorder.mixed() == []
+        assert recorder.mismatched() == []
+        root = recorder.root().layout
+        assert all(record._layout is root for record in result.records)
         plain = _run_plain(workload, plan, bindings)
         assert rows_digest(result.records) == rows_digest(plain.records)
 
@@ -1134,6 +1137,21 @@ class TestStartupVerification:
         assert report.choices == program.choose(counted)[1].choices
         assert counts["startup_verifications"] == counts["settled_requests"] == 1
         assert counts["midquery_probes"] == 2 + 3
+
+    def test_settled_requests_reuse_the_entrys_chosen_plan_memo(self):
+        """A settled start-up decision goes through the entry's
+        chosen-plan memo: the second settled request with the same
+        outcome runs the plan object the first one rebuilt."""
+        liars = ("R1", "R2", "R3")
+        with _gateway() as gateway:
+            _serve(gateway, liars, 0.55)
+            first, _ = _serve(gateway, liars, 0.3)
+            second, _ = _serve(gateway, liars, 0.3)
+            memo = _entry(gateway).chosen_memo
+        one, two = first.execution.midquery, second.execution.midquery
+        assert one.settled and two.settled
+        assert two.final_plan is one.final_plan
+        assert memo[tuple(one.startup.choices)] is one.final_plan
 
     def test_breakers_and_startup_count_the_read_set_less_what_was_observed(self):
         """One probe rule: before deciding on observations, a breaker

@@ -11,6 +11,7 @@ from repro.catalog import (
     RelationStatistics,
 )
 from repro.common.errors import CatalogError, ExecutionError
+from repro.resilience.faults import FaultInjector, FaultProfile
 from repro.storage import Database, HeapFile, IOStatistics, Record
 from repro.storage.records import Layout
 
@@ -197,6 +198,44 @@ class TestHeapFile:
         heap, _ = make_heap()
         heap.bulk_load({"a": i, "b": 0} for i in range(10))
         assert [r["a"] for r in heap.scan()] == list(range(10))
+
+    @pytest.mark.parametrize("injected", (False, True), ids=("plain", "injected"))
+    @pytest.mark.parametrize("batch_size", (1, 3, 4, 5, 1023, 1024, 1025))
+    def test_scan_batches_are_page_aligned_slices_of_the_scan(
+        self, batch_size, injected
+    ):
+        """Every batch but the last holds ``ceil(batch_size / 4)`` whole
+        pages; the batches concatenate to :meth:`HeapFile.scan` and are
+        charged what it charges — page reads, record charges and the
+        fault injector's ``heap_read`` operations.  The last page is
+        partial, then full after an insert, then partial again."""
+        heap, stats = make_heap(records_per_page=4)
+        heap.bulk_load({"a": i, "b": -i} for i in range(4 * 300 + 3))
+
+        def charged(scan):
+            stats.reset()
+            if injected:
+                heap.fault_injector = FaultInjector(FaultProfile("none"))
+            rows = scan()
+            heap_reads = (
+                heap.fault_injector.site_operations["heap_read"] if injected else None
+            )
+            return rows, (stats.pages_read, stats.records_processed, heap_reads)
+
+        step = -(-batch_size // 4) * 4
+        for _ in range(3):
+            records, scanned = charged(lambda: list(heap.scan()))
+            batches, batched = charged(lambda: list(heap.scan_batches(batch_size)))
+            assert [len(batch) for batch in batches[:-1]] == [step] * (
+                len(batches) - 1
+            )
+            assert 0 < len(batches[-1]) <= step
+            assert [row for batch in batches for row in batch] == [
+                record._values for record in records
+            ]
+            assert batched == scanned
+            assert scanned[:2] == (heap.page_count, heap.record_count)
+            heap.insert({"a": -1, "b": 1})
 
     def test_zero_records_per_page_rejected(self):
         schema = Schema("R", [Attribute("a")])

@@ -15,6 +15,7 @@ and a final partial batch.
 """
 
 import functools
+from itertools import compress
 
 import pytest
 
@@ -25,7 +26,14 @@ from repro.algebra.expressions import (
     SelectionPredicate,
     UserVariable,
 )
-from repro.algebra.physical import FileScan, HashJoin, Materialized
+from repro.algebra.physical import (
+    FileScan,
+    Filter,
+    HashJoin,
+    Materialized,
+    MergeJoin,
+    Sort,
+)
 from repro.catalog import populate_database
 from repro.common.errors import ExecutionError, OptimizationError
 from repro.cost.parameters import Bindings
@@ -34,11 +42,7 @@ from repro.executor.engine import (
     ExecutionContext,
     execute_plan,
 )
-from repro.executor.predicates import (
-    compile_batch_mask,
-    compile_batch_predicate,
-    compile_predicate,
-)
+from repro.executor.predicates import compile_batch_mask, compile_batch_predicate
 from repro.executor.vectorized import build_batch_iterator
 from repro.observability import Tracer
 from repro.optimizer.optimizer import optimize_dynamic, optimize_static
@@ -190,14 +194,17 @@ def test_batch_trace_reports_exact_rows(number, kind):
 @pytest.mark.parametrize("kind", PLAN_KINDS)
 @pytest.mark.parametrize("number", PAPER_QUERIES)
 def test_every_operator_emits_one_layout(number, kind, batch_size):
-    """Kernels read an attribute's position off a batch's first record,
-    so each operator's batches must all share one layout object."""
+    """Kernels index tuples by positions resolved once on their input's
+    layout, so every operator has one layout object, emits only values
+    tuples as wide as it, and the result's records are on the root's."""
     workload, plan, bindings, default = _frozen_case(number, kind)
     recorder = LayoutRecorder()
     result = _run(workload, plan, bindings, tracer=recorder, batch_size=batch_size)
     assert result.records == default.records
     assert recorder.emitting()
-    assert recorder.mixed() == []
+    assert recorder.mismatched() == []
+    root = recorder.root().layout
+    assert all(record._layout is root for record in result.records)
 
 
 # ----------------------------------------------------------------------
@@ -276,11 +283,13 @@ def test_batch_iterator_emits_multiple_nonempty_batches():
         workload.query.parameter_space,
         batch_size=4,
     )
-    batches = list(build_batch_iterator(plan, context).batches())
+    root = build_batch_iterator(plan, context)
+    batches = list(root.batches())
     assert len(batches) > 1
     assert all(batch for batch in batches)  # no empty batches emitted
-    flattened = [record for batch in batches for record in batch]
-    assert flattened == whole.records
+    flattened = [row for batch in batches for row in batch]
+    assert flattened == [record._values for record in whole.records]
+    assert root.layout.records(flattened) == whole.records
 
 
 # ----------------------------------------------------------------------
@@ -320,14 +329,14 @@ def test_workload_spec_execution_mode_roundtrip():
 # ----------------------------------------------------------------------
 
 def _batch(names, rows):
-    """Records on one shared layout, as every engine batch is."""
-    layout = Layout(names)
-    return [layout.record(row) for row in rows]
+    """Value tuples and the layout they are read through, as every
+    engine batch is."""
+    return Layout(names), [tuple(row) for row in rows]
 
 
 _PREDICATE_BATCHES = {
-    # attribute asked for -> records; "exact" is a name of the layout,
-    # the other two resolve to a position by suffix match.
+    # attribute asked for -> (layout, rows); "exact" is a name of the
+    # layout, the other two resolve to a position by suffix match.
     "exact": ("R.a", _batch(("R.a", "R.b"), [(v, -v) for v in range(7)])),
     "qualified-over-bare": ("R.a", _batch(("a",), [(v,) for v in range(7)])),
     "bare-over-qualified": ("a", _batch(("R.a",), [(v,) for v in range(7)])),
@@ -337,43 +346,123 @@ _PREDICATE_BATCHES = {
 @pytest.mark.parametrize("shape", sorted(_PREDICATE_BATCHES))
 @pytest.mark.parametrize("op", list(ComparisonOp), ids=lambda op: op.name)
 def test_batch_predicate_kernels_match_the_row_closure(op, shape):
-    attribute, batch = _PREDICATE_BATCHES[shape]
+    """Kernels compiled for a layout select what the interpreted
+    per-record predicate selects on the same rows as Records."""
+    attribute, (layout, rows) = _PREDICATE_BATCHES[shape]
     bindings = Bindings()
     bindings.bind_variable("v", 3)
     for operand in (3, UserVariable("v")):
         predicate = SelectionPredicate(
             Comparison(attribute, op, operand), known_selectivity=0.5
         )
-        qualifies = compile_predicate(predicate, bindings)
-        filter_batch = compile_batch_predicate(predicate, bindings)
-        mask_batch = compile_batch_mask(predicate, bindings)
-        assert filter_batch(batch) == [r for r in batch if qualifies(r)]
-        assert mask_batch(batch) == [qualifies(r) for r in batch]
-        assert filter_batch([]) == [] and mask_batch([]) == []
-        # A batch on another layout, the attribute one place further
-        # right: the same closures resolve its position again, and again
-        # when the first layout comes back.
-        shifted = _batch(
-            ("X.z",) + tuple(batch[0].keys()),
-            [(-100, *r.as_dict().values()) for r in batch],
-        )
-        for records in (shifted, batch):
-            assert filter_batch(records) == [r for r in records if qualifies(r)]
-            assert mask_batch(records) == [qualifies(r) for r in records]
+        # The same rows on another layout, the attribute one place
+        # further right: kernels compiled for it pick the other position.
+        shifted = Layout(("X.z",) + layout.names)
+        shifted_rows = [(-100, *row) for row in rows]
+        for on, batch in ((layout, rows), (shifted, shifted_rows)):
+            filter_batch = compile_batch_predicate(predicate, bindings, on)
+            mask_batch = compile_batch_mask(predicate, bindings, on)
+            qualifies = [predicate.evaluate(r, bindings) for r in on.records(batch)]
+            assert filter_batch(batch) == list(compress(batch, qualifies))
+            assert mask_batch(batch) == qualifies
+            assert filter_batch([]) == [] and mask_batch([]) == []
 
 
 @pytest.mark.parametrize("op", list(ComparisonOp), ids=lambda op: op.name)
 def test_batch_predicate_kernels_defer_the_unbound_operand_error(op):
-    _, batch = _PREDICATE_BATCHES["exact"]
+    _, (layout, rows) = _PREDICATE_BATCHES["exact"]
     predicate = Comparison("R.a", op, UserVariable("v"))
-    filter_batch = compile_batch_predicate(predicate, Bindings())  # no error yet
     with pytest.raises(ExecutionError) as by_row:
-        compile_predicate(predicate, Bindings())(batch[0])
-    with pytest.raises(ExecutionError) as by_batch:
-        filter_batch(batch)
-    assert str(by_batch.value) == str(by_row.value)
-    # No mask: the caller falls back to the row closure and its error.
-    assert compile_batch_mask(predicate, Bindings()) is None
+        predicate.evaluate(layout.record(rows[0]), Bindings())
+    for compile_batch in (compile_batch_predicate, compile_batch_mask):
+        kernel = compile_batch(predicate, Bindings(), layout)  # no error yet
+        assert kernel([]) == []  # nor on an empty batch
+        with pytest.raises(ExecutionError) as by_batch:
+            kernel(rows)
+        assert str(by_batch.value) == str(by_row.value)
+
+
+_A = Layout(("A.k", "A.j", "C.k"))
+_B = Layout(("B.k", "B.j"))
+_AB = _A.merged(_B)[0]
+
+
+def _selection(attribute, operand=1):
+    return SelectionPredicate(
+        Comparison(attribute, ComparisonOp.EQ, operand), known_selectivity=0.5
+    )
+
+
+#: case -> (plan over inputs a and b, the layout and attribute whose
+#: ``Record`` indexing gives the expected error, or ``None`` for the
+#: unbound variable).  "k" matches A.k and C.k: ambiguous.
+_DEFERRED_ERRORS = {
+    "filter-absent": (lambda a, b: Filter(a, _selection("A.zzz")), (_A, "A.zzz")),
+    "filter-ambiguous": (lambda a, b: Filter(a, _selection("k")), (_A, "k")),
+    "filter-unbound": (
+        lambda a, b: Filter(a, _selection("A.k", UserVariable("v"))),
+        None,
+    ),
+    "hash-key-absent": (
+        lambda a, b: HashJoin(a, b, [JoinPredicate("A.zzz", "B.k")]),
+        (_A, "A.zzz"),
+    ),
+    "hash-key-ambiguous": (
+        lambda a, b: HashJoin(a, b, [JoinPredicate("B.k", "k")]),
+        (_A, "k"),
+    ),
+    "merge-key-absent": (
+        lambda a, b: MergeJoin(a, b, [JoinPredicate("A.k", "B.zzz")]),
+        (_B, "B.zzz"),
+    ),
+    "merge-key-ambiguous": (
+        lambda a, b: MergeJoin(a, b, [JoinPredicate("B.k", "k")]),
+        (_A, "k"),
+    ),
+    "sort-key-absent": (lambda a, b: Sort(a, "A.zzz"), (_A, "A.zzz")),
+    "sort-key-ambiguous": (lambda a, b: Sort(a, "k"), (_A, "k")),
+    "secondary-absent": (
+        lambda a, b: HashJoin(
+            a, b, [JoinPredicate("A.k", "B.k"), JoinPredicate("A.j", "B.zzz")]
+        ),
+        (_AB, "B.zzz"),
+    ),
+    "secondary-ambiguous": (
+        lambda a, b: HashJoin(
+            a, b, [JoinPredicate("A.k", "B.k"), JoinPredicate("k", "B.j")]
+        ),
+        (_AB, "k"),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_DEFERRED_ERRORS))
+def test_unresolvable_names_raise_only_on_a_non_empty_input(case):
+    """An attribute a layout lacks or matches twice, or an unbound
+    variable, is resolved at open but raises only when a kernel meets a
+    tuple — with the message ``Record`` indexing (or the interpreted
+    operand) raises."""
+    make, expected = _DEFERRED_ERRORS[case]
+    if expected is None:
+        with pytest.raises(ExecutionError) as reference:
+            UserVariable("v").resolve(Bindings())
+    else:
+        layout, attribute = expected
+        with pytest.raises(ExecutionError) as reference:
+            layout.record((0,) * len(layout.names))[attribute]
+    database = Database(_edge_workload().catalog)
+
+    def run(a_rows, b_rows):
+        plan = make(
+            Materialized(a_rows, FileScan("A"), _A),
+            Materialized(b_rows, FileScan("B"), _B),
+        )
+        return execute_plan(plan, database, batch_size=1)
+
+    assert run([], []).records == []
+    with pytest.raises(ExecutionError) as raised:
+        run([(1, 0, 5), (2, 1, 6)], [(1, 0), (2, 1)])
+    assert str(raised.value) == str(reference.value)
 
 
 @pytest.mark.parametrize("batch_size", (None, 1, 3))
@@ -382,26 +471,28 @@ def test_hash_probe_matches_row_mode(secondary, batch_size):
     # Keys 1 and 2 repeat on both sides, 3 is build-only, 4 probe-only;
     # "tag" is on both sides, so the merged record must take the probe
     # side's value and keep the build side's position for it.
-    build = _batch(
+    build_layout, build_rows = _batch(
         ("A.k", "A.j", "tag"),
         [
             (key, index % 2, "build-%d" % index)
             for index, key in enumerate((1, 2, 1, 3, 2, 2))
         ],
     )
-    probe = _batch(
+    probe_layout, probe_rows = _batch(
         ("B.k", "tag", "B.j"),
         [
             (key, "probe-%d" % index, index % 2)
             for index, key in enumerate((2, 4, 1, 2, 4, 1, 1))
         ],
     )
+    build = build_layout.records(build_rows)
+    probe = probe_layout.records(probe_rows)
     predicates = [JoinPredicate("B.k", "A.k")]
     if secondary:
         predicates.append(JoinPredicate("A.j", "B.j"))
     plan = HashJoin(
-        Materialized(build, FileScan("A")),
-        Materialized(probe, FileScan("B")),
+        Materialized(build_rows, FileScan("A"), build_layout),
+        Materialized(probe_rows, FileScan("B"), probe_layout),
         predicates,
     )
     database = Database(_edge_workload().catalog)
