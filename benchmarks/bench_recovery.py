@@ -31,7 +31,7 @@ from repro.optimizer.query import QuerySpec
 from repro.service import DurabilityConfig, ShardedQueryService
 from repro.storage import Database
 from repro.workloads.traffic import (
-    HeavyTrafficSpec,
+    TrafficSpec,
     build_traffic_queries,
     to_service_requests,
 )
@@ -113,7 +113,7 @@ def serve_hot_set(gateway, hot, samples):
 
 
 def test_recovery_restore_speedup(results_dir, tmp_path):
-    spec = HeavyTrafficSpec(
+    spec = TrafficSpec.zipf(
         requests=64, query_shapes=SHAPES, tenants=2, seed=0
     )
     catalog, queries = distinct_input_queries(spec)

@@ -36,7 +36,7 @@ from conftest import (
 
 from repro.optimizer import optimize_dynamic
 from repro.service import render_report, replay_spec
-from repro.workloads.service import ServiceQuerySpec, ServiceWorkloadSpec
+from repro.workloads.traffic import TrafficSpec, to_service_requests
 
 #: Minimum invocations for a meaningful hit-rate measurement.
 FLOOR_INVOCATIONS = 100
@@ -46,17 +46,10 @@ BASELINE_SAMPLES = 3
 
 
 def service_spec():
-    """The benchmark mix: three shapes, skewed toward the cheap one."""
-    return ServiceWorkloadSpec(
-        [
-            ServiceQuerySpec(1, weight=3),
-            ServiceQuerySpec(2, weight=2),
-            ServiceQuerySpec(4, topology="chain", weight=1),
-        ],
-        invocations=max(FLOOR_INVOCATIONS, bench_invocations()),
-        capacity=64,
-        seed=0,
-        execute=False,
+    """The benchmark mix: ``serve-batch``'s default three shapes, skewed
+    toward the cheap one."""
+    return TrafficSpec.default(
+        requests=max(FLOOR_INVOCATIONS, bench_invocations()), seed=0
     )
 
 
@@ -75,30 +68,23 @@ def test_service_cache_amortization(benchmark, results_dir):
     # to chance it can land inside one timed start-up of the replay.
     gc.collect()
     report = replay_spec(
-        spec, baseline_samples=BASELINE_SAMPLES, optimize=counted_optimize
+        spec,
+        execute=False,
+        baseline_samples=BASELINE_SAMPLES,
+        optimize=counted_optimize,
     )
 
     # Benchmark the unit the service amortizes down to: one complete
     # cached invocation (lookup + start-up decision), measured through
     # the public entry point against a warm cache.
-    from repro.service import ServiceRequest, ShardedQueryService
+    from repro.service import ShardedQueryService
     from repro.storage import Database
-    from repro.workloads.service import generate_service_requests
 
-    workloads, requests = generate_service_requests(spec)
-    with ShardedQueryService(
-        Database(workloads[0].catalog),
-        shards=1,
-        capacity=spec.capacity,
-        execute=False,
-    ) as gateway:
-        warm = [
-            ServiceRequest(workload.query, bindings)
-            for workload, bindings in requests[:16]
-        ]
-        gateway.run_batch(warm)  # every shape compiled and cached
-        workload, bindings = requests[0]
-        benchmark(lambda: gateway.run(workload.query, bindings))
+    catalog, _, requests = to_service_requests(spec)
+    with ShardedQueryService(Database(catalog), shards=1, execute=False) as gateway:
+        gateway.run_batch(requests[:16])  # warm the cache
+        first = requests[0]
+        benchmark(lambda: gateway.run(first.query, first.bindings))
 
     write_and_print(results_dir, "service_cache", render_report(report))
 
@@ -110,7 +96,7 @@ def test_service_cache_amortization(benchmark, results_dir):
     # appears once for the service's run and BASELINE_SAMPLES times for
     # the wall baseline, and the optimizer is deterministic, so every
     # run of one shape costs the same number of evaluations.
-    shapes = sorted({result.tag for result in report.results})
+    shapes = sorted(set(report.names))
     runs_per_shape = Counter(name for name, _ in optimizer_runs)
     assert runs_per_shape == {shape: 1 + BASELINE_SAMPLES for shape in shapes}
     evaluations = dict(optimizer_runs)
@@ -127,12 +113,11 @@ def test_service_cache_amortization(benchmark, results_dir):
     # costed.  (Counted, the two are close — 4-116 against 5-132 here —
     # so the wall-clock gap is the cost per evaluation: a compiled
     # point-valued kernel against interval costing inside the search.)
-    for result in hits:
-        assert result.startup_report.cost_evaluations <= evaluations[result.tag]
+    for name, result in zip(report.names, report.results):
+        if result.cache_hit:
+            assert result.startup_report.cost_evaluations <= evaluations[name]
     startup_evaluations = sum(result.startup_report.cost_evaluations for result in hits)
-    optimize_per_query_evaluations = sum(
-        evaluations[result.tag] for result in report.results
-    )
+    optimize_per_query_evaluations = sum(evaluations[name] for name in report.names)
     service_evaluations = (
         sum(evaluations[shape] for shape in shapes) + startup_evaluations
     )
@@ -141,7 +126,9 @@ def test_service_cache_amortization(benchmark, results_dir):
         result.optimize_seconds + result.startup_seconds for result in hits
     ) / len(hits)
     baseline_mean = sum(
-        report.baseline_means[result.tag] for result in hits
+        report.baseline_means[name]
+        for name, result in zip(report.names, report.results)
+        if result.cache_hit
     ) / len(hits)
     write_json_results(
         results_dir,
@@ -214,12 +201,11 @@ def test_tracing_disabled_overhead(results_dir):
     from repro.observability import MetricsRegistry
     from repro.service import ShardedQueryService
     from repro.storage import Database
-    from repro.workloads import paper_workload
-    from repro.workloads.service import service_request_bindings
+    from repro.workloads import paper_workload, random_bindings
 
     workload = paper_workload(2, seed=0)
     all_bindings = [
-        service_request_bindings(workload, seed=0, run_index=index)
+        random_bindings(workload, seed=0, run_index=index)
         for index in range(200)
     ]
 

@@ -28,6 +28,7 @@ Commands:
 
 
 import argparse
+import json
 import sys
 import time
 
@@ -63,7 +64,7 @@ from repro.frontend.sql import SqlSyntaxError
 from repro.resilience.faults import FAULT_PROFILES, FaultInjector, fault_profile
 from repro.service.replay import render_report, write_qps_report
 from repro.workloads.queries import Workload
-from repro.workloads.service import ServiceWorkloadSpec
+from repro.workloads.traffic import TrafficSpec
 
 
 class _InputError(Exception):
@@ -350,7 +351,7 @@ _SERVE_BATCH.add_argument(
     "spec",
     nargs="?",
     default=None,
-    help="JSON workload spec (see repro.workloads.service); "
+    help="JSON workload spec (see repro.workloads.traffic); "
     "omit for the built-in default mix",
 )
 for _flag, _field in (
@@ -384,24 +385,28 @@ _SERVE_BATCH.add_argument(
 
 
 def _serve_batch(args):
-    overrides = {
-        key: getattr(args, key)
-        for key in ("invocations", "capacity", "seed", "shards")
-        if getattr(args, key) is not None
-    }
-    if args.no_execute:
-        overrides["execute"] = False
+    data = {}
     try:
         if args.spec is None:
-            spec = ServiceWorkloadSpec.default()
+            spec = TrafficSpec.default()
         else:
-            spec = ServiceWorkloadSpec.load(args.spec)
-        if overrides:
-            spec = spec.replace(**overrides)
+            with open(args.spec, "r", encoding="utf-8") as handle:
+                data = json.load(handle)
+            spec = TrafficSpec.from_dict(data)
+        overrides = {"requests": args.invocations, "seed": args.seed}
+        spec = spec.replace(
+            **{key: value for key, value in overrides.items() if value is not None}
+        )
+        serving = {"execute": bool(data.get("execute", True)) and not args.no_execute}
+        for key, default in (("capacity", 64), ("shards", 1)):
+            value = getattr(args, key)
+            serving[key] = int(data.get(key, default) if value is None else value)
+            if serving[key] < 1:
+                raise OptimizationError("%s must be at least 1" % key)
     except (OSError, ValueError, OptimizationError) as error:
         raise _InputError("invalid workload spec: %s" % error)
     try:
-        report = replay_spec(spec, snapshot=args.snapshot)
+        report = replay_spec(spec, snapshot=args.snapshot, **serving)
     except SnapshotError as error:
         raise _InputError("snapshot %s: %s" % (args.snapshot, error))
     print(render_report(report))

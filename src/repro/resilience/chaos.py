@@ -463,7 +463,7 @@ def run_service_chaos(scenario, seed=0, shards=3, requests=36, shapes=6,
     transitions happen at fixed request indexes, so two runs with the
     same arguments produce byte-identical reports.
     """
-    from repro.workloads.traffic import HeavyTrafficSpec, to_service_requests
+    from repro.workloads.traffic import TrafficSpec, to_service_requests
 
     if scenario not in SERVICE_SCENARIOS:
         raise ValueError(
@@ -477,7 +477,7 @@ def run_service_chaos(scenario, seed=0, shards=3, requests=36, shapes=6,
             "need 0 <= inject_at (%d) < heal_at (%d) < requests (%d)"
             % (inject_at, heal_at, requests)
         )
-    spec = HeavyTrafficSpec(
+    spec = TrafficSpec.zipf(
         requests=requests,
         query_shapes=shapes,
         tenants=2,

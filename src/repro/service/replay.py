@@ -1,9 +1,10 @@
 """Workload replay through the serving gateway.
 
 Implements the ``python -m repro serve-batch`` CLI: materialize a
-:class:`~repro.workloads.service.ServiceWorkloadSpec`, push its full
-invocation sequence through a
-:class:`~repro.service.sharding.ShardedQueryService` of ``spec.shards``
+:class:`~repro.workloads.traffic.TrafficSpec` with
+:func:`~repro.workloads.traffic.to_service_requests`, push its full
+request stream through a
+:class:`~repro.service.sharding.ShardedQueryService` of ``shards``
 partitions (``run_batch``: each shard's share in request order on its
 worker), and report the quantities the paper's amortization argument
 is about — cache hit rate, start-up latency percentiles, and the
@@ -25,10 +26,8 @@ from repro.catalog.synthetic import populate_database
 from repro.common.errors import SnapshotError
 from repro.common.stats import percentile
 from repro.service.durability import read_snapshot
-from repro.service.service import ServiceRequest
 from repro.service.sharding import ShardedQueryService
 from repro.storage.database import Database
-from repro.workloads.service import generate_service_requests
 
 
 class ReplayReport:
@@ -37,14 +36,16 @@ class ReplayReport:
     def __init__(
         self,
         spec,
+        names,
         results,
         gateway_stats,
         wall_seconds,
         baseline_means,
-        per_query,
         restore_stats=None,
     ):
         self.spec = spec
+        #: The query name each result served, in request order.
+        self.names = names
         self.results = results
         #: The gateway's
         #: :class:`~repro.service.sharding.ShardedServiceStatistics`.
@@ -58,12 +59,10 @@ class ReplayReport:
         self.wall_seconds = wall_seconds
         #: query name -> mean seconds of one from-scratch optimization.
         self.baseline_means = baseline_means
-        #: query name -> dict of per-query counters.
-        self.per_query = per_query
         self.service_seconds = sum(
             result.optimize_seconds + result.startup_seconds for result in results
         )
-        self.baseline_seconds = sum(baseline_means[result.tag] for result in results)
+        self.baseline_seconds = sum(baseline_means[name] for name in names)
         #: Optimize-per-query cost over the service's optimize+start-up
         #: cost for the same invocation sequence.
         if self.service_seconds > 0.0:
@@ -76,11 +75,6 @@ class ReplayReport:
         """Fraction of invocations served from the plan cache."""
         return self.stats.hit_rate
 
-    @property
-    def rows_total(self):
-        """Total rows produced (0 when execution was disabled)."""
-        return sum(result.row_count or 0 for result in self.results)
-
     def __repr__(self):
         return "ReplayReport(%d invocations, hit_rate=%.2f, speedup=%.1fx)" % (
             len(self.results),
@@ -91,79 +85,66 @@ class ReplayReport:
 
 def replay_spec(
     spec,
-    execute=None,
+    capacity=64,
+    execute=True,
+    shards=1,
     baseline_samples=2,
     optimize=None,
     snapshot=None,
 ):
-    """Replay a service workload spec; returns a :class:`ReplayReport`.
+    """Replay a traffic spec; returns a :class:`ReplayReport`.
 
-    ``execute`` overrides the spec's execute flag (useful for latency-
-    only smoke runs); ``optimize`` overrides the optimizer entry point
-    for both the service and the baseline measurement.  ``snapshot``
-    names a plan-cache snapshot file: the replay warm-starts from it
-    when it exists and (re)writes it on shutdown, so repeated replays
-    skip re-optimizing the hot set.  A damaged snapshot raises its
+    ``capacity``, ``execute`` and ``shards`` configure the gateway
+    (``execute=False`` is a latency-only smoke run); ``optimize``
+    overrides the optimizer entry point for both the service and the
+    baseline measurement.  ``snapshot`` names a plan-cache snapshot
+    file: the replay warm-starts from it when it exists and (re)writes
+    it on shutdown, so repeated replays skip re-optimizing the hot set.
+    A damaged snapshot raises its
     :class:`~repro.common.errors.SnapshotError` before anything is
     served or overwritten.
     """
+    # Imported here: repro.workloads.traffic imports this package.
+    from repro.workloads.traffic import to_service_requests
+
     if optimize is None:
         from repro.optimizer.optimizer import optimize_dynamic
 
         optimize = optimize_dynamic
-    workloads, requests = generate_service_requests(spec)
-    catalog = workloads[0].catalog
+    catalog, queries, requests = to_service_requests(spec)
     database = Database(catalog)
-    do_execute = spec.execute if execute is None else execute
-    if do_execute:
+    if execute:
         populate_database(database, seed=spec.seed)
-
-    service_requests = [
-        ServiceRequest(workload.query, bindings, tag=workload.query.name)
-        for workload, bindings in requests
-    ]
     if snapshot is not None:
         _refuse_damaged(snapshot)
     with ShardedQueryService(
         database,
-        shards=spec.shards,
-        capacity=spec.capacity,
+        shards=shards,
+        capacity=capacity,
         optimize=optimize,
-        execute=do_execute,
+        execute=execute,
         durability=snapshot,
     ) as gateway:
         restore_stats = gateway.restore_stats
         started = time.perf_counter()
-        results = gateway.run_batch(service_requests)
+        results = gateway.run_batch(requests)
         wall_seconds = time.perf_counter() - started
         gateway_stats = gateway.stats()
 
     baseline_means = {}
-    for workload in workloads:
-        samples = []
-        for _ in range(max(1, baseline_samples)):
-            sample_started = time.perf_counter()
-            optimize(catalog, workload.query)
-            samples.append(time.perf_counter() - sample_started)
-        baseline_means[workload.query.name] = sum(samples) / len(samples)
-
-    per_query = {}
-    for result in results:
-        counters = per_query.setdefault(
-            result.tag,
-            {"invocations": 0, "hits": 0, "reoptimizations": 0, "startup": 0.0},
-        )
-        counters["invocations"] += 1
-        counters["hits"] += 1 if result.cache_hit else 0
-        counters["reoptimizations"] += 1 if result.reoptimized else 0
-        counters["startup"] += result.startup_seconds
+    samples = max(1, baseline_samples)
+    for query in queries:
+        started = time.perf_counter()
+        for _ in range(samples):
+            optimize(catalog, query)
+        baseline_means[query.name] = (time.perf_counter() - started) / samples
     return ReplayReport(
         spec,
+        [request.query.name for request in requests],
         results,
         gateway_stats,
         wall_seconds,
         baseline_means,
-        per_query,
         restore_stats=restore_stats,
     )
 
@@ -191,7 +172,7 @@ def qps_summary(report):
     service time — optimize + start-up + execution — in microseconds.
     Written by ``serve-batch --qps-report``.
     """
-    latencies = sorted(result.total_seconds for result in report.results)
+    latencies = sorted(result.total_seconds for result in report.results) or [0.0]
     return {
         "invocations": len(report.results),
         "wall_seconds": report.wall_seconds,
@@ -201,14 +182,12 @@ def qps_summary(report):
             else 0.0
         ),
         "hit_rate": report.hit_rate,
-        "shards": report.spec.shards,
+        "shards": len(report.gateway_stats.per_shard),
         "latency_us": {
-            "p50": 1e6 * percentile(latencies, 0.50) if latencies else 0.0,
-            "p95": 1e6 * percentile(latencies, 0.95) if latencies else 0.0,
-            "p99": 1e6 * percentile(latencies, 0.99) if latencies else 0.0,
-            "mean": (
-                1e6 * sum(latencies) / len(latencies) if latencies else 0.0
-            ),
+            "p50": 1e6 * percentile(latencies, 0.50),
+            "p95": 1e6 * percentile(latencies, 0.95),
+            "p99": 1e6 * percentile(latencies, 0.99),
+            "mean": 1e6 * sum(latencies) / len(latencies),
         },
         "overload": dict(report.gateway_stats.overload),
         "per_shard_requests": [
@@ -227,31 +206,30 @@ def write_qps_report(report, path):
 def render_report(report):
     """The replay report as printable text."""
     stats = report.stats
-    lines = []
-    lines.append(
+    per_query = {}
+    for name, result in zip(report.names, report.results):
+        per_query.setdefault(name, []).append(result)
+    lines = [
         "serve-batch: %d invocations over %d query shapes"
-        % (len(report.results), len(report.spec.queries))
-    )
-    lines.append("")
-    lines.append(
+        % (len(report.results), len(report.spec.shapes)),
+        "",
         "  %-24s %6s %6s %7s %12s %12s"
-        % ("query", "calls", "hits", "reopt", "startup-mean", "optimize")
-    )
-    for name in sorted(report.per_query):
-        counters = report.per_query[name]
+        % ("query", "calls", "hits", "reopt", "startup-mean", "optimize"),
+    ]
+    for name, results in sorted(per_query.items()):
         lines.append(
             "  %-24s %6d %6d %7d %11.3fms %10.3fms"
             % (
                 name,
-                counters["invocations"],
-                counters["hits"],
-                counters["reoptimizations"],
-                1000.0 * counters["startup"] / counters["invocations"],
+                len(results),
+                sum(result.cache_hit for result in results),
+                sum(result.reoptimized for result in results),
+                1000.0 * sum(r.startup_seconds for r in results) / len(results),
                 1000.0 * report.baseline_means[name],
             )
         )
-    lines.append("")
-    lines.append(
+    lines += [
+        "",
         "  cache: %.1f%% hit rate (%d hits / %d lookups), "
         "%d evictions, %d promotions, %d re-optimizations, "
         "%d decision compiles, %d shared compiles"
@@ -264,25 +242,22 @@ def render_report(report):
             stats.cache["invalidations"],
             stats.resilience["decision_compiles"],
             stats.resilience["shared_compiles"],
-        )
-    )
-    lines.append(
+        ),
         "  start-up latency: p50 %.3fms  p95 %.3fms  mean %.3fms"
         % (
             1000.0 * stats.startup_p50,
             1000.0 * stats.startup_p95,
             1000.0 * stats.startup_mean,
-        )
-    )
-    lines.append(
+        ),
         "  optimize-per-query baseline: %.3fs; service spent %.3fs "
         "-> speedup %.1fx"
-        % (report.baseline_seconds, report.service_seconds, report.speedup)
-    )
-    if report.rows_total:
+        % (report.baseline_seconds, report.service_seconds, report.speedup),
+    ]
+    rows = sum(result.row_count or 0 for result in report.results)
+    if rows:
         lines.append(
             "  executed %d invocations producing %d rows in %.3fs wall"
-            % (len(report.results), report.rows_total, report.wall_seconds)
+            % (len(report.results), rows, report.wall_seconds)
         )
     else:
         lines.append("  wall time: %.3fs" % report.wall_seconds)

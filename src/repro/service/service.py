@@ -27,7 +27,7 @@ Determinism: the service itself draws no randomness.  Workload
 generation and replay derive every stream from explicit seeds via
 :mod:`repro.common.rng`, and requests are generated *before* they are
 served, so thread scheduling cannot perturb any RNG stream (see
-:mod:`repro.workloads.service`).
+:mod:`repro.workloads.traffic`).
 """
 
 import threading

@@ -13,8 +13,9 @@ from repro.workloads.queries import (
     paper_workload,
 )
 from repro.workloads.traffic import (
-    HeavyTrafficSpec,
     TrafficRequest,
+    TrafficShape,
+    TrafficSpec,
     build_traffic_queries,
     generate_traffic,
     request_stream_json,
@@ -23,9 +24,10 @@ from repro.workloads.traffic import (
 )
 
 __all__ = [
-    "HeavyTrafficSpec",
     "PAPER_QUERY_SIZES",
     "TrafficRequest",
+    "TrafficShape",
+    "TrafficSpec",
     "Workload",
     "binding_series",
     "build_traffic_queries",

@@ -19,32 +19,48 @@ from repro.cost.parameters import Bindings, MEMORY_PARAMETER
 from repro.workloads.queries import SELECTION_ATTRIBUTE
 
 
-def random_bindings(workload, seed=0, run_index=0):
-    """One random binding set for a workload."""
-    query = workload.query
-    catalog = workload.catalog
-    rng = make_rng(seed, "bindings", query.name, run_index)
+def _bind_selections(query, catalog, draw):
+    """Bindings for every selection predicate of ``query``.
+
+    ``draw(predicate)`` gives an uncertain predicate's ``(declared,
+    actual)`` selectivities: the parameter is bound to the declared one
+    and the user variable so that the data qualifies at the actual
+    one.  A known-selectivity predicate's variable realizes its
+    known selectivity, so the compile-time estimate is accurate.
+    """
     bindings = Bindings()
     for relation_name in query.relations:
         predicate = query.selection_for(relation_name)
         if predicate is None:
             continue
-        domain = catalog.domain_size(relation_name, SELECTION_ATTRIBUTE)
+        if predicate.is_uncertain:
+            declared, actual = draw(predicate)
+            bindings.bind(predicate.selectivity_parameter, declared)
+        else:
+            actual = predicate.known_selectivity
         variable = predicate.comparison.operand
-        if not predicate.is_uncertain:
-            # Known selectivity: the executor still needs the user
-            # variable; pick the value matching the known selectivity
-            # so the compile-time estimate is accurate.
-            if hasattr(variable, "name"):
-                bindings.bind_variable(
-                    variable.name, predicate.known_selectivity * domain
-                )
-            continue
-        bounds = predicate.selectivity_bounds
-        selectivity = rng.uniform(bounds.lower, bounds.upper)
-        bindings.bind(predicate.selectivity_parameter, selectivity)
         if hasattr(variable, "name"):
-            bindings.bind_variable(variable.name, selectivity * domain)
+            domain = catalog.domain_size(relation_name, SELECTION_ATTRIBUTE)
+            bindings.bind_variable(variable.name, actual * domain)
+    return bindings
+
+
+def bind_selectivity(query, catalog, selectivity):
+    """Bindings setting every uncertain selectivity to one value (one
+    request's draw in :mod:`repro.workloads.traffic`)."""
+    return _bind_selections(query, catalog, lambda predicate: (selectivity,) * 2)
+
+
+def random_bindings(workload, seed=0, run_index=0):
+    """One random binding set for a workload."""
+    query = workload.query
+    rng = make_rng(seed, "bindings", query.name, run_index)
+
+    def draw(predicate):
+        bounds = predicate.selectivity_bounds
+        return (rng.uniform(bounds.lower, bounds.upper),) * 2
+
+    bindings = _bind_selections(query, workload.catalog, draw)
     memory_parameter = query.parameter_space.get(MEMORY_PARAMETER)
     if memory_parameter.uncertain:
         memory = rng.uniform(
@@ -67,33 +83,18 @@ def skewed_bindings(workload, declared=0.02, actual=0.6):
     predicate's compile-time bounds so no *staleness* machinery
     triggers — the lie is only visible at run time.
     """
-    query = workload.query
-    catalog = workload.catalog
-    bindings = Bindings()
-    for relation_name in query.relations:
-        predicate = query.selection_for(relation_name)
-        if predicate is None:
-            continue
-        domain = catalog.domain_size(relation_name, SELECTION_ATTRIBUTE)
-        variable = predicate.comparison.operand
-        if not predicate.is_uncertain:
-            if hasattr(variable, "name"):
-                bindings.bind_variable(
-                    variable.name, predicate.known_selectivity * domain
-                )
-            continue
+
+    def draw(predicate):
         bounds = predicate.selectivity_bounds
-        told = min(max(declared, bounds.lower), bounds.upper)
-        truth = min(max(actual, bounds.lower), bounds.upper)
-        bindings.bind(predicate.selectivity_parameter, told)
-        if hasattr(variable, "name"):
-            bindings.bind_variable(variable.name, truth * domain)
-    memory_parameter = query.parameter_space.get(MEMORY_PARAMETER)
-    if memory_parameter.uncertain:
-        bindings.bind(
-            MEMORY_PARAMETER,
-            int(round(memory_parameter.expected)),
+        return (
+            min(max(declared, bounds.lower), bounds.upper),
+            min(max(actual, bounds.lower), bounds.upper),
         )
+
+    bindings = _bind_selections(workload.query, workload.catalog, draw)
+    memory_parameter = workload.query.parameter_space.get(MEMORY_PARAMETER)
+    if memory_parameter.uncertain:
+        bindings.bind(MEMORY_PARAMETER, int(round(memory_parameter.expected)))
     return bindings
 
 

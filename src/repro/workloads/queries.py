@@ -40,6 +40,9 @@ PAPER_QUERY_SIZES = {1: 1, 2: 2, 3: 4, 4: 6, 5: 10}
 #: Attribute carrying the unbound selection predicate.
 SELECTION_ATTRIBUTE = "a"
 
+#: Join graph shapes :func:`make_join_predicates` builds.
+TOPOLOGIES = ("chain", "star", "cycle")
+
 
 def selection_parameter_name(relation_name):
     """Name of the selectivity parameter of a relation's selection."""

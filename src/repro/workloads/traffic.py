@@ -1,38 +1,53 @@
-"""Heavy-traffic workload generation for the sharded serving tier.
+"""Request streams for the serving tier: one spec, one generator.
 
-The service workloads in :mod:`repro.workloads.service` model a small
-embedded-SQL mix replayed a few hundred times; this module models the
-regime the sharded gateway (:mod:`repro.service.sharding`) exists for
-— the operating conditions industrial plan-cache surveys identify as
-the ones that matter:
+The paper's setting is a fixed set of host-variable queries invoked
+over and over with fresh bindings.  A :class:`TrafficSpec` describes
+such a stream: a list of :class:`TrafficShape` query shapes, each with
+a popularity weight, plus the stream's length, Zipf-distributed tenant
+mix, bursty open-loop arrival process and seed.  Two presets build one:
+:meth:`TrafficSpec.zipf`, the heavy-traffic regime of the sharded
+gateway (Zipf popularity over a ladder of expected selectivities, so
+every shape is a distinct plan-cache signature), and
+:meth:`TrafficSpec.from_dict` / :meth:`TrafficSpec.default`, the
+``python -m repro serve-batch`` mix of explicit shapes and weights.
 
-* **Zipf-skewed query popularity**: a catalog of ``query_shapes``
-  distinct parameterized query signatures whose request frequencies
-  follow a Zipf law (weight of rank *r* proportional to ``1/r^s``,
-  paper-survey default ``s = 1.1``) — a few hot statements dominate
-  while a long tail keeps the plan caches churning;
-* **tenant mixes**: each request carries a tenant identity, itself
-  Zipf-distributed, so per-tenant quotas and fairness are exercisable;
-* **bursty open-loop arrivals**: exponential interarrival times whose
-  rate is multiplied during periodic burst windows — the arrival
-  process does not wait for responses, which is what makes admission
-  control and typed overload rejection necessary in the first place.
+:func:`generate_traffic` draws every request from independent streams
+derived from the spec seed through :mod:`repro.common.rng` — shape,
+tenant, arrival and binding — so changing one aspect cannot reshuffle
+another's draws.  The binding law is one uniform draw ``u`` per
+request, bound to every uncertain predicate as ``low + (high − low)·u``
+over the shape's selectivity bounds; with probability ``drift`` (its
+own stream, drawn only for drifting shapes) ``u`` is used over the
+full [0, 1] instead, a value that may fall outside the compile-time
+bounds and so exercises the plan cache's staleness re-optimization.
+:func:`request_stream_json` renders the stream to canonical JSON, so
+replays can assert byte-identical regeneration.
+:func:`to_service_requests` materializes it over one shared synthetic
+catalog: a service fronts one database, so a k-way shape runs over the
+first k relations of the largest shape's.
 
-Everything derives from the spec seed through
-:mod:`repro.common.rng`, with one independent stream per aspect
-(shape choice, tenant choice, arrivals, binding values): the full
-request stream is a pure function of the spec, and
-:func:`request_stream_json` renders it to canonical JSON so replays
-can assert byte-identical regeneration (the chaos-smoke determinism
-check does exactly that).
+Spec JSON format (``serve-batch``; unknown top-level keys are ignored,
+and ``capacity``, ``execute`` and ``shards`` are serving settings the
+CLI passes to :func:`~repro.service.replay.replay_spec`)::
 
-The generated stream is *data* — plain records — until
-:func:`to_service_requests` materializes executable
-:class:`~repro.service.service.ServiceRequest` objects over a shared
-synthetic catalog.  Distinct signatures come from distinct expected
-selectivities: the canonical query signature covers each predicate's
-expected selectivity, so ``query_shapes`` shapes yield exactly that
-many plan-cache entries.
+    {
+      "seed": 0,
+      "invocations": 120,
+      "capacity": 64,
+      "execute": true,
+      "shards": 1,
+      "queries": [
+        {"relations": 2, "topology": "chain", "weight": 3},
+        {"relations": 4, "topology": "star", "weight": 1,
+         "selectivity_bounds": [0.0, 0.4], "drift": 0.1,
+         "memory_uncertain": false}
+      ]
+    }
+
+A query needs only ``relations``; the others default to a chain, weight
+1, bounds [0, 1], no drift and a certain memory grant.  A
+memory-uncertain shape's requests leave memory unbound, so start-up
+uses its expected grant.
 """
 
 import json
@@ -40,18 +55,19 @@ import json
 from repro.catalog.synthetic import build_synthetic_catalog, default_relation_specs
 from repro.common.errors import OptimizationError
 from repro.common.rng import make_rng
-from repro.cost.parameters import Bindings
 from repro.optimizer.query import QuerySpec
 from repro.service.service import ServiceRequest
+from repro.workloads.bindings import bind_selectivity
 from repro.workloads.queries import (
-    SELECTION_ATTRIBUTE,
+    TOPOLOGIES,
     make_join_predicates,
     make_selection_predicate,
 )
 
 __all__ = [
-    "HeavyTrafficSpec",
     "TrafficRequest",
+    "TrafficShape",
+    "TrafficSpec",
     "build_traffic_queries",
     "generate_traffic",
     "request_stream_json",
@@ -107,21 +123,67 @@ class TrafficRequest:
         )
 
 
-class HeavyTrafficSpec:
-    """Parameters of one heavy-traffic stream.
+def _check(condition, message):
+    if not condition:
+        raise OptimizationError(message)
+
+
+class TrafficShape:
+    """One parameterized query shape of a stream.
+
+    A ``relations``-way join under ``topology`` with an uncertain
+    selection on every relation, compiled over ``selectivity_bounds``
+    around ``expected`` (clamped into the bounds).  ``weight`` is its
+    popularity; ``drift`` the probability that a request binds over the
+    full [0, 1] instead of the bounds.
+    """
+
+    #: Keys of one ``queries`` element of a spec file.
+    KEYS = "relations topology weight selectivity_bounds memory_uncertain drift".split()
+
+    def __init__(
+        self,
+        relations,
+        topology="chain",
+        weight=1.0,
+        selectivity_bounds=(0.0, 1.0),
+        memory_uncertain=False,
+        drift=0.0,
+        expected=0.05,
+    ):
+        _check(
+            type(relations) is int and relations >= 1,
+            "relations must be a positive integer, got %r" % (relations,),
+        )
+        _check(topology in TOPOLOGIES, "unknown join topology %r" % (topology,))
+        try:
+            low, high = map(float, selectivity_bounds)
+        except (TypeError, ValueError):
+            low, high = 1.0, 0.0
+        bounds = "selectivity_bounds %r" % (selectivity_bounds,)
+        _check(0.0 <= low <= high <= 1.0, bounds + " is not [low, high] in [0, 1]")
+        _check(float(weight) > 0.0, "query weight must be positive")
+        _check(0.0 <= float(drift) <= 1.0, "drift must be a probability")
+        self.relations = relations
+        self.topology = topology
+        self.weight = float(weight)
+        self.selectivity_bounds = (low, high)
+        self.memory_uncertain = bool(memory_uncertain)
+        self.drift = float(drift)
+        self.expected = min(max(expected, low), high)
+
+
+class TrafficSpec:
+    """One replayable request stream: its shapes and stream fields.
 
     Parameters
     ----------
+    shapes:
+        The :class:`TrafficShape` list; request ``shape`` indexes it.
     requests:
         Stream length.
-    query_shapes:
-        Number of distinct query signatures in the popularity ranking.
-    zipf_s:
-        Zipf skew of query popularity (``1.1`` matches the survey's
-        hot-statement regime; larger is more skewed).
-    tenants:
-        Number of distinct tenants; request tenancy is Zipf-distributed
-        with ``tenant_zipf_s``.
+    tenants / tenant_zipf_s:
+        Number of distinct tenants, Zipf-distributed with that skew.
     arrival_rate:
         Mean open-loop arrival rate (requests/second) outside bursts.
     burst_factor:
@@ -131,143 +193,131 @@ class HeavyTrafficSpec:
     burst_period:
         A burst window opens every ``burst_period`` windows (so
         ``1/burst_period`` of the stream arrives at burst rate).
-    relations / topology:
-        Shape of the underlying join query every signature shares;
-        signatures differ in their expected selectivity.
     seed:
-        Root seed; all four derived streams fan out from it.
+        Root seed of the catalog and of every derived stream.
     """
-
-    FIELDS = (
-        "requests",
-        "query_shapes",
-        "zipf_s",
-        "tenants",
-        "tenant_zipf_s",
-        "arrival_rate",
-        "burst_factor",
-        "burst_length",
-        "burst_period",
-        "relations",
-        "topology",
-        "seed",
-    )
 
     def __init__(
         self,
+        shapes,
         requests=2000,
-        query_shapes=40,
-        zipf_s=1.1,
         tenants=4,
         tenant_zipf_s=1.0,
         arrival_rate=5000.0,
         burst_factor=4.0,
         burst_length=64,
         burst_period=4,
-        relations=2,
-        topology="chain",
         seed=0,
     ):
+        self.shapes = tuple(shapes)
         self.requests = int(requests)
-        self.query_shapes = int(query_shapes)
-        self.zipf_s = float(zipf_s)
         self.tenants = int(tenants)
         self.tenant_zipf_s = float(tenant_zipf_s)
         self.arrival_rate = float(arrival_rate)
         self.burst_factor = float(burst_factor)
         self.burst_length = int(burst_length)
         self.burst_period = int(burst_period)
-        self.relations = int(relations)
-        self.topology = topology
         self.seed = int(seed)
-        if self.requests < 0:
-            raise OptimizationError("requests must be non-negative")
-        if self.query_shapes < 1:
-            raise OptimizationError("a traffic mix needs at least one shape")
-        if self.tenants < 1:
-            raise OptimizationError("a traffic mix needs at least one tenant")
-        if self.arrival_rate <= 0.0:
-            raise OptimizationError("arrival rate must be positive")
-        if self.burst_factor < 1.0:
-            raise OptimizationError("burst factor must be at least 1")
-        if self.burst_length < 1 or self.burst_period < 1:
-            raise OptimizationError("burst window sizes must be at least 1")
-        if self.relations < 1:
-            raise OptimizationError("queries need at least one relation")
+        _check(self.shapes, "a traffic mix needs at least one shape")
+        _check(self.requests >= 0, "requests must be non-negative")
+        _check(self.tenants >= 1, "a traffic mix needs at least one tenant")
+        _check(self.arrival_rate > 0.0, "arrival rate must be positive")
+        _check(self.burst_factor >= 1.0, "burst factor must be at least 1")
+        _check(
+            self.burst_length >= 1 and self.burst_period >= 1,
+            "burst window sizes must be at least 1",
+        )
+
+    @classmethod
+    def zipf(
+        cls, query_shapes=40, zipf_s=1.1, relations=2, topology="chain", **stream
+    ):
+        """The Zipf-ladder preset: ``query_shapes`` ``relations``-way
+        shapes over bounds [0, 1], shape *i* expecting selectivity
+        ``0.02 + 0.96·i/(n−1)`` (0.05 alone) with weight
+        ``zipf_weights(n, zipf_s)[i]``."""
+        shapes = []
+        for shape, weight in enumerate(zipf_weights(query_shapes, zipf_s)):
+            if query_shapes == 1:
+                expected = 0.05
+            else:
+                expected = 0.02 + 0.96 * shape / (query_shapes - 1)
+            shapes.append(TrafficShape(relations, topology, weight, expected=expected))
+        return cls(shapes, **stream)
 
     @classmethod
     def from_dict(cls, data):
-        """Build a spec from a parsed JSON object."""
-        unknown = set(data) - set(cls.FIELDS)
-        if unknown:
-            raise OptimizationError(
-                "unknown traffic spec keys: %s" % ", ".join(sorted(unknown))
+        """The explicit-weights preset from a parsed spec file (the
+        module docstring's format); keys other than ``seed``,
+        ``invocations`` and ``queries`` are the caller's or ignored."""
+        _check(isinstance(data, dict), "a spec file holds one JSON object")
+        queries = data.get("queries", ())
+        _check(isinstance(queries, list), "queries must be a list")
+        shapes = []
+        for query in queries:
+            _check(
+                isinstance(query, dict) and "relations" in query,
+                "each query is an object with relations",
             )
-        return cls(**data)
+            unknown = ", ".join(sorted(set(query) - set(TrafficShape.KEYS)))
+            _check(not unknown, "unknown query spec keys: %s" % unknown)
+            shapes.append(TrafficShape(**query))
+        requests = data.get("invocations", 120)
+        return cls(shapes, requests=requests, seed=data.get("seed", 0))
+
+    @classmethod
+    def default(cls, requests=120, seed=0):
+        """The built-in ``serve-batch`` mix: three shapes, skewed weights."""
+        return cls(
+            [TrafficShape(1, weight=3), TrafficShape(2, weight=2), TrafficShape(4)],
+            requests=requests,
+            seed=seed,
+        )
 
     def replace(self, **overrides):
         """A copy with some fields overridden."""
-        fields = {name: getattr(self, name) for name in self.FIELDS}
-        unknown = set(overrides) - set(fields)
-        if unknown:
-            raise OptimizationError(
-                "unknown traffic spec fields: %s" % ", ".join(sorted(unknown))
-            )
-        fields.update(overrides)
-        return HeavyTrafficSpec(**fields)
-
-    def to_dict(self):
-        """The spec as a plain dict (inverse of :meth:`from_dict`)."""
-        return {name: getattr(self, name) for name in self.FIELDS}
+        unknown = ", ".join(sorted(set(overrides) - set(vars(self))))
+        _check(not unknown, "unknown traffic spec fields: %s" % unknown)
+        return TrafficSpec(**dict(vars(self), **overrides))
 
     def __repr__(self):
-        return (
-            "HeavyTrafficSpec(%d requests, %d shapes zipf=%.2f, %d tenants)"
-            % (self.requests, self.query_shapes, self.zipf_s, self.tenants)
+        return "TrafficSpec(%d requests, %d shapes, %d tenants)" % (
+            self.requests,
+            len(self.shapes),
+            self.tenants,
         )
-
-
-def _burst_multiplier(spec, index):
-    """Arrival-rate multiplier for request ``index`` (deterministic)."""
-    window = index // spec.burst_length
-    if window % spec.burst_period == 0:
-        return spec.burst_factor
-    return 1.0
 
 
 def generate_traffic(spec):
     """The spec's full request stream, generated up front.
 
-    Four independent derived streams — shape popularity, tenancy,
-    arrivals, binding values — so changing one aspect (say the tenant
-    count) cannot reshuffle another's draws.  Returns a list of
-    :class:`TrafficRequest` in arrival order.
+    Returns a list of :class:`TrafficRequest` in arrival order; see the
+    module docstring for the streams and the binding law.
     """
     shape_rng = make_rng(spec.seed, "traffic-shapes")
     tenant_rng = make_rng(spec.seed, "traffic-tenants")
     arrival_rng = make_rng(spec.seed, "traffic-arrivals")
     binding_rng = make_rng(spec.seed, "traffic-bindings")
-    shape_weights = zipf_weights(spec.query_shapes, spec.zipf_s)
+    drift_rng = make_rng(spec.seed, "traffic-drift")
+    shape_weights = [shape.weight for shape in spec.shapes]
     tenant_weights = zipf_weights(spec.tenants, spec.tenant_zipf_s)
-    shape_ranks = range(spec.query_shapes)
-    tenant_ranks = range(spec.tenants)
+    shape_ranks = range(len(spec.shapes))
+    tenants = ["tenant-%d" % rank for rank in range(spec.tenants)]
     requests = []
     clock = 0.0
     for index in range(spec.requests):
-        (shape,) = shape_rng.choices(shape_ranks, weights=shape_weights)
-        (tenant_rank,) = tenant_rng.choices(tenant_ranks, weights=tenant_weights)
-        rate = spec.arrival_rate * _burst_multiplier(spec, index)
+        (rank,) = shape_rng.choices(shape_ranks, weights=shape_weights)
+        (tenant,) = tenant_rng.choices(tenants, weights=tenant_weights)
+        # Every burst_period-th window of burst_length requests is a burst.
+        burst = (index // spec.burst_length) % spec.burst_period == 0
+        rate = spec.arrival_rate * (spec.burst_factor if burst else 1.0)
         clock += arrival_rng.expovariate(rate)
-        selectivity = binding_rng.random()
-        requests.append(
-            TrafficRequest(
-                index,
-                shape,
-                "tenant-%d" % tenant_rank,
-                clock,
-                selectivity,
-            )
-        )
+        draw = binding_rng.random()
+        shape = spec.shapes[rank]
+        drifts = shape.drift > 0.0 and drift_rng.random() < shape.drift
+        low, high = (0.0, 1.0) if drifts else shape.selectivity_bounds
+        selectivity = low + (high - low) * draw
+        requests.append(TrafficRequest(index, rank, tenant, clock, selectivity))
     return requests
 
 
@@ -286,55 +336,37 @@ def request_stream_json(requests):
 
 
 def build_traffic_queries(spec):
-    """One catalog plus ``query_shapes`` distinct query signatures.
+    """One shared catalog plus one query per shape, in shape order.
 
-    All shapes share the relation set and join topology; shape *i*
-    differs in its uncertain predicate's *expected* selectivity, which
-    the canonical signature covers — so the plan-cache working set has
-    exactly ``query_shapes`` entries and the gateway spreads them
-    across shards by signature hash.  Bounds stay at the full [0, 1]:
-    heavy-traffic serving measures steady-state throughput, not
-    staleness churn (drift workloads live in
-    :mod:`repro.workloads.service`).
+    Shape *i* is named ``traffic-shape<i>`` (three digits).  The
+    canonical signature covers each predicate's expected selectivity
+    and bounds, so the Zipf preset's ladder yields exactly
+    ``query_shapes`` plan-cache entries, which the gateway spreads
+    across shards by signature hash.
     """
-    relation_specs = default_relation_specs(spec.relations, seed=spec.seed)
+    largest = max(shape.relations for shape in spec.shapes)
+    relation_specs = default_relation_specs(largest, seed=spec.seed)
     catalog = build_synthetic_catalog(relation_specs, seed=spec.seed)
-    relation_names = [relation.name for relation in relation_specs]
-    joins = make_join_predicates(relation_names, spec.topology)
+    names = [relation.name for relation in relation_specs]
     queries = []
-    for shape in range(spec.query_shapes):
-        if spec.query_shapes == 1:
-            expected = 0.05
-        else:
-            expected = 0.02 + 0.96 * shape / (spec.query_shapes - 1)
+    for index, shape in enumerate(spec.shapes):
+        relation_names = names[: shape.relations]
         selections = {
-            name: make_selection_predicate(name, expected)
+            name: make_selection_predicate(
+                name, shape.expected, selectivity_bounds=shape.selectivity_bounds
+            )
             for name in relation_names
         }
         queries.append(
             QuerySpec(
                 relations=relation_names,
                 selections=selections,
-                join_predicates=joins,
-                name="traffic-shape%03d" % shape,
+                join_predicates=make_join_predicates(relation_names, shape.topology),
+                memory_uncertain=shape.memory_uncertain,
+                name="traffic-shape%03d" % index,
             )
         )
     return catalog, queries
-
-
-def _bindings_for(query, catalog, selectivity):
-    """Executable bindings realizing one request's selectivity draw."""
-    bindings = Bindings()
-    for relation_name in query.relations:
-        predicate = query.selection_for(relation_name)
-        if predicate is None or not predicate.is_uncertain:
-            continue
-        domain = catalog.domain_size(relation_name, SELECTION_ATTRIBUTE)
-        bindings.bind(predicate.selectivity_parameter, selectivity)
-        variable = predicate.comparison.operand
-        if hasattr(variable, "name"):
-            bindings.bind_variable(variable.name, selectivity * domain)
-    return bindings
 
 
 def to_service_requests(spec, traffic=None, catalog=None, queries=None):
@@ -355,7 +387,7 @@ def to_service_requests(spec, traffic=None, catalog=None, queries=None):
         service_requests.append(
             ServiceRequest(
                 query,
-                _bindings_for(query, catalog, request.selectivity),
+                bind_selectivity(query, catalog, request.selectivity),
                 tag="shape%d#%d" % (request.shape, request.index),
                 tenant=request.tenant,
             )

@@ -36,11 +36,11 @@ from repro.service import (
 )
 from repro.service.durability import SNAPSHOT_FORMAT, SNAPSHOT_VERSION
 from repro.storage import Database
-from repro.workloads.traffic import HeavyTrafficSpec, to_service_requests
+from repro.workloads.traffic import TrafficSpec, to_service_requests
 
 
 def traffic(requests=30, shapes=5, seed=0):
-    spec = HeavyTrafficSpec(
+    spec = TrafficSpec.zipf(
         requests=requests, query_shapes=shapes, tenants=2, seed=seed
     )
     return to_service_requests(spec)

@@ -22,7 +22,7 @@ from repro.observability import (
 from repro.service import ShardedQueryService
 from repro.storage import Database
 from repro.workloads import paper_workload
-from repro.workloads.traffic import HeavyTrafficSpec, to_service_requests
+from repro.workloads.traffic import TrafficSpec, to_service_requests
 from tests.test_service import serve_concurrently
 
 THREADS = 8
@@ -156,7 +156,7 @@ class TestConcurrency:
         ``stats().total``, and the push instruments the partitions share
         saw every request."""
         catalog, _queries, requests = to_service_requests(
-            HeavyTrafficSpec(requests=THREADS * 12, query_shapes=12, seed=3)
+            TrafficSpec.zipf(requests=THREADS * 12, query_shapes=12, seed=3)
         )
         registry = MetricsRegistry()
         with ShardedQueryService(

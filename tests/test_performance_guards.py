@@ -98,9 +98,9 @@ def churn():
     calls, shapes, per-shard cache snapshots, gateway statistics)``."""
     from repro.service import ShardedQueryService
     from repro.storage import Database
-    from repro.workloads.traffic import HeavyTrafficSpec, to_service_requests
+    from repro.workloads.traffic import TrafficSpec, to_service_requests
 
-    spec = HeavyTrafficSpec(
+    spec = TrafficSpec.zipf(
         requests=1000, query_shapes=120, zipf_s=1.1, relations=4, seed=7
     )
     catalog, _queries, requests = to_service_requests(spec)

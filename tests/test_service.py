@@ -15,7 +15,7 @@ import pytest
 from repro.__main__ import main
 from repro.catalog import populate_database
 from repro.common.errors import ExecutionError
-from repro.cost.parameters import MEMORY_PARAMETER, Bindings
+from repro.cost.parameters import MEMORY_PARAMETER
 from repro.executor.startup import resolve_dynamic_plan
 from repro.observability import MetricsRegistry, Tracer
 from repro.optimizer import (
@@ -36,28 +36,16 @@ from repro.service import (
     restore_gateway,
 )
 from repro.storage import Database
-from repro.workloads import paper_workload, random_bindings
-from repro.workloads.queries import (
-    make_join_predicates,
-    make_selection_predicate,
-    selection_variable_name,
-)
-from repro.workloads.service import (
-    ServiceQuerySpec,
-    ServiceWorkloadSpec,
-    build_service_workloads,
-    generate_service_requests,
-    service_request_bindings,
-)
+from repro.workloads import make_join_workload, paper_workload, random_bindings
+from repro.workloads.bindings import bind_selectivity
+from repro.workloads.queries import make_join_predicates, make_selection_predicate
+from repro.workloads.traffic import TrafficShape, TrafficSpec, to_service_requests
 
 
 def narrow_workload(bounds=(0.0, 0.3)):
-    """A 2-way service workload whose selectivities are compiled over
-    a narrowed interval — bindings outside ``bounds`` are stale."""
-    spec = ServiceWorkloadSpec(
-        [ServiceQuerySpec(2, selectivity_bounds=bounds)], seed=7
-    )
-    return build_service_workloads(spec)[0]
+    """A 2-way workload whose selectivities are compiled over a
+    narrowed interval — bindings outside ``bounds`` are stale."""
+    return make_join_workload(2, selectivity_bounds=bounds, seed=7)
 
 
 def one_shard(database, **options):
@@ -93,17 +81,7 @@ def serve_concurrently(gateway, requests, threads=8):
 
 def bindings_at(workload, selectivity):
     """Bindings setting every unbound selectivity to one value."""
-    bindings = Bindings()
-    for relation_name in workload.query.relations:
-        predicate = workload.query.selection_for(relation_name)
-        if predicate is None or not predicate.is_uncertain:
-            continue
-        domain = workload.catalog.domain_size(relation_name, "a")
-        bindings.bind(predicate.selectivity_parameter, selectivity)
-        bindings.bind_variable(
-            selection_variable_name(relation_name), selectivity * domain
-        )
-    return bindings
+    return bind_selectivity(workload.query, workload.catalog, selectivity)
 
 
 class TestCanonicalSignature:
@@ -473,7 +451,7 @@ class TestQueryService:
     def test_concurrent_startup_matches_single_threaded(self):
         workload = paper_workload(2, seed=0)
         all_bindings = [
-            service_request_bindings(workload, seed=0, run_index=index)
+            random_bindings(workload, seed=0, run_index=index)
             for index in range(48)
         ]
         gateway, service = one_shard(Database(workload.catalog), execute=False)
@@ -507,7 +485,7 @@ class TestQueryService:
             Database(workload.catalog), execute=False, optimize=counting_optimize
         )
         all_bindings = [
-            service_request_bindings(workload, seed=1, run_index=index)
+            random_bindings(workload, seed=1, run_index=index)
             for index in range(16)
         ]
         with gateway:
@@ -521,7 +499,7 @@ class TestQueryService:
     def test_execution_through_the_service(self, workload2, database2):
         gateway, _ = one_shard(database2, execute=True)
         all_bindings = [
-            service_request_bindings(workload2, seed=2, run_index=index)
+            random_bindings(workload2, seed=2, run_index=index)
             for index in range(8)
         ]
         with gateway:
@@ -538,7 +516,7 @@ class TestQueryService:
         keyword does; ``batch_size=1`` is record-at-a-time."""
         from repro.executor import execute_plan
 
-        bindings = service_request_bindings(workload2, seed=2, run_index=0)
+        bindings = random_bindings(workload2, seed=2, run_index=0)
         plan = optimize_static(workload2.catalog, workload2.query).plan
         with pytest.raises(TypeError):
             execute_plan(plan, database2, bindings, execution_mode="batch")
@@ -550,7 +528,7 @@ class TestQueryService:
     def test_malformed_request_is_refused_at_the_boundary(self, workload2):
         """Bare (not wrapped as a served-and-failed request), before
         the cache or the optimizer sees the query."""
-        bindings = service_request_bindings(workload2, seed=2, run_index=0)
+        bindings = random_bindings(workload2, seed=2, run_index=0)
         with pytest.raises(ExecutionError):
             ServiceRequest(workload2.query, bindings, reopt_policy="sometimes")
         gateway, service = one_shard(Database(workload2.catalog))
@@ -570,7 +548,7 @@ class TestQueryService:
             for index in range(6):
                 gateway.run(
                     workload.query,
-                    service_request_bindings(workload, 0, index),
+                    random_bindings(workload, 0, index),
                 )
         stats = gateway.stats().total
         assert stats.requests == 6
@@ -582,27 +560,23 @@ class TestQueryService:
 
 class TestReplayDeterminism:
     def test_request_generation_is_reproducible(self):
-        spec = ServiceWorkloadSpec.default(invocations=30, seed=11)
-        _, first = generate_service_requests(spec)
-        _, second = generate_service_requests(spec)
-        assert [workload.query.name for workload, _ in first] == [
-            workload.query.name for workload, _ in second
+        spec = TrafficSpec.default(requests=30, seed=11)
+        _, _, first = to_service_requests(spec)
+        _, _, second = to_service_requests(spec)
+        assert [request.query.name for request in first] == [
+            request.query.name for request in second
         ]
-        for (_, left), (_, right) in zip(first, second):
-            assert left._parameters == right._parameters
-            assert left._variables == right._variables
+        for left, right in zip(first, second):
+            assert left.bindings._parameters == right.bindings._parameters
+            assert left.bindings._variables == right.bindings._variables
 
     @pytest.mark.slow
     def test_replay_decisions_survive_thread_scheduling(self):
-        spec = ServiceWorkloadSpec.default(invocations=24, seed=4, execute=False)
-        workloads, generated = generate_service_requests(spec)
-        requests = [
-            ServiceRequest(workload.query, bindings)
-            for workload, bindings in generated
-        ]
+        spec = TrafficSpec.default(requests=24, seed=4)
+        catalog, _, requests = to_service_requests(spec)
 
         def replay():
-            gateway, _ = one_shard(Database(workloads[0].catalog), execute=False)
+            gateway, _ = one_shard(Database(catalog), execute=False)
             with gateway:
                 results = serve_concurrently(gateway, requests)
                 return results, gateway.stats().total
@@ -649,17 +623,59 @@ class TestServeBatchCli:
         output = capsys.readouterr().out
         assert "2 query shapes" in output
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"queries": [{"relations": 2, "topology": "bogus"}]},
+            {"queries": [{"relations": 2, "selectivity_bounds": [0.5, 0.2]}]},
+            {"queries": [{"relations": 2, "selectivity_bounds": [0.0]}]},
+            {"queries": [{"relations": 2, "selectivity_bounds": [0.0, 1.5]}]},
+            {"queries": [{"relations": "two"}]},
+            [{"relations": 2}],
+            {"queries": [{"weight": 2}]},
+            # A file written while ``execution_mode`` was a key still
+            # loads: unknown top-level keys are ignored.
+            {
+                "queries": [{"relations": 2}],
+                "invocations": 4,
+                "execute": False,
+                "threads": 4,
+                "execution_mode": "batch",
+            },
+        ],
+        ids=[
+            "bogus-topology",
+            "inverted-bounds",
+            "one-bound",
+            "bound-above-one",
+            "relations-not-a-number",
+            "top-level-list",
+            "no-relations",
+            "execution-mode-ignored",
+        ],
+    )
+    def test_spec_file_validation(self, data, tmp_path, capsys):
+        """A malformed spec file is one ``serve-batch: ...`` line and
+        exit 2, never a traceback."""
+        spec_path = tmp_path / "mix.json"
+        spec_path.write_text(json.dumps(data))
+        code = main(["serve-batch", str(spec_path)])
+        captured = capsys.readouterr()
+        if "execution_mode" in data:
+            assert code == 0
+            assert "serve-batch: 4 invocations" in captured.out
+            return
+        assert code == 2
+        assert captured.err == ""
+        (line,) = captured.out.splitlines()
+        assert line.startswith("serve-batch: invalid workload spec: ")
+
     def test_render_report_mentions_reoptimizations(self):
-        spec = ServiceWorkloadSpec(
-            [
-                ServiceQuerySpec(
-                    2, selectivity_bounds=(0.0, 0.2), drift=0.6
-                )
-            ],
-            invocations=20,
+        spec = TrafficSpec(
+            [TrafficShape(2, selectivity_bounds=(0.0, 0.2), drift=0.6)],
+            requests=20,
             seed=9,
-            execute=False,
         )
-        report = replay_spec(spec)
+        report = replay_spec(spec, execute=False)
         assert "re-optimizations" in render_report(report)
         assert report.stats.cache["invalidations"] >= 1

@@ -41,7 +41,7 @@ from repro.storage import Database
 from repro.workloads import paper_workload
 from repro.workloads.bindings import random_bindings
 from repro.workloads.traffic import (
-    HeavyTrafficSpec,
+    TrafficSpec,
     TrafficRequest,
     build_traffic_queries,
     to_service_requests,
@@ -61,7 +61,7 @@ ENTRY_POINTS = (
 
 def small_traffic(requests=120, shapes=12, seed=0, tenants=2):
     """A small materialized traffic stream for gateway tests."""
-    spec = HeavyTrafficSpec(
+    spec = TrafficSpec.zipf(
         requests=requests,
         query_shapes=shapes,
         tenants=tenants,
@@ -79,16 +79,17 @@ def round_robin_requests(spec, rounds):
     """
     catalog, queries = build_traffic_queries(spec)
     traffic = []
+    shapes = len(spec.shapes)
     for round_index in range(rounds):
-        for shape in range(spec.query_shapes):
-            index = round_index * spec.query_shapes + shape
+        for shape in range(shapes):
+            index = round_index * shapes + shape
             traffic.append(
                 TrafficRequest(
                     index,
                     shape,
                     "tenant-0",
                     float(index),
-                    0.1 + 0.8 * shape / spec.query_shapes,
+                    0.1 + 0.8 * shape / shapes,
                 )
             )
     return to_service_requests(spec, traffic=traffic, catalog=catalog,
@@ -97,7 +98,7 @@ def round_robin_requests(spec, rounds):
 
 class TestRouting:
     def test_shard_index_is_deterministic_and_in_range(self):
-        spec = HeavyTrafficSpec(requests=0, query_shapes=16)
+        spec = TrafficSpec.zipf(requests=0, query_shapes=16)
         _, queries = build_traffic_queries(spec)
         for query in queries:
             signature = canonical_signature(query)
@@ -496,7 +497,7 @@ class TestExactStatistics:
 
 #: 32 distinct query shapes for the lookup-sequence property.
 PROPERTY_QUERIES = build_traffic_queries(
-    HeavyTrafficSpec(requests=0, query_shapes=32, seed=3)
+    TrafficSpec.zipf(requests=0, query_shapes=32, seed=3)
 )[1]
 
 
@@ -555,7 +556,7 @@ class TestEvictionAccounting:
         Capacity 1 with 24 shapes over 4 shards overflows the retained
         tier as well (a shard holding six shapes keeps 1 + 4 of them).
         """
-        spec = HeavyTrafficSpec(requests=0, query_shapes=24, seed=5)
+        spec = TrafficSpec.zipf(requests=0, query_shapes=24, seed=5)
         catalog, queries, requests = round_robin_requests(spec, rounds=3)
         shard_count = 4
         for capacity in (3, 1):

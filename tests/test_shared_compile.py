@@ -43,7 +43,7 @@ from repro.service.service import SharedCompile
 from repro.storage import Database
 from repro.workloads import paper_workload
 from repro.workloads.queries import make_join_predicates
-from repro.workloads.traffic import HeavyTrafficSpec, to_service_requests
+from repro.workloads.traffic import TrafficSpec, to_service_requests
 
 ANNOTATIONS = ("cost", "cardinality", "sort_order")
 
@@ -372,7 +372,7 @@ class TestSnapshotBytesAndLifetime:
     def test_entries_snapshot_their_own_predicates_and_the_memo_dies_with_them(
         self,
     ):
-        spec = HeavyTrafficSpec(
+        spec = TrafficSpec.zipf(
             requests=300, query_shapes=40, zipf_s=1.1, relations=4, seed=7
         )
         catalog, _queries, requests = to_service_requests(spec)

@@ -23,11 +23,11 @@ from repro.common.errors import ServiceOverloadError, ShardDownError
 from repro.service import ShardedQueryService
 from repro.service.supervision import DOWN, HEALTHY, RESTARTING, SUSPECT
 from repro.storage import Database
-from repro.workloads.traffic import HeavyTrafficSpec, to_service_requests
+from repro.workloads.traffic import TrafficSpec, to_service_requests
 
 
 def traffic(requests=24, shapes=5, seed=0):
-    spec = HeavyTrafficSpec(
+    spec = TrafficSpec.zipf(
         requests=requests, query_shapes=shapes, tenants=2, seed=seed
     )
     return to_service_requests(spec)

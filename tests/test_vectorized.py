@@ -35,7 +35,7 @@ from repro.algebra.physical import (
     Sort,
 )
 from repro.catalog import populate_database
-from repro.common.errors import ExecutionError, OptimizationError
+from repro.common.errors import ExecutionError
 from repro.cost.parameters import Bindings
 from repro.executor.engine import (
     DEFAULT_BATCH_SIZE,
@@ -309,19 +309,6 @@ def test_context_defaults():
     database = Database(workload.catalog)
     context = ExecutionContext(database)
     assert context.batch_size == DEFAULT_BATCH_SIZE
-
-
-def test_workload_spec_execution_mode_roundtrip():
-    """A spec file written while the key existed still loads; the key
-    is ignored like any unknown one, and is no longer a spec field."""
-    from repro.workloads.service import ServiceWorkloadSpec
-
-    data = {"queries": [{"relations": 2}], "invocations": 4}
-    spec = ServiceWorkloadSpec.from_dict(dict(data, execution_mode="batch"))
-    assert not hasattr(spec, "execution_mode")
-    assert spec.invocations == ServiceWorkloadSpec.from_dict(data).invocations == 4
-    with pytest.raises(OptimizationError):
-        spec.replace(execution_mode="batch")
 
 
 # ----------------------------------------------------------------------
