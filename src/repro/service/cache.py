@@ -18,9 +18,13 @@ a plan (paper Sections 4, 6; DESIGN.md).
 Staleness (the paper's "plan becomes stale" case): a dynamic plan is
 provably optimal only for bindings inside the compile-time intervals.
 When an invocation's bindings drift outside the covered bounds, the
-entry is re-optimized over bounds widened to include the observed
-values, and the fresh plan replaces the stale one in place — under the
-entry's lock, so concurrent readers never see a torn entry.
+entry is re-optimized over its covered bounds with each drifted
+selectivity widened to the domain edge (1.0 above, 0.0 below; memory
+widens exactly to the drifted value), and the fresh plan replaces the
+stale one in place — under the entry's lock, so concurrent readers
+never see a torn entry.  Widening to the edge gives every drifted entry
+of a shape family one input signature, so they share one optimizer
+run, and it leaves each selectivity stale at most once per side.
 
 Thread safety: the cache-level lock guards only the LRU map and the
 counters; plan compilation happens under the per-entry lock, so a
@@ -236,23 +240,34 @@ class PlanCacheEntry:
         return stale
 
     def widened_query(self, stale):
-        """The entry's query with bounds widened to cover stale values.
+        """The entry's query over its covered bounds, widened to the
+        domain edge for stale values.
 
         ``stale`` is the ``(name, value)`` list from
-        :meth:`stale_parameters`.  Selection-selectivity parameters are
-        widened on their predicates (the parameter space is rebuilt by
-        the :class:`~repro.optimizer.query.QuerySpec` constructor); an
-        out-of-bounds memory binding widens the memory parameter
-        directly on the rebuilt space.
+        :meth:`stale_parameters`.  Widening starts from what the entry
+        covers now (``covered_bounds``, ``parameter_space``), not from
+        the declared bounds, so it never gives back an earlier widening.
+        A stale selectivity widens its bound to the domain edge — 1.0
+        above, 0.0 below (or to the value itself if it lies past the
+        edge) — on its predicate (the parameter space is rebuilt by the
+        :class:`~repro.optimizer.query.QuerySpec` constructor), so the
+        drifted entries of one shape family share one input signature
+        and one optimizer run.  A stale memory binding widens the memory
+        parameter exactly to the value, directly on the rebuilt space.
         """
         drift = dict(stale)
         selections = {}
         for relation_name, predicate in self.query.selections.items():
             name = predicate.selectivity_parameter
-            if predicate.is_uncertain and name in drift:
-                bounds = predicate.selectivity_bounds
-                lower = min(bounds.lower, drift[name])
-                upper = max(bounds.upper, drift[name])
+            if predicate.is_uncertain:
+                covered = self.covered_bounds[name]
+                lower, upper = covered.lower, covered.upper
+                if name in drift:
+                    value = drift[name]
+                    if value < lower:
+                        lower = min(0.0, value)
+                    if value > upper:
+                        upper = max(1.0, value)
                 predicate = SelectionPredicate(
                     predicate.comparison,
                     selectivity_parameter=name,
@@ -268,18 +283,19 @@ class PlanCacheEntry:
             name=self.query.name,
             projection=self.query.projection,
         )
+        memory = self.parameter_space.get(MEMORY_PARAMETER)
+        lower, upper = memory.bounds.lower, memory.bounds.upper
         if MEMORY_PARAMETER in drift:
-            memory = widened.parameter_space.get(MEMORY_PARAMETER)
-            lower = min(memory.bounds.lower, drift[MEMORY_PARAMETER])
-            upper = max(memory.bounds.upper, drift[MEMORY_PARAMETER])
-            widened.parameter_space.add(
-                Parameter(
-                    MEMORY_PARAMETER,
-                    (lower, upper),
-                    memory.expected,
-                    uncertain=memory.uncertain,
-                )
+            lower = min(lower, drift[MEMORY_PARAMETER])
+            upper = max(upper, drift[MEMORY_PARAMETER])
+        widened.parameter_space.add(
+            Parameter(
+                MEMORY_PARAMETER,
+                (lower, upper),
+                memory.expected,
+                uncertain=memory.uncertain,
             )
+        )
         return widened
 
     def distrust(self, observations):

@@ -575,7 +575,8 @@ class QueryService:
         """Make ``entry`` servable for ``bindings``; record the sight.
 
         Compiles a missing plan (single-flight under the entry lock),
-        re-optimizes a stale one over widened bounds — subject to the
+        re-optimizes a stale one over bounds widened to the domain edge
+        (:meth:`PlanCacheEntry.widened_query`) — subject to the
         staleness circuit breaker — and folds the bindings into the
         entry's observed ranges.  Returns ``(optimize_seconds,
         reoptimized)``.

@@ -247,7 +247,7 @@ class TestCircuitBreaker:
         # whose bindings can be pushed out of the covered interval.
         from tests.test_service import bindings_at, narrow_workload
 
-        workload = narrow_workload(bounds=(0.0, 0.3))
+        workload = narrow_workload(bounds=(0.2, 0.3))
         breaker = CircuitBreaker(failure_threshold=1, cooldown=2)
         service = one_shard(
             Database(workload.catalog),
@@ -263,11 +263,12 @@ class TestCircuitBreaker:
             assert breaker.trips == 1
             assert counts_of(service)["breaker_trips"] == 1
 
-            # Bounds are now [0.0, 0.9]; 0.95 is stale again, but the
-            # breaker is open: served from cache, no re-optimization.
+            # Bounds are now [0.2, 1.0]; 0.05 is stale on the other
+            # side, but the breaker is open: served from cache, no
+            # re-optimization.
             for expected in (1, 2):
                 held = service.run(
-                    workload.query, bindings_at(workload, 0.95)
+                    workload.query, bindings_at(workload, 0.05)
                 )
                 assert not held.reoptimized and held.cache_hit
                 assert (
@@ -276,7 +277,7 @@ class TestCircuitBreaker:
                 )
 
             # Cooldown spent: the next stale invocation re-optimizes.
-            reopened = service.run(workload.query, bindings_at(workload, 0.95))
+            reopened = service.run(workload.query, bindings_at(workload, 0.05))
             assert reopened.reoptimized
             assert breaker.trips == 2
         entry = service.shards[0].service.cache.get(workload.query)

@@ -15,6 +15,7 @@ import pytest
 from repro.__main__ import main
 from repro.catalog import populate_database
 from repro.common.errors import ExecutionError
+from repro.common.intervals import Interval
 from repro.cost.parameters import MEMORY_PARAMETER
 from repro.executor.startup import resolve_dynamic_plan
 from repro.observability import MetricsRegistry, Tracer
@@ -209,6 +210,24 @@ class TestStaleness:
         for bounds in entry.covered_bounds.values():
             assert bounds.contains(0.9)
         assert service.cache.stats.invalidations == 1
+
+    def test_widenings_accumulate_to_the_domain(self):
+        # A drift on one side widens that bound to the domain edge and
+        # keeps what earlier widenings covered: drifting back to either
+        # side is no longer stale.
+        workload = narrow_workload(bounds=(0.2, 0.3))
+        gateway, service = one_shard(Database(workload.catalog), execute=False)
+        with gateway:
+            reoptimized = [
+                gateway.run(workload.query, bindings_at(workload, value)).reoptimized
+                for value in (0.9, 0.05, 0.9, 0.05)
+            ]
+        assert reoptimized == [True, True, False, False]
+        entry = service.cache.get(workload.query)
+        assert entry.reoptimizations == 2 == service.cache.stats.invalidations
+        assert entry.covered_bounds
+        for bounds in entry.covered_bounds.values():
+            assert bounds == Interval(0.0, 1.0)
 
     def test_observed_ranges_are_tracked(self):
         workload = narrow_workload()

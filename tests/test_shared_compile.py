@@ -27,7 +27,13 @@ from repro.algebra.expressions import (
 )
 from repro.algebra.physical import Filter, FilterBTreeScan, IndexJoin
 from repro.catalog.synthetic import build_synthetic_catalog, default_relation_specs
-from repro.cost.parameters import MEMORY_PARAMETER, Bindings, Parameter
+from repro.common.intervals import Interval
+from repro.cost.parameters import (
+    DEFAULT_MEMORY_BOUNDS,
+    MEMORY_PARAMETER,
+    Bindings,
+    Parameter,
+)
 from repro.executor.access_module import AccessModule
 from repro.executor.decision import CompiledDecision
 from repro.executor.startup import rebind_plan
@@ -35,9 +41,11 @@ from repro.optimizer import (
     OptimizerConfig,
     input_signature,
     optimize_dynamic,
+    optimize_runtime,
     optimize_static,
 )
 from repro.optimizer.query import QuerySpec
+from repro.scenarios import predicted_execution_seconds
 from repro.service import ShardedQueryService, build_snapshot
 from repro.service.service import SharedCompile
 from repro.storage import Database
@@ -425,3 +433,86 @@ class TestSnapshotBytesAndLifetime:
             del survivors
             gc.collect()
             assert len(service._shared) == 0
+
+
+def bind_shape(query, values):
+    """Each uncertain selection's parameter bound to the next value."""
+    bindings = Bindings().bind_variable("v", 3)
+    for relation, value in zip(query.relations, values):
+        bindings.bind(query.selections[relation].selectivity_parameter, value)
+    return bindings
+
+
+class TestDriftWidening:
+    """A drifted selectivity widens to the domain edge, so the drifted
+    entries of one shape family share one optimizer run."""
+
+    def test_two_drifted_shapes_install_from_one_optimizer_run(self, paper_catalog):
+        shapes = [chain_query(e, bounds=(0.1, 0.3)) for e in (0.15, 0.25)]
+        with ShardedQueryService(
+            Database(paper_catalog), shards=1, execute=False
+        ) as gateway:
+            service = gateway.shards[0].service
+            for query in shapes:
+                gateway.run(query, bind_shape(query, [0.2]))
+            before = dict(service.stats().resilience)
+            for query, value in zip(shapes, (0.5, 0.85)):
+                assert gateway.run(query, bind_shape(query, [value])).reoptimized
+            after = service.stats().resilience
+            entries = [service.cache.get(query) for query in shapes]
+        assert after["decision_compiles"] == before["decision_compiles"] + 1
+        assert after["shared_compiles"] == before["shared_compiles"] + 1
+        for entry in entries:
+            assert entry.covered_bounds == {"sel_R1": Interval(0.1, 1.0)}
+        assert entries[0].compiled_from is entries[1].compiled_from
+
+    def test_a_widened_entry_still_chooses_the_run_time_optimum(self):
+        catalog, shapes = benchmark_shapes("churn_compile")
+        rng = random.Random(37)
+        with ShardedQueryService(Database(catalog), shards=1, execute=False) as gateway:
+            service = gateway.shards[0].service
+            for query in shapes[:2]:
+                gateway.run(query, bind_shape(query, [0.1] * 4))
+            for index in range(12):
+                query = shapes[index % 2]
+                # At least one selectivity past the declared [0, 0.3].
+                values = [rng.uniform(0.0, 1.0) for _ in query.relations]
+                values[index % 4] = rng.uniform(0.3, 1.0)
+                bindings = bind_shape(query, values)
+                result = gateway.run(query, bindings)
+                space = query.parameter_space
+                chosen = predicted_execution_seconds(
+                    result.chosen, catalog, space, bindings
+                )
+                optimum = optimize_runtime(catalog, query, bindings).plan
+                assert chosen == pytest.approx(
+                    predicted_execution_seconds(optimum, catalog, space, bindings),
+                    rel=1e-9,
+                )
+            for query in shapes[:2]:
+                covered = service.cache.get(query).covered_bounds
+                assert set(covered.values()) == {Interval(0.0, 1.0)}
+            counts = service.stats().resilience
+        # Besides the second shape's first touch, at least one widened
+        # install was re-bound from the other shape's run.
+        assert counts["shared_compiles"] >= 2
+
+    def test_memory_drift_widens_exactly(self, paper_catalog):
+        query = chain_query(0.05, bounds=(0.0, 0.3), memory_uncertain=True)
+        lower, upper = DEFAULT_MEMORY_BOUNDS
+        with ShardedQueryService(
+            Database(paper_catalog), shards=1, execute=False
+        ) as gateway:
+            gateway.run(query, bind_shape(query, [0.2]).bind(MEMORY_PARAMETER, 64))
+            entry = gateway.shards[0].service.cache.get(query)
+            drifted = bind_shape(query, [0.2]).bind(MEMORY_PARAMETER, upper + 40)
+            assert gateway.run(query, drifted).reoptimized
+            widened = Interval(lower, upper + 40)
+            assert entry.covered_bounds[MEMORY_PARAMETER] == widened
+            # A later selectivity drift keeps the memory widening.
+            drifted = bind_shape(query, [0.6]).bind(MEMORY_PARAMETER, 64)
+            assert gateway.run(query, drifted).reoptimized
+        assert entry.covered_bounds == {
+            MEMORY_PARAMETER: widened,
+            "sel_R1": Interval(0.0, 1.0),
+        }
