@@ -181,6 +181,9 @@ class MidQueryReport:
         self.startup = None
         #: Whether start-up counted every selectivity a decision reads.
         self.settled = False
+        #: Wall-clock seconds of the counts and the decision on them
+        #: (``0.0`` without :attr:`startup`); not in the run's elapsed.
+        self.startup_seconds = 0.0
         self.final_plan = None
         #: (choose_plan, chosen_original) pairs of the final decisions.
         self.choices = []
@@ -318,6 +321,18 @@ def count_qualifying(database, predicate, bindings):
     return btree.count_range(low, high, inclusive=op not in ("<", ">"))
 
 
+def verifies_at_startup(policy, distrusted, read_set):
+    """Whether a run under ``policy`` handed ``distrusted`` counts at
+    start-up and decides on the counts, in place of any decision made on
+    the declared bindings: under ``auto``, when the marks cover every
+    selectivity the decisions read (``read_set()``, called only then)."""
+    return (
+        policy.mode == "auto"
+        and bool(distrusted)
+        and distrusted.keys() >= read_set().keys()
+    )
+
+
 def strip_checkpoints(plan):
     """Replace every checkpoint by the subplan that produced it: the
     static plan a run's ``final_plan`` executes, costed from scratch."""
@@ -379,7 +394,10 @@ def execute_midquery(
     :meth:`~repro.executor.decision.CompiledDecision.read_set`: then
     each is counted index-only before any decision (source
     ``"startup"``) and the program decides on the counts in place of
-    ``choices``; ``report.startup`` is that decision.  When every count
+    ``choices`` (:func:`verifies_at_startup`; a caller that knows it
+    need not decide first, and passes none); ``report.startup`` is that
+    decision and ``report.startup_seconds`` its wall-clock time, which
+    the result's ``elapsed_seconds`` leaves out.  When every count
     succeeded the run is ``settled``: every selectivity its decisions
     read is exact, so it executes the decided plan plainly, and a join
     cardinality the estimate gets wrong goes unchecked.  Otherwise the
@@ -474,17 +492,18 @@ def execute_midquery(
     started = time.perf_counter()
     before = database.io_stats.snapshot()
 
-    if distrusted and policy.mode == "auto":
-        reads = compiled().read_set()
-        if distrusted.keys() >= reads.keys():
-            count("startup")
-            chosen, report.startup = decision.choose_memoized(
-                known, {} if memo is None else memo
-            )
-            choices = report.startup.choices
-            report.settled = report.rebound.keys() >= reads.keys()
-            if report.settled:
-                return finish(run(chosen, tracer), chosen, choices)
+    if verifies_at_startup(policy, distrusted, lambda: compiled().read_set()):
+        count("startup")
+        chosen, report.startup = decision.choose_memoized(
+            known, {} if memo is None else memo
+        )
+        choices = report.startup.choices
+        report.settled = report.rebound.keys() >= decision.read_set().keys()
+        # The run's own clock starts after the start-up decision.
+        report.startup_seconds = time.perf_counter() - started
+        started += report.startup_seconds
+        if report.settled:
+            return finish(run(chosen, tracer), chosen, choices)
 
     #: id(choose_plan) -> (choose_plan, its standing choice)
     standing = {

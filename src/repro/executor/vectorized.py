@@ -303,7 +303,11 @@ class HashJoinBatchIterator(BatchPlanIterator):
     """Hash join: build in one pass, probe per batch.
 
     The build table is assembled from the build side's batches before
-    any output flows; probing then streams batch-by-batch.  When the
+    any output flows; probing then streams batch-by-batch.  A probe
+    batch's keys that miss the table are dropped by ``compress`` over
+    their membership, so only the hits reach the Python loop that
+    concatenates matches: most probe keys miss on selective joins.
+    Rows and their order are those of a probe of every key.  When the
     build side overflows memory the probe side is materialized first
     and the partition-spill I/O the cost model predicts is charged
     (both inputs written and re-read once) — the result is the same,
@@ -346,17 +350,18 @@ class HashJoinBatchIterator(BatchPlanIterator):
                         yield batch
 
                 probe_batches = charged_batches()
-            get = table.get
+            hit = table.__contains__
             for batch in probe_batches:
                 keys = probe_keys(batch)
                 if not table:
                     continue
-                # Build fields first, the probe side's winning on a
-                # shared name.
+                # Keys that miss the table drop out in C, before the
+                # Python loop; build fields first, the probe side's
+                # winning on a shared name.
                 matched = [
                     match + row
-                    for row, key in zip(batch, keys)
-                    for match in get(key, ())
+                    for row, key in compress(zip(batch, keys), map(hit, keys))
+                    for match in table[key]
                 ]
                 if gather is not None:
                     matched = list(map(gather, matched))

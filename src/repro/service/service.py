@@ -47,7 +47,11 @@ from repro.common.stats import percentile
 from repro.cost.parameters import MEMORY_PARAMETER
 from repro.executor.decision import CompiledDecision
 from repro.executor.engine import execute_plan
-from repro.executor.midquery import ReoptPolicy, execute_midquery
+from repro.executor.midquery import (
+    ReoptPolicy,
+    execute_midquery,
+    verifies_at_startup,
+)
 from repro.executor.startup import rebind_plan
 from repro.optimizer.query import input_signature
 from repro.resilience.deadline import Deadline
@@ -202,7 +206,8 @@ class ServiceResult:
         self.startup_report = startup_report
         #: Wall-clock seconds spent optimizing (0.0 on a cache hit).
         self.optimize_seconds = optimize_seconds
-        #: Wall-clock seconds of the start-up decision pass.
+        #: Wall-clock seconds of the start-up decision pass (for a
+        #: request verified at start-up: the counts and the pass on them).
         self.startup_seconds = startup_seconds
         self.execution = execution
         self.total_seconds = total_seconds
@@ -483,7 +488,12 @@ class QueryService:
         gateway's router.  The start-up decision runs the entry's
         compiled program and reuses its decision-outcome memo, so the
         chosen static plan is *rebuilt* once per distinct outcome
-        instead of once per invocation.
+        instead of once per invocation.  A request that executes under
+        ``auto`` while its entry distrusts every selectivity the
+        decisions read makes no decision here: its run counts them and
+        decides once, on the counts
+        (:func:`~repro.executor.midquery.verifies_at_startup`), and its
+        ``startup_seconds`` times that decision.
 
         Library errors (:class:`~repro.common.errors.ReproError`) that
         survive the resilience machinery are wrapped in
@@ -520,21 +530,36 @@ class QueryService:
                 parameter_space = entry.parameter_space
                 decision = entry.decision
                 memo = entry.chosen_memo
-            chosen, report = decision.choose_memoized(bindings, memo)
+                distrusted = entry.distrusted
+            executing = (
+                self.default_execute if request.execute is None else request.execute
+            )
+            reopt = request.reopt_policy
+            # A settled request: execute_midquery counts what the entry
+            # distrusts and decides on the counts, replacing any decision
+            # on the declared bindings, so none is made here.
+            verifies = (
+                executing
+                and reopt is not None
+                and verifies_at_startup(reopt, distrusted, decision.read_set)
+            )
+            chosen = report = None
+            if not verifies:
+                chosen, report = decision.choose_memoized(bindings, memo)
             startup_seconds = time.perf_counter() - decision_started
 
             execution = None
-            if self.default_execute if request.execute is None else request.execute:
+            if executing:
                 deadline_seconds = request.deadline_seconds
                 if deadline_seconds is None:
                     deadline_seconds = self.resilience.deadline_seconds
-                reopt = request.reopt_policy
                 execution, chosen, report = self._execute_with_resilience(
                     entry,
                     chosen,
                     report,
                     decision,
                     memo,
+                    distrusted,
                     plan,
                     parameter_space,
                     bindings,
@@ -542,6 +567,8 @@ class QueryService:
                     reopt,
                     info,
                 )
+                if verifies and report is not None:  # not the static fallback
+                    startup_seconds = execution.midquery.startup_seconds
         except ReproError as error:
             raise ServiceExecutionError(
                 "request tag=%r query=%r failed: %s"
@@ -711,6 +738,7 @@ class QueryService:
         report,
         decision,
         memo,
+        distrusted,
         plan,
         parameter_space,
         bindings,
@@ -726,9 +754,11 @@ class QueryService:
           :func:`~repro.executor.midquery.execute_midquery`: pipeline
           breakers checkpoint their results and may splice in a
           cheaper alternative mid-flight (the mid-query report rides
-          on ``execution.midquery``); when the entry distrusts every
+          on ``execution.midquery``); when ``distrusted`` (the
+          entry's marks, read with ``decision``) covers every
           selectivity the decisions read, the run counts them and
-          replaces the start-up decision (``report``) with its own;
+          makes the start-up decision (``report``, ``None`` until
+          then) itself;
         * a mid-run memory drop re-decides the choose-plans under the
           shrunk grant with one whole pass of the decision program
           start-up ran, and restarts on the re-decided alternative; past
@@ -756,9 +786,9 @@ class QueryService:
                             policy=reopt,
                             tracer=self.tracer,
                             deadline=deadline,
-                            choices=report.choices,
+                            choices=None if report is None else report.choices,
                             decision=decision,
-                            distrusted=entry.distrusted,
+                            distrusted=distrusted,
                             memo=memo,
                         )
                     else:

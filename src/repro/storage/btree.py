@@ -45,6 +45,8 @@ class BTree:
         self._root = _Node(is_leaf=True)
         self._height = 1
         self._entry_count = 0
+        #: ``(entry_count, {id(leaf): ordinal})`` as of its last build.
+        self._ordinals = (None, None)
 
     # ------------------------------------------------------------------
     # Maintenance
@@ -122,18 +124,29 @@ class BTree:
 
     def leaf_count(self):
         """Number of leaf nodes (for cost-model validation tests)."""
-        node = self._leftmost_leaf()
-        count = 0
-        while node is not None:
-            count += 1
-            node = node.next_leaf
-        return count
+        return len(self._leaf_ordinals())
 
-    def _leftmost_leaf(self):
+    def _descend(self, key):
+        """The leaf a descent for ``key`` reaches (the leftmost for
+        ``None``), uncharged."""
         node = self._root
         while not node.is_leaf:
-            node = node.children[0]
+            position = 0 if key is None else bisect.bisect_right(node.keys, key)
+            node = node.children[position]
         return node
+
+    def _leaf_ordinals(self):
+        """``{id(leaf): position in the leaf chain}``, rebuilt when an
+        insert (the only way leaves split) has run since."""
+        built, ordinals = self._ordinals
+        if built != self._entry_count:
+            ordinals = {}
+            node = self._descend(None)
+            while node is not None:
+                ordinals[id(node)] = len(ordinals)
+                node = node.next_leaf
+            self._ordinals = (self._entry_count, ordinals)
+        return ordinals
 
     def check_invariants(self):
         """Verify ordering and linkage invariants; raises on violation.
@@ -143,7 +156,7 @@ class BTree:
         """
         previous_key = None
         reachable = 0
-        node = self._descend_leftmost_charged(charge=False)
+        node = self._descend(None)
         while node is not None:
             if node.keys != sorted(node.keys):
                 raise ExecutionError("leaf keys out of order")
@@ -160,16 +173,6 @@ class BTree:
                 "entry count mismatch: %d reachable of %d inserted"
                 % (reachable, self._entry_count)
             )
-
-    def _descend_leftmost_charged(self, charge=True):
-        node = self._root
-        while not node.is_leaf:
-            if charge:
-                self.io_stats.charge_page_reads(1)
-            node = node.children[0]
-        if charge:
-            self.io_stats.charge_page_reads(1)
-        return node
 
     # ------------------------------------------------------------------
     # Search
@@ -270,40 +273,49 @@ class BTree:
 
     def count_range(self, low=None, high=None, inclusive=True):
         """How many entries ``range_scan(low, high)`` yields, counted in
-        the leaves: the same pages visited and charged, the same fault
-        site, no RID fetched.  ``inclusive=False`` walks entries whose key
-        equals a bound without counting them (``<`` and ``>``)."""
+        the leaves with no RID fetched: one index probe, the same fault
+        site.  ``inclusive=False`` walks entries whose key equals a bound
+        without counting them (``<`` and ``>``).
+
+        A half-open range walks whichever side of its bound has fewer
+        leaves: the range itself, or its complement, whose count it
+        subtracts from :attr:`entry_count`.  It charges that walk's
+        pages, the fewer of ``range_scan(None, bound)`` and
+        ``range_scan(bound, None)``.  The sides' lengths are read off the
+        tree's shape (leaf ordinals), as a tree keeping per-node leaf
+        counts reads them on the descent, at no page.
+        """
         if self.fault_injector is not None:
             self.fault_injector.record("index_probe")
         self.io_stats.charge_index_probe(1)
-        node = self._root
-        pages = 1
-        while not node.is_leaf:
-            pages += 1
-            position = 0 if low is None else bisect.bisect_right(node.keys, low)
-            node = node.children[position]
-        start = 0 if low is None else bisect.bisect_left(node.keys, low)
-        count = 0
-        while True:
-            keys = node.keys
-            end = len(keys) if high is None else bisect.bisect_right(keys, high)
-            first, last = start, end
-            if not inclusive:
-                first += first < last and keys[first] == low
-                last -= first < last and keys[last - 1] == high
-            count += sum(map(len, node.values[first:last]))
-            node = node.next_leaf
-            if end < len(keys) or node is None:
-                break
-            pages += 1
-            start = 0
-        self.io_stats.charge_page_reads(pages)
+        if (low is None) == (high is None):
+            count, leaves = _walk(self._descend(low), low, high, inclusive)
+        else:
+            bound = high if low is None else low
+            leaf = self._descend(bound)
+            ordinals = self._leaf_ordinals()
+            ordinal = ordinals[id(leaf)]
+            # Leaves past the first that range_scan(None, bound) reads
+            # (up to the first key above the bound) and that
+            # range_scan(bound, None) reads (to the end).
+            below = ordinal
+            if not (leaf.keys and leaf.keys[-1] > bound):
+                below = min(ordinal + 1, len(ordinals) - 1)
+            above = len(ordinals) - 1 - ordinal
+            complement = above < below if low is None else below < above
+            if complement:
+                low, high, inclusive = high, low, not inclusive
+            start = leaf if high is None else self._descend(None)
+            count, leaves = _walk(start, low, high, inclusive)
+            if complement:
+                count = self._entry_count - count
+        self.io_stats.charge_page_reads(self._height - 1 + leaves)
         return count
 
     def keys_in_order(self):
         """All distinct keys in ascending order (no I/O charged)."""
         result = []
-        node = self._leftmost_leaf()
+        node = self._descend(None)
         while node is not None:
             result.extend(node.keys)
             node = node.next_leaf
@@ -315,3 +327,25 @@ class BTree:
             self._entry_count,
             self._height,
         )
+
+
+def _walk(node, low, high, inclusive):
+    """``(entries, leaves read)`` of a leaf-chain walk from ``node`` over
+    ``low <= key <= high``, stopping where :meth:`BTree.range_scan`
+    stops; ``inclusive=False`` leaves a bound's own entries out."""
+    start = 0 if low is None else bisect.bisect_left(node.keys, low)
+    count = 0
+    leaves = 1
+    while True:
+        keys = node.keys
+        end = len(keys) if high is None else bisect.bisect_right(keys, high)
+        first, last = start, end
+        if not inclusive:
+            first += first < last and keys[first] == low
+            last -= first < last and keys[last - 1] == high
+        count += sum(map(len, node.values[first:last]))
+        node = node.next_leaf
+        if end < len(keys) or node is None:
+            return count, leaves
+        leaves += 1
+        start = 0

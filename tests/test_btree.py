@@ -1,7 +1,9 @@
 """The B+-tree: structure, search, range scans, and invariants."""
 
+import operator
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.common.errors import ExecutionError
 from repro.storage import BTree, IOStatistics
@@ -165,3 +167,85 @@ class TestPropertyBased:
         expected = sorted(key for key in keys if low <= key <= high)
         scanned = [key for key, _ in tree.range_scan(low, high)]
         assert scanned == expected
+
+
+#: ``count_range`` arguments and the test of each comparison with ``v``.
+COMPARISONS = {
+    "<": (lambda v: (None, v, False), operator.lt),
+    "<=": (lambda v: (None, v, True), operator.le),
+    ">": (lambda v: (v, None, False), operator.gt),
+    ">=": (lambda v: (v, None, True), operator.ge),
+    "=": (lambda v: (v, v, True), operator.eq),
+}
+
+
+def _charged(stats, before):
+    return {key: value - before[key] for key, value in stats.snapshot().items()}
+
+
+def _scan_io(tree, low, high):
+    """What draining ``range_scan(low, high)`` charges."""
+    before = tree.io_stats.snapshot()
+    for _ in tree.range_scan(low, high):
+        pass
+    return _charged(tree.io_stats, before)
+
+
+class TestCountRange:
+    """Index-only counts: exact, and charged for the shorter walk."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(st.integers(0, 60), max_size=300),
+        st.sampled_from((4, 8, 32)),
+        st.sampled_from(sorted(COMPARISONS)),
+        st.one_of(st.integers(-2, 62), st.floats(-2.0, 62.0)),
+    )
+    @example([], 4, "<", 0)
+    @example([], 32, ">=", 0)
+    @example([3, 3, 5], 8, ">", 3)
+    @example([3, 3, 5], 8, "<=", 3)
+    def test_count_is_exact_and_walks_the_shorter_side(self, keys, fan_out, op, value):
+        tree = make_tree(fan_out=fan_out)
+        for position, key in enumerate(keys):
+            tree.insert(key, (position, 0))
+        arguments, compare = COMPARISONS[op]
+        low, high, inclusive = arguments(value)
+
+        before = tree.io_stats.snapshot()
+        count = tree.count_range(low, high, inclusive)
+        probed = _charged(tree.io_stats, before)
+
+        assert count == sum(compare(key, value) for key in keys)
+        walks = [_scan_io(tree, low, high)]
+        if op != "=":  # a half-open range may walk its complement
+            walks.append(_scan_io(tree, high, low))
+        # One probe, no record, the pages of the shorter walk.
+        assert probed == min(walks, key=operator.itemgetter("pages_read"))
+
+    def test_a_count_near_the_top_walks_the_complement(self):
+        tree = make_tree(fan_out=4)
+        for key in range(1000):
+            tree.insert(key, (key, 0))
+        stats = tree.io_stats
+        before = stats.snapshot()
+        assert tree.count_range(None, 990) == 991
+        probed = _charged(stats, before)
+        assert probed == _scan_io(tree, 990, None)
+        assert probed["pages_read"] < _scan_io(tree, None, 990)["pages_read"] / 10
+
+    def test_an_insert_moves_the_leaf_ordinals(self):
+        tree = make_tree(fan_out=4)
+        for key in range(100):
+            tree.insert(key, (key, 0))
+        assert tree.count_range(90, None) == 10
+        for key in range(100, 200):
+            tree.insert(key, (key, 0))
+        before = tree.io_stats.snapshot()
+        assert tree.count_range(90, None) == 110
+        probed = _charged(tree.io_stats, before)
+        assert probed == min(
+            _scan_io(tree, 90, None),
+            _scan_io(tree, None, 90),
+            key=operator.itemgetter("pages_read"),
+        )

@@ -19,6 +19,7 @@ import functools
 import sys
 import threading
 from math import ceil, floor
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -58,7 +59,7 @@ from repro.executor.midquery import (
     execute_midquery,
     strip_checkpoints,
 )
-from repro.optimizer import optimize_dynamic
+from repro.optimizer import optimize_dynamic, optimize_runtime
 from repro.catalog import generate_rows, populate_database
 from repro.resilience import (
     FaultInjector,
@@ -997,12 +998,16 @@ class TestVerifiedRedecisions:
 
         from repro.executor.vectorized import sargable_key_range
 
-        before = io_stats.snapshot()
-        for _ in database.btree(relation, attribute).range_scan(
-            *sargable_key_range(predicate, bindings)
-        ):
-            pass
-        scanned = {key: io_stats.snapshot()[key] - before[key] for key in before}
+        def scan(low, high):
+            before = io_stats.snapshot()
+            for _ in database.btree(relation, attribute).range_scan(low, high):
+                pass
+            return {key: io_stats.snapshot()[key] - before[key] for key in before}
+
+        low, high = sargable_key_range(predicate, bindings)
+        scanned = scan(low, high)
+        if (low is None) != (high is None):  # a half-open range: the shorter side
+            scanned = min(scanned, scan(high, low), key=itemgetter("pages_read"))
         assert probed == scanned  # descent + leaves walked, no record
 
     def test_transient_fault_in_a_probe_is_retried_like_a_scans(self):
@@ -1152,6 +1157,59 @@ class TestStartupVerification:
         assert one.settled and two.settled
         assert two.final_plan is one.final_plan
         assert memo[tuple(one.startup.choices)] is one.final_plan
+
+    def test_a_settled_request_runs_one_decision_pass(self, monkeypatch):
+        """A settled ``auto`` request decides once, on its counts: the
+        service skips the pass over the declared bindings, and the
+        result's start-up report is the run's.  A first touch still
+        decides on its declared bindings before any breaker."""
+        passes = []
+        evaluate = CompiledDecision.evaluate
+
+        def counted(program, bindings, pins=None):
+            passes.append(pins)
+            return evaluate(program, bindings, pins)
+
+        monkeypatch.setattr(CompiledDecision, "evaluate", counted)
+        liars = ("R1", "R2", "R3")
+        with _gateway() as gateway:
+            first, _ = _serve(gateway, liars, 0.55)
+            touched = len(passes)
+            result, _ = _serve(gateway, liars, 0.3)
+        opening = first.execution.midquery
+        assert opening.startup is None and opening.redecisions >= 1
+        assert first.startup_report is not None
+        # The declared pass, then one pass per breaker re-decision.
+        assert touched == 1 + opening.redecisions
+        assert passes[0] is None
+        report = result.execution.midquery
+        assert report.settled and report.redecisions == 0
+        assert len(passes) - touched == 1
+        assert result.startup_report is report.startup
+        assert result.startup_seconds == report.startup_seconds > 0.0
+
+    @pytest.mark.parametrize("true", (0.3, 0.41, 0.55, 0.67, 0.8))
+    def test_a_settled_plan_costs_its_hindsight_plus_its_counts(self, true):
+        """A settled request runs the plan a run-time optimizer picks
+        knowing the true selectivities, and pays that plan's I/O plus
+        its index-only counts, nothing else: its regret is the probes."""
+        workload, database, _, _ = _chain()
+        query = workload.query
+        liars = ("R1", "R2", "R3")
+        with _gateway() as gateway:
+            _serve(gateway, liars, 0.55)
+            result, bindings = _serve(gateway, liars, true)
+        report = result.execution.midquery
+        assert report.settled
+        truth = bindings.copy()
+        for name in liars:
+            truth.bind(query.selection_for(name).selectivity_parameter, true)
+        hindsight = optimize_runtime(workload.catalog, query, truth).plan
+        assert report.final_plan.digest() == hindsight.digest()
+        run = execute_plan(hindsight, database, truth, query.parameter_space)
+        # Equal I/O totals: equal simulated seconds, exactly.
+        assert _io_less_probes(result.execution, report) == run.io_snapshot
+        assert report.probe_io["pages_read"] > 0
 
     def test_breakers_and_startup_count_the_read_set_less_what_was_observed(self):
         """One probe rule: before deciding on observations, a breaker
