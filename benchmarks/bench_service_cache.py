@@ -34,6 +34,7 @@ from conftest import (
     write_json_results,
 )
 
+from repro.common import percentile
 from repro.optimizer import optimize_dynamic
 from repro.service import render_report, replay_spec
 from repro.workloads.traffic import TrafficSpec, to_service_requests
@@ -194,9 +195,13 @@ MAX_DISABLED_OVERHEAD = 0.05
 def test_tracing_disabled_overhead(results_dir):
     """Metrics wired, tracer off: cached path within 5% of baseline.
 
-    The two gateways are timed in strictly alternating batches and
-    compared min-to-min, so slow drift (CPU frequency, background
-    load) hits both sides equally instead of deciding the verdict.
+    The two gateways are timed in pairs of adjacent batches, the order
+    swapped every pair, and the overhead is the median of the pairs'
+    time ratios: slow drift (CPU frequency, background load) hits both
+    batches of a pair alike, and a short CPU burst that speeds up one
+    batch moves one ratio, not the verdict.  (A min-to-min comparison
+    reads such a burst as the whole difference: with the same request
+    code on both sides it read anywhere from -25% to +23%.)
     """
     from repro.observability import MetricsRegistry
     from repro.service import ShardedQueryService
@@ -225,18 +230,23 @@ def test_tracing_disabled_overhead(results_dir):
     plain = make_service(None)
     instrumented_service = make_service(MetricsRegistry())
     with plain, instrumented_service:
-        # Warm both sides, then alternate measured batches.
+        # Warm both sides, then time adjacent pairs, alternating order.
         batch_seconds(plain)
         batch_seconds(instrumented_service)
-        baseline = float("inf")
-        instrumented = float("inf")
-        for _ in range(15):
-            baseline = min(baseline, batch_seconds(plain))
-            instrumented = min(
-                instrumented, batch_seconds(instrumented_service)
-            )
+        baselines, instrumenteds = [], []
+        for index in range(15):
+            if index % 2:
+                instrumenteds.append(batch_seconds(instrumented_service))
+                baselines.append(batch_seconds(plain))
+            else:
+                baselines.append(batch_seconds(plain))
+                instrumenteds.append(batch_seconds(instrumented_service))
 
-    overhead = instrumented / baseline - 1.0
+    baseline = percentile(baselines, 0.5)
+    instrumented = percentile(instrumenteds, 0.5)
+    overhead = (
+        percentile([i / b for i, b in zip(instrumenteds, baselines)], 0.5) - 1.0
+    )
     write_and_print(
         results_dir,
         "observability_overhead",
@@ -252,6 +262,7 @@ def test_tracing_disabled_overhead(results_dir):
                 "metric": "tracing_disabled_overhead",
                 "value": overhead,
                 "unit": "fraction",
+                "better": "lower",
             },
         ],
     )

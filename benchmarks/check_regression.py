@@ -6,7 +6,10 @@ the committed snapshots in ``benchmarks/baselines/*.json`` and fails —
 exit status 1 — when any metric is *worse* than its baseline by more
 than the tolerance (default ±25%).
 
-Direction is inferred from the record's unit:
+Direction is the record's own ``better`` key (``"lower"`` or
+``"higher"``) when it has one — an overhead is a ``fraction`` that
+should fall, unlike a hit rate — and is otherwise inferred from the
+unit:
 
 * ``s``, ``us`` — latency: lower is better, a regression is an increase;
 * ``records/s``, ``requests/s``, ``x``, ``fraction`` — throughput,
@@ -57,6 +60,9 @@ DEFAULT_TOLERANCE = 0.25
 #: Keys every record must carry for the comparison to be meaningful.
 REQUIRED_RECORD_KEYS = ("name", "metric", "value", "unit")
 
+#: Values of a record's optional ``better`` key.
+DIRECTIONS = ("lower", "higher")
+
 
 class MalformedRecordError(ValueError):
     """A results/baseline file the gate cannot compare.
@@ -101,6 +107,12 @@ def load_records(path):
                 "%s: record %d (%s/%s) has non-numeric value %r"
                 % (path.name, index, record["name"], record["metric"], value)
             )
+        if record.get("better", "lower") not in DIRECTIONS:
+            raise MalformedRecordError(
+                "%s: record %d (%s/%s) has better=%r, not one of %s"
+                % (path.name, index, record["name"], record["metric"],
+                   record["better"], ", ".join(DIRECTIONS))
+            )
         loaded[(record["name"], record["metric"])] = record
     return loaded
 
@@ -116,15 +128,17 @@ def classify(record, baseline_value, tolerance):
     """``(status, change)`` for one metric vs its baseline value.
 
     Status is ``ok``, ``regression``, or ``improvement``; ``change`` is
-    the signed relative change.  Units outside the two known direction
-    sets are compared symmetrically: any drift beyond tolerance is a
-    regression, because we cannot tell which direction is good.
+    the signed relative change.  A record without a ``better`` key whose
+    unit is outside the two known direction sets is compared
+    symmetrically: any drift beyond tolerance is a regression, because
+    we cannot tell which direction is good.
     """
     change = relative_change(record["value"], baseline_value)
     unit = record["unit"]
-    if unit in LOWER_IS_BETTER:
+    direction = record.get("better")
+    if direction == "lower" or (direction is None and unit in LOWER_IS_BETTER):
         worse, better = change > tolerance, change < -tolerance
-    elif unit in HIGHER_IS_BETTER:
+    elif direction == "higher" or unit in HIGHER_IS_BETTER:
         worse, better = change < -tolerance, change > tolerance
     else:
         worse, better = abs(change) > tolerance, False

@@ -26,19 +26,6 @@ class ExecutionError(ReproError):
     """Raised when plan execution fails (unbound variables, missing index)."""
 
 
-class BindingError(ExecutionError):
-    """Raised when a run-time binding required at start-up time is missing."""
-
-
-class IncomparableCostError(OptimizationError):
-    """Raised when a total order is required but costs are incomparable.
-
-    Static (traditional) optimization requires a total order of plan
-    costs; if the cost model yields overlapping intervals in that mode,
-    something is wrong and we fail loudly rather than pick arbitrarily.
-    """
-
-
 class InfeasiblePlanError(ExecutionError):
     """Raised when a stored plan no longer matches the catalogs.
 
@@ -158,8 +145,8 @@ class ServiceOverloadError(ServiceError):
     quota that rejected the request.  ``retry_after_hint`` — when the
     gateway attaches one — is a seeded-backoff delay (seconds) the
     client should wait before resubmitting; it is a pure function of
-    the gateway seed and the rejection count, so client backoff is
-    reproducible in tests.
+    the rejection reason and count, so client backoff is reproducible
+    in tests.
     """
 
     def __init__(self, message, reason=None, shard=None, tenant=None,
@@ -232,8 +219,3 @@ class SnapshotVersionError(SnapshotError):
         super().__init__(message, **kwargs)
         self.found = found
         self.supported = supported
-
-
-class MetricsError(ReproError):
-    """Raised for metrics-registry misuse (e.g. writing a read-only,
-    callback-backed instrument)."""

@@ -12,11 +12,12 @@ This package closes that estimated-vs-actual feedback loop:
   :class:`Tracer` is attached to the execution context; with no tracer
   the per-operator check is a single ``is None`` test at ``open`` time
   and the per-batch path is completely untouched.
-* :mod:`.metrics` — a thread-safe :class:`MetricsRegistry` of
-  counters, gauges, and histograms, wired into the serving gateway
-  :class:`~repro.service.sharding.ShardedQueryService` (cache
-  hit/miss, start-up latency histograms, re-optimization counts),
-  exportable as JSON and Prometheus text format.
+* :mod:`.metrics` — a read-only :class:`MetricsRegistry` of
+  counters, gauges, and histograms that read, at scrape time, what the
+  serving gateway :class:`~repro.service.sharding.ShardedQueryService`
+  already counts (cache hit/miss, start-up latency histograms,
+  re-optimization counts), exportable as JSON and Prometheus text
+  format.
 * :mod:`.explain` — ``EXPLAIN ANALYZE``: execute a plan under a
   tracer and render the operator tree annotated with estimated vs
   actual cardinality and cost, plus a q-error summary

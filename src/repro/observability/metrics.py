@@ -1,35 +1,22 @@
-"""A thread-safe metrics registry: counters, gauges, histograms.
+"""A read-only metrics registry: counters, gauges, histograms.
 
-The registry is the service-level half of the observability layer:
-the serving gateway (:class:`~repro.service.sharding.ShardedQueryService`)
-and its partitions record cache hits and misses, start-up decision
-latencies, and staleness-driven re-optimizations here, and operators
-can scrape the state as JSON (:meth:`MetricsRegistry.to_json`) or
-Prometheus text exposition format (:meth:`MetricsRegistry.to_prometheus`).
-
-Exactness over sampling: every instrument updates under a lock, so
-concurrent updates are never lost — the property the 8-thread
-concurrency tests assert against exact totals.  Instruments are cheap (one lock round-trip and a few
-float ops per update) but not free; subsystems accept ``metrics=None``
-and skip instrumentation entirely when no registry is attached.
-
-Two wiring styles keep the hot path fast:
-
-* **push** instruments are updated inline (``inc``/``observe``) where
-  no pre-existing counter tracks the quantity;
-* **pull** instruments take a ``callback`` and read an existing,
-  already-locked internal counter at scrape time — summing, say, the
-  partitions' :class:`~repro.service.cache.CacheStatistics` into the
-  registry at zero per-request cost.  Callback-backed instruments are
-  read-only; pushing to one raises.  Gauges are always pull.
+The registry is the service-level half of the observability layer.
+It keeps no count of its own: every instrument takes a ``callback``
+and reads, at scrape time, a quantity some subsystem already keeps
+under its own lock.  The serving gateway
+(:class:`~repro.service.sharding.ShardedQueryService`) registers its
+instruments over the books its shards keep — request and cache
+counts, resilience outcomes, latency sums and bucket counts — so a
+request runs exactly the same code with a registry attached as
+without one, and a scrape reads what ``stats()`` reads.  Operators
+export the state as JSON (:meth:`MetricsRegistry.to_json`) or in
+Prometheus text exposition format
+(:meth:`MetricsRegistry.to_prometheus`).
 """
 
 import json
 import re
 import threading
-from bisect import bisect_left
-
-from repro.common.errors import MetricsError
 
 _NAME_PATTERN = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 
@@ -60,54 +47,9 @@ def _check_name(name):
 
 
 class Counter:
-    """A monotonically increasing counter (push, or pull via callback)."""
+    """A monotonically increasing total, read from the count that keeps it."""
 
     kind = "counter"
-
-    __slots__ = ("name", "help", "_value", "_lock", "_callback")
-
-    def __init__(self, name, help="", callback=None):
-        self.name = _check_name(name)
-        self.help = help
-        self._value = 0.0
-        self._lock = threading.Lock()
-        self._callback = callback
-
-    def inc(self, amount=1):
-        """Add ``amount`` (must be non-negative) to the counter."""
-        if amount < 0:
-            raise ValueError("counter increments must be non-negative")
-        if self._callback is not None:
-            raise MetricsError(
-                "callback-backed counter %s is read-only" % self.name
-            )
-        with self._lock:
-            self._value += amount
-
-    @property
-    def value(self):
-        """Current total."""
-        if self._callback is not None:
-            return self._callback()
-        with self._lock:
-            return self._value
-
-    def snapshot(self):
-        """Plain-data view of the instrument."""
-        return {"type": self.kind, "value": self.value}
-
-    def __repr__(self):
-        return "Counter(%s=%g)" % (self.name, self.value)
-
-
-class Gauge:
-    """A value that can go up and down (e.g. in-flight requests).
-
-    Pull only: ``callback`` reads the quantity from the counter that
-    already tracks it, at scrape time.
-    """
-
-    kind = "gauge"
 
     __slots__ = ("name", "help", "_callback")
 
@@ -118,7 +60,7 @@ class Gauge:
 
     @property
     def value(self):
-        """Current value."""
+        """Current value, read now."""
         return self._callback()
 
     def snapshot(self):
@@ -126,53 +68,48 @@ class Gauge:
         return {"type": self.kind, "value": self.value}
 
     def __repr__(self):
-        return "Gauge(%s=%g)" % (self.name, self.value)
+        return "%s(%s=%g)" % (type(self).__name__, self.name, self.value)
+
+
+class Gauge(Counter):
+    """A value that can go up and down (e.g. in-flight requests)."""
+
+    kind = "gauge"
+
+    __slots__ = ()
 
 
 class Histogram:
-    """A fixed-bucket histogram of observations (Prometheus-style).
+    """A fixed-bucket histogram (Prometheus-style), read from its keeper.
 
-    Buckets are cumulative upper bounds; every observation also feeds
-    ``sum`` and ``count``, so means are exact and percentiles are
-    bucket-resolution approximations.
+    ``callback`` returns ``(counts, sum)``: one count per bucket bound
+    plus a last one for ``+Inf``, not cumulative, and the sum of the
+    observations.  Means are exact; percentiles are bucket-resolution
+    approximations.
     """
 
     kind = "histogram"
 
-    __slots__ = ("name", "help", "bounds", "_bucket_counts", "_sum",
-                 "_count", "_lock")
+    __slots__ = ("name", "help", "bounds", "_callback")
 
-    def __init__(self, name, help="", buckets=DEFAULT_LATENCY_BUCKETS):
+    def __init__(self, name, help="", buckets=DEFAULT_LATENCY_BUCKETS, *, callback):
         self.name = _check_name(name)
         self.help = help
         bounds = tuple(sorted(float(bound) for bound in buckets))
         if not bounds:
             raise ValueError("histogram needs at least one bucket bound")
         self.bounds = bounds
-        self._bucket_counts = [0] * (len(bounds) + 1)  # +1 for +Inf
-        self._sum = 0.0
-        self._count = 0
-        self._lock = threading.Lock()
-
-    def observe(self, value):
-        """Record one observation."""
-        index = bisect_left(self.bounds, value)
-        with self._lock:
-            self._bucket_counts[index] += 1
-            self._sum += value
-            self._count += 1
+        self._callback = callback
 
     def snapshot(self):
         """Cumulative bucket counts plus sum/count, as plain data."""
-        with self._lock:
-            counts = list(self._bucket_counts)
-            total = self._count
-            observed_sum = self._sum
+        counts, observed_sum = self._callback()
         cumulative = {}
         running = 0
         for bound, count in zip(self.bounds, counts):
             running += count
             cumulative["%g" % bound] = running
+        total = sum(counts)
         cumulative["+Inf"] = total
         return {
             "type": self.kind,
@@ -197,13 +134,12 @@ class MetricsRegistry:
     def __init__(self):
         self._lock = threading.Lock()
         self._metrics = {}
-        self._order = []
 
-    def _get_or_create(self, factory, kind, name, **kwargs):
+    def _get_or_create(self, factory, name, **kwargs):
         with self._lock:
             existing = self._metrics.get(name)
             if existing is not None:
-                if existing.kind != kind:
+                if existing.kind != factory.kind:
                     raise ValueError(
                         "metric %r already registered as a %s"
                         % (name, existing.kind)
@@ -211,29 +147,24 @@ class MetricsRegistry:
                 return existing
             metric = factory(name, **kwargs)
             self._metrics[name] = metric
-            self._order.append(name)
             return metric
 
-    def counter(self, name, help="", callback=None):
-        """Get or create a :class:`Counter` (pull-style with callback).
+    def counter(self, name, help="", *, callback):
+        """Get or create a :class:`Counter` reading ``callback``.
 
         ``callback`` only applies when the instrument is created here;
         asking again for an existing name returns it unchanged.
         """
-        return self._get_or_create(
-            Counter, "counter", name, help=help, callback=callback
-        )
+        return self._get_or_create(Counter, name, help=help, callback=callback)
 
     def gauge(self, name, help="", *, callback):
         """Get or create a :class:`Gauge` reading ``callback``."""
-        return self._get_or_create(
-            Gauge, "gauge", name, help=help, callback=callback
-        )
+        return self._get_or_create(Gauge, name, help=help, callback=callback)
 
-    def histogram(self, name, help="", buckets=DEFAULT_LATENCY_BUCKETS):
-        """Get or create a :class:`Histogram`."""
+    def histogram(self, name, help="", buckets=DEFAULT_LATENCY_BUCKETS, *, callback):
+        """Get or create a :class:`Histogram` reading ``callback``."""
         return self._get_or_create(
-            Histogram, "histogram", name, help=help, buckets=buckets
+            Histogram, name, help=help, buckets=buckets, callback=callback
         )
 
     def get(self, name):
@@ -241,11 +172,13 @@ class MetricsRegistry:
         with self._lock:
             return self._metrics.get(name)
 
+    def _ordered(self):
+        with self._lock:
+            return list(self._metrics.items())
+
     def snapshot(self):
         """All instruments as one plain dict, in registration order."""
-        with self._lock:
-            ordered = [(name, self._metrics[name]) for name in self._order]
-        return {name: metric.snapshot() for name, metric in ordered}
+        return {name: metric.snapshot() for name, metric in self._ordered()}
 
     def to_json(self, indent=None):
         """The snapshot serialized as a JSON object string."""
@@ -253,10 +186,8 @@ class MetricsRegistry:
 
     def to_prometheus(self):
         """The registry in Prometheus text exposition format."""
-        with self._lock:
-            ordered = [(name, self._metrics[name]) for name in self._order]
         lines = []
-        for name, metric in ordered:
+        for name, metric in self._ordered():
             if metric.help:
                 lines.append("# HELP %s %s" % (name, metric.help))
             lines.append("# TYPE %s %s" % (name, metric.kind))

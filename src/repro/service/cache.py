@@ -51,9 +51,10 @@ RETAINED_PER_SLOT = 4
 
 
 class CacheStatistics:
-    """Mutable counters describing cache behaviour."""
+    """Mutable counters describing cache behaviour, and their lock."""
 
     __slots__ = (
+        "lock",
         "lookups",
         "hits",
         "misses",
@@ -63,6 +64,8 @@ class CacheStatistics:
     )
 
     def __init__(self):
+        #: Guards the counters, and the maps of the cache counting here.
+        self.lock = threading.Lock()
         self.lookups = 0
         #: Lookups that ran no optimizer: a plan was live or retained.
         self.hits = 0
@@ -345,19 +348,22 @@ class PlanCache:
     ``capacity`` bounds the *live* entries, all that ``entries()``,
     ``len()`` and snapshots see (retained tier: module docstring).
 
-    Its counters are exact under the cache lock; a gateway with a
-    metrics registry exports them as pull-style ``plan_cache_*`` metrics
-    summed over its partitions (:mod:`repro.service.sharding`).
+    Its counters are exact under the cache lock, which is theirs:
+    ``stats`` lets an owner that outlives the cache keep them.  A
+    partition passes the counters its shard's books keep
+    (:class:`~repro.service.service.ServiceBooks`), so a rebuilt
+    partition counts on from where the last one stopped.  By default
+    the cache keeps its own.
     """
 
-    def __init__(self, capacity=64):
+    def __init__(self, capacity=64, stats=None):
         if capacity < 1:
             raise ValueError("plan cache capacity must be at least 1")
         self.capacity = int(capacity)
-        self.stats = CacheStatistics()
+        self.stats = CacheStatistics() if stats is None else stats
         self._entries = OrderedDict()
         self._retained = OrderedDict()
-        self._lock = threading.Lock()
+        self._lock = self.stats.lock
 
     def entry_for_signature(self, signature, query):
         """Look up (or create) the entry for a query's canonical signature.

@@ -206,6 +206,8 @@ def write_qps_report(report, path):
 def render_report(report):
     """The replay report as printable text."""
     stats = report.stats
+    # Exact percentiles over the per-request samples, as in qps_summary.
+    startups = [result.startup_seconds for result in report.results] or [0.0]
     per_query = {}
     for name, result in zip(report.names, report.results):
         per_query.setdefault(name, []).append(result)
@@ -245,9 +247,9 @@ def render_report(report):
         ),
         "  start-up latency: p50 %.3fms  p95 %.3fms  mean %.3fms"
         % (
-            1000.0 * stats.startup_p50,
-            1000.0 * stats.startup_p95,
-            1000.0 * stats.startup_mean,
+            1000.0 * percentile(startups, 0.50),
+            1000.0 * percentile(startups, 0.95),
+            1000.0 * sum(startups) / len(startups),
         ),
         "  optimize-per-query baseline: %.3fs; service spent %.3fs "
         "-> speedup %.1fx"

@@ -33,6 +33,7 @@ served, so thread scheduling cannot perturb any RNG stream (see
 import threading
 import time
 import weakref
+from bisect import bisect_left
 
 from repro.common.errors import (
     MemoryDropError,
@@ -43,7 +44,7 @@ from repro.common.errors import (
     ServiceExecutionError,
     TransientIOError,
 )
-from repro.common.stats import percentile
+from repro.common.stats import percentile  # re-exported
 from repro.cost.parameters import MEMORY_PARAMETER
 from repro.executor.decision import CompiledDecision
 from repro.executor.engine import execute_plan
@@ -53,13 +54,16 @@ from repro.executor.midquery import (
     verifies_at_startup,
 )
 from repro.executor.startup import rebind_plan
+from repro.observability.metrics import DEFAULT_LATENCY_BUCKETS
 from repro.optimizer.query import input_signature
 from repro.resilience.deadline import Deadline
 from repro.resilience.policy import ResiliencePolicy
-from repro.service.cache import PlanCache
+from repro.service.cache import CacheStatistics, PlanCache
 
 __all__ = [
+    "LatencyBook",
     "QueryService",
+    "ServiceBooks",
     "ServiceRequest",
     "ServiceResult",
     "ServiceStatistics",
@@ -72,8 +76,7 @@ def _coerce_reopt(policy):
         return policy
     return ReoptPolicy.parse(policy)
 
-#: Resilience outcome counters every partition tracks (the metrics
-#: registry mirrors them when one is attached).
+#: Resilience outcome counters every shard's books keep.
 RESILIENCE_COUNTERS = (
     "transient_retries",
     "permanent_failures",
@@ -227,97 +230,195 @@ class ServiceResult:
         )
 
 
-class ServiceStatistics:
-    """Point-in-time summary of service behaviour.
+class LatencyBook:
+    """One latency's sum and fixed-bucket counts.
 
-    Built from one internally consistent snapshot per lock: the
-    service's request/latency/resilience state is copied under a
-    single ``_stats_lock`` acquisition and the cache counters under a
-    single cache-lock acquisition, so the fields of one snapshot
-    cohere (``hits + misses == lookups``, latency sample count equals
-    the request count) and shard snapshots aggregate exactly.
+    The buckets are :data:`~repro.observability.metrics.DEFAULT_LATENCY_BUCKETS`
+    plus a last one for ``+Inf``, so a registry histogram reads them as
+    they are; the count is their total, and the mean is exact.
+    """
+
+    __slots__ = ("buckets", "sum")
+
+    def __init__(self, buckets=None, total=0.0):
+        if buckets is None:
+            buckets = [0] * (len(DEFAULT_LATENCY_BUCKETS) + 1)
+        self.buckets = buckets
+        self.sum = total
+
+    def add(self, seconds):
+        """Count one observation (books lock held)."""
+        self.buckets[bisect_left(DEFAULT_LATENCY_BUCKETS, seconds)] += 1
+        self.sum += seconds
+
+    @property
+    def count(self):
+        """Observations counted."""
+        return sum(self.buckets)
+
+    @property
+    def mean(self):
+        """Exact mean seconds (0.0 before the first observation)."""
+        count = self.count
+        return self.sum / count if count else 0.0
+
+    def copy(self):
+        """An independent snapshot."""
+        return LatencyBook(list(self.buckets), self.sum)
+
+    @classmethod
+    def merged(cls, books):
+        """The bucket-wise sum of several books."""
+        merged = cls()
+        for book in books:
+            merged.buckets = [a + b for a, b in zip(merged.buckets, book.buckets)]
+            merged.sum += book.sum
+        return merged
+
+
+class ServiceBooks:
+    """One shard's counts, kept once, for the shard's whole life.
+
+    A shard makes its books once and hands them to every partition it
+    builds, so a restart keeps what the shard counted; the gateway keeps
+    one more for its standby partition.  They hold three things under
+    one lock: counts (requests, rows, :data:`RESILIENCE_COUNTERS` and
+    the partition cache's :class:`~repro.service.cache.CacheStatistics`,
+    whose cache lock this lock is), latency sums, and fixed-bucket
+    latency counts (:class:`LatencyBook`).  ``stats()`` and every
+    registry instrument read them; nothing else keeps a copy.
+    """
+
+    __slots__ = (
+        "lock",
+        "cache",
+        "requests",
+        "rows",
+        "resilience",
+        "startup",
+        "optimize",
+        "redecide",
+        "inflight",
+    )
+
+    def __init__(self):
+        self.cache = CacheStatistics()
+        #: The cache counters' lock, so the partition cache's lock too.
+        self.lock = self.cache.lock
+        self.requests = 0
+        self.rows = 0
+        self.resilience = dict.fromkeys(RESILIENCE_COUNTERS, 0)
+        #: Start-up decision seconds, one per served request.
+        self.startup = LatencyBook()
+        #: Optimizer seconds, one per request that optimized.
+        self.optimize = LatencyBook()
+        #: Mid-query decision seconds, one per request that re-decided.
+        self.redecide = LatencyBook()
+        #: One token per request inside ``serve``; list append/pop are
+        #: atomic under the GIL, so ``len`` is an exact lock-free gauge.
+        self.inflight = []
+
+    def statistics(self, cache):
+        """A :class:`ServiceStatistics` of these books, read under one
+        lock acquisition, with ``cache`` (a cache's ``stats_snapshot``)."""
+        with self.lock:
+            return ServiceStatistics(
+                self.requests,
+                cache,
+                dict(self.resilience),
+                self.rows,
+                self.startup.copy(),
+                self.optimize.copy(),
+                self.redecide.copy(),
+            )
+
+
+def _summed(counts):
+    """Key-by-key sum of several count dicts."""
+    total = {}
+    for part in counts:
+        for key, value in part.items():
+            total[key] = total.get(key, 0) + value
+    return total
+
+
+class ServiceStatistics:
+    """Point-in-time counts and latency sums of one set of books.
+
+    Each source is read under one lock acquisition — the cache counters
+    and sizes under the cache lock, the rest under the books lock — so
+    ``hits + misses == lookups`` and ``startup.count == requests`` hold
+    in every snapshot, and snapshots of several shards aggregate
+    exactly, by summing.
     """
 
     __slots__ = (
         "requests",
         "cache",
-        "startup_samples",
-        "optimize_samples",
-        "startup_p50",
-        "startup_p95",
-        "startup_mean",
-        "optimize_mean",
-        "optimize_count",
-        "amortization",
         "resilience",
+        "rows",
+        "startup",
+        "optimize",
+        "redecide",
     )
 
-    def __init__(
-        self,
-        requests,
-        cache,
-        startup_seconds,
-        optimize_seconds,
-        resilience=None,
-    ):
+    def __init__(self, requests, cache, resilience, rows, startup, optimize, redecide):
         self.requests = requests
-        #: Snapshot dict of the plan cache's counters.
+        #: Snapshot dict of the plan cache's counters and sizes.
         self.cache = cache
         #: Snapshot dict of the resilience outcome counters
         #: (see :data:`RESILIENCE_COUNTERS`).
-        self.resilience = dict(resilience or {})
-        #: Raw per-invocation latency samples, retained so several
-        #: shards' statistics can be aggregated exactly (percentiles
-        #: over the union, not averages of averages).
-        self.startup_samples = tuple(startup_seconds)
-        self.optimize_samples = tuple(optimize_seconds)
-        self.startup_p50 = percentile(startup_seconds, 0.50) if startup_seconds else 0.0
-        self.startup_p95 = percentile(startup_seconds, 0.95) if startup_seconds else 0.0
-        self.startup_mean = (
-            sum(startup_seconds) / len(startup_seconds) if startup_seconds else 0.0
-        )
-        self.optimize_mean = (
-            sum(optimize_seconds) / len(optimize_seconds) if optimize_seconds else 0.0
-        )
-        self.optimize_count = len(optimize_seconds)
-        #: Mean optimization cost over mean start-up cost: how many
-        #: times cheaper a cached invocation is than re-optimizing.
+        self.resilience = resilience
+        #: Result rows produced.
+        self.rows = rows
+        #: :class:`LatencyBook` copies, as :class:`ServiceBooks` keeps them.
+        self.startup = startup
+        self.optimize = optimize
+        self.redecide = redecide
+
+    @property
+    def startup_mean(self):
+        """Mean start-up decision seconds per request."""
+        return self.startup.mean
+
+    @property
+    def optimize_mean(self):
+        """Mean optimizer seconds per request that optimized."""
+        return self.optimize.mean
+
+    @property
+    def optimize_count(self):
+        """Requests that ran the optimizer (or re-bound a shared run)."""
+        return self.optimize.count
+
+    @property
+    def amortization(self):
+        """Mean optimization cost over mean start-up cost: how many
+        times cheaper a cached invocation is than re-optimizing."""
         if self.startup_mean > 0.0 and self.optimize_mean > 0.0:
-            self.amortization = self.optimize_mean / self.startup_mean
-        else:
-            self.amortization = 0.0
+            return self.optimize_mean / self.startup_mean
+        return 0.0
 
     @classmethod
     def aggregate(cls, parts):
-        """Exact union of several snapshots (e.g. one per shard).
-
-        Counters are summed, cache counters merged key by key with the
-        hit rate recomputed from the merged totals, and percentiles
-        recomputed over the concatenated raw samples — nothing is
-        approximated, so tests can assert the aggregate equals the
-        per-shard sums exactly.
-        """
+        """Exact sum of several snapshots (e.g. one per shard), with the
+        hit rate recomputed from the summed counts."""
         parts = list(parts)
-        cache = {}
-        for part in parts:
-            for key, value in part.cache.items():
-                if key != "hit_rate":
-                    cache[key] = cache.get(key, 0) + value
+        cache = _summed(
+            {key: value for key, value in part.cache.items() if key != "hit_rate"}
+            for part in parts
+        )
         cache["hit_rate"] = (
             cache["hits"] / cache["lookups"] if cache.get("lookups") else 0.0
         )
-        resilience = {}
-        for part in parts:
-            for key, value in part.resilience.items():
-                resilience[key] = resilience.get(key, 0) + value
-        startup = [s for part in parts for s in part.startup_samples]
-        optimize = [s for part in parts for s in part.optimize_samples]
         return cls(
             sum(part.requests for part in parts),
             cache,
-            startup,
-            optimize,
-            resilience,
+            _summed(part.resilience for part in parts),
+            sum(part.rows for part in parts),
+            LatencyBook.merged(part.startup for part in parts),
+            LatencyBook.merged(part.optimize for part in parts),
+            LatencyBook.merged(part.redecide for part in parts),
         )
 
     @property
@@ -328,12 +429,11 @@ class ServiceStatistics:
     def __repr__(self):
         return (
             "ServiceStatistics(requests=%d, hit_rate=%.2f, "
-            "startup_p50=%.6fs, startup_p95=%.6fs, amortization=%.1fx)"
+            "startup_mean=%.6fs, amortization=%.1fx)"
             % (
                 self.requests,
                 self.hit_rate,
-                self.startup_p50,
-                self.startup_p95,
+                self.startup_mean,
                 self.amortization,
             )
         )
@@ -356,6 +456,10 @@ class QueryService:
         The lock serializing data execution against ``database``; the
         gateway passes one lock to every partition, so all executions
         serialize against the same database.
+    books:
+        The :class:`ServiceBooks` the partition counts into, owned by
+        its shard (or, for the standby, the gateway); the plan cache
+        keeps its counters there, under the books lock.
     capacity:
         LRU plan-cache capacity, in *live* entries (see ``PlanCache``).
     optimize:
@@ -363,15 +467,6 @@ class QueryService:
     execute:
         Default for running the chosen plan against the database after
         the start-up decision.
-    metrics:
-        Optional :class:`~repro.observability.metrics.MetricsRegistry`.
-        When given, the partition pushes into the registry's shared
-        (get-or-create) instruments: the re-optimization and row
-        counters, the start-up, optimization and re-decision latency
-        histograms, and the resilience counters.  The pull counts
-        (requests, in-flight, ``plan_cache_*``) are sums over the
-        partitions, registered once by the gateway.  ``None`` keeps the
-        hot path free of instrument updates.
     tracer:
         Optional :class:`~repro.observability.trace.Tracer` forwarded
         to plan execution, recording per-operator spans.  ``None``
@@ -394,10 +489,10 @@ class QueryService:
         self,
         database,
         db_lock,
+        books,
         capacity=64,
         optimize=None,
         execute=True,
-        metrics=None,
         tracer=None,
         resilience=None,
     ):
@@ -407,9 +502,9 @@ class QueryService:
             optimize = optimize_dynamic
         self.database = database
         self.catalog = database.catalog
-        self.cache = PlanCache(capacity)
+        self.books = books
+        self.cache = PlanCache(capacity, books.cache)
         self.default_execute = bool(execute)
-        self.metrics = metrics
         self.tracer = tracer
         self.resilience = resilience if resilience is not None else ResiliencePolicy()
         self._optimize = optimize
@@ -418,61 +513,12 @@ class QueryService:
         self._shared = weakref.WeakValueDictionary()
         self._shared_lock = threading.Lock()
         self._db_lock = db_lock
-        self._stats_lock = threading.Lock()
-        self._startup_seconds = []
-        self._optimize_seconds = []
-        self._requests = 0
-        self._resilience_counts = {name: 0 for name in RESILIENCE_COUNTERS}
-        #: One token per in-flight request; list append/pop are atomic
-        #: under the GIL, so ``len`` is an exact lock-free gauge.
-        self._inflight_tokens = []
-        if metrics is not None:
-            self._m_reoptimizations = metrics.counter(
-                "service_reoptimizations_total",
-                "Staleness-driven in-place re-optimizations",
-            )
-            self._m_rows = metrics.counter(
-                "service_execution_rows_total", "Result rows produced"
-            )
-            self._m_startup = metrics.histogram(
-                "service_startup_seconds",
-                "Start-up decision latency per invocation",
-            )
-            self._m_optimize = metrics.histogram(
-                "service_optimize_seconds",
-                "Plan compilation latency (misses and re-optimizations)",
-            )
-            self._m_redecide = metrics.histogram(
-                "service_redecide_seconds",
-                "Mid-query decision latency per invocation that re-decided",
-            )
-            self._m_resilience = {
-                name: metrics.counter(
-                    "service_%s_total" % name,
-                    "Resilience outcome: %s" % name.replace("_", " "),
-                )
-                for name in RESILIENCE_COUNTERS
-            }
-        else:
-            self._m_reoptimizations = self._m_rows = None
-            self._m_startup = self._m_optimize = self._m_redecide = None
-            self._m_resilience = None
-
-    def request_count(self):
-        """Exact served-request total."""
-        with self._stats_lock:
-            return self._requests
-
-    def inflight_count(self):
-        """Requests inside :meth:`serve` right now (exact, lock-free)."""
-        return len(self._inflight_tokens)
 
     def _count(self, name, amount=1):
-        """Bump one resilience counter (and its mirrored metric)."""
-        with self._stats_lock:
-            self._resilience_counts[name] += amount
-        if self._m_resilience is not None:
-            self._m_resilience[name].inc(amount)
+        """Bump one resilience counter in the books."""
+        books = self.books
+        with books.lock:
+            books.resilience[name] += amount
 
     # ------------------------------------------------------------------
     # Serving
@@ -506,7 +552,8 @@ class QueryService:
         bindings = request.bindings
         cache_hit = None
         info = {"attempts": 0}
-        self._inflight_tokens.append(None)
+        inflight = self.books.inflight
+        inflight.append(None)
         try:
             entry, cache_hit = self.cache.entry_for_signature(
                 signature, request.query
@@ -548,12 +595,12 @@ class QueryService:
                 chosen, report = decision.choose_memoized(bindings, memo)
             startup_seconds = time.perf_counter() - decision_started
 
-            execution = None
+            execution = midquery = None
             if executing:
                 deadline_seconds = request.deadline_seconds
                 if deadline_seconds is None:
                     deadline_seconds = self.resilience.deadline_seconds
-                execution, chosen, report = self._execute_with_resilience(
+                execution, chosen, report, midquery = self._execute_with_resilience(
                     entry,
                     chosen,
                     report,
@@ -568,7 +615,7 @@ class QueryService:
                     info,
                 )
                 if verifies and report is not None:  # not the static fallback
-                    startup_seconds = execution.midquery.startup_seconds
+                    startup_seconds = midquery.startup_seconds
         except ReproError as error:
             raise ServiceExecutionError(
                 "request tag=%r query=%r failed: %s"
@@ -581,10 +628,10 @@ class QueryService:
                 signature=signature,
             ) from error
         finally:
-            self._inflight_tokens.pop()
+            inflight.pop()
 
         total_seconds = time.perf_counter() - started
-        self._record(startup_seconds, optimize_seconds, reoptimized, execution)
+        self._record(startup_seconds, optimize_seconds, execution, midquery)
         return ServiceResult(
             entry.digest,
             cache_hit and not reoptimized,
@@ -647,21 +694,27 @@ class QueryService:
             breaker.record_success(entry.digest)
         return optimize_seconds, reoptimized
 
-    def _record(self, startup_seconds, optimize_seconds, reoptimized, execution):
-        """Fold one served invocation into counters and metrics."""
-        with self._stats_lock:
-            self._requests += 1
-            self._startup_seconds.append(startup_seconds)
+    def _record(self, startup_seconds, optimize_seconds, execution, midquery):
+        """Fold one served invocation into the books: one lock acquisition."""
+        books = self.books
+        rows = 0 if execution is None else execution.row_count
+        probes = 0 if midquery is None else midquery.probes
+        with books.lock:
+            books.requests += 1
+            books.rows += rows
+            books.startup.add(startup_seconds)
             if optimize_seconds > 0.0:
-                self._optimize_seconds.append(optimize_seconds)
-        if self.metrics is not None:
-            self._m_startup.observe(startup_seconds)
-            if optimize_seconds > 0.0:
-                self._m_optimize.observe(optimize_seconds)
-            if reoptimized:
-                self._m_reoptimizations.inc()
-            if execution is not None:
-                self._m_rows.inc(execution.row_count)
+                books.optimize.add(optimize_seconds)
+            if midquery is not None:
+                counts = books.resilience
+                counts["startup_verifications"] += midquery.startup is not None
+                counts["settled_requests"] += midquery.settled
+                counts["midquery_checkpoints"] += midquery.checkpoints
+                counts["midquery_redecisions"] += midquery.redecisions
+                counts["midquery_probes"] += probes
+                counts["midquery_switches"] += midquery.switches
+                if midquery.redecisions:
+                    books.redecide.add(midquery.decision_seconds)
 
     def _compile(self, entry, query):
         """Install ``query``'s plan and decision program into ``entry``
@@ -697,30 +750,16 @@ class QueryService:
         return time.perf_counter() - compile_started
 
     def _note_midquery(self, entry, decision, mid_report):
-        """Fold a mid-query report into service counters, and what it
-        observed of the decisions' selectivities into the entry's
-        distrusted set."""
-        if mid_report.startup is not None:
-            self._count("startup_verifications")
-        if mid_report.settled:
-            self._count("settled_requests")
-        if mid_report.checkpoints:
-            self._count("midquery_checkpoints", mid_report.checkpoints)
-        if mid_report.redecisions:
-            self._count("midquery_redecisions", mid_report.redecisions)
-            if self._m_redecide is not None:
-                self._m_redecide.observe(mid_report.decision_seconds)
-        if mid_report.probes:
-            self._count("midquery_probes", mid_report.probes)
-        if mid_report.switches:
-            self._count("midquery_switches", mid_report.switches)
-            if self.tracer is not None:
-                self.tracer.event(
-                    "midquery_switch",
-                    level="info",
-                    digest=entry.digest,
-                    switches=mid_report.switches,
-                )
+        """Fold what a mid-query run observed of the decisions'
+        selectivities into the entry's distrusted set (its counts go
+        into the books with the request, in :meth:`_record`)."""
+        if mid_report.switches and self.tracer is not None:
+            self.tracer.event(
+                "midquery_switch",
+                level="info",
+                digest=entry.digest,
+                switches=mid_report.switches,
+            )
         if mid_report.rebound:
             reads = decision.read_set()
             entry.distrust(
@@ -766,8 +805,9 @@ class QueryService:
           conservative static fallback plan instead;
         * permanent faults and deadline expiry fail fast, typed.
 
-        Returns ``(execution, chosen, report)`` reflecting the plan
-        that actually completed.
+        Returns ``(execution, chosen, report, midquery)`` reflecting the
+        plan that actually completed; ``midquery`` is its mid-query
+        report, or ``None`` for a plain run.
         """
         retry = self.resilience.retry
         transient_retries = 0
@@ -776,6 +816,7 @@ class QueryService:
         while True:
             info["attempts"] += 1
             try:
+                mid_report = None
                 with self._db_lock:
                     if use_midquery:
                         execution, mid_report = execute_midquery(
@@ -800,13 +841,13 @@ class QueryService:
                             tracer=self.tracer,
                             deadline=deadline,
                         )
-                if use_midquery:
+                if mid_report is not None:
                     execution.midquery = mid_report
                     chosen = mid_report.final_plan
                     if mid_report.startup is not None:
                         report = mid_report.startup
                     self._note_midquery(entry, decision, mid_report)
-                return execution, chosen, report
+                return execution, chosen, report, mid_report
             except TransientIOError as error:
                 if transient_retries >= retry.max_retries:
                     raise
@@ -898,22 +939,12 @@ class QueryService:
     # ------------------------------------------------------------------
 
     def stats(self):
-        """A :class:`ServiceStatistics` snapshot."""
-        with self._stats_lock:
-            startup = list(self._startup_seconds)
-            optimize = list(self._optimize_seconds)
-            requests = self._requests
-            resilience = dict(self._resilience_counts)
-        return ServiceStatistics(
-            requests,
-            self.cache.stats_snapshot(),
-            startup,
-            optimize,
-            resilience,
-        )
+        """A :class:`ServiceStatistics` snapshot of the shard's books,
+        with this partition's cache sizes."""
+        return self.books.statistics(self.cache.stats_snapshot())
 
     def __repr__(self):
         return "QueryService(%d cached plans, %d requests)" % (
             len(self.cache),
-            self._requests,
+            self.books.requests,
         )

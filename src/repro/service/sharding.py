@@ -21,15 +21,14 @@ where a request is served, never what it observes:
   gateway fast-rejects at submit time with a typed
   :class:`~repro.common.errors.ServiceOverloadError` instead of
   letting queues grow without bound.  Rejections are counted per
-  reason and mirrored into metrics.
-* **exact statistics**: :meth:`ShardedQueryService.stats` aggregates
-  the per-shard :class:`~repro.service.service.ServiceStatistics`
-  snapshots with :meth:`ServiceStatistics.aggregate` — counters
-  summed, percentiles recomputed over the union of raw samples — so
-  the gateway view loses no counts.  With a metrics registry the
-  gateway exports the pull counts (requests, in-flight,
-  ``plan_cache_*``) as sums over the live partitions, plus per-shard
-  pending/cache-size gauges.
+  reason.
+* **one set of books**: each count is kept once.  Each shard owns a
+  :class:`~repro.service.service.ServiceBooks` for its whole life and
+  hands it to every partition it builds, so a restart keeps what the
+  shard counted; the gateway keeps the standby partition's books and
+  its own (request outcomes, rejections, snapshot activity) under one
+  lock.  :meth:`ShardedQueryService.stats` sums the books exactly, and
+  a metrics registry only reads them.
 
 There is one request path.  The gateway canonicalizes and routes each
 query once (memoized per query object), admits the request, and hands
@@ -66,7 +65,13 @@ from repro.service.durability import (
     restore_gateway,
     write_snapshot,
 )
-from repro.service.service import QueryService, ServiceRequest, ServiceStatistics
+from repro.service.service import (
+    RESILIENCE_COUNTERS,
+    QueryService,
+    ServiceBooks,
+    ServiceRequest,
+    ServiceStatistics,
+)
 from repro.service.supervision import ShardSupervisor
 
 logger = logging.getLogger(__name__)
@@ -93,7 +98,7 @@ REQUEST_OUTCOMES = ("completed", "failed_over", "failed")
 #: :meth:`ServiceShard.inject_fault` (the service-tier chaos hooks).
 SHARD_FAULT_KINDS = ("crash", "hang", "slow")
 
-#: Plan-cache pull metrics: ``(name, stats_snapshot key, kind, help)``.
+#: Plan-cache metrics: ``(name, stats_snapshot key, kind, help)``.
 _PLAN_CACHE_METRICS = (
     ("plan_cache_lookups_total", "lookups", "counter", "Plan-cache lookups"),
     ("plan_cache_hits_total", "hits", "counter", "Lookups that found a compiled plan"),
@@ -120,6 +125,25 @@ _PLAN_CACHE_METRICS = (
     ),
 )
 
+#: Counters over the gateway's ``stats().total``: ``(name, help, read)``.
+_TOTAL_COUNTERS = (
+    ("service_requests_total", "Invocations served", lambda t: t.requests),
+    ("service_execution_rows_total", "Result rows produced", lambda t: t.rows),
+    (
+        "service_reoptimizations_total",
+        "Staleness-driven in-place re-optimizations",
+        lambda t: t.cache["invalidations"],
+    ),
+)
+
+#: Latency histograms: ``(ServiceStatistics field, help)``, each named
+#: ``service_<field>_seconds``.
+_LATENCY_METRICS = (
+    ("startup", "Start-up decision latency per invocation"),
+    ("optimize", "Plan compilation latency (misses and re-optimizations)"),
+    ("redecide", "Mid-query decision latency per invocation that re-decided"),
+)
+
 #: Routing-memo size bound: the gateway caches (signature, shard) per
 #: query *object*; past this many distinct objects the memo is cleared
 #: (workloads reuse a handful of query objects, so this never triggers
@@ -143,12 +167,16 @@ class ServiceShard:
     cache *is* the partition) plus a single-thread executor and a
     bounded pending-queue counter.  The shard never sees a query whose
     signature hashes elsewhere, so its cache lock is contended only by
-    requests for signatures it owns.
+    requests for signatures it owns.  ``make_service(books)`` builds a
+    partition; the shard's :class:`~repro.service.service.ServiceBooks`
+    are made once and handed to every partition it builds.
     """
 
-    def __init__(self, index, service, max_pending):
+    def __init__(self, index, make_service, max_pending):
         self.index = index
-        self.service = service
+        self.books = ServiceBooks()
+        self._make_service = make_service
+        self.service = make_service(self.books)
         self.max_pending = int(max_pending)
         #: False once the worker crashed or was killed; flipped back by
         #: :meth:`restart`.  Reads are racy by design (a health check
@@ -279,22 +307,23 @@ class ServiceShard:
         self._resume.set()
         self._executor.shutdown(wait=False, cancel_futures=True)
 
-    def restart(self, service):
+    def restart(self):
         """Install a rebuilt service and a fresh worker.
 
         The old executor is shut down (releasing a wedged serve, which
         then fails typed and is failed over), and the shard comes back
         alive with a cold cache partition and fresh breaker state —
         per-shard state is *rebuilt*, never resurrected from a worker
-        whose history is suspect.  Pending-slot accounting survives: slots held by
-        in-flight requests are released when their dispatch returns,
-        so the gauge converges to exact without a reset.
+        whose history is suspect.  What survives is what was counted:
+        the new partition counts into the shard's books, and slots held
+        by in-flight requests are released when their dispatch returns,
+        so the pending gauge converges to exact without a reset.
         """
         self._resume.set()
         self._executor.shutdown(wait=False, cancel_futures=True)
         with self._fault_lock:
             self._injected.clear()
-        self.service = service
+        self.service = self._make_service(self.books)
         self._executor = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-shard-%d" % self.index
         )
@@ -389,20 +418,22 @@ class ServiceShard:
 class ShardedServiceStatistics:
     """Gateway statistics: exact aggregate plus the per-shard parts.
 
-    ``total`` is :meth:`ServiceStatistics.aggregate` over the shard
-    snapshots — counters summed, hit rate and percentiles recomputed
-    from merged raw state, nothing approximated — and ``per_shard``
-    keeps the individual snapshots for skew inspection.  ``overload``
-    counts gateway fast-rejections by reason; rejected requests never
-    reach a shard, so they appear *only* here (total requests served
-    plus rejections equals requests submitted).
+    ``total`` is :meth:`ServiceStatistics.aggregate` over the shards'
+    snapshots and the standby partition's, if one ever served —
+    counters and latency sums summed, the hit rate recomputed, nothing
+    approximated — and ``per_shard`` keeps one snapshot per shard for
+    skew inspection.  ``overload`` counts gateway fast-rejections by
+    reason; rejected requests never reach a shard, so they appear
+    *only* here (total requests served plus rejections equals requests
+    submitted).
     """
 
     __slots__ = ("total", "per_shard", "overload")
 
-    def __init__(self, per_shard, overload):
+    def __init__(self, per_shard, overload, standby=None):
         self.per_shard = tuple(per_shard)
-        self.total = ServiceStatistics.aggregate(self.per_shard)
+        parts = self.per_shard if standby is None else self.per_shard + (standby,)
+        self.total = ServiceStatistics.aggregate(parts)
         self.overload = dict(overload)
 
     @property
@@ -465,14 +496,13 @@ class ShardedQueryService:
         not share one instance.  ``None`` gives each shard the policy
         defaults.
     metrics:
-        Optional registry.  Every partition pushes into the same
-        get-or-create instruments (latency histograms, resilience
-        counters); the gateway registers the pull counts once, as
-        scrape-time sums over ``shard.service`` —
-        ``service_requests_total``, ``service_inflight_requests`` and
-        ``plan_cache_*``, equal to :meth:`stats` at quiescence — plus
-        its overload counters and per-shard gauges
-        (``service_shard<i>_pending``, ``service_shard<i>_cache_entries``).
+        Optional registry.  The gateway registers read-only instruments
+        over the books (:meth:`_register_metrics`): every count, latency
+        histogram and resilience counter reads what :meth:`stats` reads,
+        plus the overload, failover, restart and snapshot counters and
+        per-shard gauges (``service_shard<i>_pending``,
+        ``service_shard<i>_cache_entries``).  A request runs the same
+        code with a registry attached as without one.
     execute, optimize, tracer:
         Forwarded to every shard's ``QueryService`` unchanged.
     """
@@ -488,8 +518,6 @@ class ShardedQueryService:
         resilience_factory=None,
         metrics=None,
         durability=None,
-        backoff_seed=0,
-        supervisor_auto_restart=True,
         execute=True,
         optimize=None,
         tracer=None,
@@ -497,7 +525,6 @@ class ShardedQueryService:
         if shards < 1:
             raise ValueError("shard count must be at least 1")
         self.database = database
-        self.metrics = metrics
         self.tenant_quota = tenant_quota
         self.tenant_quotas = dict(tenant_quotas or {})
         #: One lock serializing all shards' data execution against the
@@ -511,33 +538,33 @@ class ShardedQueryService:
         self._execute = execute
         self._optimize = optimize
         self._tracer = tracer
-        self.shards = []
-        for index in range(shards):
-            self.shards.append(
-                ServiceShard(index, self._make_service(), max_pending)
-            )
+        self.shards = [
+            ServiceShard(index, self._make_service, max_pending)
+            for index in range(shards)
+        ]
         self._tenant_lock = threading.Lock()
         self._tenant_inflight = {}
-        self._overload_lock = threading.Lock()
-        self._overload_counts = {reason: 0 for reason in OVERLOAD_REASONS}
-        self._backoff_seed = backoff_seed
-        #: Terminal request accounting: every accepted request ends in
-        #: exactly one of REQUEST_OUTCOMES; with the rejection counts
-        #: this gives the conservation equality the chaos suite checks.
-        self._outcome_lock = threading.Lock()
-        self._outcomes = {name: 0 for name in REQUEST_OUTCOMES}
+        #: The gateway's books, all under ``_books_lock``.  Terminal
+        #: request accounting: every accepted request ends in exactly
+        #: one of REQUEST_OUTCOMES; with the rejection counts this
+        #: gives the conservation equality the chaos suite checks.
+        #: Snapshot activity is counted here too, since periodic
+        #: snapshots run on the shard workers.
+        self._books_lock = threading.Lock()
         self._submitted = 0
+        self._outcomes = dict.fromkeys(REQUEST_OUTCOMES, 0)
         self._failover_reasons = {}
-        #: Lazily created unsharded fallback service — the "re-optimize
-        #: fresh" degraded path when no sibling shard is servable.
-        self._standby = None
-        self._standby_lock = threading.Lock()
-        self.supervisor = ShardSupervisor(self, auto_restart=supervisor_auto_restart)
-        self.durability = DurabilityConfig.coerce(durability)
-        self._snapshot_lock = threading.Lock()
+        self._overload_counts = dict.fromkeys(OVERLOAD_REASONS, 0)
+        self._snapshot_counts = {"written": 0, "failures": 0}
         self._completed_since_snapshot = 0
-        self._snapshots_written = 0
-        self._snapshot_failures = 0
+        #: Lazily created unsharded fallback service — the "re-optimize
+        #: fresh" degraded path when no sibling shard is servable — and
+        #: the books it counts into, which :meth:`stats` adds to the total.
+        self._standby = None
+        self._standby_books = ServiceBooks()
+        self._standby_lock = threading.Lock()
+        self.supervisor = ShardSupervisor(self)
+        self.durability = DurabilityConfig.coerce(durability)
         self.restore_stats = None
         if self.durability is not None and self.durability.restore_on_start:
             self.restore_stats = self._restore_from_disk()
@@ -545,83 +572,95 @@ class ShardedQueryService:
         #: query reference keeps the id stable for the memo's lifetime.
         self._route_memo = {}
         if metrics is not None:
-            self._register_partition_metrics(metrics)
-            self._m_overload = {
-                reason: metrics.counter(
-                    "service_overload_%s_total" % reason,
-                    "Admission fast-rejections: %s" % reason.replace("_", " "),
-                )
-                for reason in OVERLOAD_REASONS
-            }
-            metrics.counter(
-                "service_overload_rejections_total",
-                "Admission fast-rejections, all reasons",
-                callback=self._rejection_count,
-            )
-            metrics.counter(
-                "service_failovers_total",
-                "Requests served on the degraded path after shard loss",
-                callback=lambda: self.request_outcomes()["failed_over"],
-            )
-            metrics.counter(
-                "service_shard_restarts_total",
-                "Shard workers rebuilt by the supervisor",
-                callback=lambda: self.supervisor.counts()["restarts"],
-            )
-            metrics.counter(
-                "service_snapshots_written_total",
-                "Plan-cache snapshots persisted to disk",
-                callback=lambda: self._snapshots_written,
-            )
-            for shard in self.shards:
-                metrics.gauge(
-                    "service_shard%d_pending" % shard.index,
-                    "Requests in flight on shard %d" % shard.index,
-                    callback=lambda s=shard: s.pending,
-                )
-                metrics.gauge(
-                    "service_shard%d_cache_entries" % shard.index,
-                    "Plans cached on shard %d" % shard.index,
-                    callback=lambda s=shard: len(s.service.cache),
-                )
-        else:
-            self._m_overload = None
+            self._register_metrics(metrics)
 
-    def _register_partition_metrics(self, metrics):
-        """Pull counts as sums over the partitions, read at scrape time.
+    def _register_metrics(self, metrics):
+        """Read-only instruments over the books, read at scrape time.
 
-        Each read goes through ``shard.service``, so after a restart
-        the shard's new partition is the one counted.
+        Each count reads :meth:`stats` (or the gateway's own books), so
+        one scrape at quiescence equals ``stats()``, and no count drops
+        when a shard restarts: its books outlive its partitions.
         """
 
-        def summed(read):
-            return lambda: sum(read(shard.service) for shard in self.shards)
+        def total(read):
+            return lambda: read(self.stats().total)
 
-        metrics.counter(
-            "service_requests_total",
-            "Invocations served",
-            callback=summed(QueryService.request_count),
-        )
+        def latency(name):
+            def read():
+                book = getattr(self.stats().total, name)
+                return book.buckets, book.sum
+
+            return read
+
+        for name, key, kind, help_text in _PLAN_CACHE_METRICS:
+            getattr(metrics, kind)(
+                name, help_text, callback=total(lambda t, key=key: t.cache[key])
+            )
+        for name, help_text in _LATENCY_METRICS:
+            metrics.histogram(
+                "service_%s_seconds" % name, help_text, callback=latency(name)
+            )
+        for name in RESILIENCE_COUNTERS:
+            metrics.counter(
+                "service_%s_total" % name,
+                "Resilience outcome: %s" % name.replace("_", " "),
+                callback=total(lambda t, name=name: t.resilience[name]),
+            )
+        for reason in OVERLOAD_REASONS:
+            metrics.counter(
+                "service_overload_%s_total" % reason,
+                "Admission fast-rejections: %s" % reason.replace("_", " "),
+                callback=lambda reason=reason: self.overload_counts()[reason],
+            )
+        for name, help_text, read in _TOTAL_COUNTERS:
+            metrics.counter(name, help_text, callback=total(read))
+        for name, help_text, callback in (
+            (
+                "service_overload_rejections_total",
+                "Admission fast-rejections, all reasons",
+                self._rejection_count,
+            ),
+            (
+                "service_failovers_total",
+                "Requests served on the degraded path after shard loss",
+                lambda: self.request_outcomes()["failed_over"],
+            ),
+            (
+                "service_shard_restarts_total",
+                "Shard workers rebuilt by the supervisor",
+                lambda: self.supervisor.counts()["restarts"],
+            ),
+            (
+                "service_snapshots_written_total",
+                "Plan-cache snapshots persisted to disk",
+                lambda: self.snapshot_counts()["written"],
+            ),
+        ):
+            metrics.counter(name, help_text, callback=callback)
         metrics.gauge(
             "service_inflight_requests",
             "Invocations currently running",
-            callback=summed(QueryService.inflight_count),
+            callback=lambda: sum(len(books.inflight) for books in self._books()),
         )
-        for name, key, kind, help_text in _PLAN_CACHE_METRICS:
-            getattr(metrics, kind)(
-                name,
-                help_text,
-                callback=summed(
-                    lambda service, key=key: service.cache.stats_snapshot()[key]
-                ),
+        for shard in self.shards:
+            metrics.gauge(
+                "service_shard%d_pending" % shard.index,
+                "Requests in flight on shard %d" % shard.index,
+                callback=lambda s=shard: s.pending,
+            )
+            metrics.gauge(
+                "service_shard%d_cache_entries" % shard.index,
+                "Plans cached on shard %d" % shard.index,
+                callback=lambda s=shard: len(s.service.cache),
             )
 
     # ------------------------------------------------------------------
     # Shard construction and recovery
     # ------------------------------------------------------------------
 
-    def _make_service(self):
-        """One shard's QueryService, from the gateway's stored recipe."""
+    def _make_service(self, books):
+        """A QueryService counting into ``books``, from the gateway's
+        stored recipe."""
         resilience = (
             self._resilience_factory()
             if self._resilience_factory is not None
@@ -630,10 +669,10 @@ class ShardedQueryService:
         return QueryService(
             self.database,
             self._db_lock,
+            books,
             capacity=self._capacity,
             optimize=self._optimize,
             execute=self._execute,
-            metrics=self.metrics,
             tracer=self._tracer,
             resilience=resilience,
         )
@@ -644,12 +683,12 @@ class ShardedQueryService:
         The replacement service comes from the same recipe as the
         original — fresh cache partition, fresh resilience policy from
         the factory (breaker state is never carried over from a dead
-        worker), same shared database lock — and, when durable
+        worker), same shared database lock, same books — and, when durable
         snapshots are enabled, the partition is re-warmed from the
         last snapshot on disk so recovery skips re-optimizing the hot
         signatures the dead shard owned.
         """
-        shard.restart(self._make_service())
+        shard.restart()
         config = self.durability
         if config is not None and config.restore_on_restart:
             try:
@@ -670,7 +709,8 @@ class ShardedQueryService:
             return None
 
     def _note_snapshot_failure(self, stage, error):
-        self._snapshot_failures += 1
+        with self._books_lock:
+            self._snapshot_counts["failures"] += 1
         logger.warning("plan-cache snapshot %s failed: %s", stage, error)
 
     # ------------------------------------------------------------------
@@ -691,34 +731,30 @@ class ShardedQueryService:
                 )
             path = self.durability.path
         written = write_snapshot(path, build_snapshot(self))
-        self._snapshots_written += 1
+        with self._books_lock:
+            self._snapshot_counts["written"] += 1
         return written
 
-    def _maybe_snapshot(self, completed):
-        """Periodic snapshot trigger, counted in completed requests.
+    def _snapshot_due(self, completed):
+        """Count ``completed`` toward the periodic snapshot (gateway
+        books lock held); whether one is due now.
 
         A ``run_batch`` chunk counts when it ends, so it triggers at
         most one snapshot however many periods it spans.
         """
         config = self.durability
         if config is None or config.snapshot_every is None:
-            return
-        with self._snapshot_lock:
-            self._completed_since_snapshot += completed
-            if self._completed_since_snapshot < config.snapshot_every:
-                return
-            self._completed_since_snapshot = 0
-        try:
-            self.save_snapshot()
-        except (OSError, SnapshotError) as error:
-            self._note_snapshot_failure("periodic", error)
+            return False
+        self._completed_since_snapshot += completed
+        if self._completed_since_snapshot < config.snapshot_every:
+            return False
+        self._completed_since_snapshot = 0
+        return True
 
     def snapshot_counts(self):
         """``{written, failures}`` snapshot-activity counters."""
-        return {
-            "written": self._snapshots_written,
-            "failures": self._snapshot_failures,
-        }
+        with self._books_lock:
+            return dict(self._snapshot_counts)
 
     # ------------------------------------------------------------------
     # Routing
@@ -752,21 +788,17 @@ class ShardedQueryService:
     # ------------------------------------------------------------------
 
     def _reject(self, error):
-        with self._overload_lock:
+        with self._books_lock:
             self._overload_counts[error.reason] += 1
             rejections = self._overload_counts[error.reason]
-        # A deterministic client backoff hint: pure function of the
-        # gateway seed and how often this reason has rejected, so test
-        # clients can assert (and replay) their backoff schedule.
-        error.retry_after_hint = backoff_hint(
-            self._backoff_seed, error.reason, rejections
-        )
-        if self._m_overload is not None:
-            self._m_overload[error.reason].inc()
+        # A deterministic client backoff hint: pure function of how often
+        # this reason has rejected, so test clients can assert (and
+        # replay) their backoff schedule.
+        error.retry_after_hint = backoff_hint(0, error.reason, rejections)
         raise error
 
     def _rejection_count(self):
-        with self._overload_lock:
+        with self._books_lock:
             return sum(self._overload_counts.values())
 
     def _quota_for(self, tenant):
@@ -829,7 +861,7 @@ class ShardedQueryService:
 
     def overload_counts(self):
         """Snapshot dict of fast-rejections by reason."""
-        with self._overload_lock:
+        with self._books_lock:
             return dict(self._overload_counts)
 
     # ------------------------------------------------------------------
@@ -837,15 +869,23 @@ class ShardedQueryService:
     # ------------------------------------------------------------------
 
     def _record_submitted(self, amount=1):
-        with self._outcome_lock:
+        with self._books_lock:
             self._submitted += amount
 
-    def _record_outcome(self, name, amount=1):
-        with self._outcome_lock:
-            self._outcomes[name] += amount
+    def _record_chunk(self, completed, failed):
+        """Count a dispatched chunk's outcomes; snapshot if one is due."""
+        with self._books_lock:
+            self._outcomes["completed"] += completed
+            self._outcomes["failed"] += failed
+            due = self._snapshot_due(completed)
+        if due:
+            try:
+                self.save_snapshot()
+            except (OSError, SnapshotError) as error:
+                self._note_snapshot_failure("periodic", error)
 
     def _record_failover(self, reason):
-        with self._outcome_lock:
+        with self._books_lock:
             self._outcomes["failed_over"] += 1
             self._failover_reasons[reason] = (
                 self._failover_reasons.get(reason, 0) + 1
@@ -862,11 +902,11 @@ class ShardedQueryService:
         one raised typed; a rejected one never entered) and none is
         double-counted (each increments exactly one terminal counter).
         """
-        with self._outcome_lock:
+        with self._books_lock:
             outcomes = dict(self._outcomes)
             outcomes["submitted"] = self._submitted
             outcomes["failover_reasons"] = dict(self._failover_reasons)
-        outcomes["rejected"] = self._rejection_count()
+            outcomes["rejected"] = sum(self._overload_counts.values())
         return outcomes
 
     # ------------------------------------------------------------------
@@ -877,7 +917,7 @@ class ShardedQueryService:
         """The gateway-owned fallback service, created on first need."""
         with self._standby_lock:
             if self._standby is None:
-                self._standby = self._make_service()
+                self._standby = self._make_service(self._standby_books)
             return self._standby
 
     def _failover(self, signature, request, origin, reason):
@@ -948,11 +988,8 @@ class ShardedQueryService:
             except Exception as error:  # noqa: BLE001 — the entry point's to raise
                 outcomes.append(error)
                 failed += 1
-        if completed:
-            self._record_outcome("completed", completed)
-            self._maybe_snapshot(completed)
-        if failed:
-            self._record_outcome("failed", failed)
+        if completed or failed:
+            self._record_chunk(completed, failed)
         return outcomes
 
     def _on_worker(self, shard, work):
@@ -1119,11 +1156,17 @@ class ShardedQueryService:
     # Introspection and lifecycle
     # ------------------------------------------------------------------
 
+    def _books(self):
+        """Every set of books the gateway's partitions count into."""
+        return [shard.books for shard in self.shards] + [self._standby_books]
+
     def stats(self):
         """A :class:`ShardedServiceStatistics` snapshot (exact aggregate)."""
+        standby = self._standby
         return ShardedServiceStatistics(
             [shard.service.stats() for shard in self.shards],
             self.overload_counts(),
+            None if standby is None else standby.stats(),
         )
 
     def shutdown(self, wait=True):

@@ -27,7 +27,8 @@ Restarting rebuilds the shard's :class:`~repro.service.service.QueryService`
 from the gateway's construction recipe: a fresh plan-cache partition,
 a fresh resilience policy from the gateway's factory (circuit-breaker
 state never survives the worker that accumulated it), and a fresh
-single-thread executor.  Requests in flight on the dead worker are
+single-thread executor.  The shard's books are not rebuilt: the new
+partition counts on into them.  Requests in flight on the dead worker are
 not lost: their futures resolve with
 :class:`~repro.common.errors.ShardDownError` (or are cancelled), and
 the gateway's dispatch routes every one to the degraded path and
@@ -76,10 +77,9 @@ class ShardSupervisor:
     ----------
     gateway:
         The owning :class:`~repro.service.sharding.ShardedQueryService`.
-    auto_restart:
-        Restart a shard as soon as a check finds it down.  When off,
-        the shard stays down (requests keep failing over) until
-        :meth:`restart_shard` is called explicitly.
+
+    A check that finds a shard down restarts it; :meth:`restart_shard`
+    restarts one on demand.
     """
 
     #: Consecutive no-progress checks (strikes) before a wedged shard
@@ -87,9 +87,8 @@ class ShardSupervisor:
     #: one slow check interval never triggers a restart.
     down_after = 2
 
-    def __init__(self, gateway, auto_restart=True):
+    def __init__(self, gateway):
         self.gateway = gateway
-        self.auto_restart = bool(auto_restart)
         self._lock = threading.Lock()
         self._health = {
             shard.index: _ShardHealth(shard) for shard in gateway.shards
@@ -180,7 +179,7 @@ class ShardSupervisor:
                     self._transition(shard, health, HEALTHY)
                 health.last_served = served
                 health.last_stalls = stalls
-                if health.state == DOWN and self.auto_restart:
+                if health.state == DOWN:
                     to_restart.append(shard)
                 sweep.extend(self.transitions[before:])
         for shard in to_restart:

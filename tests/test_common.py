@@ -3,10 +3,8 @@
 import pytest
 
 from repro.common.errors import (
-    BindingError,
     CatalogError,
     ExecutionError,
-    IncomparableCostError,
     OptimizationError,
     PlanError,
     ReproError,
@@ -84,12 +82,6 @@ class TestErrors:
             ExecutionError,
         ):
             assert issubclass(exc, ReproError)
-
-    def test_binding_error_is_execution_error(self):
-        assert issubclass(BindingError, ExecutionError)
-
-    def test_incomparable_cost_is_optimization_error(self):
-        assert issubclass(IncomparableCostError, OptimizationError)
 
     def test_catch_all(self):
         with pytest.raises(ReproError):

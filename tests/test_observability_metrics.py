@@ -1,14 +1,16 @@
-"""The metrics registry: instruments, exposition, thread safety.
+"""The metrics registry: instruments, exposition, and what they read.
 
-The registry promises *exact* counters under concurrency — every
-``inc``/``observe`` holds the instrument's lock, so parallel updates
-can never be lost the way unlocked ``+=`` read-modify-write races lose
-them.  The hammer tests drive instruments and a three-shard
+The registry is read-only: every instrument reads, at scrape time, a
+count some subsystem already keeps.  The serving gateway's instruments
+read its shards' books, so they are exact under concurrency and
+survive shard restarts exactly as the books do, and a request runs no
+registry code at all.  The hammer tests drive a three-shard
 :class:`~repro.service.sharding.ShardedQueryService` from eight
 threads and require the registry totals to equal the exact counts.
 """
 
 import json
+import sys
 import threading
 
 import pytest
@@ -19,9 +21,10 @@ from repro.observability import (
     Histogram,
     MetricsRegistry,
 )
+from repro.observability import metrics as metrics_module
 from repro.service import ShardedQueryService
 from repro.storage import Database
-from repro.workloads import paper_workload
+from repro.workloads import paper_workload, random_bindings
 from repro.workloads.traffic import TrafficSpec, to_service_requests
 from tests.test_service import serve_concurrently
 
@@ -30,15 +33,13 @@ THREADS = 8
 
 class TestInstruments:
     def test_counter_accumulates(self):
-        counter = Counter("requests_total")
-        counter.inc()
-        counter.inc(2.5)
+        """A counter reads the total its keeper accumulates, at every
+        scrape."""
+        total = [0]
+        counter = Counter("requests_total", callback=lambda: total[0])
+        total[0] += 1
+        total[0] += 2.5
         assert counter.value == 3.5
-
-    def test_counter_rejects_negative(self):
-        counter = Counter("requests_total")
-        with pytest.raises(ValueError):
-            counter.inc(-1.0)
 
     def test_gauge_moves_both_ways(self):
         """A gauge reads its source at every scrape, up or down."""
@@ -51,9 +52,12 @@ class TestInstruments:
         assert gauge.value == 7
 
     def test_histogram_buckets_are_cumulative(self):
-        histogram = Histogram("latency", buckets=(0.1, 1.0, 10.0))
-        for value in (0.05, 0.5, 5.0, 50.0):
-            histogram.observe(value)
+        # One observation each at 0.05, 0.5, 5.0 and 50.0.
+        histogram = Histogram(
+            "latency",
+            buckets=(0.1, 1.0, 10.0),
+            callback=lambda: ([1, 1, 1, 1], 55.55),
+        )
         snapshot = histogram.snapshot()
         assert snapshot["count"] == 4
         assert snapshot["sum"] == pytest.approx(55.55)
@@ -67,32 +71,33 @@ class TestInstruments:
 
     def test_invalid_name_rejected(self):
         with pytest.raises(ValueError):
-            Counter("bad name")
+            Counter("bad name", callback=lambda: 0)
         with pytest.raises(ValueError):
-            Counter("0starts_with_digit")
+            Counter("0starts_with_digit", callback=lambda: 0)
 
 
 class TestRegistry:
     def test_get_or_create_returns_same_instrument(self):
         registry = MetricsRegistry()
-        first = registry.counter("requests_total", "help text")
-        second = registry.counter("requests_total")
+        first = registry.counter("requests_total", "help text", callback=lambda: 1)
+        second = registry.counter("requests_total", callback=lambda: 2)
         assert first is second
+        assert first.value == 1
         assert len(registry) == 1
 
     def test_kind_conflict_raises(self):
         registry = MetricsRegistry()
-        registry.counter("x")
+        registry.counter("x", callback=lambda: 0)
         with pytest.raises(ValueError):
             registry.gauge("x", callback=lambda: 0)
         with pytest.raises(ValueError):
-            registry.histogram("x")
+            registry.histogram("x", callback=lambda: ([0], 0.0))
 
     def test_json_roundtrips(self):
         registry = MetricsRegistry()
-        registry.counter("a_total").inc(3)
+        registry.counter("a_total", callback=lambda: 3.0)
         registry.gauge("b", callback=lambda: -1.5)
-        registry.histogram("c_seconds", buckets=(1.0,)).observe(0.5)
+        registry.histogram("c_seconds", buckets=(1.0,), callback=lambda: ([1, 0], 0.5))
         data = json.loads(registry.to_json())
         assert data["a_total"]["value"] == 3.0
         assert data["b"]["value"] == -1.5
@@ -100,10 +105,10 @@ class TestRegistry:
 
     def test_prometheus_exposition(self):
         registry = MetricsRegistry()
-        registry.counter("a_total", "things").inc(2)
+        registry.counter("a_total", "things", callback=lambda: 2)
         registry.gauge("b", "level", callback=lambda: 4)
-        registry.histogram("c_seconds", "lat", buckets=(0.5, 1.0)).observe(
-            0.75
+        registry.histogram(
+            "c_seconds", "lat", buckets=(0.5, 1.0), callback=lambda: ([0, 1, 0], 0.75)
         )
         text = registry.to_prometheus()
         assert "# HELP a_total things" in text
@@ -120,34 +125,70 @@ class TestRegistry:
         assert text.endswith("\n")
 
 
+def counts_in(snapshot):
+    """Every counter value and histogram count of a registry snapshot."""
+    return {
+        name: data["count"] if data["type"] == "histogram" else data["value"]
+        for name, data in snapshot.items()
+        if data["type"] != "gauge"
+    }
+
+
+def assert_scrape_equals_stats(snapshot, stats):
+    """One scrape, at quiescence, reads what ``stats()`` reads."""
+    total = stats.total
+    assert snapshot["service_requests_total"]["value"] == total.requests
+    assert snapshot["service_inflight_requests"]["value"] == 0
+    for key in ("lookups", "hits", "misses", "evictions", "invalidations", "promotions"):
+        assert snapshot["plan_cache_%s_total" % key]["value"] == total.cache[key]
+    assert snapshot["plan_cache_entries"]["value"] == total.cache["entries"]
+    assert snapshot["plan_cache_retained_entries"]["value"] == total.cache["retained"]
+    assert snapshot["service_reoptimizations_total"]["value"] == total.cache["invalidations"]
+    assert snapshot["service_execution_rows_total"]["value"] == total.rows
+    for name, book in (
+        ("startup", total.startup),
+        ("optimize", total.optimize),
+        ("redecide", total.redecide),
+    ):
+        histogram = snapshot["service_%s_seconds" % name]
+        assert histogram["count"] == book.count
+        assert histogram["sum"] == book.sum
+        assert list(histogram["buckets"].values())[-1] == book.count
+    for name, value in total.resilience.items():
+        assert snapshot["service_%s_total" % name]["value"] == value
+    assert snapshot["service_overload_rejections_total"]["value"] == stats.rejections
+
+
 class TestConcurrency:
     def test_parallel_instrument_updates_are_exact(self):
-        """No lost updates: 8 threads x 5000 increments lands exactly."""
+        """No lost updates: 8 threads each record 2000 served requests
+        into one partition's books, and the registry reads them exactly."""
+        workload = paper_workload(1, seed=0)
         registry = MetricsRegistry()
-        counter = registry.counter("hits_total")
-        histogram = registry.histogram("obs", buckets=(0.5,))
-        increments = 5000
-        barrier = threading.Barrier(THREADS)
+        with ShardedQueryService(
+            Database(workload.catalog), shards=1, execute=False, metrics=registry
+        ) as gateway:
+            service = gateway.shards[0].service
+            increments = 2000
+            barrier = threading.Barrier(THREADS)
 
-        def worker():
-            barrier.wait()
-            for _ in range(increments):
-                counter.inc()
-                histogram.observe(1.0)
+            def worker():
+                barrier.wait()
+                for _ in range(increments):
+                    service._record(1.0, 0.0, None, None)
 
-        threads = [
-            threading.Thread(target=worker) for _ in range(THREADS)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
+            threads = [threading.Thread(target=worker) for _ in range(THREADS)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            snapshot = registry.snapshot()
 
         expected = THREADS * increments
-        assert counter.value == expected
-        snapshot = histogram.snapshot()
-        assert snapshot["count"] == expected
-        assert snapshot["sum"] == expected
+        assert snapshot["service_requests_total"]["value"] == expected
+        assert snapshot["service_startup_seconds"]["count"] == expected
+        assert snapshot["service_startup_seconds"]["sum"] == expected
+        assert snapshot["service_startup_seconds"]["buckets"]["1"] == expected
 
     @pytest.mark.slow
     def test_gateway_counters_equal_stats_total(self):
@@ -169,24 +210,13 @@ class TestConcurrency:
         total = stats.total
         assert total.requests == len(requests)
         assert sum(1 for part in stats.per_shard if part.requests) == 3
-        assert snapshot["service_requests_total"]["value"] == total.requests
-        assert snapshot["service_inflight_requests"]["value"] == 0
-        for key in (
-            "lookups", "hits", "misses", "evictions", "invalidations", "promotions"
-        ):
-            assert snapshot["plan_cache_%s_total" % key]["value"] == total.cache[key]
-        assert snapshot["plan_cache_entries"]["value"] == total.cache["entries"]
-        assert (
-            snapshot["plan_cache_retained_entries"]["value"] == total.cache["retained"]
-        )
+        assert_scrape_equals_stats(snapshot, stats)
         assert total.cache["evictions"] >= 1
         assert snapshot["service_startup_seconds"]["count"] == total.requests
         assert snapshot["service_optimize_seconds"]["count"] == total.optimize_count
         assert snapshot["service_reoptimizations_total"]["value"] == sum(
             result.reoptimized for result in results
         )
-        for name, value in total.resilience.items():
-            assert snapshot["service_%s_total" % name]["value"] == value
 
 
 class TestRedecideHistogram:
@@ -225,3 +255,115 @@ class TestRedecideHistogram:
     def test_no_registry_is_a_no_op(self):
         results, counts = self._serve("always", None)
         assert counts["midquery_redecisions"] >= len(results)
+
+
+class TestOneSetOfBooks:
+    """The registry reads the books; the books outlive a shard restart."""
+
+    def test_request_path_runs_no_registry_code(self):
+        """200 cached requests with a registry attached call no function
+        defined in ``observability/metrics.py``; one scrape afterwards
+        equals ``stats()``."""
+        workload = paper_workload(2, seed=0)
+        all_bindings = [
+            random_bindings(workload, seed=0, run_index=index) for index in range(200)
+        ]
+        registry = MetricsRegistry()
+        metrics_file = metrics_module.__file__
+        calls = []
+
+        def profile(frame, event, _arg):
+            if event == "call" and frame.f_code.co_filename == metrics_file:
+                calls.append(frame.f_code.co_name)
+
+        with ShardedQueryService(
+            Database(workload.catalog), shards=1, execute=False, metrics=registry
+        ) as gateway:
+            gateway.run(workload.query, all_bindings[0])  # compile once
+            sys.setprofile(profile)
+            try:
+                results = [gateway.run(workload.query, b) for b in all_bindings]
+            finally:
+                sys.setprofile(None)
+            stats = gateway.stats()
+            snapshot = registry.snapshot()
+        assert all(result.cache_hit for result in results)
+        assert calls == []
+        assert stats.total.requests == 201
+        assert_scrape_equals_stats(snapshot, stats)
+
+    def test_a_served_request_keeps_no_memory(self):
+        """The books keep sums and bucket counts, not samples: 5,000
+        cached requests retain under one byte each."""
+        import gc
+        import tracemalloc
+
+        workload = paper_workload(2, seed=0)
+        all_bindings = [
+            random_bindings(workload, seed=0, run_index=index) for index in range(200)
+        ]
+        with ShardedQueryService(
+            Database(workload.catalog), shards=1, execute=False
+        ) as gateway:
+            for bindings in all_bindings:
+                gateway.run(workload.query, bindings)
+            gc.collect()
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                for index in range(5000):
+                    gateway.run(workload.query, all_bindings[index % 200])
+                gc.collect()
+                retained = tracemalloc.get_traced_memory()[0] - before
+            finally:
+                tracemalloc.stop()
+        assert retained < 5000
+
+    def test_restart_and_standby_keep_every_count(self):
+        """Kill and restart a shard, then serve with every shard down:
+        no registry count decreases, the standby counts into the total,
+        and ``per_shard`` stays one entry per shard."""
+        catalog, _queries, requests = to_service_requests(
+            TrafficSpec.zipf(requests=40, query_shapes=6, seed=3)
+        )
+        registry = MetricsRegistry()
+        with ShardedQueryService(
+            Database(catalog), shards=3, execute=False, metrics=registry
+        ) as gateway:
+            scrapes = []
+
+            def serve(batch):
+                for request in batch:
+                    gateway.run(request.query, request.bindings)
+                scrapes.append(counts_in(registry.snapshot()))
+
+            serve(requests)
+            gateway.shards[0].kill()
+            gateway.supervisor.check()
+            assert gateway.supervisor.counts()["restarts"] == 1
+            serve([])
+            serve(requests[:10])
+            for shard in gateway.shards:
+                shard.kill()
+            serve(requests[10:20])
+            stats = gateway.stats()
+            outcomes = gateway.request_outcomes()
+            snapshot = registry.snapshot()
+
+        for before, after in zip(scrapes, scrapes[1:]):
+            for name, value in before.items():
+                assert after[name] >= value, name
+        # The restart itself lost nothing the shard had counted.
+        assert scrapes[1]["service_requests_total"] == 40
+        assert scrapes[1]["plan_cache_lookups_total"] == 40
+        assert scrapes[1]["service_shard_restarts_total"] == 1
+        assert outcomes["failed_over"] == 10
+        assert (
+            stats.requests
+            == outcomes["completed"] + outcomes["failed_over"]
+            == snapshot["service_startup_seconds"]["count"]
+            == 60
+        )
+        assert len(stats.per_shard) == 3
+        assert sum(part.requests for part in stats.per_shard) == 50
+        assert_scrape_equals_stats(snapshot, stats)

@@ -3,9 +3,9 @@
 ``benchmarks/check_regression.py`` is CI's last line of defence for
 perf; these tests pin the behaviours a broken gate would silently
 lose: malformed records fail with a *diagnosis* (file, record, missing
-key) rather than a ``KeyError`` traceback, direction is inferred from
-the unit, and a baseline metric that vanished from results is a hard
-failure.
+key) rather than a ``KeyError`` traceback, direction is the record's
+``better`` key or else inferred from the unit, and a baseline metric
+that vanished from results is a hard failure.
 """
 
 import importlib.util
@@ -118,6 +118,40 @@ class TestCompare:
         assert statuses[("bench", "speedup")] == "improvement"
         assert statuses[("bench", "pass")] == "improvement"
         assert len(failures) == 1 and "bench/p50" in failures[0]
+
+    def test_record_direction_overrides_the_unit(self, tmp_path):
+        """An overhead is a ``fraction`` that should fall: its record
+        says so, and a drop is an improvement, a rise a regression,
+        while a hit rate (no ``better`` key) keeps the unit's direction."""
+        overhead = dict(record(metric="overhead", unit="fraction"), better="lower")
+        hit_rate = record(metric="hit_rate", unit="fraction")
+        results, baselines = self.setup_dirs(
+            tmp_path,
+            [
+                dict(overhead, value=0.037),
+                dict(overhead, name="other", value=0.037),
+                dict(hit_rate, value=0.9),
+            ],
+            [
+                dict(overhead, value=0.026),
+                dict(overhead, name="other", value=0.06),
+                dict(hit_rate, value=0.5),
+            ],
+        )
+        rows, failures = gate.compare(results, baselines, 0.25)
+        statuses = {(name, metric): status
+                    for name, metric, _u, _b, _c, _ch, status in rows}
+        assert statuses[("bench", "overhead")] == "improvement"
+        assert statuses[("other", "overhead")] == "regression"
+        assert statuses[("bench", "hit_rate")] == "regression"
+        assert len(failures) == 2
+
+    def test_unknown_direction_is_refused(self, tmp_path):
+        path = tmp_path / "r.json"
+        write_records(path, [dict(record(), better="sideways")])
+        with pytest.raises(gate.MalformedRecordError) as excinfo:
+            gate.load_records(path)
+        assert "sideways" in str(excinfo.value)
 
     def test_new_metric_passes_without_baseline_edit(self, tmp_path):
         results, baselines = self.setup_dirs(

@@ -572,7 +572,7 @@ class TestQueryService:
         stats = gateway.stats().total
         assert stats.requests == 6
         assert stats.optimize_count == 1
-        assert stats.startup_p50 <= stats.startup_p95
+        assert stats.startup.count == 6 and stats.startup.sum > 0.0
         assert stats.hit_rate == pytest.approx(5.0 / 6.0)
         assert stats.amortization > 1.0
 

@@ -461,12 +461,12 @@ class TestExactStatistics:
                 part.cache[key] for part in stats.per_shard
             )
         # Internally consistent snapshots: per shard and in aggregate,
-        # hits + misses == lookups and one latency sample per request.
+        # hits + misses == lookups and one start-up latency per request.
         for part in list(stats.per_shard) + [stats.total]:
             assert part.cache["hits"] + part.cache["misses"] == (
                 part.cache["lookups"]
             )
-            assert len(part.startup_samples) == part.requests
+            assert part.startup.count == part.requests
         assert stats.rejections == 0
         # Per-shard gauges are registered and quiesce to the truth.
         for shard in range(4):
@@ -477,22 +477,46 @@ class TestExactStatistics:
             )
 
     def test_percentiles_recomputed_over_union_of_samples(self):
+        """The books keep sums and bucket counts, which sum exactly over
+        shards; percentiles come from the union of per-request samples,
+        the results every shard returned."""
+        from bisect import bisect_left
+
         from repro.common.stats import percentile
+        from repro.observability.metrics import DEFAULT_LATENCY_BUCKETS
+        from repro.service.replay import render_report, replay_spec
 
         catalog, _, requests = small_traffic(requests=80, shapes=8)
         with ShardedQueryService(
             Database(catalog), shards=4, execute=False
         ) as gateway:
-            gateway.run_batch(requests)
+            results = gateway.run_batch(requests)
             stats = gateway.stats()
-        merged = sorted(
-            sample
-            for part in stats.per_shard
-            for sample in part.startup_samples
+        samples = [result.startup_seconds for result in results]
+        buckets = [0] * (len(DEFAULT_LATENCY_BUCKETS) + 1)
+        for sample in samples:
+            buckets[bisect_left(DEFAULT_LATENCY_BUCKETS, sample)] += 1
+        assert stats.total.startup.buckets == buckets
+        assert stats.total.startup.buckets == [
+            sum(column)
+            for column in zip(*(part.startup.buckets for part in stats.per_shard))
+        ]
+        assert stats.total.startup.sum == pytest.approx(sum(samples))
+        assert stats.total.startup_mean == pytest.approx(
+            sum(samples) / len(requests)
         )
-        assert len(merged) == len(requests)
-        assert stats.total.startup_p50 == percentile(merged, 0.50)
-        assert stats.total.startup_p95 == percentile(merged, 0.95)
+
+        report = replay_spec(
+            TrafficSpec.zipf(requests=80, query_shapes=8, seed=5),
+            shards=4,
+            execute=False,
+            baseline_samples=1,
+        )
+        startups = [result.startup_seconds for result in report.results]
+        assert "p50 %.3fms  p95 %.3fms" % (
+            1000.0 * percentile(startups, 0.50),
+            1000.0 * percentile(startups, 0.95),
+        ) in render_report(report)
 
 
 #: 32 distinct query shapes for the lookup-sequence property.
@@ -680,7 +704,7 @@ class TestEvictionAccounting:
                     assert part.cache["hits"] + part.cache["misses"] == (
                         part.cache["lookups"]
                     )
-                    assert len(part.startup_samples) == part.requests
+                    assert part.startup.count == part.requests
             for thread in threads:
                 thread.join(timeout=120.0)
                 assert not thread.is_alive()
