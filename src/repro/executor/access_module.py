@@ -50,20 +50,23 @@ def _operand_from_dict(data):
     return Literal(data["lit"])
 
 
-def _selection_to_dict(predicate):
+def _selection_to_dict(predicate, expected=None):
+    """``expected``, when given, maps a selectivity parameter to the
+    expected value written for it instead of the predicate's own."""
     if predicate is None:
         return None
+    name = predicate.selectivity_parameter
     return {
         "attr": predicate.comparison.attribute,
         "op": predicate.comparison.op.value,
         "operand": _operand_to_dict(predicate.comparison.operand),
-        "param": predicate.selectivity_parameter,
+        "param": name,
         "known": predicate.known_selectivity,
         "bounds": [
             predicate.selectivity_bounds.lower,
             predicate.selectivity_bounds.upper,
         ],
-        "expected": predicate.expected_selectivity,
+        "expected": (expected or {}).get(name, predicate.expected_selectivity),
     }
 
 
@@ -95,7 +98,7 @@ def _joins_from_list(data):
 # ----------------------------------------------------------------------
 
 
-def _plan_to_nodes(plan):
+def _plan_to_nodes(plan, expected):
     """Topologically ordered node dicts; children precede parents."""
     order = []
     index_of = {}
@@ -104,7 +107,7 @@ def _plan_to_nodes(plan):
         if id(node) in index_of:
             return index_of[id(node)]
         child_indexes = [visit(child) for child in node.inputs()]
-        data = _node_to_dict(node, child_indexes)
+        data = _node_to_dict(node, child_indexes, expected)
         index_of[id(node)] = len(order)
         order.append(data)
         return index_of[id(node)]
@@ -113,7 +116,7 @@ def _plan_to_nodes(plan):
     return order, root
 
 
-def _node_to_dict(node, children):
+def _node_to_dict(node, children, expected):
     if isinstance(node, FileScan):
         return {"op": "file-scan", "rel": node.relation_name}
     if isinstance(node, BTreeScan):
@@ -123,12 +126,12 @@ def _node_to_dict(node, children):
             "op": "filter-btree-scan",
             "rel": node.relation_name,
             "attr": node.attribute,
-            "pred": _selection_to_dict(node.predicate),
+            "pred": _selection_to_dict(node.predicate, expected),
         }
     if isinstance(node, Filter):
         return {
             "op": "filter",
-            "pred": _selection_to_dict(node.predicate),
+            "pred": _selection_to_dict(node.predicate, expected),
             "in": children,
         }
     if isinstance(node, HashJoin):
@@ -149,7 +152,7 @@ def _node_to_dict(node, children):
             "rel": node.inner_relation,
             "attr": node.inner_attribute,
             "preds": _joins_to_list(node.predicates),
-            "residual": _selection_to_dict(node.residual_predicate),
+            "residual": _selection_to_dict(node.residual_predicate, expected),
             "in": children,
         }
     if isinstance(node, Sort):
@@ -205,9 +208,15 @@ class AccessModule:
         self._data = data
 
     @classmethod
-    def from_plan(cls, plan, query_name="query"):
-        """Serialize a plan DAG into an access module."""
-        nodes, root = _plan_to_nodes(plan)
+    def from_plan(cls, plan, query_name="query", expected=None):
+        """Serialize a plan DAG into an access module.
+
+        ``expected`` maps selectivity parameters to the expected values
+        to store for them: a plan shared by queries of one input
+        signature carries one query's predicates, and each query stores
+        its own values.
+        """
+        nodes, root = _plan_to_nodes(plan, expected)
         data = {"query": query_name, "root": root, "nodes": nodes}
         payload = json.dumps(data, separators=(",", ":")).encode("utf-8")
         # All JSON-native values: parsing ``payload`` would rebuild ``data``.

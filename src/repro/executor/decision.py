@@ -47,6 +47,7 @@ stateless; the selectivities the decisions read (:meth:`read_set`)
 are derived here once and cached.
 """
 
+import copy
 import time
 from operator import itemgetter
 
@@ -127,7 +128,9 @@ class CompiledDecision:
 
     ``choose(bindings)`` runs all decision procedures and returns
     ``(static_plan, report)`` with the same semantics as
-    :func:`~repro.executor.startup.resolve_dynamic_plan`.
+    :func:`~repro.executor.startup.resolve_dynamic_plan`.  Queries of
+    one input signature share one program: :meth:`view` gives each its
+    own parameter defaults over the same plan, slots and segments.
     """
 
     def __init__(self, plan, catalog, parameter_space):
@@ -148,38 +151,25 @@ class CompiledDecision:
         choices = (rows for kernel, rows in self._segments if kernel is _choose_plan)
         self.decision_count = sum(map(len, choices))
 
-    @classmethod
-    def rebound(cls, program, nodes, parameter_space):
-        """``program`` moved onto a re-bound copy of its plan.
+    def view(self, parameter_space):
+        """This program over another query's ``parameter_space``.
 
-        ``nodes`` maps each node of ``program.plan`` by ``id()`` to its
-        copy (:func:`~repro.executor.startup.rebind_plan`), and
-        ``parameter_space`` is the copy's query's, registering every
-        parameter the plan reads, as a query's space does.  Segments
-        and templates are shared — rows hold only slots, read indices
-        and catalog constants — so only the choose-plan rows, which name
-        their node, and each read's default, the copy's expected value,
-        are made anew.  The result equals a program compiled from the
-        copy, at a fraction of the cost.
+        The other query has this plan's input signature, so its
+        selections differ from the plan's only in their *expected*
+        selectivity, which no compiled row holds: plan, nodes, slots,
+        segments and templates are shared, and only the ``(name,
+        default)`` reads are made anew, each default the space's
+        expected value, as :meth:`_read` takes it.  A request that leaves
+        a selectivity unbound decides at the other query's own expected
+        value, exactly as a program compiled for it would.
         """
-        self = cls.__new__(cls)
-        self.plan = nodes[id(program.plan)]
-        self.parameter_space = parameter_space
-        self._nodes = [nodes[id(node)] for node in program._nodes]
-        self._slots = {id(node): index for index, node in enumerate(self._nodes)}
-        self._reads = [
+        view = copy.copy(self)
+        view.parameter_space = parameter_space
+        view._reads = [
             (name, default if name is None else parameter_space.get(name).expected)
-            for name, default in program._reads
+            for name, default in self._reads
         ]
-        self._costs = program._costs
-        self._cards = program._cards
-        self._segments = []
-        for kernel, rows in program._segments:
-            if kernel is _choose_plan:
-                rows = [row[:3] + (nodes[id(row[3])],) for row in rows]
-            self._segments.append((kernel, rows))
-        self.decision_count = program.decision_count
-        return self
+        return view
 
     # ------------------------------------------------------------------
     # Compilation

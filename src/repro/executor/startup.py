@@ -27,7 +27,6 @@ from operator import is_
 from repro.algebra.physical import (
     ChoosePlan,
     Filter,
-    FilterBTreeScan,
     HashJoin,
     IndexJoin,
     MergeJoin,
@@ -177,71 +176,6 @@ def _rebuild(node, new_children):
         return Project(new_children[0], node.attributes)
     # Leaves have no children and always hit the identity path above.
     return node
-
-
-#: Optimizer annotations a re-bound node copies from its source.
-_ANNOTATIONS = ("cost", "cardinality", "sort_order")
-
-
-def rebind_plan(plan, predicates):
-    """Copy a plan onto other selection predicates.
-
-    ``predicates`` maps the ``id()`` of each selection predicate the
-    plan carries to the one that replaces it.  One walk over the DAG
-    returns ``(plan, nodes)``: the copy, and ``nodes`` mapping each
-    source node's ``id()`` to its copy.  ``Filter``,
-    ``FilterBTreeScan`` and an ``IndexJoin`` residual take their
-    replacement predicate; a node with none at or below it is shared,
-    not copied; DAG sharing and the order of choose-plan alternatives
-    are kept.  A copy carries only the annotations its source holds
-    itself, never the class defaults.
-    """
-    nodes = {}
-
-    def visit(node):
-        copy = nodes.get(id(node))
-        if copy is None:
-            children = [visit(child) for child in node.inputs()]
-            copy = nodes[id(node)] = _rebind(node, children, predicates)
-        return copy
-
-    return visit(plan), nodes
-
-
-def _rebind(node, children, predicates):
-    """One node of :func:`rebind_plan` over its re-bound ``children``."""
-    kind = type(node)
-    if kind is Filter or kind is FilterBTreeScan:
-        predicate = predicates.get(id(node.predicate), node.predicate)
-        if predicate is node.predicate:
-            copy = _rebuild(node, children)
-        elif kind is Filter:
-            copy = Filter(children[0], predicate)
-        else:
-            copy = FilterBTreeScan(node.relation_name, node.attribute, predicate)
-    elif kind is IndexJoin and node.residual_predicate is not None:
-        residual = predicates.get(id(node.residual_predicate), node.residual_predicate)
-        if residual is node.residual_predicate:
-            copy = _rebuild(node, children)
-        else:
-            copy = IndexJoin(
-                children[0],
-                node.inner_relation,
-                node.inner_attribute,
-                node.predicates,
-                residual_predicate=residual,
-            )
-    elif kind is ChoosePlan:
-        unchanged = all(map(is_, children, node.alternatives))
-        copy = node if unchanged else ChoosePlan(children)
-    else:
-        copy = _rebuild(node, children)
-    if copy is not node:
-        annotations = node.__dict__
-        for name in _ANNOTATIONS:
-            if name in annotations:
-                setattr(copy, name, annotations[name])
-    return copy
 
 
 def activate_plan(

@@ -21,8 +21,12 @@ import threading
 _NAME_PATTERN = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 
 #: Default latency buckets (seconds), dense in the sub-millisecond
-#: range where start-up decisions live.
+#: range where start-up decisions live: a cached decision takes
+#: ~10-70 us, so the first bounds are 10, 25 and 50 us.
 DEFAULT_LATENCY_BUCKETS = (
+    0.00001,
+    0.000025,
+    0.00005,
     0.0001,
     0.00025,
     0.0005,
@@ -123,47 +127,41 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """A named collection of instruments with get-or-create semantics.
+    """A named collection of read-only instruments.
 
-    Instruments are created once and shared: asking twice for the same
-    name returns the same object, and asking for an existing name with
-    a different instrument kind raises ``ValueError`` (silent kind
-    confusion would corrupt dashboards).
+    Each name is registered once.  An instrument reads the one source
+    its callback names, so a second registration of a name — another
+    gateway on the same registry, or the same name as another kind —
+    can only be a conflict, and raises ``ValueError`` naming the metric
+    (ignoring it would export the first source as if it were both).
     """
 
     def __init__(self):
         self._lock = threading.Lock()
         self._metrics = {}
 
-    def _get_or_create(self, factory, name, **kwargs):
+    def _register(self, factory, name, **kwargs):
         with self._lock:
             existing = self._metrics.get(name)
             if existing is not None:
-                if existing.kind != factory.kind:
-                    raise ValueError(
-                        "metric %r already registered as a %s"
-                        % (name, existing.kind)
-                    )
-                return existing
+                raise ValueError(
+                    "metric %r already registered as a %s" % (name, existing.kind)
+                )
             metric = factory(name, **kwargs)
             self._metrics[name] = metric
             return metric
 
     def counter(self, name, help="", *, callback):
-        """Get or create a :class:`Counter` reading ``callback``.
-
-        ``callback`` only applies when the instrument is created here;
-        asking again for an existing name returns it unchanged.
-        """
-        return self._get_or_create(Counter, name, help=help, callback=callback)
+        """Register a :class:`Counter` reading ``callback``."""
+        return self._register(Counter, name, help=help, callback=callback)
 
     def gauge(self, name, help="", *, callback):
-        """Get or create a :class:`Gauge` reading ``callback``."""
-        return self._get_or_create(Gauge, name, help=help, callback=callback)
+        """Register a :class:`Gauge` reading ``callback``."""
+        return self._register(Gauge, name, help=help, callback=callback)
 
     def histogram(self, name, help="", buckets=DEFAULT_LATENCY_BUCKETS, *, callback):
-        """Get or create a :class:`Histogram` reading ``callback``."""
-        return self._get_or_create(
+        """Register a :class:`Histogram` reading ``callback``."""
+        return self._register(
             Histogram, name, help=help, buckets=buckets, callback=callback
         )
 

@@ -159,7 +159,7 @@ class PlanCacheEntry:
         self.chosen_memo = {}
         #: Demoted and not served since (:meth:`demote`).
         self.demoted = False
-        #: The optimizer run the plan was compiled or re-bound from, if
+        #: The optimizer run the plan was compiled or shared from, if
         #: its partition shares it (``QueryService``, "Shared
         #: compiles"); holding it keeps it shareable.
         self.compiled_from = None

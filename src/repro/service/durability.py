@@ -150,7 +150,16 @@ def _entry_to_dict(entry):
     with entry.lock:
         if entry.plan is None:
             return None
-        module = AccessModule.from_plan(entry.plan, entry.query.name or "query")
+        # The plan may be a shared compile's, carrying another query's
+        # predicates: the entry stores its own expected values.
+        expected = {
+            predicate.selectivity_parameter: predicate.expected_selectivity
+            for predicate in entry.query.selections.values()
+            if predicate.is_uncertain
+        }
+        module = AccessModule.from_plan(
+            entry.plan, entry.query.name or "query", expected
+        )
         return {
             "query": _query_to_dict(entry.query),
             "plan": module.to_bytes().decode("utf-8"),

@@ -53,7 +53,6 @@ from repro.executor.midquery import (
     execute_midquery,
     verifies_at_startup,
 )
-from repro.executor.startup import rebind_plan
 from repro.observability.metrics import DEFAULT_LATENCY_BUCKETS
 from repro.optimizer.query import input_signature
 from repro.resilience.deadline import Deadline
@@ -98,32 +97,28 @@ RESILIENCE_COUNTERS = (
 
 
 class SharedCompile:
-    """One optimizer run a partition shares: the query it optimized,
-    the plan and the decision program compiled from it.
+    """One optimizer run a partition shares: the plan and the decision
+    program compiled from it.
 
     Immutable; every cache entry installed from it holds it, which is
-    what keeps it in the partition's weak memo.
+    what keeps it in the partition's weak memo.  The entries share the
+    plan object itself: their queries differ from the optimized one
+    only in uncertain selections' expected values, which the plan's
+    costs and choices never read.
     """
 
-    __slots__ = ("query", "plan", "decision", "__weakref__")
+    __slots__ = ("plan", "decision", "__weakref__")
 
-    def __init__(self, query, plan, decision):
-        self.query = query
+    def __init__(self, plan, decision):
         self.plan = plan
         self.decision = decision
 
     def rebind(self, query):
         """``(plan, decision)`` for ``query``, which has this run's
-        input signature: the plan and program re-bound to its own
-        selection predicates and parameter space."""
-        predicates = {
-            id(predicate): query.selections[relation_name]
-            for relation_name, predicate in self.query.selections.items()
-        }
-        plan, nodes = rebind_plan(self.plan, predicates)
-        return plan, CompiledDecision.rebound(
-            self.decision, nodes, query.parameter_space
-        )
+        input signature: the run's own plan, and a view of its program
+        whose unbound parameters default to ``query``'s expected
+        values."""
+        return self.plan, self.decision.view(query.parameter_space)
 
 
 class ServiceRequest:
@@ -388,7 +383,7 @@ class ServiceStatistics:
 
     @property
     def optimize_count(self):
-        """Requests that ran the optimizer (or re-bound a shared run)."""
+        """Requests that ran the optimizer (or shared a run)."""
         return self.optimize.count
 
     @property
@@ -721,9 +716,10 @@ class QueryService:
         (entry lock held); seconds.
 
         A query whose input signature a live or retained entry's
-        optimizer run already covered re-binds that run's plan and
-        program; any other runs the optimizer and compiles a program,
-        and a bounds-only run becomes shareable.  The memo lock is never
+        optimizer run already covered shares that run's plan and a view
+        of its program (:meth:`SharedCompile.rebind`); any other runs
+        the optimizer and compiles a program, and a bounds-only run
+        becomes shareable.  The memo lock is never
         held across the optimizer, so two misses on one input signature
         may both optimize; both results are correct.
         """
@@ -743,7 +739,7 @@ class QueryService:
             decision = CompiledDecision(plan, self.catalog, query.parameter_space)
             self._count("decision_compiles")
             if result.bounds_only:
-                shared = SharedCompile(query, plan, decision)
+                shared = SharedCompile(plan, decision)
                 with self._shared_lock:
                     self._shared.setdefault(key, shared)
         entry.install(plan, query.parameter_space, decision, compiled_from=shared)

@@ -77,13 +77,33 @@ class TestInstruments:
 
 
 class TestRegistry:
-    def test_get_or_create_returns_same_instrument(self):
+    def test_a_second_registration_of_a_name_raises(self):
         registry = MetricsRegistry()
         first = registry.counter("requests_total", "help text", callback=lambda: 1)
-        second = registry.counter("requests_total", callback=lambda: 2)
-        assert first is second
+        with pytest.raises(ValueError, match="requests_total"):
+            registry.counter("requests_total", callback=lambda: 2)
+        assert registry.get("requests_total") is first
         assert first.value == 1
         assert len(registry) == 1
+
+    def test_a_second_gateway_on_one_registry_raises_naming_the_metric(self):
+        """Two gateways' instruments would share names: the second
+        gateway's construction fails instead of exporting the first's
+        counts as both."""
+        workload = paper_workload(1, seed=0)
+        registry = MetricsRegistry()
+        with ShardedQueryService(
+            Database(workload.catalog), shards=1, execute=False, metrics=registry
+        ):
+            registered = len(registry)
+            with pytest.raises(ValueError, match="metric '[a-z_]+' already"):
+                ShardedQueryService(
+                    Database(workload.catalog),
+                    shards=1,
+                    execute=False,
+                    metrics=registry,
+                )
+            assert len(registry) == registered
 
     def test_kind_conflict_raises(self):
         registry = MetricsRegistry()
@@ -157,6 +177,26 @@ def assert_scrape_equals_stats(snapshot, stats):
     for name, value in total.resilience.items():
         assert snapshot["service_%s_total" % name]["value"] == value
     assert snapshot["service_overload_rejections_total"]["value"] == stats.rejections
+
+
+class TestLatencyBuckets:
+    def test_startup_observations_spread_over_the_sub_100us_buckets(self):
+        """A cached start-up decision takes tens of microseconds: the
+        buckets at or below 100 µs must tell them apart."""
+        catalog, _queries, requests = to_service_requests(
+            TrafficSpec.zipf(requests=400, query_shapes=12, seed=7)
+        )
+        with ShardedQueryService(Database(catalog), shards=2, execute=False) as gateway:
+            gateway.run_batch(requests)
+            buckets = gateway.stats().total.startup.buckets
+        assert sum(buckets) == len(requests)
+        low = [
+            count
+            for bound, count in zip(metrics_module.DEFAULT_LATENCY_BUCKETS, buckets)
+            if bound <= 0.0001
+        ]
+        assert sum(low) > len(requests) // 2
+        assert sum(1 for count in low if count) >= 2
 
 
 class TestConcurrency:

@@ -3,11 +3,12 @@
 Queries that differ only in an uncertain predicate's *expected*
 selectivity are separate plan-cache entries (the canonical signature
 keeps the value) but one dynamic-optimizer input: the run costs over the
-bounds.  A partition optimizes the first and re-binds that plan and its
-decision program to each later one.  The re-bound pair must be what a
-fresh optimizer run and program compile would have produced, node for
-node and slot for slot, and nothing that reads an expected value may be
-shared.
+bounds.  A partition optimizes the first and serves each later one on
+that run's own plan, through a view of its decision program whose
+unbound parameters default to the later query's own expected values.
+The view must decide what a fresh optimizer run and program compile
+would have, slot for slot, and each entry must still store its own
+predicates.
 """
 
 import gc
@@ -25,7 +26,6 @@ from repro.algebra.expressions import (
     SelectionPredicate,
     UserVariable,
 )
-from repro.algebra.physical import Filter, FilterBTreeScan, IndexJoin
 from repro.catalog.synthetic import build_synthetic_catalog, default_relation_specs
 from repro.common.intervals import Interval
 from repro.cost.parameters import (
@@ -36,7 +36,7 @@ from repro.cost.parameters import (
 )
 from repro.executor.access_module import AccessModule
 from repro.executor.decision import CompiledDecision
-from repro.executor.startup import rebind_plan
+from repro.executor.startup import resolve_dynamic_plan
 from repro.optimizer import (
     OptimizerConfig,
     input_signature,
@@ -63,14 +63,25 @@ def compiled(catalog, query):
 
 
 def rebound(catalog, source, target):
-    """``target``'s plan and program re-bound from ``source``'s run."""
-    return SharedCompile(source, *compiled(catalog, source)).rebind(target)
+    """``(shared, plan, program)``: ``source``'s run and what it serves
+    ``target`` on."""
+    shared = SharedCompile(*compiled(catalog, source))
+    return (shared, *shared.rebind(target))
+
+
+def expected_values(query):
+    """``{parameter: expected selectivity}`` of the uncertain selections."""
+    return {
+        predicate.selectivity_parameter: predicate.expected_selectivity
+        for predicate in query.selections.values()
+        if predicate.is_uncertain
+    }
 
 
 def assert_same_dag(plan, fresh, target):
     """Node for node: same operators, inputs and alternatives in the same
-    order, the same sharing, the target's own predicate objects, equal
-    annotations, equal digests."""
+    order, the same sharing, equal annotations, equal digests; stored
+    with the target's expected values, the fresh plan's module bytes."""
     pairs = {}
     stack = [(plan, fresh)]
     while stack:
@@ -80,12 +91,6 @@ def assert_same_dag(plan, fresh, target):
             continue
         pairs[id(node)] = other
         assert type(node) is type(other)
-        if isinstance(node, (Filter, FilterBTreeScan)):
-            assert node.predicate is other.predicate
-            relation = node.predicate.attribute.split(".", 1)[0]
-            assert node.predicate is target.selections[relation]
-        if isinstance(node, IndexJoin):
-            assert node.residual_predicate is other.residual_predicate
         for name in ANNOTATIONS:
             assert (name in vars(node)) == (name in vars(other))
             assert vars(node).get(name) == vars(other).get(name)
@@ -94,19 +99,19 @@ def assert_same_dag(plan, fresh, target):
         stack.extend(zip(children, others))
     assert len({id(other) for other in pairs.values()}) == len(pairs)
     assert plan.digest() == fresh.digest()
+    stored = AccessModule.from_plan(plan, "q", expected_values(target))
+    assert stored.to_bytes() == AccessModule.from_plan(fresh, "q").to_bytes()
 
 
 def random_bindings(rng, query):
-    """Bindings over the query's space; about a third of the parameters
-    are left unbound, so their defaults come from the space."""
+    """In-bounds bindings over the query's space; about a third of the
+    parameters are left unbound, so their defaults come from the space."""
     bindings = Bindings()
     for parameter in query.parameter_space:
         if rng.random() < 0.35:
             continue
-        if parameter.name == MEMORY_PARAMETER:
-            bindings.bind(parameter.name, rng.uniform(8, 160))
-        else:
-            bindings.bind(parameter.name, rng.uniform(0.0, 1.0))
+        bounds = parameter.bounds
+        bindings.bind(parameter.name, rng.uniform(bounds.lower, bounds.upper))
     return bindings
 
 
@@ -133,15 +138,17 @@ def assert_same_program(program, fresh, query, rng, rounds):
         assert report.choice_signature() == fresh_report.choice_signature()
     assert set(program.read_set()) == set(fresh.read_set())
     for name, predicate in program.read_set().items():
-        assert predicate is fresh.read_set()[name]
+        assert predicate.comparison == fresh.read_set()[name].comparison
 
 
 def assert_rebinds_like_a_fresh_compile(catalog, source, target, rng, rounds=8):
     assert input_signature(source) == input_signature(target)
-    plan, program = rebound(catalog, source, target)
+    shared, plan, program = rebound(catalog, source, target)
     fresh_plan, fresh_program = compiled(catalog, target)
+    assert plan is program.plan is shared.plan
+    assert program._segments is shared.decision._segments
+    assert program.parameter_space is target.parameter_space
     assert_same_dag(plan, fresh_plan, target)
-    assert program.plan is plan
     assert_same_program(program, fresh_program, target, rng, rounds)
 
 
@@ -162,36 +169,6 @@ class TestRebindEquivalence:
         rng = random.Random(name)
         for target in targets:
             assert_rebinds_like_a_fresh_compile(catalog, source, target, rng)
-
-    def test_a_subplan_without_a_selection_is_shared(self):
-        catalog, queries = benchmark_shapes("join_exec")
-        keep = queries[0].relations[::2]
-        source, target = (
-            QuerySpec(
-                query.relations,
-                {relation: query.selections[relation] for relation in keep},
-                query.join_predicates,
-                name=query.name,
-            )
-            for query in (queries[0], queries[-1])
-        )
-        plan = optimize_dynamic(catalog, source).plan
-        predicates = {
-            id(source.selections[relation]): target.selections[relation]
-            for relation in keep
-        }
-        copy, nodes = rebind_plan(plan, predicates)
-        assert copy is nodes[id(plan)] is not plan
-        shared = 0
-        for node in plan.walk_unique():
-            selects = any(
-                isinstance(below, (Filter, FilterBTreeScan))
-                or getattr(below, "residual_predicate", None) is not None
-                for below in node.walk_unique()
-            )
-            assert (nodes[id(node)] is node) is not selects
-            shared += not selects
-        assert shared
 
 
 RELATIONS = ("R1", "R2", "R3", "R4")
@@ -433,6 +410,65 @@ class TestSnapshotBytesAndLifetime:
             del survivors
             gc.collect()
             assert len(service._shared) == 0
+
+
+class TestOnePlanPerRun:
+    """Entries installed from one optimizer run serve on its plan object
+    and on views of its program; nothing is copied."""
+
+    def test_every_entry_of_a_shared_run_holds_its_plan_and_program(self):
+        spec = TrafficSpec.zipf(
+            requests=300, query_shapes=40, zipf_s=1.1, relations=4, seed=7
+        )
+        catalog, _queries, requests = to_service_requests(spec)
+        with ShardedQueryService(Database(catalog), shards=2, execute=False) as gateway:
+            gateway.run_batch(requests)
+            shared = gateway.stats().total.resilience["shared_compiles"]
+            entries = [
+                entry
+                for shard in gateway.shards
+                for entry in shard.service.cache.entries()
+            ]
+        assert shared > 0
+        assert all(entry.compiled_from is not None for entry in entries)
+        assert len({id(entry.plan) for entry in entries}) == 2  # one run a shard
+        for entry in entries:
+            run = entry.compiled_from
+            assert entry.plan is entry.decision.plan is run.plan
+            assert entry.decision._nodes is run.decision._nodes
+            assert entry.decision._segments is run.decision._segments
+            assert entry.decision.parameter_space is entry.parameter_space
+
+    def test_an_unbound_selectivity_decides_at_each_entrys_own_expected_value(
+        self, paper_catalog
+    ):
+        queries = [chain_query(0.001), chain_query(0.9)]
+        bindings = Bindings().bind_variable("v", 3)  # sel_R1 left unbound
+        with ShardedQueryService(
+            Database(paper_catalog), shards=1, execute=False
+        ) as gateway:
+            results = [gateway.run(query, bindings) for query in queries]
+            service = gateway.shards[0].service
+            entries = [service.cache.get(query) for query in queries]
+            counts = service.stats().resilience
+        assert (counts["decision_compiles"], counts["shared_compiles"]) == (1, 1)
+        assert entries[0].plan is entries[1].plan
+        digests = set()
+        for query, result in zip(queries, results):
+            # g_i = d_i: the run-time resolution of the query's own plan
+            # over its own space.
+            fresh = optimize_dynamic(paper_catalog, query).plan
+            chosen, report = resolve_dynamic_plan(
+                fresh, paper_catalog, query.parameter_space, bindings
+            )
+            assert result.chosen.digest() == chosen.digest()
+            assert (
+                result.startup_report.choice_signature() == report.choice_signature()
+            )
+            digests.add(chosen.digest())
+        # The two expected values choose differently: a default taken
+        # from the shared run's query would be wrong for one of them.
+        assert len(digests) == 2
 
 
 def bind_shape(query, values):
