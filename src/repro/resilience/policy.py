@@ -20,6 +20,7 @@ Jitter draws come from a stream seeded through
 only affect *when* a retry runs, never what it computes.
 """
 
+import math
 import threading
 import time
 
@@ -77,12 +78,17 @@ class RetryPolicy:
         ``key`` scopes the jitter stream (e.g. the query signature
         digest) so distinct operations retrying concurrently get
         decorrelated — but individually reproducible — schedules.
+        Uncapped: the retry count bounds the growth.
         """
-        base = self.base_delay * (self.multiplier ** (attempt - 1))
-        if self.jitter == 0.0:
-            return base
-        fraction = make_rng(self.seed, "retry-backoff", str(key), attempt).random()
-        return base * (1.0 + self.jitter * fraction)
+        return backoff_hint(
+            self.seed,
+            key,
+            attempt,
+            self.base_delay,
+            self.multiplier,
+            self.jitter,
+            cap=math.inf,
+        )
 
     def __repr__(self):
         return "RetryPolicy(max_retries=%d, base=%gs, x%g, jitter=%g)" % (

@@ -396,6 +396,12 @@ def restore_gateway(gateway, snapshot, only_shard=None):
 class DurabilityConfig:
     """How a gateway persists and restores its plan-cache state.
 
+    A gateway with a config always warm-restores from ``path`` at
+    construction (a missing, corrupt or version-mismatched snapshot is
+    counted and skipped — a bad file must degrade to a cold start,
+    never a crash) and re-warms a shard the supervisor restarts from
+    the last snapshot on disk.
+
     Parameters
     ----------
     path:
@@ -405,19 +411,11 @@ class DurabilityConfig:
         based rather than timer-based, so snapshot points are
         deterministic under replay).  ``None`` disables periodic
         snapshotting; the on-shutdown snapshot still runs.
-    restore_on_start:
-        Warm-restore at gateway construction when ``path`` exists.  A
-        corrupt or version-mismatched snapshot is counted and skipped
-        — a bad file must degrade to a cold start, never a crash.
-    restore_on_restart:
-        Re-warm a restarted shard's partition from the last snapshot
-        on disk (the supervisor's crash-recovery path).
     snapshot_on_shutdown:
         Write a final snapshot from :meth:`ShardedQueryService.shutdown`.
     """
 
-    def __init__(self, path, snapshot_every=None, restore_on_start=True,
-                 restore_on_restart=True, snapshot_on_shutdown=True):
+    def __init__(self, path, snapshot_every=None, snapshot_on_shutdown=True):
         self.path = os.fspath(path)
         if snapshot_every is not None and int(snapshot_every) < 1:
             raise SnapshotError(
@@ -427,8 +425,6 @@ class DurabilityConfig:
         self.snapshot_every = (
             int(snapshot_every) if snapshot_every is not None else None
         )
-        self.restore_on_start = bool(restore_on_start)
-        self.restore_on_restart = bool(restore_on_restart)
         self.snapshot_on_shutdown = bool(snapshot_on_shutdown)
 
     @classmethod
@@ -439,9 +435,8 @@ class DurabilityConfig:
         return cls(value)
 
     def __repr__(self):
-        return "DurabilityConfig(%r, every=%r, restore=%s/%s)" % (
+        return "DurabilityConfig(%r, every=%r, on_shutdown=%s)" % (
             self.path,
             self.snapshot_every,
-            self.restore_on_start,
-            self.restore_on_restart,
+            self.snapshot_on_shutdown,
         )

@@ -277,9 +277,10 @@ class ServiceBooks:
     A shard makes its books once and hands them to every partition it
     builds, so a restart keeps what the shard counted; the gateway keeps
     one more for its standby partition.  They hold three things under
-    one lock: counts (requests, rows, :data:`RESILIENCE_COUNTERS` and
-    the partition cache's :class:`~repro.service.cache.CacheStatistics`,
-    whose cache lock this lock is), latency sums, and fixed-bucket
+    one lock: counts (requests, rows, the supervisor's progress
+    heartbeat, :data:`RESILIENCE_COUNTERS` and the partition cache's
+    :class:`~repro.service.cache.CacheStatistics`, whose cache lock
+    this lock is), latency sums, and fixed-bucket
     latency counts (:class:`LatencyBook`).  ``stats()`` and every
     registry instrument read them; nothing else keeps a copy.
     """
@@ -294,6 +295,8 @@ class ServiceBooks:
         "optimize",
         "redecide",
         "inflight",
+        "served",
+        "stalls",
     )
 
     def __init__(self):
@@ -312,6 +315,10 @@ class ServiceBooks:
         #: One token per request inside ``serve``; list append/pop are
         #: atomic under the GIL, so ``len`` is an exact lock-free gauge.
         self.inflight = []
+        #: The shard's progress heartbeat: serves finished, failed ones
+        #: too, and injected slow-serve marks (the supervisor's signals).
+        self.served = 0
+        self.stalls = 0
 
     def statistics(self, cache):
         """A :class:`ServiceStatistics` of these books, read under one
@@ -611,7 +618,12 @@ class QueryService:
                 )
                 if verifies and report is not None:  # not the static fallback
                     startup_seconds = midquery.startup_seconds
-        except ReproError as error:
+        except BaseException as error:
+            # A failed serve is progress too: the heartbeat advances.
+            with self.books.lock:
+                self.books.served += 1
+            if not isinstance(error, ReproError):
+                raise
             raise ServiceExecutionError(
                 "request tag=%r query=%r failed: %s"
                 % (request.tag, request.query.name, error),
@@ -695,6 +707,7 @@ class QueryService:
         rows = 0 if execution is None else execution.row_count
         probes = 0 if midquery is None else midquery.probes
         with books.lock:
+            books.served += 1
             books.requests += 1
             books.rows += rows
             books.startup.add(startup_seconds)

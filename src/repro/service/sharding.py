@@ -22,13 +22,21 @@ where a request is served, never what it observes:
   :class:`~repro.common.errors.ServiceOverloadError` instead of
   letting queues grow without bound.  Rejections are counted per
   reason.
+* **admit once, settle once**: whether a request enters and how it
+  ended are decided under the gateway's one books lock, taken once
+  by :meth:`ShardedQueryService._admit` (count it submitted, then
+  reserve its queue and tenant slots or count the rejection) and
+  once by :meth:`ShardedQueryService._dispatch` (count its outcome,
+  release its slots, advance the snapshot trigger).  A shard keeps
+  no admission state of its own.
 * **one set of books**: each count is kept once.  Each shard owns a
   :class:`~repro.service.service.ServiceBooks` for its whole life and
   hands it to every partition it builds, so a restart keeps what the
-  shard counted; the gateway keeps the standby partition's books and
-  its own (request outcomes, rejections, snapshot activity) under one
-  lock.  :meth:`ShardedQueryService.stats` sums the books exactly, and
-  a metrics registry only reads them.
+  shard counted, its progress heartbeat included; the gateway keeps
+  the standby partition's books and its own (admission, request
+  outcomes, rejections, snapshot activity) under its books lock.
+  :meth:`ShardedQueryService.stats` sums the books exactly, and a
+  metrics registry only reads them.
 
 There is one request path.  The gateway canonicalizes and routes each
 query once (memoized per query object), admits the request, and hands
@@ -36,16 +44,17 @@ the owning shard's ``(signature, request)`` pairs to
 :meth:`ShardedQueryService._dispatch`, which differs between entry
 points only in *where* it runs: the caller's thread for ``run``, the
 owning shard's worker for ``submit``, and that worker once per chunk
-for ``run_batch`` (one pool future and one round of outcome accounting
-per shard instead of one per request).  Dispatch calls
+for ``run_batch`` (one pool future and one settlement per shard
+instead of one per request).  Dispatch calls
 :meth:`ServiceShard.serve`, which adds only a shard's own business —
-liveness, injected faults, the progress heartbeat — to
+liveness and injected faults — to
 :meth:`QueryService.serve() <repro.service.service.QueryService.serve>`,
 the same function both failover legs run.  Neither the entry point nor
 the shard count can change what a request observes; the entry-point
 equivalence suite asserts exactly that.
 """
 
+import functools
 import logging
 import threading
 from concurrent.futures import CancelledError, Future, ThreadPoolExecutor
@@ -151,6 +160,20 @@ _LATENCY_METRICS = (
 _ROUTE_MEMO_LIMIT = 4096
 
 
+def _partition(books, database, db_lock, capacity, resilience_factory, **kwargs):
+    """A :class:`~repro.service.service.QueryService` counting into
+    ``books``: the recipe a gateway builds each shard's partitions and
+    its standby from.
+
+    A module function over the gateway's settings, not a gateway
+    method, so a shard holds no reference back to its gateway.
+    """
+    resilience = resilience_factory() if resilience_factory is not None else None
+    return QueryService(
+        database, db_lock, books, capacity=capacity, resilience=resilience, **kwargs
+    )
+
+
 def shard_index_for(signature, shard_count):
     """The shard owning ``signature``: digest hash modulo shard count.
 
@@ -164,20 +187,22 @@ class ServiceShard:
     """One partition: a private plan cache, worker, and breaker state.
 
     Wraps a dedicated :class:`~repro.service.service.QueryService` (its
-    cache *is* the partition) plus a single-thread executor and a
-    bounded pending-queue counter.  The shard never sees a query whose
-    signature hashes elsewhere, so its cache lock is contended only by
-    requests for signatures it owns.  ``make_service(books)`` builds a
-    partition; the shard's :class:`~repro.service.service.ServiceBooks`
-    are made once and handed to every partition it builds.
+    cache *is* the partition) plus a single-thread executor.  The shard
+    never sees a query whose signature hashes elsewhere, so its cache
+    lock is contended only by requests for signatures it owns.
+    ``make_service(books)`` builds a partition; the shard's
+    :class:`~repro.service.service.ServiceBooks` are made once and
+    handed to every partition it builds, and they keep its progress
+    heartbeat (``served``, ``stalls``) too.  Admission is not the
+    shard's: its ``pending`` count is written only by the gateway,
+    under the gateway's books lock.
     """
 
-    def __init__(self, index, make_service, max_pending):
+    def __init__(self, index, make_service):
         self.index = index
         self.books = ServiceBooks()
         self._make_service = make_service
         self.service = make_service(self.books)
-        self.max_pending = int(max_pending)
         #: False once the worker crashed or was killed; flipped back by
         #: :meth:`restart`.  Reads are racy by design (a health check
         #: may see a just-killed shard as alive for one sweep) — the
@@ -186,10 +211,10 @@ class ServiceShard:
         #: Bumped by every :meth:`restart`; lets tests assert a shard
         #: was actually rebuilt rather than merely marked healthy.
         self.generation = 0
-        self._pending = 0
-        self._served = 0
-        self._stalls = 0
-        self._pending_lock = threading.Lock()
+        #: Requests admitted to this shard and not yet settled (exact
+        #: gauge): the gateway reserves and releases it under its books
+        #: lock, and nothing else writes it.
+        self.pending = 0
         self._fault_lock = threading.Lock()
         #: Pending injected faults, ``[kind, remaining_serves]`` —
         #: deterministic chaos hooks, empty in production.
@@ -202,29 +227,6 @@ class ServiceShard:
         self._executor = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-shard-%d" % index
         )
-
-    @property
-    def pending(self):
-        """Requests admitted but not yet completed (exact gauge)."""
-        with self._pending_lock:
-            return self._pending
-
-    @property
-    def served(self):
-        """Requests this shard finished serving (progress heartbeat).
-
-        Counts typed failures too — a shard that fails requests
-        quickly is unhealthy in a way admission control sees, but it
-        is *making progress*, which is what supervision watches.
-        """
-        with self._pending_lock:
-            return self._served
-
-    @property
-    def stalls(self):
-        """Injected slow-serve marks seen so far (chaos hook gauge)."""
-        with self._pending_lock:
-            return self._stalls
 
     @property
     def hanging(self):
@@ -274,8 +276,8 @@ class ServiceShard:
             if fired is not None:
                 self._injected.remove([fired, 0])
         if fired == "slow":
-            with self._pending_lock:
-                self._stalls += 1
+            with self.books.lock:
+                self.books.stalls += 1
         elif fired == "crash":
             self.alive = False
             raise ShardDownError(
@@ -316,7 +318,7 @@ class ServiceShard:
         per-shard state is *rebuilt*, never resurrected from a worker
         whose history is suspect.  What survives is what was counted:
         the new partition counts into the shard's books, and slots held
-        by in-flight requests are released when their dispatch returns,
+        by in-flight requests are released when their dispatch settles,
         so the pending gauge converges to exact without a reset.
         """
         self._resume.set()
@@ -330,49 +332,15 @@ class ServiceShard:
         self.generation += 1
         self.alive = True
 
-    def try_admit(self, amount=1):
-        """Reserve queue slots or fast-reject; never blocks.
-
-        Raises :class:`ServiceOverloadError` (``reason=
-        "shard_queue_full"``) when the reservation would push the
-        pending count past ``max_pending``.
-        """
-        with self._pending_lock:
-            if self._pending + amount > self.max_pending:
-                raise ServiceOverloadError(
-                    "shard %d queue full (%d pending, limit %d)"
-                    % (self.index, self._pending, self.max_pending),
-                    reason="shard_queue_full",
-                    shard=self.index,
-                    pending=self._pending,
-                    limit=self.max_pending,
-                )
-            self._pending += amount
-
-    def reserve(self, amount):
-        """Reserve queue slots *without* the admission bound.
-
-        The batched-replay path: the caller already holds the whole
-        batch, so the queue cannot grow unboundedly — the reservation
-        only keeps the pending gauge honest while the chunk runs.
-        """
-        with self._pending_lock:
-            self._pending += amount
-
-    def release(self, amount=1):
-        """Return queue slots reserved by :meth:`try_admit`/:meth:`reserve`."""
-        with self._pending_lock:
-            self._pending -= amount
-
     def serve(self, signature, request):
         """Serve one routed request on the calling thread.
 
         :meth:`QueryService.serve() <repro.service.service.QueryService.serve>`
         behind what only a shard knows: a dead worker or an injected
         fault raises :class:`ShardDownError` before the request touches
-        the cache, every serve — failed ones too — advances the
-        progress heartbeat, and a typed execution failure is stamped
-        with this shard's index.
+        the cache, and a typed execution failure is stamped with this
+        shard's index.  The partition advances the progress heartbeat
+        (``books.served``) on every serve it finishes, failed ones too.
         """
         if not self.alive:
             raise ShardDownError(
@@ -387,9 +355,6 @@ class ServiceShard:
         except ServiceExecutionError as error:
             error.shard = self.index
             raise
-        finally:
-            with self._pending_lock:
-                self._served += 1
 
     def submit(self, work):
         """Queue ``work`` (a zero-argument callable) on the shard worker.
@@ -525,32 +490,38 @@ class ShardedQueryService:
         if shards < 1:
             raise ValueError("shard count must be at least 1")
         self.database = database
+        self.max_pending = int(max_pending)
         self.tenant_quota = tenant_quota
         self.tenant_quotas = dict(tenant_quotas or {})
         #: One lock serializing all shards' data execution against the
         #: shared database — identical serialization to one service.
         self._db_lock = threading.Lock()
-        #: The shard construction recipe, kept so the supervisor can
-        #: rebuild a crashed shard bit-identically to its original.
-        self._capacity = capacity
-        self._max_pending = max_pending
-        self._resilience_factory = resilience_factory
-        self._execute = execute
-        self._optimize = optimize
-        self._tracer = tracer
+        #: The partition recipe, kept so the supervisor can rebuild a
+        #: crashed shard bit-identically to its original.
+        self._make_service = functools.partial(
+            _partition,
+            database=database,
+            db_lock=self._db_lock,
+            capacity=capacity,
+            resilience_factory=resilience_factory,
+            optimize=optimize,
+            execute=execute,
+            tracer=tracer,
+        )
         self.shards = [
-            ServiceShard(index, self._make_service, max_pending)
-            for index in range(shards)
+            ServiceShard(index, self._make_service) for index in range(shards)
         ]
-        self._tenant_lock = threading.Lock()
-        self._tenant_inflight = {}
-        #: The gateway's books, all under ``_books_lock``.  Terminal
+        #: The gateway's books, all under ``_books_lock``, which a
+        #: request takes once to enter (:meth:`_admit`) and once to
+        #: settle (:meth:`_dispatch`).  Admission: each shard's
+        #: ``pending`` and the tenants' in-flight counts.  Terminal
         #: request accounting: every accepted request ends in exactly
         #: one of REQUEST_OUTCOMES; with the rejection counts this
         #: gives the conservation equality the chaos suite checks.
         #: Snapshot activity is counted here too, since periodic
         #: snapshots run on the shard workers.
         self._books_lock = threading.Lock()
+        self._tenant_inflight = {}
         self._submitted = 0
         self._outcomes = dict.fromkeys(REQUEST_OUTCOMES, 0)
         self._failover_reasons = {}
@@ -566,7 +537,7 @@ class ShardedQueryService:
         self.supervisor = ShardSupervisor(self)
         self.durability = DurabilityConfig.coerce(durability)
         self.restore_stats = None
-        if self.durability is not None and self.durability.restore_on_start:
+        if self.durability is not None:
             self.restore_stats = self._restore_from_disk()
         #: id(query) -> (query, signature, shard index).  The strong
         #: query reference keeps the id stable for the memo's lifetime.
@@ -658,25 +629,6 @@ class ShardedQueryService:
     # Shard construction and recovery
     # ------------------------------------------------------------------
 
-    def _make_service(self, books):
-        """A QueryService counting into ``books``, from the gateway's
-        stored recipe."""
-        resilience = (
-            self._resilience_factory()
-            if self._resilience_factory is not None
-            else None
-        )
-        return QueryService(
-            self.database,
-            self._db_lock,
-            books,
-            capacity=self._capacity,
-            optimize=self._optimize,
-            execute=self._execute,
-            tracer=self._tracer,
-            resilience=resilience,
-        )
-
     def _rebuild_shard(self, shard):
         """Supervisor callback: rebuild one shard's service and worker.
 
@@ -689,11 +641,10 @@ class ShardedQueryService:
         signatures the dead shard owned.
         """
         shard.restart()
-        config = self.durability
-        if config is not None and config.restore_on_restart:
+        if self.durability is not None:
             try:
                 restore_gateway(
-                    self, read_snapshot(config.path), only_shard=shard.index
+                    self, read_snapshot(self.durability.path), only_shard=shard.index
                 )
             except SnapshotError as error:
                 # Recovery must prefer a cold shard to no shard.
@@ -787,76 +738,75 @@ class ShardedQueryService:
     # Admission control
     # ------------------------------------------------------------------
 
-    def _reject(self, error):
-        with self._books_lock:
-            self._overload_counts[error.reason] += 1
-            rejections = self._overload_counts[error.reason]
-        # A deterministic client backoff hint: pure function of how often
-        # this reason has rejected, so test clients can assert (and
-        # replay) their backoff schedule.
-        error.retry_after_hint = backoff_hint(0, error.reason, rejections)
-        raise error
-
     def _rejection_count(self):
         with self._books_lock:
             return sum(self._overload_counts.values())
 
     def _quota_for(self, tenant):
+        """``tenant``'s in-flight quota, or None (never for ``None``)."""
+        if tenant is None:
+            return None
         return self.tenant_quotas.get(tenant, self.tenant_quota)
 
-    def _admit_tenant(self, tenant, shard_index):
-        """Reserve one tenant in-flight slot or raise (counted by caller)."""
-        quota = self._quota_for(tenant)
-        if tenant is None or quota is None:
-            return
-        with self._tenant_lock:
-            inflight = self._tenant_inflight.get(tenant, 0)
-            if inflight >= quota:
-                raise ServiceOverloadError(
-                    "tenant %r at quota (%d in flight, limit %d)"
-                    % (tenant, inflight, quota),
-                    reason="tenant_quota",
-                    shard=shard_index,
-                    tenant=tenant,
-                    pending=inflight,
-                    limit=quota,
-                )
-            self._tenant_inflight[tenant] = inflight + 1
+    def _admit(self, requests, bounded=True):
+        """Route ``requests`` and admit them; ``[(signature, shard), ...]``.
 
-    def _release_tenant(self, tenant):
-        if tenant is None or self._quota_for(tenant) is None:
-            return
-        with self._tenant_lock:
-            remaining = self._tenant_inflight.get(tenant, 0) - 1
-            if remaining > 0:
-                self._tenant_inflight[tenant] = remaining
-            else:
-                self._tenant_inflight.pop(tenant, None)
-
-    def _admit(self, request):
-        """Route one request and admit it; ``(signature, shard)``.
-
-        Counts the request submitted, then reserves a shard-queue slot
-        and a tenant-quota slot, all-or-nothing: either rejection
-        raises typed (and counted) with nothing left reserved.
+        Every request is routed first, so one that cannot be routed
+        raises having counted nothing.  Then one books acquisition
+        counts them submitted and either reserves every slot they hold
+        or counts one rejection with nothing reserved.  ``bounded`` is
+        one request from :meth:`run` or :meth:`submit`: it needs a slot
+        in its shard's queue under ``max_pending`` and, when its tenant
+        has a quota, a tenant slot, or it raises typed.  Unbounded is a
+        :meth:`run_batch`, whose caller already holds every request: it
+        reserves queue slots only, so the pending gauge shows it.
         """
-        signature, shard = self.route(request.query)
-        self._record_submitted()
-        try:
-            shard.try_admit()
-            try:
-                self._admit_tenant(request.tenant, shard.index)
-            except ServiceOverloadError:
-                shard.release()
-                raise
-        except ServiceOverloadError as error:
-            error.signature = signature
-            self._reject(error)
-        return signature, shard
+        routed = [self.route(request.query) for request in requests]
+        refusal = None
+        with self._books_lock:
+            self._submitted += len(routed)
+            if bounded:
+                ((signature, shard),) = routed
+                (request,) = requests
+                quota = self._quota_for(request.tenant)
+                inflight = self._tenant_inflight.get(request.tenant, 0)
+                if shard.pending >= self.max_pending:
+                    refusal = ServiceOverloadError(
+                        "shard %d queue full (%d pending, limit %d)"
+                        % (shard.index, shard.pending, self.max_pending),
+                        reason="shard_queue_full",
+                        shard=shard.index,
+                        pending=shard.pending,
+                        limit=self.max_pending,
+                    )
+                elif quota is not None and inflight >= quota:
+                    refusal = ServiceOverloadError(
+                        "tenant %r at quota (%d in flight, limit %d)"
+                        % (request.tenant, inflight, quota),
+                        reason="tenant_quota",
+                        shard=shard.index,
+                        tenant=request.tenant,
+                        pending=inflight,
+                        limit=quota,
+                    )
+                elif quota is not None:
+                    self._tenant_inflight[request.tenant] = inflight + 1
+            if refusal is None:
+                for _, shard in routed:
+                    shard.pending += 1
+                return routed
+            self._overload_counts[refusal.reason] += 1
+            rejections = self._overload_counts[refusal.reason]
+        refusal.signature = signature
+        # A deterministic client backoff hint: pure function of how often
+        # this reason has rejected, so test clients can assert (and
+        # replay) their backoff schedule.
+        refusal.retry_after_hint = backoff_hint(0, refusal.reason, rejections)
+        raise refusal
 
     def tenant_inflight(self, tenant):
         """Current in-flight count for ``tenant`` (exact gauge)."""
-        with self._tenant_lock:
+        with self._books_lock:
             return self._tenant_inflight.get(tenant, 0)
 
     def overload_counts(self):
@@ -867,29 +817,6 @@ class ShardedQueryService:
     # ------------------------------------------------------------------
     # Request conservation accounting
     # ------------------------------------------------------------------
-
-    def _record_submitted(self, amount=1):
-        with self._books_lock:
-            self._submitted += amount
-
-    def _record_chunk(self, completed, failed):
-        """Count a dispatched chunk's outcomes; snapshot if one is due."""
-        with self._books_lock:
-            self._outcomes["completed"] += completed
-            self._outcomes["failed"] += failed
-            due = self._snapshot_due(completed)
-        if due:
-            try:
-                self.save_snapshot()
-            except (OSError, SnapshotError) as error:
-                self._note_snapshot_failure("periodic", error)
-
-    def _record_failover(self, reason):
-        with self._books_lock:
-            self._outcomes["failed_over"] += 1
-            self._failover_reasons[reason] = (
-                self._failover_reasons.get(reason, 0) + 1
-            )
 
     def request_outcomes(self):
         """Terminal accounting of every request this gateway saw.
@@ -926,12 +853,10 @@ class ShardedQueryService:
         Prefers the next servable sibling shard (it runs the same
         ``QueryService.serve``, so the result rows match what the dead
         shard would have produced); when no sibling is servable the
-        gateway's standby service re-optimizes fresh.  The successful
-        serve is counted as a ``failed_over`` outcome under the
-        originating ``reason``; a failure on the degraded path
-        propagates to :meth:`_dispatch` and is counted ``failed``
-        there — either way the request reaches exactly one terminal
-        counter.
+        gateway's standby service re-optimizes fresh.  :meth:`_dispatch`
+        counts a returned result ``failed_over`` under the originating
+        shard-loss reason and a failure on the degraded path ``failed``
+        — either way the request reaches exactly one terminal counter.
         """
         for offset in range(1, len(self.shards)):
             sibling = self.shards[(origin.index + offset) % len(self.shards)]
@@ -944,14 +869,13 @@ class ShardedQueryService:
             break
         else:
             result = self._standby_service().serve(signature, request)
-        self._record_failover(reason)
         return result
 
     # ------------------------------------------------------------------
     # Serving
     # ------------------------------------------------------------------
 
-    def _dispatch(self, shard, chunk, reason=None):
+    def _dispatch(self, shard, chunk, reason=None, tenant=None):
         """Serve accepted requests, each to exactly one terminal outcome.
 
         ``chunk`` is ``[(signature, request), ...]``, all owned by
@@ -962,34 +886,62 @@ class ShardedQueryService:
         supervisor routes around (asked once per chunk; the shard's
         own liveness check runs per serve), or one that dies under a
         serve, sends the request to :meth:`_failover`, so the caller
-        sees a result either way, never a silently dropped request.  ``reason`` names
-        a shard loss the caller already knows of — the worker pool
-        cancelled the queued work or refused it — and sends the whole
-        chunk straight to the degraded path.  Counts exactly one of
-        :data:`REQUEST_OUTCOMES` per request, once per chunk; only
-        requests the owning shard completed advance the periodic
-        snapshot trigger.
+        sees a result either way, never a silently dropped request.
+        ``reason`` names a shard loss the caller already knows of — the
+        worker pool cancelled the queued work or refused it — and sends
+        the whole chunk straight to the degraded path.
+
+        The chunk settles in one books acquisition, however it ended:
+        exactly one of :data:`REQUEST_OUTCOMES` per request (failovers
+        with their reasons), the chunk's queue slots and ``tenant``'s
+        in-flight slot (the tenant :meth:`_admit` reserved one for, if
+        any) released, and the periodic snapshot trigger advanced by
+        the requests the owning shard completed.  This is the only
+        place a slot is released.
         """
         if reason is None and not self.supervisor.is_servable(shard):
             reason = self.supervisor.down_error(shard).reason
         outcomes = []
         completed = failed = 0
-        for signature, request in chunk:
-            lost = reason
+        failovers = []
+        try:
+            for signature, request in chunk:
+                lost = reason
+                try:
+                    if lost is None:
+                        try:
+                            outcomes.append(shard.serve(signature, request))
+                            completed += 1
+                            continue
+                        except ShardDownError as error:
+                            lost = error.reason or "crashed"
+                    outcomes.append(self._failover(signature, request, shard, lost))
+                    failovers.append(lost)
+                except Exception as error:  # noqa: BLE001 — the entry point's to raise
+                    outcomes.append(error)
+                    failed += 1
+        finally:
+            with self._books_lock:
+                shard.pending -= len(chunk)
+                if self._quota_for(tenant) is not None:
+                    remaining = self._tenant_inflight.get(tenant, 0) - 1
+                    if remaining > 0:
+                        self._tenant_inflight[tenant] = remaining
+                    else:
+                        self._tenant_inflight.pop(tenant, None)
+                self._outcomes["completed"] += completed
+                self._outcomes["failed"] += failed
+                self._outcomes["failed_over"] += len(failovers)
+                for lost in failovers:
+                    self._failover_reasons[lost] = (
+                        self._failover_reasons.get(lost, 0) + 1
+                    )
+                due = self._snapshot_due(completed)
+        if due:
             try:
-                if lost is None:
-                    try:
-                        outcomes.append(shard.serve(signature, request))
-                        completed += 1
-                        continue
-                    except ShardDownError as error:
-                        lost = error.reason or "crashed"
-                outcomes.append(self._failover(signature, request, shard, lost))
-            except Exception as error:  # noqa: BLE001 — the entry point's to raise
-                outcomes.append(error)
-                failed += 1
-        if completed or failed:
-            self._record_chunk(completed, failed)
+                self.save_snapshot()
+            except (OSError, SnapshotError) as error:
+                self._note_snapshot_failure("periodic", error)
         return outcomes
 
     def _on_worker(self, shard, work):
@@ -1051,14 +1003,12 @@ class ShardedQueryService:
             reopt_policy=reopt_policy,
             tenant=tenant,
         )
-        signature, shard = self._admit(request)
+        ((signature, shard),) = self._admit((request,))
         future = Future()
         future.set_running_or_notify_cancel()
 
         def settle(reason=None):
-            (outcome,) = self._dispatch(shard, ((signature, request),), reason)
-            shard.release()
-            self._release_tenant(tenant)
+            (outcome,) = self._dispatch(shard, ((signature, request),), reason, tenant)
             if isinstance(outcome, Exception):
                 future.set_exception(outcome)
             else:
@@ -1093,12 +1043,8 @@ class ShardedQueryService:
             reopt_policy=reopt_policy,
             tenant=tenant,
         )
-        signature, shard = self._admit(request)
-        try:
-            (outcome,) = self._dispatch(shard, ((signature, request),))
-        finally:
-            shard.release()
-            self._release_tenant(tenant)
+        ((signature, shard),) = self._admit((request,))
+        (outcome,) = self._dispatch(shard, ((signature, request),), tenant=tenant)
         if isinstance(outcome, Exception):
             raise outcome
         return outcome
@@ -1108,18 +1054,19 @@ class ShardedQueryService:
 
         The closed-loop replay path: requests are partitioned by
         owning shard and each shard worker runs its chunk in one tight
-        loop, so the pool overhead — and the outcome accounting — is
-        once per *shard* rather than once per request.  Replay is
-        bounded by construction (the caller holds the whole batch), so
-        per-request admission is skipped; the pending gauge still
-        reflects each chunk in flight.  The first failure in request
-        order is re-raised once every chunk has finished.
+        loop, so the pool overhead — and the settlement — is once per
+        *shard* rather than once per request.  Replay is bounded by
+        construction (the caller holds the whole batch), so admission
+        reserves queue slots without the bound and no tenant slots;
+        the pending gauge still reflects each chunk in flight.  A
+        batch with a request that cannot be routed raises before any
+        is counted or served.  The first failure in request order is
+        re-raised once every chunk has finished.
         """
         requests = list(requests)
-        self._record_submitted(len(requests))
         chunks = [([], []) for _ in self.shards]
-        for index, request in enumerate(requests):
-            signature, shard = self.route(request.query)
+        routed = self._admit(requests, bounded=False)
+        for index, (request, (signature, shard)) in enumerate(zip(requests, routed)):
             indexes, chunk = chunks[shard.index]
             indexes.append(index)
             chunk.append((signature, request))
@@ -1129,13 +1076,11 @@ class ShardedQueryService:
         for shard, (indexes, chunk) in zip(self.shards, chunks):
             if not chunk:
                 continue
-            shard.reserve(len(chunk))
 
             def serve_chunk(reason=None, shard=shard, indexes=indexes, chunk=chunk):
                 served = self._dispatch(shard, chunk, reason)
                 for index, outcome in zip(indexes, served):
                     outcomes[index] = outcome
-                shard.release(len(chunk))
 
             waiting.append((serve_chunk, self._on_worker(shard, serve_chunk)))
         for serve_chunk, queued in waiting:

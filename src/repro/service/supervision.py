@@ -15,16 +15,18 @@ two deterministic signals and drives a small state machine:
     restarting ──(optionally re-warmed from snapshot)──▶ healthy
 
 The signals are **counters, not wall clocks**: a shard is making
-progress when its completed-serve counter advanced since the last
-check; it is wedged when requests are pending (or its worker reports
-hanging) and the counter did not move.  Count-based detection makes
+progress when its completed-serve heartbeat (``books.served``, kept
+in the shard's books, which outlive a restart) advanced since the
+last check; it is wedged when requests are pending (``pending``, the
+gateway's admission count) or its worker reports hanging, and the
+heartbeat did not move.  Count-based detection makes
 every transition reproducible under replay — the chaos harness calls
 :meth:`check` at fixed request indexes and asserts the exact
 transition sequence.  Nothing checks on a timer: the owner of the
 gateway decides when a sweep runs.
 
 Restarting rebuilds the shard's :class:`~repro.service.service.QueryService`
-from the gateway's construction recipe: a fresh plan-cache partition,
+from the gateway's partition recipe: a fresh plan-cache partition,
 a fresh resilience policy from the gateway's factory (circuit-breaker
 state never survives the worker that accumulated it), and a fresh
 single-thread executor.  The shard's books are not rebuilt: the new
@@ -34,9 +36,13 @@ not lost: their futures resolve with
 the gateway's dispatch routes every one to the degraded path and
 counts it.  When the gateway has durable snapshots enabled, the
 restarted partition is re-warmed from the last snapshot on disk.
+
+The supervisor holds its gateway weakly: the gateway owns it, so a
+strong reference back would make every retired gateway cyclic garbage.
 """
 
 import threading
+import weakref
 
 from repro.common.errors import ShardDownError
 
@@ -65,8 +71,8 @@ class _ShardHealth:
 
     def __init__(self, shard):
         self.state = HEALTHY
-        self.last_served = shard.served
-        self.last_stalls = shard.stalls
+        self.last_served = shard.books.served
+        self.last_stalls = shard.books.stalls
         self.strikes = 0
 
 
@@ -76,7 +82,8 @@ class ShardSupervisor:
     Parameters
     ----------
     gateway:
-        The owning :class:`~repro.service.sharding.ShardedQueryService`.
+        The owning :class:`~repro.service.sharding.ShardedQueryService`,
+        held weakly.
 
     A check that finds a shard down restarts it; :meth:`restart_shard`
     restarts one on demand.
@@ -88,7 +95,8 @@ class ShardSupervisor:
     down_after = 2
 
     def __init__(self, gateway):
-        self.gateway = gateway
+        self._gateway = weakref.ref(gateway)
+        self._shards = gateway.shards
         self._lock = threading.Lock()
         self._health = {
             shard.index: _ShardHealth(shard) for shard in gateway.shards
@@ -154,11 +162,11 @@ class ShardSupervisor:
         sweep = []
         with self._lock:
             self._counts["checks"] += 1
-            for shard in self.gateway.shards:
+            for shard in self._shards:
                 health = self._health[shard.index]
                 before = len(self.transitions)
-                served = shard.served
-                stalls = shard.stalls
+                served = shard.books.served
+                stalls = shard.books.stalls
                 if not shard.alive:
                     self._transition(shard, health, DOWN)
                 elif shard.hanging or (
@@ -207,12 +215,12 @@ class ShardSupervisor:
             health = self._health[shard.index]
             self._transition(shard, health, RESTARTING)
             self._counts["restarts"] += 1
-        self.gateway._rebuild_shard(shard)
+        self._gateway()._rebuild_shard(shard)
         with self._lock:
             health = self._health[shard.index]
             health.strikes = 0
-            health.last_served = shard.served
-            health.last_stalls = shard.stalls
+            health.last_served = shard.books.served
+            health.last_stalls = shard.books.stalls
             self.transitions.append((shard.index, RESTARTING, HEALTHY))
             health.state = HEALTHY
 

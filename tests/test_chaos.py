@@ -10,6 +10,7 @@ the property the CI chaos-smoke job pins.
 """
 
 import json
+import os
 
 import pytest
 
@@ -397,3 +398,43 @@ class TestServiceChaosCli:
         )
         assert code == 2
         assert "inject_at" in capsys.readouterr().out
+
+
+#: Service-tier chaos reports pinned across commits: ``(scenario,
+#: seed)`` -> ``tests/goldens/chaos/<scenario>-seed<seed>.json``, each
+#: written by ``chaos --<scenario> --seed <seed> --requests 24
+#: --inject-at 8 --output ...`` before the gateway's admission and
+#: settlement moved under one lock.  No field is a wall-clock value,
+#: so a byte difference is a behaviour change.
+PINNED_SERVICE_REPORTS = [
+    (scenario, seed)
+    for scenario in ("kill-shard", "hang-shard")
+    for seed in (0, 7, 23)
+] + [("slow-shard", 0)]
+
+GOLDEN_CHAOS_DIR = os.path.join(os.path.dirname(__file__), "goldens", "chaos")
+
+
+class TestPinnedServiceReports:
+    @pytest.mark.parametrize("scenario, seed", PINNED_SERVICE_REPORTS)
+    def test_report_matches_golden_bytes(self, scenario, seed, tmp_path, capsys):
+        name = "%s-seed%d.json" % (scenario, seed)
+        path = tmp_path / name
+        code = main(
+            [
+                "chaos",
+                "--" + scenario,
+                "--seed",
+                str(seed),
+                "--requests",
+                "24",
+                "--inject-at",
+                "8",
+                "--output",
+                str(path),
+            ]
+        )
+        capsys.readouterr()
+        assert code == 0
+        with open(os.path.join(GOLDEN_CHAOS_DIR, name), "rb") as golden:
+            assert path.read_bytes() == golden.read()

@@ -18,6 +18,7 @@ that are counted — never as hangs or silent drops.
 """
 
 import json
+import sys
 import threading
 import time
 
@@ -338,7 +339,11 @@ class TestAdmissionControl:
                 assert len(other.service.cache) == 0
                 assert other.service.cache.stats_snapshot()["lookups"] == 0
                 assert other.pending == 0
-            shard.try_admit()  # occupy the single queue slot
+            # Occupy the single queue slot: a submitted request wedged
+            # in its serve holds it until the shard is restarted.
+            shard.inject_fault("hang")
+            wedged = gateway.submit(query, requests[0].bindings)
+            assert shard._hanging.wait(timeout=30.0)
             with pytest.raises(ServiceOverloadError) as excinfo:
                 gateway.run(query, requests[0].bindings)
             error = excinfo.value
@@ -357,14 +362,20 @@ class TestAdmissionControl:
             assert (
                 metrics.get("service_overload_rejections_total").value == 1
             )
-            # Releasing the slot un-wedges the shard: same request
-            # is now served, and no requests were silently dropped.
-            shard.release()
+            # Restarting the shard un-wedges it: the wedged request
+            # fails over, its slot is released, the same request is now
+            # served, and no requests were silently dropped.
+            gateway.supervisor.restart_shard(shard)
+            assert wedged.result(timeout=30.0).digest
+            assert shard.pending == 0
             result = gateway.run(query, requests[0].bindings)
             assert result.digest
             stats = gateway.stats()
-            assert stats.requests == 1
+            assert stats.requests == 2
             assert stats.rejections == 1
+            outcomes = gateway.request_outcomes()
+            assert outcomes["submitted"] == 3
+            assert (outcomes["completed"], outcomes["failed_over"]) == (1, 1)
 
     def test_tenant_quota_rejects_and_rolls_back_shard_slot(self):
         catalog, queries, _ = small_traffic(requests=1, shapes=1)
@@ -384,8 +395,8 @@ class TestAdmissionControl:
             assert error.reason == "tenant_quota"
             assert error.tenant == "blocked"
             assert error.limit == 0
-            # All-or-nothing admission: the shard slot reserved before
-            # the quota check was returned.
+            # All-or-nothing admission: a refused request reserves no
+            # shard slot.
             assert shard.pending == 0
             assert gateway.overload_counts()["tenant_quota"] == 1
             # Unattributed requests are never quota limited, and other
@@ -434,6 +445,78 @@ class TestAdmissionControl:
         assert stats.total.requests == len(results)
         assert stats.rejections == rejected
         assert stats.overload["shard_queue_full"] == rejected
+
+
+    def test_admission_and_settlement_are_exact_under_contention(self):
+        """Eight caller threads, thread switches every microsecond: the
+        gateway's one books lock loses no reservation, release, outcome
+        or heartbeat."""
+        catalog, _, requests = small_traffic(requests=48, shapes=3)
+        errors = []
+
+        def client(offset):
+            for request in requests[offset::8]:
+                try:
+                    gateway.run(
+                        request.query, request.bindings, tenant=offset % 3
+                    )
+                except ServiceOverloadError:
+                    pass
+                except Exception as error:  # noqa: BLE001 — collected
+                    errors.append(error)
+
+        with ShardedQueryService(
+            Database(catalog),
+            shards=2,
+            max_pending=3,
+            tenant_quota=2,
+            execute=False,
+        ) as gateway:
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                threads = [
+                    threading.Thread(target=client, args=(offset,))
+                    for offset in range(8)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60.0)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in threads)
+            assert errors == []
+            outcomes = gateway.request_outcomes()
+            assert outcomes["submitted"] == len(requests)
+            assert outcomes["submitted"] == (
+                outcomes["completed"] + outcomes["rejected"]
+            )
+            assert all(shard.pending == 0 for shard in gateway.shards)
+            assert gateway._tenant_inflight == {}
+            served = sum(shard.books.served for shard in gateway.shards)
+            assert served == outcomes["completed"] == gateway.stats().requests
+
+    def test_unroutable_batch_counts_nothing(self):
+        """A batch routes every request before it counts any: one that
+        cannot be routed raises with nothing submitted or reserved, so
+        conservation holds for the gateway's life."""
+        catalog, _, requests = small_traffic(requests=1, shapes=1)
+        with ShardedQueryService(
+            Database(catalog), shards=2, execute=False
+        ) as gateway:
+            unroutable = ServiceRequest(None, requests[0].bindings)
+            with pytest.raises(AttributeError):
+                gateway.run_batch([requests[0], unroutable])
+            gateway.run_batch(requests)
+            outcomes = gateway.request_outcomes()
+            assert outcomes["submitted"] == (
+                outcomes["completed"]
+                + outcomes["failed_over"]
+                + outcomes["failed"]
+                + outcomes["rejected"]
+            ) == 1
+            assert all(shard.pending == 0 for shard in gateway.shards)
 
 
 class TestExactStatistics:

@@ -11,8 +11,10 @@ request ends in exactly one of completed / failed-over / failed, and
 every quiescent point, including across kills and restarts.
 """
 
+import gc
 import threading
 import time
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -44,6 +46,17 @@ def wait_until(condition, timeout=30.0):
     while not condition():
         assert time.monotonic() < deadline, "condition never held"
         time.sleep(0.001)
+
+
+def occupy_queue(gateway, request):
+    """Fill a ``max_pending=1`` shard's queue through the public path:
+    one submitted request wedged in an injected hang holds the slot
+    until the shard restarts.  Returns ``(shard, future)``."""
+    target = gateway.shard_for(request.query)
+    target.inject_fault("hang")
+    wedged = gateway.submit(request.query, request.bindings)
+    assert target._hanging.wait(timeout=30.0)
+    return target, wedged
 
 
 def assert_conserved(gateway):
@@ -164,6 +177,26 @@ class TestStateMachine:
             assert error.reason == "crashed"
         finally:
             gateway.shutdown()
+
+
+    def test_retired_gateway_is_freed_without_the_collector(self):
+        """Nothing a gateway builds refers back to it — not its
+        supervisor, not a shard's partition recipe — so a gateway that
+        served, restarted a shard and shut down is freed by reference
+        counting alone."""
+        catalog, _queries, requests = traffic()
+        gateway = make_gateway(catalog)
+        gateway.run(requests[0].query, requests[0].bindings)
+        gateway.submit(requests[1].query, requests[1].bindings).result()
+        gateway.supervisor.restart_shard(gateway.shard_for(requests[0].query))
+        gateway.shutdown()
+        retired = weakref.ref(gateway)
+        gc.disable()
+        try:
+            del gateway
+            assert retired() is None
+        finally:
+            gc.enable()
 
 
 class TestFailoverConservation:
@@ -309,15 +342,15 @@ class TestOverloadHints:
         catalog, _queries, requests = traffic()
         gateway = make_gateway(catalog, max_pending=1)
         try:
-            target = gateway.shard_for(requests[0].query)
-            target.reserve(1)
+            target, wedged = occupy_queue(gateway, requests[0])
             with pytest.raises(ServiceOverloadError) as excinfo:
                 gateway.run(requests[0].query, requests[0].bindings)
             error = excinfo.value
             assert error.reason == "shard_queue_full"
             assert error.retry_after_hint is not None
             assert 0.0 < error.retry_after_hint < 0.3
-            target.release(1)
+            gateway.supervisor.restart_shard(target)
+            wedged.result(timeout=30.0)
             assert_conserved(gateway)
         finally:
             gateway.shutdown()
@@ -328,14 +361,14 @@ class TestOverloadHints:
         for _ in range(2):
             gateway = make_gateway(catalog, max_pending=1)
             try:
-                target = gateway.shard_for(requests[0].query)
-                target.reserve(1)
+                target, wedged = occupy_queue(gateway, requests[0])
                 run_hints = []
                 for _attempt in range(3):
                     with pytest.raises(ServiceOverloadError) as excinfo:
                         gateway.run(requests[0].query, requests[0].bindings)
                     run_hints.append(excinfo.value.retry_after_hint)
-                target.release(1)
+                gateway.supervisor.restart_shard(target)
+                wedged.result(timeout=30.0)
                 hints.append(run_hints)
             finally:
                 gateway.shutdown()
