@@ -101,19 +101,22 @@ def _joins_from_list(data):
 def _plan_to_nodes(plan, expected):
     """Topologically ordered node dicts; children precede parents."""
     order = []
-    index_of = {}
-
-    def visit(node):
-        if id(node) in index_of:
-            return index_of[id(node)]
-        child_indexes = [visit(child) for child in node.inputs()]
-        data = _node_to_dict(node, child_indexes, expected)
-        index_of[id(node)] = len(order)
-        order.append(data)
-        return index_of[id(node)]
-
-    root = visit(plan)
+    root = _append_nodes(plan, expected, order, {})
     return order, root
+
+
+def _append_nodes(node, expected, order, index_of):
+    """Append ``node``'s dict to ``order`` after its children's (each
+    node once, ``index_of`` mapping ``id(node)`` to its index); its index."""
+    if id(node) in index_of:
+        return index_of[id(node)]
+    child_indexes = [
+        _append_nodes(child, expected, order, index_of) for child in node.inputs()
+    ]
+    data = _node_to_dict(node, child_indexes, expected)
+    index_of[id(node)] = len(order)
+    order.append(data)
+    return index_of[id(node)]
 
 
 def _node_to_dict(node, children, expected):

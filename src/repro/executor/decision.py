@@ -106,21 +106,24 @@ def rebuild_chosen(plan, chosen, built, origins=None):
     beforehand (a checkpoint) stands in for its node.  ``origins``, when
     given, maps ``id(static node)`` to the last plan node built into it:
     a choose-plan rather than the alternative it chose.
+
+    The walk recurses on this function rather than on a nested one: a
+    nested function that calls itself holds itself in its closure, a
+    cycle only the garbage collector frees.
     """
-
-    def visit(node):
-        result = built.get(id(node))
-        if result is None:
-            if isinstance(node, ChoosePlan):
-                result = visit(chosen[id(node)])
-            else:
-                result = _rebuild(node, [visit(child) for child in node.inputs()])
-            built[id(node)] = result
-            if origins is not None:
-                origins[id(result)] = node
-        return result
-
-    return visit(plan)
+    result = built.get(id(plan))
+    if result is None:
+        if isinstance(plan, ChoosePlan):
+            result = rebuild_chosen(chosen[id(plan)], chosen, built, origins)
+        else:
+            children = [
+                rebuild_chosen(child, chosen, built, origins) for child in plan.inputs()
+            ]
+            result = _rebuild(plan, children)
+        built[id(plan)] = result
+        if origins is not None:
+            origins[id(result)] = plan
+    return result
 
 
 class CompiledDecision:

@@ -256,19 +256,18 @@ class MidQueryReport:
 
 def _postorder(plan):
     """Unique nodes, children before parents (innermost-first)."""
-    seen = set()
     order = []
-
-    def visit(node):
-        if id(node) in seen:
-            return
-        seen.add(id(node))
-        for child in node.inputs():
-            visit(child)
-        order.append(node)
-
-    visit(plan)
+    _append_postorder(plan, set(), order)
     return order
+
+
+def _append_postorder(node, seen, order):
+    if id(node) in seen:
+        return
+    seen.add(id(node))
+    for child in node.inputs():
+        _append_postorder(child, seen, order)
+    order.append(node)
 
 
 def _next_breaker(plan):
@@ -336,20 +335,19 @@ def verifies_at_startup(policy, distrusted, read_set):
 def strip_checkpoints(plan):
     """Replace every checkpoint by the subplan that produced it: the
     static plan a run's ``final_plan`` executes, costed from scratch."""
-    cache = {}
+    return _strip(plan, {})
 
-    def strip(node):
-        cached = cache.get(id(node))
-        if cached is not None:
-            return cached[1]
-        if isinstance(node, Materialized):
-            result = strip(node.original)
-        else:
-            result = _rebuild(node, [strip(child) for child in node.inputs()])
-        cache[id(node)] = (node, result)
-        return result
 
-    return strip(plan)
+def _strip(node, cache):
+    cached = cache.get(id(node))
+    if cached is not None:
+        return cached[1]
+    if isinstance(node, Materialized):
+        result = _strip(node.original, cache)
+    else:
+        result = _rebuild(node, [_strip(child, cache) for child in node.inputs()])
+    cache[id(node)] = (node, result)
+    return result
 
 
 def execute_midquery(

@@ -107,43 +107,12 @@ def resolve_dynamic_plan(plan, catalog, parameter_space, bindings):
     """
     valuation = Valuation.runtime(parameter_space, bindings)
     cost_model = CostModel(catalog, valuation)
-    resolved_cache = {}
-    decision_count = 0
     choices = []
     started = time.perf_counter()
-
-    def resolve(node):
-        nonlocal decision_count
-        cached = resolved_cache.get(id(node))
-        if cached is not None:
-            return cached[1]
-        if isinstance(node, ChoosePlan):
-            # Decide on the *resolved* alternatives: nested choose-plan
-            # decision overhead is paid for the whole DAG during this
-            # very pass, so it must not bias the comparison (branches
-            # contain different numbers of choose-plan operators).
-            decision_count += 1
-            best_plan = None
-            best_original = None
-            best_cost = None
-            for alternative in node.alternatives:
-                resolved_alternative = resolve(alternative)
-                cost = cost_model.evaluate(resolved_alternative).cost.lower
-                if best_cost is None or cost < best_cost:
-                    best_cost = cost
-                    best_plan = resolved_alternative
-                    best_original = alternative
-            choices.append((node, best_original))
-            result = best_plan
-        else:
-            result = _rebuild(node, [resolve(child) for child in node.inputs()])
-        resolved_cache[id(node)] = (node, result)
-        return result
-
-    chosen = resolve(plan)
+    chosen = _resolve(plan, cost_model, {}, choices)
     cpu_seconds = time.perf_counter() - started
     report = StartupReport(
-        decisions=decision_count,
+        decisions=len(choices),
         cost_evaluations=cost_model.evaluations,
         cpu_seconds=cpu_seconds,
         io_seconds=access_module_read_seconds(plan.node_count()),
@@ -151,6 +120,39 @@ def resolve_dynamic_plan(plan, catalog, parameter_space, bindings):
         choices=choices,
     )
     return chosen, report
+
+
+def _resolve(node, cost_model, resolved, choices):
+    """``node`` with every choose-plan under it decided; each decision
+    appended to ``choices`` as ``(choose_plan, alternative)``, children
+    first.  ``resolved`` maps ``id(node)`` to ``(node, result)``."""
+    cached = resolved.get(id(node))
+    if cached is not None:
+        return cached[1]
+    if isinstance(node, ChoosePlan):
+        # Decide on the *resolved* alternatives: nested choose-plan
+        # decision overhead is paid for the whole DAG during this
+        # very pass, so it must not bias the comparison (branches
+        # contain different numbers of choose-plan operators).
+        best_plan = None
+        best_original = None
+        best_cost = None
+        for alternative in node.alternatives:
+            resolved_alternative = _resolve(alternative, cost_model, resolved, choices)
+            cost = cost_model.evaluate(resolved_alternative).cost.lower
+            if best_cost is None or cost < best_cost:
+                best_cost = cost
+                best_plan = resolved_alternative
+                best_original = alternative
+        choices.append((node, best_original))
+        result = best_plan
+    else:
+        children = [
+            _resolve(child, cost_model, resolved, choices) for child in node.inputs()
+        ]
+        result = _rebuild(node, children)
+    resolved[id(node)] = (node, result)
+    return result
 
 
 def _rebuild(node, new_children):

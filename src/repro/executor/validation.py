@@ -54,48 +54,48 @@ def validate_plan(plan, catalog):
     :class:`InfeasiblePlanError` when nothing feasible is left — the
     signal that re-optimization is required.
     """
-    cache = {}
-
-    def validate(node):
-        cached = cache.get(id(node))
-        if cached is not None:
-            return cached[1]
-        if isinstance(node, ChoosePlan):
-            feasible = []
-            for alternative in node.alternatives:
-                validated = validate(alternative)
-                if validated is not None:
-                    feasible.append(validated)
-            if not feasible:
-                result = None
-            elif len(feasible) == 1:
-                result = feasible[0]
-            elif len(feasible) == len(node.alternatives) and all(
-                new is old
-                for new, old in zip(feasible, node.alternatives)
-            ):
-                result = node
-            else:
-                result = ChoosePlan(feasible)
-        elif not node_is_feasible(node, catalog):
-            result = None
-        else:
-            children = []
-            feasible = True
-            for child in node.inputs():
-                validated = validate(child)
-                if validated is None:
-                    feasible = False
-                    break
-                children.append(validated)
-            result = _rebuild(node, children) if feasible else None
-        cache[id(node)] = (node, result)
-        return result
-
-    validated = validate(plan)
+    validated = _validate(plan, catalog, {})
     if validated is None:
         raise InfeasiblePlanError(
             "plan is infeasible under the current catalogs; "
             "re-optimization required"
         )
     return validated
+
+
+def _validate(node, catalog, cache):
+    """``node``'s feasible part, or ``None``; ``cache`` maps ``id(node)``
+    to ``(node, result)``."""
+    cached = cache.get(id(node))
+    if cached is not None:
+        return cached[1]
+    if isinstance(node, ChoosePlan):
+        feasible = []
+        for alternative in node.alternatives:
+            validated = _validate(alternative, catalog, cache)
+            if validated is not None:
+                feasible.append(validated)
+        if not feasible:
+            result = None
+        elif len(feasible) == 1:
+            result = feasible[0]
+        elif len(feasible) == len(node.alternatives) and all(
+            new is old for new, old in zip(feasible, node.alternatives)
+        ):
+            result = node
+        else:
+            result = ChoosePlan(feasible)
+    elif not node_is_feasible(node, catalog):
+        result = None
+    else:
+        children = []
+        feasible = True
+        for child in node.inputs():
+            validated = _validate(child, catalog, cache)
+            if validated is None:
+                feasible = False
+                break
+            children.append(validated)
+        result = _rebuild(node, children) if feasible else None
+    cache[id(node)] = (node, result)
+    return result

@@ -13,8 +13,9 @@ turns that amortization argument into a running subsystem:
   shards that partition the plan cache by signature hash, with bounded
   admission queues, per-tenant quotas, and exactly aggregated
   statistics; ``shards=1`` is a single-partition deployment;
-* :mod:`.service` — :class:`QueryService`, the partition core each
-  shard routes to: repeated queries skip optimization entirely and go
+* :mod:`.service` — :class:`ServiceShard`, one partition and the
+  request path the gateway routes to (the standby it fails over to
+  last is one too): repeated queries skip optimization entirely and go
   straight to the start-up decision procedure under fresh bindings;
 * :mod:`.supervision` — :class:`ShardSupervisor`, health-checking the
   gateway's shard workers (progress heartbeats, hang detection) and
@@ -40,13 +41,12 @@ from repro.service.durability import (
 )
 from repro.service.replay import ReplayReport, render_report, replay_spec
 from repro.service.service import (
-    QueryService,
     ServiceRequest,
     ServiceResult,
+    ServiceShard,
     ServiceStatistics,
 )
 from repro.service.sharding import (
-    ServiceShard,
     ShardedQueryService,
     ShardedServiceStatistics,
     shard_index_for,
@@ -60,7 +60,6 @@ __all__ = [
     "DurabilityConfig",
     "PlanCache",
     "PlanCacheEntry",
-    "QueryService",
     "ReplayReport",
     "RestoreStats",
     "SHARD_STATES",

@@ -150,7 +150,7 @@ class PlanCacheEntry:
         #: :mod:`repro.resilience`); ``None`` until first needed.
         self.fallback_plan = None
         #: Decision-outcome -> rebuilt static plan memo used by
-        #: ``QueryService.serve``: one query shape has only a few
+        #: ``ServiceShard.serve``: one query shape has only a few
         #: distinct choose-plan outcomes, so the chosen static plan is
         #: rebuilt once per outcome instead of once per invocation.
         #: Replaced (never cleared in place) by ``install`` and
@@ -160,7 +160,7 @@ class PlanCacheEntry:
         #: Demoted and not served since (:meth:`demote`).
         self.demoted = False
         #: The optimizer run the plan was compiled or shared from, if
-        #: its partition shares it (``QueryService``, "Shared
+        #: its partition shares it (``ServiceShard``, "Shared
         #: compiles"); holding it keeps it shareable.
         self.compiled_from = None
         self.lock = threading.RLock()

@@ -219,7 +219,7 @@ def build_snapshot(gateway):
     """
     entries = []
     for shard in gateway.shards:
-        for entry in shard.service.cache.entries():
+        for entry in shard.cache.entries():
             data = _entry_to_dict(entry)
             if data is not None:
                 entries.append(data)
@@ -314,20 +314,20 @@ def read_snapshot(path):
 # ----------------------------------------------------------------------
 
 
-def _restore_entry(service, data):
-    """Rebuild one entry inside ``service``'s cache partition.
+def _restore_entry(shard, data):
+    """Rebuild one entry inside ``shard``'s cache partition.
 
     Returns ``"restored"``, or ``"skipped"`` when the partition already
     holds the signature.
     """
     query = _query_from_dict(data["query"])
     signature = canonical_signature(query)
-    entry, created = service.cache.seed_entry(signature, query)
+    entry, created = shard.cache.seed_entry(signature, query)
     if not created:
         return "skipped"
     space = _space_from_list(data["parameters"])
     plan = AccessModule.from_bytes(data["plan"].encode("utf-8")).materialize()
-    decision = CompiledDecision(plan, service.catalog, space)
+    decision = CompiledDecision(plan, shard.catalog, space)
     with entry.lock:
         entry.install(plan, space, decision)
         entry.observed = {
@@ -339,10 +339,10 @@ def _restore_entry(service, data):
     return "restored"
 
 
-def _restore_entries(service, entries, stats):
+def _restore_entries(shard, entries, stats):
     for data in entries:
         try:
-            outcome = _restore_entry(service, data)
+            outcome = _restore_entry(shard, data)
         except Exception as error:  # noqa: BLE001 — one bad entry must
             # not cold-start the whole tier; the rest still restore.
             name = None
@@ -389,7 +389,7 @@ def restore_gateway(gateway, snapshot, only_shard=None):
     for index, entries in enumerate(by_shard):
         if only_shard is not None and index != only_shard:
             continue
-        _restore_entries(gateway.shards[index].service, entries, stats)
+        _restore_entries(gateway.shards[index], entries, stats)
     return stats
 
 

@@ -1,14 +1,14 @@
 """One plan-cache partition and the request path that serves it.
 
-:class:`QueryService` is the partition core behind the one serving
-front end, :class:`~repro.service.sharding.ShardedQueryService`: the
-gateway routes each request to a shard, and the shard's
-``QueryService.serve`` applies the paper's embedded-SQL amortization.
-The *first* invocation of a query pays full dynamic-plan optimization;
-every later invocation finds the compiled plan in the LRU cache and
-pays only the choose-plan start-up decision under its fresh bindings,
-then (optionally) executes the chosen static plan.  A single-partition
-deployment is ``ShardedQueryService(database, shards=1)``.
+:class:`ServiceShard` is one partition behind the one serving front
+end, :class:`~repro.service.sharding.ShardedQueryService`: the gateway
+routes each request to a shard, and the shard's ``serve`` applies the
+paper's embedded-SQL amortization.  The *first* invocation of a query
+pays full dynamic-plan optimization; every later invocation finds the
+compiled plan in the LRU cache and pays only the choose-plan start-up
+decision under its fresh bindings, then (optionally) executes the
+chosen static plan.  A single-partition deployment is
+``ShardedQueryService(database, shards=1)``.
 
 Concurrency model:
 
@@ -34,6 +34,7 @@ import threading
 import time
 import weakref
 from bisect import bisect_left
+from concurrent.futures import ThreadPoolExecutor
 
 from repro.common.errors import (
     MemoryDropError,
@@ -42,6 +43,7 @@ from repro.common.errors import (
     QueryTimeoutError,
     ReproError,
     ServiceExecutionError,
+    ShardDownError,
     TransientIOError,
 )
 from repro.common.stats import percentile  # re-exported
@@ -61,10 +63,10 @@ from repro.service.cache import CacheStatistics, PlanCache
 
 __all__ = [
     "LatencyBook",
-    "QueryService",
     "ServiceBooks",
     "ServiceRequest",
     "ServiceResult",
+    "ServiceShard",
     "ServiceStatistics",
     "percentile",
 ]
@@ -274,11 +276,10 @@ class LatencyBook:
 class ServiceBooks:
     """One shard's counts, kept once, for the shard's whole life.
 
-    A shard makes its books once and hands them to every partition it
-    builds, so a restart keeps what the shard counted; the gateway keeps
-    one more for its standby partition.  They hold three things under
-    one lock: counts (requests, rows, the supervisor's progress
-    heartbeat, :data:`RESILIENCE_COUNTERS` and the partition cache's
+    A shard makes its books once and keeps them across every restart,
+    so a restart keeps what the shard counted.  They hold three things
+    under one lock: counts (requests, rows, the supervisor's progress
+    heartbeat, :data:`RESILIENCE_COUNTERS` and the shard cache's
     :class:`~repro.service.cache.CacheStatistics`, whose cache lock
     this lock is), latency sums, and fixed-bucket
     latency counts (:class:`LatencyBook`).  ``stats()`` and every
@@ -441,29 +442,37 @@ class ServiceStatistics:
         )
 
 
-class QueryService:
-    """One plan-cache partition: the request path the gateway routes to.
+#: Deterministic shard fault kinds accepted by
+#: :meth:`ServiceShard.inject_fault` (the service-tier chaos hooks).
+SHARD_FAULT_KINDS = ("crash", "hang", "slow")
 
-    Constructed only by :class:`~repro.service.sharding.ShardedQueryService`,
-    one per shard; callers serve through the gateway's ``run`` /
-    ``submit`` / ``run_batch``.
+
+class ServiceShard:
+    """One plan-cache partition and the request path that serves it.
+
+    Built only by :class:`~repro.service.sharding.ShardedQueryService`,
+    one per shard ``index`` plus the standby (``index=None``), which the
+    gateway never routes to and serves on only when no shard can.  A
+    shard sees only the signatures that hash to it.  It owns its
+    :class:`ServiceBooks` for its whole life; its plan cache,
+    shared-compile map, resilience policy and worker (rebuilt by
+    :meth:`restart`); and its fault hooks.  Its ``pending`` admission
+    count is written only by the gateway, under the gateway's books lock.
 
     Parameters
     ----------
-    database:
-        The :class:`~repro.storage.database.Database` served; its
-        catalog is the compilation context for every cached plan (one
-        service instance per catalog — the cache key assumes it).
-    db_lock:
-        The lock serializing data execution against ``database``; the
-        gateway passes one lock to every partition, so all executions
-        serialize against the same database.
-    books:
-        The :class:`ServiceBooks` the partition counts into, owned by
-        its shard (or, for the standby, the gateway); the plan cache
-        keeps its counters there, under the books lock.
-    capacity:
-        LRU plan-cache capacity, in *live* entries (see ``PlanCache``).
+    index:
+        The shard's position in the gateway, or ``None`` for the standby.
+    database, db_lock:
+        The gateway's :class:`~repro.storage.database.Database`, whose
+        catalog compiles every cached plan (the cache key assumes one
+        catalog), and the one lock every shard serializes execution on.
+    capacity, resilience_factory:
+        As for the gateway: plan-cache capacity in *live* entries, and
+        the factory of the shard's
+        :class:`~repro.resilience.policy.ResiliencePolicy`, called again
+        on every restart (``None``, or a factory returning ``None``,
+        gives the policy defaults: retries on, breaker off, no deadline).
     optimize:
         Optimizer entry point, ``optimize_dynamic`` by default.
     execute:
@@ -473,13 +482,6 @@ class QueryService:
         Optional :class:`~repro.observability.trace.Tracer` forwarded
         to plan execution, recording per-operator spans.  ``None``
         costs one ``is None`` test per iterator open.
-    resilience:
-        A :class:`~repro.resilience.policy.ResiliencePolicy` bundling
-        the transient-fault retry policy, the optional per-signature
-        circuit breaker on staleness-driven re-optimization, the
-        mid-run degradation budget, and the default query deadline.
-        ``None`` uses the policy defaults (retries on, breaker off, no
-        deadline), which leave fault-free behaviour untouched.
 
     Execution runs at the engine's default batch size
     (:data:`~repro.executor.vectorized.DEFAULT_BATCH_SIZE`), so a query
@@ -489,38 +491,198 @@ class QueryService:
 
     def __init__(
         self,
+        index,
         database,
         db_lock,
-        books,
         capacity=64,
+        resilience_factory=None,
         optimize=None,
         execute=True,
         tracer=None,
-        resilience=None,
     ):
         if optimize is None:
             from repro.optimizer.optimizer import optimize_dynamic
 
             optimize = optimize_dynamic
+        self.index = index
         self.database = database
         self.catalog = database.catalog
-        self.books = books
-        self.cache = PlanCache(capacity, books.cache)
+        self.books = ServiceBooks()
         self.default_execute = bool(execute)
         self.tracer = tracer
-        self.resilience = resilience if resilience is not None else ResiliencePolicy()
         self._optimize = optimize
+        self._db_lock = db_lock
+        self._capacity = capacity
+        self._make_policy = resilience_factory or ResiliencePolicy
+        self._shared_lock = threading.Lock()
+        #: False once the worker crashed or was killed; flipped back by
+        #: :meth:`restart`.  Reads are racy by design (a health check
+        #: may see a just-killed shard as alive for one sweep) — the
+        #: serve path re-checks and raises typed.
+        self.alive = True
+        #: Bumped by every :meth:`restart`; lets tests assert a shard
+        #: was actually rebuilt rather than merely marked healthy.
+        self.generation = 0
+        #: Requests admitted to this shard and not yet settled (exact
+        #: gauge): the gateway reserves and releases it under its books
+        #: lock, and nothing else writes it.
+        self.pending = 0
+        self._fault_lock = threading.Lock()
+        #: Pending injected faults, ``[kind, remaining_serves]`` —
+        #: deterministic chaos hooks, empty in production.
+        self._injected = []
+        #: Set while the worker is wedged inside an injected hang; the
+        #: supervisor reads it as a no-progress signal and the chaos
+        #: harness waits on it to synchronize deterministically.
+        self._hanging = threading.Event()
+        self._resume = threading.Event()
+        self._build()
+
+    def _build(self):
+        """A cold partition: fresh cache, policy, shared-compile map, worker."""
+        self.cache = PlanCache(self._capacity, self.books.cache)
+        self.resilience = self._make_policy() or ResiliencePolicy()
         #: input signature -> SharedCompile of the first bounds-only
         #: optimizer run over it, alive while an entry holds it.
         self._shared = weakref.WeakValueDictionary()
-        self._shared_lock = threading.Lock()
-        self._db_lock = db_lock
+        self._executor = ThreadPoolExecutor(
+            max_workers=1, thread_name_prefix="repro-shard-%s" % self.index
+        )
 
-    def _count(self, name, amount=1):
-        """Bump one resilience counter in the books."""
+    @property
+    def service(self):
+        """This shard: an alias ``benchmarks/e2e/layers.py`` reads, which
+        changes only with the benchmark; nothing else uses it."""
+        return self
+
+    @property
+    def hanging(self):
+        """Whether the worker is currently wedged in an injected hang."""
+        return self._hanging.is_set()
+
+    def _note(self, counter, event=None, **fields):
+        """Count one resilience outcome; a tracer also gets ``event`` as a warning."""
         books = self.books
         with books.lock:
-            books.resilience[name] += amount
+            books.resilience[counter] += 1
+        if event is not None and self.tracer is not None:
+            self.tracer.event(event, level="warn", **fields)
+
+    # ------------------------------------------------------------------
+    # Deterministic fault hooks (chaos harness / supervision tests)
+    # ------------------------------------------------------------------
+
+    def inject_fault(self, kind, after=0, count=1):
+        """Arm a deterministic fault on this shard's serve path.
+
+        ``kind`` is ``"crash"`` (the serve raises
+        :class:`ShardDownError` and the shard marks itself dead),
+        ``"hang"`` (the serving thread blocks until :meth:`restart` or
+        :meth:`kill` releases it, then fails over), or ``"slow"``
+        (the serve completes normally but bumps the stall gauge the
+        supervisor reads as a slow-shard signal).  The fault fires on
+        the ``after``-th next serve (0 = the very next), ``count``
+        times for ``"slow"``.
+        """
+        if kind not in SHARD_FAULT_KINDS:
+            raise ShardDownError(
+                "unknown shard fault kind %r" % kind,
+                shard=self.index,
+                reason="bad_fault",
+            )
+        with self._fault_lock:
+            for _ in range(count if kind == "slow" else 1):
+                self._injected.append([kind, int(after)])
+
+    def _check_faults(self):
+        # Nothing armed — always, outside the chaos harness — so look
+        # before taking the lock on every serve.  A fault armed this
+        # instant fires on this serve or the next, exactly as it would
+        # have racing this serve for the lock.
+        if not self._injected:
+            return
+        fired = None
+        with self._fault_lock:
+            for fault in self._injected:
+                if fault[1] > 0:
+                    fault[1] -= 1
+                elif fired is None:
+                    fired = fault[0]
+            if fired is not None:
+                self._injected.remove([fired, 0])
+        if fired == "slow":
+            with self.books.lock:
+                self.books.stalls += 1
+        elif fired == "crash":
+            self.alive = False
+            raise ShardDownError(
+                "shard %s worker crashed (injected)" % self.index,
+                shard=self.index,
+                reason="crashed",
+            )
+        elif fired == "hang":
+            self._resume.clear()
+            self._hanging.set()
+            self._resume.wait()
+            self._hanging.clear()
+            raise ShardDownError(
+                "shard %s worker hung and was recovered" % self.index,
+                shard=self.index,
+                reason="hung",
+            )
+
+    # ------------------------------------------------------------------
+    # Worker lifecycle
+    # ------------------------------------------------------------------
+
+    def kill(self):
+        """Abruptly lose the worker (chaos hook / operator action).
+
+        Marks the shard dead, releases any wedged serve, and cancels
+        queued work.  Queued work resolves cancelled and in-flight
+        serves raise :class:`ShardDownError`; the gateway's dispatch
+        fails every one of them over — the kill loses capacity, never
+        requests.
+        """
+        self.alive = False
+        self._resume.set()
+        self._executor.shutdown(wait=False, cancel_futures=True)
+
+    def restart(self):
+        """Rebuild the partition in place and come back alive.
+
+        The old executor is shut down (releasing a wedged serve, which
+        then fails typed and is failed over); the cache, resilience
+        policy, shared-compile map and worker are rebuilt, never
+        resurrected from a worker whose history is suspect.  ``books``,
+        ``pending`` and ``index`` survive: a serve in flight across the
+        restart finishes on the entry it looked up and counts into the
+        same books, and its dispatch releases the slots it holds, so
+        the pending gauge converges to exact without a reset.
+        """
+        self._resume.set()
+        self._executor.shutdown(wait=False, cancel_futures=True)
+        with self._fault_lock:
+            self._injected.clear()
+        self._build()
+        self.generation += 1
+        self.alive = True
+
+    def submit(self, work):
+        """Queue ``work`` (a zero-argument callable) on the shard worker.
+
+        Raises ``RuntimeError`` once the worker pool has shut down.
+        """
+        return self._executor.submit(work)
+
+    def shutdown(self, wait=True):
+        """Stop the shard worker; the partition stays readable.
+
+        Releases a wedged serve first so a hung worker cannot block
+        shutdown forever.
+        """
+        self._resume.set()
+        self._executor.shutdown(wait=wait)
 
     # ------------------------------------------------------------------
     # Serving
@@ -530,26 +692,38 @@ class QueryService:
         """The request path: plan-cache lookup, refresh, decide, execute.
 
         Every entry point of the serving tier ends here — the gateway's
-        ``run``, ``submit`` and ``run_batch`` through the owning shard
+        ``run``, ``submit`` and ``run_batch`` on the owning shard
         (:mod:`repro.service.sharding`), and the gateway's failover
-        legs — with the canonical ``signature`` already computed by the
-        gateway's router.  The start-up decision runs the entry's
-        compiled program and reuses its decision-outcome memo, so the
-        chosen static plan is *rebuilt* once per distinct outcome
-        instead of once per invocation.  A request that executes under
-        ``auto`` while its entry distrusts every selectivity the
-        decisions read makes no decision here: its run counts them and
-        decides once, on the counts
+        legs on a sibling or the standby — with the canonical
+        ``signature`` already computed by the gateway's router.  A dead
+        worker or an injected fault raises :class:`ShardDownError`
+        before the request touches the cache.  The start-up decision
+        runs the entry's compiled program and reuses its
+        decision-outcome memo, so the chosen static plan is *rebuilt*
+        once per distinct outcome instead of once per invocation.  A
+        request that executes under ``auto`` while its entry distrusts
+        every selectivity the decisions read makes no decision here:
+        its run counts them and decides once, on the counts
         (:func:`~repro.executor.midquery.verifies_at_startup`), and its
         ``startup_seconds`` times that decision.
 
         Library errors (:class:`~repro.common.errors.ReproError`) that
         survive the resilience machinery are wrapped in
         :class:`~repro.common.errors.ServiceExecutionError` carrying
-        the request tag, query name, signature, cache-hit state, and
-        attempt count, with the original error chained as
-        ``__cause__``.
+        the request tag, query name, signature, cache-hit state,
+        attempt count and this shard's index, with the original error
+        chained as ``__cause__``.  The progress heartbeat
+        (``books.served``) advances on every serve that gets past the
+        fault check, failed ones too.
         """
+        if not self.alive:
+            raise ShardDownError(
+                "shard %s worker is dead" % self.index,
+                shard=self.index,
+                signature=signature,
+                reason="crashed",
+            )
+        self._check_faults()
         started = time.perf_counter()
         bindings = request.bindings
         cache_hit = None
@@ -599,9 +773,6 @@ class QueryService:
 
             execution = midquery = None
             if executing:
-                deadline_seconds = request.deadline_seconds
-                if deadline_seconds is None:
-                    deadline_seconds = self.resilience.deadline_seconds
                 execution, chosen, report, midquery = self._execute_with_resilience(
                     entry,
                     chosen,
@@ -611,9 +782,7 @@ class QueryService:
                     distrusted,
                     plan,
                     parameter_space,
-                    bindings,
-                    Deadline.ensure(deadline_seconds),
-                    reopt,
+                    request,
                     info,
                 )
                 if verifies and report is not None:  # not the static fallback
@@ -632,6 +801,7 @@ class QueryService:
                 cache_hit=cache_hit,
                 attempts=info["attempts"],
                 cause=error,
+                shard=self.index,
                 signature=signature,
             ) from error
         finally:
@@ -675,11 +845,9 @@ class QueryService:
             # Breaker open: serve the cached plan (still correct, its
             # choose-plans simply were not optimized for these bounds)
             # instead of paying yet another re-optimization.
-            self._count("breaker_short_circuits")
-            if self.tracer is not None:
-                self.tracer.event(
-                    "breaker_short_circuit", level="warn", digest=entry.digest
-                )
+            self._note(
+                "breaker_short_circuits", "breaker_short_circuit", digest=entry.digest
+            )
             stale = []
         if stale:
             with entry.lock:
@@ -692,11 +860,7 @@ class QueryService:
                     reoptimized = True
             if reoptimized and breaker is not None:
                 if breaker.record_reoptimization(entry.digest):
-                    self._count("breaker_trips")
-                    if self.tracer is not None:
-                        self.tracer.event(
-                            "breaker_trip", level="warn", digest=entry.digest
-                        )
+                    self._note("breaker_trips", "breaker_trip", digest=entry.digest)
         elif breaker is not None:
             breaker.record_success(entry.digest)
         return optimize_seconds, reoptimized
@@ -742,7 +906,7 @@ class QueryService:
             shared = self._shared.get(key)
         if shared is not None:
             plan, decision = shared.rebind(query)
-            self._count("shared_compiles")
+            self._note("shared_compiles")
         else:
             result = self._optimize(self.catalog, query)
             plan = result.plan
@@ -750,7 +914,7 @@ class QueryService:
             # cannot cost: the DecisionCompilationError fails the
             # request, typed.
             decision = CompiledDecision(plan, self.catalog, query.parameter_space)
-            self._count("decision_compiles")
+            self._note("decision_compiles")
             if result.bounds_only:
                 shared = SharedCompile(plan, decision)
                 with self._shared_lock:
@@ -789,16 +953,15 @@ class QueryService:
         distrusted,
         plan,
         parameter_space,
-        bindings,
-        deadline,
-        reopt,
+        request,
         info,
     ):
-        """Run the chosen plan, retrying and degrading per the policy.
+        """Run the chosen plan for ``request``, retrying and degrading
+        per the policy, under the request's deadline (or the policy's).
 
         * transient faults retry with exponential backoff (sleeping
           outside the database lock) up to the retry budget;
-        * with an active ``reopt`` policy the run goes through
+        * with an active ``request.reopt_policy`` the run goes through
           :func:`~repro.executor.midquery.execute_midquery`: pipeline
           breakers checkpoint their results and may splice in a
           cheaper alternative mid-flight (the mid-query report rides
@@ -819,6 +982,12 @@ class QueryService:
         report, or ``None`` for a plain run.
         """
         retry = self.resilience.retry
+        bindings = request.bindings
+        reopt = request.reopt_policy
+        deadline_seconds = request.deadline_seconds
+        if deadline_seconds is None:
+            deadline_seconds = self.resilience.deadline_seconds
+        deadline = Deadline.ensure(deadline_seconds)
         transient_retries = 0
         degradations = 0
         use_midquery = reopt is not None and reopt.active
@@ -861,67 +1030,55 @@ class QueryService:
                 if transient_retries >= retry.max_retries:
                     raise
                 transient_retries += 1
-                self._count("transient_retries")
-                if self.tracer is not None:
-                    self.tracer.event(
-                        "transient_retry",
-                        level="warn",
-                        site=error.site,
-                        operation_index=error.operation_index,
-                        attempt=transient_retries,
-                    )
+                self._note(
+                    "transient_retries",
+                    "transient_retry",
+                    site=error.site,
+                    operation_index=error.operation_index,
+                    attempt=transient_retries,
+                )
                 self.resilience.sleep(
                     retry.delay(transient_retries, key=entry.digest)
                 )
             except MemoryDropError as error:
                 degradations += 1
-                self._count("degradations")
+                self._note(
+                    "degradations",
+                    "memory_drop_degradation",
+                    new_memory_pages=error.new_memory_pages,
+                    operation_index=error.operation_index,
+                    degradations=degradations,
+                )
                 bindings = bindings.copy().bind(
                     MEMORY_PARAMETER, error.new_memory_pages
                 )
-                if self.tracer is not None:
-                    self.tracer.event(
-                        "memory_drop_degradation",
-                        level="warn",
-                        new_memory_pages=error.new_memory_pages,
-                        operation_index=error.operation_index,
-                        degradations=degradations,
-                    )
                 fallback = None
                 if degradations > self.resilience.max_degradations:
                     fallback = self._fallback_plan(entry)
                 if fallback is not None:
                     chosen, report = fallback, None
                     use_midquery = False
-                    self._count("fallback_activations")
-                    if self.tracer is not None:
-                        self.tracer.event(
-                            "static_fallback",
-                            level="warn",
-                            digest=entry.digest,
-                        )
+                    self._note(
+                        "fallback_activations", "static_fallback", digest=entry.digest
+                    )
                 else:
                     chosen, report = decision.choose(bindings)
-                    self._count("incremental_redecisions")
+                    self._note("incremental_redecisions")
             except PermanentIOError as error:
-                self._count("permanent_failures")
-                if self.tracer is not None:
-                    self.tracer.event(
-                        "permanent_failure",
-                        level="warn",
-                        site=error.site,
-                        operation_index=error.operation_index,
-                    )
+                self._note(
+                    "permanent_failures",
+                    "permanent_failure",
+                    site=error.site,
+                    operation_index=error.operation_index,
+                )
                 raise
             except QueryTimeoutError as error:
-                self._count("timeouts")
-                if self.tracer is not None:
-                    self.tracer.event(
-                        "query_timeout",
-                        level="warn",
-                        deadline_seconds=error.deadline_seconds,
-                        rows_produced=error.rows_produced,
-                    )
+                self._note(
+                    "timeouts",
+                    "query_timeout",
+                    deadline_seconds=error.deadline_seconds,
+                    rows_produced=error.rows_produced,
+                )
                 raise
 
     def _fallback_plan(self, entry):
@@ -949,11 +1106,12 @@ class QueryService:
 
     def stats(self):
         """A :class:`ServiceStatistics` snapshot of the shard's books,
-        with this partition's cache sizes."""
+        with its cache's sizes."""
         return self.books.statistics(self.cache.stats_snapshot())
 
     def __repr__(self):
-        return "QueryService(%d cached plans, %d requests)" % (
+        return "ServiceShard(%s, pending=%d, %d cached plans)" % (
+            self.index,
+            self.pending,
             len(self.cache),
-            self.books.requests,
         )

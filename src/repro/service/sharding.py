@@ -6,61 +6,47 @@
 where a request is served, never what it observes:
 
 * the gateway canonicalizes each query once, hashes its signature
-  digest, and routes the request to one of N :class:`ServiceShard`\\ s.
-  Routing is pure function of the canonical signature, so every
-  invocation of one query shape lands on the same shard and the
+  digest, and routes the request to one of N shards, each a
+  :class:`~repro.service.service.ServiceShard`.  Routing is a pure
+  function of the canonical signature, so every invocation of one
+  query shape lands on the same shard and the
   optimize-once/execute-many amortization is preserved per partition.
-* each **shard** owns one :class:`~repro.service.service.QueryService`
-  partition — its own :class:`~repro.service.cache.PlanCache` with its
-  own lock and its own staleness/circuit-breaker state — plus its own
-  worker thread, so requests for *different* signatures never
-  serialize on a shared cache lock.  Shards share one database lock,
-  so data execution is serialized exactly as in one partition.
-* **admission control**: each shard's queue is bounded; when it is
-  full — or the requesting tenant is at its in-flight quota — the
-  gateway fast-rejects at submit time with a typed
-  :class:`~repro.common.errors.ServiceOverloadError` instead of
-  letting queues grow without bound.  Rejections are counted per
-  reason.
-* **admit once, settle once**: whether a request enters and how it
-  ended are decided under the gateway's one books lock, taken once
+  A shard has its own :class:`~repro.service.cache.PlanCache`, lock,
+  staleness/circuit-breaker state and worker thread, so requests for
+  *different* signatures never serialize on a shared cache lock.
+  Shards share one database lock, so data execution is serialized
+  exactly as in one partition.
+* **admit once, settle once**: each shard's queue is bounded, and so
+  is each tenant's in-flight count.  Whether a request enters and how
+  it ended are decided under the gateway's one books lock, taken once
   by :meth:`ShardedQueryService._admit` (count it submitted, then
-  reserve its queue and tenant slots or count the rejection) and
-  once by :meth:`ShardedQueryService._dispatch` (count its outcome,
-  release its slots, advance the snapshot trigger).  A shard keeps
-  no admission state of its own.
-* **one set of books**: each count is kept once.  Each shard owns a
-  :class:`~repro.service.service.ServiceBooks` for its whole life and
-  hands it to every partition it builds, so a restart keeps what the
-  shard counted, its progress heartbeat included; the gateway keeps
-  the standby partition's books and its own (admission, request
+  reserve its queue and tenant slots, or count the rejection and raise
+  a typed :class:`~repro.common.errors.ServiceOverloadError`) and once
+  by :meth:`ShardedQueryService._dispatch` (count its outcome, release
+  its slots, advance the snapshot trigger).
+* **one set of books**: each count is kept once.  Each shard, the
+  standby included, owns a :class:`~repro.service.service.ServiceBooks`
+  that a restart keeps; the gateway keeps its own (admission, request
   outcomes, rejections, snapshot activity) under its books lock.
   :meth:`ShardedQueryService.stats` sums the books exactly, and a
   metrics registry only reads them.
 
-There is one request path.  The gateway canonicalizes and routes each
-query once (memoized per query object), admits the request, and hands
-the owning shard's ``(signature, request)`` pairs to
-:meth:`ShardedQueryService._dispatch`, which differs between entry
-points only in *where* it runs: the caller's thread for ``run``, the
-owning shard's worker for ``submit``, and that worker once per chunk
-for ``run_batch`` (one pool future and one settlement per shard
-instead of one per request).  Dispatch calls
-:meth:`ServiceShard.serve`, which adds only a shard's own business —
-liveness and injected faults — to
-:meth:`QueryService.serve() <repro.service.service.QueryService.serve>`,
-the same function both failover legs run.  Neither the entry point nor
-the shard count can change what a request observes; the entry-point
-equivalence suite asserts exactly that.
+There is one request path.  The gateway routes each query once per
+query object, admits the request, and hands the owning shard's
+``(signature, request)`` pairs to :meth:`ShardedQueryService._dispatch`,
+which runs on the caller's thread for ``run``, on the shard's worker
+for ``submit``, and there once per chunk for ``run_batch``.  Dispatch
+calls :meth:`ServiceShard.serve() <repro.service.service.ServiceShard.serve>`,
+the function the failover leg runs on a sibling or the standby, so
+neither the entry point nor the shard count can change what a request
+observes; the entry-point equivalence suite asserts exactly that.
 """
 
-import functools
 import logging
 import threading
-from concurrent.futures import CancelledError, Future, ThreadPoolExecutor
+from concurrent.futures import CancelledError, Future
 
 from repro.common.errors import (
-    ServiceExecutionError,
     ServiceOverloadError,
     ShardDownError,
     SnapshotError,
@@ -76,9 +62,8 @@ from repro.service.durability import (
 )
 from repro.service.service import (
     RESILIENCE_COUNTERS,
-    QueryService,
-    ServiceBooks,
     ServiceRequest,
+    ServiceShard,
     ServiceStatistics,
 )
 from repro.service.supervision import ShardSupervisor
@@ -87,7 +72,6 @@ logger = logging.getLogger(__name__)
 
 __all__ = [
     "REQUEST_OUTCOMES",
-    "ServiceShard",
     "ShardedQueryService",
     "ShardedServiceStatistics",
     "shard_index_for",
@@ -102,10 +86,6 @@ OVERLOAD_REASONS = ("shard_queue_full", "tenant_quota")
 #: + rejected`` at quiescence — the chaos harness asserts the equality
 #: exactly.
 REQUEST_OUTCOMES = ("completed", "failed_over", "failed")
-
-#: Deterministic shard fault kinds accepted by
-#: :meth:`ServiceShard.inject_fault` (the service-tier chaos hooks).
-SHARD_FAULT_KINDS = ("crash", "hang", "slow")
 
 #: Plan-cache metrics: ``(name, stats_snapshot key, kind, help)``.
 _PLAN_CACHE_METRICS = (
@@ -160,20 +140,6 @@ _LATENCY_METRICS = (
 _ROUTE_MEMO_LIMIT = 4096
 
 
-def _partition(books, database, db_lock, capacity, resilience_factory, **kwargs):
-    """A :class:`~repro.service.service.QueryService` counting into
-    ``books``: the recipe a gateway builds each shard's partitions and
-    its standby from.
-
-    A module function over the gateway's settings, not a gateway
-    method, so a shard holds no reference back to its gateway.
-    """
-    resilience = resilience_factory() if resilience_factory is not None else None
-    return QueryService(
-        database, db_lock, books, capacity=capacity, resilience=resilience, **kwargs
-    )
-
-
 def shard_index_for(signature, shard_count):
     """The shard owning ``signature``: digest hash modulo shard count.
 
@@ -183,222 +149,23 @@ def shard_index_for(signature, shard_count):
     return int(signature_digest(signature), 16) % shard_count
 
 
-class ServiceShard:
-    """One partition: a private plan cache, worker, and breaker state.
-
-    Wraps a dedicated :class:`~repro.service.service.QueryService` (its
-    cache *is* the partition) plus a single-thread executor.  The shard
-    never sees a query whose signature hashes elsewhere, so its cache
-    lock is contended only by requests for signatures it owns.
-    ``make_service(books)`` builds a partition; the shard's
-    :class:`~repro.service.service.ServiceBooks` are made once and
-    handed to every partition it builds, and they keep its progress
-    heartbeat (``served``, ``stalls``) too.  Admission is not the
-    shard's: its ``pending`` count is written only by the gateway,
-    under the gateway's books lock.
-    """
-
-    def __init__(self, index, make_service):
-        self.index = index
-        self.books = ServiceBooks()
-        self._make_service = make_service
-        self.service = make_service(self.books)
-        #: False once the worker crashed or was killed; flipped back by
-        #: :meth:`restart`.  Reads are racy by design (a health check
-        #: may see a just-killed shard as alive for one sweep) — the
-        #: serve path re-checks and raises typed.
-        self.alive = True
-        #: Bumped by every :meth:`restart`; lets tests assert a shard
-        #: was actually rebuilt rather than merely marked healthy.
-        self.generation = 0
-        #: Requests admitted to this shard and not yet settled (exact
-        #: gauge): the gateway reserves and releases it under its books
-        #: lock, and nothing else writes it.
-        self.pending = 0
-        self._fault_lock = threading.Lock()
-        #: Pending injected faults, ``[kind, remaining_serves]`` —
-        #: deterministic chaos hooks, empty in production.
-        self._injected = []
-        #: Set while the worker is wedged inside an injected hang; the
-        #: supervisor reads it as a no-progress signal and the chaos
-        #: harness waits on it to synchronize deterministically.
-        self._hanging = threading.Event()
-        self._resume = threading.Event()
-        self._executor = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="repro-shard-%d" % index
-        )
-
-    @property
-    def hanging(self):
-        """Whether the worker is currently wedged in an injected hang."""
-        return self._hanging.is_set()
-
-    # ------------------------------------------------------------------
-    # Deterministic fault hooks (chaos harness / supervision tests)
-    # ------------------------------------------------------------------
-
-    def inject_fault(self, kind, after=0, count=1):
-        """Arm a deterministic fault on this shard's serve path.
-
-        ``kind`` is ``"crash"`` (the serve raises
-        :class:`ShardDownError` and the shard marks itself dead),
-        ``"hang"`` (the serving thread blocks until :meth:`restart` or
-        :meth:`kill` releases it, then fails over), or ``"slow"``
-        (the serve completes normally but bumps the stall gauge the
-        supervisor reads as a slow-shard signal).  The fault fires on
-        the ``after``-th next serve (0 = the very next), ``count``
-        times for ``"slow"``.
-        """
-        if kind not in SHARD_FAULT_KINDS:
-            raise ShardDownError(
-                "unknown shard fault kind %r" % kind,
-                shard=self.index,
-                reason="bad_fault",
-            )
-        with self._fault_lock:
-            for _ in range(count if kind == "slow" else 1):
-                self._injected.append([kind, int(after)])
-
-    def _check_faults(self):
-        # Nothing armed — always, outside the chaos harness — so look
-        # before taking the lock on every serve.  A fault armed this
-        # instant fires on this serve or the next, exactly as it would
-        # have racing this serve for the lock.
-        if not self._injected:
-            return
-        fired = None
-        with self._fault_lock:
-            for fault in self._injected:
-                if fault[1] > 0:
-                    fault[1] -= 1
-                elif fired is None:
-                    fired = fault[0]
-            if fired is not None:
-                self._injected.remove([fired, 0])
-        if fired == "slow":
-            with self.books.lock:
-                self.books.stalls += 1
-        elif fired == "crash":
-            self.alive = False
-            raise ShardDownError(
-                "shard %d worker crashed (injected)" % self.index,
-                shard=self.index,
-                reason="crashed",
-            )
-        elif fired == "hang":
-            self._resume.clear()
-            self._hanging.set()
-            self._resume.wait()
-            self._hanging.clear()
-            raise ShardDownError(
-                "shard %d worker hung and was recovered" % self.index,
-                shard=self.index,
-                reason="hung",
-            )
-
-    def kill(self):
-        """Abruptly lose the worker (chaos hook / operator action).
-
-        Marks the shard dead, releases any wedged serve, and cancels
-        queued work.  Queued work resolves cancelled and in-flight
-        serves raise :class:`ShardDownError`; the gateway's dispatch
-        fails every one of them over — the kill loses capacity, never
-        requests.
-        """
-        self.alive = False
-        self._resume.set()
-        self._executor.shutdown(wait=False, cancel_futures=True)
-
-    def restart(self):
-        """Install a rebuilt service and a fresh worker.
-
-        The old executor is shut down (releasing a wedged serve, which
-        then fails typed and is failed over), and the shard comes back
-        alive with a cold cache partition and fresh breaker state —
-        per-shard state is *rebuilt*, never resurrected from a worker
-        whose history is suspect.  What survives is what was counted:
-        the new partition counts into the shard's books, and slots held
-        by in-flight requests are released when their dispatch settles,
-        so the pending gauge converges to exact without a reset.
-        """
-        self._resume.set()
-        self._executor.shutdown(wait=False, cancel_futures=True)
-        with self._fault_lock:
-            self._injected.clear()
-        self.service = self._make_service(self.books)
-        self._executor = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="repro-shard-%d" % self.index
-        )
-        self.generation += 1
-        self.alive = True
-
-    def serve(self, signature, request):
-        """Serve one routed request on the calling thread.
-
-        :meth:`QueryService.serve() <repro.service.service.QueryService.serve>`
-        behind what only a shard knows: a dead worker or an injected
-        fault raises :class:`ShardDownError` before the request touches
-        the cache, and a typed execution failure is stamped with this
-        shard's index.  The partition advances the progress heartbeat
-        (``books.served``) on every serve it finishes, failed ones too.
-        """
-        if not self.alive:
-            raise ShardDownError(
-                "shard %d worker is dead" % self.index,
-                shard=self.index,
-                signature=signature,
-                reason="crashed",
-            )
-        self._check_faults()
-        try:
-            return self.service.serve(signature, request)
-        except ServiceExecutionError as error:
-            error.shard = self.index
-            raise
-
-    def submit(self, work):
-        """Queue ``work`` (a zero-argument callable) on the shard worker.
-
-        Raises ``RuntimeError`` once the worker pool has shut down.
-        """
-        return self._executor.submit(work)
-
-    def shutdown(self, wait=True):
-        """Stop the shard worker; the partition stays readable.
-
-        Releases a wedged serve first so a hung worker cannot block
-        shutdown forever.
-        """
-        self._resume.set()
-        self._executor.shutdown(wait=wait)
-
-    def __repr__(self):
-        return "ServiceShard(%d, pending=%d, %d cached plans)" % (
-            self.index,
-            self.pending,
-            len(self.service.cache),
-        )
-
-
 class ShardedServiceStatistics:
     """Gateway statistics: exact aggregate plus the per-shard parts.
 
     ``total`` is :meth:`ServiceStatistics.aggregate` over the shards'
-    snapshots and the standby partition's, if one ever served —
-    counters and latency sums summed, the hit rate recomputed, nothing
-    approximated — and ``per_shard`` keeps one snapshot per shard for
-    skew inspection.  ``overload`` counts gateway fast-rejections by
-    reason; rejected requests never reach a shard, so they appear
-    *only* here (total requests served plus rejections equals requests
-    submitted).
+    snapshots and the standby's — counters and latency sums summed, the
+    hit rate recomputed, nothing approximated — and ``per_shard`` keeps
+    one snapshot per shard for skew inspection.  ``overload`` counts
+    gateway fast-rejections by reason; rejected requests never reach a
+    shard, so they appear *only* here (total requests served plus
+    rejections equals requests submitted).
     """
 
     __slots__ = ("total", "per_shard", "overload")
 
-    def __init__(self, per_shard, overload, standby=None):
+    def __init__(self, per_shard, overload, standby):
         self.per_shard = tuple(per_shard)
-        parts = self.per_shard if standby is None else self.per_shard + (standby,)
-        self.total = ServiceStatistics.aggregate(parts)
+        self.total = ServiceStatistics.aggregate(self.per_shard + (standby,))
         self.overload = dict(overload)
 
     @property
@@ -438,16 +205,17 @@ class ShardedQueryService:
         accounting does not depend on the shard count.
     shards:
         Number of partitions.  Each shard is one
-        :class:`~repro.service.service.QueryService` (its own cache,
-        cache lock and breaker state) plus a worker thread.
+        :class:`~repro.service.service.ServiceShard` (its own cache,
+        cache lock, breaker state and worker thread).
     capacity:
         Plan-cache capacity *per shard*, in live entries.
     max_pending:
-        Admission bound per shard: requests admitted (via
-        :meth:`submit`) beyond this many in flight on one shard are
+        Admission bound per shard: a :meth:`run` or :meth:`submit`
+        arriving with this many requests in flight on its shard is
         fast-rejected with
         :class:`~repro.common.errors.ServiceOverloadError`
-        (``reason="shard_queue_full"``).
+        (``reason="shard_queue_full"``).  :meth:`run_batch` reserves
+        its slots without the bound.
     tenant_quota:
         Default per-tenant in-flight quota, or ``None`` for no tenant
         limiting.  Requests carrying ``tenant=None`` are never quota
@@ -469,7 +237,8 @@ class ShardedQueryService:
         ``service_shard<i>_cache_entries``).  A request runs the same
         code with a registry attached as without one.
     execute, optimize, tracer:
-        Forwarded to every shard's ``QueryService`` unchanged.
+        Forwarded to every :class:`~repro.service.service.ServiceShard`
+        unchanged.
     """
 
     def __init__(
@@ -496,21 +265,25 @@ class ShardedQueryService:
         #: One lock serializing all shards' data execution against the
         #: shared database — identical serialization to one service.
         self._db_lock = threading.Lock()
-        #: The partition recipe, kept so the supervisor can rebuild a
-        #: crashed shard bit-identically to its original.
-        self._make_service = functools.partial(
-            _partition,
-            database=database,
-            db_lock=self._db_lock,
-            capacity=capacity,
-            resilience_factory=resilience_factory,
-            optimize=optimize,
-            execute=execute,
-            tracer=tracer,
-        )
-        self.shards = [
-            ServiceShard(index, self._make_service) for index in range(shards)
-        ]
+
+        def shard(index):
+            return ServiceShard(
+                index,
+                database,
+                self._db_lock,
+                capacity,
+                resilience_factory,
+                optimize,
+                execute,
+                tracer,
+            )
+
+        self.shards = [shard(index) for index in range(shards)]
+        #: The degraded path's last resort, built like the shards but
+        #: never routed to or supervised: :meth:`_failover` serves on it
+        #: when no sibling can.  Its books count into ``stats().total``,
+        #: not ``per_shard``.
+        self.standby = shard(None)
         #: The gateway's books, all under ``_books_lock``, which a
         #: request takes once to enter (:meth:`_admit`) and once to
         #: settle (:meth:`_dispatch`).  Admission: each shard's
@@ -528,12 +301,6 @@ class ShardedQueryService:
         self._overload_counts = dict.fromkeys(OVERLOAD_REASONS, 0)
         self._snapshot_counts = {"written": 0, "failures": 0}
         self._completed_since_snapshot = 0
-        #: Lazily created unsharded fallback service — the "re-optimize
-        #: fresh" degraded path when no sibling shard is servable — and
-        #: the books it counts into, which :meth:`stats` adds to the total.
-        self._standby = None
-        self._standby_books = ServiceBooks()
-        self._standby_lock = threading.Lock()
         self.supervisor = ShardSupervisor(self)
         self.durability = DurabilityConfig.coerce(durability)
         self.restore_stats = None
@@ -550,7 +317,7 @@ class ShardedQueryService:
 
         Each count reads :meth:`stats` (or the gateway's own books), so
         one scrape at quiescence equals ``stats()``, and no count drops
-        when a shard restarts: its books outlive its partitions.
+        when a shard restarts: its books outlive the restart.
         """
 
         def total(read):
@@ -589,7 +356,7 @@ class ShardedQueryService:
             (
                 "service_overload_rejections_total",
                 "Admission fast-rejections, all reasons",
-                self._rejection_count,
+                lambda: sum(self.overload_counts().values()),
             ),
             (
                 "service_failovers_total",
@@ -611,7 +378,9 @@ class ShardedQueryService:
         metrics.gauge(
             "service_inflight_requests",
             "Invocations currently running",
-            callback=lambda: sum(len(books.inflight) for books in self._books()),
+            callback=lambda: sum(
+                len(shard.books.inflight) for shard in self.shards + [self.standby]
+            ),
         )
         for shard in self.shards:
             metrics.gauge(
@@ -622,7 +391,7 @@ class ShardedQueryService:
             metrics.gauge(
                 "service_shard%d_cache_entries" % shard.index,
                 "Plans cached on shard %d" % shard.index,
-                callback=lambda s=shard: len(s.service.cache),
+                callback=lambda s=shard: len(s.cache),
             )
 
     # ------------------------------------------------------------------
@@ -630,15 +399,14 @@ class ShardedQueryService:
     # ------------------------------------------------------------------
 
     def _rebuild_shard(self, shard):
-        """Supervisor callback: rebuild one shard's service and worker.
+        """Supervisor callback: rebuild one shard's partition and worker.
 
-        The replacement service comes from the same recipe as the
-        original — fresh cache partition, fresh resilience policy from
-        the factory (breaker state is never carried over from a dead
-        worker), same shared database lock, same books — and, when durable
-        snapshots are enabled, the partition is re-warmed from the
-        last snapshot on disk so recovery skips re-optimizing the hot
-        signatures the dead shard owned.
+        :meth:`ServiceShard.restart` rebuilds it in place — fresh cache,
+        fresh resilience policy from the factory (breaker state is never
+        carried over from a dead worker), same shared database lock, same
+        books — and, when durable snapshots are enabled, the partition is
+        re-warmed from the last snapshot on disk so recovery skips
+        re-optimizing the hot signatures the dead shard owned.
         """
         shard.restart()
         if self.durability is not None:
@@ -738,10 +506,6 @@ class ShardedQueryService:
     # Admission control
     # ------------------------------------------------------------------
 
-    def _rejection_count(self):
-        with self._books_lock:
-            return sum(self._overload_counts.values())
-
     def _quota_for(self, tenant):
         """``tenant``'s in-flight quota, or None (never for ``None``)."""
         if tenant is None:
@@ -840,36 +604,28 @@ class ShardedQueryService:
     # Degraded path
     # ------------------------------------------------------------------
 
-    def _standby_service(self):
-        """The gateway-owned fallback service, created on first need."""
-        with self._standby_lock:
-            if self._standby is None:
-                self._standby = self._make_service(self._standby_books)
-            return self._standby
-
-    def _failover(self, signature, request, origin, reason):
+    def _failover(self, signature, request, origin):
         """Serve a request whose owning shard is down; typed, counted.
 
-        Prefers the next servable sibling shard (it runs the same
-        ``QueryService.serve``, so the result rows match what the dead
-        shard would have produced); when no sibling is servable the
-        gateway's standby service re-optimizes fresh.  :meth:`_dispatch`
-        counts a returned result ``failed_over`` under the originating
-        shard-loss reason and a failure on the degraded path ``failed``
-        — either way the request reaches exactly one terminal counter.
+        Tries the servable siblings in ``(origin + k) mod N`` order and
+        then the standby, which is never routed to, so it re-optimizes
+        fresh; each runs the same :meth:`ServiceShard.serve`, so the
+        result rows match what the dead shard would have produced.  A
+        sibling that dies under the request passes it on; the standby's
+        failure is the request's.  :meth:`_dispatch` counts a returned
+        result ``failed_over`` under the originating shard-loss reason
+        and a failure on the degraded path ``failed`` — either way the
+        request reaches exactly one terminal counter.
         """
-        for offset in range(1, len(self.shards)):
-            sibling = self.shards[(origin.index + offset) % len(self.shards)]
-            if not self.supervisor.is_servable(sibling):
-                continue
-            try:
-                result = sibling.serve(signature, request)
-            except ShardDownError:
-                continue
-            break
-        else:
-            result = self._standby_service().serve(signature, request)
-        return result
+        standby = self.standby
+        siblings = self.shards[origin.index + 1 :] + self.shards[: origin.index]
+        for shard in siblings + [standby]:
+            if shard is standby or self.supervisor.is_servable(shard):
+                try:
+                    return shard.serve(signature, request)
+                except ShardDownError:
+                    if shard is standby:
+                        raise
 
     # ------------------------------------------------------------------
     # Serving
@@ -915,7 +671,7 @@ class ShardedQueryService:
                             continue
                         except ShardDownError as error:
                             lost = error.reason or "crashed"
-                    outcomes.append(self._failover(signature, request, shard, lost))
+                    outcomes.append(self._failover(signature, request, shard))
                     failovers.append(lost)
                 except Exception as error:  # noqa: BLE001 — the entry point's to raise
                     outcomes.append(error)
@@ -995,13 +751,7 @@ class ShardedQueryService:
         future resolves — no matter how the shard died.
         """
         request = ServiceRequest(
-            query,
-            bindings,
-            execute=execute,
-            tag=tag,
-            deadline_seconds=deadline_seconds,
-            reopt_policy=reopt_policy,
-            tenant=tenant,
+            query, bindings, execute, tag, deadline_seconds, reopt_policy, tenant
         )
         ((signature, shard),) = self._admit((request,))
         future = Future()
@@ -1035,13 +785,7 @@ class ShardedQueryService:
     ):
         """Serve one invocation synchronously (admission still applies)."""
         request = ServiceRequest(
-            query,
-            bindings,
-            execute=execute,
-            tag=tag,
-            deadline_seconds=deadline_seconds,
-            reopt_policy=reopt_policy,
-            tenant=tenant,
+            query, bindings, execute, tag, deadline_seconds, reopt_policy, tenant
         )
         ((signature, shard),) = self._admit((request,))
         (outcome,) = self._dispatch(shard, ((signature, request),), tenant=tenant)
@@ -1101,17 +845,12 @@ class ShardedQueryService:
     # Introspection and lifecycle
     # ------------------------------------------------------------------
 
-    def _books(self):
-        """Every set of books the gateway's partitions count into."""
-        return [shard.books for shard in self.shards] + [self._standby_books]
-
     def stats(self):
         """A :class:`ShardedServiceStatistics` snapshot (exact aggregate)."""
-        standby = self._standby
         return ShardedServiceStatistics(
-            [shard.service.stats() for shard in self.shards],
+            [shard.stats() for shard in self.shards],
             self.overload_counts(),
-            None if standby is None else standby.stats(),
+            self.standby.stats(),
         )
 
     def shutdown(self, wait=True):
@@ -1140,5 +879,5 @@ class ShardedQueryService:
     def __repr__(self):
         return "ShardedQueryService(%d shards, %d cached plans)" % (
             len(self.shards),
-            sum(len(shard.service.cache) for shard in self.shards),
+            sum(len(shard.cache) for shard in self.shards),
         )

@@ -11,7 +11,7 @@ two deterministic signals and drives a small state machine:
     suspect ──(progress resumed)──▶ healthy
     suspect ──(still no progress)──▶ down
     any     ──(worker dead)──▶ down
-    down    ──(restart: fresh service + executor + breaker)──▶ restarting
+    down    ──(restart: fresh cache + executor + breaker)──▶ restarting
     restarting ──(optionally re-warmed from snapshot)──▶ healthy
 
 The signals are **counters, not wall clocks**: a shard is making
@@ -25,16 +25,17 @@ every transition reproducible under replay — the chaos harness calls
 transition sequence.  Nothing checks on a timer: the owner of the
 gateway decides when a sweep runs.
 
-Restarting rebuilds the shard's :class:`~repro.service.service.QueryService`
-from the gateway's partition recipe: a fresh plan-cache partition,
-a fresh resilience policy from the gateway's factory (circuit-breaker
-state never survives the worker that accumulated it), and a fresh
-single-thread executor.  The shard's books are not rebuilt: the new
-partition counts on into them.  Requests in flight on the dead worker are
-not lost: their futures resolve with
-:class:`~repro.common.errors.ShardDownError` (or are cancelled), and
-the gateway's dispatch routes every one to the degraded path and
-counts it.  When the gateway has durable snapshots enabled, the
+Restarting rebuilds the :class:`~repro.service.service.ServiceShard`
+in place (:meth:`~repro.service.service.ServiceShard.restart`): a
+fresh plan-cache partition and shared-compile map, a fresh resilience
+policy from the gateway's factory (circuit-breaker state never
+survives the worker that accumulated it), and a fresh single-thread
+executor.  The shard's books are not rebuilt: the new partition counts
+on into them.  The gateway's standby shard is not supervised.
+Requests in flight on the dead worker are not lost: their futures
+resolve with :class:`~repro.common.errors.ShardDownError` (or are
+cancelled), and the gateway's dispatch routes every one to the
+degraded path and counts it.  When the gateway has durable snapshots enabled, the
 restarted partition is re-warmed from the last snapshot on disk.
 
 The supervisor holds its gateway weakly: the gateway owns it, so a
@@ -203,7 +204,7 @@ class ShardSupervisor:
     # ------------------------------------------------------------------
 
     def restart_shard(self, shard):
-        """Rebuild one shard: fresh service, executor, breaker state.
+        """Rebuild one shard: fresh cache, executor, breaker state.
 
         Safe to call on a shard in any state (an operator can force a
         restart of a merely suspect shard).  In-flight work on the old

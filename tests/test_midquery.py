@@ -1073,7 +1073,7 @@ def _serve(gateway, liars, true):
 
 
 def _entry(gateway):
-    (entry,) = gateway.shards[0].service.cache.entries()
+    (entry,) = gateway.shards[0].cache.entries()
     return entry
 
 
@@ -1377,7 +1377,7 @@ class TestStartupVerification:
             entries = [
                 entry
                 for shard in gateway.shards
-                for entry in shard.service.cache.entries()
+                for entry in shard.cache.entries()
             ]
             counts = gateway.stats().total.resilience
         assert entries and all(entry.distrusted == {} for entry in entries)

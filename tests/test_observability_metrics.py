@@ -208,7 +208,7 @@ class TestConcurrency:
         with ShardedQueryService(
             Database(workload.catalog), shards=1, execute=False, metrics=registry
         ) as gateway:
-            service = gateway.shards[0].service
+            service = gateway.shards[0]
             increments = 2000
             barrier = threading.Barrier(THREADS)
 

@@ -114,7 +114,7 @@ def churn():
         Database(catalog), shards=2, capacity=12, optimize=counting, execute=False
     ) as gateway:
         gateway.run_batch(requests)
-        shards = [s.service.cache.stats_snapshot() for s in gateway.shards]
+        shards = [s.cache.stats_snapshot() for s in gateway.shards]
         stats = gateway.stats().total
     shapes = len({request.query.name for request in requests})
     return calls, shapes, shards, stats

@@ -182,7 +182,7 @@ class TestDegradation:
         counts = counts_of(service)
         assert counts["degradations"] == 1
         assert counts["fallback_activations"] == 1
-        entry = service.shards[0].service.cache.get(workload.query)
+        entry = service.shards[0].cache.get(workload.query)
         assert entry.fallback_plan is not None
         assert result.execution.row_count == baseline.execution.row_count
 
@@ -280,7 +280,7 @@ class TestCircuitBreaker:
             reopened = service.run(workload.query, bindings_at(workload, 0.05))
             assert reopened.reoptimized
             assert breaker.trips == 2
-        entry = service.shards[0].service.cache.get(workload.query)
+        entry = service.shards[0].cache.get(workload.query)
         assert entry.reoptimizations == 2
 
     def test_disabled_by_default(self):

@@ -50,9 +50,9 @@ def narrow_workload(bounds=(0.0, 0.3)):
 
 
 def one_shard(database, **options):
-    """A single-partition gateway and its partition's QueryService."""
+    """A single-partition gateway and its one shard."""
     gateway = ShardedQueryService(database, shards=1, **options)
-    return gateway, gateway.shards[0].service
+    return gateway, gateway.shards[0]
 
 
 def serve_concurrently(gateway, requests, threads=8):

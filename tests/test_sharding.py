@@ -9,7 +9,7 @@ gateway over identically populated databases and requires identical
 rows, identical I/O accounting, and identical start-up decisions for
 all five paper queries; the entry-point suite requires the same of
 ``run``, ``submit`` and ``run_batch``, which all end in one
-``QueryService.serve``.
+``ServiceShard.serve``.
 The eviction tests pit the per-shard LRU caches against a reference
 simulation and require exact hit/miss/evict counts, and the admission
 tests require overload to surface as typed
@@ -138,7 +138,7 @@ class TestRouting:
                 if query.name in served_shapes:
                     signature = canonical_signature(query)
                     expected[shard_index_for(signature, len(gateway.shards))] += 1
-            per_shard = [len(shard.service.cache) for shard in gateway.shards]
+            per_shard = [len(shard.cache) for shard in gateway.shards]
             assert per_shard == expected
             assert sum(per_shard) == len(served_shapes)
 
@@ -336,8 +336,8 @@ class TestAdmissionControl:
             assert outcomes.pop("failover_reasons") == {}
             assert set(outcomes.values()) == {0}
             for other in gateway.shards:
-                assert len(other.service.cache) == 0
-                assert other.service.cache.stats_snapshot()["lookups"] == 0
+                assert len(other.cache) == 0
+                assert other.cache.stats_snapshot()["lookups"] == 0
                 assert other.pending == 0
             # Occupy the single queue slot: a submitted request wedged
             # in its serve holds it until the shard is restarted.
@@ -534,7 +534,7 @@ class TestExactStatistics:
         ) as gateway:
             gateway.run_batch(requests)
             stats = gateway.stats()
-            cache_sizes = [len(s.service.cache) for s in gateway.shards]
+            cache_sizes = [len(s.cache) for s in gateway.shards]
         assert stats.total.requests == len(requests)
         assert stats.total.requests == sum(
             part.requests for part in stats.per_shard
@@ -675,7 +675,7 @@ class TestEvictionAccounting:
             ) as gateway:
                 gateway.run_batch(requests)
                 snapshots = [
-                    shard.service.cache.stats_snapshot()
+                    shard.cache.stats_snapshot()
                     for shard in gateway.shards
                 ]
                 stats = gateway.stats()
@@ -797,7 +797,7 @@ class TestEvictionAccounting:
                 for future in futures
             ]
             snapshots = [
-                shard.service.cache.stats_snapshot()
+                shard.cache.stats_snapshot()
                 for shard in gateway.shards
             ]
             stats = gateway.stats()

@@ -308,7 +308,7 @@ def serve_shapes(optimize, queries, catalog, **options):
     ) as gateway:
         for query in queries:
             gateway.run(query, bindings)
-        service = gateway.shards[0].service
+        service = gateway.shards[0]
         entries = {entry.query.name: entry for entry in service.cache.entries()}
         counts = service.stats().resilience
     return calls, counts, entries
@@ -374,7 +374,7 @@ class TestSnapshotBytesAndLifetime:
             Database(catalog), shards=1, capacity=6, optimize=optimize, execute=False
         ) as gateway:
             gateway.run_batch(requests)
-            service = gateway.shards[0].service
+            service = gateway.shards[0]
             counts = service.stats().resilience
             assert counts["shared_compiles"] > 0 and len(calls) == 1
             snapshot = build_snapshot(gateway)
@@ -427,7 +427,7 @@ class TestOnePlanPerRun:
             entries = [
                 entry
                 for shard in gateway.shards
-                for entry in shard.service.cache.entries()
+                for entry in shard.cache.entries()
             ]
         assert shared > 0
         assert all(entry.compiled_from is not None for entry in entries)
@@ -448,7 +448,7 @@ class TestOnePlanPerRun:
             Database(paper_catalog), shards=1, execute=False
         ) as gateway:
             results = [gateway.run(query, bindings) for query in queries]
-            service = gateway.shards[0].service
+            service = gateway.shards[0]
             entries = [service.cache.get(query) for query in queries]
             counts = service.stats().resilience
         assert (counts["decision_compiles"], counts["shared_compiles"]) == (1, 1)
@@ -488,7 +488,7 @@ class TestDriftWidening:
         with ShardedQueryService(
             Database(paper_catalog), shards=1, execute=False
         ) as gateway:
-            service = gateway.shards[0].service
+            service = gateway.shards[0]
             for query in shapes:
                 gateway.run(query, bind_shape(query, [0.2]))
             before = dict(service.stats().resilience)
@@ -506,7 +506,7 @@ class TestDriftWidening:
         catalog, shapes = benchmark_shapes("churn_compile")
         rng = random.Random(37)
         with ShardedQueryService(Database(catalog), shards=1, execute=False) as gateway:
-            service = gateway.shards[0].service
+            service = gateway.shards[0]
             for query in shapes[:2]:
                 gateway.run(query, bind_shape(query, [0.1] * 4))
             for index in range(12):
@@ -540,7 +540,7 @@ class TestDriftWidening:
             Database(paper_catalog), shards=1, execute=False
         ) as gateway:
             gateway.run(query, bind_shape(query, [0.2]).bind(MEMORY_PARAMETER, 64))
-            entry = gateway.shards[0].service.cache.get(query)
+            entry = gateway.shards[0].cache.get(query)
             drifted = bind_shape(query, [0.2]).bind(MEMORY_PARAMETER, upper + 40)
             assert gateway.run(query, drifted).reoptimized
             widened = Interval(lower, upper + 40)

@@ -21,7 +21,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.catalog.synthetic import populate_database
-from repro.common.errors import ServiceOverloadError, ShardDownError
+from repro.common.errors import (
+    QueryTimeoutError,
+    ServiceExecutionError,
+    ServiceOverloadError,
+    ShardDownError,
+)
 from repro.service import ShardedQueryService
 from repro.service.supervision import DOWN, HEALTHY, RESTARTING, SUSPECT
 from repro.storage import Database
@@ -87,7 +92,7 @@ class TestStateMachine:
         gateway = make_gateway(catalog)
         try:
             target = gateway.shard_for(requests[0].query)
-            old_service = target.service
+            old_partition = (target.cache, target.resilience, target._shared)
             old_generation = target.generation
             target.kill()
             sweep = gateway.supervisor.check()
@@ -98,7 +103,11 @@ class TestStateMachine:
             assert gateway.supervisor.counts()["restarts"] == 1
             assert target.alive
             assert target.generation == old_generation + 1
-            assert target.service is not old_service
+            # Rebuilt in place: a fresh cache, policy and shared-compile map.
+            for fresh, old in zip(
+                (target.cache, target.resilience, target._shared), old_partition
+            ):
+                assert fresh is not old
         finally:
             gateway.shutdown()
 
@@ -109,21 +118,70 @@ class TestStateMachine:
             target = gateway.shard_for(requests[0].query)
             for request in requests:
                 gateway.run(request.query, request.bindings, tag=request.tag)
-            counted = target.service.stats()
+            counted = target.stats()
             assert counted.cache["lookups"] > 0
-            old_resilience = target.service.resilience
+            old_resilience = target.resilience
             target.kill()
             gateway.supervisor.check()
             # A cold partition, counting on into the shard's books.
-            assert len(target.service.cache) == 0
-            stats = target.service.stats()
+            assert len(target.cache) == 0
+            stats = target.stats()
             assert stats.cache["entries"] == 0
             assert stats.requests == counted.requests
             for key in ("lookups", "hits", "misses"):
                 assert stats.cache[key] == counted.cache[key]
-            assert target.service.resilience is not old_resilience
+            assert target.resilience is not old_resilience
             assert target.pending == 0
         finally:
+            gateway.shutdown()
+
+    def test_a_serve_in_flight_across_a_restart_keeps_rows_io_and_counts(self):
+        from repro.optimizer import optimize_dynamic
+
+        catalog, _queries, requests = traffic()
+        request = requests[0]
+        reference = make_gateway(catalog)
+        try:
+            expected = reference.run(request.query, request.bindings)
+        finally:
+            reference.shutdown()
+
+        optimizing = threading.Event()
+        release = threading.Event()
+
+        def held_optimize(catalog, query):
+            optimizing.set()
+            assert release.wait(timeout=30.0)
+            return optimize_dynamic(catalog, query)
+
+        gateway = make_gateway(catalog, optimize=held_optimize)
+        try:
+            target = gateway.shard_for(request.query)
+            served = []
+            caller = threading.Thread(
+                target=lambda: served.append(
+                    gateway.run(request.query, request.bindings)
+                )
+            )
+            caller.start()
+            assert optimizing.wait(timeout=30.0)
+            target.kill()
+            gateway.supervisor.check()
+            assert target.generation == 1 and target.alive
+            release.set()
+            caller.join(timeout=60.0)
+            assert not caller.is_alive()
+            (result,) = served
+            assert [repr(record) for record in result.execution.records] == [
+                repr(record) for record in expected.execution.records
+            ]
+            assert result.execution.io_snapshot == expected.execution.io_snapshot
+            assert target.stats().requests == 1
+            assert gateway.stats().total.requests == 1
+            assert assert_conserved(gateway)["completed"] == 1
+            assert target.pending == 0
+        finally:
+            release.set()
             gateway.shutdown()
 
     def test_hang_escalates_suspect_then_down(self):
@@ -331,6 +389,57 @@ class TestFailoverConservation:
             # Quota and queue accounting drained exactly.
             assert gateway._tenant_inflight == {}
             assert all(shard.pending == 0 for shard in gateway.shards)
+        finally:
+            gateway.shutdown()
+
+
+class TestErrorStamp:
+    """A typed execution failure names the shard that served it: its
+    index, or ``None`` for the standby, which counts into the total
+    and into no shard's part."""
+
+    def test_the_serving_shard_stamps_its_index(self):
+        catalog, _queries, requests = traffic()
+        gateway = make_gateway(catalog)
+        try:
+            stamped = set()
+            for request in requests:
+                with pytest.raises(ServiceExecutionError) as excinfo:
+                    gateway.run(
+                        request.query, request.bindings, deadline_seconds=0.0
+                    )
+                error = excinfo.value
+                assert isinstance(error.cause, QueryTimeoutError)
+                assert error.shard == gateway.shard_for(request.query).index
+                stamped.add(error.shard)
+            assert len(stamped) > 1
+        finally:
+            gateway.shutdown()
+
+    def test_the_standby_stamps_none_and_counts_only_in_the_total(self):
+        catalog, _queries, requests = traffic()
+        gateway = make_gateway(catalog)
+        try:
+            for shard in gateway.shards:
+                shard.kill()
+            request = requests[0]
+            with pytest.raises(ServiceExecutionError) as excinfo:
+                gateway.run(request.query, request.bindings, deadline_seconds=0.0)
+            assert excinfo.value.shard is None
+            assert isinstance(excinfo.value.cause, QueryTimeoutError)
+            result = gateway.run(request.query, request.bindings)
+            assert result.execution is not None
+
+            outcomes = assert_conserved(gateway)
+            assert (outcomes["failed"], outcomes["failed_over"]) == (1, 1)
+            stats = gateway.stats()
+            assert stats.total.requests == 1
+            assert stats.total.cache["lookups"] == 2
+            assert stats.total.resilience["timeouts"] == 1
+            for part in stats.per_shard:
+                assert part.requests == 0
+                assert part.cache["lookups"] == 0
+                assert part.resilience["timeouts"] == 0
         finally:
             gateway.shutdown()
 
