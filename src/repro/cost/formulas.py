@@ -223,6 +223,8 @@ def _index_join(rows, costs, cards, values, decisions):
 
 def _sort(rows, costs, cards, values, decisions):
     memory = values[0]
+    run_pages = max(memory, 2.0)
+    merge_fan_in = max(memory - 1, 2)
     for slot, child in rows:
         card = cards[child]
         if card <= 1:
@@ -236,8 +238,8 @@ def _sort(rows, costs, cards, values, decisions):
             if pages > memory:
                 # External merge sort: one partition pass plus merge
                 # passes.
-                run_count = pages / max(memory, 2.0)
-                merge_passes = max(1, ceil(log(run_count, max(memory - 1, 2))))
+                run_count = pages / run_pages
+                merge_passes = max(1, ceil(log(run_count, merge_fan_in)))
                 local += 2.0 * pages * merge_passes * SPILL_IO_TIME_PER_PAGE
         costs[slot] = costs[child] + local
         cards[slot] = card

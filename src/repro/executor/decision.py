@@ -18,12 +18,21 @@ a plain tuple of its slot, its input slots and its catalog statistics
 constants — and the rows of one (rank, operator kind) form a *segment*,
 run by that kind's *kernel*: a module-level ``for`` loop over rows with
 the cost formula inline.  Nodes that read neither a parameter nor an
-input (scans, temporaries) are filled into template arrays instead.  An
-invocation copies the templates, resolves the bindings once into a flat
-parameter list that rows index, runs the segments in rank order — plain
-float arithmetic, one call per segment rather than per node: no
-interval objects, no recursion, no isinstance dispatch, no catalog
-lookups — and rebuilds only the chosen static plan.
+input (scans, temporaries) are filled into template arrays instead.  A
+row that computes exactly what an earlier row of its rank computes — a
+merge join whose inputs are another's swapped, a sort of an input
+another sort already costs (a sort's cost does not read its key) — is
+not run: it becomes a ``(slot, source)`` pair in one copy segment at
+the end of its rank, so every slot still holds its own value (paper
+query 5: 1,113 rows, 904 run and 209 copied).  An invocation copies the
+templates, resolves the bindings once into a flat parameter list that
+rows index, runs the segments in rank order — plain float arithmetic,
+one call per segment rather than per node: no interval objects, no
+recursion, no isinstance dispatch, no catalog lookups — and rebuilds
+only the chosen static plan.  A choose-plan row carries its prebuilt
+``(choose_plan, alternative)`` pairs and a pass appends the chosen one,
+so the decisions of every pass, and the keys of every chosen-plan memo
+over one program, refer to the same pair objects.
 
 At start-up time every parameter is a point, so interval evaluation
 degenerates to scalar evaluation.  The rows and kernels are
@@ -41,10 +50,11 @@ memory drop — is one whole pass of it.  A drained subplan's checkpoint
 *pins* its slot: cost ``0.0``, cardinality the observed row count (the
 ``Materialized`` step, applied to a slot of the original program
 instead of recompiling), and the chosen plan is rebuilt with the
-checkpoint in the node's place.  Pins and standing choices are the
-caller's, passed in per pass, so the program stays shared and
-stateless; the selectivities the decisions read (:meth:`read_set`)
-are derived here once and cached.
+checkpoint in the node's place.  Pins apply once per rank, after the
+rank's copies, so a drained row's undrained twin keeps its computed
+value.  Pins and standing choices are the caller's, passed in per pass,
+so the program stays shared and stateless; the selectivities the
+decisions read (:meth:`read_set`) are derived here once and cached.
 """
 
 import copy
@@ -58,7 +68,7 @@ from repro.algebra.physical import (
 )
 from repro.common.errors import PlanError
 from repro.common.units import access_module_read_seconds
-from repro.cost.formulas import RowBuilder
+from repro.cost.formulas import RowBuilder, _merge_join
 from repro.cost.parameters import MEMORY_PARAMETER
 from repro.executor.startup import StartupReport, _rebuild
 
@@ -76,13 +86,13 @@ def _uncertain_predicate(node):
     return predicate if predicate is not None and predicate.is_uncertain else None
 
 
-# The one kernel of this module: the start-up choose-plan rule.  The
-# other kinds' kernels, and the rows they run, are
-# :mod:`repro.cost.formulas`'.
+# The two kernels of this module: the start-up choose-plan rule, and
+# the copy of a row's result into the slots of its twins.  The other
+# kinds' kernels, and the rows they run, are :mod:`repro.cost.formulas`'.
 
 
 def _choose_plan(rows, costs, cards, values, decisions):
-    for slot, alternative_slots, pick, node in rows:
+    for slot, alternative_slots, pick, pairs in rows:
         # The first minimal alternative: strict-``<``, first wins.
         if pick is None:
             first, second = alternative_slots
@@ -93,7 +103,29 @@ def _choose_plan(rows, costs, cards, values, decisions):
         chosen = alternative_slots[best]
         costs[slot] = costs[chosen]
         cards[slot] = cards[chosen]
-        decisions.append((node, node.alternatives[best]))
+        decisions.append(pairs[best])
+
+
+def _copy(rows, costs, cards, values, decisions):
+    for slot, source in rows:
+        costs[slot] = costs[source]
+        cards[slot] = cards[source]
+
+
+def _computation(kernel, row):
+    """What a row computes: its kernel and every column but its slot.
+
+    Equal numbers compute alike, but the last column is keyed with its
+    type too: a ``fetch`` mode of ``True`` (clustered), which kernels
+    test by identity, must not equal a page count of ``1``.  A merge
+    join's two inputs are unordered: its formula is symmetric, and IEEE
+    ``+`` and ``*`` commute.
+    """
+    columns = row[1:]
+    if kernel is _merge_join:
+        left, right, join_sel = columns
+        columns = (min(left, right), max(left, right), join_sel)
+    return kernel, columns, type(columns[-1])
 
 
 def rebuild_chosen(plan, chosen, built, origins=None):
@@ -147,10 +179,12 @@ class CompiledDecision:
         memory = parameter_space.get(MEMORY_PARAMETER)
         self._reads = [(MEMORY_PARAMETER, memory.expected)]
         #: Work-array templates holding the parameter-free nodes, and
-        #: the ``(kernel, rows)`` segments that fill in the rest.
+        #: the ``(kernel, rows)`` segments that fill in the rest, per
+        #: rank (a pinned pass pins between ranks) and run end to end.
         self._costs = [0.0] * len(self._nodes)
         self._cards = [0.0] * len(self._nodes)
-        self._segments = self._build(catalog)
+        self._ranks = self._build(catalog)
+        self._segments = [segment for rank in self._ranks for segment in rank]
         choices = (rows for kernel, rows in self._segments if kernel is _choose_plan)
         self.decision_count = sum(map(len, choices))
 
@@ -160,11 +194,12 @@ class CompiledDecision:
         The other query has this plan's input signature, so its
         selections differ from the plan's only in their *expected*
         selectivity, which no compiled row holds: plan, nodes, slots,
-        segments and templates are shared, and only the ``(name,
-        default)`` reads are made anew, each default the space's
-        expected value, as :meth:`_read` takes it.  A request that leaves
-        a selectivity unbound decides at the other query's own expected
-        value, exactly as a program compiled for it would.
+        segments (decision pairs included) and templates are shared,
+        and only the ``(name, default)`` reads are made anew, each
+        default the space's expected value, as :meth:`_read` takes it.
+        A request that leaves a selectivity unbound decides at the other
+        query's own expected value, exactly as a program compiled for it
+        would.
         """
         view = copy.copy(self)
         view.parameter_space = parameter_space
@@ -198,19 +233,27 @@ class CompiledDecision:
         return order
 
     def _build(self, catalog):
-        """Fill the templates; group every other node's row by (rank,
-        kernel).  A node ranks one above its highest input, so segments
-        run in rank order read only finished slots."""
+        """Fill the templates and group every other node's row by rank.
+
+        A node ranks one above its highest input, so ranks run in order
+        read only finished slots.  A rank is its segments, one per
+        kernel, and then one ``_copy`` segment: a row that computes what
+        an earlier row of its rank computes (:func:`_computation`, over
+        its real input slots, never through a copy) is not run but
+        copied from that row's slot.  Returns the segments of each rank.
+        """
         rows = RowBuilder(catalog, self._read)
         ranks = []
         groups = {}
+        sources = {}
         for slot, node in enumerate(self._nodes):
             inputs = [self._slots[id(child)] for child in node.inputs()]
             rank = 1 + max(map(ranks.__getitem__, inputs), default=0)
             ranks.append(rank)
             if isinstance(node, ChoosePlan):
                 pick = itemgetter(*inputs) if len(inputs) > 2 else None
-                built = _choose_plan, (slot, tuple(inputs), pick, node)
+                pairs = tuple((node, alternative) for alternative in node.alternatives)
+                kernel, row = _choose_plan, (slot, tuple(inputs), pick, pairs)
             else:
                 built = rows.row(node, slot, inputs)
                 if built is None:
@@ -218,14 +261,21 @@ class CompiledDecision:
                         "cannot compile a decision procedure over operator %r"
                         % node
                     )
-            kernel, row = built
-            if kernel is None:
-                self._costs[slot], self._cards[slot] = row
-            else:
-                groups.setdefault((rank, kernel), []).append(row)
-        # A stable sort: the kinds of one rank keep first-seen order.
-        order = sorted(groups, key=itemgetter(0))
-        return [(kernel, groups[rank, kernel]) for rank, kernel in order]
+                kernel, row = built
+                if kernel is None:
+                    self._costs[slot], self._cards[slot] = row
+                    continue
+                source = sources.setdefault((rank, _computation(kernel, row)), slot)
+                if source != slot:
+                    kernel, row = _copy, (slot, source)
+            groups.setdefault((rank, kernel), []).append(row)
+        # A stable sort: the kinds of one rank keep first-seen order, and
+        # its copies run last.
+        order = sorted(groups, key=lambda group: (group[0], group[1] is _copy))
+        segments = {}
+        for rank, kernel in order:
+            segments.setdefault(rank, []).append((kernel, groups[rank, kernel]))
+        return list(segments.values())
 
     def _read(self, predicate):
         """Index of a predicate's selectivity in the request's value list.
@@ -270,12 +320,13 @@ class CompiledDecision:
         """:meth:`choose` with the chosen-plan rebuild memoized.
 
         ``memo`` maps a decision-outcome key — the (choose-plan, chosen
-        alternative) pairs in rank order, deterministic per program — to
-        the static plan rebuilt for that outcome.  A query shape has only a
-        handful of distinct outcomes, so a serving tier replaying
-        thousands of bindings rebuilds each chosen plan once instead of
-        every invocation.  Decisions themselves are always re-evaluated;
-        plans are immutable, so returning the memoized object is exact.
+        alternative) pairs in rank order, deterministic per program and
+        the program's own pair objects — to the static plan rebuilt for
+        that outcome.  A query shape has only a handful of distinct
+        outcomes, so a serving tier replaying thousands of bindings
+        rebuilds each chosen plan once instead of every invocation.
+        Decisions themselves are always re-evaluated; plans are
+        immutable, so returning the memoized object is exact.
         """
         return self._choose(bindings, memo, None)
 
@@ -286,10 +337,11 @@ class CompiledDecision:
 
         ``pins`` maps a slot to the
         :class:`~repro.algebra.physical.Materialized` checkpoint of its
-        drained node.  Once its segment has run, a pinned slot takes cost
-        ``0.0`` and the observed row count (the ``Materialized`` step,
-        applied to a slot of this program instead of recompiling), and a
-        pinned choose-plan decides nothing: its standing choice is kept.
+        drained node.  Once its rank has run, copies included, a pinned
+        slot takes cost ``0.0`` and the observed row count (the
+        ``Materialized`` step, applied to a slot of this program instead
+        of recompiling), and a pinned choose-plan decides nothing: its
+        standing choice is kept.
         """
         get = bindings.get_parameter
         values = [get(name, default) for name, default in self._reads]
@@ -311,10 +363,12 @@ class CompiledDecision:
                 cards[slot] = observed
 
         pin()
-        for kernel, rows in self._segments:
-            kernel(rows, costs, cards, values, decisions)
+        for segments in self._ranks:
+            for kernel, rows in segments:
+                kernel(rows, costs, cards, values, decisions)
             # Before a later rank reads it (one rank's slots never read
-            # each other).
+            # each other), and after the rank's copies: a pinned row's
+            # twin keeps the value the row computed.
             pin()
         slots = self._slots
         decisions = [pair for pair in decisions if slots[id(pair[0])] not in pins]

@@ -41,6 +41,7 @@ from repro.algebra.physical import (
     FilterBTreeScan,
     HashJoin,
     Materialized,
+    MergeJoin,
     Sort,
 )
 from repro.common.errors import (
@@ -52,7 +53,7 @@ from repro.common.errors import (
 from repro.cost.formulas import CostModel
 from repro.cost.parameters import MEMORY_PARAMETER, Bindings, Valuation
 from repro.executor import execute_plan, resolve_dynamic_plan, validate_plan
-from repro.executor.decision import CompiledDecision, DecisionCompilationError
+from repro.executor.decision import CompiledDecision, DecisionCompilationError, _copy
 from repro.executor.midquery import (
     ReoptPolicy,
     count_qualifying,
@@ -593,6 +594,78 @@ class TestIncrementalDecider:
         assert rows_digest(result.execution.records) == rows_digest(
             _run_plain(workload, program.plan, bindings).records
         )
+
+
+class TestTwinRows:
+    """A row that computes what an earlier row of its rank computes is
+    copied from that row's slot, not run; a pin still reaches each
+    member of the pair on its own."""
+
+    @staticmethod
+    def _pair(program, kind):
+        """The first copied ``(twin, source)`` nodes of ``kind``: merge
+        joins over swapped inputs, or sorts of one input."""
+        nodes = program._nodes
+        for kernel, rows in program._segments:
+            if kernel is not _copy:
+                continue
+            for slot, source in rows:
+                twin, original = nodes[slot], nodes[source]
+                if type(twin) is not kind:
+                    continue
+                inputs = [id(child) for child in original.inputs()]
+                if kind is MergeJoin:
+                    inputs.reverse()
+                if [id(child) for child in twin.inputs()] == inputs:
+                    return twin, original
+        raise AssertionError("no copied %s" % kind.__name__)
+
+    @pytest.mark.parametrize("member", ["twin", "source"])
+    @pytest.mark.parametrize("kind", [MergeJoin, Sort], ids=["merge_join", "sort"])
+    @pytest.mark.parametrize("paper_query", [3, 4, 5])
+    def test_pinning_one_member_equals_the_substituted_program(
+        self, paper_query, kind, member
+    ):
+        """The pinned pass equals, slot for slot, the program of the
+        plan with the checkpoint substituted, and decides alike: a
+        drained twin reads zero while the other member keeps its value.
+        Pins that ran before a rank's copies would hand the twin its
+        source's pinned zero, or overwrite a pinned twin."""
+        workload = paper_workload(paper_query, seed=0, memory_uncertain=True)
+        space = workload.query.parameter_space
+        plan = optimize_dynamic(workload.catalog, workload.query).plan
+        program = CompiledDecision(plan, workload.catalog, space)
+        twin, source = self._pair(program, kind)
+        drained, kept = (twin, source) if member == "twin" else (source, twin)
+        checkpoint = _checkpoint(drained, 7)
+        pins = {program.slot_of(drained): checkpoint}
+        substituted, mapping = _substitute(plan, {id(drained): checkpoint})
+        reference = CompiledDecision(substituted, workload.catalog, space)
+        for seed in range(3):
+            bindings = random_bindings(workload, seed=seed)
+            bindings.bind(MEMORY_PARAMETER, 16 + 40 * seed)
+            costs, cards, decisions = program.evaluate(bindings, pins)
+            expected_costs, expected_cards, expected = reference.evaluate(bindings)
+            compared = 0
+            for node in program._nodes:
+                if id(node) in mapping:
+                    slot = program.slot_of(node)
+                    other = reference.slot_of(mapping[id(node)])
+                    assert (costs[slot], cards[slot]) == (
+                        expected_costs[other],
+                        expected_cards[other],
+                    )
+                    compared += 1
+            assert compared == len(reference)
+            drained_slot = program.slot_of(drained)
+            assert (costs[drained_slot], cards[drained_slot]) == (0.0, 7.0)
+            assert costs[program.slot_of(kept)] > 0.0
+            # Choose-plans below the pin only the pinned pass decides.
+            assert {
+                id(mapping[id(node)]): id(mapping[id(alternative)])
+                for node, alternative in decisions
+                if id(node) in mapping
+            } == {id(node): id(alternative) for node, alternative in expected}
 
 
 class TestMidQueryProperties:

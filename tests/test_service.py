@@ -9,6 +9,7 @@ compiled decision programs make identical choices.
 
 import json
 import threading
+from collections import Counter
 
 import pytest
 
@@ -16,7 +17,9 @@ from repro.__main__ import main
 from repro.catalog import populate_database
 from repro.common.errors import ExecutionError
 from repro.common.intervals import Interval
+from repro.cost.formulas import _filter_btree_scan, _merge_join, _sort
 from repro.cost.parameters import MEMORY_PARAMETER
+from repro.executor.decision import _choose_plan, _computation, _copy
 from repro.executor.startup import resolve_dynamic_plan
 from repro.observability import MetricsRegistry, Tracer
 from repro.optimizer import (
@@ -452,6 +455,57 @@ class TestCompiledDecision:
                     compiled_report.choice_signature()
                     == reference_report.choice_signature()
                 )
+
+
+    def test_paper_query_5_runs_each_distinct_row_once(self):
+        """Query 5's 1,123 slots: 10 templates, 1,113 rows, of which 209
+        compute what another row of their rank computes and are copied
+        (165 swapped merge joins, 44 sorts of an input another sort
+        already costs: a sort's cost does not read its key)."""
+        workload = paper_workload(5, seed=0)
+        plan = optimize_dynamic(workload.catalog, workload.query).plan
+        program = CompiledDecision(
+            plan, workload.catalog, workload.query.parameter_space
+        )
+        rows = Counter()
+        for kernel, segment in program._segments:
+            rows[kernel] += len(segment)
+        assert (len(program), program.decision_count) == (1123, 145)
+        assert sum(rows.values()) - rows[_copy] == 904
+        assert rows[_copy] == 209
+        assert (rows[_sort], rows[_merge_join]) == (64, 165)
+
+    def test_a_row_is_keyed_by_what_it_computes(self):
+        """Swapped merge-join inputs compute alike; a clustered fetch
+        (``True``, tested by identity) is not a one-page heap (``1``)."""
+        assert _computation(_merge_join, (5, 1, 2, 0.1)) == _computation(
+            _merge_join, (6, 2, 1, 0.1)
+        )
+        scan = (0, 1, 1000, 0.03, 32, True)
+        assert _computation(_filter_btree_scan, scan) != _computation(
+            _filter_btree_scan, scan[:-1] + (1,)
+        )
+
+    def test_memo_keys_hold_only_the_programs_pairs(self):
+        """A pass appends the program's prebuilt (choose-plan,
+        alternative) pairs, so a memo over 100 bindings keeps no pair of
+        its own."""
+        workload = paper_workload(5, seed=0)
+        gateway, shard = one_shard(Database(workload.catalog), execute=False)
+        with gateway:
+            for seed in range(100):
+                gateway.run(workload.query, random_bindings(workload, seed=seed))
+            entry = shard.cache.get(workload.query)
+        pairs = {
+            id(pair)
+            for kernel, rows in entry.decision._segments
+            if kernel is _choose_plan
+            for row in rows
+            for pair in row[-1]
+        }
+        keys = list(entry.chosen_memo)
+        assert len(keys) > 1
+        assert all(id(pair) in pairs for key in keys for pair in key)
 
 
 class TestQueryService:
