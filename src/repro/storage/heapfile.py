@@ -14,6 +14,11 @@ page-aligned batch is one slice of the list.  The engine moves those
 tuples; :meth:`HeapFile.scan`, :meth:`HeapFile.fetch` and
 :meth:`HeapFile.all_records` build :class:`~repro.storage.records.Record`
 objects on the heap's layout on demand.
+
+The heap's layout also carries the positions whose stored values are
+all exact ints (:attr:`~repro.storage.records.Layout.integral`).
+:meth:`HeapFile.bulk_load` is the one write path, so it keeps that set:
+every position starts in it, and a load can only take positions out.
 """
 
 from repro.common.errors import ExecutionError
@@ -40,6 +45,7 @@ class HeapFile:
         #: values tuple of the relation is read through: its qualified
         #: attribute names.
         self.layout = Layout(schema.qualified_names())
+        self.layout.integral = frozenset(range(len(self.layout.names)))
         #: Every stored values tuple, in RID order (see the module doc).
         self._rows = []
 
@@ -60,25 +66,41 @@ class HeapFile:
         """Insert many rows; returns the RIDs in insertion order.
 
         Each row's values, in schema order, are stored as one tuple
-        read through the heap's :attr:`layout`.
+        read through the heap's :attr:`layout`.  A position at which a
+        loaded value is not an exact ``int`` leaves the layout's
+        :attr:`~repro.storage.records.Layout.integral` set.
         """
         names = self._attribute_names
         stored = self._rows
         per_page = self.records_per_page
+        first = len(stored)
         rids = []
-        for fields in rows:
-            try:
-                values = tuple([fields[name] for name in names])
-            except KeyError:
-                values = self._qualified_values(fields)
-            page, slot = divmod(len(stored), per_page)
-            if slot == 0:
-                if self.fault_injector is not None:
-                    self.fault_injector.record("heap_write")
-                self.io_stats.charge_page_writes(1)
-            stored.append(values)
-            rids.append((page, slot))
+        try:
+            for fields in rows:
+                try:
+                    values = tuple([fields[name] for name in names])
+                except KeyError:
+                    values = self._qualified_values(fields)
+                page, slot = divmod(len(stored), per_page)
+                if slot == 0:
+                    if self.fault_injector is not None:
+                        self.fault_injector.record("heap_write")
+                    self.io_stats.charge_page_writes(1)
+                stored.append(values)
+                rids.append((page, slot))
+        finally:
+            # Also after a load that failed part-way: what it stored stays.
+            self._narrow_integral(stored[first:])
         return rids
+
+    def _narrow_integral(self, loaded):
+        """Drop from the layout's integral set every position at which a
+        tuple of ``loaded`` holds anything but an exact ``int``."""
+        self.layout.integral = frozenset(
+            i
+            for i in self.layout.integral
+            if all(type(t[i]) is int for t in loaded)
+        )
 
     def _qualified_values(self, fields):
         """A row's values in schema order, each field given bare or

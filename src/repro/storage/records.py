@@ -40,11 +40,17 @@ class Layout:
     """Field names in order, their positions, and the layouts derived
     from them (merges and projections, each memoized here)."""
 
-    __slots__ = ("names", "positions", "_suffix", "_merged", "_projected")
+    __slots__ = ("names", "positions", "integral", "_suffix", "_merged", "_projected")
 
     def __init__(self, names):
         self.names = tuple(names)
         self.positions = {name: i for i, name in enumerate(self.names)}
+        #: Positions at which every tuple on this layout holds an exact
+        #: ``int`` (``type(v) is int``, so not a ``bool``).  Only a heap
+        #: file's own layout claims any (see
+        #: :meth:`~repro.storage.heapfile.HeapFile.bulk_load`): merged,
+        #: projected and hand-built layouts claim none.
+        self.integral = frozenset()
         self._suffix = {}
         self._merged = {}
         self._projected = {}
