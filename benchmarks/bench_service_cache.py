@@ -111,7 +111,7 @@ def test_service_cache_amortization(benchmark, results_dir):
 
     # A hit's start-up pass costs no more plan nodes than the shape's one
     # optimization: the dynamic plan holds only nodes the optimizer
-    # costed.  (Counted, the two are close — 4-116 against 5-132 here —
+    # costed.  (Counted, the two are close — 3-94 against 5-132 here —
     # so the wall-clock gap is the cost per evaluation: a compiled
     # point-valued kernel against interval costing inside the search.)
     for name, result in zip(report.names, report.results):

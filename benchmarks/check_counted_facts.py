@@ -7,7 +7,10 @@ I/O, however fast the engine runs.  A change that moves either changed
 what the plans do.  The script runs each workload untraced through
 ``python3 -m benchmarks.e2e`` and compares its result's
 ``facts["rows_per_pass"]`` and ``facts["first_pass_io"]`` with the
-committed values; every value must be equal.
+committed values; every value must be equal.  Every run must also fail
+no request, and a workload with a committed ``max_plan_regret_ratio``
+must read its ``plan_regret_ratio`` metric at or below it (a counted
+ratio too: simulated cost served over the hindsight plans').
 
 Run from the repository root, with no arguments::
 
@@ -26,7 +29,8 @@ import tempfile
 HERE = pathlib.Path(__file__).parent
 REPO_ROOT = HERE.parent
 FACTS = HERE / "counted_facts.json"
-#: The facts compared; a workload's ``note`` only explains its values.
+#: The facts compared exactly; a workload's ``note`` only explains its
+#: values, and ``max_plan_regret_ratio`` is an upper bound.
 CHECKED = ("rows_per_pass", "first_pass_io")
 
 
@@ -63,6 +67,15 @@ def check(workloads, committed, results):
         wanted = {name: expected[name] for name in CHECKED}
         if read != wanted:
             problems.append((workload, "read %r, committed %r" % (read, wanted)))
+        if document.get("failed") != 0:
+            problems.append((workload, "failed %r requests" % document.get("failed")))
+        bound = expected.get("max_plan_regret_ratio")
+        if bound is not None:
+            regret = document["metrics"]["plan_regret_ratio"]["value"]
+            if not regret <= bound:
+                problems.append(
+                    (workload, "plan_regret_ratio %r above %r" % (regret, bound))
+                )
     return problems
 
 

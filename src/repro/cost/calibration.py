@@ -36,8 +36,12 @@ def measure_evaluation_rate(catalog, plan, parameter_space, repetitions=50):
     """Measured cost-function evaluations per second for a plan.
 
     Each repetition uses a fresh memoizing cost model, so every node of
-    the DAG is evaluated once per repetition — the same work a
-    choose-plan decision pass performs.
+    the DAG is evaluated once per repetition at the interval cost
+    model's two corners — the optimizer's costing work.  A start-up
+    decision pass evaluates the same formulas once, at point bindings,
+    through a compiled program
+    (:class:`~repro.executor.decision.CompiledDecision`), which is
+    faster per evaluation.
     """
     valuation = Valuation.expected(parameter_space)
     total_evaluations = 0

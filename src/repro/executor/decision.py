@@ -1,15 +1,15 @@
-"""Compiled start-up decision procedures for cached dynamic plans.
+"""The start-up decision procedure: a dynamic plan compiled into a program.
 
 The paper's access module embeds each choose-plan's decision procedure
 — the alternatives' cost functions — so that start-up only *evaluates*
-them under the actual bindings.  The generic path
-(:func:`~repro.executor.startup.resolve_dynamic_plan`) interprets the
-plan DAG through the interval cost model on every invocation; for a
-long-lived service that interpretation overhead dominates the start-up
-cost the cache is supposed to make negligible.
+them under the actual bindings.  This module is the library's one
+implementation of that step.  A one-shot activation
+(:func:`~repro.executor.startup.resolve_dynamic_plan`) compiles a
+program and runs one pass; a long-lived service compiles it once, when
+a plan enters the cache, and runs a pass per request.
 
-:class:`CompiledDecision` performs the interpretation **once**, when a
-plan enters the cache.  It linearizes the DAG (children first; a node's
+:class:`CompiledDecision` walks the plan DAG **once**, at compile time.
+It linearizes the DAG (children first; a node's
 index is its *slot* in the ``costs``/``cards`` work arrays) and gives
 every node a *rank*, one more than the highest rank among its inputs,
 so the nodes of one rank are independent.  Each node becomes a *row* —
@@ -38,9 +38,10 @@ At start-up time every parameter is a point, so interval evaluation
 degenerates to scalar evaluation.  The rows and kernels are
 :mod:`repro.cost.formulas`' own — the one statement of each operator's
 cost, which :class:`~repro.cost.formulas.CostModel` runs at its two
-corners — so a compiled decision is the interpreted path's, bit for
-bit (asserted by the equivalence tests).  Only the choose-plan argmin
-is this module's.  Compilation never mutates the plan, and a compiled
+corners — so a compiled decision is, bit for bit, that of a walk
+costing each alternative through ``CostModel`` at the bindings (the
+tests' independent oracle).  Only the choose-plan argmin is this
+module's.  Compilation never mutates the plan, and a compiled
 procedure keeps no per-invocation state, so one instance serves any
 number of threads.
 
@@ -59,18 +60,109 @@ decisions read (:meth:`read_set`) are derived here once and cached.
 
 import copy
 import time
-from operator import itemgetter
+from operator import is_, itemgetter
 
 from repro.algebra.physical import (
     ChoosePlan,
     Filter,
     FilterBTreeScan,
+    HashJoin,
+    IndexJoin,
+    MergeJoin,
+    Project,
+    Sort,
 )
 from repro.common.errors import PlanError
-from repro.common.units import access_module_read_seconds
+from repro.common.units import (
+    CATALOG_VALIDATION_SECONDS,
+    access_module_read_seconds,
+)
 from repro.cost.formulas import RowBuilder, _merge_join
 from repro.cost.parameters import MEMORY_PARAMETER
-from repro.executor.startup import StartupReport, _rebuild
+
+
+class StartupReport:
+    """Accounting of one plan activation."""
+
+    def __init__(
+        self,
+        decisions,
+        cost_evaluations,
+        cpu_seconds,
+        io_seconds,
+        node_count,
+        choices=(),
+    ):
+        self.decisions = decisions
+        #: Cost functions evaluated: one per plan node that is not a
+        #: choose-plan (a choose-plan compares, it costs nothing).
+        self.cost_evaluations = cost_evaluations
+        self.cpu_seconds = cpu_seconds
+        self.io_seconds = io_seconds
+        self.node_count = node_count
+        #: (choose_plan_node, chosen_original_alternative) pairs
+        self.choices = list(choices)
+
+    @property
+    def total_seconds(self):
+        """Catalog validation + module I/O + decision CPU (time ``f``)."""
+        return CATALOG_VALIDATION_SECONDS + self.io_seconds + self.cpu_seconds
+
+    def choice_signature(self):
+        """Structural fingerprint of the decisions taken.
+
+        Two activations of the same dynamic plan under the same
+        bindings must produce equal choice signatures regardless of
+        which thread ran them, and equal the signature of a resolution
+        that visits choose-plan nodes in another order: the tests'
+        independent reference walk decides depth-first, a program in
+        rank order.  Hence order-insensitive.  Linear in the plan DAG:
+        one digest per distinct node, shared across the choices.
+        """
+        memo = {}
+        return tuple(
+            sorted(
+                (node.digest(memo), chosen.digest(memo))
+                for node, chosen in self.choices
+                if chosen is not None
+            )
+        )
+
+    def __repr__(self):
+        return (
+            "StartupReport(decisions=%d, evals=%d, cpu=%.4fs, io=%.4fs)"
+            % (
+                self.decisions,
+                self.cost_evaluations,
+                self.cpu_seconds,
+                self.io_seconds,
+            )
+        )
+
+
+def _rebuild(node, new_children):
+    """Copy a node onto resolved children (identity when unchanged)."""
+    if all(map(is_, new_children, node.inputs())):
+        return node
+    kind = type(node)
+    if kind is HashJoin or kind is MergeJoin:
+        return kind(new_children[0], new_children[1], node.predicates)
+    if kind is Filter:
+        return Filter(new_children[0], node.predicate)
+    if kind is IndexJoin:
+        return IndexJoin(
+            new_children[0],
+            node.inner_relation,
+            node.inner_attribute,
+            node.predicates,
+            residual_predicate=node.residual_predicate,
+        )
+    if kind is Sort:
+        return Sort(new_children[0], node.attribute)
+    if kind is Project:
+        return Project(new_children[0], node.attributes)
+    # Leaves have no children and always hit the identity path above.
+    return node
 
 
 class DecisionCompilationError(PlanError):
@@ -162,8 +254,9 @@ class CompiledDecision:
     """One dynamic plan compiled into a scalar start-up program.
 
     ``choose(bindings)`` runs all decision procedures and returns
-    ``(static_plan, report)`` with the same semantics as
-    :func:`~repro.executor.startup.resolve_dynamic_plan`.  Queries of
+    ``(static_plan, report)``;
+    :func:`~repro.executor.startup.resolve_dynamic_plan` is a compile
+    and one ``choose``.  Queries of
     one input signature share one program: :meth:`view` gives each its
     own parameter defaults over the same plan, slots and segments.
     """
@@ -307,8 +400,9 @@ class CompiledDecision:
     def choose(self, bindings, pins=None):
         """Run every decision procedure under ``bindings``.
 
-        Returns ``(static_plan, report)`` exactly like
-        :func:`~repro.executor.startup.resolve_dynamic_plan`.  ``pins``
+        Returns ``(static_plan, report)``, the report's
+        ``cost_evaluations`` one per slot that is not a choose-plan.
+        ``pins``
         are drained nodes (see :meth:`evaluate`); the plan is rebuilt
         with each checkpoint in its node's place.  All working state is
         local to this call — safe to invoke from any number of threads
@@ -388,7 +482,7 @@ class CompiledDecision:
         cpu_seconds = time.perf_counter() - started
         report = StartupReport(
             decisions=len(decisions),
-            cost_evaluations=len(self._nodes),
+            cost_evaluations=len(self._nodes) - self.decision_count,
             cpu_seconds=cpu_seconds,
             io_seconds=access_module_read_seconds(len(self._nodes)),
             node_count=len(self._nodes),

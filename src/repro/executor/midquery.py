@@ -67,6 +67,7 @@ from repro.cost.formulas import CostModel
 from repro.cost.parameters import Bindings, ParameterSpace, Valuation
 from repro.executor.decision import (
     CompiledDecision,
+    _rebuild,
     _uncertain_predicate,
     rebuild_chosen,
 )
@@ -76,7 +77,6 @@ from repro.executor.engine import (
     drive,
     execute_plan,
 )
-from repro.executor.startup import _rebuild
 from repro.executor.vectorized import sargable_key_range
 from repro.resilience.deadline import Deadline
 from repro.storage.iostats import IOStatistics
@@ -375,7 +375,7 @@ def execute_midquery(
 
     ``choices`` optionally seeds the standing choices with start-up
     decisions already made (a
-    :class:`~repro.executor.startup.StartupReport`'s ``choices`` list);
+    :class:`~repro.executor.decision.StartupReport`'s ``choices`` list);
     the run then starts from them instead of repeating the start-up
     argmin.  Each re-decision is one whole pass of the plan's
     :class:`~repro.executor.decision.CompiledDecision` over the

@@ -13,14 +13,15 @@ can be measured (see ``benchmarks/bench_shrinking.py``).
 
 from repro.algebra.physical import ChoosePlan
 from repro.executor.access_module import AccessModule
-from repro.executor.startup import _rebuild, resolve_dynamic_plan
+from repro.executor.decision import _rebuild
+from repro.executor.startup import resolve_dynamic_plan
 
 
 class ShrinkingAccessModule:
     """An access module that drops never-chosen alternatives over time.
 
     ``shrink_after`` invocations trigger self-replacement; statistics
-    are kept per choose-plan node (by plan signature, so they survive
+    are kept per choose-plan node (by plan digest, so they survive
     re-materialization of the module).
     """
 
@@ -34,7 +35,7 @@ class ShrinkingAccessModule:
         self.invocations_since_shrink = 0
         self.total_invocations = 0
         self.shrink_count = 0
-        #: choose-plan signature -> set of chosen-alternative signatures
+        #: choose-plan digest -> set of chosen-alternative digests
         self._usage = {}
 
     # ------------------------------------------------------------------
@@ -59,11 +60,14 @@ class ShrinkingAccessModule:
             plan, self.catalog, self.parameter_space, bindings
         )
         # The resolution pass logged exactly which alternative each
-        # choose-plan node picked; remember them by signature so the
-        # statistics survive re-materialization of the module.
+        # choose-plan node picked; remember them by digest so the
+        # statistics survive re-materialization of the module.  One
+        # memo keeps the digests linear in the DAG (hashing a nested
+        # signature expands the DAG into a tree).
+        memo = {}
         for choose_node, alternative in report.choices:
-            usage = self._usage.setdefault(choose_node.signature(), set())
-            usage.add(alternative.signature())
+            usage = self._usage.setdefault(choose_node.digest(memo), set())
+            usage.add(alternative.digest(memo))
         return chosen, report
 
     # ------------------------------------------------------------------
@@ -80,33 +84,35 @@ class ShrinkingAccessModule:
         bindings (the trade-off the paper points out).
         """
         plan = self.module.materialize()
-        rebuilt = self._shrink_node(plan, {})
+        rebuilt = self._shrink_node(plan, {}, {})
         self.module = AccessModule.from_plan(rebuilt, self.query_name)
         self.invocations_since_shrink = 0
         self.shrink_count += 1
         return self.module
 
-    def _shrink_node(self, node, cache):
+    def _shrink_node(self, node, cache, memo):
         cached = cache.get(id(node))
         if cached is not None:
             return cached[1]
         if isinstance(node, ChoosePlan):
-            used_signatures = self._usage.get(node.signature())
-            if used_signatures:
+            used_digests = self._usage.get(node.digest(memo))
+            if used_digests:
                 survivors = [
                     alternative
                     for alternative in node.alternatives
-                    if alternative.signature() in used_signatures
+                    if alternative.digest(memo) in used_digests
                 ]
             else:
                 survivors = list(node.alternatives)
-            survivors = [self._shrink_node(s, cache) for s in survivors]
+            survivors = [self._shrink_node(s, cache, memo) for s in survivors]
             if len(survivors) == 1:
                 result = survivors[0]
             else:
                 result = ChoosePlan(survivors)
         else:
-            children = [self._shrink_node(child, cache) for child in node.inputs()]
+            children = [
+                self._shrink_node(child, cache, memo) for child in node.inputs()
+            ]
             result = _rebuild(node, children)
         cache[id(node)] = (node, result)
         return result

@@ -24,7 +24,7 @@ from repro.algebra.physical import (
     Materialized,
 )
 from repro.common.errors import InfeasiblePlanError
-from repro.executor.startup import _rebuild
+from repro.executor.decision import _rebuild
 
 
 def node_is_feasible(node, catalog):

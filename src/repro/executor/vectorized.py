@@ -74,6 +74,7 @@ from repro.executor.predicates import (
     compile_batch_predicate,
     deferred,
 )
+from repro.executor.startup import resolve_dynamic_plan
 from repro.storage.records import Layout
 
 #: Records per batch when the execution context does not override it.
@@ -548,12 +549,12 @@ class ProjectBatchIterator(BatchPlanIterator):
 class ChoosePlanBatchIterator(BatchPlanIterator):
     """The choose-plan operator's run-time behaviour.
 
-    At open — before any batch flows — the decision procedure
-    re-evaluates the alternatives' cost functions under the context's
-    run-time bindings (shared subplans costed once, nested choose-plans
-    resolved bottom-up) and opens only the cheapest alternative, whose
-    layout and batch stream are returned as-is: choose-plan adds zero
-    per-batch overhead.
+    At open — before any batch flows — :func:`resolve_dynamic_plan`
+    compiles the plan's decision program and runs one pass under the
+    context's run-time bindings (shared subplans costed once, nested
+    choose-plans decided in rank order), then opens only the cheapest
+    alternative, whose layout and batch stream are returned as-is:
+    choose-plan adds zero per-batch overhead.
     """
 
     def _produce_batches(self):
@@ -563,8 +564,6 @@ class ChoosePlanBatchIterator(BatchPlanIterator):
 
     def choose(self):
         """The resolved plan the decision procedure selects."""
-        from repro.executor.startup import resolve_dynamic_plan
-
         chosen, report = resolve_dynamic_plan(
             self.plan,
             self.context.database.catalog,

@@ -24,7 +24,7 @@ from operator import itemgetter
 import pytest
 from hypothesis import given, settings, strategies as st
 from tests._layouts import LayoutRecorder
-from tests._reference import reference_rows
+from tests._reference import reference_resolve, reference_rows
 from tests.test_property_random_queries import workloads
 
 from repro.algebra.expressions import (
@@ -53,7 +53,12 @@ from repro.common.errors import (
 from repro.cost.formulas import CostModel
 from repro.cost.parameters import MEMORY_PARAMETER, Bindings, Valuation
 from repro.executor import execute_plan, resolve_dynamic_plan, validate_plan
-from repro.executor.decision import CompiledDecision, DecisionCompilationError, _copy
+from repro.executor.decision import (
+    CompiledDecision,
+    DecisionCompilationError,
+    _copy,
+    _rebuild,
+)
 from repro.executor.midquery import (
     ReoptPolicy,
     count_qualifying,
@@ -169,8 +174,6 @@ def _substitute(plan, replacements):
     Returns ``(new plan, id(old node) -> new node)``.  The interpreted
     oracle runs over the result: a pin *is* this substitution.
     """
-    from repro.executor.startup import _rebuild
-
     mapping = {}
 
     def rebuild(node):
@@ -442,13 +445,12 @@ class TestIncrementalDecider:
         space = workload.query.parameter_space
         program = CompiledDecision(plan, workload.catalog, space)
         chosen, report = program.choose(bindings, {})
-        expected, oracle = resolve_dynamic_plan(
-            plan, workload.catalog, space, bindings
-        )
+        expected, oracle = reference_resolve(plan, workload.catalog, space, bindings)
         assert chosen.signature() == expected.signature()
         assert report.choice_signature() == oracle.choice_signature()
         assert report.decisions == plan.choose_plan_count()
-        assert report.cost_evaluations == len(program) == plan.node_count()
+        assert len(program) == plan.node_count()
+        assert report.cost_evaluations == len(program) - program.decision_count
 
     def test_splice_compiles_nothing_and_keeps_choices(self, monkeypatch):
         """A run seeded with start-up choices that never re-decides needs
@@ -589,7 +591,10 @@ class TestIncrementalDecider:
         shrunk = bindings.copy().bind(MEMORY_PARAMETER, 2)
         chosen, report = program.choose(shrunk)
         assert result.startup_report.choices == report.choices
-        assert result.startup_report.cost_evaluations == len(program)
+        assert (
+            result.startup_report.cost_evaluations
+            == len(program) - program.decision_count
+        )
         assert result.chosen.signature() == chosen.signature()
         assert rows_digest(result.execution.records) == rows_digest(
             _run_plain(workload, program.plan, bindings).records
@@ -765,7 +770,7 @@ class TestMidQueryProperties:
         pinned, pass_report = program.choose(bindings, pins)
 
         substituted, mapping = _substitute(plan, replacements)
-        chosen, report = resolve_dynamic_plan(
+        chosen, report = reference_resolve(
             substituted, workload.catalog, space, bindings
         )
         assert pinned.signature() == chosen.signature()
@@ -791,8 +796,6 @@ class TestMidQueryProperties:
         (cardinality 0, zero pages), cardinality <= 1 (the sort floor),
         memory below one build page, and parameters left unbound.
         """
-        from repro.executor.startup import _rebuild
-
         plan = optimize_dynamic(workload.catalog, workload.query).plan
         space = workload.query.parameter_space
         bindings = random_bindings(workload, seed=0)

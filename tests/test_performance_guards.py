@@ -38,8 +38,8 @@ class TestOptimizationScale:
         assert statistics.cost_evaluations == 733
 
     def test_query5_startup_resolution_work_is_counted(self, query5):
-        """The interpreted resolution costs each resolved alternative's
-        distinct nodes once; the program runs one step per DAG node."""
+        """Start-up resolution costs each DAG node that is not a
+        choose-plan once: 1,123 program slots, 145 of them decisions."""
         dynamic = optimize_dynamic(query5.catalog, query5.query)
         space = query5.query.parameter_space
         _plan, report = resolve_dynamic_plan(

@@ -3,7 +3,7 @@
 A nested function that calls itself holds itself through its closure
 cell, so every call of a walk written that way leaves a cycle that only
 the garbage collector frees: 8 objects a served decision-memo miss, and
-thousands for one interpreted start-up pass over paper query 5.  With
+thousands for one depth-first start-up walk over paper query 5.  With
 the collector off, each walk below, and a served request that rebuilds
 its chosen plan, must leave nothing for it to find.
 """

@@ -19,8 +19,13 @@ from repro.common.errors import ExecutionError
 from repro.common.intervals import Interval
 from repro.cost.formulas import _filter_btree_scan, _merge_join, _sort
 from repro.cost.parameters import MEMORY_PARAMETER
+from repro.executor import (
+    ShrinkingAccessModule,
+    activate_plan,
+    execute_plan,
+    resolve_dynamic_plan,
+)
 from repro.executor.decision import _choose_plan, _computation, _copy
-from repro.executor.startup import resolve_dynamic_plan
 from repro.observability import MetricsRegistry, Tracer
 from repro.optimizer import (
     canonical_signature,
@@ -29,6 +34,7 @@ from repro.optimizer import (
     signature_digest,
 )
 from repro.optimizer.query import QuerySpec
+from repro.scenarios.dynamic_scenario import DynamicPlanScenario
 from repro.service import (
     CompiledDecision,
     PlanCache,
@@ -44,6 +50,7 @@ from repro.workloads import make_join_workload, paper_workload, random_bindings
 from repro.workloads.bindings import bind_selectivity
 from repro.workloads.queries import make_join_predicates, make_selection_predicate
 from repro.workloads.traffic import TrafficShape, TrafficSpec, to_service_requests
+from tests._reference import reference_resolve
 
 
 def narrow_workload(bounds=(0.0, 0.3)):
@@ -419,43 +426,65 @@ class TestRetainedTier:
 class TestCompiledDecision:
     @pytest.mark.parametrize("paper_query", [1, 2, 3, 4, 5])
     def test_matches_interpreted_resolution(self, paper_query):
-        """Every decision equals the interpreted one — with the memory
-        grant swept across its [16, 112]-page interval too, so the
-        hash-join and sort spill branches and query 5's 38-alternative
-        choose-plans are compared, not only the in-memory formulas.
-        Both run the same kernels, so not even an exact tie may break
-        differently (g_i = d_i).
+        """Every decision equals the reference walk's
+        (``tests/_reference.py``) — with the memory grant swept across
+        its [16, 112]-page interval too, so the hash-join and sort spill
+        branches and query 5's 38-alternative choose-plans are compared,
+        not only the in-memory formulas.  Both run the same kernels, so
+        not even an exact tie may break differently (g_i = d_i).  Every
+        library entry point into a start-up decision agrees: the
+        program, ``resolve_dynamic_plan``, ``activate_plan``, the engine
+        opening the unresolved plan, the dynamic scenario and a
+        shrinking access module before its first shrink.
         """
         for memory_uncertain in (False, True):
             workload = paper_workload(
                 paper_query, seed=0, memory_uncertain=memory_uncertain
             )
-            space = workload.query.parameter_space
-            plan = optimize_dynamic(workload.catalog, workload.query).plan
-            decision = CompiledDecision(plan, workload.catalog, space)
+            catalog, space = workload.catalog, workload.query.parameter_space
+            scenario = DynamicPlanScenario(workload)
+            plan = scenario.plan
+            decision = CompiledDecision(plan, catalog, space)
+            database = populate_database(Database(catalog), seed=0)
+            shrinking = ShrinkingAccessModule(plan, catalog, space, shrink_after=21)
             for seed in range(20):
                 bindings = random_bindings(workload, seed=seed)
                 if memory_uncertain:
                     bindings.bind(MEMORY_PARAMETER, 16 + seed * 96 // 19)
                 compiled_plan, compiled_report = decision.choose(bindings)
-                reference_plan, reference_report = resolve_dynamic_plan(
-                    plan, workload.catalog, space, bindings
+                reference_plan, reference_report = reference_resolve(
+                    plan, catalog, space, bindings
                 )
                 assert compiled_report.decisions == reference_report.decisions
-                assert compiled_report.cost_evaluations == len(decision)
-                compiled = {
-                    id(node): chosen for node, chosen in compiled_report.choices
-                }
-                assert all(
-                    compiled[id(node)] is chosen
-                    for node, chosen in reference_report.choices
-                )
-                assert compiled_plan.signature() == reference_plan.signature()
                 assert (
-                    compiled_report.choice_signature()
-                    == reference_report.choice_signature()
+                    compiled_report.cost_evaluations
+                    == len(decision) - decision.decision_count
+                    == reference_report.cost_evaluations
                 )
-
+                reference = {
+                    (id(node), id(chosen)) for node, chosen in reference_report.choices
+                }
+                assert {
+                    (id(node), id(chosen)) for node, chosen in compiled_report.choices
+                } == reference
+                executed = execute_plan(plan, database, bindings, space)
+                assert {
+                    (id(node), id(chosen)) for node, chosen in executed.decisions
+                } == reference
+                scenario.invoke(bindings)
+                for chosen, report in (
+                    (compiled_plan, compiled_report),
+                    resolve_dynamic_plan(plan, catalog, space, bindings),
+                    activate_plan(plan, catalog, space, bindings),
+                    (scenario.last_chosen, scenario.last_report),
+                    shrinking.activate(bindings),
+                ):
+                    assert chosen.signature() == reference_plan.signature()
+                    assert (
+                        report.choice_signature()
+                        == reference_report.choice_signature()
+                    )
+            assert shrinking.shrink_count == 0
 
     def test_paper_query_5_runs_each_distinct_row_once(self):
         """Query 5's 1,123 slots: 10 templates, 1,113 rows, of which 209
@@ -513,7 +542,7 @@ class TestQueryService:
 
     def reference_signatures(self, workload, plan, all_bindings):
         return [
-            resolve_dynamic_plan(
+            reference_resolve(
                 plan, workload.catalog, workload.query.parameter_space,
                 bindings,
             )[1].choice_signature()

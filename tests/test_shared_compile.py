@@ -36,7 +36,6 @@ from repro.cost.parameters import (
 )
 from repro.executor.access_module import AccessModule
 from repro.executor.decision import CompiledDecision
-from repro.executor.startup import resolve_dynamic_plan
 from repro.optimizer import (
     OptimizerConfig,
     input_signature,
@@ -52,6 +51,7 @@ from repro.storage import Database
 from repro.workloads import paper_workload
 from repro.workloads.queries import make_join_predicates
 from repro.workloads.traffic import TrafficSpec, to_service_requests
+from tests._reference import reference_resolve
 
 ANNOTATIONS = ("cost", "cardinality", "sort_order")
 
@@ -458,7 +458,7 @@ class TestOnePlanPerRun:
             # g_i = d_i: the run-time resolution of the query's own plan
             # over its own space.
             fresh = optimize_dynamic(paper_catalog, query).plan
-            chosen, report = resolve_dynamic_plan(
+            chosen, report = reference_resolve(
                 fresh, paper_catalog, query.parameter_space, bindings
             )
             assert result.chosen.digest() == chosen.digest()
