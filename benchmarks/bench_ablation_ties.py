@@ -3,10 +3,13 @@
 Section 3 discusses two situations where seemingly incomparable plans
 need not both be kept: exactly-equal costs (e.g. the two merge-join
 orders) and consistently-dominated plans.  The paper's prototype keeps
-everything ("the most naive manner"); our optimizer additionally
-implements the proposed multipoint-sampling heuristic.  This bench
-quantifies what each choice costs in plan size, and verifies the
-heuristic does not hurt plan quality on sampled bindings.
+everything ("the most naive manner"); the optimizer's default drops the
+exactly-equal plans (``keep_equal_cost_plans=False``: a merge join's
+commuted twin is never built), and it additionally implements the
+proposed multipoint-sampling heuristic, measured here over the paper
+form.  This bench quantifies what each choice costs in plan size, checks
+that dropping the ties changes no decision, and verifies the heuristic
+does not hurt plan quality on sampled bindings.
 """
 
 from conftest import write_and_print
@@ -35,18 +38,18 @@ def test_ablation_tie_handling(benchmark, results_dir):
     workload = paper_workload(3)
     series = binding_series(workload, count=15, seed=31)
 
+    multipoint = OptimizerConfig.dynamic(
+        multipoint_heuristic=True,
+        multipoint_samples=7,
+        keep_equal_cost_plans=True,
+    )
     configurations = [
-        ("paper (keep everything)", OptimizerConfig.dynamic()),
         (
-            "drop equal-cost ties",
-            OptimizerConfig.dynamic(keep_equal_cost_plans=False),
+            "paper (keep everything)",
+            OptimizerConfig.dynamic(keep_equal_cost_plans=True),
         ),
-        (
-            "multipoint heuristic",
-            OptimizerConfig.dynamic(
-                multipoint_heuristic=True, multipoint_samples=7
-            ),
-        ),
+        ("drop equal-cost ties", OptimizerConfig.dynamic()),
+        ("multipoint heuristic", multipoint),
     ]
 
     lines = [
@@ -74,17 +77,16 @@ def test_ablation_tie_handling(benchmark, results_dir):
     write_and_print(results_dir, "ablation_ties", "\n".join(lines))
 
     baseline_result, baseline_cost = costs["paper (keep everything)"]
+    ties_result, ties_cost = costs["drop equal-cost ties"]
     heuristic_result, heuristic_cost = costs["multipoint heuristic"]
+    # Dropping exact ties shrinks the plan and changes no decision.
+    assert ties_result.node_count() < baseline_result.node_count()
+    assert ties_cost == baseline_cost
     # The heuristic shrinks the plan without degrading sampled quality
     # by more than a whisker (it is a heuristic; exact loss is 0 here).
     assert heuristic_result.node_count() <= baseline_result.node_count()
     assert heuristic_cost <= baseline_cost * 1.10
 
     benchmark(
-        lambda: optimize_dynamic(
-            workload.catalog, workload.query,
-            OptimizerConfig.dynamic(
-                multipoint_heuristic=True, multipoint_samples=7
-            ),
-        )
+        lambda: optimize_dynamic(workload.catalog, workload.query, multipoint)
     )

@@ -36,11 +36,14 @@ bug.
 One wall-clock record rides along per scenario,
 ``redecision_us_per_pass``: the splice arm's ``decision_seconds /
 redecisions`` with the plan's decision program compiled beforehand, so
-it is the cost of a re-decision pass and nothing else.  Two exact counts
-pin the same work: ``steps_per_redecision``, the decision-program steps
-the splice arm ran over its re-decisions (the opening decision included,
-as in the wall record; every pass runs the whole program), and
-``probes``, the index-only counts it ran before deciding.
+it is the cost of a re-decision pass and nothing else.  It is printed,
+not gated: the committed baseline leaves it out, because on a shared
+machine it moved by more than the gate's tolerance on unchanged code.
+Two exact counts pin the same work instead: ``steps_per_redecision``,
+the decision-program steps the splice arm ran over its re-decisions
+(the opening decision included, as in the wall record; every pass runs
+the whole program; ``better: lower``), and ``probes``, the index-only
+counts it ran before deciding.
 """
 
 from conftest import write_and_print, write_json_results
@@ -241,14 +244,15 @@ def test_midquery_switch_beats_restart(results_dir):
             ("steps_per_redecision", m["steps_per_redecision"], "count"),
             ("probes", m["probes"], "count"),
         ):
-            records.append(
-                {
-                    "name": "midquery_%s" % m["query"],
-                    "metric": metric,
-                    "value": value,
-                    "unit": unit,
-                }
-            )
+            record = {
+                "name": "midquery_%s" % m["query"],
+                "metric": metric,
+                "value": value,
+                "unit": unit,
+            }
+            if metric == "steps_per_redecision":
+                record["better"] = "lower"
+            records.append(record)
     write_json_results(results_dir, "midquery", records)
 
     for m in measurements:

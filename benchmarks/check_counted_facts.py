@@ -12,6 +12,14 @@ no request, and a workload with a committed ``max_plan_regret_ratio``
 must read its ``plan_regret_ratio`` metric at or below it (a counted
 ratio too: simulated cost served over the hindsight plans').
 
+A workload with a committed ``gateway_pass`` is also served once,
+in-process, by one fresh gateway of that many shards and that plan-cache
+capacity, and what the gateway itself counts must equal the committed
+values: its decision compiles (optimizer runs), shared compiles and
+drift invalidations, the rows it returned, and how many live entries
+that re-bind another shape's optimizer run hold that run's plan object
+and program segments (``no_copy``) or a copy of their own (``copies``).
+
 Run from the repository root, with no arguments::
 
     python3 benchmarks/check_counted_facts.py
@@ -79,6 +87,72 @@ def check(workloads, committed, results):
     return problems
 
 
+def gateway_pass(workload, seed, shards, capacity):
+    """What one fresh gateway counts serving ``workload``'s stream
+    once (see the module docstring), as a dict."""
+    if str(REPO_ROOT) not in sys.path:
+        sys.path.insert(0, str(REPO_ROOT))
+    from benchmarks.e2e.workloads import (
+        WORKLOADS,
+        build_fixture,
+        generate_stream,
+        materialize,
+    )
+    from repro.service.sharding import ShardedQueryService
+
+    spec = WORKLOADS[workload]
+    fixture = build_fixture(spec)
+    requests = materialize(fixture, generate_stream(spec, seed))
+    rows = 0
+    with ShardedQueryService(
+        fixture.database, shards=shards, capacity=capacity
+    ) as gateway:
+        for request in requests:
+            result = gateway.run(
+                request.query, request.bindings, tag=request.tag, tenant=request.tenant
+            )
+            rows += result.execution.row_count
+        total = gateway.stats().total
+        shared = [
+            entry
+            for shard in gateway.shards
+            for entry in shard.cache.entries()
+            if entry.compiled_from is not None
+        ]
+        copies = sum(
+            entry.plan is not entry.compiled_from.plan
+            or entry.decision._segments is not entry.compiled_from.decision._segments
+            for entry in shared
+        )
+    return {
+        "decision_compiles": total.resilience["decision_compiles"],
+        "shared_compiles": total.resilience["shared_compiles"],
+        "invalidations": total.cache["invalidations"],
+        "rows": rows,
+        "no_copy": len(shared),
+        "copies": copies,
+    }
+
+
+def check_gateway_passes(workloads, committed):
+    """``(workload, problem)`` pairs for the committed ``gateway_pass``
+    facts a fresh gateway does not reproduce."""
+    problems = []
+    for workload in workloads:
+        expected = committed["workloads"][workload].get("gateway_pass")
+        if expected is None:
+            continue
+        read = gateway_pass(
+            workload, committed["seed"], expected["shards"], expected["capacity"]
+        )
+        if read != expected["counts"]:
+            problems.append(
+                (workload, "gateway pass read %r, committed %r"
+                 % (read, expected["counts"]))
+            )
+    return problems
+
+
 def main():
     with open(FACTS, encoding="utf-8") as handle:
         committed = json.load(handle)
@@ -91,6 +165,7 @@ def main():
             if not _run(workload, committed["seed"], committed["seconds"], results)
         ]
         problems += check(workloads, committed, results)
+    problems += check_gateway_passes(workloads, committed)
     for workload, problem in problems:
         print("FAILED %s: %s" % (workload, problem))
     if not problems:

@@ -20,11 +20,12 @@ run by that kind's *kernel*: a module-level ``for`` loop over rows with
 the cost formula inline.  Nodes that read neither a parameter nor an
 input (scans, temporaries) are filled into template arrays instead.  A
 row that computes exactly what an earlier row of its rank computes — a
-merge join whose inputs are another's swapped, a sort of an input
-another sort already costs (a sort's cost does not read its key) — is
-not run: it becomes a ``(slot, source)`` pair in one copy segment at
-the end of its rank, so every slot still holds its own value (paper
-query 5: 1,113 rows, 904 run and 209 copied).  An invocation copies the
+sort of an input another sort already costs (a sort's cost does not
+read its key) — is not run: it becomes a ``(slot, source)`` pair in one
+copy segment at the end of its rank, so every slot still holds its own
+value (paper query 5: 948 rows, 904 run and 44 copied).  A merge join's
+commuted twin is never in the plan: the optimizer does not build it
+(:class:`~repro.optimizer.rules.JoinToMergeJoin`).  An invocation copies the
 templates, resolves the bindings once into a flat parameter list that
 rows index, runs the segments in rank order — plain float arithmetic,
 one call per segment rather than per node: no interval objects, no
@@ -77,7 +78,7 @@ from repro.common.units import (
     CATALOG_VALIDATION_SECONDS,
     access_module_read_seconds,
 )
-from repro.cost.formulas import RowBuilder, _merge_join
+from repro.cost.formulas import RowBuilder
 from repro.cost.parameters import MEMORY_PARAMETER
 
 
@@ -209,15 +210,9 @@ def _computation(kernel, row):
 
     Equal numbers compute alike, but the last column is keyed with its
     type too: a ``fetch`` mode of ``True`` (clustered), which kernels
-    test by identity, must not equal a page count of ``1``.  A merge
-    join's two inputs are unordered: its formula is symmetric, and IEEE
-    ``+`` and ``*`` commute.
+    test by identity, must not equal a page count of ``1``.
     """
-    columns = row[1:]
-    if kernel is _merge_join:
-        left, right, join_sel = columns
-        columns = (min(left, right), max(left, right), join_sel)
-    return kernel, columns, type(columns[-1])
+    return kernel, row[1:], type(row[-1])
 
 
 def rebuild_chosen(plan, chosen, built, origins=None):

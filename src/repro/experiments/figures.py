@@ -7,6 +7,7 @@ per query.
 """
 
 from repro.experiments.results import ExperimentSettings, FigureResult
+from repro.optimizer.config import OptimizerConfig
 from repro.scenarios.breakeven import (
     breakeven_runtime_vs_dynamic,
     breakeven_static_vs_dynamic,
@@ -65,14 +66,18 @@ class ExperimentContext:
         series = binding_series(
             workload, count=settings.invocations, seed=settings.binding_seed
         )
+        # The paper prototype keeps exactly-equal plans "in the most
+        # naive manner"; Figure 6 reports its plan sizes.
+        static = OptimizerConfig.static(keep_equal_cost_plans=True)
+        dynamic = OptimizerConfig.dynamic(keep_equal_cost_plans=True)
         static_scenario = StaticPlanScenario(
-            workload, cpu_scale=settings.cpu_scale
+            workload, static, cpu_scale=settings.cpu_scale
         )
         dynamic_scenario = DynamicPlanScenario(
-            workload, cpu_scale=settings.cpu_scale
+            workload, dynamic, cpu_scale=settings.cpu_scale
         )
         runtime_scenario = RunTimeOptimizationScenario(
-            workload, cpu_scale=settings.cpu_scale
+            workload, static, cpu_scale=settings.cpu_scale
         )
         bundle = _Bundle(
             workload,

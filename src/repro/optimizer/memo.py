@@ -85,7 +85,8 @@ class Group:
         self.key = key
         self.relations = frozenset(relations)
         self.mexprs = []
-        self._identities = set()
+        #: identity -> position in ``mexprs``
+        self._identities = {}
         #: property key -> PlanEntry (or None when unsatisfiable)
         self.winners = {}
 
@@ -103,9 +104,14 @@ class Group:
         identity = mexpr.identity()
         if identity in self._identities:
             return None
-        self._identities.add(identity)
+        self._identities[identity] = len(self.mexprs)
         self.mexprs.append(mexpr)
         return mexpr
+
+    def position(self, identity):
+        """Index in :attr:`mexprs` of the m-expr with ``identity``, or
+        ``None`` when the group holds none."""
+        return self._identities.get(identity)
 
     def __repr__(self):
         return "Group(%r, %d mexprs)" % (self.key, len(self.mexprs))

@@ -271,13 +271,21 @@ class JoinToHashJoin(ImplementationRule):
 
 class JoinToMergeJoin(ImplementationRule):
     """Join -> Merge-Join, requiring both inputs sorted on the join
-    attributes of the primary predicate (delivered downstream)."""
+    attributes of the primary predicate (delivered downstream).
+
+    Paper Section 3's "two merge-join orders" cost the same function,
+    bit for bit: the formula is symmetric in the two memoized inputs.
+    Unless ``keep_equal_cost_plans`` is set, the second order builds
+    nothing, so no choose-plan carries a twin it could never pick.
+    """
 
     name = "join-mergejoin"
     kind = MExpr.JOIN
 
     def build(self, engine, group, mexpr, prop):
         if not engine.config.consider_merge_join:
+            return []
+        if not engine.config.keep_equal_cost_plans and _commutes_earlier(group, mexpr):
             return []
         primary = mexpr.predicates[0]
         if not prop.is_any:
@@ -297,6 +305,18 @@ class JoinToMergeJoin(ImplementationRule):
         if right is None:
             return []
         return [MergeJoin(left.plan, right.plan, mexpr.predicates)]
+
+
+def _commutes_earlier(group, mexpr):
+    """Whether ``group`` holds ``mexpr`` with its inputs swapped before
+    ``mexpr`` itself, over the same predicates in the same order (a
+    join's selectivity divides by each in turn)."""
+    position = group.position((MExpr.JOIN, mexpr.right_key, mexpr.left_key))
+    return (
+        position is not None
+        and position < group.position(mexpr.identity())
+        and group.mexprs[position].predicates == mexpr.predicates
+    )
 
 
 class JoinToIndexJoin(ImplementationRule):

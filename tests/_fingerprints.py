@@ -48,7 +48,13 @@ def fingerprint(result):
 
 
 def golden_cases():
-    """``(name, thunk)`` pairs; each thunk runs one optimization."""
+    """``(name, thunk)`` pairs; each thunk runs one optimization.
+
+    Every case but the ``serving`` ones runs the paper prototype's naive
+    form (``keep_equal_cost_plans=True``), as recorded before the
+    default dropped exactly-equal plans; the ``serving`` cases run the
+    default config that the service, the CLI and the advisor use.
+    """
     cases = []
 
     def add(name, function, workload, *args, **kwargs):
@@ -61,27 +67,32 @@ def golden_cases():
             )
         )
 
+    static = OptimizerConfig.static(keep_equal_cost_plans=True)
+    dynamic = OptimizerConfig.dynamic(keep_equal_cost_plans=True)
     for number in range(1, 6):
         workload = paper_workload(number, seed=0)
+        memory_uncertain = paper_workload(number, memory_uncertain=True, seed=0)
         prefix = "query%d/" % number
-        add(prefix + "static", optimize_static, workload)
-        add(prefix + "dynamic", optimize_dynamic, workload)
-        add(
-            prefix + "memory_uncertain",
-            optimize_dynamic,
-            paper_workload(number, memory_uncertain=True, seed=0),
-        )
+        add(prefix + "static", optimize_static, workload, static)
+        add(prefix + "dynamic", optimize_dynamic, workload, dynamic)
+        add(prefix + "memory_uncertain", optimize_dynamic, memory_uncertain, dynamic)
+        add(prefix + "serving", optimize_dynamic, workload)
+        add(prefix + "serving_memory_uncertain", optimize_dynamic, memory_uncertain)
         add(
             prefix + "multipoint",
             optimize_dynamic,
             workload,
-            OptimizerConfig.dynamic(multipoint_heuristic=True),
+            OptimizerConfig.dynamic(
+                multipoint_heuristic=True, keep_equal_cost_plans=True
+            ),
         )
         add(
             prefix + "no_branch_and_bound",
             optimize_dynamic,
             workload,
-            OptimizerConfig.dynamic(branch_and_bound=False),
+            OptimizerConfig.dynamic(
+                branch_and_bound=False, keep_equal_cost_plans=True
+            ),
         )
         for seed in (1, 2):
             add(
@@ -89,9 +100,15 @@ def golden_cases():
                 optimize_runtime,
                 workload,
                 random_bindings(workload, seed=seed),
+                static,
             )
         if number <= 2:
-            add(prefix + "exhaustive", optimize_exhaustive, workload)
+            add(
+                prefix + "exhaustive",
+                optimize_exhaustive,
+                workload,
+                OptimizerConfig.exhaustive(keep_equal_cost_plans=True),
+            )
     for topology in ("star", "cycle"):
         for relation_count in (4, 5, 6):
             for bounds in ((0.0, 1.0), (0.0, 0.2)):
@@ -103,6 +120,7 @@ def golden_cases():
                         topology=topology,
                         selectivity_bounds=bounds,
                     ),
+                    dynamic,
                 )
     return cases
 

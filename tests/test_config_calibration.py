@@ -22,10 +22,13 @@ class TestOptimizerConfig:
         assert not OptimizerConfig.dynamic().is_static
         assert OptimizerConfig.exhaustive().is_exhaustive
 
-    def test_defaults_match_paper_prototype(self):
+    def test_defaults_match_paper_prototype_except_equal_cost_ties(self):
         config = OptimizerConfig.dynamic()
         assert config.branch_and_bound
-        assert config.keep_equal_cost_plans  # "the most naive manner"
+        # The one departure: the prototype keeps exactly-equal plans "in
+        # the most naive manner"; the default drops them (commuted
+        # merge-join twins, point ties), which no decision can pick.
+        assert not config.keep_equal_cost_plans
         assert not config.multipoint_heuristic  # paper leaves it off
         assert config.max_alternatives is None
 

@@ -25,6 +25,7 @@ from repro.common.errors import (
     SnapshotError,
     SnapshotVersionError,
 )
+from repro.optimizer import OptimizerConfig
 from repro.optimizer.optimizer import optimize_dynamic
 from repro.service import (
     DurabilityConfig,
@@ -334,6 +335,68 @@ class TestWarmRestore:
         finally:
             warmed.shutdown()
         assert warm == cold
+
+    def test_paper_form_snapshot_serves_the_default_rows_and_decisions(
+        self, tmp_path
+    ):
+        """A snapshot whose entries hold the paper prototype's plans
+        (``keep_equal_cost_plans=True``: merge-join twins kept, as every
+        snapshot written before the default dropped them) restores under
+        the default config, with the format unchanged: its entries serve
+        as hits, without the optimizer, the rows and static plans a cold
+        default gateway serves.  Only the plans differ, so only they make
+        the default's snapshot smaller."""
+        catalog, _queries, requests = traffic()
+
+        def served(gateway):
+            try:
+                return [
+                    (
+                        result.chosen.digest(),
+                        sorted(
+                            sorted(record.as_dict().items())
+                            for record in result.execution.records
+                        ),
+                    )
+                    for result in gateway.run_batch(requests)
+                ]
+            finally:
+                gateway.shutdown()
+
+        paper_path = tmp_path / "paper.json"
+        default_path = tmp_path / "default.json"
+        paper = functools.partial(
+            optimize_dynamic,
+            config=OptimizerConfig.dynamic(keep_equal_cost_plans=True),
+        )
+        served(
+            make_gateway(
+                catalog, durability=DurabilityConfig(paper_path), optimizer=paper
+            )
+        )
+        cold = served(
+            make_gateway(catalog, durability=DurabilityConfig(default_path))
+        )
+        assert os.path.getsize(default_path) < os.path.getsize(paper_path)
+
+        optimizer = CountingOptimizer()
+        warmed = make_gateway(
+            catalog,
+            durability=DurabilityConfig(paper_path, snapshot_on_shutdown=False),
+            optimizer=optimizer,
+        )
+        assert warmed.restore_stats.restored > 0
+        assert warmed.restore_stats.errors == []
+        restored = [
+            entry for shard in warmed.shards for entry in shard.cache.entries()
+        ]
+        assert any(
+            entry.plan.node_count()
+            > optimize_dynamic(catalog, entry.query).node_count()
+            for entry in restored
+        )
+        assert served(warmed) == cold
+        assert optimizer.calls == 0
 
     def test_restore_survives_shard_count_change(self, tmp_path):
         catalog, _queries, requests = traffic()

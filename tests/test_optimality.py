@@ -10,8 +10,10 @@ query sizes and topologies, plus the exhaustive-plan variant.
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.algebra.physical import ChoosePlan, MergeJoin
 from repro.executor import resolve_dynamic_plan
 from repro.optimizer import (
+    OptimizerConfig,
     optimize_dynamic,
     optimize_exhaustive,
     optimize_runtime,
@@ -20,6 +22,7 @@ from repro.scenarios import predicted_execution_seconds
 from repro.workloads import (
     binding_series,
     make_join_workload,
+    paper_workload,
     random_bindings,
 )
 
@@ -158,3 +161,82 @@ class TestDynamicPlanContainsRuntimeChoice:
                 bindings,
             )
             assert chosen_cost == pytest.approx(runtime_cost, rel=1e-9)
+
+
+@st.composite
+def tie_workloads(draw):
+    """A paper query, or a chain, star or cycle join of 3-6 relations
+    over drawn selectivity bounds (never a point: a query with nothing
+    uncertain has exact point ties, which only the paper form keeps)."""
+    memory_uncertain = draw(st.booleans())
+    if draw(st.booleans()):
+        return paper_workload(
+            draw(st.integers(1, 5)), memory_uncertain=memory_uncertain, seed=0
+        )
+    low = draw(st.floats(0.0, 0.5))
+    high = draw(st.floats(low + 0.01, 1.0))
+    return make_join_workload(
+        draw(st.integers(3, 6)),
+        topology=draw(st.sampled_from(["chain", "star", "cycle"])),
+        memory_uncertain=memory_uncertain,
+        selectivity_bounds=(low, high),
+    )
+
+
+def _repeated_alternatives(plan):
+    """Choose-plan alternatives that compute an earlier alternative's
+    cost function: one operator kind, the same predicate set (or node
+    parameters), and the same input objects, as a set for a merge join
+    (its formula is symmetric) and in order otherwise (a hash join
+    builds on its left input)."""
+    repeated = []
+    for node in plan.walk_unique():
+        if not isinstance(node, ChoosePlan):
+            continue
+        seen = set()
+        for alternative in node.alternatives:
+            inputs = tuple(map(id, alternative.inputs()))
+            key = (
+                type(alternative),
+                frozenset(inputs) if type(alternative) is MergeJoin else inputs,
+                frozenset(getattr(alternative, "predicates", ()))
+                or alternative._local_signature(),
+            )
+            if key in seen:
+                repeated.append(alternative)
+            seen.add(key)
+    return repeated
+
+
+class TestEqualCostPlansDropped:
+    """The default config drops what the paper form keeps "in the most
+    naive manner" and no decision can pick: the same root cost to the
+    bit, the same choose-plans, the same static plan under any bindings,
+    and no choose-plan alternative that repeats another's cost function
+    (each commuted merge-join twin, in the paper form)."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        workload=tie_workloads(),
+        binding_seeds=st.lists(st.integers(0, 10_000), min_size=1, max_size=4),
+    )
+    def test_same_decisions_fewer_nodes(self, workload, binding_seeds):
+        catalog, query = workload.catalog, workload.query
+        default = optimize_dynamic(catalog, query)
+        paper = optimize_dynamic(
+            catalog, query, OptimizerConfig.dynamic(keep_equal_cost_plans=True)
+        )
+        assert repr(default.cost.lower) == repr(paper.cost.lower)
+        assert repr(default.cost.upper) == repr(paper.cost.upper)
+        assert default.choose_plan_count() == paper.choose_plan_count()
+        assert default.node_count() <= paper.node_count()
+        assert _repeated_alternatives(default.plan) == []
+        for seed in binding_seeds:
+            bindings = random_bindings(workload, seed=seed)
+            chosen = [
+                resolve_dynamic_plan(
+                    result.plan, catalog, query.parameter_space, bindings
+                )[0].digest()
+                for result in (default, paper)
+            ]
+            assert chosen[0] == chosen[1]

@@ -114,21 +114,26 @@ class TestDynamicPruning:
             id(plan) for plan, _ in twice
         ]
 
-    def test_equal_ties_kept_by_default(self):
-        engine = make_engine(OptimizerConfig.dynamic())
+    def test_equal_ties_kept_in_the_paper_form(self):
+        engine = make_engine(
+            OptimizerConfig.dynamic(keep_equal_cost_plans=True)
+        )
         kept = engine._prune(
             candidates_from([Interval.point(5), Interval.point(5)])
         )
         assert len(kept) == 2
 
     def test_equal_ties_dropped_when_configured(self):
-        engine = make_engine(
-            OptimizerConfig.dynamic(keep_equal_cost_plans=False)
-        )
-        kept = engine._prune(
-            candidates_from([Interval.point(5), Interval.point(5)])
-        )
-        assert len(kept) == 1
+        """``keep_equal_cost_plans=False`` is also the default."""
+        for config in (
+            OptimizerConfig.dynamic(),
+            OptimizerConfig.dynamic(keep_equal_cost_plans=False),
+        ):
+            engine = make_engine(config)
+            kept = engine._prune(
+                candidates_from([Interval.point(5), Interval.point(5)])
+            )
+            assert len(kept) == 1
 
 
 def prune_with_compare_costs(candidates, drop_equal):

@@ -261,7 +261,7 @@ class TestSortEnforcer:
 
 
 class TestGoldenFingerprints:
-    """Plans, cost bounds and search counters of 49 optimizations are
+    """Plans, cost bounds and search counters of 59 optimizations are
     pinned to the bit (see ``tests/_fingerprints.py``): a change that
     makes the optimizer faster must leave every one of them alone."""
 
