@@ -6,10 +6,11 @@ the committed snapshots in ``benchmarks/baselines/*.json`` and fails —
 exit status 1 — when any metric is *worse* than its baseline by more
 than the tolerance (default ±25%).
 
-Direction is the record's own ``better`` key (``"lower"`` or
+Direction is the results record's own ``better`` key (``"lower"`` or
 ``"higher"``) when it has one — an overhead is a ``fraction`` that
-should fall, unlike a hit rate — and is otherwise inferred from the
-unit:
+should fall, unlike a hit rate — else the baseline record's, and is
+otherwise inferred from the unit; a results record and a baseline that
+state opposite directions fail the gate.  The units:
 
 * ``s``, ``us`` — latency: lower is better, a regression is an increase;
 * ``records/s``, ``requests/s``, ``x``, ``fraction`` — throughput,
@@ -124,27 +125,47 @@ def relative_change(current, baseline):
     return (current - baseline) / abs(baseline)
 
 
-def classify(record, baseline_value, tolerance):
-    """``(status, change)`` for one metric vs its baseline value.
+def direction(record, baseline):
+    """The ``better`` key of the results record, else the baseline's
+    (``None`` when neither has one).
+
+    A baseline that states a direction keeps it when a bench stops
+    emitting the key; a results record and a baseline that state
+    opposite directions are refused with a :class:`MalformedRecordError`,
+    since either reading of the change would be a guess.
+    """
+    stated = record.get("better")
+    committed = baseline.get("better")
+    if stated is not None and committed is not None and stated != committed:
+        raise MalformedRecordError(
+            "%s/%s: results say better=%s but the baseline says better=%s"
+            % (record["name"], record["metric"], stated, committed)
+        )
+    return committed if stated is None else stated
+
+
+def classify(record, baseline, tolerance):
+    """``(status, change)`` for one metric vs its baseline record.
 
     Status is ``ok``, ``regression``, or ``improvement``; ``change`` is
-    the signed relative change.  A record without a ``better`` key whose
-    unit is outside the two known direction sets is compared
-    symmetrically: any drift beyond tolerance is a regression, because
-    we cannot tell which direction is good.
+    the signed relative change.  Direction is :func:`direction`, else
+    the unit's.  A metric with neither whose unit is outside the two
+    known direction sets is compared symmetrically: any drift beyond
+    tolerance is a regression, because we cannot tell which direction
+    is good.
     """
-    change = relative_change(record["value"], baseline_value)
+    change = relative_change(record["value"], baseline["value"])
     unit = record["unit"]
-    direction = record.get("better")
-    if direction == "lower" or (direction is None and unit in LOWER_IS_BETTER):
-        worse, better = change > tolerance, change < -tolerance
-    elif direction == "higher" or unit in HIGHER_IS_BETTER:
-        worse, better = change < -tolerance, change > tolerance
+    better = direction(record, baseline)
+    if better == "lower" or (better is None and unit in LOWER_IS_BETTER):
+        worse, improved = change > tolerance, change < -tolerance
+    elif better == "higher" or unit in HIGHER_IS_BETTER:
+        worse, improved = change < -tolerance, change > tolerance
     else:
-        worse, better = abs(change) > tolerance, False
+        worse, improved = abs(change) > tolerance, False
     if worse:
         return "regression", change
-    if better:
+    if improved:
         return "improvement", change
     return "ok", change
 
@@ -186,7 +207,11 @@ def compare(results_dir, baselines_dir, tolerance):
                 )
                 continue
             base_value = baseline[key]["value"]
-            status, change = classify(record, base_value, tolerance)
+            try:
+                status, change = classify(record, baseline[key], tolerance)
+            except MalformedRecordError as error:
+                failures.append("%s: %s" % (baseline_path.name, error))
+                continue
             rows.append(
                 (name, metric, record["unit"], base_value,
                  record["value"], change, status)

@@ -31,7 +31,8 @@ assuming that cost functions are monotonic in all their arguments"
 """
 
 import math
-from math import ceil, log
+import sys
+from math import ceil, floor, log
 
 from repro.algebra.physical import (
     BTreeScan,
@@ -125,7 +126,10 @@ def btree_leaf_pages(cardinality):
 # clustered (the records' adjacent pages, read sequentially); or,
 # buffered, the relation's heap-page count (unclustered, [MaL89] faults
 # through the memory grant).  Identity tests keep the branch as cheap as
-# a flag's.
+# a flag's.  A hash-join row's last column, ``twin``, is ``None`` as
+# :class:`RowBuilder` builds it, or the slot of the commuted join that
+# the same row also fills (:class:`~repro.executor.decision.
+# CompiledDecision` pairs the two).
 
 
 def _filter_btree_scan(rows, costs, cards, values, decisions):
@@ -154,9 +158,48 @@ def _filter(rows, costs, cards, values, decisions):
         cards[slot] = card * values[read]
 
 
+def _spills_above(memory):
+    """The build cardinality a hash join's build side spills above.
+
+    A build side of ``ceil(card / RECORDS_PER_PAGE) or 1`` pages spills
+    when it is not at most ``memory`` pages.  For a grant of at least
+    one page that is exactly ``card > floor(memory) * RECORDS_PER_PAGE``:
+    an integer exceeds ``memory`` exactly when it exceeds
+    ``floor(memory)``, and dividing by a power of two is exact (a
+    subnormal card's pages are ``or 1``, and ``1 <= memory``).  Below
+    one page, and for a NaN grant, which no comparison holds, every
+    positive card spills; under an infinite one no finite card does,
+    and an infinite card still reaches ``ceil``, which raises.
+    """
+    if not memory >= 1:
+        return 0
+    if memory == math.inf:
+        return sys.float_info.max
+    return floor(memory) * RECORDS_PER_PAGE
+
+
+def _spill_seconds(build_card, probe_card, memory):
+    """Partition spill I/O of a build side that does not fit ``memory``;
+    only here are the probe side's pages read."""
+    build_pages = ceil(build_card / RECORDS_PER_PAGE) or 1
+    probe_pages = 0
+    if probe_card > 0:
+        probe_pages = ceil(probe_card / RECORDS_PER_PAGE) or 1
+    return (
+        2.0
+        * (1.0 - memory / build_pages)
+        * (build_pages + probe_pages)
+        * SPILL_IO_TIME_PER_PAGE
+    )
+
+
 def _hash_join(rows, costs, cards, values, decisions):
+    # A ``twin`` slot is the commuted join's, build and probe swapped:
+    # IEEE ``*`` and ``+`` commute, so it shares the output, the CPU
+    # terms and the input costs, and only its spill test is its own.
     memory = values[0]
-    for slot, build, probe, join_sel in rows:
+    spills_above = _spills_above(memory)
+    for slot, build, probe, join_sel, twin in rows:
         build_card = cards[build]
         probe_card = cards[probe]
         output = build_card * probe_card * join_sel
@@ -165,22 +208,22 @@ def _hash_join(rows, costs, cards, values, decisions):
             + probe_card * 2.0 * CPU_COST_WEIGHT
             + output * CPU_COST_WEIGHT
         )
-        if build_card > 0:
-            build_pages = ceil(build_card / RECORDS_PER_PAGE) or 1
-            if not build_pages <= memory:
-                # Partition spill I/O; only this branch reads the probe
-                # side's pages.
-                probe_pages = 0
-                if probe_card > 0:
-                    probe_pages = ceil(probe_card / RECORDS_PER_PAGE) or 1
-                local += (
-                    2.0
-                    * (1.0 - memory / build_pages)
-                    * (build_pages + probe_pages)
-                    * SPILL_IO_TIME_PER_PAGE
-                )
-        costs[slot] = costs[build] + costs[probe] + local
+        inputs = costs[build] + costs[probe]
+        if build_card > spills_above:
+            costs[slot] = inputs + (
+                local + _spill_seconds(build_card, probe_card, memory)
+            )
+        else:
+            costs[slot] = inputs + local
         cards[slot] = output
+        if twin is not None:
+            if probe_card > spills_above:
+                costs[twin] = inputs + (
+                    local + _spill_seconds(probe_card, build_card, memory)
+                )
+            else:
+                costs[twin] = inputs + local
+            cards[twin] = output
 
 
 def _merge_join(rows, costs, cards, values, decisions):
@@ -308,7 +351,7 @@ class RowBuilder:
         kind = type(node)
         if kind is HashJoin:
             join_sel = self.join_selectivity(node.predicates)
-            return _hash_join, (slot, inputs[0], inputs[1], join_sel)
+            return _hash_join, (slot, inputs[0], inputs[1], join_sel, None)
         if kind is MergeJoin:
             join_sel = self.join_selectivity(node.predicates)
             return _merge_join, (slot, inputs[0], inputs[1], join_sel)

@@ -23,9 +23,12 @@ row that computes exactly what an earlier row of its rank computes — a
 sort of an input another sort already costs (a sort's cost does not
 read its key) — is not run: it becomes a ``(slot, source)`` pair in one
 copy segment at the end of its rank, so every slot still holds its own
-value (paper query 5: 948 rows, 904 run and 44 copied).  A merge join's
-commuted twin is never in the plan: the optimizer does not build it
-(:class:`~repro.optimizer.rules.JoinToMergeJoin`).  An invocation copies the
+value.  A hash join's commuted join (build and probe swapped) is a
+different plan and stays, but shares its row: the row's ``twin`` column
+is the other's slot, and the kernel fills both (paper query 5: 948
+rows, 44 copied, and 739 run, 165 of them hash-join pairs).  A merge
+join's commuted twin is never in the plan: the optimizer does not build
+it (:class:`~repro.optimizer.rules.JoinToMergeJoin`).  An invocation copies the
 templates, resolves the bindings once into a flat parameter list that
 rows index, runs the segments in rank order — plain float arithmetic,
 one call per segment rather than per node: no interval objects, no
@@ -78,7 +81,7 @@ from repro.common.units import (
     CATALOG_VALIDATION_SECONDS,
     access_module_read_seconds,
 )
-from repro.cost.formulas import RowBuilder
+from repro.cost.formulas import RowBuilder, _hash_join
 from repro.cost.parameters import MEMORY_PARAMETER
 
 
@@ -210,9 +213,35 @@ def _computation(kernel, row):
 
     Equal numbers compute alike, but the last column is keyed with its
     type too: a ``fetch`` mode of ``True`` (clustered), which kernels
-    test by identity, must not equal a page count of ``1``.
+    test by identity, must not equal a page count of ``1``.  A hash
+    join's last column is its ``twin``, still ``None`` here
+    (:func:`_pair_commuted` runs later); its ``join_sel``, the column
+    before, keeps joins of different selectivity apart.
     """
     return kernel, row[1:], type(row[-1])
+
+
+def _pair_commuted(rows):
+    """One rank's hash-join rows with each commuted pair in one row.
+
+    A row ``(slot, build, probe, join_sel, None)`` takes the slot of a
+    later row ``(probe, build, join_sel)`` — ``join_sel`` equal bit for
+    bit — as its ``twin`` column, and that row is dropped: the kernel
+    fills both slots.  Unpaired rows keep their place.  Floats compare
+    equal with different bits only as ``0.0 == -0.0`` (a NaN key matches
+    only itself), so a zero ``join_sel`` is never paired.
+    """
+    paired = []
+    waiting = {}
+    for row in rows:
+        slot, build, probe, join_sel, _ = row
+        first = waiting.pop((probe, build, join_sel), None) if join_sel else None
+        if first is None:
+            waiting[build, probe, join_sel] = len(paired)
+            paired.append(row)
+        else:
+            paired[first] = paired[first][:4] + (slot,)
+    return paired
 
 
 def rebuild_chosen(plan, chosen, built, origins=None):
@@ -328,7 +357,9 @@ class CompiledDecision:
         kernel, and then one ``_copy`` segment: a row that computes what
         an earlier row of its rank computes (:func:`_computation`, over
         its real input slots, never through a copy) is not run but
-        copied from that row's slot.  Returns the segments of each rank.
+        copied from that row's slot.  A hash join and its commuted join
+        then share one row (:func:`_pair_commuted`).  Returns the
+        segments of each rank.
         """
         rows = RowBuilder(catalog, self._read)
         ranks = []
@@ -357,6 +388,9 @@ class CompiledDecision:
                 if source != slot:
                     kernel, row = _copy, (slot, source)
             groups.setdefault((rank, kernel), []).append(row)
+        for rank, kernel in groups:
+            if kernel is _hash_join:
+                groups[rank, kernel] = _pair_commuted(groups[rank, kernel])
         # A stable sort: the kinds of one rank keep first-seen order, and
         # its copies run last.
         order = sorted(groups, key=lambda group: (group[0], group[1] is _copy))

@@ -15,11 +15,24 @@ decides with compiled programs
 shares their cost kernels and node copy (``_rebuild``) but not their
 linearization, ranks, row sharing or argmin, so the equivalence suites
 compare the library against it (g_i = d_i, ties included).
+
+:func:`reference_hash_join` is the hash-join kernel in its plain form:
+one row per slot, and a page count and spill test on every row.  The
+library's kernel, which both :class:`~repro.cost.formulas.CostModel`
+and compiled programs run, hoists the spill test into one threshold per
+pass and fills a commuted pair from one row, so it is held to this one
+bit for bit (``tests/test_hash_join_pairs.py``).
 """
 
+from math import ceil
+
 from repro.algebra.physical import ChoosePlan
-from repro.common.units import access_module_read_seconds
-from repro.cost.formulas import CostModel
+from repro.common.units import (
+    CPU_COST_WEIGHT,
+    RECORDS_PER_PAGE,
+    access_module_read_seconds,
+)
+from repro.cost.formulas import SPILL_IO_TIME_PER_PAGE, CostModel
 from repro.cost.parameters import Valuation
 from repro.executor.decision import StartupReport, _rebuild
 
@@ -153,3 +166,33 @@ def _resolve(node, cost_model, resolved, choices):
         result = _rebuild(node, children)
     resolved[id(node)] = (node, result)
     return result
+
+
+def reference_hash_join(rows, costs, cards, values, decisions):
+    """The hash-join kernel over ``(slot, build, probe, join_sel)`` rows."""
+    memory = values[0]
+    for slot, build, probe, join_sel in rows:
+        build_card = cards[build]
+        probe_card = cards[probe]
+        output = build_card * probe_card * join_sel
+        local = (
+            build_card * 2.0 * CPU_COST_WEIGHT
+            + probe_card * 2.0 * CPU_COST_WEIGHT
+            + output * CPU_COST_WEIGHT
+        )
+        if build_card > 0:
+            build_pages = ceil(build_card / RECORDS_PER_PAGE) or 1
+            if not build_pages <= memory:
+                # Partition spill I/O; only this branch reads the probe
+                # side's pages.
+                probe_pages = 0
+                if probe_card > 0:
+                    probe_pages = ceil(probe_card / RECORDS_PER_PAGE) or 1
+                local += (
+                    2.0
+                    * (1.0 - memory / build_pages)
+                    * (build_pages + probe_pages)
+                    * SPILL_IO_TIME_PER_PAGE
+                )
+        costs[slot] = costs[build] + costs[probe] + local
+        cards[slot] = output

@@ -49,7 +49,7 @@ from repro.common.errors import (
     ServiceExecutionError,
     TransientIOError,
 )
-from repro.cost.formulas import CostModel
+from repro.cost.formulas import CostModel, _hash_join
 from repro.cost.parameters import MEMORY_PARAMETER, Bindings, Valuation
 from repro.executor import execute_plan, resolve_dynamic_plan, validate_plan
 from repro.executor.decision import (
@@ -602,14 +602,21 @@ class TestIncrementalDecider:
 
 class TestTwinRows:
     """A row that computes what an earlier row of its rank computes is
-    copied from that row's slot, not run; a pin still reaches each
-    member of the pair on its own."""
+    copied from that row's slot, not run, and a hash join's row also
+    fills its commuted join's slot; a pin still reaches each member of
+    the pair on its own."""
 
     @staticmethod
     def _pair(program, kind):
-        """The first copied ``(twin, source)`` nodes of ``kind``: sorts
-        of one input (the optimizer builds no commuted merge join)."""
+        """The first ``(twin, source)`` nodes of ``kind`` one row fills:
+        a copied sort of one input (the optimizer builds no commuted
+        merge join), or a hash join's commuted join."""
         nodes = program._nodes
+        if kind is HashJoin:
+            for kernel, rows in program._segments:
+                for row in rows if kernel is _hash_join else ():
+                    if row[-1] is not None:
+                        return nodes[row[-1]], nodes[row[0]]
         for kernel, rows in program._segments:
             if kernel is not _copy:
                 continue
@@ -623,7 +630,7 @@ class TestTwinRows:
         raise AssertionError("no copied %s" % kind.__name__)
 
     @pytest.mark.parametrize("member", ["twin", "source"])
-    @pytest.mark.parametrize("kind", [Sort], ids=["sort"])
+    @pytest.mark.parametrize("kind", [Sort, HashJoin], ids=["sort", "hash_join"])
     @pytest.mark.parametrize("paper_query", [3, 4, 5])
     def test_pinning_one_member_equals_the_substituted_program(
         self, paper_query, kind, member

@@ -3,9 +3,10 @@
 ``benchmarks/check_regression.py`` is CI's last line of defence for
 perf; these tests pin the behaviours a broken gate would silently
 lose: malformed records fail with a *diagnosis* (file, record, missing
-key) rather than a ``KeyError`` traceback, direction is the record's
-``better`` key or else inferred from the unit, and a baseline metric
-that vanished from results is a hard failure.
+key) rather than a ``KeyError`` traceback, direction is the results
+record's ``better`` key, else the baseline's, else inferred from the
+unit (opposite keys fail), and a baseline metric that vanished from
+results is a hard failure.
 """
 
 import importlib.util
@@ -145,6 +146,41 @@ class TestCompare:
         assert statuses[("other", "overhead")] == "regression"
         assert statuses[("bench", "hit_rate")] == "regression"
         assert len(failures) == 2
+
+    def test_baseline_direction_applies_when_results_omit_it(self, tmp_path):
+        """A counted ``count`` the baseline says should fall: a rise is
+        a regression and a drop an improvement, though the results
+        record carries no ``better`` key and the unit no direction."""
+        steps = record(metric="steps", value=100.0, unit="count")
+        results, baselines = self.setup_dirs(
+            tmp_path,
+            [
+                dict(steps, better="lower"),
+                dict(steps, name="other", better="lower"),
+            ],
+            [dict(steps, value=140.0), dict(steps, name="other", value=60.0)],
+        )
+        rows, failures = gate.compare(results, baselines, 0.25)
+        statuses = {(name, metric): status
+                    for name, metric, _u, _b, _c, _ch, status in rows}
+        assert statuses[("bench", "steps")] == "regression"
+        assert statuses[("other", "steps")] == "improvement"
+        assert len(failures) == 1 and "bench/steps" in failures[0]
+
+    def test_opposite_directions_fail_with_a_message(self, tmp_path):
+        """Results and baseline that disagree on ``better`` fail the
+        gate whatever the change, naming both directions."""
+        rate = record(metric="rate", unit="fraction")
+        results, baselines = self.setup_dirs(
+            tmp_path,
+            [dict(rate, better="lower"), record()],
+            [dict(rate, better="higher"), record()],
+        )
+        rows, failures = gate.compare(results, baselines, 0.25)
+        assert [(name, metric) for name, metric, *_rest in rows] == [("bench", "p50")]
+        assert len(failures) == 1
+        assert "bench/rate" in failures[0]
+        assert "better=higher" in failures[0] and "better=lower" in failures[0]
 
     def test_unknown_direction_is_refused(self, tmp_path):
         path = tmp_path / "r.json"

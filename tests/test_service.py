@@ -17,7 +17,7 @@ from repro.__main__ import main
 from repro.catalog import populate_database
 from repro.common.errors import ExecutionError
 from repro.common.intervals import Interval
-from repro.cost.formulas import _filter_btree_scan, _merge_join, _sort
+from repro.cost.formulas import _filter_btree_scan, _hash_join, _merge_join, _sort
 from repro.cost.parameters import MEMORY_PARAMETER
 from repro.executor import (
     ShrinkingAccessModule,
@@ -491,7 +491,9 @@ class TestCompiledDecision:
         compute what another row of their rank computes and are copied:
         sorts of an input another sort already costs (a sort's cost does
         not read its key).  The optimizer builds no commuted merge-join
-        twin, so each of the 165 merge joins runs."""
+        twin, so each of the 165 merge joins runs.  Every hash join's
+        commuted join is under the same choose-plan, and the pair is one
+        row: 739 rows run, 165 of them fill two slots."""
         workload = paper_workload(5, seed=0)
         plan = optimize_dynamic(workload.catalog, workload.query).plan
         program = CompiledDecision(
@@ -501,16 +503,33 @@ class TestCompiledDecision:
         for kernel, segment in program._segments:
             rows[kernel] += len(segment)
         assert (len(program), program.decision_count) == (958, 145)
-        assert sum(rows.values()) - rows[_copy] == 904
+        assert sum(rows.values()) - rows[_copy] == 739
         assert rows[_copy] == 44
-        assert (rows[_sort], rows[_merge_join]) == (64, 165)
+        assert (rows[_sort], rows[_merge_join], rows[_hash_join]) == (64, 165, 165)
+        twins = [
+            row[-1]
+            for kernel, segment in program._segments
+            if kernel is _hash_join
+            for row in segment
+        ]
+        assert None not in twins
+        assert len(set(twins)) == 165
 
     def test_a_row_is_keyed_by_what_it_computes(self):
         """A clustered fetch (``True``, tested by identity) is not a
-        one-page heap (``1``)."""
+        one-page heap (``1``), and hash joins over the same inputs whose
+        join selectivities differ are two computations, though the last
+        column of either row is ``None``."""
         scan = (0, 1, 1000, 0.03, 32, True)
         assert _computation(_filter_btree_scan, scan) != _computation(
             _filter_btree_scan, scan[:-1] + (1,)
+        )
+        join = (5, 1, 2, 0.001, None)
+        assert _computation(_hash_join, join) == _computation(
+            _hash_join, (6,) + join[1:]
+        )
+        assert _computation(_hash_join, join) != _computation(
+            _hash_join, (6, 1, 2, 0.002, None)
         )
 
     def test_memo_keys_hold_only_the_programs_pairs(self):
