@@ -23,7 +23,7 @@ p50s so scheduler noise in one serve does not decide it.
 
 import time
 
-from conftest import write_and_print, write_json_results
+from conftest import write_and_print
 
 from repro.algebra.expressions import SelectionPredicate
 from repro.common import percentile
@@ -178,30 +178,6 @@ def test_recovery_restore_speedup(results_dir, tmp_path):
         % (speedup, MIN_RESTORE_SPEEDUP),
     ]
     write_and_print(results_dir, "recovery", "\n".join(lines))
-    write_json_results(
-        results_dir,
-        "recovery",
-        [
-            {
-                "name": "recovery",
-                "metric": "cold_first_touch_p50",
-                "value": cold_p50,
-                "unit": "s",
-            },
-            {
-                "name": "recovery",
-                "metric": "restored_first_touch_p50",
-                "value": restored_p50,
-                "unit": "s",
-            },
-            {
-                "name": "recovery",
-                "metric": "restore_speedup",
-                "value": speedup,
-                "unit": "x",
-            },
-        ],
-    )
     assert speedup >= MIN_RESTORE_SPEEDUP, (
         "snapshot restore must beat cold start by %.0fx (got %.1fx)"
         % (MIN_RESTORE_SPEEDUP, speedup)

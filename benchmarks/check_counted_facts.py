@@ -25,7 +25,10 @@ Run from the repository root, with no arguments::
     python3 benchmarks/check_counted_facts.py
 
 Every workload in the table is checked, each in a temporary directory.
-Exit status 1 when any value differs or a run fails.
+Exit status 1 when any value differs or a run fails.  The table's
+``benches`` section is not read here: ``bench_midquery`` and
+``bench_service_cache`` check their own entries exactly
+(``benchmarks/conftest.py::check_counted_facts``).
 """
 
 import json

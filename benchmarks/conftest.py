@@ -3,7 +3,10 @@
 Each bench module regenerates one of the paper's tables or figures and
 writes the rendered rows to ``benchmarks/results/``.  The shared
 experiment context (all scenarios for all five paper queries, with and
-without memory uncertainty) is computed once per session.
+without memory uncertainty) is computed once per session.  A bench
+whose counted facts repeat exactly checks them with
+:func:`check_counted_facts` against the ``benches`` section of
+``benchmarks/counted_facts.json``.
 
 Set ``REPRO_BENCH_N`` to change the invocation count (default 30; the
 paper uses 100 — see EXPERIMENTS.md for a full-N run's numbers).
@@ -15,22 +18,17 @@ import pathlib
 
 import pytest
 
-from repro.common import percentile
 from repro.experiments.figures import ExperimentContext
 from repro.experiments.results import ExperimentSettings
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
-
-
-def bench_invocations():
-    """Invocation count used by the benchmark harness."""
-    return int(os.environ.get("REPRO_BENCH_N", "30"))
+COUNTED_FACTS = pathlib.Path(__file__).parent / "counted_facts.json"
 
 
 @pytest.fixture(scope="session")
 def settings():
     """Experiment settings shared by all figure benches."""
-    return ExperimentSettings(invocations=bench_invocations())
+    return ExperimentSettings(invocations=int(os.environ.get("REPRO_BENCH_N", "30")))
 
 
 @pytest.fixture(scope="session")
@@ -54,60 +52,48 @@ def write_and_print(results_dir, name, text):
     print(text)
 
 
-def latency_summary(name, values, unit="s"):
-    """Benchmark records summarizing a latency sample: p50/p95/mean.
+def _flatten(facts, prefix=""):
+    """``{"a": {"b": 1}}`` as ``{"a.b": 1}``: one entry per record."""
+    flat = {}
+    for key, value in facts.items():
+        if isinstance(value, dict):
+            flat.update(_flatten(value, prefix + key + "."))
+        else:
+            flat[prefix + key] = value
+    return flat
 
-    Uses the library's own :func:`repro.common.percentile` (the one
-    the service statistics report with), so benchmark artifacts and
-    service-side numbers are computed identically.
+
+def check_counted_facts(bench, read, path=COUNTED_FACTS):
+    """Fail unless ``read`` equals the table's ``benches[bench]`` exactly.
+
+    ``read`` is a (nested) dict of a bench's counted values.  A record
+    fails when its value is not ``==`` the committed one, when the table
+    lacks it, or when the bench did not emit it; the message names each
+    such record with the value read and the committed value.  There is
+    no tolerance: these values repeat bit for bit from run to run, so a
+    change that moves one changed what the program does.  Re-record it
+    in ``counted_facts.json`` deliberately, and say why, in that change.
     """
-    return [
-        {
-            "name": name,
-            "metric": "p50",
-            "value": percentile(values, 0.50),
-            "unit": unit,
-        },
-        {
-            "name": name,
-            "metric": "p95",
-            "value": percentile(values, 0.95),
-            "unit": unit,
-        },
-        {
-            "name": name,
-            "metric": "mean",
-            "value": sum(values) / len(values),
-            "unit": unit,
-        },
-    ]
-
-
-#: Keys every machine-readable benchmark record must carry.
-RESULT_RECORD_KEYS = frozenset(("name", "metric", "value", "unit"))
-
-
-def write_json_results(results_dir, name, records):
-    """Persist machine-readable benchmark results; returns the path.
-
-    ``records`` is a list of ``{name, metric, value, unit}`` dicts —
-    one measurement each — written to ``benchmarks/results/<name>.json``
-    so CI can collect the perf trajectory as an artifact.  Records are
-    validated here so a malformed bench fails its own run, not the
-    downstream consumer.
-    """
-    records = list(records)
-    for record in records:
-        missing = RESULT_RECORD_KEYS - set(record)
-        if missing:
-            raise ValueError(
-                "benchmark record %r missing keys: %s"
-                % (record, ", ".join(sorted(missing)))
+    with open(path, encoding="utf-8") as handle:
+        committed = _flatten(json.load(handle)["benches"].get(bench, {}))
+    read = _flatten(read)
+    problems = []
+    for record in sorted(set(read) | set(committed)):
+        if record not in committed:
+            problems.append(
+                "%s: read %r, not in the table" % (record, read[record])
             )
-        if not isinstance(record["value"], (int, float)):
-            raise ValueError(
-                "benchmark record %r value must be numeric" % (record,)
+        elif record not in read:
+            problems.append(
+                "%s: not emitted, committed %r" % (record, committed[record])
             )
-    path = results_dir / ("%s.json" % name)
-    path.write_text(json.dumps(records, indent=2) + "\n", encoding="utf-8")
-    return path
+        elif read[record] != committed[record]:
+            problems.append(
+                "%s: read %r, committed %r"
+                % (record, read[record], committed[record])
+            )
+    assert not problems, "%s: counted facts differ from %s:\n  %s" % (
+        bench,
+        path.name,
+        "\n  ".join(problems),
+    )

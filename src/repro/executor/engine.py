@@ -2,8 +2,10 @@
 
 Execution works on *any* physical plan: static plans run directly;
 dynamic plans make their choose-plan decisions at open time through
-the context's run-time cost model, exactly as in the paper's start-up
-architecture.
+:func:`~repro.executor.startup.resolve_dynamic_plan`, one pass of the
+plan's compiled decision program under the context's bindings, exactly
+as in the paper's start-up architecture.  The context's run-time cost
+model only feeds the per-operator profile of a traced run.
 """
 
 import time
@@ -21,7 +23,7 @@ from repro.resilience.deadline import Deadline
 
 
 class ExecutionContext:
-    """Everything iterators need: data, bindings, and a cost model."""
+    """Everything iterators need: data, bindings, memory and limits."""
 
     def __init__(self, database, bindings=None, parameter_space=None,
                  use_buffer_pool=False, tracer=None, batch_size=None,
@@ -84,14 +86,14 @@ class ExecutionContext:
 
     @property
     def cost_model(self):
-        """Memoizing cost model under the run-time valuation (lazy)."""
+        """Memoizing run-time cost model (lazy); a traced run's profile reads it."""
         if self._cost_model is None:
             valuation = Valuation.runtime(self.parameter_space, self.bindings)
             self._cost_model = CostModel(self.database.catalog, valuation)
         return self._cost_model
 
     def record_decision(self, choose_plan_node, chosen):
-        """Log a choose-plan decision (used by plan shrinking)."""
+        """Log a choose-plan decision for :attr:`ExecutionResult.decisions`."""
         self.decisions.append((choose_plan_node, chosen))
 
 

@@ -51,18 +51,14 @@ class OptimizerConfig:
         choose-plan's decision overhead.  The figure harness
         (``ExperimentContext``) and the ablation's "paper" row pass
         ``True``, so Figures 3-8 keep the prototype's plan sizes.
-    consider_merge_join / consider_index_join / consider_btree_scan:
-        Toggle algorithm classes (useful in tests and ablations).
     multipoint_heuristic:
         The Section 3 heuristic: evaluate both cost functions at a
         number of sampled parameter settings and drop a plan that is
         more expensive at every sample even though the intervals
         overlap.  Off by default, like the paper's prototype.
     multipoint_samples:
-        Number of sampled parameter settings for the heuristic.
-    max_alternatives:
-        Optional hard cap on alternatives kept per (group, property);
-        ``None`` (the default) reproduces the paper faithfully.
+        Number of sampled parameter settings for the heuristic (drawn
+        from a generator seeded with 0 and the query name).
     choose_plan_overhead:
         Seconds charged per choose-plan decision at start-up time.
     """
@@ -72,26 +68,16 @@ class OptimizerConfig:
         mode=OptimizerMode.DYNAMIC,
         branch_and_bound=True,
         keep_equal_cost_plans=False,
-        consider_merge_join=True,
-        consider_index_join=True,
-        consider_btree_scan=True,
         multipoint_heuristic=False,
         multipoint_samples=5,
-        max_alternatives=None,
         choose_plan_overhead=CHOOSE_PLAN_OVERHEAD_SECONDS,
-        seed=0,
     ):
         self.mode = mode
         self.branch_and_bound = branch_and_bound
         self.keep_equal_cost_plans = keep_equal_cost_plans
-        self.consider_merge_join = consider_merge_join
-        self.consider_index_join = consider_index_join
-        self.consider_btree_scan = consider_btree_scan
         self.multipoint_heuristic = multipoint_heuristic
         self.multipoint_samples = multipoint_samples
-        self.max_alternatives = max_alternatives
         self.choose_plan_overhead = choose_plan_overhead
-        self.seed = seed
 
     @classmethod
     def static(cls, **overrides):

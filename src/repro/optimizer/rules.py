@@ -191,8 +191,6 @@ class GetSetToBTreeScan(ImplementationRule):
     kind = MExpr.GETSET
 
     def build(self, engine, group, mexpr, prop):
-        if not engine.config.consider_btree_scan:
-            return []
         relation = mexpr.relation_name
         if prop.is_any:
             attributes = engine.interesting_attributes(relation)
@@ -235,8 +233,6 @@ class SelectToFilterBTreeScan(ImplementationRule):
     SARGABLE_OPS = frozenset(("=", "<", "<=", ">", ">="))
 
     def build(self, engine, group, mexpr, prop):
-        if not engine.config.consider_btree_scan:
-            return []
         relation = mexpr.relation_name
         predicate = engine.query.selection_for(relation)
         attribute = predicate.attribute.split(".", 1)[1]
@@ -283,8 +279,6 @@ class JoinToMergeJoin(ImplementationRule):
     kind = MExpr.JOIN
 
     def build(self, engine, group, mexpr, prop):
-        if not engine.config.consider_merge_join:
-            return []
         if not engine.config.keep_equal_cost_plans and _commutes_earlier(group, mexpr):
             return []
         primary = mexpr.predicates[0]
@@ -333,8 +327,6 @@ class JoinToIndexJoin(ImplementationRule):
     kind = MExpr.JOIN
 
     def build(self, engine, group, mexpr, prop):
-        if not engine.config.consider_index_join:
-            return []
         right_relations = engine.relations_of(mexpr.right_key)
         if len(right_relations) != 1:
             return []

@@ -543,16 +543,9 @@ class SearchEngine:
                     survivors.append(pair)
             if dominated:
                 self.stats.pruned_by_dominance += 1
-                kept = survivors
             else:
                 survivors.append((plan, result))
-                kept = survivors
-        if (
-            self.config.max_alternatives is not None
-            and len(kept) > self.config.max_alternatives
-        ):
-            kept.sort(key=lambda pair: pair[1].cost.midpoint)
-            kept = kept[: self.config.max_alternatives]
+            kept = survivors
         return kept
 
     def _drop_equal(self):
@@ -576,7 +569,7 @@ class SearchEngine:
     def _sampled_models(self):
         """Cost models at sampled parameter settings (built lazily)."""
         if self._sample_models is None:
-            rng = make_rng(self.config.seed, "multipoint", self.query.name)
+            rng = make_rng(0, "multipoint", self.query.name)
             space = self.query.parameter_space
             models = []
             for _ in range(self.config.multipoint_samples):

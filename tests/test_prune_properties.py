@@ -217,10 +217,3 @@ class TestExhaustivePruning:
         }
         assert len(kept) >= len(distinct)
 
-
-class TestMaxAlternativesCap:
-    def test_cap_applied_after_pruning(self):
-        engine = make_engine(OptimizerConfig.dynamic(max_alternatives=2))
-        intervals = [Interval(i, i + 10) for i in range(6)]
-        kept = engine._prune(candidates_from(intervals))
-        assert len(kept) == 2

@@ -4,9 +4,7 @@ import pytest
 
 from repro.algebra.physical import (
     ChoosePlan,
-    FilterBTreeScan,
     HashJoin,
-    IndexJoin,
     MergeJoin,
     Sort,
 )
@@ -174,41 +172,6 @@ class TestBranchAndBound:
             - dynamic.statistics.pruned_by_dominance
         )
         assert dynamic_kept > static_kept
-
-
-class TestAlgorithmToggles:
-    def test_disable_merge_join(self, workload2):
-        config = OptimizerConfig.dynamic(consider_merge_join=False)
-        result = optimize_dynamic(workload2.catalog, workload2.query, config)
-        assert not any(
-            isinstance(node, MergeJoin) for node in result.plan.walk_unique()
-        )
-
-    def test_disable_index_join(self, workload2):
-        config = OptimizerConfig.dynamic(consider_index_join=False)
-        result = optimize_dynamic(workload2.catalog, workload2.query, config)
-        assert not any(
-            isinstance(node, IndexJoin) for node in result.plan.walk_unique()
-        )
-
-    def test_disable_btree_scan(self, workload2):
-        config = OptimizerConfig.dynamic(consider_btree_scan=False)
-        result = optimize_dynamic(workload2.catalog, workload2.query, config)
-        assert not any(
-            isinstance(node, FilterBTreeScan)
-            for node in result.plan.walk_unique()
-        )
-
-    def test_max_alternatives_caps_plan_size(self, workload3):
-        capped = optimize_dynamic(
-            workload3.catalog, workload3.query,
-            OptimizerConfig.dynamic(max_alternatives=2),
-        )
-        full = optimize_dynamic(workload3.catalog, workload3.query)
-        assert capped.node_count() <= full.node_count()
-        for node in capped.plan.walk_unique():
-            if isinstance(node, ChoosePlan):
-                assert len(node.alternatives) <= 2
 
 
 class TestMultipointHeuristic:
